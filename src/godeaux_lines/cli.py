@@ -192,8 +192,9 @@ def iter_store(path):
         if not first:
             return
         header = json.loads(first)
-        if header.get("format") != STORE_FORMAT:
-            raise ValueError(f"unsupported store format {header.get('format')!r}")
+        fmt = header.get("format") if isinstance(header, dict) else None
+        if fmt != STORE_FORMAT:
+            raise ValueError(f"unsupported store format {fmt!r}")
         for i, raw in enumerate(fh):
             raw = raw.strip()
             if not raw:
@@ -213,7 +214,7 @@ def cmd_classify(args) -> int:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_USAGE
         for i, rec, _raw in records:
-            if rec is None:
+            if not isinstance(rec, dict):
                 out.write(_dumps({"slot": i, "error": "malformed-record"}) + "\n")
                 continue
             if "error" in rec:

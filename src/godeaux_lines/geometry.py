@@ -324,14 +324,23 @@ class LineA:
 
     @classmethod
     def from_json(cls, data: dict) -> "LineA":
+        """Parse the wire format; a malformed shape or scalar raises GeometryError."""
         from .fields import field_from_spec
 
-        F = field_from_spec(data["field"])
+        if not isinstance(data, dict):
+            raise GeometryError("a line must be a JSON object")
         if data.get("order", "a32..a01") != "a32..a01":
             raise GeometryError(f"unknown coordinate order {data.get('order')!r}")
         rows = data["rows"]
-        r0 = [F.parse_scalar(x) for x in rows[0]]
-        r1 = [F.parse_scalar(x) for x in rows[1]]
+        if not (isinstance(rows, list) and len(rows) == 2
+                and all(isinstance(r, list) for r in rows)):
+            raise GeometryError("rows must be a list of two lists")
+        try:
+            F = field_from_spec(data["field"])
+            r0 = [F.parse_scalar(x) for x in rows[0]]
+            r1 = [F.parse_scalar(x) for x in rows[1]]
+        except (TypeError, ValueError, ZeroDivisionError) as e:
+            raise GeometryError(f"malformed line: {e}") from None
         return cls(F, r0, r1, provenance=data.get("provenance"))
 
 

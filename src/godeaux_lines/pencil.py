@@ -22,14 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Sequence
 
 from .fields import Field, PrimeField, RationalField
 from .geometry import GeometryError, LineA, ROW_TRIPLES, line_in_q
 from .linalg import nullspace, rank
-
-#: largest prime modulus for which roots are found by exhaustive P^1 scan
-ROOT_SCAN_LIMIT = 100_000
 
 
 class BinaryForm:
@@ -223,9 +221,12 @@ def binary_roots(f: BinaryForm):
     """Roots of a nonzero binary form over its field, with multiplicities.
 
     Returns a list of ((s, t), multiplicity) with (s, t) normalized to
-    t = 1 or (1, 0).  Prime fields up to ROOT_SCAN_LIMIT are scanned
-    exhaustively; over the rationals the candidates come from the rational
-    root theorem applied to the dehomogenization, plus the (1:0) check.
+    t = 1 or (1, 0): the root (1:0) first, then the finite roots in
+    ascending order.  Over F_p (any prime p < 2^63) the roots are found
+    exactly in time polynomial in log p (:func:`_fp_roots`); over the
+    rationals the candidates come from the rational root theorem applied
+    to the dehomogenization.  Every finite root is re-verified by exact
+    evaluation before it is emitted.
     """
     if f.is_zero():
         raise ValueError("the zero form has no well-defined root list")
@@ -238,16 +239,118 @@ def binary_roots(f: BinaryForm):
     if len(u) == 1:
         return roots
     if isinstance(F, PrimeField):
-        if F.p > ROOT_SCAN_LIMIT:
-            raise ValueError(f"root scan unsupported for p > {ROOT_SCAN_LIMIT}")
-        for x in range(F.p):
-            if _eval_poly(F, u, x) == 0:
-                roots.append(((x, F.one()), _multiplicity(F, u, x)))
+        for x in _fp_roots(u, F.p):
+            m = _multiplicity(F, u, x)
+            if not m:
+                raise ArithmeticError(f"root finder emitted a non-root {x} over {F}")
+            roots.append(((x, F.one()), m))
     elif isinstance(F, RationalField):
         roots.extend(_rational_roots(F, u))
     else:
         raise ValueError(f"root finding not implemented over {F}")
     return roots
+
+
+# ----------------------------------------------------------------------
+# roots over F_p (raw ints, coefficient lists low power first)
+
+
+def _fp_roots(u, p):
+    """The distinct roots in F_p of a nonconstant polynomial, ascending.
+
+    ``u`` lists the coefficients high power first.  A linear polynomial
+    gives its root in closed form.  Otherwise the product of the distinct
+    linear factors, gcd(f, x^p - x), is taken by modular powering and
+    split by :func:`_split_linear` (Cantor-Zassenhaus; von zur Gathen &
+    Gerhard, Modern Computer Algebra, ch. 14).
+    """
+    f = _monic([c % p for c in reversed(u)], p)
+    if len(f) > 2:
+        xp = _pow_linear(0, p, f, p)
+        f = _gcd(f, _sub(xp, [0, 1], p), p)
+    return sorted(_split_linear(f, p))
+
+
+def _split_linear(g, p):
+    """Roots of a monic product g of distinct linear factors over F_p.
+
+    g is split by gcd(g, (x + a)^((p - 1)/2) - 1) for a = 0, 1, 2, ...;
+    for two distinct roots some a < p puts them on different sides, so
+    the loop ends.  Over F_2, g divides x^2 + x.
+    """
+    if len(g) <= 2:
+        return [-g[0] % p] if len(g) == 2 else []
+    if p == 2:
+        return [0, 1]
+    for a in count():
+        d = _gcd(g, _sub(_pow_linear(a, (p - 1) // 2, g, p), [1], p), p)
+        if 1 < len(d) < len(g):
+            return _split_linear(d, p) + _split_linear(_divmod(g, d, p)[0], p)
+
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _monic(a, p):
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _sub(a, b, p):
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = (out[i] - c) % p
+    return _trim(out)
+
+
+def _divmod(a, f, p):
+    """Quotient and remainder of a by the monic f."""
+    n = len(f) - 1
+    r = list(a)
+    q = [0] * max(len(r) - n, 0)
+    for k in range(len(r) - n - 1, -1, -1):
+        c = r[k + n]
+        if c:
+            q[k] = c
+            for i in range(n):
+                r[k + i] = (r[k + i] - c * f[i]) % p
+    return _trim(q), _trim(r[:n])
+
+
+def _mulmod(a, b, f, p):
+    """a * b modulo the monic f of degree n >= 1, for a, b of degree < n."""
+    n = len(f) - 1
+    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for k, y in enumerate(b, i):
+            prod[k] += x * y
+    for k in range(len(prod) - n - 1, -1, -1):
+        c = prod.pop() % p
+        if c:
+            for i in range(n):
+                prod[k + i] -= c * f[i]
+    return _trim([c % p for c in prod])
+
+
+def _pow_linear(a, e, f, p):
+    """(x + a)^e modulo the monic f, by square-and-multiply."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _mulmod(out, out, f, p)
+        if bit == "1":
+            out = _mulmod(out, [a, 1], f, p)
+    return out
+
+
+def _gcd(a, b, p):
+    """Monic GCD of a (nonzero) and b."""
+    while b:
+        b = _monic(b, p)
+        a, b = b, _divmod(a, b, p)[1]
+    return _monic(a, p)
 
 
 def _eval_poly(field: Field, coeffs, x):
@@ -480,6 +583,10 @@ def degeneration_profile(line: LineA, max_degree: int = 4) -> DegenerationProfil
     """
     if not line_in_q(line):
         raise GeometryError("degeneration_profile needs a line inside Q")
+    return _degeneration_profile(line, max_degree)
+
+
+def _degeneration_profile(line: LineA, max_degree: int = 4) -> DegenerationProfile:
     F = line.field
     block_degrees = []
     drops = []

@@ -36,9 +36,9 @@ from .geometry import (
 from .linalg import rank
 from .pencil import (
     BinaryForm,
+    _degeneration_profile,
     binary_gcd,
     binary_roots,
-    degeneration_profile,
     linear_form,
 )
 from .polynomials import Poly
@@ -140,6 +140,10 @@ def torsion_intersections(line: LineA):
     Containments are reported by :func:`torsion_containments`.
     """
     _require_in_q(line)
+    return _torsion_intersections(line)
+
+
+def _torsion_intersections(line: LineA):
     F = line.field
     out = []
     for space in TORSION_SPACES:
@@ -163,6 +167,10 @@ def torsion_intersections(line: LineA):
 def torsion_containments(line: LineA):
     """Torsion spaces containing the whole line."""
     _require_in_q(line)
+    return _torsion_containments(line)
+
+
+def _torsion_containments(line: LineA):
     F = line.field
     out = []
     for space in TORSION_SPACES:
@@ -240,6 +248,10 @@ def hyperelliptic_points(line: LineA) -> HyperellipticResult:
     the torsion/excluded loci.
     """
     _require_in_q(line)
+    return _hyperelliptic_points(line)
+
+
+def _hyperelliptic_points(line: LineA) -> HyperellipticResult:
     F = line.field
     minors = quartic_minors(line)
     g = binary_gcd(minors)
@@ -263,6 +275,10 @@ def row_vanishing_points(line: LineA):
     second list records rows vanishing identically on the line.
     """
     _require_in_q(line)
+    return _row_vanishing_points(line)
+
+
+def _row_vanishing_points(line: LineA):
     F = line.field
     points = []
     contained = []
@@ -360,10 +376,10 @@ def classify_line(line: LineA, max_degree: int = 4) -> FiberReport:
     the minor GCD has a-matrix rank <= 2 yet lies on none of the three
     torsion P^3's (such lines do not lead to Godeaux surfaces).
     """
-    _require_in_q(line)
-    tor = tuple(torsion_intersections(line))
-    tor_cont = tuple(torsion_containments(line))
-    hyp = hyperelliptic_points(line)
+    _require_in_q(line)  # once; the detector bodies below do not re-check
+    tor = tuple(_torsion_intersections(line))
+    tor_cont = tuple(_torsion_containments(line))
+    hyp = _hyperelliptic_points(line)
     hyp_roots = tuple(r for r in hyp.roots if r.rank == 3)
     low = []
     excluded = False
@@ -374,8 +390,8 @@ def classify_line(line: LineA, max_degree: int = 4) -> FiberReport:
             low.append((r, home))
             if home is None:
                 excluded = True
-    rows, row_cont = row_vanishing_points(line)
-    profile = degeneration_profile(line, max_degree)
+    rows, row_cont = _row_vanishing_points(line)
+    profile = _degeneration_profile(line, max_degree)
     return FiberReport(
         line=line,
         torsion_points=tor,

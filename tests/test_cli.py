@@ -152,6 +152,47 @@ def test_classify_malformed_and_non_q_records(tmp_path):
     assert len(reports[2]["torsion_points"]) == 2
 
 
+Z5_LINE_JSON = {
+    "field": {"kind": "prime", "p": 31},
+    "order": "a32..a01",
+    "rows": [
+        ["0", "0", "0", "1", "0", "0", "0", "0", "1", "0", "0", "0"],
+        ["0", "1", "0", "0", "0", "0", "0", "0", "0", "0", "1", "0"],
+    ],
+}
+
+
+@pytest.mark.parametrize("bad, error", [
+    ({"line": dict(Z5_LINE_JSON, rows=5)}, "GeometryError: "),
+    ({"line": dict(Z5_LINE_JSON, rows=[["1"] * 12])}, "GeometryError: "),
+    ({"line": dict(Z5_LINE_JSON, rows=["0" * 12, "1" * 12])}, "GeometryError: "),
+    ({"line": dict(Z5_LINE_JSON, rows=[["x"] * 12, ["1"] * 12])}, "GeometryError: "),
+    ({"line": dict(Z5_LINE_JSON, rows=[[None] * 12, ["1"] * 12])}, "GeometryError: "),
+    ({"line": dict(Z5_LINE_JSON, field={"kind": "prime", "p": "x"})}, "GeometryError: "),
+    ({"line": 7}, "GeometryError: "),
+    (5, "malformed-record"),
+    ([Z5_LINE_JSON], "malformed-record"),
+])
+def test_classify_isolates_malformed_record(tmp_path, bad, error):
+    store = tmp_path / "store.jsonl"
+    records = [{"format": 1}, {"line": Z5_LINE_JSON}, bad, {"line": Z5_LINE_JSON}]
+    store.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "out.jsonl"
+    assert main(["classify", "--in", str(store), "--out", str(out)]) == 0
+    reports = [json.loads(l) for l in out.read_text().splitlines()]
+    assert [r["slot"] for r in reports] == [0, 1, 2]
+    assert reports[1]["error"].startswith(error)
+    assert len(reports[0]["torsion_points"]) == 2
+    assert reports[2] == dict(reports[0], slot=2)
+
+
+@pytest.mark.parametrize("header", ['[1]', '5', '{"format": 2}', 'not json'])
+def test_classify_bad_header_is_usage_error(tmp_path, header):
+    store = tmp_path / "store.jsonl"
+    store.write_text(header + "\n" + json.dumps({"line": Z5_LINE_JSON}) + "\n")
+    assert main(["classify", "--in", str(store)]) == 2
+
+
 def test_batch_report_shapes_per_strategy(tmp_path):
     # classify-after-sample agrees with each strategy's promised shape
     plan = {

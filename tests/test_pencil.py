@@ -1,4 +1,8 @@
-from godeaux_lines.fields import QQ
+import random
+
+import pytest
+
+from godeaux_lines.fields import PrimeField, QQ, is_prime
 from godeaux_lines.geometry import a_matrix_values
 from godeaux_lines.linalg import nullspace, rank
 from godeaux_lines.pencil import (
@@ -53,6 +57,94 @@ def test_roots_over_prime_field(f31):
     # s + 28 t has root s/t = 3; the t factor adds (1:0)
     assert roots[(3, 1)] == 2
     assert roots[(1, 0)] == 1
+
+
+def scan_roots(f):
+    """Oracle: evaluate at every point of P^1(F_p); same list contract."""
+    F = f.field
+    t_mult = next(k for k, c in enumerate(f.coeffs) if c)
+    roots = [((1, 0), t_mult)] if t_mult else []
+    for x in range(F.p):
+        m = 0
+        g = f
+        while g.degree and g.eval(x, 1) == 0:
+            # divide the dehomogenized part by (x - root): synthetic division
+            q, acc = [], 0
+            for c in g.coeffs:
+                acc = F.add(F.mul(acc, x), c)
+                q.append(acc)
+            g = BinaryForm(F, g.degree - 1, q[:-1])
+            m += 1
+        if m:
+            roots.append(((x, 1), m))
+    return roots
+
+
+def random_irreducible_quadratic(F, rng):
+    while True:
+        b, c = F.random(rng), F.random(rng)
+        if all((x * x + b * x + c) % F.p for x in range(F.p)):
+            return BinaryForm(F, 2, (1, b, c))
+
+
+def random_factored_form(F, rng):
+    """A random form of degree 1..6 from linear factors (often repeated),
+    irreducible quadratics and powers of t."""
+    p = F.p
+    target = rng.randint(1, 6)
+    f = None
+    pool = []
+    while f is None or f.degree < target:
+        kind = rng.random()
+        if kind < 0.2:
+            factor = linear_form(F, 0, 1)  # t: a root at (1:0)
+        elif kind < 0.4 and (f is None or f.degree + 2 <= target):
+            factor = random_irreducible_quadratic(F, rng)
+        elif kind < 0.7 and pool:
+            factor = rng.choice(pool)  # a repeated linear factor
+        else:
+            factor = linear_form(F, rng.randrange(1, p), rng.randrange(p))
+            pool.append(factor)
+        f = factor if f is None else f * factor
+    return f.scale(rng.randrange(1, p))
+
+
+SMALL_PRIMES = [p for p in range(2, 102) if is_prime(p)]
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES)
+def test_prime_field_roots_match_p1_scan(p):
+    F = PrimeField(p)
+    rng = random.Random(p)
+    for _ in range(30):
+        f = random_factored_form(F, rng)
+        assert binary_roots(f) == scan_roots(f), f
+    for _ in range(30):
+        d = rng.randint(1, 6)
+        f = BinaryForm(F, d, [rng.randrange(p) for _ in range(d + 1)])
+        if not f.is_zero():
+            assert binary_roots(f) == scan_roots(f), f
+
+
+def test_roots_of_linear_forms_closed_form(f31):
+    assert binary_roots(linear_form(f31, 2, 6)) == [((28, 1), 1)]
+    assert binary_roots(linear_form(f31, 0, 5)) == [((1, 0), 1)]
+    assert binary_roots(linear_form(f31, 7, 0)) == [((0, 1), 1)]
+
+
+@pytest.mark.parametrize("p", [100003, 1000003, 2**31 - 1, 2**61 - 1])
+def test_roots_over_large_prime_fields(p):
+    F = PrimeField(p)
+    rng = random.Random(p)
+    r1, r2, r3 = sorted(rng.sample(range(p), 3))
+    lin = lambda r: linear_form(F, 1, F.neg(r))
+    # x^2 - n for a non-residue n is irreducible
+    n = next(n for n in range(2, 100) if pow(n, (p - 1) // 2, p) == p - 1)
+    quad = BinaryForm(F, 2, (1, 0, F.neg(n)))
+    t = linear_form(F, 0, 1)
+    f = (lin(r2) * lin(r1) * lin(r2) * quad * t * t * lin(r3)).scale(5)
+    assert binary_roots(f) == [((1, 0), 2), ((r1, 1), 1), ((r2, 1), 2), ((r3, 1), 1)]
+    assert binary_roots(quad) == []
 
 
 def test_roots_over_rationals():

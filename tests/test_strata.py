@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import coords_from
-from godeaux_lines.fields import QQ
-from godeaux_lines.geometry import LineA, ORDER, PointA, line_through
+from godeaux_lines.families import sample_component_line, z5_line
+from godeaux_lines.fields import PrimeField, QQ
+from godeaux_lines.geometry import LineA, ORDER, PointA, line_in_q, line_through
 from godeaux_lines.sampling import sample_line, tangent_cone_partner, _Budget
 from godeaux_lines.strata import (
     IDENTITY_SYMMETRY,
@@ -274,6 +275,61 @@ def test_report_json_shape(z5_example):
     assert payload["minor_gcd"] == "s^2*t^2"
     assert payload["excluded"] is False
     assert payload["kernel_degrees"] == [0, 0, 0, 0]
+
+
+def test_classify_checks_line_in_q_once(z5_example, hyp_line, monkeypatch):
+    import godeaux_lines.pencil as pencil
+    import godeaux_lines.strata as strata
+
+    calls = []
+
+    def counting(line):
+        calls.append(line)
+        return line_in_q(line)
+
+    monkeypatch.setattr(strata, "line_in_q", counting)
+    monkeypatch.setattr(pencil, "line_in_q", counting)
+    for line in (z5_example, hyp_line):
+        calls.clear()
+        classify_line(line)
+        assert len(calls) == 1
+
+
+# ----------------------------------------------------------------------
+# large prime fields: root finding is exact for every p < 2^63
+
+
+def assert_torsion_pair(line, pair):
+    report = classify_line(line)
+    assert sorted(sp.name for _, sp in report.torsion_points) == sorted(
+        sp.name for sp in pair
+    )
+    for root, space in report.torsion_points:
+        assert space.contains(line.point_at(*root))
+    assert report.hyperelliptic_roots == ()
+    assert not report.excluded_flag
+
+
+LARGE_PRIMES = [100003, 1000003, 2**31 - 1, 2**61 - 1]
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES)
+def test_classify_z5_line_over_large_prime(p):
+    F = PrimeField(p)
+    rng = random.Random(p)
+    line = z5_line(F, *(F.random_nonzero(rng) for _ in range(4)))
+    for moved in (line, line.transformed(((2, 1), (1, 1)))):
+        assert_torsion_pair(moved, TORSION_SPACES[:2])
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES)
+def test_classify_two_torsion_component_line_over_large_prime(p):
+    F = PrimeField(p)
+    rng = random.Random(p)
+    for b in (1, 2):
+        pair = (TORSION_SPACES[0], TORSION_SPACES[b])
+        line = sample_component_line(F, *pair, rng)
+        assert_torsion_pair(line.transformed(((3, 1), (1, 2))), pair)
 
 
 # ----------------------------------------------------------------------
