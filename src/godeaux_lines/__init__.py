@@ -5,8 +5,8 @@ the four Pfaffian quadrics whose lines are the first construction step for
 marked numerical Godeaux surfaces: samplers for generic and special lines,
 rank stratification of the 4x6 a-matrix along a line, the three torsion
 P^3's, explicitly parametrized hyperelliptic / two-torsion / one-torsion
-line families with symbolic verifiers, and graded kernels of the associated
-pencil of skew blocks.  All arithmetic is exact (prime fields or
+line families with symbolic verifiers, and the kernel degrees of the
+associated pencil of skew blocks.  All arithmetic is exact (prime fields or
 rationals); every object is immutable and safe to share between tasks.
 """
 
@@ -56,7 +56,6 @@ from .pencil import (
     binary_roots,
     degeneration_profile,
     graded_kernel_basis,
-    restrict_l1,
 )
 from .polynomials import Poly, PolyMatrix, VarTable, bounded_degree_kernel, jacobian
 from .sampling import BudgetExhausted, sample_line
@@ -120,7 +119,6 @@ __all__ = [
     "quadrics",
     "random_hyp_point",
     "rank_a",
-    "restrict_l1",
     "row_vanishing_points",
     "sample_component_line",
     "sample_line",

@@ -277,7 +277,8 @@ def field_from_spec(spec) -> Field:
     """Build a field from a spec dict ({"kind": ..}) or a short string.
 
     Strings: ``"q"``/``"rational"`` for Q, ``"p<modulus>"`` or a bare
-    decimal modulus for a prime field.
+    decimal modulus for a prime field.  A spec that names no field raises
+    :class:`FieldError`, whatever its shape.
     """
     if isinstance(spec, Field):
         return spec
@@ -285,14 +286,19 @@ def field_from_spec(spec) -> Field:
         if spec.get("kind") == "rational":
             return QQ
         if spec.get("kind") == "prime":
-            return PrimeField(int(spec["p"]))
+            p = spec.get("p")
+            if isinstance(p, str) and p.strip().isdecimal():
+                p = int(p)
+            if not isinstance(p, int):
+                raise FieldError(f"prime field spec needs an integer modulus 'p': {spec!r}")
+            return PrimeField(p)
         raise FieldError(f"unknown field spec {spec!r}")
     text = str(spec).strip().lower()
     if text in ("q", "qq", "rational"):
         return QQ
-    if text.startswith("p") and text[1:].isdigit():
+    if text.startswith("p") and text[1:].isdecimal():
         return PrimeField(int(text[1:]))
-    if text.isdigit():
+    if text.isdecimal():
         return PrimeField(int(text))
     raise FieldError(f"cannot parse field {spec!r}")
 

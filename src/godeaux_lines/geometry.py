@@ -27,6 +27,7 @@ same line exactly when their row spans agree.
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Optional
 
 from .fields import Field, vector
@@ -152,9 +153,8 @@ def pfaffian4(M):
 
 
 def det4(M):
-    """Permutation-expansion determinant of a 4x4 matrix; the Pfaffian oracle."""
-    from itertools import permutations
-
+    """Permutation-expansion determinant of a 4x4 matrix (the Pfaffian oracle,
+    and the quartic minors of the a-matrix along a line)."""
     acc = None
     for perm in permutations(range(4)):
         sign = 1
@@ -325,7 +325,7 @@ class LineA:
     @classmethod
     def from_json(cls, data: dict) -> "LineA":
         """Parse the wire format; a malformed shape or scalar raises GeometryError."""
-        from .fields import field_from_spec
+        from .fields import FieldError, field_from_spec
 
         if not isinstance(data, dict):
             raise GeometryError("a line must be a JSON object")
@@ -339,7 +339,7 @@ class LineA:
             F = field_from_spec(data["field"])
             r0 = [F.parse_scalar(x) for x in rows[0]]
             r1 = [F.parse_scalar(x) for x in rows[1]]
-        except (TypeError, ValueError, ZeroDivisionError) as e:
+        except (FieldError, TypeError, ValueError, ZeroDivisionError) as e:
             raise GeometryError(f"malformed line: {e}") from None
         return cls(F, r0, r1, provenance=data.get("provenance"))
 

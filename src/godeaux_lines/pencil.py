@@ -1,21 +1,24 @@
-"""Binary forms, matrices of binary forms, and graded kernel bases.
+"""Binary forms, their GCDs and roots, and the degeneration profile of a line.
 
 Restricting the twelve a-coordinates to a line turns every a-linear matrix
-into a matrix of binary forms in the line parameters (s : t).  The one used
-throughout is the 12x12 block matrix with four 3x3 skew blocks, one per row
-of the a-matrix; its graded kernel degrees are the degeneration diagnostic
-reported per line: a generic line gives one degree-1 generator per block,
-and a line hitting special loci can drop to degree 0.
-
-The in-block placement of the row triple (r0, r1, r2) is the convention
+into a matrix of binary forms in the line parameters (s : t).  Each row of
+the a-matrix gives a triple r = (r0, r1, r2) of linear forms (ROW_TRIPLES)
+and with it the 3x3 skew block
 
     [[ 0,   r2, -r1],
      [-r2,  0,   r0],
      [ r1, -r0,  0 ]]
 
-which makes (r0, r1, r2)^t a literal kernel vector; kernel degree sequences
-and rank-drop loci do not depend on sign or permutation choices within the
-skew structure.
+whose kernel over k[s, t] is generated by r / gcd(r).  So the block's
+kernel degrees are read off the row forms in closed form
+(:func:`degeneration_profile`): (1,) when the three forms have no common
+root, (0,) when they share one (the point where the block's rank drops),
+and (0, 0, 0) when all three vanish identically.  A generic line gives
+(1,) for every block.
+
+:func:`graded_kernel_basis` solves for the graded kernel generators of any
+:class:`PencilMatrix`, degree by degree; the package itself does not call
+it, and the tests use it as the oracle for the closed form.
 """
 
 from __future__ import annotations
@@ -153,6 +156,36 @@ class BinaryForm:
 
 def linear_form(field: Field, s_coeff, t_coeff) -> BinaryForm:
     return BinaryForm(field, 1, (s_coeff, t_coeff))
+
+
+def _pp1(field: Field, s, t):
+    """Canonical representative of (s : t): t = 1, or (1, 0)."""
+    if field.is_zero(t):
+        return (field.one(), field.zero())
+    inv = field.inv(t)
+    return (field.mul(s, inv), field.one())
+
+
+#: what :func:`_common_root` returns when every form is identically zero
+ALL_ZERO = "all forms zero"
+
+
+def _common_root(field: Field, forms):
+    """The common root in P^1 of linear forms a*s + b*t given as (a, b) pairs.
+
+    Returns the root normalized as :func:`binary_roots` gives it (t = 1,
+    or (1, 0)), None when the forms have no common root, and ALL_ZERO
+    when every form vanishes identically.
+    """
+    nonzero = [(a, b) for a, b in forms if not (field.is_zero(a) and field.is_zero(b))]
+    if not nonzero:
+        return ALL_ZERO
+    a, b = nonzero[0]
+    root = _pp1(field, field.neg(b), a)
+    for a, b in nonzero[1:]:
+        if not field.is_zero(field.add(field.mul(root[0], a), field.mul(root[1], b))):
+            return None
+    return root
 
 
 # ----------------------------------------------------------------------
@@ -456,37 +489,6 @@ class PencilMatrix:
         return f"PencilMatrix({self.nrows}x{self.ncols}, degree {self.degree})"
 
 
-def skew_block(r0: BinaryForm, r1: BinaryForm, r2: BinaryForm) -> PencilMatrix:
-    F, z = r0.field, BinaryForm.zero(r0.field, r0.degree)
-    return PencilMatrix(
-        F,
-        r0.degree,
-        [[z, r2, -r1], [-r2, z, r0], [r1, -r0, z]],
-    )
-
-
-def l1_blocks(line: LineA) -> list:
-    """The four 3x3 skew blocks of the a-row matrix restricted to the line."""
-    F = line.field
-    blocks = []
-    for triple in ROW_TRIPLES:
-        r = [linear_form(F, *line.restrict_coordinate(j)) for j in triple]
-        blocks.append(skew_block(*r))
-    return blocks
-
-
-def restrict_l1(line: LineA) -> PencilMatrix:
-    """The 12x12 block-diagonal skew matrix of the line (four 3x3 blocks)."""
-    F = line.field
-    z = BinaryForm.zero(F, 1)
-    entries = [[z for _ in range(12)] for _ in range(12)]
-    for b, block in enumerate(l1_blocks(line)):
-        for i in range(3):
-            for j in range(3):
-                entries[3 * b + i][3 * b + j] = block.entries[i][j]
-    return PencilMatrix(F, 1, entries)
-
-
 # ----------------------------------------------------------------------
 # graded kernel bases
 
@@ -575,30 +577,32 @@ class DegenerationProfile:
         return tuple(sorted(d for block in self.block_degrees for d in block))
 
 
-def degeneration_profile(line: LineA, max_degree: int = 4) -> DegenerationProfile:
+def degeneration_profile(line: LineA) -> DegenerationProfile:
     """Kernel degrees per skew block plus the points where a block dies.
 
-    A block's rank drops below 2 exactly where its three entry forms share
-    a root.
+    Block b belongs to a-matrix row b.  Its kernel over k[s, t] is
+    generated by the row forms divided by their GCD, so its degrees are
+    (1,) when the three linear forms have no common root, (0,) when they
+    share one, which is then the block's rank-drop point, and (0, 0, 0)
+    when all three vanish identically; the drop point of such a block is
+    recorded as None (the whole line).
     """
     if not line_in_q(line):
         raise GeometryError("degeneration_profile needs a line inside Q")
-    return _degeneration_profile(line, max_degree)
+    return _degeneration_profile(line)
 
 
-def _degeneration_profile(line: LineA, max_degree: int = 4) -> DegenerationProfile:
-    F = line.field
+def _degeneration_profile(line: LineA) -> DegenerationProfile:
     block_degrees = []
     drops = []
     for b, triple in enumerate(ROW_TRIPLES):
-        entries = [linear_form(F, *line.restrict_coordinate(j)) for j in triple]
-        block = skew_block(*entries)
-        gens = graded_kernel_basis(block, max_degree)
-        block_degrees.append(tuple(d for d, _ in gens))
-        g = binary_gcd(entries)
-        if g.is_zero():
+        root = _common_root(line.field, [line.restrict_coordinate(j) for j in triple])
+        if root is None:
+            block_degrees.append((1,))
+        elif root is ALL_ZERO:
+            block_degrees.append((0, 0, 0))
             drops.append((None, b))
-        elif g.degree > 0:
-            for root, _ in binary_roots(g):
-                drops.append((root, b))
+        else:
+            block_degrees.append((0,))
+            drops.append((root, b))
     return DegenerationProfile(tuple(block_degrees), tuple(drops))

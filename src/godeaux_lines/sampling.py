@@ -341,6 +341,7 @@ def sample_line(
     rng = random.Random(seed)
     tracker = _Budget(strategy, budget)
 
+    home = pair = None
     if strategy == "two-torsion":
         pair = tuple(spaces) if spaces else (TORSION_SPACES[0], TORSION_SPACES[1])
         if len(pair) != 2 or pair[0] == pair[1]:
@@ -384,7 +385,7 @@ def sample_line(
         if not line_in_q(line):
             continue
         report = classify_line(line)
-        if _fulfils(strategy, report, locals()):
+        if _fulfils(strategy, report, home, pair, general_position):
             provenance = {
                 "strategy": strategy,
                 "seed": seed,
@@ -421,11 +422,12 @@ def _meeting_certificate(report: FiberReport) -> dict:
     }
 
 
-def _fulfils(strategy: str, report: FiberReport, ctx) -> bool:
+def _fulfils(strategy: str, report: FiberReport, home, pair, general_position: bool) -> bool:
+    """Whether the report keeps the strategy's promise (see :func:`sample_line`);
+    ``home`` and ``pair`` are the torsion and two-torsion targets, else None."""
     if strategy == "generic":
         return report.is_generic and not report.excluded_flag
     if strategy == "torsion":
-        home = ctx["home"]
         return (
             len(report.torsion_points) == 1
             and report.torsion_points[0][1] == home
@@ -434,11 +436,10 @@ def _fulfils(strategy: str, report: FiberReport, ctx) -> bool:
             and not report.excluded_flag
         )
     if strategy == "two-torsion":
-        pair = set(s.name for s in ctx["pair"])
         seen = set(sp.name for _, sp in report.torsion_points)
         return (
             len(report.torsion_points) == 2
-            and seen == pair
+            and seen == set(s.name for s in pair)
             and not report.hyperelliptic_roots
             and not report.excluded_flag
         )
@@ -450,13 +451,12 @@ def _fulfils(strategy: str, report: FiberReport, ctx) -> bool:
             and not report.excluded_flag
         )
     if strategy == "two-hyp":
-        ok = (
+        # kernel degrees (1, 1, 1, 1) also rule out every row-vanishing point
+        return (
             len(report.hyperelliptic_roots) == 2
             and not report.torsion_points
             and not report.torsion_containments
             and not report.excluded_flag
+            and (not general_position or report.kernel_degrees == (1, 1, 1, 1))
         )
-        if ok and ctx.get("general_position"):
-            ok = not report.row_vanishing and report.kernel_degrees == (1, 1, 1, 1)
-        return ok
     raise SamplingError(strategy)

@@ -27,15 +27,18 @@ from .geometry import (
     ORDER,
     PointA,
     QUADRIC_TERMS,
-    ROW_TRIPLES,
     a_matrix_values,
     a_vartable,
+    det4,
     line_in_q,
     quadrics,
 )
 from .linalg import rank
 from .pencil import (
+    ALL_ZERO,
     BinaryForm,
+    DegenerationProfile,
+    _common_root,
     _degeneration_profile,
     binary_gcd,
     binary_roots,
@@ -124,14 +127,6 @@ def rank_a(p: PointA) -> int:
     return rank(p.field, a_matrix_values(p.field, p.coords))
 
 
-def _pp1(field: Field, s, t):
-    """Canonical representative of (s : t): t = 1, or (1, 0)."""
-    if field.is_zero(t):
-        return (field.one(), field.zero())
-    inv = field.inv(t)
-    return (field.mul(s, inv), field.one())
-
-
 def torsion_intersections(line: LineA):
     """Intersection points of the line with each torsion P^3.
 
@@ -144,23 +139,14 @@ def torsion_intersections(line: LineA):
 
 
 def _torsion_intersections(line: LineA):
-    F = line.field
     out = []
     for space in TORSION_SPACES:
-        forms = [line.restrict_coordinate(j) for j in space.killed]
-        nonzero = [f for f in forms if not (F.is_zero(f[0]) and F.is_zero(f[1]))]
-        if not nonzero:
-            continue  # line inside the space
-        a, b = nonzero[0]
-        root = _pp1(F, F.neg(b), a)
-        if all(
-            F.is_zero(F.add(F.mul(root[0], fa), F.mul(root[1], fb)))
-            for fa, fb in nonzero
-        ):
-            point = line.point_at(*root)
-            if not space.contains(point):
-                raise StrataError(f"emitted point not on {space.name}")
-            out.append((root, space))
+        root = _common_root(line.field, [line.restrict_coordinate(j) for j in space.killed])
+        if root is None or root is ALL_ZERO:
+            continue  # no meeting point, or the line lies inside the space
+        if not space.contains(line.point_at(*root)):
+            raise StrataError(f"emitted point not on {space.name}")
+        out.append((root, space))
     return out
 
 
@@ -204,26 +190,10 @@ def restricted_a_matrix(line: LineA):
     return rows
 
 
-def _det_forms(rows, cols):
-    acc = None
-    for perm in permutations(range(4)):
-        sign = 1
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = rows[0][cols[perm[0]]] * rows[1][cols[perm[1]]]
-        term = term * rows[2][cols[perm[2]]]
-        term = term * rows[3][cols[perm[3]]]
-        term = term if sign > 0 else -term
-        acc = term if acc is None else acc + term
-    return acc
-
-
 def quartic_minors(line: LineA):
     """All fifteen 4x4 minors of the restricted a-matrix (binary quartics)."""
     rows = restricted_a_matrix(line)
-    return [_det_forms(rows, cols) for cols in combinations(range(6), 4)]
+    return [det4([[row[c] for c in cols] for row in rows]) for cols in combinations(range(6), 4)]
 
 
 @dataclass(frozen=True)
@@ -275,27 +245,15 @@ def row_vanishing_points(line: LineA):
     second list records rows vanishing identically on the line.
     """
     _require_in_q(line)
-    return _row_vanishing_points(line)
+    return _row_vanishing(_degeneration_profile(line))
 
 
-def _row_vanishing_points(line: LineA):
-    F = line.field
-    points = []
-    contained = []
-    for r, triple in enumerate(ROW_TRIPLES):
-        forms = [line.restrict_coordinate(j) for j in triple]
-        nonzero = [f for f in forms if not (F.is_zero(f[0]) and F.is_zero(f[1]))]
-        if not nonzero:
-            contained.append(r)
-            continue
-        a, b = nonzero[0]
-        root = _pp1(F, F.neg(b), a)
-        if all(
-            F.is_zero(F.add(F.mul(root[0], fa), F.mul(root[1], fb)))
-            for fa, fb in nonzero
-        ):
-            points.append((root, r))
-    return points, contained
+def _row_vanishing(profile: DegenerationProfile):
+    """Row vanishing read off the rank drops: block b is row b's skew block,
+    and it drops rank exactly where the row's three forms vanish."""
+    drops = profile.rank_drop_points
+    points = [(root, r) for root, r in drops if root is not None]
+    return points, [r for root, r in drops if root is None]
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +327,7 @@ class FiberReport:
         }
 
 
-def classify_line(line: LineA, max_degree: int = 4) -> FiberReport:
+def classify_line(line: LineA) -> FiberReport:
     """Run every detector on a line of Q and aggregate the results.
 
     ``excluded_flag`` is a conservative proxy: it is set when some root of
@@ -390,8 +348,8 @@ def classify_line(line: LineA, max_degree: int = 4) -> FiberReport:
             low.append((r, home))
             if home is None:
                 excluded = True
-    rows, row_cont = _row_vanishing_points(line)
-    profile = _degeneration_profile(line, max_degree)
+    profile = _degeneration_profile(line)
+    rows, row_cont = _row_vanishing(profile)
     return FiberReport(
         line=line,
         torsion_points=tor,

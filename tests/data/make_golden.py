@@ -1,0 +1,80 @@
+"""Regenerate the golden classify gate: ``golden_store.jsonl`` and its
+``classify`` output ``golden_classify.jsonl``.
+
+    PYTHONPATH=src python tests/data/make_golden.py
+
+The store holds, one record per line: two lines of every sampler strategy
+over F_31 (``sample --seed 2022``), z5 and two-torsion lines over F_99991
+and F_(2^61 - 1) (most of them reparametrized, so their special points are
+not just (0:1) and (1:0)), reparametrized z5 / z3 lines over Q, and the four
+zero-block lines ``z5_line(F, 0,1,1,1)`` ... ``(1,1,1,0)`` over F_31 and Q,
+on each of which one a-matrix row vanishes identically; the F_31 ones also
+reparametrized.  ``tests/test_golden.py`` asserts that ``classify`` still
+writes the committed output byte for byte.
+Running this again rewrites both files; do that only on purpose, and say
+so, because the gate is only as good as the code that wrote its output.
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+import random
+import tempfile
+
+from godeaux_lines import cli, families, fields, strata
+
+HERE = pathlib.Path(__file__).resolve().parent
+STORE = HERE / "golden_store.jsonl"
+CLASSIFY = HERE / "golden_classify.jsonl"
+
+STRATEGIES = ("generic", "torsion", "two-torsion", "hyp", "two-hyp")
+SAMPLE_SEED = 2022
+FAMILY_SEED = 4
+
+
+def sampled_lines(tmp: pathlib.Path) -> list:
+    out = []
+    for strategy in STRATEGIES:
+        path = tmp / f"{strategy}.jsonl"
+        code = cli.main(["sample", "--strategy", strategy, "--field", "p31",
+                         "--seed", str(SAMPLE_SEED), "--count", "2", "--out", str(path)])
+        if code != 0:
+            raise SystemExit(f"sample {strategy} exited with {code}")
+        out += [json.loads(l)["line"] for l in path.read_text().splitlines()[1:]]
+    return out
+
+
+def family_lines(rng: random.Random) -> list:
+    spaces = strata.TORSION_SPACES
+    lines = []
+    for p in (99991, 2**61 - 1):
+        F = fields.PrimeField(p)
+        z5 = families.z5_line(F, *(F.random_nonzero(rng) for _ in range(4)))
+        lines += [z5, z5.transformed(((1, 2), (F.random_nonzero(rng), 3)))]
+        for a, b in ((0, 1), (1, 2)):
+            line = families.sample_component_line(F, spaces[a], spaces[b], rng)
+            lines.append(line.transformed(((1, F.random_nonzero(rng)), (1, 0))))
+    QQ = fields.QQ
+    lines.append(families.z5_line(QQ, 2, 3, 5, 7).transformed(((3, -2), (5, 4))))
+    lines.append(families.z3_line(QQ, [1, 2, 1, 3], [2, 1], [1, 1]).transformed(((1, 7), (-2, 1))))
+    for F in (fields.PrimeField(31), QQ):
+        for k in range(4):
+            lines.append(families.z5_line(F, *(int(i != k) for i in range(4))))
+    for k in range(4):
+        zero_block = families.z5_line(fields.PrimeField(31), *(int(i != k) for i in range(4)))
+        lines.append(zero_block.transformed(((2, 3), (5, 7))))
+    return [l.to_json() for l in lines]
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = sampled_lines(pathlib.Path(tmp))
+    lines += family_lines(random.Random(FAMILY_SEED))
+    STORE.write_text(cli._dumps({"format": cli.STORE_FORMAT}) + "\n"
+                     + "".join(cli._dumps({"line": l}) + "\n" for l in lines))
+    return cli.main(["classify", "--in", str(STORE), "--out", str(CLASSIFY)])
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -172,6 +172,7 @@ Z5_LINE_JSON = {
     ({"line": 7}, "GeometryError: "),
     (5, "malformed-record"),
     ([Z5_LINE_JSON], "malformed-record"),
+    ({"line": dict(Z5_LINE_JSON, field={"kind": "prime"})}, "GeometryError: "),
 ])
 def test_classify_isolates_malformed_record(tmp_path, bad, error):
     store = tmp_path / "store.jsonl"

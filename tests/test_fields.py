@@ -130,3 +130,23 @@ def test_field_from_spec():
     assert field_from_spec({"kind": "rational"}) == QQ
     with pytest.raises(FieldError):
         field_from_spec("nonsense")
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "prime"},
+    {"kind": "prime", "p": "x"},
+    {"kind": "prime", "p": None},
+    {"kind": "prime", "p": [1]},
+    {"kind": "prime", "p": 31.5},
+    {"kind": "prime", "p": 32},
+    {"kind": "complex"},
+    "p\u00b2",
+    "\u00b2",
+])
+def test_field_from_spec_bad_specs_raise_field_error(spec):
+    with pytest.raises(FieldError):
+        field_from_spec(spec)
+
+
+def test_field_from_spec_decimal_string_modulus():
+    assert field_from_spec({"kind": "prime", "p": "31"}) == PrimeField(31)

@@ -2,21 +2,22 @@ import random
 
 import pytest
 
+from godeaux_lines.families import sample_component_line, z3_line, z5_line
 from godeaux_lines.fields import PrimeField, QQ, is_prime
-from godeaux_lines.geometry import a_matrix_values
+from godeaux_lines.geometry import GeometryError, ROW_TRIPLES, LineA, a_matrix_values
 from godeaux_lines.linalg import nullspace, rank
 from godeaux_lines.pencil import (
     BinaryForm,
     PencilMatrix,
+    _pp1,
     binary_gcd,
     binary_roots,
     degeneration_profile,
     graded_kernel_basis,
-    l1_blocks,
     linear_form,
-    restrict_l1,
-    skew_block,
 )
+from godeaux_lines.sampling import STRATEGIES, sample_line
+from godeaux_lines.strata import TORSION_SPACES
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +159,33 @@ def test_roots_over_rationals():
 
 
 # ----------------------------------------------------------------------
-# the l1 restriction
+# the l1 restriction: the skew blocks the oracle works on
+
+
+def skew_block(r0: BinaryForm, r1: BinaryForm, r2: BinaryForm) -> PencilMatrix:
+    """[[0, r2, -r1], [-r2, 0, r0], [r1, -r0, 0]]: (r0, r1, r2)^t is in its kernel."""
+    z = BinaryForm.zero(r0.field, r0.degree)
+    return PencilMatrix(r0.field, r0.degree, [[z, r2, -r1], [-r2, z, r0], [r1, -r0, z]])
+
+
+def l1_blocks(line: LineA) -> list:
+    """The four 3x3 skew blocks of the a-row matrix restricted to the line."""
+    return [
+        skew_block(*(linear_form(line.field, *line.restrict_coordinate(j)) for j in triple))
+        for triple in ROW_TRIPLES
+    ]
+
+
+def restrict_l1(line: LineA) -> PencilMatrix:
+    """The 12x12 block-diagonal skew matrix of the line (four 3x3 blocks)."""
+    F = line.field
+    z = BinaryForm.zero(F, 1)
+    entries = [[z for _ in range(12)] for _ in range(12)]
+    for b, block in enumerate(l1_blocks(line)):
+        for i in range(3):
+            for j in range(3):
+                entries[3 * b + i][3 * b + j] = block.entries[i][j]
+    return PencilMatrix(F, 1, entries)
 
 
 def test_restrict_l1_block_structure(generic_line, f31):
@@ -197,8 +224,6 @@ def test_generic_blocks_have_rank_2(generic_line, f31):
 
 def test_z5_blocks_single_entry_patterns(z5_example, f31):
     # restricted rows are (0, t, 0), (s, 0, 0), (0, 0, s), (0, t, 0) patterned
-    from godeaux_lines.geometry import ROW_TRIPLES
-
     seen = []
     for triple in ROW_TRIPLES:
         forms = [z5_example.restrict_coordinate(j) for j in triple]
@@ -286,9 +311,6 @@ def test_z3_profile_recomputed(f31):
     # exact recomputation: at u=(1,1,1,1), w=(1,2), z=(1,1) the restricted
     # row triples are (s+t,4t,-4t), (s,4t,-4t), (-2t,2t,s), (-2t,2t,s+8t);
     # every triple has trivial gcd, so the degrees stay (1,1,1,1)
-    from godeaux_lines.families import z3_line
-    from godeaux_lines.geometry import ROW_TRIPLES
-
     line = z3_line(f31, (1, 1, 1, 1), (1, 2), (1, 1))
     expected_triples = [
         ((1, 1), (0, 4), (0, -4 % 31)),
@@ -322,8 +344,6 @@ def test_interpolation_consistency(hyp_line, generic_line, z5_example, f31):
         gens = graded_kernel_basis(M, 2)
         drops = {root for root, _ in degeneration_profile(line).rank_drop_points}
         for st in ((1, 0), (0, 1), (2, 3), (1, 7), (1, 1)):
-            from godeaux_lines.strata import _pp1
-
             numeric = len(nullspace(f31, M.eval(*st), 12))
             evaluated = [[f.eval(*st) for f in vec] for _, vec in gens]
             pointwise = rank(f31, evaluated)
@@ -331,3 +351,60 @@ def test_interpolation_consistency(hyp_line, generic_line, z5_example, f31):
                 assert pointwise <= numeric
             else:
                 assert pointwise == numeric
+
+
+def oracle_profile(line):
+    """Block degrees from the graded-kernel solve, drop points from the
+    roots of the row forms' GCD: the general machinery the closed form in
+    :func:`degeneration_profile` replaces."""
+    F = line.field
+    degrees, drops = [], []
+    for b, triple in enumerate(ROW_TRIPLES):
+        r = [linear_form(F, *line.restrict_coordinate(j)) for j in triple]
+        degrees.append(tuple(d for d, _ in graded_kernel_basis(skew_block(*r))))
+        g = binary_gcd(r)
+        if g.is_zero():
+            drops.append((None, b))
+        else:
+            drops += [(root, b) for root, _ in binary_roots(g)]
+    return tuple(degrees), tuple(drops)
+
+
+def random_reparametrization(line, rng):
+    F = line.field
+    draw = (lambda: rng.randint(-9, 9)) if F == QQ else (lambda: rng.randrange(F.p))
+    while True:
+        try:
+            return line.transformed(((draw(), draw()), (draw(), draw())))
+        except GeometryError:
+            continue  # singular matrix
+
+
+def oracle_lines():
+    rng = random.Random(20)
+    f13, f31 = PrimeField(13), PrimeField(31)
+    lines = []
+    for F in (f31, QQ):
+        lines += [z5_line(F, *(int(i != k) for i in range(4))) for k in range(4)]
+    lines += [z5_line(f31, *(f31.random_nonzero(rng) for _ in range(4))) for _ in range(4)]
+    lines += [z5_line(QQ, *(rng.randint(1, 9) for _ in range(4))) for _ in range(2)]
+    lines += [z3_line(QQ, [rng.randint(1, 5) for _ in range(4)], [1, 2], [3, 1]) for _ in range(2)]
+    for p in (3, 5, 7, 31):
+        F = PrimeField(p)
+        lines += [z5_line(F, *(F.random_nonzero(rng) for _ in range(4))) for _ in range(2)]
+        for a, b in ((0, 1), (1, 2), (0, 2)):
+            lines += [sample_component_line(F, TORSION_SPACES[a], TORSION_SPACES[b], rng)
+                      for _ in range(2)]
+    lines += [sample_line(strategy, f13, seed) for strategy in STRATEGIES for seed in range(6)]
+    return lines + [random_reparametrization(line, rng) for line in lines]
+
+
+def test_profile_matches_graded_kernel_oracle():
+    lines = oracle_lines()
+    assert len(lines) >= 100
+    patterns = set()
+    for line in lines:
+        prof = degeneration_profile(line)
+        assert (prof.block_degrees, prof.rank_drop_points) == oracle_profile(line), line
+        patterns.update(prof.block_degrees)
+    assert patterns == {(1,), (0,), (0, 0, 0)}
