@@ -295,30 +295,39 @@ def _fp_roots(u, p):
     gives its root in closed form.  Otherwise the product of the distinct
     linear factors, gcd(f, x^p - x), is taken by modular powering and
     split by :func:`_split_linear` (Cantor-Zassenhaus; von zur Gathen &
-    Gerhard, Modern Computer Algebra, ch. 14).
+    Gerhard, Modern Computer Algebra, ch. 14).  The powering passes
+    through h = x^((p - 1)/2) mod f (x^p = h^2 x), which the split reuses.
     """
     f = _monic([c % p for c in reversed(u)], p)
+    h = None
     if len(f) > 2:
-        xp = _pow_linear(0, p, f, p)
+        h = _pow_linear(0, p // 2, f, p)  # x^((p - 1)/2) for odd p
+        xp = _mulmod(_mulmod(h, h, f, p), [0, 1] if p % 2 else [1], f, p)
         f = _gcd(f, _sub(xp, [0, 1], p), p)
-    return sorted(_split_linear(f, p))
+    return sorted(_split_linear(f, p, h))
 
 
-def _split_linear(g, p):
+def _split_linear(g, p, h=None):
     """Roots of a monic product g of distinct linear factors over F_p.
 
     g is split by gcd(g, (x + a)^((p - 1)/2) - 1) for a = 0, 1, 2, ...;
     for two distinct roots some a < p puts them on different sides, so
-    the loop ends.  Over F_2, g divides x^2 + x.
+    the loop ends.  ``h``, when given, is x^((p - 1)/2) modulo a multiple
+    of g and stands in for the a = 0 power.  Over F_2, g divides x^2 + x
+    and ``h`` is not used.
     """
     if len(g) <= 2:
         return [-g[0] % p] if len(g) == 2 else []
     if p == 2:
         return [0, 1]
     for a in count():
-        d = _gcd(g, _sub(_pow_linear(a, (p - 1) // 2, g, p), [1], p), p)
+        if a == 0 and h is not None:
+            t = _divmod(h, g, p)[1]
+        else:
+            t = _pow_linear(a, (p - 1) // 2, g, p)
+        d = _gcd(g, _sub(t, [1], p), p)
         if 1 < len(d) < len(g):
-            return _split_linear(d, p) + _split_linear(_divmod(g, d, p)[0], p)
+            return _split_linear(d, p, h) + _split_linear(_divmod(g, d, p)[0], p, h)
 
 
 def _trim(a):

@@ -1,15 +1,22 @@
-"""Seeded brute-force samplers for lines inside Q.
+"""Seeded samplers for lines inside Q.
 
 All strategies follow the same two-step recipe: pick a first point p on Q
 (randomly, on a torsion P^3, or on the hyperelliptic locus via its
 parametrization), then pick a second point in the tangent cone Q n T_p Q.
 Because Q is cut out by quadrics, the connecting line then lies inside Q.
 
-The searches are exact rejection/scan loops over a prime field, seeded and
+The searches are exact and run over a prime field, seeded and
 deterministic: a sampler owns a private random stream, so equal
-(strategy, field, seed) always return the identical line.  Each strategy
-re-verifies its promise through the classifier before returning and retries
-otherwise; a configurable trial budget guards termination.
+(strategy, field, seed) always return the identical line.  Points of Q and
+the two-hyp partner are found by rejection.  The tangent-cone partner draws
+five coefficients at a time and scans the remaining plane of candidates
+one coordinate at a time, but only after an exact per-draw certificate (a
+linear solve and, at most, a gcd of restricted quadrics) has shown that
+the draw can succeed; a draw that cannot is charged the trials its scan
+would have taken, so trial counts and lines are those of the plain scan.
+Each strategy re-verifies its promise through the classifier before
+returning and retries otherwise; a configurable trial budget guards
+termination.
 
 Strategies: ``generic``, ``torsion`` (one named torsion P^3), ``two-torsion``
 (a pair of them), ``hyp`` (one hyperelliptic point), ``two-hyp`` (two
@@ -20,6 +27,7 @@ codimension 4).
 from __future__ import annotations
 
 import random
+from operator import mul
 from typing import Optional, Sequence
 
 from .families import HYP_FACTORED, sample_component_line
@@ -36,12 +44,13 @@ from .geometry import (
     quadric_value,
     tangent_space,
 )
-from .linalg import rank
+from .linalg import nullspace, rank
+from .pencil import _gcd, _trim
 from .strata import TORSION_SPACES, FiberReport, TorsionSpace, classify_line
 
 STRATEGIES = ("generic", "torsion", "two-torsion", "hyp", "two-hyp")
 
-#: largest modulus for which scan tables are built
+#: largest modulus the searches accept (a draw may scan all of F_p)
 MAX_BRUTE_FORCE_MODULUS = 1_000_000
 
 
@@ -60,21 +69,6 @@ class FieldTooLarge(SamplingError):
     pass
 
 
-_sqrt_tables: dict = {}
-
-
-def _sqrt_table(p: int) -> dict:
-    table = _sqrt_tables.get(p)
-    if table is None:
-        table = {}
-        for x in range((p + 1) // 2, p):
-            table.setdefault(x * x % p, x)
-        for x in range((p + 1) // 2 + 1):
-            table[x * x % p] = x
-        _sqrt_tables[p] = table
-    return table
-
-
 class _Budget:
     __slots__ = ("strategy", "limit", "used")
 
@@ -84,9 +78,12 @@ class _Budget:
         self.used = 0
 
     def spend(self, n: int = 1):
-        self.used += n
-        if self.used > self.limit:
+        """Use n trials; over the limit, raise where the n single trials
+        would have, with ``used`` one past the limit."""
+        if self.used + n > self.limit:
+            self.used = max(self.used, self.limit) + 1
             raise BudgetExhausted(self.strategy, self.used)
+        self.used += n
 
 
 def _require_search_field(field: Field) -> int:
@@ -139,9 +136,21 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
 
     Works in an explicit complement of p inside T_p Q: with the first two
     complement directions (u, v) free, each draw fixes the remaining five
-    coefficients, scans the u-coefficient over F_p and solves q_0 = 0 as an
-    exact quadratic in the v-coefficient, testing q_1..q_3 on the at most
-    two roots.
+    coefficients (the part R of w = x u + y v + R), and the search runs over
+    the u-coefficient x in ascending order, solving q_0 = 0 as an exact
+    quadratic in the v-coefficient y and testing q_1..q_3 on the at most two
+    roots.  Each x costs one trial of the budget.
+
+    Before that scan, a draw gets an exact certificate.  Writing each q_i(w)
+    as a quadratic form in (x, y), the combinations sum k_i q_i with k in the
+    left kernel K of the 4x3 matrix of quadratic parts [q_i(u), B_i(u, v),
+    q_i(v)] are affine-linear in (x, y), and every solution lies on their
+    common zero set: when it is empty, the draw fails; when it forces x to
+    one value x0, only x0 is tried; when it is a line, the quadrics
+    restricted to that line must share a factor, else the draw fails.  Only
+    the remaining draws are scanned over all x.  A failed draw spends its p
+    trials at once, so the random draws, the trial count and the returned
+    point are those of the plain scan over every draw.
     """
     p = _require_search_field(field)
     basis = tangent_space(point)
@@ -162,24 +171,59 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
     qu = [quadric_value(field, i, u) for i in range(4)]
     qv = [quadric_value(field, i, v) for i in range(4)]
     buv = [polarization_value(field, i, u, v) for i in range(4)]
-    sqrt_table = _sqrt_table(p)
+    # q_i(R), B_i(u, R) and B_i(v, R) as forms in the five draw coefficients:
+    # gram[i] lists q_i(r_j) and B_i(r_j, r_l) in the order of the products
+    # c_j c_l (j <= l) that the draw forms
+    pairs = [(j, l) for j in range(5) for l in range(j, 5)]
+    gram = [
+        [
+            quadric_value(field, i, rest[j]) if j == l
+            else polarization_value(field, i, rest[j], rest[l])
+            for j, l in pairs
+        ]
+        for i in range(4)
+    ]
+    bu = [[polarization_value(field, i, u, r) for r in rest] for i in range(4)]
+    bv = [[polarization_value(field, i, v, r) for r in rest] for i in range(4)]
+    # sum k_i q_i(w) = a x + b y + c for k in the kernel; (a, b, c) as forms
+    # in the draw, with the tables of q_i combined by k
+    combos = [
+        tuple([sum(map(mul, k, col)) % p for col in zip(*table)] for table in (bu, bv, gram))
+        for k in nullspace(field, [qu, buv, qv], 4)
+    ]
 
     while True:
         coeffs = [rng.randrange(p) for _ in range(5)]
-        R = [0] * 12
-        for c, vec in zip(coeffs, rest):
-            if c:
-                for k in range(12):
-                    R[k] = (R[k] + c * vec[k]) % p
-        qr = [quadric_value(field, i, R) for i in range(4)]
-        bur = [polarization_value(field, i, u, R) for i in range(4)]
-        bvr = [polarization_value(field, i, v, R) for i in range(4)]
-        for x in range(p):
+        c0, c1, c2, c3, c4 = coeffs
+        prods = (
+            c0 * c0, c0 * c1, c0 * c2, c0 * c3, c0 * c4,
+            c1 * c1, c1 * c2, c1 * c3, c1 * c4,
+            c2 * c2, c2 * c3, c2 * c4,
+            c3 * c3, c3 * c4,
+            c4 * c4,
+        )
+        solutions = _affine_solutions(p, [
+            (sum(map(mul, coeffs, a)) % p, sum(map(mul, coeffs, b)) % p, sum(map(mul, prods, c)) % p)
+            for a, b, c in combos
+        ])
+        if solutions is None:
+            budget.spend(p)
+            continue
+        qr = [sum(map(mul, prods, g)) % p for g in gram]
+        bur = [sum(map(mul, coeffs, b)) % p for b in bu]
+        bvr = [sum(map(mul, coeffs, b)) % p for b in bv]
+        x0, line = solutions
+        if line is not None and not _share_a_factor(p, line, qu, buv, qv, qr, bur, bvr):
+            budget.spend(p)
+            continue
+        if x0 is not None:
+            budget.spend(x0)
+        for x in range(p) if x0 is None else (x0,):
             budget.spend()
             A = qv[0]
             B = (x * buv[0] + bvr[0]) % p
             C = (x * x * qu[0] + x * bur[0] + qr[0]) % p
-            ys = _solve_quadratic(p, A, B, C, sqrt_table)
+            ys = _solve_quadratic(p, A, B, C)
             for y in ys:
                 ok = True
                 for i in (1, 2, 3):
@@ -196,23 +240,106 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
                 if not ok:
                     continue
                 w = tuple(
-                    (x * u[k] + y * v[k] + R[k]) % p for k in range(12)
+                    (x * u[k] + y * v[k] + sum(c * r[k] for c, r in zip(coeffs, rest))) % p
+                    for k in range(12)
                 )
                 if any(w):
                     partner = PointA(field, w)
                     if not partner.on_quadric_intersection():
                         raise SamplingError("tangent cone scan left Q")
                     return partner
+        if x0 is not None:
+            budget.spend(p - 1 - x0)
 
 
-def _solve_quadratic(p, A, B, C, sqrt_table):
+def _affine_solutions(p, eqs):
+    """The common zeros (x, y) over F_p of the equations a x + b y + c = 0.
+
+    None when there are none; else ``(x0, None)`` when they force x = x0,
+    ``(None, (alpha, beta))`` for the line y = alpha x + beta, and
+    ``(None, None)`` when every equation vanishes identically.
+    """
+    pivot = next((e for e in eqs if e[1]), None)
+    line = None
+    if pivot is not None:
+        # y = alpha x + beta; substituted, the other equations are in x only
+        a, b, c = pivot
+        inv = pow(-b, -1, p)
+        line = (a * inv % p, c * inv % p)
+        eqs = [((ea + eb * line[0]) % p, eb, (ec + eb * line[1]) % p) for ea, eb, ec in eqs]
+    forced = next((e for e in eqs if e[0]), None)
+    if forced is not None:
+        x0 = -forced[2] * pow(forced[0], -1, p) % p
+        if any((ea * x0 + ec) % p for ea, _, ec in eqs):
+            return None
+        return x0, None
+    if any(ec for _, _, ec in eqs):
+        return None
+    return None, line
+
+
+def _share_a_factor(p, line, qu, buv, qv, qr, bur, bvr):
+    """Whether the q_i(x u + y v + R), restricted to the line y = alpha x +
+    beta, have a nonconstant common factor over F_p or all vanish there;
+    when they do not, no x on the line solves the draw."""
+    alpha, beta = line
+    g = None
+    for i in range(4):
+        f = _trim([
+            (beta * beta * qv[i] + beta * bvr[i] + qr[i]) % p,
+            (beta * buv[i] + 2 * alpha * beta * qv[i] + bur[i] + alpha * bvr[i]) % p,
+            (qu[i] + alpha * buv[i] + alpha * alpha * qv[i]) % p,
+        ])
+        if f:
+            g = f if g is None else _gcd(g, f, p)
+            if len(g) == 1:
+                return False
+    return True
+
+
+def _sqrt_mod(d, p):
+    """A square root of d in [0, p) modulo the odd prime p, or None for a
+    non-residue.
+
+    Of the two roots r and p - r it returns the smaller, except (p + 1)/2
+    for the square of (p - 1)/2; the order of the roots that
+    :func:`_solve_quadratic` tries, and so the sampled lines, rest on it.
+    """
+    if d == 0:
+        return 0
+    if p % 4 == 3:
+        r = pow(d, (p + 1) // 4, p)
+        if r * r % p != d:
+            return None
+    else:
+        if pow(d, (p - 1) // 2, p) != 1:
+            return None
+        # Tonelli-Shanks: p - 1 = q 2^s with q odd, z a non-residue
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q, s = q // 2, s + 1
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        c, r, t, m = pow(z, q, p), pow(d, (q + 1) // 2, p), pow(d, q, p), s
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2, i = t2 * t2 % p, i + 1
+            b = pow(c, 1 << (m - i - 1), p)
+            c, r, t, m = b * b % p, r * b % p, t * b * b % p, i
+    r = min(r, p - r)
+    return (p + 1) // 2 if r == (p - 1) // 2 else r
+
+
+def _solve_quadratic(p, A, B, C):
     """Roots of A y^2 + B y + C over F_p (p odd); () when there are none."""
     if A == 0:
         if B == 0:
             return (0, 1) if C == 0 else ()
         return ((-C) * pow(B, -1, p) % p,)
     disc = (B * B - 4 * A * C) % p
-    r = sqrt_table.get(disc)
+    r = _sqrt_mod(disc, p)
     if r is None:
         return ()
     inv2a = pow(2 * A, -1, p)

@@ -1,12 +1,17 @@
-"""Golden gate: ``classify`` on the committed store writes the committed bytes.
+"""Golden gates: ``classify`` on the committed store writes the committed
+bytes, and ``sample`` still draws the store's sampled lines.
 
 The store and its output come from ``tests/data/make_golden.py``; see its
 docstring for what the store covers.
 """
 
+import json
 import pathlib
 
-from godeaux_lines.cli import main
+import pytest
+
+from godeaux_lines.cli import _dumps, main
+from godeaux_lines.sampling import STRATEGIES
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -15,3 +20,17 @@ def test_classify_golden_store_byte_identical(tmp_path):
     out = tmp_path / "classify.jsonl"
     assert main(["classify", "--in", str(DATA / "golden_store.jsonl"), "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / "golden_classify.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_sample_reproduces_golden_store_lines(strategy, tmp_path):
+    # the store opens with two lines of each strategy from
+    # ``sample --field p31 --seed 2022 --count 2``, in STRATEGIES order;
+    # rows and provenance (seed, trials, certificate) must match byte for byte
+    out = tmp_path / "sample.jsonl"
+    assert main(["sample", "--strategy", strategy, "--field", "p31",
+                 "--seed", "2022", "--count", "2", "--out", str(out)]) == 0
+    got = [_dumps({"line": json.loads(rec)["line"]}) for rec in out.read_text().splitlines()[1:]]
+    k = STRATEGIES.index(strategy)
+    store = (DATA / "golden_store.jsonl").read_text().splitlines()[1:]
+    assert got == store[2 * k:2 * k + 2]

@@ -1,13 +1,26 @@
+import random
+
 import pytest
 
-from godeaux_lines.fields import QQ
-from godeaux_lines.geometry import line_in_q
+from godeaux_lines.fields import QQ, PrimeField, is_prime
+from godeaux_lines.geometry import (
+    PointA,
+    line_in_q,
+    polarization_value,
+    quadric_value,
+    tangent_space,
+)
+from godeaux_lines.linalg import rank
 from godeaux_lines.sampling import (
     BudgetExhausted,
     SamplingError,
     sample_line,
     random_q_point,
+    tangent_cone_partner,
     _Budget,
+    _affine_solutions,
+    _random_hyp_point,
+    _sqrt_mod,
 )
 from godeaux_lines.strata import TORSION_SPACES, classify_line, torsion_space
 
@@ -115,3 +128,219 @@ def test_two_torsion_needs_distinct_spaces(f31):
             seed=0,
             spaces=(TORSION_SPACES[0], TORSION_SPACES[0]),
         )
+
+
+# ----------------------------------------------------------------------
+# the tangent-cone partner search against the plain scan over every draw
+
+
+def _sqrt_table(p):
+    """Square roots mod p by a scan of F_p; the roots the sampler has always used."""
+    table = {}
+    for x in range((p + 1) // 2, p):
+        table.setdefault(x * x % p, x)
+    for x in range((p + 1) // 2 + 1):
+        table[x * x % p] = x
+    return table
+
+
+def _scan_solve_quadratic(p, A, B, C, sqrt_table):
+    if A == 0:
+        if B == 0:
+            return (0, 1) if C == 0 else ()
+        return ((-C) * pow(B, -1, p) % p,)
+    disc = (B * B - 4 * A * C) % p
+    r = sqrt_table.get(disc)
+    if r is None:
+        return ()
+    inv2a = pow(2 * A, -1, p)
+    y1 = (-B + r) * inv2a % p
+    if r == 0:
+        return (y1,)
+    return (y1, (-B - r) * inv2a % p)
+
+
+def _scan_partner(field, point, rng, budget):
+    """The oracle: every draw scans all x, one trial each, with no certificate."""
+    p = field.p
+    basis = tangent_space(point)
+    rows = [list(point.coords)]
+    comp = []
+    for vec in basis:
+        if rank(field, rows + [list(vec)]) > len(rows):
+            rows.append(list(vec))
+            comp.append(vec)
+        if len(comp) == 7:
+            break
+    u, v, rest = comp[0], comp[1], comp[2:]
+    qu = [quadric_value(field, i, u) for i in range(4)]
+    qv = [quadric_value(field, i, v) for i in range(4)]
+    buv = [polarization_value(field, i, u, v) for i in range(4)]
+    sqrt_table = _sqrt_table(p)
+    while True:
+        coeffs = [rng.randrange(p) for _ in range(5)]
+        R = [0] * 12
+        for c, vec in zip(coeffs, rest):
+            for k in range(12):
+                R[k] = (R[k] + c * vec[k]) % p
+        qr = [quadric_value(field, i, R) for i in range(4)]
+        bur = [polarization_value(field, i, u, R) for i in range(4)]
+        bvr = [polarization_value(field, i, v, R) for i in range(4)]
+        for x in range(p):
+            budget.spend()
+            B = (x * buv[0] + bvr[0]) % p
+            C = (x * x * qu[0] + x * bur[0] + qr[0]) % p
+            for y in _scan_solve_quadratic(p, qv[0], B, C, sqrt_table):
+                if any(
+                    (y * y * qv[i] + y * (x * buv[i] + bvr[i])
+                     + x * x * qu[i] + x * bur[i] + qr[i]) % p
+                    for i in (1, 2, 3)
+                ):
+                    continue
+                w = tuple((x * u[k] + y * v[k] + R[k]) % p for k in range(12))
+                if any(w):
+                    return PointA(field, w)
+
+
+def _search(search, field, point, seed, limit, budget_type=_Budget):
+    """(outcome, budget.used, rng state, budget) of one partner search."""
+    rng = random.Random(seed)
+    budget = budget_type("test", limit)
+    try:
+        outcome = search(field, point, rng, budget).coords
+    except BudgetExhausted as err:
+        outcome = ("exhausted", err.trials)
+    return outcome, budget.used, rng.getstate(), budget
+
+
+def _start_point(field, kind, rng):
+    if kind == "generic":
+        return random_q_point(field, rng, _Budget("test", 10**6))
+    if kind == "hyp":
+        return _random_hyp_point(field, rng, _Budget("test", 10**6))
+    return torsion_space(kind).random_point(field, rng)
+
+
+PARTNER_KINDS = ("generic", "T01|23", "T02|13", "T03|12", "hyp")
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 31, 101))
+@pytest.mark.parametrize("kind", PARTNER_KINDS)
+def test_partner_matches_scan_oracle(p, kind):
+    # at p = 101 a torsion partner can take millions of trials; the limit
+    # keeps the oracle short, and an exhausted budget must match as well
+    F = PrimeField(p)
+    point = _start_point(F, kind, random.Random(1000 * p + PARTNER_KINDS.index(kind)))
+    for seed in range(2):
+        new = _search(tangent_cone_partner, F, point, seed, 40_000)
+        old = _search(_scan_partner, F, point, seed, 40_000)
+        assert new[:3] == old[:3]
+
+
+class _LoggedBudget(_Budget):
+    """A budget that records (used, n) before each spend."""
+
+    def __init__(self, strategy, limit):
+        super().__init__(strategy, limit)
+        self.log = []
+
+    def spend(self, n=1):
+        self.log.append((self.used, n))
+        super().spend(n)
+
+
+def test_budget_runs_out_inside_skipped_and_forced_draws():
+    # a failed draw spends its p trials in one step, a draw with a forced x
+    # spends x0, then 1 for the tried x0, then p - 1 - x0; a budget that runs
+    # out anywhere inside either must stop where the scan stops
+    p = 31
+    F = PrimeField(p)
+    point = random_q_point(F, random.Random(7), _Budget("test", 10**6))
+    _, used, _, budget = _search(tangent_cone_partner, F, point, 0, 10**6, _LoggedBudget)
+    log = budget.log
+    # at a generic point nearly every draw fails its certificate (most of
+    # them on the gcd of the quadrics restricted to a line) and is skipped
+    assert sum(n == p for _, n in log) > 0.9 * (used // p)
+    skipped = next(used for used, n in log if n == p)
+    forced = next(
+        (start, x0)
+        for k, (used, n) in enumerate(log)
+        if 1 < n < p
+        for x0, start in [(p - 1 - n, used - p + n)]
+        if k >= 2 and log[k - 2] == (start, x0) and log[k - 1] == (start + x0, 1)
+    )
+    start, x0 = forced
+    limits = [skipped, skipped + 1, skipped + p // 2, skipped + p - 1]
+    limits += sorted({start, start + x0 // 2, start + x0, start + x0 + 1, start + p - 1})
+    for limit in limits:
+        new = _search(tangent_cone_partner, F, point, 0, limit)
+        old = _search(_scan_partner, F, point, 0, limit)
+        assert new[0] == old[0] == ("exhausted", limit + 1)
+        assert new[1:3] == old[1:3]
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_affine_solutions_match_brute_force(p):
+    # random systems of one to four equations, with zero, repeated and
+    # proportional rows mixed in so that every kind of answer occurs
+    rng = random.Random(p)
+    kinds = set()
+    for _ in range(400):
+        eqs = []
+        for _ in range(rng.randrange(1, 5)):
+            pick = rng.random()
+            if pick < 0.2:
+                eqs.append((0, 0, rng.choice((0, 0, rng.randrange(p)))))
+            elif pick < 0.45 and eqs:
+                k = rng.randrange(1, p)
+                eqs.append(tuple(k * c % p for c in rng.choice(eqs)))
+            else:
+                eqs.append(tuple(rng.randrange(p) for _ in range(3)))
+        zeros = {(x, y) for x in range(p) for y in range(p)
+                 if all((a * x + b * y + c) % p == 0 for a, b, c in eqs)}
+        got = _affine_solutions(p, eqs)
+        if got is None:
+            assert not zeros
+            kinds.add("none")
+            continue
+        x0, line = got
+        if x0 is not None:
+            assert zeros and {x for x, _ in zeros} == {x0}
+            kinds.add("forced")
+        elif line is not None:
+            alpha, beta = line
+            assert zeros == {(x, (alpha * x + beta) % p) for x in range(p)}
+            kinds.add("line")
+        else:
+            assert len(zeros) == p * p
+            kinds.add("all")
+    assert kinds == {"none", "forced", "line", "all"}
+
+
+@pytest.mark.parametrize("n", (0, 1, 5, 31))
+@pytest.mark.parametrize("used", (0, 3, 9, 10))
+def test_budget_spend_n_matches_single_steps(used, n):
+    # from every state a search can spend in (used <= limit)
+    def run(steps):
+        budget = _Budget("test", 10)
+        budget.used = used
+        try:
+            for step in steps:
+                budget.spend(step)
+        except BudgetExhausted as err:
+            return budget.used, err.trials
+        return budget.used, None
+
+    assert run([n]) == run([1] * n)
+
+
+def test_sqrt_matches_table_below_2000():
+    checked = 0
+    for p in range(3, 2000, 2):
+        if not is_prime(p):
+            continue
+        table = _sqrt_table(p)
+        for d in range(p):
+            assert _sqrt_mod(d, p) == table.get(d), (p, d)
+        checked += len(table)
+    assert checked == 138_675
