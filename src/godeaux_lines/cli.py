@@ -58,11 +58,23 @@ def _default_field() -> str:
 # sample
 
 
+#: slot i of ``sample --seed S`` draws with seed S * SEED_STRIDE + i, so a
+#: count above the stride would reuse the seeds of ``--seed S+1``
+SEED_STRIDE = 1_000_003
+
+
 def _record_seed(seed: int, index: int) -> int:
-    return seed * 1_000_003 + index
+    return seed * SEED_STRIDE + index
 
 
 def cmd_sample(args) -> int:
+    if args.count > SEED_STRIDE:
+        print(
+            f"error: --count {args.count} exceeds {SEED_STRIDE}; later records "
+            "would repeat the seeds of the next --seed",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     try:
         field = field_from_spec(args.field)
     except FieldError as e:
@@ -253,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["generic", "torsion", "two-torsion", "hyp", "two-hyp"])
     ps.add_argument("--field", default=_default_field(), help="p<modulus> or q")
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--count", type=int, default=1)
+    ps.add_argument("--count", type=int, default=1,
+                    help=f"records to draw, at most {SEED_STRIDE}")
     ps.add_argument("--out", default="-", help="store file path, or - for stdout")
     ps.add_argument("--append", action="store_true", help="append to an existing store")
     ps.add_argument("--budget", type=int, default=10_000_000,

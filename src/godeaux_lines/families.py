@@ -133,31 +133,37 @@ def hyp_components(field: Field = QQ) -> tuple:
 
 
 def hyp_point_raw(field: Field, params: Sequence) -> Optional[tuple]:
-    """Evaluate the factored components at 10 raw scalars; None on base locus.
+    """Evaluate the factored components at 10 raw scalars; None on base locus."""
+    return hyp_evaluate([field.canonical(x) for x in params], field.canonical)
 
-    This is the sampler's hot path: atoms first, then one short product per
-    component.
+
+def hyp_evaluate(params: Sequence, reduce) -> Optional[tuple]:
+    """The one evaluator of ``HYP_FACTORED``, and the samplers' hot path:
+    atoms first, then one short product per component.
+
+    ``params`` are canonical scalars of a field, and ``reduce`` maps sums
+    and products of them to canonical scalars again: ``field.canonical``
+    for any field, or plain ``x % p`` on residues mod p.  None when every
+    component vanishes.
     """
-    p = [field.canonical(x) for x in params]
-    v0, v1, w0, w1, x0, x1, y0, y1, z0, z1 = p
+    v0, v1, w0, w1, x0, x1, y0, y1, z0, z1 = params
     atoms = (
         v0, v1, w0, w1, x0, x1, y0, y1, z0, z1,
-        field.sub(field.mul(x1, w1), field.mul(x0, w0)),
-        field.add(x1, x0),
-        field.add(w1, w0),
+        reduce(x1 * w1 - x0 * w0),
+        reduce(x1 + x0),
+        reduce(w1 + w0),
     )
     coords = []
-    any_nonzero = False
     for sign, exps in HYP_FACTORED:
-        acc = field.one() if sign > 0 else field.neg(field.one())
+        acc = sign
         for a, e in zip(atoms, exps):
-            for _ in range(e):
-                acc = field.mul(acc, a)
-            if field.is_zero(acc):
-                break
-        coords.append(acc)
-        any_nonzero = any_nonzero or not field.is_zero(acc)
-    return tuple(coords) if any_nonzero else None
+            if e:
+                if a == 0:
+                    acc = 0
+                    break
+                acc *= a if e == 1 else a * a
+        coords.append(reduce(acc))
+    return tuple(coords) if any(coords) else None
 
 
 def hyp_point(field: Field, params: Sequence) -> PointA:

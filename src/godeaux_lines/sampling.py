@@ -11,9 +11,12 @@ deterministic: a sampler owns a private random stream, so equal
 the two-hyp partner are found by rejection.  The tangent-cone partner draws
 five coefficients at a time and scans the remaining plane of candidates
 one coordinate at a time, but only after an exact per-draw certificate (a
-linear solve and, at most, a gcd of restricted quadrics) has shown that
-the draw can succeed; a draw that cannot is charged the trials its scan
-would have taken, so trial counts and lines are those of the plain scan.
+linear solve over sparse equations that stops at the first inconsistent
+one and, at most, a resultant or gcd of restricted quadrics) has shown
+that the draw can succeed; a draw that cannot is charged the trials its
+scan would have taken, so trial counts and lines are those of the plain
+scan.  The two-hyp rejection tests the first tangency form on the six
+coordinates it involves and builds the other six only for draws that pass.
 Each strategy re-verifies its promise through the classifier before
 returning and retries otherwise; a configurable trial budget guards
 termination.
@@ -30,7 +33,7 @@ import random
 from operator import mul
 from typing import Optional, Sequence
 
-from .families import HYP_FACTORED, sample_component_line
+from .families import hyp_evaluate, sample_component_line
 from .fields import Field, PrimeField
 from .geometry import (
     GeometryError,
@@ -151,6 +154,12 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
     the remaining draws are scanned over all x.  A failed draw spends its p
     trials at once, so the random draws, the trial count and the returned
     point are those of the plain scan over every draw.
+
+    The combinations are kept per point as sparse terms, those free of x
+    and y first; at a torsion point K is all of F_p^4, and two of its four
+    equations read q_i(R) = 0 with two terms each.  A draw evaluates them
+    one at a time, only up to the first inconsistent one, and builds the
+    tables q_i(R), B_i(u, R) and B_i(v, R) only when it passes.
     """
     p = _require_search_field(field)
     basis = tangent_space(point)
@@ -185,15 +194,32 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
     ]
     bu = [[polarization_value(field, i, u, r) for r in rest] for i in range(4)]
     bv = [[polarization_value(field, i, v, r) for r in rest] for i in range(4)]
-    # sum k_i q_i(w) = a x + b y + c for k in the kernel; (a, b, c) as forms
-    # in the draw, with the tables of q_i combined by k
-    combos = [
-        tuple([sum(map(mul, k, col)) % p for col in zip(*table)] for table in (bu, bv, gram))
-        for k in nullspace(field, [qu, buv, qv], 4)
-    ]
+    # sum k_i q_i(w) = a x + b y + c for k in the kernel; (a, b, c) as sparse
+    # forms in the draw: (j, coeff) terms of a and b, (j, l, coeff) terms of c
+    # for the products c_j c_l
+    combos = []
+    for k in nullspace(field, [qu, buv, qv], 4):
+        a, b, c = ([sum(map(mul, k, col)) % p for col in zip(*table)] for table in (bu, bv, gram))
+        combos.append((
+            [(j, t) for j, t in enumerate(a) if t],
+            [(j, t) for j, t in enumerate(b) if t],
+            [(j, l, t) for (j, l), t in zip(pairs, c) if t],
+        ))
+    combos.sort(key=lambda combo: bool(combo[0] or combo[1]))
 
     while True:
         coeffs = [rng.randrange(p) for _ in range(5)]
+        solutions = _affine_solutions(p, (
+            (
+                sum(t * coeffs[j] for j, t in a) % p,
+                sum(t * coeffs[j] for j, t in b) % p,
+                sum(t * coeffs[j] * coeffs[l] for j, l, t in c) % p,
+            )
+            for a, b, c in combos
+        ))
+        if solutions is None:
+            budget.spend(p)
+            continue
         c0, c1, c2, c3, c4 = coeffs
         prods = (
             c0 * c0, c0 * c1, c0 * c2, c0 * c3, c0 * c4,
@@ -202,13 +228,6 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
             c3 * c3, c3 * c4,
             c4 * c4,
         )
-        solutions = _affine_solutions(p, [
-            (sum(map(mul, coeffs, a)) % p, sum(map(mul, coeffs, b)) % p, sum(map(mul, prods, c)) % p)
-            for a, b, c in combos
-        ])
-        if solutions is None:
-            budget.spend(p)
-            continue
         qr = [sum(map(mul, prods, g)) % p for g in gram]
         bur = [sum(map(mul, coeffs, b)) % p for b in bu]
         bvr = [sum(map(mul, coeffs, b)) % p for b in bv]
@@ -257,42 +276,56 @@ def _affine_solutions(p, eqs):
 
     None when there are none; else ``(x0, None)`` when they force x = x0,
     ``(None, (alpha, beta))`` for the line y = alpha x + beta, and
-    ``(None, None)`` when every equation vanishes identically.
+    ``(None, None)`` when every equation vanishes identically.  The answer
+    depends only on the set of zeros, not on the order of ``eqs``; they are
+    read one at a time, and none past the first inconsistent one.
     """
-    pivot = next((e for e in eqs if e[1]), None)
-    line = None
-    if pivot is not None:
-        # y = alpha x + beta; substituted, the other equations are in x only
-        a, b, c = pivot
-        inv = pow(-b, -1, p)
-        line = (a * inv % p, c * inv % p)
-        eqs = [((ea + eb * line[0]) % p, eb, (ec + eb * line[1]) % p) for ea, eb, ec in eqs]
-    forced = next((e for e in eqs if e[0]), None)
-    if forced is not None:
-        x0 = -forced[2] * pow(forced[0], -1, p) % p
-        if any((ea * x0 + ec) % p for ea, _, ec in eqs):
+    line = x0 = None
+    for a, b, c in eqs:
+        if line is not None:
+            # y = alpha x + beta substituted: the equation is in x only
+            a, b, c = (a + b * line[0]) % p, 0, (c + b * line[1]) % p
+        if b:
+            inv = pow(-b, -1, p)
+            line = (a * inv % p, c * inv % p)
+        elif x0 is not None:
+            if (a * x0 + c) % p:
+                return None
+        elif a:
+            x0 = -c * pow(a, -1, p) % p
+        elif c:
             return None
+    if x0 is not None:
         return x0, None
-    if any(ec for _, _, ec in eqs):
-        return None
     return None, line
 
 
 def _share_a_factor(p, line, qu, buv, qv, qr, bur, bvr):
     """Whether the q_i(x u + y v + R), restricted to the line y = alpha x +
     beta, have a nonconstant common factor over F_p or all vanish there;
-    when they do not, no x on the line solves the draw."""
+    when they do not, no x on the line solves the draw.
+
+    The first two restrictions usually settle it: two quadratics with a
+    nonzero resultant share no root even over the algebraic closure.
+    """
     alpha, beta = line
-    g = None
-    for i in range(4):
-        f = _trim([
+
+    def restricted(i):
+        return [
             (beta * beta * qv[i] + beta * bvr[i] + qr[i]) % p,
             (beta * buv[i] + 2 * alpha * beta * qv[i] + bur[i] + alpha * bvr[i]) % p,
             (qu[i] + alpha * buv[i] + alpha * alpha * qv[i]) % p,
-        ])
+        ]
+
+    (f0, f1, f2), (g0, g1, g2) = first = restricted(0), restricted(1)
+    if f2 and g2 and ((f2 * g0 - f0 * g2) ** 2 - (f2 * g1 - f1 * g2) * (f1 * g0 - f0 * g1)) % p:
+        return False
+    common = None
+    for f in (*first, restricted(2), restricted(3)):
+        f = _trim(f)
         if f:
-            g = f if g is None else _gcd(g, f, p)
-            if len(g) == 1:
+            common = f if common is None else _gcd(common, f, p)
+            if len(common) == 1:
                 return False
     return True
 
@@ -353,30 +386,24 @@ def _solve_quadratic(p, A, B, C):
 # two hyperelliptic endpoints (codimension-4 rejection)
 
 
-def _hyp_point_raw_int(p: int, params, factored):
-    """Integer fast path of the factored parametrization evaluation mod p."""
-    v0, v1, w0, w1, x0, x1, y0, y1, z0, z1 = params
-    atoms = (
-        v0, v1, w0, w1, x0, x1, y0, y1, z0, z1,
-        (x1 * w1 - x0 * w0) % p,
-        (x1 + x0) % p,
-        (w1 + w0) % p,
+def _q0_tangency(p, l0, params):
+    """l0 . coords at the parametrized point, mod p, for the gradient l0 of q_0.
+
+    q_0 = a12 a13 - a21 a23 + a31 a32, so l0 is zero off those six
+    coordinates, and in ``HYP_FACTORED`` each of them carries the factor
+    v0^2 D (D = x1 w1 - x0 w0): the value is v0^2 D times a short sum over
+    the six cofactors, and the other six coordinates are never built.
+    """
+    v0, _, w0, w1, x0, x1, y0, y1, z0, z1 = params
+    X = x0 + x1
+    s = (
+        X * (
+            y0 * y1 * (l0[0] * x1 * z1 * z1 + l0[1] * x0 * z0 * z0)
+            + y1 * y1 * z0 * (l0[7] * x1 * z1 - l0[4] * x0 * z0)
+        )
+        - x0 * x1 * y0 * y0 * z1 * (l0[3] * z1 + l0[6] * z0)
     )
-    coords = []
-    any_nonzero = False
-    for sign, exps in factored:
-        acc = sign
-        for a, e in zip(atoms, exps):
-            if e:
-                if a == 0:
-                    acc = 0
-                    break
-                acc *= a if e == 1 else a * a
-        acc %= p
-        coords.append(acc)
-        if acc:
-            any_nonzero = True
-    return coords if any_nonzero else None
+    return v0 * v0 * (x1 * w1 - x0 * w0) * s % p
 
 
 def _two_hyp_partner(
@@ -389,6 +416,12 @@ def _two_hyp_partner(
 ):
     """A second hyperelliptic-parametrization point inside T_p Q, by rejection.
 
+    Each draw of the 10 parameters costs one trial and must satisfy the four
+    tangency forms l_k . coords = 0 (k = 0..3, the rows of the Jacobian at
+    p).  The l_0 test is read off the six coordinates that q_0 touches (see
+    :func:`_q0_tangency`) and passes a few draws in p; only those build all
+    12 coordinates for the other three forms.
+
     The locus carries distinguished degenerate partners (one a-matrix row
     vanishes at them) that the rejection hits far more often than general
     ones; ``general_position`` skips those.  Returns None after ``cap``
@@ -397,14 +430,14 @@ def _two_hyp_partner(
     p = _require_search_field(field)
     lam = jacobian_at(field, point.coords)
     l0, l1, l2, l3 = ([int(x) for x in row] for row in lam)
-    factored = HYP_FACTORED
+    mod_p = p.__rmod__  # x -> x % p
     for _ in range(cap):
         budget.spend()
         params = [rng.randrange(p) for _ in range(10)]
-        coords = _hyp_point_raw_int(p, params, factored)
-        if coords is None:
+        if _q0_tangency(p, l0, params):
             continue
-        if sum(l0[k] * coords[k] for k in range(12)) % p:
+        coords = hyp_evaluate(params, mod_p)
+        if coords is None:
             continue
         if sum(l1[k] * coords[k] for k in range(12)) % p:
             continue
@@ -430,7 +463,7 @@ def _random_hyp_point(field: PrimeField, rng, budget: _Budget) -> PointA:
     p = _require_search_field(field)
     while True:
         budget.spend()
-        coords = _hyp_point_raw_int(p, [rng.randrange(p) for _ in range(10)], HYP_FACTORED)
+        coords = hyp_evaluate([rng.randrange(p) for _ in range(10)], p.__rmod__)  # x -> x % p
         if coords is None:
             continue
         point = PointA(field, coords)

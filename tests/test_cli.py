@@ -91,6 +91,24 @@ def test_sample_budget_exhaustion_exit_3(tmp_path):
     assert records[0]["slot"] == 0
 
 
+def test_sample_count_past_seed_stride_is_usage_error(tmp_path, monkeypatch, capsys):
+    # slot SEED_STRIDE of --seed S would draw with the seed of slot 0 of
+    # --seed S+1; such a count is refused before anything is drawn
+    import godeaux_lines.cli as cli
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("sampled despite the usage error")
+
+    monkeypatch.setattr(cli, "sample_line", no_draws)
+    assert cli._record_seed(4, cli.SEED_STRIDE) == cli._record_seed(5, 0)
+    out = tmp_path / "never.jsonl"
+    code = main(["sample", "--field", "p31", "--seed", "4",
+                 "--count", str(cli.SEED_STRIDE + 1), "--out", str(out)])
+    assert code == 2
+    assert "--count" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_classify_round_trip(tmp_path):
     store = tmp_path / "store.jsonl"
     main(["sample", "--strategy", "generic", "--field", "p31", "--seed", "5",

@@ -9,6 +9,7 @@ from godeaux_lines.families import (
     HYP_MULTIDEGREE,
     hyp_components,
     hyp_point,
+    hyp_point_raw,
     random_hyp_point,
     sample_component_line,
     verify_hyp_param,
@@ -20,7 +21,7 @@ from godeaux_lines.families import (
     z5_component_counts,
     z5_line,
 )
-from godeaux_lines.fields import QQ
+from godeaux_lines.fields import QQ, PrimeField
 from godeaux_lines.geometry import AIDX, GeometryError, line_in_q, quadric_value, quadrics
 from godeaux_lines.strata import TORSION_SPACES, classify_line, rank_a, torsion_intersections
 
@@ -38,6 +39,25 @@ def test_worked_image_point():
     # all four quadrics vanish: q0 = -2-2+4, q1 = -12+48-36, q2 = 72-24-48, q3 = -72+144-72
     assert p.on_quadric_intersection()
     assert rank_a(p) == 3
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=str)
+def test_hyp_point_raw_matches_expanded_components(field):
+    # the factored evaluator against the expanded polynomials, with zeros
+    # frequent enough to hit vanishing atoms and the base locus
+    comps = hyp_components(field)
+    rng = random.Random(17)
+    seen_base = False
+    for _ in range(300):
+        params = [rng.choice((0, 0, 1, -1, field.random(rng))) for _ in range(10)]
+        expected = tuple(c.eval([field.canonical(x) for x in params]) for c in comps)
+        got = hyp_point_raw(field, params)
+        if any(expected):
+            assert got == expected
+        else:
+            assert got is None
+            seen_base = True
+    assert seen_base
 
 
 def test_base_locus_reported():

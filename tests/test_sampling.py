@@ -1,10 +1,14 @@
+import itertools
 import random
 
 import pytest
 
+from godeaux_lines.families import hyp_point_raw
 from godeaux_lines.fields import QQ, PrimeField, is_prime
 from godeaux_lines.geometry import (
+    ROW_TRIPLES,
     PointA,
+    jacobian_at,
     line_in_q,
     polarization_value,
     quadric_value,
@@ -19,9 +23,13 @@ from godeaux_lines.sampling import (
     tangent_cone_partner,
     _Budget,
     _affine_solutions,
+    _q0_tangency,
     _random_hyp_point,
+    _share_a_factor,
     _sqrt_mod,
+    _two_hyp_partner,
 )
+from godeaux_lines.pencil import _gcd, _trim
 from godeaux_lines.strata import TORSION_SPACES, classify_line, torsion_space
 
 
@@ -282,9 +290,16 @@ def test_budget_runs_out_inside_skipped_and_forced_draws():
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_affine_solutions_match_brute_force(p):
     # random systems of one to four equations, with zero, repeated and
-    # proportional rows mixed in so that every kind of answer occurs
+    # proportional rows mixed in so that every kind of answer occurs; every
+    # order of each system gives the same answer, read lazily up to the
+    # first equation that makes the system inconsistent
     rng = random.Random(p)
     kinds = set()
+
+    def zeros_of(eqs):
+        return {(x, y) for x in range(p) for y in range(p)
+                if all((a * x + b * y + c) % p == 0 for a, b, c in eqs)}
+
     for _ in range(400):
         eqs = []
         for _ in range(rng.randrange(1, 5)):
@@ -296,9 +311,16 @@ def test_affine_solutions_match_brute_force(p):
                 eqs.append(tuple(k * c % p for c in rng.choice(eqs)))
             else:
                 eqs.append(tuple(rng.randrange(p) for _ in range(3)))
-        zeros = {(x, y) for x in range(p) for y in range(p)
-                 if all((a * x + b * y + c) % p == 0 for a, b, c in eqs)}
+        zeros = zeros_of(eqs)
         got = _affine_solutions(p, eqs)
+        for order in itertools.permutations(eqs):
+            pending = iter(order)
+            assert _affine_solutions(p, pending) == got
+            read = len(order) - len(list(pending))
+            if got is None:
+                assert not zeros_of(order[:read]) and zeros_of(order[:read - 1])
+            else:
+                assert read == len(order)
         if got is None:
             assert not zeros
             kinds.add("none")
@@ -315,6 +337,122 @@ def test_affine_solutions_match_brute_force(p):
             assert len(zeros) == p * p
             kinds.add("all")
     assert kinds == {"none", "forced", "line", "all"}
+
+
+def _gcd_share_a_factor(p, line, qu, buv, qv, qr, bur, bvr):
+    """The oracle: the gcd of all four restricted quadrics, no resultant."""
+    alpha, beta = line
+    g = None
+    for i in range(4):
+        f = _trim([
+            (beta * beta * qv[i] + beta * bvr[i] + qr[i]) % p,
+            (beta * buv[i] + 2 * alpha * beta * qv[i] + bur[i] + alpha * bvr[i]) % p,
+            (qu[i] + alpha * buv[i] + alpha * alpha * qv[i]) % p,
+        ])
+        if f:
+            g = f if g is None else _gcd(g, f, p)
+            if len(g) == 1:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11))
+def test_share_a_factor_matches_gcd_oracle(p):
+    # zeros are frequent at small p, so restrictions of degree below 2,
+    # vanishing ones and shared factors all occur next to coprime pairs
+    rng = random.Random(p)
+    seen = set()
+    for _ in range(3000):
+        sparse = rng.random()
+        tables = [
+            [rng.randrange(p) if rng.random() > sparse else 0 for _ in range(4)]
+            for _ in range(6)
+        ]
+        line = (rng.randrange(p), rng.randrange(p))
+        got = _share_a_factor(p, line, *tables)
+        assert got == _gcd_share_a_factor(p, line, *tables)
+        seen.add(got)
+    assert seen == {True, False}
+
+
+# ----------------------------------------------------------------------
+# the two-hyp partner search against the rejection that builds every
+# coordinate of every draw
+
+
+def _full_two_hyp_partner(field, point, rng, budget, cap, general_position=False):
+    """The oracle: all 12 coordinates per draw, then the four tangency forms."""
+    p = field.p
+    lam = jacobian_at(field, point.coords)
+    l0, l1, l2, l3 = ([int(x) for x in row] for row in lam)
+    for _ in range(cap):
+        budget.spend()
+        params = [rng.randrange(p) for _ in range(10)]
+        coords = hyp_point_raw(field, params)
+        if coords is None:
+            continue
+        if sum(l0[k] * coords[k] for k in range(12)) % p:
+            continue
+        if sum(l1[k] * coords[k] for k in range(12)) % p:
+            continue
+        if sum(l2[k] * coords[k] for k in range(12)) % p:
+            continue
+        if sum(l3[k] * coords[k] for k in range(12)) % p:
+            continue
+        if general_position and any(
+            all(coords[j] == 0 for j in triple) for triple in ROW_TRIPLES
+        ):
+            continue
+        return PointA(field, coords)
+    return None
+
+
+class _NoneAsCoords:
+    """Lets :func:`_search` record a search that returned None."""
+
+    def __init__(self, point):
+        self.coords = None if point is None else point.coords
+
+
+@pytest.mark.parametrize("general_position", (False, True))
+def test_two_hyp_partner_matches_full_oracle(general_position):
+    # small caps and budgets, so found partners, None after the cap and an
+    # exhausted budget all occur and must match
+    outcomes = set()
+    for p in (3, 5, 7, 11, 13, 31):
+        F = PrimeField(p)
+        for seed in range(6):
+            point = _start_point(F, "hyp", random.Random(100 * p + seed))
+            cap = (50, 400, 3000)[seed % 3]
+            limit = 10**6 if seed < 4 else cap // 2
+
+            def search(impl):
+                return lambda field, pt, rng, budget: _NoneAsCoords(
+                    impl(field, pt, rng, budget, cap, general_position)
+                )
+
+            new = _search(search(_two_hyp_partner), F, point, seed, limit)
+            old = _search(search(_full_two_hyp_partner), F, point, seed, limit)
+            assert new[:3] == old[:3]
+            outcome = new[0]
+            outcomes.add(
+                "none" if outcome is None
+                else "exhausted" if outcome[0] == "exhausted" else "found"
+            )
+    assert outcomes == {"found", "none", "exhausted"}
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 31, 10007))
+def test_q0_tangency_is_l0_dot_coords(p):
+    F = PrimeField(p)
+    rng = random.Random(p)
+    for _ in range(300):
+        # the gradient of q_0 at any vector has the support of one at a point of Q
+        l0 = jacobian_at(F, [rng.randrange(p) for _ in range(12)])[0]
+        # zero-heavy parameters reach the base locus and vanishing factors
+        params = [rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(10)]
+        coords = hyp_point_raw(F, params) or (0,) * 12
+        assert _q0_tangency(p, l0, params) == sum(map(int.__mul__, l0, coords)) % p
 
 
 @pytest.mark.parametrize("n", (0, 1, 5, 31))
