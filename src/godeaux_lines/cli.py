@@ -28,7 +28,7 @@ import time
 from .families import verify_hyp_param, verify_para_v2, verify_z3_kernel, verify_z3_line, verify_z5_family, z5_component_counts
 from .fields import FieldError, field_from_spec
 from .geometry import GeometryError, LineA, line_in_q
-from .sampling import BudgetExhausted, SamplingError, sample_line
+from .sampling import STRATEGIES, BudgetExhausted, SamplingError, sample_line
 from .strata import (
     StrataError,
     TORSION_SPACES,
@@ -261,8 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("sample", help="sample lines into a store")
-    ps.add_argument("--strategy", default="generic",
-                    choices=["generic", "torsion", "two-torsion", "hyp", "two-hyp"])
+    ps.add_argument("--strategy", default="generic", choices=STRATEGIES)
     ps.add_argument("--field", default=_default_field(), help="p<modulus> or q")
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--count", type=int, default=1,

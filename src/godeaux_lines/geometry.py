@@ -255,7 +255,7 @@ class LineA:
         r1 = vector(field, row1)
         if len(r0) != 12 or len(r1) != 12:
             raise GeometryError("Stiefel rows must have 12 entries")
-        if not _has_rank2(field, r0, r1):
+        if rank(field, [r0, r1]) != 2:
             raise GeometryError("Stiefel matrix is rank deficient")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", (r0, r1))
@@ -342,15 +342,6 @@ class LineA:
         except (FieldError, TypeError, ValueError, ZeroDivisionError) as e:
             raise GeometryError(f"malformed line: {e}") from None
         return cls(F, r0, r1, provenance=data.get("provenance"))
-
-
-def _has_rank2(field: Field, r0, r1) -> bool:
-    for i in range(12):
-        for j in range(i + 1, 12):
-            d = field.sub(field.mul(r0[i], r1[j]), field.mul(r0[j], r1[i]))
-            if not field.is_zero(d):
-                return True
-    return False
 
 
 def line_through(p: PointA, q: PointA, provenance=None) -> LineA:

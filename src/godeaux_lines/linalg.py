@@ -1,9 +1,16 @@
-"""Exact dense and sparse linear algebra over a field.
+"""Exact linear algebra over a field, on one Gauss–Jordan elimination.
 
-Matrices are lists of rows of raw field values; everything is fraction-free
-in F_p and uses Fraction arithmetic over Q.  Only the small primitives the
-rest of the package needs: rank, right null space, and a sparse null space
-for the coefficient systems assembled by the polynomial kernel solver.
+Every public function here is a thin wrapper around :func:`_gauss_jordan`,
+which brings a matrix to reduced row echelon form (RREF) and returns the
+nonzero rows as sparse ``{column: value}`` dicts keyed by their pivot
+column.  Rows go in dense (sequences of raw field values) or sparse
+(``{column: value}`` dicts, as assembled by the polynomial kernel solver);
+zero entries are dropped on the way in, so fill stays proportional to the
+nonzeros.  Values are raw field values: residues in F_p, Fractions over Q.
+
+The RREF of a matrix is unique, so rank, echelon form and the kernel basis
+read off it (one vector per free column) depend only on the matrix, not on
+how its rows were given.
 """
 
 from __future__ import annotations
@@ -11,115 +18,61 @@ from __future__ import annotations
 from .fields import Field
 
 
+def _subtract(field: Field, row: dict, f, pivot_row: dict) -> None:
+    """row -= f * pivot_row in place, dropping entries that become zero."""
+    sub, mul, is_zero, zero = field.sub, field.mul, field.is_zero, field.zero()
+    for j, v in pivot_row.items():
+        x = sub(row.get(j, zero), mul(f, v))
+        if is_zero(x):
+            row.pop(j, None)
+        else:
+            row[j] = x
+
+
+def _gauss_jordan(field: Field, rows) -> dict:
+    """RREF of the rows as {pivot column: {column: value}}.
+
+    Each pivot row has 1 at its pivot column, its leftmost entry, and no
+    entry at any other pivot column.  The pivot rows are kept in that form
+    after every input row: a new row is reduced against them, and the new
+    pivot column is then cleared from them.
+    """
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        row = {j: v for j, v in items if not field.is_zero(v)}
+        # pivot rows hold no other pivot column, so these steps commute
+        for c in [c for c in row if c in pivots]:
+            _subtract(field, row, row[c], pivots[c])
+        if not row:
+            continue
+        c = min(row)
+        inv = field.inv(row[c])
+        row = {j: field.mul(inv, v) for j, v in row.items()}
+        for other in pivots.values():
+            if c in other:
+                _subtract(field, other, other[c], row)
+        pivots[c] = row
+    return pivots
+
+
 def rank(field: Field, rows) -> int:
     """Rank of a matrix given as an iterable of row sequences."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if not field.is_zero(mat[i][c])), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = field.inv(mat[r][c])
-        for i in range(r + 1, len(mat)):
-            if field.is_zero(mat[i][c]):
-                continue
-            f = field.mul(mat[i][c], inv)
-            row_i, row_r = mat[i], mat[r]
-            for j in range(c, ncols):
-                row_i[j] = field.sub(row_i[j], field.mul(f, row_r[j]))
-        r += 1
-        if r == len(mat):
-            break
-    return r
+    return len(_gauss_jordan(field, rows))
 
 
 def rref(field: Field, rows):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return mat, []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if not field.is_zero(mat[i][c])), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = field.inv(mat[r][c])
-        mat[r] = [field.mul(inv, x) for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not field.is_zero(mat[i][c]):
-                f = mat[i][c]
-                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = _gauss_jordan(field, rows)
+    order = sorted(pivots)
+    return [[pivots[c].get(j, field.zero()) for j in range(ncols)] for c in order], order
 
 
-def nullspace(field: Field, rows, ncols: int):
-    """Basis of the right kernel of the matrix, as tuples of raw values."""
-    reduced, pivots = rref(field, rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [field.zero()] * ncols
-        vec[f] = field.one()
-        for r, c in enumerate(pivots):
-            vec[c] = field.neg(reduced[r][f])
-        basis.append(tuple(vec))
-    return basis
-
-
-def in_span(field: Field, basis, vec) -> bool:
-    """Whether vec lies in the row span of basis (all raw value tuples)."""
-    rows = [list(b) for b in basis]
-    return rank(field, rows) == rank(field, rows + [list(vec)])
-
-
-def sparse_nullspace(field: Field, srows, ncols: int):
-    """Right kernel basis for rows given as {column: value} dicts.
-
-    Suited to the very sparse coefficient systems coming from polynomial
-    matrices: elimination keeps rows as dicts and picks each pivot as the
-    lowest column of the row being processed.
-    """
-    pivots: dict[int, dict] = {}
-    for row in srows:
-        row = dict(row)
-        while row:
-            c = min(row)
-            if c not in pivots:
-                inv = field.inv(row[c])
-                pivots[c] = {j: field.mul(inv, v) for j, v in row.items()}
-                break
-            f = row[c]
-            for j, v in pivots[c].items():
-                x = field.sub(row.get(j, field.zero()), field.mul(f, v))
-                if field.is_zero(x):
-                    row.pop(j, None)
-                else:
-                    row[j] = x
-    # back-substitute so every pivot row is reduced against later pivots
-    for c in sorted(pivots, reverse=True):
-        row = pivots[c]
-        for j in sorted(k for k in row if k != c and k in pivots):
-            f = row.get(j)
-            if f is None or field.is_zero(f):
-                continue
-            for k, v in pivots[j].items():
-                x = field.sub(row.get(k, field.zero()), field.mul(f, v))
-                if field.is_zero(x):
-                    row.pop(k, None)
-                else:
-                    row[k] = x
+def _kernel_basis(field: Field, pivots: dict, ncols: int) -> list:
+    """One kernel vector per free column f: 1 at f, minus column f of the
+    pivot rows at their pivot columns, 0 elsewhere."""
     basis = []
     for f in range(ncols):
         if f in pivots:
@@ -131,3 +84,20 @@ def sparse_nullspace(field: Field, srows, ncols: int):
                 vec[c] = field.neg(row[f])
         basis.append(tuple(vec))
     return basis
+
+
+def nullspace(field: Field, rows, ncols: int):
+    """Basis of the right kernel of the matrix, as tuples of raw values."""
+    return _kernel_basis(field, _gauss_jordan(field, rows), ncols)
+
+
+def sparse_nullspace(field: Field, srows, ncols: int):
+    """Right kernel basis for rows given as {column: value} dicts; the same
+    basis :func:`nullspace` returns for the dense matrix."""
+    return _kernel_basis(field, _gauss_jordan(field, srows), ncols)
+
+
+def in_span(field: Field, basis, vec) -> bool:
+    """Whether vec lies in the row span of basis (all raw value tuples)."""
+    rows = [list(b) for b in basis]
+    return rank(field, rows) == rank(field, rows + [list(vec)])

@@ -23,6 +23,7 @@ it, and the tests use it as the oracle for the closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -419,9 +420,7 @@ def _multiplicity(field: Field, coeffs, x):
 
 
 def _rational_roots(F: RationalField, coeffs):
-    den_lcm = 1
-    for c in coeffs:
-        den_lcm = den_lcm * Fraction(c).denominator // _gcd_int(den_lcm, Fraction(c).denominator)
+    den_lcm = math.lcm(*(Fraction(c).denominator for c in coeffs))
     ints = [int(Fraction(c) * den_lcm) for c in coeffs]
     zero_mult = 0
     while ints and ints[-1] == 0:
@@ -440,12 +439,6 @@ def _rational_roots(F: RationalField, coeffs):
                     if all(r != cand for (r, _), _ in out):
                         out.append(((cand, Fraction(1)), _multiplicity(F, ints, cand)))
     return out
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):

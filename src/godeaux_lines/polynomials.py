@@ -396,23 +396,15 @@ class PolyMatrix:
         return f"PolyMatrix({self.nrows}x{self.ncols} over {self.vars.names})"
 
 
-def _monomials_total(nvars: int, bound: int):
-    if nvars == 0:
-        yield ()
-        return
-    for k in range(bound + 1):
-        for rest in _monomials_total(nvars - 1, bound - k):
-            yield (k,) + rest
-
-
-def _monomials_graded(vt: VarTable, bound):
-    bound = tuple(bound)
+def _monomials_graded(grading, bound: tuple):
+    """Exponent tuples whose degree under ``grading`` (one vector per
+    variable) is <= bound componentwise."""
 
     def rec(i, remaining):
-        if i == vt.nvars:
+        if i == len(grading):
             yield ()
             return
-        g = vt.grading[i]
+        g = grading[i]
         k = 0
         while True:
             used = tuple(k * gi for gi in g)
@@ -435,10 +427,11 @@ def monomials_up_to(vt: VarTable, bound):
     tuple compared componentwise under the grading.
     """
     if isinstance(bound, int):
-        return sorted(_monomials_total(vt.nvars, bound), key=_grlex_key)
+        # total degree: every variable has degree (1,)
+        return sorted(_monomials_graded(((1,),) * vt.nvars, (bound,)), key=_grlex_key)
     if vt.grading is None:
         raise PolynomialError("multidegree bound needs a graded VarTable")
-    return sorted(_monomials_graded(vt, bound), key=_grlex_key)
+    return sorted(_monomials_graded(vt.grading, tuple(bound)), key=_grlex_key)
 
 
 def bounded_degree_kernel(M: PolyMatrix, bound):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .certificates import Certificate
-from .fields import Field, QQ
+from .fields import Field, PrimeField, QQ
 from .geometry import (
     AIDX,
     A_PATTERN,
@@ -33,7 +33,7 @@ from .geometry import (
     line_in_q,
     quadrics,
 )
-from .linalg import rank
+from .linalg import rank, sparse_nullspace
 from .pencil import (
     ALL_ZERO,
     BinaryForm,
@@ -88,15 +88,21 @@ def _build_torsion_space(pair1, pair2) -> TorsionSpace:
     return space
 
 
+# the quadrics over Q and the 12 coordinate variables, built once for the
+# exact polynomial certificates below
+_QQ_QUADRICS = quadrics(QQ)
+_QQ_VARIABLES = tuple(Poly.variable(a_vartable(), QQ, name) for name in ORDER)
+
+
+def _inclusion(space: TorsionSpace) -> list:
+    """The substitution that kills the coordinates outside the space."""
+    return [v if i in space.survivors else Poly.zero(v.vars, QQ)
+            for i, v in enumerate(_QQ_VARIABLES)]
+
+
 def _verify_quadrics_vanish(space: TorsionSpace):
-    vt = a_vartable()
-    inclusion = []
-    for idx in range(12):
-        if idx in space.survivors:
-            inclusion.append(Poly.variable(vt, QQ, ORDER[idx]))
-        else:
-            inclusion.append(Poly.zero(vt, QQ))
-    for q in quadrics(QQ):
+    inclusion = _inclusion(space)
+    for q in _QQ_QUADRICS:
         if not q.compose(inclusion).is_zero():
             raise StrataError(f"quadrics do not vanish on {space.name}")
 
@@ -424,41 +430,14 @@ _MONO_SIGN = [
 ]
 
 
-def _solve_gf2(rows, ncols):
-    """All solutions of a GF(2) system given as (bitmask, rhs) rows."""
-    pivots = {}
-    for mask, rhs in rows:
-        while mask:
-            low = mask & (-mask)
-            c = low.bit_length() - 1
-            if c in pivots:
-                pm, pr = pivots[c]
-                mask ^= pm
-                rhs ^= pr
-            else:
-                pivots[c] = (mask, rhs)
-                break
-        else:
-            if rhs:
-                return []
-    free = [c for c in range(ncols) if c not in pivots]
-    sols = []
-    for bits in range(1 << len(free)):
-        x = 0
-        for i, c in enumerate(free):
-            if bits >> i & 1:
-                x |= 1 << c
-        for c in sorted(pivots, reverse=True):
-            mask, rhs = pivots[c]
-            val = rhs ^ bin(mask & x & ~(1 << c)).count("1") % 2
-            if val:
-                x |= 1 << c
-        sols.append(x)
-    return sols
-
-
 def _symmetries_for_perm(perm):
-    """All sign vectors making a_ij -> sign * a_(perm i)(perm j) fix {+-q_k}."""
+    """All sign vectors making a_ij -> sign * a_(perm i)(perm j) fix {+-q_k}.
+
+    Unknowns over F_2: one bit per coordinate (sign -1) and per quadric
+    (q_k goes to -q_(perm k)).  Each monomial of q_k gives one equation,
+    written as a kernel row with its right-hand side in column 16; the
+    solutions are the kernel vectors whose last coordinate is 1.
+    """
     tau = SignedPermutation(perm, (1,) * 12).index_map()
     rows = []
     for m, terms in enumerate(QUADRIC_TERMS):
@@ -468,13 +447,17 @@ def _symmetries_for_perm(perm):
             s_target = _MONO_SIGN[target].get(key)
             if s_target is None:
                 return []
-            bit = 0 if s * s_target > 0 else 1
-            mask = (1 << u) | (1 << v) | (1 << (12 + m))
-            rows.append((mask, bit))
+            rows.append({u: 1, v: 1, 12 + m: 1, 16: 0 if s * s_target > 0 else 1})
+    kernel = sparse_nullspace(PrimeField(2), rows, 17)
+    kernel = [sum(x << k for k, x in enumerate(vec)) for vec in kernel]  # as bitmasks
     out = []
-    for x in _solve_gf2(rows, 16):
-        signs = tuple(-1 if x >> k & 1 else 1 for k in range(12))
-        out.append(SignedPermutation(perm, signs))
+    for bits in range(1 << len(kernel)):
+        x = 0
+        for i, vec in enumerate(kernel):
+            if bits >> i & 1:
+                x ^= vec
+        if x >> 16 & 1:
+            out.append(SignedPermutation(perm, tuple(-1 if x >> k & 1 else 1 for k in range(12))))
     return out
 
 
@@ -493,10 +476,11 @@ def quadric_symmetries() -> SymmetryGroup:
     """The group of signed coordinate permutations preserving {q0..q3}.
 
     Found by exhaustive search: for each permutation of the four indices the
-    sign constraints form a GF(2) linear system whose solutions are
-    enumerated.  Every element is certified by the exact polynomial
-    identity (transformed q_k) = +- q_(perm k), and the induced action on
-    the three torsion P^3's is reported.
+    sign constraints form a linear system over ``PrimeField(2)``, solved by
+    the package's one exact elimination, whose solutions are enumerated.
+    Every element is certified by the exact polynomial identity
+    (transformed q_k) = +- q_(perm k), and the induced action on the three
+    torsion P^3's is reported.
     """
     elements = []
     for perm in permutations(range(4)):
@@ -515,15 +499,11 @@ def quadric_symmetries() -> SymmetryGroup:
 
 def symmetry_fixes_quadrics(e: SignedPermutation) -> bool:
     """Exact polynomial check: e sends every q_k to +- q_(perm k)."""
-    vt = a_vartable()
-    qs = quadrics(QQ)
     tau = e.index_map()
-    images = [None] * 12
-    for k in range(12):
-        images[k] = Poly.variable(vt, QQ, ORDER[tau[k]]).scale(e.signs[k])
-    for m, q in enumerate(qs):
+    images = [_QQ_VARIABLES[tau[k]].scale(e.signs[k]) for k in range(12)]
+    for m, q in enumerate(_QQ_QUADRICS):
         img = q.compose(images)
-        target = qs[e.perm[m]]
+        target = _QQ_QUADRICS[e.perm[m]]
         if not (img == target or img == -target):
             return False
     return True
@@ -567,14 +547,9 @@ def verify_torsion_spaces():
     """Certificate: quadrics vanish symbolically on all three torsion P^3's
     and T01|23 kills exactly the expected eight coordinates."""
     cert = Certificate("torsion-spaces")
-    vt = a_vartable()
-    qs = quadrics(QQ)
     for space in TORSION_SPACES:
-        inclusion = [
-            Poly.variable(vt, QQ, ORDER[i]) if i in space.survivors else Poly.zero(vt, QQ)
-            for i in range(12)
-        ]
-        residuals = [q.compose(inclusion) for q in qs]
+        inclusion = _inclusion(space)
+        residuals = [q.compose(inclusion) for q in _QQ_QUADRICS]
         cert.add(
             f"quadrics-vanish-on-{space.name}",
             all(r.is_zero() for r in residuals),

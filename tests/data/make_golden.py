@@ -1,5 +1,5 @@
-"""Regenerate the golden classify gate: ``golden_store.jsonl`` and its
-``classify`` output ``golden_classify.jsonl``.
+"""Regenerate the golden gates: ``golden_store.jsonl``, its ``classify``
+output ``golden_classify.jsonl``, and ``golden_verify.jsonl``.
 
     PYTHONPATH=src python tests/data/make_golden.py
 
@@ -11,7 +11,12 @@ zero-block lines ``z5_line(F, 0,1,1,1)`` ... ``(1,1,1,0)`` over F_31 and Q,
 on each of which one a-matrix row vanishes identically; the F_31 ones also
 reparametrized.  ``tests/test_golden.py`` asserts that ``classify`` still
 writes the committed output byte for byte.
-Running this again rewrites both files; do that only on purpose, and say
+
+``golden_verify.jsonl`` holds one line per ``verify`` theorem, in sorted
+order: the certificate JSON without its ``seconds`` field, the only part of
+``verify`` output that changes from run to run.
+
+Running this again rewrites all three files; do that only on purpose, and say
 so, because the gate is only as good as the code that wrote its output.
 """
 
@@ -27,6 +32,7 @@ from godeaux_lines import cli, families, fields, strata
 HERE = pathlib.Path(__file__).resolve().parent
 STORE = HERE / "golden_store.jsonl"
 CLASSIFY = HERE / "golden_classify.jsonl"
+VERIFY = HERE / "golden_verify.jsonl"
 
 STRATEGIES = ("generic", "torsion", "two-torsion", "hyp", "two-hyp")
 SAMPLE_SEED = 2022
@@ -67,9 +73,22 @@ def family_lines(rng: random.Random) -> list:
     return [l.to_json() for l in lines]
 
 
+def verify_lines(tmp: pathlib.Path) -> list:
+    out = []
+    for theorem in sorted(cli._VERIFIERS):
+        path = tmp / f"{theorem}.json"
+        if cli.main(["verify", theorem, "--out", str(path)]) != 0:
+            raise SystemExit(f"verify {theorem} failed")
+        cert = json.loads(path.read_text())
+        del cert["seconds"]
+        out.append(cli._dumps(cert) + "\n")
+    return out
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         lines = sampled_lines(pathlib.Path(tmp))
+        VERIFY.write_text("".join(verify_lines(pathlib.Path(tmp))))
     lines += family_lines(random.Random(FAMILY_SEED))
     STORE.write_text(cli._dumps({"format": cli.STORE_FORMAT}) + "\n"
                      + "".join(cli._dumps({"line": l}) + "\n" for l in lines))

@@ -1,8 +1,9 @@
 """Golden gates: ``classify`` on the committed store writes the committed
-bytes, and ``sample`` still draws the store's sampled lines.
+bytes, ``sample`` still draws the store's sampled lines, and every
+``verify`` certificate is unchanged apart from its timing.
 
-The store and its output come from ``tests/data/make_golden.py``; see its
-docstring for what the store covers.
+The store and both outputs come from ``tests/data/make_golden.py``; see its
+docstring for what they cover.
 """
 
 import json
@@ -10,7 +11,7 @@ import pathlib
 
 import pytest
 
-from godeaux_lines.cli import _dumps, main
+from godeaux_lines.cli import _VERIFIERS, _dumps, main
 from godeaux_lines.sampling import STRATEGIES
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -34,3 +35,15 @@ def test_sample_reproduces_golden_store_lines(strategy, tmp_path):
     k = STRATEGIES.index(strategy)
     store = (DATA / "golden_store.jsonl").read_text().splitlines()[1:]
     assert got == store[2 * k:2 * k + 2]
+
+
+def test_verify_golden_certificates(tmp_path):
+    # one line per theorem in sorted order, the certificate without "seconds"
+    lines = []
+    for theorem in sorted(_VERIFIERS):
+        out = tmp_path / f"{theorem}.json"
+        assert main(["verify", theorem, "--out", str(out)]) == 0
+        cert = json.loads(out.read_text())
+        del cert["seconds"]
+        lines.append(_dumps(cert) + "\n")
+    assert "".join(lines).encode() == (DATA / "golden_verify.jsonl").read_bytes()

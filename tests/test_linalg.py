@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from godeaux_lines.fields import PrimeField, QQ
 from godeaux_lines.linalg import in_span, nullspace, rank, rref, sparse_nullspace
 
@@ -61,3 +63,121 @@ def test_in_span():
     basis = [(1, 0, 2), (0, 1, 5)]
     assert in_span(F, basis, (2, 3, 19))
     assert not in_span(F, basis, (0, 0, 1))
+
+
+# ----------------------------------------------------------------------
+# the earlier dense eliminations, kept as oracles: every public function now
+# runs on one sparse Gauss–Jordan routine and must give exactly their output
+
+
+def dense_rank(field, rows):
+    mat = [list(r) for r in rows]
+    if not mat:
+        return 0
+    ncols = len(mat[0])
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if not field.is_zero(mat[i][c])), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = field.inv(mat[r][c])
+        for i in range(r + 1, len(mat)):
+            if field.is_zero(mat[i][c]):
+                continue
+            f = field.mul(mat[i][c], inv)
+            row_i, row_r = mat[i], mat[r]
+            for j in range(c, ncols):
+                row_i[j] = field.sub(row_i[j], field.mul(f, row_r[j]))
+        r += 1
+        if r == len(mat):
+            break
+    return r
+
+
+def dense_rref(field, rows):
+    mat = [list(r) for r in rows]
+    if not mat:
+        return mat, []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if not field.is_zero(mat[i][c])), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = field.inv(mat[r][c])
+        mat[r] = [field.mul(inv, x) for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and not field.is_zero(mat[i][c]):
+                f = mat[i][c]
+                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def dense_nullspace(field, rows, ncols):
+    reduced, pivots = dense_rref(field, rows)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for f in free:
+        vec = [field.zero()] * ncols
+        vec[f] = field.one()
+        for r, c in enumerate(pivots):
+            vec[c] = field.neg(reduced[r][f])
+        basis.append(tuple(vec))
+    return basis
+
+
+def random_matrices(field, rng, count):
+    """Dense matrices of every shape up to 7x9 and density, with no rows,
+    zero rows and rows that repeat a sum of earlier ones (rank deficient)."""
+    for _ in range(count):
+        nrows, ncols = rng.randint(0, 7), rng.randint(1, 9)
+        density = rng.choice((0.0, 0.2, 0.5, 1.0))
+        rows = [
+            [field.random(rng) if rng.random() < density else field.zero() for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        if rows and rng.random() < 0.4:
+            rows.insert(rng.randrange(len(rows) + 1),
+                        [field.add(a, b) for a, b in zip(rows[0], rows[-1])])
+        yield rows, ncols
+
+
+def typed(values):
+    # exact equality including the value type (int in F_p, Fraction over Q)
+    return [[(type(x), x) for x in row] for row in values]
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), PrimeField(31), QQ], ids=str)
+def test_elimination_matches_dense_oracles(field):
+    rng = random.Random(2027)
+    for rows, ncols in random_matrices(field, rng, 400):
+        assert rank(field, rows) == dense_rank(field, rows)
+        reduced, pivots = rref(field, rows)
+        want_reduced, want_pivots = dense_rref(field, rows)
+        assert pivots == want_pivots
+        assert typed(reduced) == typed(want_reduced)
+        want = typed(dense_nullspace(field, rows, ncols))
+        assert typed(nullspace(field, rows, ncols)) == want
+        srows = [{j: v for j, v in enumerate(row) if not field.is_zero(v)} for row in rows]
+        assert typed(sparse_nullspace(field, srows, ncols)) == want
+        # zero-row dicts and rows in another order span the same space
+        shuffled = [{}] + srows[::-1]
+        assert typed(sparse_nullspace(field, shuffled, ncols)) == want
+
+
+def test_elimination_reduces_noncanonical_entries():
+    # raw values outside [0, p) are reduced, never kept, in every output
+    F = PrimeField(31)
+    rows = [[33, -1, 62, 0], [-31, 2, 5, 93]]
+    canonical = [[F.canonical(x) for x in row] for row in rows]
+    assert rank(F, rows) == dense_rank(F, canonical) == 2
+    assert rref(F, rows) == dense_rref(F, canonical)
+    assert nullspace(F, rows, 4) == dense_nullspace(F, canonical, 4)

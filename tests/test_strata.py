@@ -398,3 +398,59 @@ def test_sign_solver_complete_against_brute_force():
                 brute.add(bits)
         assert solved == brute
         assert len(brute) == 16
+
+
+def _solve_gf2(rows, ncols):
+    """The earlier bitmask GF(2) solver, kept as an oracle: all solutions
+    of the (bitmask, rhs) rows, in order of their free-column bits."""
+    pivots = {}
+    for mask, rhs in rows:
+        while mask:
+            low = mask & (-mask)
+            c = low.bit_length() - 1
+            if c in pivots:
+                pm, pr = pivots[c]
+                mask ^= pm
+                rhs ^= pr
+            else:
+                pivots[c] = (mask, rhs)
+                break
+        else:
+            if rhs:
+                return []
+    free = [c for c in range(ncols) if c not in pivots]
+    sols = []
+    for bits in range(1 << len(free)):
+        x = 0
+        for i, c in enumerate(free):
+            if bits >> i & 1:
+                x |= 1 << c
+        for c in sorted(pivots, reverse=True):
+            mask, rhs = pivots[c]
+            val = rhs ^ bin(mask & x & ~(1 << c)).count("1") % 2
+            if val:
+                x |= 1 << c
+        sols.append(x)
+    return sols
+
+
+def test_sign_solver_matches_bitmask_oracle():
+    # the sign system of every permutation, solved over PrimeField(2), gives
+    # the oracle's sign vectors in the oracle's order
+    from itertools import permutations
+
+    from godeaux_lines.geometry import QUADRIC_TERMS
+    from godeaux_lines.strata import SignedPermutation, _MONO_SIGN, _symmetries_for_perm
+
+    for perm in permutations(range(4)):
+        tau = SignedPermutation(perm, (1,) * 12).index_map()
+        rows = []
+        for m, terms in enumerate(QUADRIC_TERMS):
+            for s, u, v in terms:
+                s_target = _MONO_SIGN[perm[m]][frozenset((tau[u], tau[v]))]
+                rows.append(((1 << u) | (1 << v) | (1 << (12 + m)), 0 if s * s_target > 0 else 1))
+        want = [tuple(-1 if x >> k & 1 else 1 for k in range(12)) for x in _solve_gf2(rows, 16)]
+        got = _symmetries_for_perm(perm)
+        assert [e.signs for e in got] == want
+        assert all(e.perm == perm for e in got)
+        assert len(want) == 16
