@@ -127,6 +127,13 @@ class Field:
     def parse_scalar(self, text: str) -> Raw:
         raise NotImplementedError
 
+    @staticmethod
+    def _scalar_text(text):
+        """A store scalar is a string or an int; a JSON float or bool is not."""
+        if isinstance(text, bool) or not isinstance(text, (str, int)):
+            raise FieldError(f"scalar must be a string or an integer, not {text!r}")
+        return text
+
     def to_spec(self) -> dict:
         raise NotImplementedError
 
@@ -188,7 +195,7 @@ class PrimeField(Field):
         return str(a % self.p)
 
     def parse_scalar(self, text: str) -> int:
-        return int(text) % self.p
+        return int(self._scalar_text(text)) % self.p
 
     def to_spec(self) -> dict:
         return {"kind": "prime", "p": self.p}
@@ -252,7 +259,7 @@ class RationalField(Field):
         return f"{a.numerator}/{a.denominator}"
 
     def parse_scalar(self, text: str) -> Fraction:
-        return Fraction(text)
+        return Fraction(self._scalar_text(text))
 
     def to_spec(self) -> dict:
         return {"kind": "rational"}

@@ -227,13 +227,17 @@ class Poly:
 
     def eval(self, point: Sequence):
         """Exact evaluation at a sequence of raw scalars (one per variable)."""
+        return self._eval_canonical([self.field.canonical(x) for x in point])
+
+    def _eval_canonical(self, point: Sequence):
+        """``eval`` at a point whose coordinates are already canonical."""
         if len(point) != self.vars.nvars:
             raise PolynomialError(
                 f"expected {self.vars.nvars} coordinates, got {len(point)}"
             )
+        # raw ints or Fractions: exact native * and + per term, one reduction
         F = self.field
-        point = [F.canonical(x) for x in point]
-        acc = F.zero()
+        acc = 0
         powers: dict = {}
         for e, c in self.terms.items():
             t = c
@@ -245,9 +249,9 @@ class Poly:
                         for _ in range(k - 1):
                             pw = F.mul(pw, point[i])
                         powers[(i, k)] = pw
-                    t = F.mul(t, pw)
-            acc = F.add(acc, t)
-        return acc
+                    t = t * pw
+            acc += t
+        return F.canonical(acc)
 
     def compose(self, images: Sequence["Poly"]) -> "Poly":
         """Substitute one image polynomial per variable; fully expanded."""
@@ -378,7 +382,8 @@ class PolyMatrix:
                     raise PolynomialError("entries must share VarTable and field")
 
     def eval(self, point):
-        return [[p.eval(point) for p in row] for row in self.entries]
+        point = [self.field.canonical(x) for x in point]  # once, not per entry
+        return [[p._eval_canonical(point) for p in row] for row in self.entries]
 
     def apply(self, vec: Sequence[Poly]) -> list:
         """Matrix times a vector of polynomials."""

@@ -21,7 +21,6 @@ from itertools import combinations, permutations
 from .certificates import Certificate
 from .fields import Field, PrimeField, QQ
 from .geometry import (
-    AIDX,
     A_PATTERN,
     LineA,
     ORDER,
@@ -377,6 +376,13 @@ def classify_line(line: LineA) -> FiberReport:
 # signed coordinate symmetries of the quadric set
 
 
+# ORDER slot k holds a_ij with (i, j) = _SLOT_PAIRS[k]; _PAIR_SLOT inverts it
+_SLOT_PAIRS = tuple((int(name[1]), int(name[2])) for name in ORDER)
+_PAIR_SLOT = {pair: k for k, pair in enumerate(_SLOT_PAIRS)}
+# each torsion space as its unordered pair of unordered index pairs
+_TORSION_KEYS = [frozenset(map(frozenset, sp.partition)) for sp in TORSION_SPACES]
+
+
 @dataclass(frozen=True)
 class SignedPermutation:
     """a_ij -> sign_ij * a_(perm i)(perm j), as an index map on ORDER."""
@@ -385,42 +391,21 @@ class SignedPermutation:
     signs: tuple  # +-1 per ORDER slot
 
     def index_map(self) -> tuple:
-        out = []
-        for name in ORDER:
-            i, j = int(name[1]), int(name[2])
-            out.append(AIDX[f"a{self.perm[i]}{self.perm[j]}"])
-        return tuple(out)
-
-    def apply_point(self, p: PointA) -> PointA:
-        F = p.field
-        tau = self.index_map()
-        coords = [F.zero()] * 12
-        for k in range(12):
-            v = p.coords[k]
-            coords[tau[k]] = F.mul(F.canonical(self.signs[k]), v)
-        return PointA(F, coords)
+        p = self.perm
+        return tuple(_PAIR_SLOT[p[i], p[j]] for i, j in _SLOT_PAIRS)
 
     def compose(self, other: "SignedPermutation") -> "SignedPermutation":
         """self after other (apply ``other`` first)."""
         tau_other = other.index_map()
         perm = tuple(self.perm[other.perm[i]] for i in range(4))
-        signs = tuple(
-            other.signs[k] * self.signs[tau_other[k]] for k in range(12)
-        )
+        signs = tuple(other.signs[k] * self.signs[t] for k, t in enumerate(tau_other))
         return SignedPermutation(perm, signs)
 
     def torsion_permutation(self) -> tuple:
         """Induced permutation of the three torsion spaces (as indices)."""
-        out = []
-        for sp in TORSION_SPACES:
-            (i, j), (k, l) = sp.partition
-            pairs = {frozenset((self.perm[i], self.perm[j])), frozenset((self.perm[k], self.perm[l]))}
-            for m, other in enumerate(TORSION_SPACES):
-                (a, b), (c, d) = other.partition
-                if pairs == {frozenset((a, b)), frozenset((c, d))}:
-                    out.append(m)
-                    break
-        return tuple(out)
+        p = self.perm
+        return tuple(_TORSION_KEYS.index(frozenset(frozenset(p[i] for i in pair) for pair in key))
+                     for key in _TORSION_KEYS)
 
 
 IDENTITY_SYMMETRY = SignedPermutation((0, 1, 2, 3), (1,) * 12)
@@ -478,9 +463,9 @@ def quadric_symmetries() -> SymmetryGroup:
     Found by exhaustive search: for each permutation of the four indices the
     sign constraints form a linear system over ``PrimeField(2)``, solved by
     the package's one exact elimination, whose solutions are enumerated.
-    Every element is certified by the exact polynomial identity
-    (transformed q_k) = +- q_(perm k), and the induced action on the three
-    torsion P^3's is reported.
+    Every element is certified, on each call, by the exact polynomial
+    identity (transformed q_k) = +- q_(perm k) on relabeled monomials, and
+    the induced action on the three torsion P^3's is reported.
     """
     elements = []
     for perm in permutations(range(4)):
@@ -498,32 +483,39 @@ def quadric_symmetries() -> SymmetryGroup:
 
 
 def symmetry_fixes_quadrics(e: SignedPermutation) -> bool:
-    """Exact polynomial check: e sends every q_k to +- q_(perm k)."""
-    tau = e.index_map()
-    images = [_QQ_VARIABLES[tau[k]].scale(e.signs[k]) for k in range(12)]
-    for m, q in enumerate(_QQ_QUADRICS):
-        img = q.compose(images)
-        target = _QQ_QUADRICS[e.perm[m]]
-        if not (img == target or img == -target):
+    """Exact polynomial check: e sends every q_k to +- q_(perm k).
+
+    e sends a_u a_v to s_u s_v a_tau(u) a_tau(v), so the image of q_k is its
+    three terms relabeled (still distinct: tau is a bijection) and re-signed,
+    compared term by term with +- q_(perm k).  The tests check it against
+    ``Poly.compose`` over Q as an oracle.
+    """
+    tau, s = e.index_map(), e.signs
+    for m, terms in enumerate(QUADRIC_TERMS):
+        image = {frozenset((tau[u], tau[v])): c * s[u] * s[v] for c, u, v in terms}
+        target = _MONO_SIGN[e.perm[m]]
+        if image != target and image != {k: -c for k, c in target.items()}:
             return False
     return True
 
 
-def _closure(gens):
-    """All products of the generators (a finite group), as a key set."""
-    key = lambda e: (e.perm, e.signs)
-    have = {key(IDENTITY_SYMMETRY): IDENTITY_SYMMETRY}
-    frontier = [IDENTITY_SYMMETRY]
+def _closure(gens, have=None):
+    """The group generated by ``gens``, keyed by (perm, signs).  ``have``
+    may be the closure of ``gens[:-1]``: it is extended, not rebuilt, as
+    its elements need only the last generator applied."""
+    ident = {(IDENTITY_SYMMETRY.perm, IDENTITY_SYMMETRY.signs): IDENTITY_SYMMETRY}
+    have, apply = (ident, gens) if have is None else (dict(have), gens[-1:])
+    frontier = list(have.values())
     while frontier:
         nxt = []
         for a in frontier:
-            for g in gens:
+            for g in apply:
                 c = g.compose(a)
-                if key(c) not in have:
-                    have[key(c)] = c
+                if (c.perm, c.signs) not in have:
+                    have[c.perm, c.signs] = c
                     nxt.append(c)
-        frontier = nxt
-    return set(have)
+        frontier, apply = nxt, gens
+    return have
 
 
 def _generating_subset(elements):
@@ -533,7 +525,7 @@ def _generating_subset(elements):
         if (e.perm, e.signs) in have:
             continue
         gens.append(e)
-        have = _closure(gens)
+        have = _closure(gens, have)
         if len(have) == len(elements):
             break
     return gens
@@ -576,11 +568,7 @@ def verify_symmetries():
     cert = Certificate("symmetries")
     group = quadric_symmetries()
     cert.add("group-nonempty", group.order > 0, f"order {group.order}")
-    ident = IDENTITY_SYMMETRY
-    cert.add(
-        "identity-present",
-        any(e.perm == ident.perm and e.signs == ident.signs for e in group.elements),
-    )
+    cert.add("identity-present", IDENTITY_SYMMETRY in group.elements)
     cert.add(
         "all-elements-fix-quadric-set",
         all(symmetry_fixes_quadrics(e) for e in group.generators),

@@ -191,6 +191,10 @@ Z5_LINE_JSON = {
     (5, "malformed-record"),
     ([Z5_LINE_JSON], "malformed-record"),
     ({"line": dict(Z5_LINE_JSON, field={"kind": "prime"})}, "GeometryError: "),
+    ({"line": dict(Z5_LINE_JSON, rows=[[0.0] + Z5_LINE_JSON["rows"][0][1:],
+                                       Z5_LINE_JSON["rows"][1]])}, "GeometryError: "),
+    ({"line": dict(Z5_LINE_JSON, rows=[[False] + Z5_LINE_JSON["rows"][0][1:],
+                                       Z5_LINE_JSON["rows"][1]])}, "GeometryError: "),
 ])
 def test_classify_isolates_malformed_record(tmp_path, bad, error):
     store = tmp_path / "store.jsonl"
@@ -262,6 +266,19 @@ def test_verify_subcommands_pass(theorem, tmp_path, capsys):
     assert cert["passed"] is True
     assert cert["certificate"] == theorem
     assert "seconds" in cert
+
+
+def test_verify_seconds_survive_a_wall_clock_step(tmp_path, monkeypatch):
+    # the certificate is timed with a monotonic clock: a wall clock that
+    # runs backwards (an NTP step) must not give negative seconds
+    import itertools
+    import time
+
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "time", lambda: 1e9 - 3600.0 * next(ticks))
+    out = tmp_path / "cert.json"
+    assert main(["verify", "torsion-spaces", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["seconds"] >= 0
 
 
 def test_verify_z5_census_in_certificate(tmp_path):

@@ -123,6 +123,22 @@ def test_scalar_text_round_trip():
     assert QQ.format_scalar(Fraction(7)) == "7"
 
 
+@pytest.mark.parametrize("field", [PrimeField(31), QQ])
+@pytest.mark.parametrize("value", [1.9, 1.0, 0.0, True, False, None, [1], Fraction(1, 2)])
+def test_parse_scalar_rejects_non_text_scalars(field, value):
+    # a JSON float or bool in a store row must not be coerced to a scalar
+    with pytest.raises(FieldError):
+        field.parse_scalar(value)
+
+
+def test_parse_scalar_accepts_strings_and_ints():
+    F = PrimeField(31)
+    assert F.parse_scalar(33) == 2
+    assert F.parse_scalar("-1") == 30
+    assert QQ.parse_scalar(-7) == Fraction(-7)
+    assert QQ.parse_scalar("5/10") == Fraction(1, 2)
+
+
 def test_field_from_spec():
     assert field_from_spec("p31") == PrimeField(31)
     assert field_from_spec("q") == QQ

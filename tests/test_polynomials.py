@@ -71,6 +71,54 @@ def test_eval_length_mismatch():
         (x + y).eval([1, 2])
 
 
+def _eval_oracle(f, point):
+    """The earlier evaluator, one field call per product and sum, kept as
+    an oracle for ``Poly.eval``."""
+    F = f.field
+    point = [F.canonical(x) for x in point]
+    acc = F.zero()
+    powers = {}
+    for e, c in f.terms.items():
+        t = c
+        for i, k in enumerate(e):
+            if k:
+                pw = powers.get((i, k))
+                if pw is None:
+                    pw = point[i]
+                    for _ in range(k - 1):
+                        pw = F.mul(pw, point[i])
+                    powers[(i, k)] = pw
+                t = F.mul(t, pw)
+        acc = F.add(acc, t)
+    return acc
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(31), PrimeField(2**61 - 1), QQ])
+def test_eval_matches_field_call_oracle(field):
+    from fractions import Fraction
+
+    rng = random.Random(f"eval-{field}")
+    vt = VarTable(("w", "x", "y", "z"))
+    big = 10**20
+    polys = [Poly.zero(vt, field), Poly.constant(vt, field, 0),
+             Poly.constant(vt, field, 1), Poly.constant(vt, field, -big)]
+    for _ in range(60):
+        terms = {tuple(rng.randint(0, 4) for _ in range(4)): field.canonical(rng.randint(-big, big))
+                 for _ in range(rng.randint(1, 8))}
+        polys.append(Poly(vt, field, terms))
+    matrix = PolyMatrix(vt, field, [polys[i:i + 8] for i in range(0, 64, 8)])
+    for _ in range(5):
+        point = [rng.randint(-big, big) for _ in range(4)]
+        if field == QQ:
+            point[0] = Fraction(rng.randint(-big, big), rng.randint(1, big))
+        want = [_eval_oracle(f, point) for f in polys]
+        got = [f.eval(point) for f in polys]
+        assert got == want and list(map(type, got)) == list(map(type, want))
+        assert matrix.eval(point) == [want[i:i + 8] for i in range(0, 64, 8)]
+    with pytest.raises(PolynomialError):
+        matrix.eval(point[:3])
+
+
 # ----------------------------------------------------------------------
 # composition
 

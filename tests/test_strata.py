@@ -384,13 +384,13 @@ def test_symmetry_certificate():
 
 
 def test_sign_solver_complete_against_brute_force():
-    # for two permutations, enumerate all 2^12 sign vectors directly and
+    # for every permutation, enumerate all 2^12 sign vectors directly and
     # compare with the GF(2) solver's solution set
-    from itertools import product
+    from itertools import permutations, product
 
     from godeaux_lines.strata import SignedPermutation, _symmetries_for_perm
 
-    for perm in ((0, 1, 2, 3), (1, 0, 2, 3)):
+    for perm in permutations(range(4)):
         solved = {e.signs for e in _symmetries_for_perm(perm)}
         brute = set()
         for bits in product((1, -1), repeat=12):
@@ -398,6 +398,106 @@ def test_sign_solver_complete_against_brute_force():
                 brute.add(bits)
         assert solved == brute
         assert len(brute) == 16
+
+
+def _index_map_oracle(e):
+    """The earlier string-built index map, kept as an oracle."""
+    from godeaux_lines.geometry import AIDX
+
+    return tuple(AIDX[f"a{e.perm[int(n[1])]}{e.perm[int(n[2])]}"] for n in ORDER)
+
+
+def _fixes_quadrics_oracle(e, qs, variables):
+    """The earlier check by polynomial composition over Q, kept as an
+    oracle: substitute a_k -> sign_k * a_tau(k) into every quadric."""
+    tau = _index_map_oracle(e)
+    images = [variables[tau[k]].scale(e.signs[k]) for k in range(12)]
+    for m, q in enumerate(qs):
+        img = q.compose(images)
+        target = qs[e.perm[m]]
+        if not (img == target or img == -target):
+            return False
+    return True
+
+
+def test_index_map_matches_string_oracle():
+    from itertools import permutations
+
+    from godeaux_lines.strata import SignedPermutation
+
+    for perm in permutations(range(4)):
+        e = SignedPermutation(perm, (1,) * 12)
+        assert e.index_map() == _index_map_oracle(e)
+
+
+def test_symmetry_check_matches_composition_oracle(symmetry_group):
+    # every element, every element with one sign flipped, and 64 seeded
+    # random sign vectors per permutation
+    from itertools import permutations
+
+    from godeaux_lines.geometry import a_vartable, quadrics
+    from godeaux_lines.polynomials import Poly
+    from godeaux_lines.strata import SignedPermutation
+
+    qs = quadrics(QQ)
+    variables = [Poly.variable(a_vartable(), QQ, name) for name in ORDER]
+    cases = list(symmetry_group.elements)
+    for e in symmetry_group.elements:
+        for k in range(12):
+            signs = list(e.signs)
+            signs[k] = -signs[k]
+            cases.append(SignedPermutation(e.perm, tuple(signs)))
+    rng = random.Random(384)
+    for perm in permutations(range(4)):
+        for _ in range(64):
+            cases.append(SignedPermutation(perm, tuple(rng.choice((1, -1)) for _ in range(12))))
+    verdicts = [symmetry_fixes_quadrics(e) for e in cases]
+    assert verdicts == [_fixes_quadrics_oracle(e, qs, variables) for e in cases]
+    assert verdicts.count(True) >= 384 and verdicts.count(False) >= 384 * 12
+
+
+def _generating_subset_oracle(elements):
+    """The earlier generator search, rebuilding the closure from the
+    identity after every new generator; kept as an oracle."""
+    from godeaux_lines.strata import IDENTITY_SYMMETRY
+
+    def closure(gens):
+        key = lambda e: (e.perm, e.signs)
+        have = {key(IDENTITY_SYMMETRY)}
+        frontier = [IDENTITY_SYMMETRY]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for g in gens:
+                    c = g.compose(a)
+                    if key(c) not in have:
+                        have.add(key(c))
+                        nxt.append(c)
+            frontier = nxt
+        return have
+
+    gens = []
+    have = closure(gens)
+    for e in elements:
+        if (e.perm, e.signs) in have:
+            continue
+        gens.append(e)
+        have = closure(gens)
+        if len(have) == len(elements):
+            break
+    return gens
+
+
+def test_generating_subset_matches_rebuild_oracle(symmetry_group):
+    from godeaux_lines.strata import _generating_subset
+
+    elements = list(symmetry_group.elements)
+    assert _generating_subset(elements) == _generating_subset_oracle(elements)
+    assert list(symmetry_group.generators) == _generating_subset_oracle(elements)
+    for seed in range(3):
+        shuffled = elements[:]
+        random.Random(seed).shuffle(shuffled)
+        assert _generating_subset(shuffled) == _generating_subset_oracle(shuffled)
 
 
 def _solve_gf2(rows, ncols):
