@@ -152,6 +152,8 @@ class PrimeField(Field):
         self.p = p
 
     def canonical(self, value) -> int:
+        if type(value) is int:  # the common case, without the ABC check below
+            return value % self.p
         if isinstance(value, Fraction):
             if value.denominator == 1:
                 return value.numerator % self.p

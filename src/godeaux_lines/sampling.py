@@ -7,19 +7,20 @@ Because Q is cut out by quadrics, the connecting line then lies inside Q.
 
 The searches are exact and run over a prime field, seeded and
 deterministic: a sampler owns a private random stream, so equal
-(strategy, field, seed) always return the identical line.  Points of Q and
-the two-hyp partner are found by rejection.  The tangent-cone partner draws
-five coefficients at a time and scans the remaining plane of candidates
-one coordinate at a time, but only after an exact per-draw certificate (a
-linear solve over sparse equations that stops at the first inconsistent
-one and, at most, a resultant or gcd of restricted quadrics) has shown
-that the draw can succeed; a draw that cannot is charged the trials its
-scan would have taken, so trial counts and lines are those of the plain
-scan.  The two-hyp rejection tests the first tangency form on the six
-coordinates it involves and builds the other six only for draws that pass.
-Each strategy re-verifies its promise through the classifier before
-returning and retries otherwise; a configurable trial budget guards
-termination.
+(strategy, field, seed) always return the identical line.  Every value is
+drawn by :func:`_draw`, which returns what ``randrange`` would.  Points of
+Q and the two-hyp partner are found by rejection.  The tangent-cone
+partner draws five coefficients at a time and scans the remaining plane of
+candidates one coordinate at a time, but only after an exact per-draw
+certificate, cheapest check first (kernel combinations free of the plane's
+coordinates, a linear solve of the others, a resultant of two quadrics on
+the solution line, a gcd of all four), has shown that the draw can
+succeed; a draw that cannot is charged the trials its scan would have
+taken, so trial counts and lines are those of the plain scan.  The two-hyp
+rejection tests the first tangency form on the six coordinates it involves
+and builds the other six only for draws that pass.  Each strategy
+re-verifies its promise through the classifier before returning and
+retries otherwise; a configurable trial budget guards termination.
 
 Strategies: ``generic``, ``torsion`` (one named torsion P^3), ``two-torsion``
 (a pair of them), ``hyp`` (one hyperelliptic point), ``two-hyp`` (two
@@ -101,6 +102,21 @@ def _require_search_field(field: Field) -> int:
     return field.p
 
 
+def _draw(rng, p: int, n: int) -> list:
+    """n values as n calls of ``rng.randrange(p)`` return them, leaving
+    ``rng`` in the same state: randrange(p) is ``getrandbits(p.bit_length())``
+    retried while >= p, and this loop skips its argument handling."""
+    k = p.bit_length()
+    bits = rng.getrandbits
+    out = []
+    for _ in range(n):
+        r = bits(k)
+        while r >= p:
+            r = bits(k)
+        out.append(r)
+    return out
+
+
 # ----------------------------------------------------------------------
 # step 1: points on Q
 
@@ -110,10 +126,10 @@ def random_q_point(field: PrimeField, rng, budget: _Budget) -> PointA:
     p = _require_search_field(field)
     while True:
         budget.spend()
-        a32, a31, a30, a23, a21, a20 = (rng.randrange(p) for _ in range(6))
-        a13 = rng.randrange(1, p)
-        a03 = rng.randrange(1, p)
-        a01 = rng.randrange(p)
+        a32, a31, a30, a23, a21, a20 = _draw(rng, p, 6)
+        a13 = 1 + _draw(rng, p - 1, 1)[0]  # randrange(1, p)
+        a03 = 1 + _draw(rng, p - 1, 1)[0]
+        (a01,) = _draw(rng, p, 1)
         inv13 = pow(a13, -1, p)
         inv03 = pow(a03, -1, p)
         a10 = (a01 * a03 - a30 * a31) * inv13 % p
@@ -155,11 +171,11 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
     trials at once, so the random draws, the trial count and the returned
     point are those of the plain scan over every draw.
 
-    The combinations are kept per point as sparse terms, those free of x
-    and y first; at a torsion point K is all of F_p^4, and two of its four
-    equations read q_i(R) = 0 with two terms each.  A draw evaluates them
-    one at a time, only up to the first inconsistent one, and builds the
-    tables q_i(R), B_i(u, R) and B_i(v, R) only when it passes.
+    At a torsion point K is all of F_p^4, and two of its four combinations
+    read q_i(R) = 0 with two terms each; kept as sparse terms and tested
+    first, they reject nearly every draw.  Elsewhere K is a line, and the
+    tables q_i(R), B_i(u, R) and B_i(v, R) are built for q_0 and q_1 only
+    until their resultant on the solution line has passed.
     """
     p = _require_search_field(field)
     basis = tangent_space(point)
@@ -194,30 +210,27 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
     ]
     bu = [[polarization_value(field, i, u, r) for r in rest] for i in range(4)]
     bv = [[polarization_value(field, i, v, r) for r in rest] for i in range(4)]
-    # sum k_i q_i(w) = a x + b y + c for k in the kernel; (a, b, c) as sparse
-    # forms in the draw: (j, coeff) terms of a and b, (j, l, coeff) terms of c
-    # for the products c_j c_l
-    combos = []
+    # sum k_i q_i(w) = a x + b y + c for k in the kernel: those free of x and
+    # y as sparse (j, l, coeff) terms of c_j c_l, the others as dense vectors
+    free, mixed = [], []
     for k in nullspace(field, [qu, buv, qv], 4):
         a, b, c = ([sum(map(mul, k, col)) % p for col in zip(*table)] for table in (bu, bv, gram))
-        combos.append((
-            [(j, t) for j, t in enumerate(a) if t],
-            [(j, t) for j, t in enumerate(b) if t],
-            [(j, l, t) for (j, l), t in zip(pairs, c) if t],
-        ))
-    combos.sort(key=lambda combo: bool(combo[0] or combo[1]))
+        if any(a) or any(b):
+            mixed.append((a, b, c))
+        else:
+            free.append([(j, l, t) for (j, l), t in zip(pairs, c) if t])
 
     while True:
-        coeffs = [rng.randrange(p) for _ in range(5)]
-        solutions = _affine_solutions(p, (
-            (
-                sum(t * coeffs[j] for j, t in a) % p,
-                sum(t * coeffs[j] for j, t in b) % p,
-                sum(t * coeffs[j] * coeffs[l] for j, l, t in c) % p,
-            )
-            for a, b, c in combos
-        ))
-        if solutions is None:
+        coeffs = _draw(rng, p, 5)
+        fails = False
+        for terms in free:
+            s = 0
+            for j, l, t in terms:
+                s += t * coeffs[j] * coeffs[l]
+            if s % p:
+                fails = True
+                break
+        if fails:
             budget.spend(p)
             continue
         c0, c1, c2, c3, c4 = coeffs
@@ -228,10 +241,25 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
             c3 * c3, c3 * c4,
             c4 * c4,
         )
-        qr = [sum(map(mul, prods, g)) % p for g in gram]
-        bur = [sum(map(mul, coeffs, b)) % p for b in bu]
-        bvr = [sum(map(mul, coeffs, b)) % p for b in bv]
+        solutions = _affine_solutions(p, (
+            (sum(map(mul, coeffs, a)) % p, sum(map(mul, coeffs, b)) % p, sum(map(mul, prods, c)) % p)
+            for a, b, c in mixed
+        ))
+        if solutions is None:
+            budget.spend(p)
+            continue
         x0, line = solutions
+        # the tables for q_0 and q_1 first: on a line, their resultant
+        # settles most draws
+        qr = [sum(map(mul, prods, g)) % p for g in gram[:2]]
+        bur = [sum(map(mul, coeffs, b)) % p for b in bu[:2]]
+        bvr = [sum(map(mul, coeffs, b)) % p for b in bv[:2]]
+        if line is not None and _coprime_pair(p, line, qu, buv, qv, qr, bur, bvr):
+            budget.spend(p)
+            continue
+        qr += [sum(map(mul, prods, g)) % p for g in gram[2:]]
+        bur += [sum(map(mul, coeffs, b)) % p for b in bu[2:]]
+        bvr += [sum(map(mul, coeffs, b)) % p for b in bv[2:]]
         if line is not None and not _share_a_factor(p, line, qu, buv, qv, qr, bur, bvr):
             budget.spend(p)
             continue
@@ -239,24 +267,13 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
             budget.spend(x0)
         for x in range(p) if x0 is None else (x0,):
             budget.spend()
-            A = qv[0]
             B = (x * buv[0] + bvr[0]) % p
             C = (x * x * qu[0] + x * bur[0] + qr[0]) % p
-            ys = _solve_quadratic(p, A, B, C)
-            for y in ys:
-                ok = True
-                for i in (1, 2, 3):
-                    val = (
-                        y * y * qv[i]
-                        + y * (x * buv[i] + bvr[i])
-                        + x * x * qu[i]
-                        + x * bur[i]
-                        + qr[i]
-                    ) % p
-                    if val:
-                        ok = False
-                        break
-                if not ok:
+            for y in _solve_quadratic(p, qv[0], B, C):
+                if any(
+                    (y * y * qv[i] + y * (x * buv[i] + bvr[i]) + x * x * qu[i] + x * bur[i] + qr[i]) % p
+                    for i in (1, 2, 3)
+                ):
                     continue
                 w = tuple(
                     (x * u[k] + y * v[k] + sum(c * r[k] for c, r in zip(coeffs, rest))) % p
@@ -300,29 +317,35 @@ def _affine_solutions(p, eqs):
     return None, line
 
 
-def _share_a_factor(p, line, qu, buv, qv, qr, bur, bvr):
+def _restricted(p, line, i, qu, buv, qv, qr, bur, bvr):
+    """q_i(x u + y v + R) on the line y = alpha x + beta, as coefficients in x."""
+    alpha, beta = line
+    return [
+        (beta * beta * qv[i] + beta * bvr[i] + qr[i]) % p,
+        (beta * buv[i] + 2 * alpha * beta * qv[i] + bur[i] + alpha * bvr[i]) % p,
+        (qu[i] + alpha * buv[i] + alpha * alpha * qv[i]) % p,
+    ]
+
+
+def _coprime_pair(p, line, *tables):
+    """Whether the restrictions of q_0 and q_1 to the line are quadratics
+    with a nonzero resultant, so share no root even over the algebraic
+    closure; reads only entries 0 and 1 of the tables."""
+    f0, f1, f2 = _restricted(p, line, 0, *tables)
+    g0, g1, g2 = _restricted(p, line, 1, *tables)
+    res = (f2 * g0 - f0 * g2) ** 2 - (f2 * g1 - f1 * g2) * (f1 * g0 - f0 * g1)
+    return bool(f2 and g2 and res % p)
+
+
+def _share_a_factor(p, line, *tables):
     """Whether the q_i(x u + y v + R), restricted to the line y = alpha x +
     beta, have a nonconstant common factor over F_p or all vanish there;
-    when they do not, no x on the line solves the draw.
-
-    The first two restrictions usually settle it: two quadratics with a
-    nonzero resultant share no root even over the algebraic closure.
+    when they do not, no x on the line solves the draw.  The cheaper
+    :func:`_coprime_pair` settles most draws before this gcd is needed.
     """
-    alpha, beta = line
-
-    def restricted(i):
-        return [
-            (beta * beta * qv[i] + beta * bvr[i] + qr[i]) % p,
-            (beta * buv[i] + 2 * alpha * beta * qv[i] + bur[i] + alpha * bvr[i]) % p,
-            (qu[i] + alpha * buv[i] + alpha * alpha * qv[i]) % p,
-        ]
-
-    (f0, f1, f2), (g0, g1, g2) = first = restricted(0), restricted(1)
-    if f2 and g2 and ((f2 * g0 - f0 * g2) ** 2 - (f2 * g1 - f1 * g2) * (f1 * g0 - f0 * g1)) % p:
-        return False
     common = None
-    for f in (*first, restricted(2), restricted(3)):
-        f = _trim(f)
+    for i in range(4):
+        f = _trim(_restricted(p, line, i, *tables))
         if f:
             common = f if common is None else _gcd(common, f, p)
             if len(common) == 1:
@@ -433,7 +456,7 @@ def _two_hyp_partner(
     mod_p = p.__rmod__  # x -> x % p
     for _ in range(cap):
         budget.spend()
-        params = [rng.randrange(p) for _ in range(10)]
+        params = _draw(rng, p, 10)
         if _q0_tangency(p, l0, params):
             continue
         coords = hyp_evaluate(params, mod_p)
@@ -463,7 +486,7 @@ def _random_hyp_point(field: PrimeField, rng, budget: _Budget) -> PointA:
     p = _require_search_field(field)
     while True:
         budget.spend()
-        coords = hyp_evaluate([rng.randrange(p) for _ in range(10)], p.__rmod__)  # x -> x % p
+        coords = hyp_evaluate(_draw(rng, p, 10), p.__rmod__)  # x -> x % p
         if coords is None:
             continue
         point = PointA(field, coords)

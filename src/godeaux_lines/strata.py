@@ -15,7 +15,7 @@ transitive on the three torsion spaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, permutations
 
 from .certificates import Certificate
@@ -332,14 +332,27 @@ class FiberReport:
         }
 
 
+# ((field, rows), report) of the last classified line, read and replaced whole
+_last_report = (None, None)
+
+
 def classify_line(line: LineA) -> FiberReport:
     """Run every detector on a line of Q and aggregate the results.
 
     ``excluded_flag`` is a conservative proxy: it is set when some root of
     the minor GCD has a-matrix rank <= 2 yet lies on none of the three
     torsion P^3's (such lines do not lead to Godeaux surfaces).
+
+    The last report is kept: a call with the same field and rows (``sample``
+    classifies the line its sampler just accepted) checks that the line lies
+    in Q and returns it with ``line`` set to the caller's, provenance and all.
     """
+    global _last_report
     _require_in_q(line)  # once; the detector bodies below do not re-check
+    key = (line.field, line.rows)
+    last_key, last = _last_report
+    if last_key == key:
+        return replace(last, line=line)
     tor = tuple(_torsion_intersections(line))
     tor_cont = tuple(_torsion_containments(line))
     hyp = _hyperelliptic_points(line)
@@ -355,7 +368,7 @@ def classify_line(line: LineA) -> FiberReport:
                 excluded = True
     profile = _degeneration_profile(line)
     rows, row_cont = _row_vanishing(profile)
-    return FiberReport(
+    report = FiberReport(
         line=line,
         torsion_points=tor,
         torsion_containments=tor_cont,
@@ -370,6 +383,8 @@ def classify_line(line: LineA) -> FiberReport:
         block_degrees=profile.block_degrees,
         rank_drop_points=profile.rank_drop_points,
     )
+    _last_report = (key, report)
+    return report
 
 
 # ----------------------------------------------------------------------

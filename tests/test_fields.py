@@ -6,6 +6,7 @@ import pytest
 from godeaux_lines.fields import (
     DEFAULT_PRIMES,
     FieldDivisionError,
+    FieldElement,
     FieldError,
     MixedFieldError,
     PrimeField,
@@ -166,3 +167,39 @@ def test_field_from_spec_bad_specs_raise_field_error(spec):
 
 def test_field_from_spec_decimal_string_modulus():
     assert field_from_spec({"kind": "prime", "p": "31"}) == PrimeField(31)
+
+
+def _canonical_oracle(F, value):
+    """PrimeField.canonical without its plain-int fast path."""
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return value.numerator % F.p
+        return F.div(value.numerator % F.p, value.denominator % F.p)
+    if isinstance(value, FieldElement):
+        if value.field != F:
+            raise MixedFieldError(f"{value.field} value in {F}")
+        return value.value
+    return int(value) % F.p
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except Exception as err:
+        return "error", type(err)
+    return type(value), value
+
+
+@pytest.mark.parametrize("p", [2, 3, 31, 10007, 2**61 - 1])
+def test_prime_canonical_matches_oracle(p):
+    F, other = PrimeField(p), PrimeField(5)
+    values = [0, 1, -1, -5, p - 1, p, p + 3, -p, 3 * p + 2, 2**100, -(2**100), True, False]
+    values += [Fraction(n, 1) for n in (0, 7, -7, p, 2**100)]
+    values += [Fraction(2, 3), Fraction(-5, 7), Fraction(1, p), Fraction(p + 1, 2 * p)]
+    values += [F.element(3), F.element(-1), other.element(2)]
+    kinds = set()
+    for value in values:
+        got = _outcome(F.canonical, value)
+        assert got == _outcome(_canonical_oracle, F, value), value
+        kinds.add(got[1] if got[0] == "error" else got[0])
+    assert {int, MixedFieldError, FieldDivisionError} <= kinds

@@ -23,6 +23,8 @@ from godeaux_lines.sampling import (
     tangent_cone_partner,
     _Budget,
     _affine_solutions,
+    _coprime_pair,
+    _draw,
     _q0_tangency,
     _random_hyp_point,
     _share_a_factor,
@@ -375,6 +377,27 @@ def test_share_a_factor_matches_gcd_oracle(p):
     assert seen == {True, False}
 
 
+@pytest.mark.parametrize("p", (3, 5, 7, 11))
+def test_coprime_pair_rules_out_a_shared_factor(p):
+    # a nonzero resultant of the first two restrictions is enough for the
+    # partner search to skip the draw: the gcd of all four is then trivial
+    rng = random.Random(p)
+    seen = set()
+    for _ in range(3000):
+        sparse = rng.random()
+        tables = [
+            [rng.randrange(p) if rng.random() > sparse else 0 for _ in range(4)]
+            for _ in range(6)
+        ]
+        line = (rng.randrange(p), rng.randrange(p))
+        coprime = _coprime_pair(p, line, *tables)
+        assert _coprime_pair(p, line, *(t[:2] for t in tables)) == coprime
+        if coprime:
+            assert not _gcd_share_a_factor(p, line, *tables)
+        seen.add(coprime)
+    assert seen == {True, False}
+
+
 # ----------------------------------------------------------------------
 # the two-hyp partner search against the rejection that builds every
 # coordinate of every draw
@@ -482,3 +505,15 @@ def test_sqrt_matches_table_below_2000():
             assert _sqrt_mod(d, p) == table.get(d), (p, d)
         checked += len(table)
     assert checked == 138_675
+
+
+@pytest.mark.parametrize("p", (3, 5, 31, 37, 10007, 2**31 - 1, 2**61 - 1))
+def test_draw_matches_randrange(p):
+    # values and the generator state after them, for randrange(p) and for
+    # randrange(1, p) as random_q_point draws it
+    for seed in range(8):
+        new, old = random.Random(seed), random.Random(seed)
+        for n in (1, 5, 10, 37):
+            assert _draw(new, p, n) == [old.randrange(p) for _ in range(n)]
+            assert 1 + _draw(new, p - 1, 1)[0] == old.randrange(1, p)
+        assert new.getstate() == old.getstate()

@@ -295,6 +295,93 @@ def test_classify_checks_line_in_q_once(z5_example, hyp_line, monkeypatch):
         assert len(calls) == 1
 
 
+def test_classify_twice_checks_line_in_q_each_time(z5_example, monkeypatch):
+    # the second call reuses the first report but still checks the line
+    import godeaux_lines.pencil as pencil
+    import godeaux_lines.strata as strata
+
+    calls = []
+
+    def counting(line):
+        calls.append(line)
+        return line_in_q(line)
+
+    monkeypatch.setattr(strata, "line_in_q", counting)
+    monkeypatch.setattr(pencil, "line_in_q", counting)
+    for _ in range(2):
+        calls.clear()
+        classify_line(z5_example)
+        assert len(calls) == 1
+
+
+def _fresh_json(line, monkeypatch):
+    """The report of a line classified with no report kept from before."""
+    import godeaux_lines.strata as strata
+
+    monkeypatch.setattr(strata, "_last_report", (None, None))
+    return classify_line(line).to_json()
+
+
+def test_classify_reuse_matches_fresh_reports(z5_example, hyp_line, monkeypatch):
+    fresh = {id(line): _fresh_json(line, monkeypatch) for line in (z5_example, hyp_line)}
+    assert classify_line(z5_example).to_json() == fresh[id(z5_example)]
+    for line in (z5_example, hyp_line, z5_example, z5_example):
+        assert classify_line(line).to_json() == fresh[id(line)]
+
+
+def test_classify_reuse_returns_the_callers_line(f31):
+    line = sample_line("hyp", f31, 3)
+    bare = LineA(f31, *line.rows)
+    assert classify_line(bare).line is bare
+    report = classify_line(line)
+    assert report.line is line
+    assert report.to_json()["line"]["provenance"] == line.provenance
+
+
+def test_classify_reuse_keys_on_the_field(monkeypatch):
+    # the same raw rows lie in Q over both primes, with different roots
+    a = z5_line(PrimeField(31), 1, 2, 3, 5).transformed(((1, 1), (1, 2)))
+    b = LineA(PrimeField(37), *a.rows)
+    assert a.rows == b.rows
+    want_a, want_b = _fresh_json(a, monkeypatch), _fresh_json(b, monkeypatch)
+    assert want_a["torsion_points"] != want_b["torsion_points"]
+    for line, want in ((a, want_a), (b, want_b), (a, want_a)):
+        report = classify_line(line)
+        assert report.line.field == line.field
+        assert report.to_json() == want
+
+
+def test_classify_reuse_across_threads(z5_example, hyp_line, monkeypatch):
+    # threads that alternate two lines replace the kept report under each
+    # other; every report must still be the one of the caller's line
+    import sys
+    import threading
+
+    want = {id(line): _fresh_json(line, monkeypatch) for line in (z5_example, hyp_line)}
+    wrong = []
+
+    def work(lines):
+        for line in lines * 3:
+            if classify_line(line).to_json() != want[id(line)]:
+                wrong.append(line)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=work, args=(order,))
+            for order in [(z5_example, z5_example, hyp_line), (hyp_line, hyp_line, z5_example)] * 2
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+
+
 # ----------------------------------------------------------------------
 # large prime fields: root finding is exact for every p < 2^63
 
