@@ -15,7 +15,6 @@ from .families import (
     BaseLocusError,
     hyp_components,
     hyp_point,
-    random_hyp_point,
     sample_component_line,
     verify_hyp_param,
     verify_para_v2,
@@ -117,7 +116,6 @@ __all__ = [
     "polarization",
     "quadric_symmetries",
     "quadrics",
-    "random_hyp_point",
     "rank_a",
     "row_vanishing_points",
     "sample_component_line",

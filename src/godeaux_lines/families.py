@@ -196,15 +196,6 @@ def _vanishing_atoms(field: Field, params):
     return [name for name, val in values.items() if field.is_zero(val)]
 
 
-def random_hyp_point(field: Field, rng, max_tries: int = 1000) -> PointA:
-    """A parametrized point at random parameters, resampling off the base locus."""
-    for _ in range(max_tries):
-        coords = hyp_point_raw(field, [field.random(rng) for _ in range(10)])
-        if coords is not None:
-            return PointA(field, coords)
-    raise FamilyError("could not leave the base locus")
-
-
 def verify_hyp_param(
     numeric_field: Optional[Field] = None,
     samples: int = 20,
@@ -448,12 +439,12 @@ def _verify_component_lines(a_surv, b_surv) -> bool:
 
 
 def sample_component_line(
-    field: Field, space_a: TorsionSpace, space_b: TorsionSpace, rng, component=None
+    field: Field, space_a: TorsionSpace, space_b: TorsionSpace, rng
 ) -> LineA:
     """A random line from one P^1 x P^1 component of the pair's census."""
     census = z5_component_counts(space_a, space_b)
     p1xp1 = [c for c in census.components if c.kind == "P1xP1"]
-    comp = component if component is not None else rng.choice(p1xp1)
+    comp = rng.choice(p1xp1)
     r0 = [field.zero()] * 12
     r1 = [field.zero()] * 12
     for idx in comp.a_survivors:

@@ -32,6 +32,7 @@ from typing import Sequence
 from .fields import Field, PrimeField, RationalField
 from .geometry import GeometryError, LineA, ROW_TRIPLES, line_in_q
 from .linalg import nullspace, rank
+from .polynomials import _format_terms
 
 
 class BinaryForm:
@@ -125,31 +126,10 @@ class BinaryForm:
         return hash((self.field, self.degree, self.coeffs))
 
     def __str__(self):
-        F = self.field
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if F.is_zero(c):
-                continue
-            mono = []
-            if self.degree - k:
-                mono.append("s" if self.degree - k == 1 else f"s^{self.degree - k}")
-            if k:
-                mono.append("t" if k == 1 else f"t^{k}")
-            cs = F.format_scalar(c)
-            if mono and cs == "1":
-                parts.append("*".join(mono))
-            elif mono and cs == "-1":
-                parts.append("-" + "*".join(mono))
-            elif mono:
-                parts.append(cs + "*" + "*".join(mono))
-            else:
-                parts.append(cs)
-        if not parts:
-            return "0"
-        text = parts[0]
-        for p in parts[1:]:
-            text += " - " + p[1:] if p.startswith("-") else " + " + p
-        return text
+        F, d = self.field, self.degree
+        return _format_terms(F, (
+            (c, (("s", d - k), ("t", k))) for k, c in enumerate(self.coeffs) if not F.is_zero(c)
+        ))
 
     def __repr__(self):
         return f"BinaryForm({self})"
@@ -190,39 +170,12 @@ def _common_root(field: Field, forms):
 
 
 # ----------------------------------------------------------------------
-# univariate helpers (coefficient lists, high power of s first)
-
-
-def _dehomogenize(f: BinaryForm):
-    """Coefficients of f(x, 1) as a high-to-low list, trimmed."""
-    F = f.field
-    coeffs = list(f.coeffs)
-    while coeffs and F.is_zero(coeffs[0]):
-        coeffs.pop(0)
-    return coeffs
-
-
-def _poly_mod(field: Field, a, b):
-    a = list(a)
-    db, lb = len(b) - 1, b[0]
-    inv = field.inv(lb)
-    while len(a) - 1 >= db and a:
-        if field.is_zero(a[0]):
-            a.pop(0)
-            continue
-        f = field.mul(a[0], inv)
-        for i in range(db + 1):
-            a[i] = field.sub(a[i], field.mul(f, b[i]))
-        a.pop(0)
-    while a and field.is_zero(a[0]):
-        a.pop(0)
-    return a
-
-
-def _poly_gcd(field: Field, a, b):
-    while b:
-        a, b = b, _poly_mod(field, a, b)
-    return a
+# binary forms as univariate polynomials, one toolkit for every field
+#
+# A nonzero form f is read in the chart t = 1 as f(x, 1), a list of canonical
+# coefficients, low power first, ending in a nonzero one ([] is zero); the
+# power of t dividing f, its root at (1:0), is tracked apart.  The helpers
+# compute with the values' own + - * and reduce each output with F.canonical.
 
 
 def binary_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
@@ -238,29 +191,27 @@ def binary_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
     t_mult = min(
         next(k for k, c in enumerate(f.coeffs) if not F.is_zero(c)) for f in nonzero
     )
-    g = None
+    g = []
     for f in nonzero:
-        u = _dehomogenize(f)
-        g = u if g is None else _poly_gcd(F, g, u)
+        g = _gcd(F, _trim(list(reversed(f.coeffs))), g)
         if len(g) == 1:
             break
-    e = len(g) - 1
-    ghom = [F.zero()] * (e + t_mult + 1)
-    for j, c in enumerate(g):
-        ghom[t_mult + j] = c
-    return BinaryForm(F, e + t_mult, ghom).monic()
+    return BinaryForm(F, len(g) - 1 + t_mult, [F.zero()] * t_mult + g[::-1])
 
 
 def binary_roots(f: BinaryForm):
     """Roots of a nonzero binary form over its field, with multiplicities.
 
     Returns a list of ((s, t), multiplicity) with (s, t) normalized to
-    t = 1 or (1, 0): the root (1:0) first, then the finite roots in
-    ascending order.  Over F_p (any prime p < 2^63) the roots are found
-    exactly in time polynomial in log p (:func:`_fp_roots`); over the
-    rationals the candidates come from the rational root theorem applied
-    to the dehomogenization.  Every finite root is re-verified by exact
-    evaluation before it is emitted.
+    t = 1 or (1, 0), the root (1:0) first.  Over F_p (any prime p < 2^63)
+    the finite roots follow in ascending order, found exactly in time
+    polynomial in log p (:func:`_fp_roots`) and each re-verified by exact
+    evaluation before it is emitted.  Over the rationals they follow in the
+    order the rational root theorem tries its candidates
+    (:func:`_rational_roots`): 0 first, then n/d and -n/d for the divisors
+    n of the lowest nonzero coefficient and d of the leading one
+    (denominators cleared), by n, then d.  So (s - 2t)(s + t)(3s - t)(s + 3t)
+    gives -1, 1/3, 2, -3.
     """
     if f.is_zero():
         raise ValueError("the zero form has no well-defined root list")
@@ -269,11 +220,11 @@ def binary_roots(f: BinaryForm):
     t_mult = next(k for k, c in enumerate(f.coeffs) if not F.is_zero(c))
     if t_mult:
         roots.append(((F.one(), F.zero()), t_mult))
-    u = _dehomogenize(f)
+    u = _trim(list(reversed(f.coeffs)))
     if len(u) == 1:
         return roots
     if isinstance(F, PrimeField):
-        for x in _fp_roots(u, F.p):
+        for x in _fp_roots(F, u):
             m = _multiplicity(F, u, x)
             if not m:
                 raise ArithmeticError(f"root finder emitted a non-root {x} over {F}")
@@ -285,30 +236,27 @@ def binary_roots(f: BinaryForm):
     return roots
 
 
-# ----------------------------------------------------------------------
-# roots over F_p (raw ints, coefficient lists low power first)
-
-
-def _fp_roots(u, p):
+def _fp_roots(F: PrimeField, u):
     """The distinct roots in F_p of a nonconstant polynomial, ascending.
 
-    ``u`` lists the coefficients high power first.  A linear polynomial
-    gives its root in closed form.  Otherwise the product of the distinct
-    linear factors, gcd(f, x^p - x), is taken by modular powering and
-    split by :func:`_split_linear` (Cantor-Zassenhaus; von zur Gathen &
-    Gerhard, Modern Computer Algebra, ch. 14).  The powering passes
-    through h = x^((p - 1)/2) mod f (x^p = h^2 x), which the split reuses.
+    A linear polynomial gives its root in closed form.  Otherwise the
+    product of the distinct linear factors, gcd(f, x^p - x), is taken by
+    modular powering and split by :func:`_split_linear` (Cantor-Zassenhaus;
+    von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14).  The
+    powering passes through h = x^((p - 1)/2) mod f (x^p = h^2 x), which
+    the split reuses.
     """
-    f = _monic([c % p for c in reversed(u)], p)
+    p = F.p
+    f = _monic(F, u)
     h = None
     if len(f) > 2:
-        h = _pow_linear(0, p // 2, f, p)  # x^((p - 1)/2) for odd p
-        xp = _mulmod(_mulmod(h, h, f, p), [0, 1] if p % 2 else [1], f, p)
-        f = _gcd(f, _sub(xp, [0, 1], p), p)
-    return sorted(_split_linear(f, p, h))
+        h = _pow_linear(F, 0, p // 2, f)  # x^((p - 1)/2) for odd p
+        xp = _mulmod(F, _mulmod(F, h, h, f), [0, 1] if p % 2 else [1], f)
+        f = _gcd(F, f, _sub(F, xp, [0, 1]))
+    return sorted(_split_linear(F, f, h))
 
 
-def _split_linear(g, p, h=None):
+def _split_linear(F: PrimeField, g, h=None):
     """Roots of a monic product g of distinct linear factors over F_p.
 
     g is split by gcd(g, (x + a)^((p - 1)/2) - 1) for a = 0, 1, 2, ...;
@@ -317,127 +265,39 @@ def _split_linear(g, p, h=None):
     of g and stands in for the a = 0 power.  Over F_2, g divides x^2 + x
     and ``h`` is not used.
     """
+    p = F.p
     if len(g) <= 2:
-        return [-g[0] % p] if len(g) == 2 else []
+        return [F.neg(g[0])] if len(g) == 2 else []
     if p == 2:
         return [0, 1]
     for a in count():
         if a == 0 and h is not None:
-            t = _divmod(h, g, p)[1]
+            t = _divmod(F, h, g)[1]
         else:
-            t = _pow_linear(a, (p - 1) // 2, g, p)
-        d = _gcd(g, _sub(t, [1], p), p)
+            t = _pow_linear(F, a, (p - 1) // 2, g)
+        d = _gcd(F, g, _sub(F, t, [1]))
         if 1 < len(d) < len(g):
-            return _split_linear(d, p, h) + _split_linear(_divmod(g, d, p)[0], p, h)
-
-
-def _trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _monic(a, p):
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _sub(a, b, p):
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _trim(out)
-
-
-def _divmod(a, f, p):
-    """Quotient and remainder of a by the monic f."""
-    n = len(f) - 1
-    r = list(a)
-    q = [0] * max(len(r) - n, 0)
-    for k in range(len(r) - n - 1, -1, -1):
-        c = r[k + n]
-        if c:
-            q[k] = c
-            for i in range(n):
-                r[k + i] = (r[k + i] - c * f[i]) % p
-    return _trim(q), _trim(r[:n])
-
-
-def _mulmod(a, b, f, p):
-    """a * b modulo the monic f of degree n >= 1, for a, b of degree < n."""
-    n = len(f) - 1
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        for k, y in enumerate(b, i):
-            prod[k] += x * y
-    for k in range(len(prod) - n - 1, -1, -1):
-        c = prod.pop() % p
-        if c:
-            for i in range(n):
-                prod[k + i] -= c * f[i]
-    return _trim([c % p for c in prod])
-
-
-def _pow_linear(a, e, f, p):
-    """(x + a)^e modulo the monic f, by square-and-multiply."""
-    out = [1]
-    for bit in bin(e)[2:]:
-        out = _mulmod(out, out, f, p)
-        if bit == "1":
-            out = _mulmod(out, [a, 1], f, p)
-    return out
-
-
-def _gcd(a, b, p):
-    """Monic GCD of a (nonzero) and b."""
-    while b:
-        b = _monic(b, p)
-        a, b = b, _divmod(a, b, p)[1]
-    return _monic(a, p)
-
-
-def _eval_poly(field: Field, coeffs, x):
-    acc = field.zero()
-    for c in coeffs:
-        acc = field.add(field.mul(acc, x), c)
-    return acc
-
-
-def _multiplicity(field: Field, coeffs, x):
-    m = 0
-    while True:
-        q = []
-        acc = field.zero()
-        for c in coeffs:
-            acc = field.add(field.mul(acc, x), c)
-            q.append(acc)
-        if not field.is_zero(q[-1]):
-            return m
-        m += 1
-        coeffs = q[:-1]
-        if not coeffs:
-            return m
+            return _split_linear(F, d, h) + _split_linear(F, _divmod(F, g, d)[0], h)
 
 
 def _rational_roots(F: RationalField, coeffs):
     den_lcm = math.lcm(*(Fraction(c).denominator for c in coeffs))
     ints = [int(Fraction(c) * den_lcm) for c in coeffs]
-    zero_mult = 0
-    while ints and ints[-1] == 0:
-        ints.pop()
-        zero_mult += 1
+    zero_mult = next(k for k, c in enumerate(ints) if c)
+    ints = ints[zero_mult:]
     out = []
     if zero_mult:
         out.append(((Fraction(0), Fraction(1)), zero_mult))
     if len(ints) <= 1:
         return out
-    lead, trail = abs(ints[0]), abs(ints[-1])
+    lead, trail = abs(ints[-1]), abs(ints[0])
     for num in _divisors(trail):
         for den in _divisors(lead):
             for cand in (Fraction(num, den), Fraction(-num, den)):
-                if _eval_poly(F, ints, cand) == 0:
-                    if all(r != cand for (r, _), _ in out):
-                        out.append(((cand, Fraction(1)), _multiplicity(F, ints, cand)))
+                if all(r != cand for (r, _), _ in out):
+                    m = _multiplicity(F, ints, cand)
+                    if m:
+                        out.append(((cand, Fraction(1)), m))
     return out
 
 
@@ -452,6 +312,91 @@ def _divisors(n):
                 out.append(n // d)
         d += 1
     return sorted(out)
+
+
+def _multiplicity(F: Field, a, x):
+    """How often x is a root of the nonzero a: synthetic divisions by (x - root)."""
+    red = F.canonical
+    m = 0
+    while True:
+        acc = 0
+        q = []
+        for c in reversed(a):
+            acc = red(acc * x + c)
+            q.append(acc)
+        if q.pop():
+            return m
+        m += 1
+        a = q[::-1]
+
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _monic(F: Field, a):
+    red = F.canonical
+    inv = F.inv(a[-1])
+    return [red(c * inv) for c in a]
+
+
+def _sub(F: Field, a, b):
+    red = F.canonical
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = red(out[i] - c)
+    return _trim(out)
+
+
+def _divmod(F: Field, a, f):
+    """Quotient and remainder of a by the monic f."""
+    red = F.canonical
+    n = len(f) - 1
+    r = list(a)
+    q = [F.zero()] * max(len(r) - n, 0)
+    for k in range(len(r) - n - 1, -1, -1):
+        c = red(r[k + n])
+        if c:
+            q[k] = c
+            for i in range(n):
+                r[k + i] -= c * f[i]
+    return _trim(q), _trim([red(c) for c in r[:n]])
+
+
+def _mulmod(F: Field, a, b, f):
+    """a * b modulo the monic f of degree n >= 1, for a, b of degree < n."""
+    red = F.canonical
+    n = len(f) - 1
+    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for k, y in enumerate(b, i):
+            prod[k] += x * y
+    for k in range(len(prod) - n - 1, -1, -1):
+        c = red(prod.pop())
+        if c:
+            for i in range(n):
+                prod[k + i] -= c * f[i]
+    return _trim([red(c) for c in prod])
+
+
+def _pow_linear(F: Field, a, e, f):
+    """(x + a)^e modulo the monic f, by square-and-multiply."""
+    out = [F.one()]
+    for bit in bin(e)[2:]:
+        out = _mulmod(F, out, out, f)
+        if bit == "1":
+            out = _mulmod(F, out, [a, F.one()], f)
+    return out
+
+
+def _gcd(F: Field, a, b):
+    """Monic GCD of a (nonzero) and b."""
+    while b:
+        b = _monic(F, b)
+        a, b = b, _divmod(F, a, b)[1]
+    return _monic(F, a)
 
 
 # ----------------------------------------------------------------------

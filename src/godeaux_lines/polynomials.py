@@ -85,6 +85,32 @@ def _grlex_key(expts):
     return (-sum(expts), tuple(-e for e in expts))
 
 
+def _format_terms(field: Field, terms) -> str:
+    """The text of a sum of terms, "0" for none.
+
+    ``terms`` gives ordered (coefficient, powers) pairs: a nonzero
+    coefficient and (name, exponent) pairs, of which exponent 0 is left out.
+    """
+    parts = []
+    for c, powers in terms:
+        mono = "*".join(name if k == 1 else f"{name}^{k}" for name, k in powers if k)
+        cs = field.format_scalar(c)
+        if not mono:
+            parts.append(cs)
+        elif cs == "1":
+            parts.append(mono)
+        elif cs == "-1":
+            parts.append("-" + mono)
+        else:
+            parts.append(cs + "*" + mono)
+    if not parts:
+        return "0"
+    text = parts[0]
+    for p in parts[1:]:
+        text += " - " + p[1:] if p.startswith("-") else " + " + p
+    return text
+
+
 class Poly:
     """A sparse multivariate polynomial over a field; immutable."""
 
@@ -323,32 +349,9 @@ class Poly:
     # text form
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        F = self.field
-        parts = []
-        for e in sorted(self.terms, key=_grlex_key):
-            c = self.terms[e]
-            factors = []
-            for name, k in zip(self.vars.names, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            cs = F.format_scalar(c)
-            if factors and cs == "1":
-                body = "*".join(factors)
-            elif factors and cs == "-1":
-                body = "-" + "*".join(factors)
-            elif factors:
-                body = cs + "*" + "*".join(factors)
-            else:
-                body = cs
-            parts.append(body)
-        text = parts[0]
-        for p in parts[1:]:
-            text += " - " + p[1:] if p.startswith("-") else " + " + p
-        return text
+        return _format_terms(self.field, (
+            (self.terms[e], zip(self.vars.names, e)) for e in sorted(self.terms, key=_grlex_key)
+        ))
 
     def __repr__(self):
         return f"Poly({self})"

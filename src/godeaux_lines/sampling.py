@@ -50,12 +50,15 @@ from .geometry import (
 )
 from .linalg import nullspace, rank
 from .pencil import _gcd, _trim
-from .strata import TORSION_SPACES, FiberReport, TorsionSpace, classify_line
+from .strata import TORSION_SPACES, FiberReport, TorsionSpace, classify_line, rank_a
 
 STRATEGIES = ("generic", "torsion", "two-torsion", "hyp", "two-hyp")
 
 #: largest modulus the searches accept (a draw may scan all of F_p)
 MAX_BRUTE_FORCE_MODULUS = 1_000_000
+
+#: candidate lines :func:`sample_line` draws before it gives up
+_MAX_RETRIES = 200
 
 
 class SamplingError(ValueError):
@@ -260,7 +263,7 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
         qr += [sum(map(mul, prods, g)) % p for g in gram[2:]]
         bur += [sum(map(mul, coeffs, b)) % p for b in bu[2:]]
         bvr += [sum(map(mul, coeffs, b)) % p for b in bv[2:]]
-        if line is not None and not _share_a_factor(p, line, qu, buv, qv, qr, bur, bvr):
+        if line is not None and not _share_a_factor(field, line, qu, buv, qv, qr, bur, bvr):
             budget.spend(p)
             continue
         if x0 is not None:
@@ -337,7 +340,7 @@ def _coprime_pair(p, line, *tables):
     return bool(f2 and g2 and res % p)
 
 
-def _share_a_factor(p, line, *tables):
+def _share_a_factor(field: PrimeField, line, *tables):
     """Whether the q_i(x u + y v + R), restricted to the line y = alpha x +
     beta, have a nonconstant common factor over F_p or all vanish there;
     when they do not, no x on the line solves the draw.  The cheaper
@@ -345,9 +348,9 @@ def _share_a_factor(p, line, *tables):
     """
     common = None
     for i in range(4):
-        f = _trim(_restricted(p, line, i, *tables))
+        f = _trim(_restricted(field.p, line, i, *tables))
         if f:
-            common = f if common is None else _gcd(common, f, p)
+            common = f if common is None else _gcd(field, common, f)
             if len(common) == 1:
                 return False
     return True
@@ -481,8 +484,6 @@ def _two_hyp_partner(
 
 
 def _random_hyp_point(field: PrimeField, rng, budget: _Budget) -> PointA:
-    from .strata import rank_a
-
     p = _require_search_field(field)
     while True:
         budget.spend()
@@ -504,7 +505,6 @@ def sample_line(
     budget: int = 10_000_000,
     space: Optional[TorsionSpace] = None,
     spaces: Optional[Sequence[TorsionSpace]] = None,
-    max_retries: int = 200,
     general_position: bool = False,
 ) -> LineA:
     """Sample one line of Q; deterministic in (strategy, field, seed).
@@ -532,7 +532,7 @@ def sample_line(
     elif strategy == "torsion":
         home = space if space is not None else TORSION_SPACES[0]
 
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         try:
             if strategy == "generic":
                 p_pt = random_q_point(field, rng, tracker)

@@ -232,7 +232,6 @@ def _hyperelliptic_points(line: LineA) -> HyperellipticResult:
     g = binary_gcd(minors)
     if g.is_zero():
         return HyperellipticResult(g, (), True)
-    g = g.monic()
     roots = []
     if g.degree > 0:
         for root, mult in binary_roots(g):

@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +11,10 @@ from godeaux_lines.linalg import nullspace, rank
 from godeaux_lines.pencil import (
     BinaryForm,
     PencilMatrix,
+    _divisors,
+    _gcd,
     _pp1,
+    _trim,
     binary_gcd,
     binary_roots,
     degeneration_profile,
@@ -156,6 +161,294 @@ def test_roots_over_rationals():
     assert roots[(Fraction(3, 2), Fraction(1))] == 1
     assert roots[(Fraction(-5), Fraction(1))] == 1
     assert roots[(Fraction(0), Fraction(1))] == 1
+    # the documented order: the rational root theorem's, not ascending
+    g = (linear_form(QQ, 1, -2) * linear_form(QQ, 1, 1)
+         * linear_form(QQ, 3, -1) * linear_form(QQ, 1, 3))
+    assert [st[0] for st, _ in binary_roots(g)] == [-1, Fraction(1, 3), 2, -3]
+
+
+# ----------------------------------------------------------------------
+# the earlier univariate toolkit (high power of s first, field methods),
+# kept as the oracle for binary_gcd, binary_roots, _gcd and str
+
+
+def old_dehomogenize(f: BinaryForm):
+    """Coefficients of f(x, 1) as a high-to-low list, trimmed."""
+    F = f.field
+    coeffs = list(f.coeffs)
+    while coeffs and F.is_zero(coeffs[0]):
+        coeffs.pop(0)
+    return coeffs
+
+
+def old_poly_mod(field, a, b):
+    a = list(a)
+    db, lb = len(b) - 1, b[0]
+    inv = field.inv(lb)
+    while len(a) - 1 >= db and a:
+        if field.is_zero(a[0]):
+            a.pop(0)
+            continue
+        f = field.mul(a[0], inv)
+        for i in range(db + 1):
+            a[i] = field.sub(a[i], field.mul(f, b[i]))
+        a.pop(0)
+    while a and field.is_zero(a[0]):
+        a.pop(0)
+    return a
+
+
+def old_poly_gcd(field, a, b):
+    while b:
+        a, b = b, old_poly_mod(field, a, b)
+    return a
+
+
+def old_eval_poly(field, coeffs, x):
+    acc = field.zero()
+    for c in coeffs:
+        acc = field.add(field.mul(acc, x), c)
+    return acc
+
+
+def old_multiplicity(field, coeffs, x):
+    m = 0
+    while True:
+        q = []
+        acc = field.zero()
+        for c in coeffs:
+            acc = field.add(field.mul(acc, x), c)
+            q.append(acc)
+        if not field.is_zero(q[-1]):
+            return m
+        m += 1
+        coeffs = q[:-1]
+        if not coeffs:
+            return m
+
+
+def old_binary_gcd(forms):
+    nonzero = [f for f in forms if not f.is_zero()]
+    if not nonzero:
+        return BinaryForm.zero(forms[0].field, 0)
+    F = nonzero[0].field
+    t_mult = min(
+        next(k for k, c in enumerate(f.coeffs) if not F.is_zero(c)) for f in nonzero
+    )
+    g = None
+    for f in nonzero:
+        u = old_dehomogenize(f)
+        g = u if g is None else old_poly_gcd(F, g, u)
+        if len(g) == 1:
+            break
+    e = len(g) - 1
+    ghom = [F.zero()] * (e + t_mult + 1)
+    for j, c in enumerate(g):
+        ghom[t_mult + j] = c
+    return BinaryForm(F, e + t_mult, ghom).monic()
+
+
+def old_rational_roots(F, coeffs):
+    den_lcm = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(Fraction(c) * den_lcm) for c in coeffs]
+    zero_mult = 0
+    while ints and ints[-1] == 0:
+        ints.pop()
+        zero_mult += 1
+    out = []
+    if zero_mult:
+        out.append(((Fraction(0), Fraction(1)), zero_mult))
+    if len(ints) <= 1:
+        return out
+    lead, trail = abs(ints[0]), abs(ints[-1])
+    for num in _divisors(trail):
+        for den in _divisors(lead):
+            for cand in (Fraction(num, den), Fraction(-num, den)):
+                if old_eval_poly(F, ints, cand) == 0:
+                    if all(r != cand for (r, _), _ in out):
+                        out.append(((cand, Fraction(1)), old_multiplicity(F, ints, cand)))
+    return out
+
+
+def old_distinct_root_count(F, u):
+    """deg gcd(u, x^p - x) for the high-first u over F_p: x^p mod u by
+    square-and-multiply with a schoolbook product."""
+    def mulmod(a, b):
+        prod = [F.zero()] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] = F.add(prod[i + j], F.mul(x, y))
+        return old_poly_mod(F, prod, u)
+
+    xp = [F.one()]
+    for bit in bin(F.p)[2:]:
+        xp = mulmod(xp, xp) if xp else []
+        if bit == "1":
+            xp = mulmod(xp, [F.one(), F.zero()]) if xp else []
+    diff = list(xp)
+    while len(diff) < 2:
+        diff.insert(0, F.zero())
+    diff[-2] = F.sub(diff[-2], F.one())
+    while diff and F.is_zero(diff[0]):
+        diff.pop(0)
+    return len(old_poly_gcd(F, u, diff)) - 1
+
+
+def old_roots(f, candidates):
+    """binary_roots as the parent computed it: (1:0) first, then the finite
+    roots among ``candidates`` in their order (every x for F_p, sorted),
+    or the rational root theorem's roots over Q."""
+    F = f.field
+    t_mult = next(k for k, c in enumerate(f.coeffs) if not F.is_zero(c))
+    roots = [((F.one(), F.zero()), t_mult)] if t_mult else []
+    u = old_dehomogenize(f)
+    if len(u) == 1:
+        return roots
+    if F == QQ:
+        return roots + old_rational_roots(F, u)
+    for x in candidates:
+        if F.is_zero(old_eval_poly(F, u, x)):
+            roots.append(((x, F.one()), old_multiplicity(F, u, x)))
+    return roots
+
+
+def old_str(f: BinaryForm):
+    F = f.field
+    parts = []
+    for k, c in enumerate(f.coeffs):
+        if F.is_zero(c):
+            continue
+        mono = []
+        if f.degree - k:
+            mono.append("s" if f.degree - k == 1 else f"s^{f.degree - k}")
+        if k:
+            mono.append("t" if k == 1 else f"t^{k}")
+        cs = F.format_scalar(c)
+        if mono and cs == "1":
+            parts.append("*".join(mono))
+        elif mono and cs == "-1":
+            parts.append("-" + "*".join(mono))
+        elif mono:
+            parts.append(cs + "*" + "*".join(mono))
+        else:
+            parts.append(cs)
+    if not parts:
+        return "0"
+    text = parts[0]
+    for p in parts[1:]:
+        text += " - " + p[1:] if p.startswith("-") else " + " + p
+    return text
+
+
+ORACLE_FIELDS = [PrimeField(2), PrimeField(3), PrimeField(31), PrimeField(99991),
+                 PrimeField(2**61 - 1), QQ]
+
+
+def nonzero_scalar(F, rng):
+    if F == QQ:
+        return Fraction(rng.choice((1, -1)) * rng.randint(1, 6), rng.choice((1, 2, 3)))
+    return rng.randrange(1, F.p)
+
+
+def random_oracle_form(F, rng, pool):
+    """A zero form, a constant, a pure power of s or of t, a form with one
+    nonzero coefficient, a dense random form, or a product of linear
+    factors with repeats; the roots of those factors go into ``pool``."""
+    kind = rng.randrange(7)
+    d = rng.randint(1, 6)
+    if kind == 0:
+        return BinaryForm.zero(F, rng.randint(0, 6))
+    if kind == 1:
+        return BinaryForm(F, 0, (nonzero_scalar(F, rng),))
+    if kind in (2, 3):
+        coeffs = [0] * (d + 1)
+        coeffs[rng.choice((0, d)) if kind == 2 else rng.randint(0, d)] = nonzero_scalar(F, rng)
+        return BinaryForm(F, d, coeffs)
+    if kind == 4:
+        zero_share = rng.random()
+        return BinaryForm(F, d, [
+            0 if rng.random() < zero_share else nonzero_scalar(F, rng) for _ in range(d + 1)
+        ])
+    f = BinaryForm(F, 0, (nonzero_scalar(F, rng),))
+    for _ in range(d):
+        if rng.random() < 0.15:
+            factor = linear_form(F, 0, 1)  # t: a root at (1:0)
+        else:
+            if pool and rng.random() < 0.5:
+                root = rng.choice(pool)  # a repeated root
+            else:
+                root = nonzero_scalar(F, rng) if rng.random() < 0.8 else F.zero()
+                pool.append(root)
+            a = rng.choice((1, 2, 3)) if F == QQ else nonzero_scalar(F, rng)
+            factor = linear_form(F, a, F.neg(F.mul(a, root)))
+        f = f * factor
+    return f
+
+
+def oracle_candidates(F, got, pool):
+    """Every x of a small F_p; else the pool's roots and those reported."""
+    if F == QQ:
+        return None
+    if F.p <= 31:
+        return range(F.p)
+    return sorted(set(pool) | {st[0] for st, _ in got if st[1] == 1})
+
+
+@pytest.mark.parametrize("F", ORACLE_FIELDS, ids=str)
+def test_roots_and_text_match_the_earlier_toolkit(F):
+    rng = random.Random(str(F))
+    pool = []
+    kinds = set()
+    for _ in range(250):
+        f = random_oracle_form(F, rng, pool)
+        assert str(f) == old_str(f)
+        if f.is_zero():
+            with pytest.raises(ValueError):
+                binary_roots(f)
+            kinds.add("zero")
+            continue
+        got = binary_roots(f)
+        assert got == old_roots(f, oracle_candidates(F, got, pool)), f
+        u = old_dehomogenize(f)
+        if F != QQ and F.p > 31 and len(u) > 1:
+            # the candidates hold every root: count them independently
+            assert sum(st[1] == 1 for st, _ in got) == old_distinct_root_count(F, u), f
+        kinds.add("constant" if f.degree == 0 else "root" if got else "rootless")
+        kinds.update("repeated" for _, m in got if m > 1)
+    assert kinds >= {"zero", "constant", "root", "repeated"}
+
+
+@pytest.mark.parametrize("F", ORACLE_FIELDS, ids=str)
+def test_binary_gcd_matches_the_earlier_toolkit(F):
+    rng = random.Random(str(F))
+    pool = []
+    degrees = set()
+    for _ in range(150):
+        common = random_oracle_form(F, rng, pool)
+        if common.is_zero():
+            common = BinaryForm(F, 0, (1,))
+        forms = []
+        for _ in range(rng.randint(1, 4)):
+            f = random_oracle_form(F, rng, pool)
+            forms.append(f * common if rng.random() < 0.7 else f)
+        got, want = binary_gcd(forms), old_binary_gcd(forms)
+        assert (got.degree, got.coeffs) == (want.degree, want.coeffs), forms
+        degrees.add(min(got.degree, 2))
+    assert degrees == {0, 1, 2}
+
+
+def test_gcd_over_q_matches_the_earlier_toolkit():
+    rng = random.Random(3)
+    pool = []
+    for _ in range(200):
+        common = random_oracle_form(QQ, rng, pool)
+        a, b = (random_oracle_form(QQ, rng, pool) * common for _ in range(2))
+        if a.is_zero():
+            continue
+        low = lambda f: _trim(list(reversed(f.coeffs)))
+        want = old_poly_gcd(QQ, old_dehomogenize(a), old_dehomogenize(b))
+        inv = QQ.inv(want[0])
+        assert _gcd(QQ, low(a), low(b)) == [c * inv for c in reversed(want)]
 
 
 # ----------------------------------------------------------------------

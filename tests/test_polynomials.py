@@ -10,6 +10,7 @@ from godeaux_lines.polynomials import (
     PolyMatrix,
     PolynomialError,
     VarTable,
+    _grlex_key,
     bounded_degree_kernel,
     jacobian,
     monomials_up_to,
@@ -330,3 +331,53 @@ def test_text_form_deterministic():
     vt = VarTable(("a32", "w0"))
     f = Poly.monomial(vt, QQ, (2, 1), -3) + Poly.monomial(vt, QQ, (0, 1), 1)
     assert str(f) == "-3*a32^2*w0 + w0"
+
+
+def _old_poly_str(poly):
+    """The oracle: the text form as Poly.__str__ built it on its own."""
+    if not poly.terms:
+        return "0"
+    F = poly.field
+    parts = []
+    for e in sorted(poly.terms, key=_grlex_key):
+        c = poly.terms[e]
+        factors = []
+        for name, k in zip(poly.vars.names, e):
+            if k == 1:
+                factors.append(name)
+            elif k > 1:
+                factors.append(f"{name}^{k}")
+        cs = F.format_scalar(c)
+        if factors and cs == "1":
+            body = "*".join(factors)
+        elif factors and cs == "-1":
+            body = "-" + "*".join(factors)
+        elif factors:
+            body = cs + "*" + "*".join(factors)
+        else:
+            body = cs
+        parts.append(body)
+    text = parts[0]
+    for p in parts[1:]:
+        text += " - " + p[1:] if p.startswith("-") else " + " + p
+    return text
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), PrimeField(31), PrimeField(2**61 - 1), QQ])
+def test_text_form_matches_oracle(field):
+    from fractions import Fraction
+
+    rng = random.Random(f"str-{field}")
+    dens = (1, 1, 2) if field == QQ else (1,)
+    vt = VarTable(("a32", "w0", "x"))
+    polys = [Poly.zero(vt, field), Poly.constant(vt, field, 1), Poly.constant(vt, field, -1),
+             Poly.constant(vt, field, Fraction(-7, 3) if field == QQ else 5)]
+    for _ in range(80):
+        terms = {
+            tuple(rng.randint(0, 3) for _ in range(3)):
+                field.canonical(Fraction(rng.choice((-1, 1, rng.randint(-9, 9))), rng.choice(dens)))
+            for _ in range(rng.randint(1, 5))
+        }
+        polys.append(Poly(vt, field, terms))
+    for f in polys:
+        assert str(f) == _old_poly_str(f)

@@ -343,6 +343,7 @@ def test_affine_solutions_match_brute_force(p):
 
 def _gcd_share_a_factor(p, line, qu, buv, qv, qr, bur, bvr):
     """The oracle: the gcd of all four restricted quadrics, no resultant."""
+    F = PrimeField(p)
     alpha, beta = line
     g = None
     for i in range(4):
@@ -352,7 +353,7 @@ def _gcd_share_a_factor(p, line, qu, buv, qv, qr, bur, bvr):
             (qu[i] + alpha * buv[i] + alpha * alpha * qv[i]) % p,
         ])
         if f:
-            g = f if g is None else _gcd(g, f, p)
+            g = f if g is None else _gcd(F, g, f)
             if len(g) == 1:
                 return False
     return True
@@ -371,7 +372,7 @@ def test_share_a_factor_matches_gcd_oracle(p):
             for _ in range(6)
         ]
         line = (rng.randrange(p), rng.randrange(p))
-        got = _share_a_factor(p, line, *tables)
+        got = _share_a_factor(PrimeField(p), line, *tables)
         assert got == _gcd_share_a_factor(p, line, *tables)
         seen.add(got)
     assert seen == {True, False}
