@@ -7,6 +7,7 @@ import random
 
 from godeaux_lines import (
     ORDER,
+    Poly,
     PrimeField,
     QQ,
     canonical_skew_matrices,
@@ -15,6 +16,7 @@ from godeaux_lines import (
     quadrics,
     sample_line,
     tangent_space,
+    VarTable,
 )
 from godeaux_lines.geometry import det4
 
@@ -34,11 +36,11 @@ def main():
     print("\nPfaffian sanity: Pf(M)^2 = det(M) on random skew matrices over F_101")
     F101 = PrimeField(101)
     rng = random.Random(0)
+    scalars = VarTable(())  # no variables: the entries are constant polynomials
     for _ in range(5):
-        z = F101.element(0)
-        M = [[z] * 4 for _ in range(4)]
+        M = [[Poly.constant(scalars, F101, 0)] * 4 for _ in range(4)]
         for a, b in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
-            M[a][b] = F101.element(rng.randrange(101))
+            M[a][b] = Poly.constant(scalars, F101, rng.randrange(101))
             M[b][a] = -M[a][b]
         pf = pfaffian4(M)
         assert pf * pf == det4(M)

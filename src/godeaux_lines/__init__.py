@@ -28,7 +28,6 @@ from .families import (
 from .fields import (
     DEFAULT_PRIMES,
     Field,
-    FieldElement,
     PrimeField,
     QQ,
     RationalField,
@@ -84,7 +83,6 @@ __all__ = [
     "DEFAULT_PRIMES",
     "FiberReport",
     "Field",
-    "FieldElement",
     "LineA",
     "ORDER",
     "PencilMatrix",

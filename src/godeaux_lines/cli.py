@@ -11,10 +11,11 @@ A line store is JSON-lines: a header ``{"format": 1}`` followed by one
 record per line, each ``{"line": {...}, "report": {...}}`` dumped with
 sorted keys and no whitespace, so identical seeded runs are byte-identical
 and stores can be diffed and archived.  Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 search budget exhausted.
+1 verification failure, 2 usage error (including a ``--count`` below 1 and
+an ``--out`` that cannot be opened), 3 search budget exhausted.
 
-The default field comes from ``--field``, else the ``GODEAUX_FIELD``
-environment variable (e.g. ``p31`` or ``q``), else F_31.
+The field comes from ``--field`` (e.g. ``p31`` or ``q``) and defaults to
+F_31; no environment variable changes it.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _default_field() -> str:
-    return os.environ.get("GODEAUX_FIELD", "p31")
+def _usage_error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 # ----------------------------------------------------------------------
@@ -68,18 +70,17 @@ def _record_seed(seed: int, index: int) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.count < 1:
+        return _usage_error(f"--count {args.count} is below 1; nothing to draw")
     if args.count > SEED_STRIDE:
-        print(
-            f"error: --count {args.count} exceeds {SEED_STRIDE}; later records "
-            "would repeat the seeds of the next --seed",
-            file=sys.stderr,
+        return _usage_error(
+            f"--count {args.count} exceeds {SEED_STRIDE}; later records "
+            "would repeat the seeds of the next --seed"
         )
-        return EXIT_USAGE
     try:
         field = field_from_spec(args.field)
     except FieldError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(e)
     kwargs = {}
     try:
         if args.space:
@@ -90,8 +91,7 @@ def cmd_sample(args) -> int:
         if args.general_position:
             kwargs["general_position"] = True
     except StrataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(e)
 
     lines_out = []
     failures = 0
@@ -114,8 +114,7 @@ def cmd_sample(args) -> int:
             )
             continue
         except (SamplingError, GeometryError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_USAGE
+            return _usage_error(e)
         if not line_in_q(line):  # re-checked on write
             raise RuntimeError("sampler returned a line outside Q")
         report_json = classify_line(line).to_json()
@@ -129,11 +128,11 @@ def cmd_sample(args) -> int:
         sys.stdout.write(payload)
     else:
         mode = "a" if args.append and os.path.exists(args.out) else "w"
-        with open(args.out, mode) as fh:
-            if mode == "a":
-                fh.write(body)
-            else:
-                fh.write(payload)
+        try:
+            with open(args.out, mode) as fh:
+                fh.write(body if mode == "a" else payload)
+        except OSError as e:
+            return _usage_error(e)
     if failures == args.count:
         return EXIT_BUDGET
     return EXIT_OK
@@ -175,19 +174,20 @@ def _z5_with_census():
 def cmd_verify(args) -> int:
     verifier = _VERIFIERS.get(args.theorem)
     if verifier is None:
-        print(
-            f"error: unknown theorem {args.theorem!r}; choose from "
-            + ", ".join(sorted(_VERIFIERS)),
-            file=sys.stderr,
+        return _usage_error(
+            f"unknown theorem {args.theorem!r}; choose from "
+            + ", ".join(sorted(_VERIFIERS))
         )
-        return EXIT_USAGE
     t0 = time.perf_counter()
     cert = verifier()
     cert.seconds = time.perf_counter() - t0
     text = json.dumps(cert.to_json(), sort_keys=True, indent=2)
     if args.out and args.out != "-":
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            return _usage_error(e)
     else:
         print(text)
     return EXIT_OK if cert.passed else EXIT_VERIFY_FAILED
@@ -218,13 +218,15 @@ def iter_store(path):
 
 
 def cmd_classify(args) -> int:
-    out = sys.stdout if args.out in (None, "-") else open(args.out, "w")
+    try:
+        out = sys.stdout if args.out in (None, "-") else open(args.out, "w")
+    except OSError as e:
+        return _usage_error(e)
     try:
         try:
             records = list(iter_store(getattr(args, "in")))
         except (OSError, ValueError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_USAGE
+            return _usage_error(e)
         for i, rec, _raw in records:
             if not isinstance(rec, dict):
                 out.write(_dumps({"slot": i, "error": "malformed-record"}) + "\n")
@@ -262,10 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("sample", help="sample lines into a store")
     ps.add_argument("--strategy", default="generic", choices=STRATEGIES)
-    ps.add_argument("--field", default=_default_field(), help="p<modulus> or q")
+    ps.add_argument("--field", default="p31", help="p<modulus> or q")
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--count", type=int, default=1,
-                    help=f"records to draw, at most {SEED_STRIDE}")
+                    help=f"records to draw, from 1 to {SEED_STRIDE}")
     ps.add_argument("--out", default="-", help="store file path, or - for stdout")
     ps.add_argument("--append", action="store_true", help="append to an existing store")
     ps.add_argument("--budget", type=int, default=10_000_000,

@@ -9,13 +9,12 @@ floating point anywhere.  A field is represented by a small context object
 * ``Q``    -- :class:`fractions.Fraction` (always reduced, positive
   denominator).
 
-Raw values plus a field context are what the geometry and sampling code use
-in hot loops.  :class:`FieldElement` wraps a raw value together with its
-field and overloads the arithmetic operators for convenient use in tests
-and user code; mixing elements of two different fields raises
-:class:`MixedFieldError`.
+Raw values plus a field context are all the package computes with; there
+is no boxed scalar type.  ``canonical`` accepts only exact scalars (``int``,
+``bool`` included, and ``Fraction``) and raises :class:`FieldError` for
+anything else, so a float or a string is never silently truncated.
 
-Field objects are stateless and hashable, and elements are immutable, so
+Field objects are stateless and hashable and raw values are immutable, so
 everything here is safe to share between concurrent tasks.
 """
 
@@ -32,10 +31,6 @@ MAX_PRIME = 2**63
 
 class FieldError(ArithmeticError):
     """Base class for exact-field arithmetic errors."""
-
-
-class MixedFieldError(FieldError):
-    """Two operands belong to different fields."""
 
 
 class FieldDivisionError(FieldError, ZeroDivisionError):
@@ -76,9 +71,6 @@ class Field:
     """
 
     kind: str
-
-    def element(self, value) -> "FieldElement":
-        return FieldElement(self, self.canonical(value))
 
     def canonical(self, value) -> Raw:
         raise NotImplementedError
@@ -158,11 +150,9 @@ class PrimeField(Field):
             if value.denominator == 1:
                 return value.numerator % self.p
             return self.div(value.numerator % self.p, value.denominator % self.p)
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise MixedFieldError(f"{value.field} value in {self}")
-            return value.value
-        return int(value) % self.p
+        if isinstance(value, int):  # bool and other int subclasses
+            return value % self.p
+        raise FieldError(f"{self} scalar must be an int or a Fraction, not {value!r}")
 
     def zero(self) -> int:
         return 0
@@ -219,11 +209,9 @@ class RationalField(Field):
     __slots__ = ()
 
     def canonical(self, value) -> Fraction:
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise MixedFieldError(f"{value.field} value in {self}")
-            return value.value
-        return Fraction(value)
+        if isinstance(value, (int, Fraction)):
+            return Fraction(value)
+        raise FieldError(f"{self} scalar must be an int or a Fraction, not {value!r}")
 
     def zero(self) -> Fraction:
         return Fraction(0)
@@ -310,93 +298,6 @@ def field_from_spec(spec) -> Field:
     if text.isdecimal():
         return PrimeField(int(text))
     raise FieldError(f"cannot parse field {spec!r}")
-
-
-class FieldElement:
-    """A raw scalar boxed together with its field; immutable.
-
-    Supports ``+ - * / ==`` against elements of the same field and plain
-    integers.
-    """
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value: Raw):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, *_):
-        raise AttributeError("FieldElement is immutable")
-
-    def _coerce(self, other) -> Raw:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise MixedFieldError(f"mixing {self.field} and {other.field}")
-            return other.value
-        if isinstance(other, int):
-            return self.field.canonical(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.value, b))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.value, b))
-
-    def __rsub__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(b, self.value))
-
-    def __mul__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.value, b))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.value, b))
-
-    def __rtruediv__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(b, self.value))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def is_zero(self) -> bool:
-        return self.field.is_zero(self.value)
-
-    def __eq__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return self.value == b
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __repr__(self):
-        return f"{self.field}({self.field.format_scalar(self.value)})"
 
 
 def vector(field: Field, values: Iterable) -> tuple:

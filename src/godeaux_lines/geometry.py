@@ -128,26 +128,19 @@ def quadrics(field: Field) -> list:
     return out
 
 
-def _entry_is_zero(x) -> bool:
-    try:
-        return x.is_zero()
-    except AttributeError:
-        return x == 0
-
-
 def pfaffian4(M):
     """Pfaffian m01*m23 - m02*m13 + m03*m12 of a 4x4 skew matrix.
 
-    Entries may be polynomials or boxed field elements; skew symmetry is
-    checked exactly.
+    Entries are :class:`Poly` objects (constant ones for a numeric matrix);
+    skew symmetry is checked exactly.
     """
     if len(M) != 4 or any(len(row) != 4 for row in M):
         raise GeometryError("pfaffian4 needs a 4x4 matrix")
     for i in range(4):
-        if not _entry_is_zero(M[i][i]):
+        if not M[i][i].is_zero():
             raise GeometryError("nonzero diagonal in skew matrix")
         for j in range(i + 1, 4):
-            if not _entry_is_zero(M[i][j] + M[j][i]):
+            if not (M[i][j] + M[j][i]).is_zero():
                 raise GeometryError("matrix is not skew-symmetric")
     return M[0][1] * M[2][3] - M[0][2] * M[1][3] + M[0][3] * M[1][2]
 

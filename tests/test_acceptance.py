@@ -30,6 +30,7 @@ from godeaux_lines.geometry import (
     quadrics,
 )
 from godeaux_lines.pencil import degeneration_profile
+from godeaux_lines.polynomials import Poly, VarTable
 from godeaux_lines.sampling import sample_line
 from godeaux_lines.strata import (
     TORSION_SPACES,
@@ -47,10 +48,11 @@ def report(number, ok, detail):
 
 
 def random_skew(field, rng):
-    z = field.element(0)
-    M = [[z] * 4 for _ in range(4)]
+    """A seeded 4x4 skew matrix of constant polynomials."""
+    constant = lambda c: Poly.constant(VarTable(()), field, c)
+    M = [[constant(0)] * 4 for _ in range(4)]
     for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
-        M[i][j] = field.element(field.random(rng))
+        M[i][j] = constant(field.random(rng))
         M[j][i] = -M[i][j]
     return M
 

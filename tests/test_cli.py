@@ -109,6 +109,48 @@ def test_sample_count_past_seed_stride_is_usage_error(tmp_path, monkeypatch, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_sample_count_below_one_is_usage_error(tmp_path, monkeypatch, capsys, count):
+    # nothing to draw is a usage error, not "budget exhausted" or an empty store
+    import godeaux_lines.cli as cli
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("sampled despite the usage error")
+
+    monkeypatch.setattr(cli, "sample_line", no_draws)
+    out = tmp_path / "never.jsonl"
+    code = main(["sample", "--field", "p31", "--count", str(count), "--out", str(out)])
+    assert code == 2
+    assert "--count" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _assert_clean_out_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_sample_unopenable_out_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "store.jsonl"
+    code = main(["sample", "--field", "p31", "--seed", "1", "--out", str(out)])
+    _assert_clean_out_error(code, capsys)
+
+
+def test_verify_unopenable_out_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "cert.json"
+    code = main(["verify", "z3-param", "--out", str(out)])
+    _assert_clean_out_error(code, capsys)
+
+
+def test_classify_unopenable_out_is_usage_error(tmp_path, capsys):
+    store = tmp_path / "store.jsonl"
+    assert main(["sample", "--field", "p31", "--seed", "1", "--out", str(store)]) == 0
+    out = tmp_path / "missing" / "reports.jsonl"
+    code = main(["classify", "--in", str(store), "--out", str(out)])
+    _assert_clean_out_error(code, capsys)
+
+
 def test_classify_round_trip(tmp_path):
     store = tmp_path / "store.jsonl"
     main(["sample", "--strategy", "generic", "--field", "p31", "--seed", "5",
@@ -294,15 +336,16 @@ def test_usage_error_exit_2():
     assert proc.returncode == 2
 
 
-def test_env_var_default_field():
-    proc = run_cli(
-        "sample", "--strategy", "generic", "--seed", "4", "--count", "1",
-        "--out", "-", env={"GODEAUX_FIELD": "p101"},
-    )
-    assert proc.returncode == 0
-    body = proc.stdout.splitlines()
-    rec = json.loads(body[1])
-    assert rec["line"]["field"] == {"kind": "prime", "p": 101}
+def test_environment_does_not_change_the_field():
+    # a variable inherited from the shell must not change the bytes of a
+    # seeded store
+    args = ("sample", "--strategy", "generic", "--seed", "4", "--count", "1", "--out", "-")
+    plain = run_cli(*args, env={"GODEAUX_FIELD": ""})
+    with_var = run_cli(*args, env={"GODEAUX_FIELD": "p101"})
+    assert plain.returncode == with_var.returncode == 0
+    assert with_var.stdout == plain.stdout
+    rec = json.loads(with_var.stdout.splitlines()[1])
+    assert rec["line"]["field"] == {"kind": "prime", "p": 31}
 
 
 def test_console_script_help():

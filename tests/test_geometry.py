@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import coords_from
-from godeaux_lines.fields import PrimeField, QQ
+from godeaux_lines.fields import FieldError, PrimeField, QQ
 from godeaux_lines.geometry import (
     GeometryError,
     LineA,
@@ -21,14 +21,18 @@ from godeaux_lines.geometry import (
     quadrics,
     tangent_space,
 )
+from godeaux_lines.polynomials import Poly, VarTable
+
+
+def constant(field, c):
+    return Poly.constant(VarTable(()), field, c)
 
 
 def random_skew(field, rng):
-    z = field.element(0)
-    M = [[z] * 4 for _ in range(4)]
+    M = [[constant(field, 0)] * 4 for _ in range(4)]
     slots = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     for i, j in slots:
-        M[i][j] = field.element(field.random(rng))
+        M[i][j] = constant(field, field.random(rng))
         M[j][i] = -M[i][j]
     return M
 
@@ -39,7 +43,7 @@ def random_skew(field, rng):
 
 def test_pfaffian_unit():
     F = PrimeField(31)
-    z, one = F.element(0), F.element(1)
+    z, one = constant(F, 0), constant(F, 1)
     M = [[z] * 4 for _ in range(4)]
     M[0][1], M[1][0] = one, -one
     M[2][3], M[3][2] = one, -one
@@ -60,7 +64,7 @@ def test_pfaffian_squares_to_determinant(field_name):
 
 def test_pfaffian_rejects_non_skew():
     F = PrimeField(31)
-    M = [[F.element(1)] * 4 for _ in range(4)]
+    M = [[constant(F, 1)] * 4 for _ in range(4)]
     with pytest.raises(GeometryError):
         pfaffian4(M)
 
@@ -193,6 +197,13 @@ def test_stiefel_rank_enforced(f31):
     row = coords_from(f31, a23=1, a10=2)
     with pytest.raises(GeometryError):
         LineA(f31, row, [f31.mul(5, c) for c in row])
+
+
+def test_line_rejects_float_rows(f31):
+    # a float entry is refused, never truncated to an int
+    row1 = coords_from(f31, a10=1)
+    with pytest.raises(FieldError):
+        LineA(f31, [1.9] + [0] * 11, row1)
 
 
 def test_line_json_round_trip(generic_line):
