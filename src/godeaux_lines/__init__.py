@@ -49,13 +49,12 @@ from .geometry import (
 )
 from .pencil import (
     BinaryForm,
-    PencilMatrix,
     binary_gcd,
     binary_roots,
     degeneration_profile,
     graded_kernel_basis,
 )
-from .polynomials import Poly, PolyMatrix, VarTable, bounded_degree_kernel, jacobian
+from .polynomials import Poly, PolyMatrix, VarTable, bounded_degree_kernel
 from .sampling import BudgetExhausted, sample_line
 from .strata import (
     FiberReport,
@@ -85,7 +84,6 @@ __all__ = [
     "Field",
     "LineA",
     "ORDER",
-    "PencilMatrix",
     "Poly",
     "PolyMatrix",
     "PointA",
@@ -107,7 +105,6 @@ __all__ = [
     "hyp_components",
     "hyp_point",
     "hyperelliptic_points",
-    "jacobian",
     "line_in_q",
     "line_through",
     "pfaffian4",

@@ -33,9 +33,6 @@ class Certificate:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> list:
-        return [c for c in self.checks if not c.passed]
-
     def to_json(self) -> dict:
         out = {
             "certificate": self.name,

@@ -11,8 +11,10 @@ A line store is JSON-lines: a header ``{"format": 1}`` followed by one
 record per line, each ``{"line": {...}, "report": {...}}`` dumped with
 sorted keys and no whitespace, so identical seeded runs are byte-identical
 and stores can be diffed and archived.  Exit codes: 0 success,
-1 verification failure, 2 usage error (including a ``--count`` below 1 and
-an ``--out`` that cannot be opened), 3 search budget exhausted.
+1 verification failure, 2 usage error (including a ``--count`` below 1,
+an ``--out`` that cannot be opened and a ``classify --out`` that is its
+``--in``), 3 search budget exhausted.  ``--out`` is opened before any work
+and replaced only on success (``sample --append`` appends directly).
 
 The field comes from ``--field`` (e.g. ``p31`` or ``q``) and defaults to
 F_31; no environment variable changes it.
@@ -25,6 +27,7 @@ import json
 import os
 import sys
 import time
+from contextlib import closing
 
 from .families import verify_hyp_param, verify_para_v2, verify_z3_kernel, verify_z3_line, verify_z5_family, z5_component_counts
 from .fields import FieldError, field_from_spec
@@ -54,6 +57,37 @@ def _dumps(obj) -> str:
 def _usage_error(message) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def _write_output(path, work, append=False) -> int:
+    """Run ``work(fh)`` on the opened destination; return its exit code.
+
+    ``-`` or None is stdout, and ``append`` appends to ``path`` directly.
+    Otherwise ``work`` writes a temp file beside ``path``, which replaces
+    ``path`` only if ``work`` returns without a usage error; so a failed
+    run leaves an existing ``path`` as it was.  The destination is opened
+    before any work: one that cannot be opened costs nothing.
+    """
+    if path in (None, "-"):
+        return work(sys.stdout)
+    if os.path.isdir(path):
+        return _usage_error(f"--out {path} is a directory")
+    head, name = os.path.split(path)
+    tmp = None if append else os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        fh = open(path, "a") if append else open(tmp, "w")
+    except OSError as e:
+        return _usage_error(e)
+    try:
+        with fh:
+            code = work(fh)
+        if tmp and code != EXIT_USAGE:
+            os.replace(tmp, path)
+            tmp = None
+    finally:
+        if tmp:
+            os.remove(tmp)
+    return code
 
 
 # ----------------------------------------------------------------------
@@ -93,49 +127,47 @@ def cmd_sample(args) -> int:
     except StrataError as e:
         return _usage_error(e)
 
-    lines_out = []
-    failures = 0
-    for i in range(args.count):
-        record_seed = _record_seed(args.seed, i)
-        try:
-            line = sample_line(
-                args.strategy, field, record_seed, budget=args.budget, **kwargs
-            )
-        except BudgetExhausted as e:
-            failures += 1
-            lines_out.append(
-                {
-                    "error": "budget-exhausted",
-                    "slot": i,
-                    "strategy": args.strategy,
-                    "seed": record_seed,
-                    "trials": e.trials,
-                }
-            )
-            continue
-        except (SamplingError, GeometryError) as e:
-            return _usage_error(e)
-        if not line_in_q(line):  # re-checked on write
-            raise RuntimeError("sampler returned a line outside Q")
-        report_json = classify_line(line).to_json()
-        report_json.pop("line", None)  # the record carries the line once
-        lines_out.append({"line": line.to_json(), "report": report_json})
+    # appending to an existing store adds records only, not a second header
+    append = args.append and args.out != "-" and os.path.exists(args.out)
 
-    header = _dumps({"format": STORE_FORMAT})
-    body = "".join(_dumps(rec) + "\n" for rec in lines_out)
-    payload = header + "\n" + body
-    if args.out == "-":
-        sys.stdout.write(payload)
-    else:
-        mode = "a" if args.append and os.path.exists(args.out) else "w"
-        try:
-            with open(args.out, mode) as fh:
-                fh.write(body if mode == "a" else payload)
-        except OSError as e:
-            return _usage_error(e)
-    if failures == args.count:
-        return EXIT_BUDGET
-    return EXIT_OK
+    def draw(out) -> int:
+        # every record first: nothing is written if one is a usage error
+        lines_out = []
+        failures = 0
+        for i in range(args.count):
+            record_seed = _record_seed(args.seed, i)
+            try:
+                line = sample_line(
+                    args.strategy, field, record_seed, budget=args.budget, **kwargs
+                )
+            except BudgetExhausted as e:
+                failures += 1
+                lines_out.append(
+                    {
+                        "error": "budget-exhausted",
+                        "slot": i,
+                        "strategy": args.strategy,
+                        "seed": record_seed,
+                        "trials": e.trials,
+                    }
+                )
+                continue
+            except (SamplingError, GeometryError) as e:
+                return _usage_error(e)
+            if not line_in_q(line):  # re-checked on write
+                raise RuntimeError("sampler returned a line outside Q")
+            report_json = classify_line(line).to_json()
+            report_json.pop("line", None)  # the record carries the line once
+            lines_out.append({"line": line.to_json(), "report": report_json})
+
+        if not append:
+            out.write(_dumps({"format": STORE_FORMAT}) + "\n")
+        out.write("".join(_dumps(rec) + "\n" for rec in lines_out))
+        if failures == args.count:
+            return EXIT_BUDGET
+        return EXIT_OK
+
+    return _write_output(args.out, draw, append)
 
 
 # ----------------------------------------------------------------------
@@ -178,19 +210,15 @@ def cmd_verify(args) -> int:
             f"unknown theorem {args.theorem!r}; choose from "
             + ", ".join(sorted(_VERIFIERS))
         )
-    t0 = time.perf_counter()
-    cert = verifier()
-    cert.seconds = time.perf_counter() - t0
-    text = json.dumps(cert.to_json(), sort_keys=True, indent=2)
-    if args.out and args.out != "-":
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as e:
-            return _usage_error(e)
-    else:
-        print(text)
-    return EXIT_OK if cert.passed else EXIT_VERIFY_FAILED
+
+    def run(out) -> int:
+        t0 = time.perf_counter()
+        cert = verifier()
+        cert.seconds = time.perf_counter() - t0
+        out.write(json.dumps(cert.to_json(), sort_keys=True, indent=2) + "\n")
+        return EXIT_OK if cert.passed else EXIT_VERIFY_FAILED
+
+    return _write_output(args.out, run)
 
 
 # ----------------------------------------------------------------------
@@ -218,16 +246,24 @@ def iter_store(path):
 
 
 def cmd_classify(args) -> int:
-    try:
-        out = sys.stdout if args.out in (None, "-") else open(args.out, "w")
-    except OSError as e:
-        return _usage_error(e)
-    try:
-        try:
-            records = list(iter_store(getattr(args, "in")))
-        except (OSError, ValueError) as e:
-            return _usage_error(e)
-        for i, rec, _raw in records:
+    path = getattr(args, "in")
+    if args.out not in (None, "-") and os.path.exists(args.out) and os.path.exists(path):
+        if os.path.samefile(path, args.out):
+            return _usage_error(f"--out {args.out} is the store --in reads")
+    return _write_output(args.out, lambda out: _classify_store(path, out))
+
+
+def _classify_store(path, out) -> int:
+    """One report line per record of the store, written as it is read."""
+    with closing(iter_store(path)) as records:
+        while True:
+            try:
+                item = next(records, None)
+            except (OSError, ValueError) as e:  # an unreadable store or header
+                return _usage_error(e)
+            if item is None:
+                return EXIT_OK
+            i, rec, _raw = item
             if not isinstance(rec, dict):
                 out.write(_dumps({"slot": i, "error": "malformed-record"}) + "\n")
                 continue
@@ -245,10 +281,6 @@ def cmd_classify(args) -> int:
             payload = report.to_json()
             payload["slot"] = i
             out.write(_dumps(payload) + "\n")
-        return EXIT_OK
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 # ----------------------------------------------------------------------

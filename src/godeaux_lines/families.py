@@ -30,7 +30,7 @@ from .certificates import Certificate
 from .fields import Field, PrimeField, QQ
 from .geometry import AIDX, LineA, PointA, QUADRIC_TERMS, line_in_q, quadrics
 from .linalg import in_span, rank
-from .polynomials import Poly, PolyMatrix, VarTable, bounded_degree_kernel, jacobian
+from .polynomials import Poly, PolyMatrix, VarTable, bounded_degree_kernel, monomials_up_to
 from .strata import TORSION_SPACES, TorsionSpace, rank_a
 
 
@@ -166,6 +166,36 @@ def hyp_evaluate(params: Sequence, reduce) -> Optional[tuple]:
     return tuple(coords) if any(coords) else None
 
 
+def _hyp_jacobian(field: Field, params: Sequence) -> list:
+    """The 12x10 Jacobian of the parametrization at canonical ``params``,
+    by the product rule over the atoms of ``HYP_FACTORED``; an atom's
+    partial derivatives are constants or single parameters."""
+    reduce = field.canonical
+    w0, w1, x0, x1 = params[2:6]
+    atoms = (*params, reduce(x1 * w1 - x0 * w0), reduce(x1 + x0), reduce(w1 + w0))
+    # per atom, {parameter index: partial of the atom by that parameter}
+    partials = [{j: 1} for j in range(10)] + [
+        {2: -x0, 3: x1, 4: -w0, 5: w1},  # D = x1*w1 - x0*w0
+        {4: 1, 5: 1},  # X = x1 + x0
+        {2: 1, 3: 1},  # W = w1 + w0
+    ]
+    rows = []
+    for sign, exps in HYP_FACTORED:
+        row = [0] * 10
+        for i, e in enumerate(exps):
+            if not e:
+                continue
+            # the component's derivative by atom i: e * atom_i^(e - 1) * the rest
+            acc = sign * e
+            for k, ek in enumerate(exps):
+                if ek:
+                    acc *= atoms[k] ** (ek - (k == i))
+            for j, da in partials[i].items():
+                row[j] += acc * da
+        rows.append([reduce(c) for c in row])
+    return rows
+
+
 def hyp_point(field: Field, params: Sequence) -> PointA:
     """The parametrized point of the hyperelliptic locus at 10 parameters.
 
@@ -186,14 +216,9 @@ def hyp_point(field: Field, params: Sequence) -> PointA:
 def _vanishing_atoms(field: Field, params):
     p = [field.canonical(x) for x in params]
     v0, v1, w0, w1, x0, x1, y0, y1, z0, z1 = p
-    values = {
-        "v0": v0, "v1": v1, "w0": w0, "w1": w1, "x0": x0, "x1": x1,
-        "y0": y0, "y1": y1, "z0": z0, "z1": z1,
-        "x1*w1-x0*w0": field.sub(field.mul(x1, w1), field.mul(x0, w0)),
-        "x1+x0": field.add(x1, x0),
-        "w1+w0": field.add(w1, w0),
-    }
-    return [name for name, val in values.items() if field.is_zero(val)]
+    values = (*p, x1 * w1 - x0 * w0, x1 + x0, w1 + w0)
+    names = HYP_PARAM_NAMES + ("x1*w1-x0*w0", "x1+x0", "w1+w0")
+    return [name for name, val in zip(names, values) if field.is_zero(val)]
 
 
 def verify_hyp_param(
@@ -235,7 +260,6 @@ def verify_hyp_param(
         f"common multidegree {deg}",
     )
 
-    jac = jacobian([c.map_field(numeric_field) for c in comps])
     rng = random.Random(seed)
     rank_ok, rank_a_ok = True, True
     done = 0
@@ -245,7 +269,7 @@ def verify_hyp_param(
         if coords is None:
             continue
         done += 1
-        jr = rank(numeric_field, jac.eval(params))
+        jr = rank(numeric_field, _hyp_jacobian(numeric_field, params))
         if jr != 6:
             rank_ok = False
             cert.data.setdefault("jacobian_failures", []).append(
@@ -679,14 +703,8 @@ def verify_para_v2(perturb: bool = False) -> Certificate:
                 out[slot * len(monos) + mono_index[e]] = c
         return tuple(out)
 
-    w_monos = []
-    for a in range(3):
-        for b in range(3 - a):
-            if a + b <= 2:
-                e = [0] * 6
-                e[vt.index("w0")] = a
-                e[vt.index("w1")] = b
-                w_monos.append(Poly.monomial(vt, QQ, e))
+    # n1 times every monomial of degree <= 2 in (w0, w1)
+    w_monos = [Poly.monomial(vt, QQ, e) for e in monomials_up_to(vt, (2, 0, 0))]
     old_span = [flat([m * p for p in n1]) for m in w_monos]
     n2 = None
     for vec in big:

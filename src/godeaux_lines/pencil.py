@@ -16,9 +16,10 @@ root, (0,) when they share one (the point where the block's rank drops),
 and (0, 0, 0) when all three vanish identically.  A generic line gives
 (1,) for every block.
 
-:func:`graded_kernel_basis` solves for the graded kernel generators of any
-:class:`PencilMatrix`, degree by degree; the package itself does not call
-it, and the tests use it as the oracle for the closed form.
+:func:`graded_kernel_basis` finds the graded kernel generators of any
+matrix of binary forms, given as a :class:`~godeaux_lines.polynomials.PolyMatrix`
+over (s, t), from one bounded-degree kernel solve; the package itself does
+not call it, and the tests use it as the oracle for the closed form.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from typing import Sequence
 
 from .fields import Field, PrimeField, RationalField
 from .geometry import GeometryError, LineA, ROW_TRIPLES, line_in_q
-from .linalg import nullspace, rank
-from .polynomials import _format_terms
+from .linalg import rank
+from .polynomials import Poly, PolyMatrix, PolynomialError, _format_terms, bounded_degree_kernel
 
 
 class BinaryForm:
@@ -86,9 +87,6 @@ class BinaryForm:
         F = self.field
         return BinaryForm(F, self.degree, tuple(F.neg(c) for c in self.coeffs))
 
-    def __sub__(self, other: "BinaryForm") -> "BinaryForm":
-        return self + (-other)
-
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
         F = self.field
         d = self.degree + other.degree
@@ -100,19 +98,6 @@ class BinaryForm:
                 if not F.is_zero(b):
                     out[i + j] = F.add(out[i + j], F.mul(a, b))
         return BinaryForm(F, d, out)
-
-    def scale(self, c) -> "BinaryForm":
-        F = self.field
-        c = F.canonical(c)
-        return BinaryForm(F, self.degree, tuple(F.mul(c, x) for x in self.coeffs))
-
-    def monic(self) -> "BinaryForm":
-        """Rescale so the first nonzero coefficient is 1 (zero form unchanged)."""
-        F = self.field
-        for c in self.coeffs:
-            if not F.is_zero(c):
-                return self.scale(F.inv(c))
-        return self
 
     def __eq__(self, other):
         return (
@@ -400,115 +385,59 @@ def _gcd(F: Field, a, b):
 
 
 # ----------------------------------------------------------------------
-# matrices of binary forms
-
-
-class PencilMatrix:
-    """A matrix of binary forms sharing one degree (degree-homogeneous)."""
-
-    __slots__ = ("field", "degree", "entries", "nrows", "ncols")
-
-    def __init__(self, field: Field, degree: int, entries):
-        self.field = field
-        self.degree = degree
-        self.entries = [list(row) for row in entries]
-        self.nrows = len(self.entries)
-        self.ncols = len(self.entries[0]) if self.entries else 0
-        for row in self.entries:
-            for f in row:
-                if f.field != field or f.degree != degree:
-                    raise ValueError("entries must share field and degree")
-
-    def eval(self, s, t):
-        return [[f.eval(s, t) for f in row] for row in self.entries]
-
-    def apply(self, vec: Sequence[BinaryForm]):
-        out = []
-        for row in self.entries:
-            acc = None
-            for f, v in zip(row, vec):
-                term = f * v
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return out
-
-    def __repr__(self):
-        return f"PencilMatrix({self.nrows}x{self.ncols}, degree {self.degree})"
-
-
-# ----------------------------------------------------------------------
 # graded kernel bases
 
 
-def _degree_kernel(M: PencilMatrix, d: int):
-    """Nullspace vectors with entries of homogeneous degree d, as flat tuples."""
-    F = M.field
-    ncols = M.ncols * (d + 1)
-    rows = []
-    for r in range(M.nrows):
-        for k in range(d + M.degree + 1):
-            row = [F.zero()] * ncols
-            nontrivial = False
-            for j in range(M.ncols):
-                f = M.entries[r][j]
-                for a, c in enumerate(f.coeffs):
-                    b = k - a
-                    if 0 <= b <= d and not F.is_zero(c):
-                        row[j * (d + 1) + b] = F.add(row[j * (d + 1) + b], c)
-                        nontrivial = True
-            if nontrivial:
-                rows.append(row)
-    if not rows:
-        return [tuple(F.one() if i == j else F.zero() for i in range(ncols)) for j in range(ncols)]
-    return nullspace(F, rows, ncols)
-
-
-def _shift(vec, d_from: int, d_to: int, ncols: int, field: Field):
-    """All monomial multiples of a degree-d_from vector inside degree d_to."""
-    k = d_to - d_from
-    out = []
-    for j in range(k + 1):
-        flat = [field.zero()] * (ncols * (d_to + 1))
-        for slot in range(ncols):
-            for a in range(d_from + 1):
-                c = vec[slot * (d_from + 1) + a]
-                flat[slot * (d_to + 1) + a + j] = c
-        out.append(tuple(flat))
-    return out
-
-
-def graded_kernel_basis(M: PencilMatrix, max_degree: int = 4):
+def graded_kernel_basis(M: PolyMatrix, max_degree: int = 4):
     """Minimal generators (degree by degree) of the graded kernel of M.
 
-    At each degree d the new generators are exact nullspace solutions that
-    are independent of all (s, t)-multiples of lower-degree generators.
-    Returns a list of (degree, vector-of-BinaryForm); every generator
-    satisfies M v = 0 identically.
+    M is a :class:`PolyMatrix` over the variables (s, t) whose entries are
+    forms of one degree.  One field basis of the kernel vectors of degree
+    at most ``max_degree`` comes from
+    :func:`~godeaux_lines.polynomials.bounded_degree_kernel`; since M is
+    homogeneous, the degree-d parts of those vectors span its degree-d
+    kernel.  A degree-d part is kept as a generator when it is independent
+    of the generators kept so far, including all (s, t)-multiples of the
+    lower-degree ones.  Returns a list of (degree, tuple of Poly); every
+    generator satisfies M v = 0 identically.
     """
+    if M.vars.nvars != 2:
+        raise PolynomialError("graded kernels need a matrix of binary forms")
+    if len({sum(e) for row in M.entries for p in row for e in p.terms}) > 1:
+        raise PolynomialError("entries must be forms of one degree")
     F = M.field
+    parts = [[] for _ in range(max_degree + 1)]  # per degree, the nonzero parts
+    for vec in bounded_degree_kernel(M, max_degree):
+        split = [[{} for _ in vec] for _ in parts]
+        for slot, p in enumerate(vec):
+            for e, c in p.terms.items():
+                split[sum(e)][slot][e] = c
+        for d, terms in enumerate(split):
+            if any(terms):
+                parts[d].append(tuple(Poly(M.vars, F, t) for t in terms))
     gens = []
-    for d in range(max_degree + 1):
-        null = _degree_kernel(M, d)
-        if not null:
-            continue
-        old = []
-        for dg, flat in gens:
-            old.extend(_shift(flat, dg, d, M.ncols, F))
-        base = [list(v) for v in old]
-        r0 = rank(F, base) if base else 0
-        for vec in null:
-            cand = base + [list(vec)]
+    for d, candidates in enumerate(parts):
+        base = [_flat(F, vec, d, j) for dg, vec in gens for j in range(d - dg + 1)]
+        r0 = rank(F, base)
+        if r0 == len(candidates):
+            continue  # the multiples already span the degree-d kernel
+        for vec in candidates:
+            cand = base + [_flat(F, vec, d)]
             r1 = rank(F, cand)
             if r1 > r0:
-                gens.append((d, tuple(vec)))
-                base = cand
-                r0 = r1
-    out = []
-    for d, flat in gens:
-        forms = []
-        for slot in range(M.ncols):
-            forms.append(BinaryForm(F, d, flat[slot * (d + 1): (slot + 1) * (d + 1)]))
-        out.append((d, tuple(forms)))
+                gens.append((d, vec))
+                base, r0 = cand, r1
+    return gens
+
+
+def _flat(F: Field, vec, d: int, shift: int = 0) -> list:
+    """The coefficients of t^shift * s^k * vec, read as forms of degree d
+    (k fills the degree up): the coefficient of s^(d - i) t^i of entry
+    ``slot`` goes to position slot * (d + 1) + i."""
+    out = [F.zero()] * (len(vec) * (d + 1))
+    for slot, p in enumerate(vec):
+        for (_, b), c in p.terms.items():
+            out[slot * (d + 1) + b + shift] = c
     return out
 
 

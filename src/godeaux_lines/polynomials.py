@@ -3,9 +3,9 @@
 Polynomials are immutable: a :class:`VarTable` (ordered variable names plus
 an optional multigrading), a field, and a term dict mapping exponent tuples
 to nonzero raw coefficients.  Supported operations: ring arithmetic, exact
-evaluation, substitution/composition (fully expanded), partial derivatives,
-multihomogeneity checks against the grading, and a bounded-degree right
-kernel for matrices of polynomials.
+evaluation, substitution/composition (fully expanded), multihomogeneity
+checks against the grading, and a bounded-degree right kernel for matrices
+of polynomials.
 
 Term output order is graded lexicographic on the variable order, so the
 text form of a polynomial is deterministic and usable in certificates.
@@ -13,6 +13,7 @@ text form of a polynomial is deterministic and usable in certificates.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Optional, Sequence
 
 from .fields import Field, FieldError
@@ -234,7 +235,10 @@ class Poly:
         if not isinstance(other, Poly):
             if self.total_degree() > 0:
                 return False
-            c = self.field.canonical(other)
+            try:
+                c = self.field.canonical(other)
+            except FieldError:  # not a scalar of this field
+                return False
             return self.terms.get((0,) * self.vars.nvars, self.field.zero()) == c
         return (
             other.vars == self.vars
@@ -246,23 +250,20 @@ class Poly:
         return hash((self.vars, self.field, frozenset(self.terms.items())))
 
     # ------------------------------------------------------------------
-    # evaluation / substitution / calculus
+    # evaluation / substitution
 
     def __call__(self, point: Sequence):
         return self.eval(point)
 
     def eval(self, point: Sequence):
         """Exact evaluation at a sequence of raw scalars (one per variable)."""
-        return self._eval_canonical([self.field.canonical(x) for x in point])
-
-    def _eval_canonical(self, point: Sequence):
-        """``eval`` at a point whose coordinates are already canonical."""
+        F = self.field
+        point = [F.canonical(x) for x in point]
         if len(point) != self.vars.nvars:
             raise PolynomialError(
                 f"expected {self.vars.nvars} coordinates, got {len(point)}"
             )
         # raw ints or Fractions: exact native * and + per term, one reduction
-        F = self.field
         acc = 0
         powers: dict = {}
         for e, c in self.terms.items():
@@ -304,22 +305,6 @@ class Poly:
             out = out + term
         return out
 
-    def diff(self, name: str) -> "Poly":
-        """Partial derivative with respect to one variable."""
-        i = self.vars.index(name)
-        F = self.field
-        out: dict = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            k = e[i]
-            ee = list(e)
-            ee[i] = k - 1
-            coeff = F.mul(c, F.canonical(k))
-            if not F.is_zero(coeff):
-                out[tuple(ee)] = coeff
-        return Poly(self.vars, F, out)
-
     def map_field(self, field: Field) -> "Poly":
         """Reinterpret the coefficients in another field (e.g. Q -> F_p)."""
         return Poly(self.vars, field, {e: field.canonical(c) for e, c in self.terms.items()})
@@ -357,15 +342,6 @@ class Poly:
         return f"Poly({self})"
 
 
-def jacobian(fs: Sequence[Poly]) -> "PolyMatrix":
-    """Matrix of partial derivatives d f_i / d x_j over a shared VarTable."""
-    if not fs:
-        raise PolynomialError("empty polynomial sequence")
-    vt, field = fs[0].vars, fs[0].field
-    rows = [[f.diff(name) for name in vt.names] for f in fs]
-    return PolyMatrix(vt, field, rows)
-
-
 class PolyMatrix:
     """A rectangular matrix of polynomials over one VarTable and field."""
 
@@ -384,10 +360,6 @@ class PolyMatrix:
                 if p.vars != vars or p.field != field:
                     raise PolynomialError("entries must share VarTable and field")
 
-    def eval(self, point):
-        point = [self.field.canonical(x) for x in point]  # once, not per entry
-        return [[p._eval_canonical(point) for p in row] for row in self.entries]
-
     def apply(self, vec: Sequence[Poly]) -> list:
         """Matrix times a vector of polynomials."""
         if len(vec) != self.ncols:
@@ -404,30 +376,6 @@ class PolyMatrix:
         return f"PolyMatrix({self.nrows}x{self.ncols} over {self.vars.names})"
 
 
-def _monomials_graded(grading, bound: tuple):
-    """Exponent tuples whose degree under ``grading`` (one vector per
-    variable) is <= bound componentwise."""
-
-    def rec(i, remaining):
-        if i == len(grading):
-            yield ()
-            return
-        g = grading[i]
-        k = 0
-        while True:
-            used = tuple(k * gi for gi in g)
-            if any(u > r for u, r in zip(used, remaining)):
-                break
-            rest_remaining = tuple(r - u for r, u in zip(remaining, used))
-            for rest in rec(i + 1, rest_remaining):
-                yield (k,) + rest
-            if all(gi == 0 for gi in g):
-                break
-            k += 1
-
-    yield from rec(0, bound)
-
-
 def monomials_up_to(vt: VarTable, bound):
     """All exponent tuples with (multi)degree <= bound.
 
@@ -435,11 +383,18 @@ def monomials_up_to(vt: VarTable, bound):
     tuple compared componentwise under the grading.
     """
     if isinstance(bound, int):
-        # total degree: every variable has degree (1,)
-        return sorted(_monomials_graded(((1,),) * vt.nvars, (bound,)), key=_grlex_key)
-    if vt.grading is None:
+        grading, bound = ((1,),) * vt.nvars, (bound,)  # every variable of degree 1
+    elif vt.grading is None:
         raise PolynomialError("multidegree bound needs a graded VarTable")
-    return sorted(_monomials_graded(vt.grading, tuple(bound)), key=_grlex_key)
+    else:
+        grading, bound = vt.grading, tuple(bound)
+    # the bound caps each exponent alone; the degree of the sum is checked after
+    caps = [min((b // g for g, b in zip(gv, bound) if g > 0), default=0) for gv in grading]
+    monos = [
+        e for e in product(*(range(c + 1) for c in caps))
+        if all(sum(k * gv[i] for k, gv in zip(e, grading)) <= b for i, b in enumerate(bound))
+    ]
+    return sorted(monos, key=_grlex_key)
 
 
 def bounded_degree_kernel(M: PolyMatrix, bound):
@@ -452,38 +407,29 @@ def bounded_degree_kernel(M: PolyMatrix, bound):
     """
     vt, F = M.vars, M.field
     monos = monomials_up_to(vt, bound)
-    mono_index = {m: i for i, m in enumerate(monos)}
     nmono = len(monos)
     ncols = M.ncols * nmono
-
-    def unknown(slot, mono):
-        return slot * nmono + mono_index[mono]
-
     equations: dict = {}
     for r in range(M.nrows):
         for slot in range(M.ncols):
             p = M.entries[r][slot]
             for e_c, coeff in p.terms.items():
-                for m in monos:
+                for i, m in enumerate(monos):
                     prod = tuple(a + b for a, b in zip(e_c, m))
                     key = (r, prod)
                     row = equations.setdefault(key, {})
-                    col = unknown(slot, m)
+                    col = slot * nmono + i  # the unknown: coefficient of m in slot
                     s = F.add(row.get(col, F.zero()), coeff)
                     if F.is_zero(s):
                         row.pop(col, None)
                     else:
                         row[col] = s
     basis = sparse_nullspace(F, [r for r in equations.values() if r], ncols)
-    out = []
-    for vec in basis:
-        polys = []
-        for slot in range(M.ncols):
-            terms = {}
-            for i, m in enumerate(monos):
-                c = vec[slot * nmono + i]
-                if not F.is_zero(c):
-                    terms[m] = c
-            polys.append(Poly(vt, F, terms))
-        out.append(polys)
-    return out
+    # Poly drops the zero coefficients
+    return [
+        [
+            Poly(vt, F, {m: vec[slot * nmono + i] for i, m in enumerate(monos)})
+            for slot in range(M.ncols)
+        ]
+        for vec in basis
+    ]

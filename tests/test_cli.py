@@ -151,6 +151,64 @@ def test_classify_unopenable_out_is_usage_error(tmp_path, capsys):
     _assert_clean_out_error(code, capsys)
 
 
+def _no_draws(*args, **kwargs):
+    raise AssertionError("sampled despite the usage error")
+
+
+def test_sample_missing_out_dir_fails_before_drawing(tmp_path, monkeypatch, capsys):
+    import godeaux_lines.cli as cli
+
+    monkeypatch.setattr(cli, "sample_line", _no_draws)
+    out = tmp_path / "missing" / "x.jsonl"
+    code = main(["sample", "--field", "p31", "--seed", "1", "--count", "30", "--out", str(out)])
+    _assert_clean_out_error(code, capsys)
+
+
+def test_failed_sample_leaves_existing_out_unchanged(tmp_path, capsys):
+    # no search strategy samples over F_2: a usage error after --out was opened
+    out = tmp_path / "store.jsonl"
+    out.write_text("existing bytes\n")
+    code = main(["sample", "--field", "p2", "--seed", "1", "--out", str(out)])
+    _assert_clean_out_error(code, capsys)
+    assert out.read_text() == "existing bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["store.jsonl"]
+
+
+def test_sample_append_adds_records_under_one_header(tmp_path):
+    whole, parts = tmp_path / "whole.jsonl", tmp_path / "parts.jsonl"
+    assert main(["sample", "--field", "p31", "--seed", "3", "--count", "2", "--out", str(whole)]) == 0
+    _, records = read_store(whole)
+    one = ["sample", "--field", "p31", "--seed", "3", "--count", "1", "--append"]
+    assert main(one + ["--out", str(parts)]) == 0  # a missing store gets its header
+    assert main(one + ["--out", str(parts)]) == 0
+    assert read_store(parts) == ({"format": 1}, [records[0], records[0]])
+
+
+def test_classify_out_that_is_in_is_usage_error(tmp_path, capsys):
+    store = tmp_path / "store.jsonl"
+    assert main(["sample", "--field", "p31", "--seed", "1", "--count", "2", "--out", str(store)]) == 0
+    before = store.read_bytes()
+    code = main(["classify", "--in", str(store), "--out", str(store)])
+    _assert_clean_out_error(code, capsys)
+    alias = tmp_path / "." / "store.jsonl"
+    _assert_clean_out_error(main(["classify", "--in", str(store), "--out", str(alias)]), capsys)
+    assert store.read_bytes() == before
+
+
+def test_classify_missing_in_leaves_existing_out_unchanged(tmp_path, capsys):
+    out = tmp_path / "reports.jsonl"
+    out.write_text("earlier reports\n")
+    code = main(["classify", "--in", str(tmp_path / "missing.jsonl"), "--out", str(out)])
+    _assert_clean_out_error(code, capsys)
+    assert out.read_text() == "earlier reports\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["reports.jsonl"]
+
+
+def test_out_that_is_a_directory_is_usage_error(tmp_path, capsys):
+    code = main(["verify", "z3-param", "--out", str(tmp_path)])
+    _assert_clean_out_error(code, capsys)
+
+
 def test_classify_round_trip(tmp_path):
     store = tmp_path / "store.jsonl"
     main(["sample", "--strategy", "generic", "--field", "p31", "--seed", "5",

@@ -10,7 +10,6 @@ from godeaux_lines.geometry import GeometryError, ROW_TRIPLES, LineA, a_matrix_v
 from godeaux_lines.linalg import nullspace, rank
 from godeaux_lines.pencil import (
     BinaryForm,
-    PencilMatrix,
     _divisors,
     _gcd,
     _pp1,
@@ -21,6 +20,7 @@ from godeaux_lines.pencil import (
     graded_kernel_basis,
     linear_form,
 )
+from godeaux_lines.polynomials import Poly, PolyMatrix, PolynomialError, VarTable
 from godeaux_lines.sampling import STRATEGIES, sample_line
 from godeaux_lines.strata import TORSION_SPACES
 
@@ -112,7 +112,7 @@ def random_factored_form(F, rng):
             factor = linear_form(F, rng.randrange(1, p), rng.randrange(p))
             pool.append(factor)
         f = factor if f is None else f * factor
-    return f.scale(rng.randrange(1, p))
+    return f * BinaryForm(F, 0, (rng.randrange(1, p),))
 
 
 SMALL_PRIMES = [p for p in range(2, 102) if is_prime(p)]
@@ -148,7 +148,7 @@ def test_roots_over_large_prime_fields(p):
     n = next(n for n in range(2, 100) if pow(n, (p - 1) // 2, p) == p - 1)
     quad = BinaryForm(F, 2, (1, 0, F.neg(n)))
     t = linear_form(F, 0, 1)
-    f = (lin(r2) * lin(r1) * lin(r2) * quad * t * t * lin(r3)).scale(5)
+    f = lin(r2) * lin(r1) * lin(r2) * quad * t * t * lin(r3) * BinaryForm(F, 0, (5,))
     assert binary_roots(f) == [((1, 0), 2), ((r1, 1), 1), ((r2, 1), 2), ((r3, 1), 1)]
     assert binary_roots(quad) == []
 
@@ -243,9 +243,10 @@ def old_binary_gcd(forms):
             break
     e = len(g) - 1
     ghom = [F.zero()] * (e + t_mult + 1)
+    inv = F.inv(g[0])  # monic: the first nonzero coefficient becomes 1
     for j, c in enumerate(g):
-        ghom[t_mult + j] = c
-    return BinaryForm(F, e + t_mult, ghom).monic()
+        ghom[t_mult + j] = F.mul(inv, c)
+    return BinaryForm(F, e + t_mult, ghom)
 
 
 def old_rational_roots(F, coeffs):
@@ -455,30 +456,43 @@ def test_gcd_over_q_matches_the_earlier_toolkit():
 # the l1 restriction: the skew blocks the oracle works on
 
 
-def skew_block(r0: BinaryForm, r1: BinaryForm, r2: BinaryForm) -> PencilMatrix:
+ST = VarTable(("s", "t"))
+
+
+def st_form(F, a, b) -> Poly:
+    """The linear form a*s + b*t as a polynomial over (s, t)."""
+    return Poly(ST, F, {(1, 0): F.canonical(a), (0, 1): F.canonical(b)})
+
+
+def skew_block(r0: Poly, r1: Poly, r2: Poly) -> PolyMatrix:
     """[[0, r2, -r1], [-r2, 0, r0], [r1, -r0, 0]]: (r0, r1, r2)^t is in its kernel."""
-    z = BinaryForm.zero(r0.field, r0.degree)
-    return PencilMatrix(r0.field, r0.degree, [[z, r2, -r1], [-r2, z, r0], [r1, -r0, z]])
+    z = Poly.zero(ST, r0.field)
+    return PolyMatrix(ST, r0.field, [[z, r2, -r1], [-r2, z, r0], [r1, -r0, z]])
 
 
 def l1_blocks(line: LineA) -> list:
     """The four 3x3 skew blocks of the a-row matrix restricted to the line."""
     return [
-        skew_block(*(linear_form(line.field, *line.restrict_coordinate(j)) for j in triple))
+        skew_block(*(st_form(line.field, *line.restrict_coordinate(j)) for j in triple))
         for triple in ROW_TRIPLES
     ]
 
 
-def restrict_l1(line: LineA) -> PencilMatrix:
+def restrict_l1(line: LineA) -> PolyMatrix:
     """The 12x12 block-diagonal skew matrix of the line (four 3x3 blocks)."""
     F = line.field
-    z = BinaryForm.zero(F, 1)
+    z = Poly.zero(ST, F)
     entries = [[z for _ in range(12)] for _ in range(12)]
     for b, block in enumerate(l1_blocks(line)):
         for i in range(3):
             for j in range(3):
                 entries[3 * b + i][3 * b + j] = block.entries[i][j]
-    return PencilMatrix(F, 1, entries)
+    return PolyMatrix(ST, F, entries)
+
+
+def evaluate(M: PolyMatrix, s, t) -> list:
+    """The matrix of values of M's entries at (s, t)."""
+    return [[p.eval((s, t)) for p in row] for row in M.entries]
 
 
 def test_restrict_l1_block_structure(generic_line, f31):
@@ -489,9 +503,7 @@ def test_restrict_l1_block_structure(generic_line, f31):
         for j in range(12):
             if i // 3 != j // 3:
                 assert M.entries[i][j].is_zero()
-            assert M.entries[i][j].coeffs == tuple(
-                f31.neg(c) for c in M.entries[j][i].coeffs
-            )
+            assert M.entries[i][j] == -M.entries[j][i]
 
 
 def test_restrict_l1_evaluation_matches_a_matrix(generic_line, f31):
@@ -506,13 +518,13 @@ def test_restrict_l1_evaluation_matches_a_matrix(generic_line, f31):
     ]
     for block, (r0, r1, r2) in zip(blocks, triples):
         expect = [[0, r2, f31.neg(r1)], [f31.neg(r2), 0, r0], [r1, f31.neg(r0), 0]]
-        assert block.eval(1, 0) == expect
+        assert evaluate(block, 1, 0) == expect
 
 
 def test_generic_blocks_have_rank_2(generic_line, f31):
     for block in l1_blocks(generic_line):
         for st in ((1, 0), (0, 1), (1, 1)):
-            assert rank(f31, block.eval(*st)) == 2
+            assert rank(f31, evaluate(block, *st)) == 2
 
 
 def test_z5_blocks_single_entry_patterns(z5_example, f31):
@@ -534,20 +546,16 @@ def test_z5_blocks_single_entry_patterns(z5_example, f31):
 
 
 def test_single_skew_block_kernel_is_radial(f31):
-    r = (linear_form(f31, 1, 2), linear_form(f31, 3, 4), linear_form(f31, 5, 11))
+    r = (st_form(f31, 1, 2), st_form(f31, 3, 4), st_form(f31, 5, 11))
     block = skew_block(*r)
     gens = graded_kernel_basis(block, 3)
     assert [d for d, _ in gens] == [1]
     vec = gens[0][1]
     assert all(f.is_zero() for f in block.apply(vec))
-    # proportional to (r0, r1, r2): cross-coefficients vanish
-    lam_candidates = [
-        (a, b) for a, b in zip(vec[0].coeffs, r[0].coeffs) if not f31.is_zero(b)
-    ]
-    a, b = lam_candidates[0]
-    lam = f31.div(a, b)
+    # proportional to (r0, r1, r2)
+    lam = f31.div(vec[0].terms[(1, 0)], r[0].terms[(1, 0)])
     for f, expect in zip(vec, r):
-        assert f.coeffs == tuple(f31.mul(lam, c) for c in expect.coeffs)
+        assert f == expect.scale(lam)
 
 
 def test_generic_line_degrees_1111(generic_line, f31):
@@ -558,7 +566,7 @@ def test_generic_line_degrees_1111(generic_line, f31):
         assert all(f.is_zero() for f in M.apply(vec))
     # evaluation-rank oracle at 3 parameter values: kernel dim 4 pointwise
     for st in ((1, 0), (0, 1), (1, 5)):
-        assert len(nullspace(f31, M.eval(*st), 12)) == 4
+        assert len(nullspace(f31, evaluate(M, *st), 12)) == 4
 
 
 def test_z5_line_degrees_0000(z5_example):
@@ -568,12 +576,23 @@ def test_z5_line_degrees_0000(z5_example):
 
 
 def test_zero_matrix_standard_basis(f31):
-    z = BinaryForm.zero(f31, 1)
-    M = PencilMatrix(f31, 1, [[z] * 3 for _ in range(3)])
+    z = Poly.zero(ST, f31)
+    M = PolyMatrix(ST, f31, [[z] * 3 for _ in range(3)])
     gens = graded_kernel_basis(M, 2)
     assert [d for d, _ in gens] == [0, 0, 0]
-    flat = [[f.coeffs[0] for f in vec] for _, vec in gens]
+    flat = [[f.eval((0, 0)) for f in vec] for _, vec in gens]
     assert flat == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_graded_kernel_needs_forms_of_one_degree(f31):
+    s, t = st_form(f31, 1, 0), st_form(f31, 0, 1)
+    with pytest.raises(PolynomialError):
+        graded_kernel_basis(PolyMatrix(ST, f31, [[s, t * t]]))
+    with pytest.raises(PolynomialError):
+        graded_kernel_basis(PolyMatrix(ST, f31, [[s, s + Poly.constant(ST, f31, 1)]]))
+    xyz = VarTable(("x", "y", "z"))
+    with pytest.raises(PolynomialError):
+        graded_kernel_basis(PolyMatrix(xyz, f31, [[Poly.variable(xyz, f31, "x")]]))
 
 
 def test_kernel_generators_annihilate_exactly(two_hyp_line):
@@ -637,8 +656,8 @@ def test_interpolation_consistency(hyp_line, generic_line, z5_example, f31):
         gens = graded_kernel_basis(M, 2)
         drops = {root for root, _ in degeneration_profile(line).rank_drop_points}
         for st in ((1, 0), (0, 1), (2, 3), (1, 7), (1, 1)):
-            numeric = len(nullspace(f31, M.eval(*st), 12))
-            evaluated = [[f.eval(*st) for f in vec] for _, vec in gens]
+            numeric = len(nullspace(f31, evaluate(M, *st), 12))
+            evaluated = [[f.eval(st) for f in vec] for _, vec in gens]
             pointwise = rank(f31, evaluated)
             if _pp1(f31, *st) in drops:
                 assert pointwise <= numeric
@@ -653,9 +672,10 @@ def oracle_profile(line):
     F = line.field
     degrees, drops = [], []
     for b, triple in enumerate(ROW_TRIPLES):
-        r = [linear_form(F, *line.restrict_coordinate(j)) for j in triple]
-        degrees.append(tuple(d for d, _ in graded_kernel_basis(skew_block(*r))))
-        g = binary_gcd(r)
+        pairs = [line.restrict_coordinate(j) for j in triple]
+        block = skew_block(*(st_form(F, *ab) for ab in pairs))
+        degrees.append(tuple(d for d, _ in graded_kernel_basis(block)))
+        g = binary_gcd([linear_form(F, *ab) for ab in pairs])
         if g.is_zero():
             drops.append((None, b))
         else:

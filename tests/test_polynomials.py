@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,6 @@ from godeaux_lines.polynomials import (
     VarTable,
     _grlex_key,
     bounded_degree_kernel,
-    jacobian,
     monomials_up_to,
 )
 
@@ -107,7 +107,6 @@ def test_eval_matches_field_call_oracle(field):
         terms = {tuple(rng.randint(0, 4) for _ in range(4)): field.canonical(rng.randint(-big, big))
                  for _ in range(rng.randint(1, 8))}
         polys.append(Poly(vt, field, terms))
-    matrix = PolyMatrix(vt, field, [polys[i:i + 8] for i in range(0, 64, 8)])
     for _ in range(5):
         point = [rng.randint(-big, big) for _ in range(4)]
         if field == QQ:
@@ -115,9 +114,8 @@ def test_eval_matches_field_call_oracle(field):
         want = [_eval_oracle(f, point) for f in polys]
         got = [f.eval(point) for f in polys]
         assert got == want and list(map(type, got)) == list(map(type, want))
-        assert matrix.eval(point) == [want[i:i + 8] for i in range(0, 64, 8)]
     with pytest.raises(PolynomialError):
-        matrix.eval(point[:3])
+        polys[-1].eval(point[:3])
 
 
 # ----------------------------------------------------------------------
@@ -163,39 +161,76 @@ def test_compose_count_mismatch():
 
 
 # ----------------------------------------------------------------------
-# differentiation / jacobian
+# Jacobians: the closed forms against a symbolic oracle
+
+
+def diff(f, name):
+    """The partial derivative of f by one variable, term by term: the
+    symbolic oracle for the closed-form Jacobians."""
+    i = f.vars.index(name)
+    F = f.field
+    out = {}
+    for e, c in f.terms.items():
+        if e[i]:
+            ee = list(e)
+            ee[i] -= 1
+            out[tuple(ee)] = F.mul(c, F.canonical(e[i]))
+    return Poly(f.vars, F, out)
+
+
+def jacobian(fs):
+    """The matrix of partial derivatives d f_i / d x_j, by :func:`diff`."""
+    return [[diff(f, name) for name in f.vars.names] for f in fs]
 
 
 def test_jacobian_simple():
     vt, (x, y, z) = xyz()
-    J = jacobian([x * y])
-    assert J.entries[0][0] == y
-    assert J.entries[0][1] == x
-    assert J.entries[0][2].is_zero()
+    J = jacobian([x * y, x * x * y - z.scale(3)])
+    assert J[0][0] == y
+    assert J[0][1] == x
+    assert J[0][2].is_zero()
+    assert J[1] == [(x * y).scale(2), x * x, Poly.constant(vt, QQ, -3)]
 
 
 def test_jacobian_of_quadrics_rank_4_on_q(f31, generic_line):
-    # oracle: exact row reduction at sampled points of Q
-    qs = [q.map_field(f31) for q in quadrics(QQ)]
-    J = jacobian(qs)
+    # the closed form geometry.jacobian_at against the symbolic oracle,
+    # and exact row reduction at sampled points of Q
+    from godeaux_lines.geometry import jacobian_at
+
+    J = jacobian([q.map_field(f31) for q in quadrics(QQ)])
     for st in ((1, 0), (0, 1), (1, 1), (1, 2)):
-        point = generic_line.point_at(*st)
-        assert rank(f31, J.eval(list(point.coords))) == 4
+        coords = list(generic_line.point_at(*st).coords)
+        values = [[d.eval(coords) for d in row] for row in J]
+        assert values == jacobian_at(f31, coords)
+        assert rank(f31, values) == 4
 
 
 def test_jacobian_of_hyp_parametrization_rank_6(f10007):
-    from godeaux_lines.families import hyp_components, hyp_point_raw
+    from godeaux_lines.families import _hyp_jacobian, hyp_point_raw
 
-    comps = [c.map_field(f10007) for c in hyp_components(QQ)]
-    J = jacobian(comps)
     rng = random.Random(9)
     done = 0
     while done < 3:
         params = [f10007.random(rng) for _ in range(10)]
         if hyp_point_raw(f10007, params) is None:
             continue
-        assert rank(f10007, J.eval(params)) == 6
+        assert rank(f10007, _hyp_jacobian(f10007, params)) == 6
         done += 1
+
+
+@pytest.mark.parametrize("field, points", [(PrimeField(10007), 120), (QQ, 4)], ids=["F_10007", "Q"])
+def test_hyp_jacobian_matches_symbolic_derivative(field, points):
+    from godeaux_lines.families import _hyp_jacobian, hyp_components
+
+    symbolic = jacobian([c.map_field(field) for c in hyp_components(QQ)])
+    rng = random.Random(f"jacobian-{field}")
+    # the base locus and a zero atom (v0 = 0, D = X = W = 0) included
+    specials = [[0] * 10, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9], [1, 2, 3, -3, 2, -2, 1, 1, 1, 1],
+                [1, 2, 3, 3, 5, 5, 1, 1, 1, 1]]
+    for params in specials + [[field.random(rng) for _ in range(10)] for _ in range(points)]:
+        params = [field.canonical(x) for x in params]
+        want = [[d.eval(params) for d in row] for row in symbolic]
+        assert _hyp_jacobian(field, params) == want
 
 
 # ----------------------------------------------------------------------
@@ -318,6 +353,16 @@ def test_eval_commutes_with_compose():
         direct = f.compose(images).eval(point)
         indirect = f.eval([g.eval(point) for g in images])
         assert direct == indirect
+
+
+def test_poly_equality_with_a_non_scalar_is_false():
+    vt = VarTable(())
+    for field in (QQ, PrimeField(31)):
+        zero, one = Poly.zero(vt, field), Poly.constant(vt, field, 1)
+        for other in ("x", None, [0], 1.5):
+            assert (zero == other) is False and (one != other) is True
+        assert zero == 0 and one == 1
+    assert (Poly.constant(vt, PrimeField(31), 1) == Fraction(1, 31)) is False
 
 
 def test_vartable_validation():
