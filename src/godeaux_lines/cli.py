@@ -231,7 +231,10 @@ def iter_store(path):
         first = fh.readline()
         if not first:
             return
-        header = json.loads(first)
+        try:
+            header = json.loads(first)
+        except RecursionError:
+            raise ValueError("store header is nested too deeply to read") from None
         fmt = header.get("format") if isinstance(header, dict) else None
         if fmt != STORE_FORMAT:
             raise ValueError(f"unsupported store format {fmt!r}")
@@ -240,9 +243,10 @@ def iter_store(path):
             if not raw:
                 continue
             try:
-                yield i, json.loads(raw), raw
-            except json.JSONDecodeError:
-                yield i, None, raw
+                rec = json.loads(raw)
+            except (json.JSONDecodeError, RecursionError):  # too deep to read is malformed too
+                rec = None
+            yield i, rec, raw
 
 
 def cmd_classify(args) -> int:

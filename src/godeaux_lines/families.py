@@ -13,9 +13,11 @@ Four constructions are built in:
 * the determinantal system of the scroll model with its rank-2 kernel
   parametrization (:func:`verify_para_v2`).
 
-The hyperelliptic components are defined in one table and locked by a
-SHA-256 checksum of their canonical text; the verifiers, not the table, are
-the trust anchor.
+Each family formula is written once, as a function of its parameters that
+works on any ring: field scalars give points and lines, ``Poly`` variables
+give the polynomials the symbolic certificates check.  The hyperelliptic
+components are defined in one table and locked by a SHA-256 checksum of
+their canonical text; the verifiers, not the table, are the trust anchor.
 """
 
 from __future__ import annotations
@@ -111,19 +113,7 @@ def hyp_components(field: Field = QQ) -> tuple:
     if field in _hyp_cache:
         return _hyp_cache[field]
     vt = hyp_vartable()
-    var = {n: Poly.variable(vt, field, n) for n in HYP_PARAM_NAMES}
-    atoms = dict(var)
-    atoms["D"] = var["x1"] * var["w1"] - var["x0"] * var["w0"]
-    atoms["X"] = var["x1"] + var["x0"]
-    atoms["W"] = var["w1"] + var["w0"]
-    comps = []
-    for sign, exps in HYP_FACTORED:
-        p = Poly.constant(vt, field, sign)
-        for name, e in zip(_ATOM_NAMES, exps):
-            for _ in range(e):
-                p = p * atoms[name]
-        comps.append(p)
-    comps = tuple(comps)
+    comps = hyp_evaluate([Poly.variable(vt, field, n) for n in HYP_PARAM_NAMES], lambda p: p)
     if field == QQ:
         digest = hashlib.sha256("\n".join(str(c) for c in comps).encode()).hexdigest()
         if digest != HYP_CHECKSUM:
@@ -137,22 +127,22 @@ def hyp_point_raw(field: Field, params: Sequence) -> Optional[tuple]:
     return hyp_evaluate([field.canonical(x) for x in params], field.canonical)
 
 
+def _hyp_atoms(params: Sequence, reduce) -> tuple:
+    """The 13 atoms of ``HYP_FACTORED``: the parameters, then D, X and W."""
+    _, _, w0, w1, x0, x1, _, _, _, _ = params
+    return (*params, reduce(x1 * w1 - x0 * w0), reduce(x1 + x0), reduce(w1 + w0))
+
+
 def hyp_evaluate(params: Sequence, reduce) -> Optional[tuple]:
     """The one evaluator of ``HYP_FACTORED``, and the samplers' hot path:
     atoms first, then one short product per component.
 
     ``params`` are canonical scalars of a field, and ``reduce`` maps sums
     and products of them to canonical scalars again: ``field.canonical``
-    for any field, or plain ``x % p`` on residues mod p.  None when every
-    component vanishes.
+    for any field, or plain ``x % p`` on residues mod p; or ``Poly``
+    variables with the identity.  None when every component vanishes.
     """
-    v0, v1, w0, w1, x0, x1, y0, y1, z0, z1 = params
-    atoms = (
-        v0, v1, w0, w1, x0, x1, y0, y1, z0, z1,
-        reduce(x1 * w1 - x0 * w0),
-        reduce(x1 + x0),
-        reduce(w1 + w0),
-    )
+    atoms = _hyp_atoms(params, reduce)
     coords = []
     for sign, exps in HYP_FACTORED:
         acc = sign
@@ -172,7 +162,7 @@ def _hyp_jacobian(field: Field, params: Sequence) -> list:
     partial derivatives are constants or single parameters."""
     reduce = field.canonical
     w0, w1, x0, x1 = params[2:6]
-    atoms = (*params, reduce(x1 * w1 - x0 * w0), reduce(x1 + x0), reduce(w1 + w0))
+    atoms = _hyp_atoms(params, reduce)
     # per atom, {parameter index: partial of the atom by that parameter}
     partials = [{j: 1} for j in range(10)] + [
         {2: -x0, 3: x1, 4: -w0, 5: w1},  # D = x1*w1 - x0*w0
@@ -214,11 +204,9 @@ def hyp_point(field: Field, params: Sequence) -> PointA:
 
 
 def _vanishing_atoms(field: Field, params):
-    p = [field.canonical(x) for x in params]
-    v0, v1, w0, w1, x0, x1, y0, y1, z0, z1 = p
-    values = (*p, x1 * w1 - x0 * w0, x1 + x0, w1 + w0)
+    atoms = _hyp_atoms([field.canonical(x) for x in params], field.canonical)
     names = HYP_PARAM_NAMES + ("x1*w1-x0*w0", "x1+x0", "w1+w0")
-    return [name for name, val in zip(names, values) if field.is_zero(val)]
+    return [name for name, val in zip(names, atoms) if field.is_zero(val)]
 
 
 def verify_hyp_param(
@@ -290,26 +278,31 @@ def verify_hyp_param(
 # two-torsion (Z/5-type) line families
 
 
+#: survivors of the example family, (a23, a10) | (a31, a02), sorted as the census lists them
+_Z5_EXAMPLE = ((AIDX["a23"], AIDX["a10"]), (AIDX["a31"], AIDX["a02"]))
+
+
+def _row(zero, indices, values) -> list:
+    """A 12-entry a-row: ``values`` at ``indices``, ``zero`` elsewhere."""
+    row = [zero] * 12
+    for idx, value in zip(indices, values):
+        row[idx] = value
+    return row
+
+
 def z5_line(field: Field, p0, p1, q0, q1) -> LineA:
     """The example two-torsion family member: rows on (a23, a10) and (a31, a02)."""
     F = field
-    r0 = [F.zero()] * 12
-    r1 = [F.zero()] * 12
-    r0[AIDX["a23"]], r0[AIDX["a10"]] = F.canonical(p0), F.canonical(p1)
-    r1[AIDX["a31"]], r1[AIDX["a02"]] = F.canonical(q0), F.canonical(q1)
+    a_surv, b_surv = _Z5_EXAMPLE
+    r0 = _row(F.zero(), a_surv, (F.canonical(p0), F.canonical(p1)))
+    r1 = _row(F.zero(), b_surv, (F.canonical(q0), F.canonical(q1)))
     return LineA(F, r0, r1, provenance={"family": "z5", "component": "example"})
 
 
 def verify_z5_family() -> Certificate:
     """Symbolic proof that every member of the example family lies in Q."""
     cert = Certificate("z5-family")
-    vt = VarTable(("p0", "p1", "q0", "q1"))
-    var = {n: Poly.variable(vt, QQ, n) for n in vt.names}
-    zero = Poly.zero(vt, QQ)
-    r0 = [zero] * 12
-    r1 = [zero] * 12
-    r0[AIDX["a23"]], r0[AIDX["a10"]] = var["p0"], var["p1"]
-    r1[AIDX["a31"]], r1[AIDX["a02"]] = var["q0"], var["q1"]
+    r0, r1 = _component_rows(*_Z5_EXAMPLE)
     cert.add("line-in-q-identically", _symbolic_line_in_q(cert, r0, r1))
     return cert
 
@@ -361,7 +354,7 @@ class WComponent:
     def symbolic_rows(self):
         """The component's line family as two rows of polynomials in its
         free parameters (p0.., q0..)."""
-        return _component_rows(self.a_survivors, self.b_survivors)[1:]
+        return _component_rows(self.a_survivors, self.b_survivors)
 
 
 @dataclass(frozen=True)
@@ -419,8 +412,7 @@ def z5_component_counts(space_a: TorsionSpace, space_b: TorsionSpace) -> Compone
             example = (
                 space_a.name == "T01|23"
                 and space_b.name == "T02|13"
-                and a_surv == tuple(sorted((AIDX["a23"], AIDX["a10"])))
-                and b_surv == tuple(sorted((AIDX["a31"], AIDX["a02"])))
+                and (a_surv, b_surv) == _Z5_EXAMPLE
             )
             verified = _verify_component_lines(a_surv, b_surv)
             components.append(
@@ -439,23 +431,19 @@ def z5_component_counts(space_a: TorsionSpace, space_b: TorsionSpace) -> Compone
 
 
 def _component_rows(a_surv, b_surv):
+    """Two rows of ``Poly`` variables p0.. at ``a_surv`` and q0.. at ``b_surv``."""
     names = tuple(f"p{k}" for k in range(len(a_surv))) + tuple(
         f"q{k}" for k in range(len(b_surv))
     )
     vt = VarTable(names)
+    var = [Poly.variable(vt, QQ, n) for n in names]
     zero = Poly.zero(vt, QQ)
-    r0 = [zero] * 12
-    r1 = [zero] * 12
-    for k, idx in enumerate(a_surv):
-        r0[idx] = Poly.variable(vt, QQ, f"p{k}")
-    for k, idx in enumerate(b_surv):
-        r1[idx] = Poly.variable(vt, QQ, f"q{k}")
-    return vt, r0, r1
+    return _row(zero, a_surv, var[:len(a_surv)]), _row(zero, b_surv, var[len(a_surv):])
 
 
 def _verify_component_lines(a_surv, b_surv) -> bool:
     """Symbolic check that the component's lines lie in Q identically."""
-    _, r0, r1 = _component_rows(a_surv, b_surv)
+    r0, r1 = _component_rows(a_surv, b_surv)
     scratch = Certificate("component")
     if not _symbolic_line_in_q(scratch, r0, r1):
         raise FamilyError(f"component lines not inside Q: {a_surv} x {b_surv}")
@@ -469,12 +457,9 @@ def sample_component_line(
     census = z5_component_counts(space_a, space_b)
     p1xp1 = [c for c in census.components if c.kind == "P1xP1"]
     comp = rng.choice(p1xp1)
-    r0 = [field.zero()] * 12
-    r1 = [field.zero()] * 12
-    for idx in comp.a_survivors:
-        r0[idx] = field.random_nonzero(rng)
-    for idx in comp.b_survivors:
-        r1[idx] = field.random_nonzero(rng)
+    a_surv, b_surv = comp.a_survivors, comp.b_survivors
+    r0 = _row(field.zero(), a_surv, [field.random_nonzero(rng) for _ in a_surv])
+    r1 = _row(field.zero(), b_surv, [field.random_nonzero(rng) for _ in b_surv])
     return LineA(
         field,
         r0,
@@ -493,17 +478,12 @@ def sample_component_line(
 Z3_PARAM_NAMES = ("u0", "u1", "u2", "u3", "w0", "w1", "z0", "z1")
 
 
-def _z3_rows(vt: VarTable, field: Field):
-    """Symbolic rows of the parametrized line over the given VarTable."""
-    var = {n: Poly.variable(vt, field, n) for n in Z3_PARAM_NAMES}
-    u0, u1, u2, u3 = (var[n] for n in ("u0", "u1", "u2", "u3"))
-    w0, w1, z0, z1 = (var[n] for n in ("w0", "w1", "z0", "z1"))
-    zero = Poly.zero(vt, field)
-    row0 = [zero] * 12
-    row0[AIDX["a32"]] = u0
-    row0[AIDX["a23"]] = u1
-    row0[AIDX["a10"]] = u2
-    row0[AIDX["a01"]] = u3
+def _z3_rows(values: Sequence, zero):
+    """The two rows of the parametrized line at the values of
+    ``Z3_PARAM_NAMES``: canonical scalars of a field with its zero, or
+    ``Poly`` variables with the zero polynomial."""
+    u0, u1, u2, u3, w0, w1, z0, z1 = values
+    row0 = _row(zero, (AIDX["a32"], AIDX["a23"], AIDX["a10"], AIDX["a01"]), (u0, u1, u2, u3))
     row1 = [zero] * 12
     row1[AIDX["a32"]] = u0 * u0 * u1 * w1 ** 3 * z1
     row1[AIDX["a31"]] = u1 * u3 * u3 * w0 * w0 * w1 * z1
@@ -527,11 +507,7 @@ def z3_line(field: Field, u: Sequence, w: Sequence, z: Sequence) -> LineA:
     """
     if len(u) != 4 or len(w) != 2 or len(z) != 2:
         raise FamilyError("expected parameters u (4), w (2), z (2)")
-    vt = VarTable(Z3_PARAM_NAMES)
-    row0, row1 = _z3_rows(vt, field)
-    params = [field.canonical(x) for x in (*u, *w, *z)]
-    r0 = [p.eval(params) for p in row0]
-    r1 = [p.eval(params) for p in row1]
+    r0, r1 = _z3_rows([field.canonical(x) for x in (*u, *w, *z)], field.zero())
     line = LineA(field, r0, r1, provenance={"family": "z3"})
     if not line_in_q(line):
         raise FamilyError("parametrized line left Q; row table corrupted")
@@ -543,7 +519,8 @@ def verify_z3_line() -> Certificate:
     and its first row lies in T01|23 identically."""
     cert = Certificate("z3-param")
     vt = VarTable(Z3_PARAM_NAMES)
-    row0, row1 = _z3_rows(vt, QQ)
+    var = [Poly.variable(vt, QQ, n) for n in Z3_PARAM_NAMES]
+    row0, row1 = _z3_rows(var, Poly.zero(vt, QQ))
     cert.add("line-in-q-identically", _symbolic_line_in_q(cert, row0, row1))
     t0123 = TORSION_SPACES[0]
     cert.add(
@@ -560,10 +537,7 @@ def verify_z3_line() -> Certificate:
 Z3_KERNEL_UNKNOWNS = ("v0", "v1", "v2", "v3", "v45", "v67")
 
 
-def _z3_kernel_system(vt: VarTable):
-    var = {n: Poly.variable(vt, QQ, n) for n in vt.names}
-    u0, u1, u2, u3, w0, w1 = (var[n] for n in ("u0", "u1", "u2", "u3", "w0", "w1"))
-    zero = Poly.zero(vt, QQ)
+def _z3_kernel_system(u0, u1, u2, u3, w0, w1, zero):
     return [
         [-(u1 * w0), u0 * w0, zero, zero, zero, -(u0 * u0 * u1 * u1 * w1)],
         [zero, zero, u3 * w1, -(u2 * w1), u2 * u2 * u3 * u3 * w0, zero],
@@ -571,10 +545,7 @@ def _z3_kernel_system(vt: VarTable):
     ]
 
 
-def _z3_reference_kernel_rows(vt: VarTable):
-    var = {n: Poly.variable(vt, QQ, n) for n in vt.names}
-    u0, u1, u2, u3, w0, w1 = (var[n] for n in ("u0", "u1", "u2", "u3", "w0", "w1"))
-    zero = Poly.zero(vt, QQ)
+def _z3_reference_kernel_rows(u0, u1, u2, u3, w0, w1, zero):
     return [
         [u0, u1, zero, zero, zero, zero],
         [zero, zero, u2, u3, zero, zero],
@@ -593,14 +564,13 @@ def verify_z3_kernel() -> Certificate:
     """
     cert = Certificate("z3-kernel")
     vt = VarTable(("u0", "u1", "u2", "u3", "w0", "w1"))
-    system = _z3_kernel_system(vt)
-    reference = _z3_reference_kernel_rows(vt)
+    zero = Poly.zero(vt, QQ)
+    var = [Poly.variable(vt, QQ, n) for n in vt.names]
+    system = _z3_kernel_system(*var, zero)
+    reference = _z3_reference_kernel_rows(*var, zero)
 
     def residuals(vec):
-        return [
-            sum((eq_c * v for eq_c, v in zip(eq, vec)), Poly.zero(vt, QQ))
-            for eq in system
-        ]
+        return [sum((eq_c * v for eq_c, v in zip(eq, vec)), zero) for eq in system]
 
     direct = [residuals(row) for row in reference]
     cert.data["direct_reading_residuals"] = [
@@ -610,8 +580,7 @@ def verify_z3_kernel() -> Certificate:
     cert.add("row2-direct", all(r.is_zero() for r in direct[1]))
     cert.data["row3_direct_ok"] = all(r.is_zero() for r in direct[2])
 
-    zero_vec = [Poly.zero(vt, QQ)] * 6
-    cert.add("zero-vector-in-kernel", all(r.is_zero() for r in residuals(zero_vec)))
+    cert.add("zero-vector-in-kernel", all(r.is_zero() for r in residuals([zero] * 6)))
 
     found = None
     for swap in (False, True):

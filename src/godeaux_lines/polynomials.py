@@ -233,13 +233,12 @@ class Poly:
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
-            if self.total_degree() > 0:
-                return False
             try:
                 c = self.field.canonical(other)
             except FieldError:  # not a scalar of this field
                 return False
-            return self.terms.get((0,) * self.vars.nvars, self.field.zero()) == c
+            # only a canonical scalar is equal, so that equal values hash alike
+            return c == other and self == Poly.constant(self.vars, self.field, c)
         return (
             other.vars == self.vars
             and other.field == self.field
@@ -247,6 +246,8 @@ class Poly:
         )
 
     def __hash__(self):
+        if self.total_degree() <= 0:  # hashes as the scalar it equals
+            return hash(self.terms.get((0,) * self.vars.nvars, 0))
         return hash((self.vars, self.field, frozenset(self.terms.items())))
 
     # ------------------------------------------------------------------

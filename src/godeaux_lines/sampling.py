@@ -50,7 +50,7 @@ from .geometry import (
 )
 from .linalg import nullspace, rank
 from .pencil import _gcd, _trim
-from .strata import TORSION_SPACES, FiberReport, TorsionSpace, classify_line, rank_a
+from .strata import TORSION_SPACES, FiberReport, TorsionSpace, _format_point, classify_line, rank_a
 
 STRATEGIES = ("generic", "torsion", "two-torsion", "hyp", "two-hyp")
 
@@ -584,8 +584,7 @@ def sample_line(
             if strategy in ("hyp", "two-hyp"):
                 provenance["certificate"] = {
                     "rank3_roots": [
-                        f"({field.format_scalar(r.point[0])}:{field.format_scalar(r.point[1])})"
-                        for r in report.hyperelliptic_roots
+                        _format_point(field, r.point) for r in report.hyperelliptic_roots
                     ]
                 }
             return LineA(field, line.rows[0], line.rows[1], provenance=provenance)
@@ -596,10 +595,7 @@ def _meeting_certificate(report: FiberReport) -> dict:
     F = report.line.field
     return {
         "torsion_points": [
-            {
-                "point": f"({F.format_scalar(st[0])}:{F.format_scalar(st[1])})",
-                "space": sp.name,
-            }
+            {"point": _format_point(F, st), "space": sp.name}
             for st, sp in report.torsion_points
         ]
     }

@@ -227,18 +227,17 @@ def hyperelliptic_points(line: LineA) -> HyperellipticResult:
 
 
 def _hyperelliptic_points(line: LineA) -> HyperellipticResult:
-    F = line.field
-    minors = quartic_minors(line)
-    g = binary_gcd(minors)
+    g = binary_gcd(quartic_minors(line))
     if g.is_zero():
         return HyperellipticResult(g, (), True)
     roots = []
     if g.degree > 0:
         for root, mult in binary_roots(g):
-            point = line.point_at(*root)
-            if any(not F.is_zero(m.eval(*root)) for m in minors):
+            # rank <= 3 exactly when every 4x4 minor vanishes at the root
+            rank_at_root = rank_a(line.point_at(*root))
+            if rank_at_root == 4:
                 raise StrataError("GCD root fails to kill every minor")
-            roots.append(MinorRoot(root, rank_a(point), mult))
+            roots.append(MinorRoot(root, rank_at_root, mult))
     return HyperellipticResult(g, tuple(roots), False)
 
 
@@ -293,8 +292,7 @@ class FiberReport:
         )
 
     def to_json(self) -> dict:
-        F = self.line.field
-        pt = lambda st: f"({F.format_scalar(st[0])}:{F.format_scalar(st[1])})"
+        pt = lambda st: _format_point(self.line.field, st)
         return {
             "line": self.line.to_json(),
             "torsion_points": [
@@ -329,6 +327,11 @@ class FiberReport:
             ],
             "generic": self.is_generic,
         }
+
+
+def _format_point(F: Field, st) -> str:
+    """A point of P^1 as reports and certificates write it: "(s:t)"."""
+    return f"({F.format_scalar(st[0])}:{F.format_scalar(st[1])})"
 
 
 # ((field, rows), report) of the last classified line, read and replaced whole

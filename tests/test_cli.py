@@ -316,6 +316,28 @@ def test_classify_bad_header_is_usage_error(tmp_path, header):
     assert main(["classify", "--in", str(store)]) == 2
 
 
+DEEP = "[" * 100_000 + "]" * 100_000  # nested past any recursion limit
+
+
+def test_classify_isolates_deeply_nested_record(tmp_path):
+    store = tmp_path / "store.jsonl"
+    good = json.dumps({"line": Z5_LINE_JSON})
+    store.write_text("\n".join([json.dumps({"format": 1}), good, DEEP, good]) + "\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["classify", "--in", str(store), "--out", str(out)]) == 0
+    reports = [json.loads(l) for l in out.read_text().splitlines()]
+    assert reports[1] == {"slot": 1, "error": "malformed-record"}
+    assert reports[2] == dict(reports[0], slot=2)
+
+
+def test_classify_deeply_nested_header_is_usage_error(tmp_path, capsys):
+    store = tmp_path / "store.jsonl"
+    store.write_text(DEEP + "\n" + json.dumps({"line": Z5_LINE_JSON}) + "\n")
+    assert main(["classify", "--in", str(store)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
 def test_batch_report_shapes_per_strategy(tmp_path):
     # classify-after-sample agrees with each strategy's promised shape
     plan = {

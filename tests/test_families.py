@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import godeaux_lines.families as fam
 from godeaux_lines.families import (
     BaseLocusError,
     FamilyError,
@@ -21,11 +22,33 @@ from godeaux_lines.families import (
     z5_line,
 )
 from godeaux_lines.fields import QQ, PrimeField
-from godeaux_lines.geometry import AIDX, GeometryError, PointA, line_in_q, quadric_value, quadrics
+from godeaux_lines.geometry import (
+    AIDX,
+    GeometryError,
+    LineA,
+    PointA,
+    line_in_q,
+    quadric_value,
+    quadrics,
+)
+from godeaux_lines.polynomials import Poly, VarTable
 from godeaux_lines.strata import TORSION_SPACES, classify_line, rank_a, torsion_intersections
 
 WORKED_PARAMS = (1, 1, 1, 2, 1, 1, 1, 1, 1, 1)
 WORKED_POINT = (2, 2, -24, -1, -2, 36, -1, 2, -72, -2, 6, -12)
+ORACLE_FIELDS = (PrimeField(31), PrimeField(10007), QQ)
+
+
+def _params(field, rng, n):
+    """n seeded parameters, zero often enough to reach degenerate values."""
+    return [rng.choice((0, 0, 1, -1, field.random(rng))) for _ in range(n)]
+
+
+def _rows_or_error(build):
+    try:
+        return build().rows
+    except (GeometryError, FamilyError) as e:
+        return type(e)
 
 
 # ----------------------------------------------------------------------
@@ -57,6 +80,32 @@ def test_hyp_point_raw_matches_expanded_components(field):
             assert got is None
             seen_base = True
     assert seen_base
+
+
+def _oracle_hyp_components(field):
+    """The oracle: each component multiplied out atom by atom from HYP_FACTORED."""
+    vt = VarTable(fam.HYP_PARAM_NAMES, fam.HYP_GRADING)
+    var = {n: Poly.variable(vt, field, n) for n in fam.HYP_PARAM_NAMES}
+    atoms = dict(var)
+    atoms["D"] = var["x1"] * var["w1"] - var["x0"] * var["w0"]
+    atoms["X"] = var["x1"] + var["x0"]
+    atoms["W"] = var["w1"] + var["w0"]
+    comps = []
+    for sign, exps in fam.HYP_FACTORED:
+        p = Poly.constant(vt, field, sign)
+        for name, e in zip(fam._ATOM_NAMES, exps):
+            for _ in range(e):
+                p = p * atoms[name]
+        comps.append(p)
+    return comps
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_hyp_components_match_atom_by_atom_oracle(field):
+    comps = hyp_components(field)
+    oracle = _oracle_hyp_components(field)
+    assert [str(c) for c in comps] == [str(c) for c in oracle]
+    assert list(comps) == oracle
 
 
 def test_base_locus_reported():
@@ -126,6 +175,27 @@ def test_z5_line_values(f31):
     line = z5_line(f31, 2, 3, 5, 7)
     assert line_in_q(line)
     assert len(torsion_intersections(line)) == 2
+
+
+def _oracle_z5_line(F, p0, p1, q0, q1):
+    """The oracle: the example member with its four coordinates placed by hand."""
+    r0 = [F.zero()] * 12
+    r1 = [F.zero()] * 12
+    r0[AIDX["a23"]], r0[AIDX["a10"]] = F.canonical(p0), F.canonical(p1)
+    r1[AIDX["a31"]], r1[AIDX["a02"]] = F.canonical(q0), F.canonical(q1)
+    return LineA(F, r0, r1)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_z5_line_matches_oracle(field):
+    rng = random.Random(51)
+    outcomes = set()
+    for _ in range(300):
+        params = _params(field, rng, 4)
+        got = _rows_or_error(lambda: z5_line(field, *params))
+        assert got == _rows_or_error(lambda: _oracle_z5_line(field, *params))
+        outcomes.add(got if isinstance(got, type) else "line")
+    assert outcomes == {GeometryError, "line"}
 
 
 def test_component_counts_all_pairs():
@@ -220,6 +290,53 @@ def test_z3_more_numeric_instances(f31, f101):
         produced += 1
         points = torsion_intersections(line)
         assert len(points) == 1 and points[0][1].name == "T01|23"
+
+
+def _oracle_z3_rows(vt, field):
+    """The oracle: the rows as symbolic polynomials, to be evaluated by Poly.eval."""
+    var = {n: Poly.variable(vt, field, n) for n in fam.Z3_PARAM_NAMES}
+    u0, u1, u2, u3 = (var[n] for n in ("u0", "u1", "u2", "u3"))
+    w0, w1, z0, z1 = (var[n] for n in ("w0", "w1", "z0", "z1"))
+    zero = Poly.zero(vt, field)
+    row0 = [zero] * 12
+    row0[AIDX["a32"]] = u0
+    row0[AIDX["a23"]] = u1
+    row0[AIDX["a10"]] = u2
+    row0[AIDX["a01"]] = u3
+    row1 = [zero] * 12
+    row1[AIDX["a32"]] = u0 * u0 * u1 * w1 ** 3 * z1
+    row1[AIDX["a31"]] = u1 * u3 * u3 * w0 * w0 * w1 * z1
+    row1[AIDX["a30"]] = -(u1 * u2 * u2 * w0 * w0 * w1 * z1)
+    row1[AIDX["a21"]] = u0 * u3 * u3 * w0 * w0 * w1 * z1
+    row1[AIDX["a20"]] = -(u0 * u2 * u2 * w0 * w0 * w1 * z1)
+    row1[AIDX["a13"]] = -(u1 * u1 * u3 * w0 * w1 * w1 * z1)
+    row1[AIDX["a12"]] = u0 * u0 * u3 * w0 * w1 * w1 * z1
+    row1[AIDX["a10"]] = u2 * z0 - u2 * u2 * u3 * w0 ** 3 * z1
+    row1[AIDX["a03"]] = -(u1 * u1 * u2 * w0 * w1 * w1 * z1)
+    row1[AIDX["a02"]] = u0 * u0 * u2 * w0 * w1 * w1 * z1
+    row1[AIDX["a01"]] = u3 * z0
+    return row0, row1
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_z3_line_matches_symbolic_oracle(field):
+    row0, row1 = _oracle_z3_rows(VarTable(fam.Z3_PARAM_NAMES), field)
+
+    def oracle(params):
+        params = [field.canonical(x) for x in params]
+        line = LineA(field, [p.eval(params) for p in row0], [p.eval(params) for p in row1])
+        if not line_in_q(line):
+            raise FamilyError("left Q")
+        return line
+
+    rng = random.Random(33)
+    outcomes = set()
+    for _ in range(300):
+        params = _params(field, rng, 8)
+        got = _rows_or_error(lambda: z3_line(field, params[:4], params[4:6], params[6:]))
+        assert got == _rows_or_error(lambda: oracle(params))
+        outcomes.add(got if isinstance(got, type) else "line")
+    assert outcomes == {GeometryError, "line"}
 
 
 def test_z3_degenerate_parameters_rejected(f31):

@@ -365,6 +365,20 @@ def test_poly_equality_with_a_non_scalar_is_false():
     assert (Poly.constant(vt, PrimeField(31), 1) == Fraction(1, 31)) is False
 
 
+def test_poly_equal_to_a_scalar_hashes_like_it():
+    vt = VarTable(())
+    others = (0, 1, 32, Fraction(1, 31), True, 1.5, "x", None)
+    for field in (QQ, PrimeField(31)):
+        for c in (0, 1, Fraction(1, 31) if field == QQ else 30):
+            poly = Poly.constant(vt, field, c)
+            for other in others:
+                if poly == other:
+                    assert hash(poly) == hash(other), (field, c, other)
+                    assert other in {poly} and len({poly, other}) == 1
+    one = Poly.constant(vt, PrimeField(31), 1)
+    assert one == 1 and one != 32 and 1 in {one}
+
+
 def test_vartable_validation():
     with pytest.raises(PolynomialError):
         VarTable(("x", "x"))

@@ -165,6 +165,16 @@ def test_gcd_roots_match_exhaustive_scan(hyp_line, two_hyp_line, generic_line, f
         assert reported == scanned
 
 
+def test_gcd_root_of_full_rank_is_rejected(hyp_line, monkeypatch):
+    # a root's rank is its certificate: rank 4 means some minor survives there
+    import godeaux_lines.strata as strata
+
+    assert hyperelliptic_points(hyp_line).roots
+    monkeypatch.setattr(strata, "rank_a", lambda point: 4)
+    with pytest.raises(StrataError):
+        hyperelliptic_points(hyp_line)
+
+
 def test_z5_example_gcd_and_low_rank_roots(z5_example):
     result = hyperelliptic_points(z5_example)
     # restricted a-matrix has a single nonzero 4x4 minor ~ s^2 t^2
