@@ -32,7 +32,7 @@ def main():
     print("  on Q:", point.on_quadric_intersection(), " a-matrix rank:", rank_a(point))
 
     print("\n=== Verification certificate ===")
-    cert = verify_hyp_param(numeric_field=PrimeField(10007), samples=20, seed=1)
+    cert = verify_hyp_param(seed=1)
     for check in cert.checks:
         print(f"  [{'ok' if check.passed else 'FAIL'}] {check.name}  {check.detail}")
     assert cert.passed

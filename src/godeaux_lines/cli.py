@@ -49,6 +49,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+#: the one record error ``sample`` writes; ``classify`` passes only it through
+_BUDGET_ERROR = "budget-exhausted"
+
 
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -144,7 +147,7 @@ def cmd_sample(args) -> int:
                 failures += 1
                 lines_out.append(
                     {
-                        "error": "budget-exhausted",
+                        "error": _BUDGET_ERROR,
                         "slot": i,
                         "strategy": args.strategy,
                         "seed": record_seed,
@@ -272,7 +275,8 @@ def _classify_store(path, out) -> int:
                 out.write(_dumps({"slot": i, "error": "malformed-record"}) + "\n")
                 continue
             if "error" in rec:
-                out.write(_dumps({"slot": i, "error": rec["error"]}) + "\n")
+                error = _BUDGET_ERROR if rec["error"] == _BUDGET_ERROR else "malformed-record"
+                out.write(_dumps({"slot": i, "error": error}) + "\n")
                 continue
             try:
                 line = LineA.from_json(rec["line"])

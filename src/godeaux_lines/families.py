@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from .certificates import Certificate
 from .fields import Field, PrimeField, QQ
-from .geometry import AIDX, LineA, PointA, QUADRIC_TERMS, line_in_q, quadrics
+from .geometry import AIDX, LineA, PointA, QUADRIC_TERMS, _line_conditions, _quadric, line_in_q
 from .linalg import in_span, rank
 from .polynomials import Poly, PolyMatrix, VarTable, bounded_degree_kernel, monomials_up_to
 from .strata import TORSION_SPACES, TorsionSpace, rank_a
@@ -209,26 +209,26 @@ def _vanishing_atoms(field: Field, params):
     return [name for name, val in zip(names, atoms) if field.is_zero(val)]
 
 
-def verify_hyp_param(
-    numeric_field: Optional[Field] = None,
-    samples: int = 20,
-    seed: int = 2024,
-) -> Certificate:
+#: the field and the number of points at which ``verify_hyp_param`` checks ranks
+_HYP_CHECK_FIELD = PrimeField(10007)
+_HYP_CHECK_SAMPLES = 20
+
+
+def verify_hyp_param(seed: int = 2024) -> Certificate:
     """Certificate for the hyperelliptic-locus parametrization.
 
     Checks: (i) all four quadrics pull back to the zero polynomial over Q;
-    (ii) the Jacobian of the map has rank 6 at ``samples`` random points of
-    the numeric field (resampling on the base locus); (iii) the a-matrix has
+    (ii) the Jacobian of the map has rank 6 at 20 random points of F_10007
+    (resampling where a factor of ``HYP_FACTORED`` vanishes: such points,
+    the base locus among them, are not generic); (iii) the a-matrix has
     rank exactly 3 at the same image points; (iv) every component is
     multihomogeneous of multidegree (2,5,3,2,2).
     """
-    if numeric_field is None:
-        numeric_field = PrimeField(10007)
+    F, samples = _HYP_CHECK_FIELD, _HYP_CHECK_SAMPLES
     cert = Certificate("hyp-param")
     comps = hyp_components(QQ)
 
-    images = list(comps)
-    residuals = [q.compose(images) for q in quadrics(QQ)]
+    residuals = [_quadric(i, comps) for i in range(4)]
     cert.add(
         "quadrics-pull-back-to-zero",
         all(r.is_zero() for r in residuals),
@@ -252,25 +252,24 @@ def verify_hyp_param(
     rank_ok, rank_a_ok = True, True
     done = 0
     while done < samples:
-        params = [numeric_field.random(rng) for _ in range(10)]
-        coords = hyp_point_raw(numeric_field, params)
-        if coords is None:
+        params = [F.random(rng) for _ in range(10)]
+        if 0 in _hyp_atoms(params, F.canonical):
             continue
         done += 1
-        jr = rank(numeric_field, _hyp_jacobian(numeric_field, params))
+        jr = rank(F, _hyp_jacobian(F, params))
         if jr != 6:
             rank_ok = False
             cert.data.setdefault("jacobian_failures", []).append(
-                {"params": [numeric_field.format_scalar(x) for x in params], "rank": jr}
+                {"params": [F.format_scalar(x) for x in params], "rank": jr}
             )
-        ar = rank_a(PointA(numeric_field, coords))
+        ar = rank_a(PointA(F, hyp_point_raw(F, params)))
         if ar != 3:
             rank_a_ok = False
             cert.data.setdefault("rank_a_failures", []).append(
-                {"params": [numeric_field.format_scalar(x) for x in params], "rank": ar}
+                {"params": [F.format_scalar(x) for x in params], "rank": ar}
             )
-    cert.add("jacobian-rank-6", rank_ok, f"{samples} samples over {numeric_field}")
-    cert.add("image-rank-a-3", rank_a_ok, f"{samples} samples over {numeric_field}")
+    cert.add("jacobian-rank-6", rank_ok, f"{samples} samples over {F}")
+    cert.add("image-rank-a-3", rank_a_ok, f"{samples} samples over {F}")
     return cert
 
 
@@ -307,37 +306,18 @@ def verify_z5_family() -> Certificate:
     return cert
 
 
+_CONDITION_LABELS = ("q{}(row0)", "q{}(row1)", "B{}(row0,row1)")
+
+
 def _symbolic_line_in_q(cert: Certificate, row0, row1) -> bool:
     """q_i(row0) = q_i(row1) = B_i(row0,row1) = 0 as polynomial identities."""
     ok = True
-    for i, terms in enumerate(QUADRIC_TERMS):
-        for label, value in (
-            (f"q{i}(row0)", _poly_quadric(terms, row0)),
-            (f"q{i}(row1)", _poly_quadric(terms, row1)),
-            (f"B{i}(row0,row1)", _poly_polarization(terms, row0, row1)),
-        ):
-            if not value.is_zero():
-                cert.data.setdefault("nonzero", []).append({label: str(value)})
-                ok = False
+    for k, value in enumerate(_line_conditions(row0, row1)):
+        if not value.is_zero():
+            label = _CONDITION_LABELS[k % 3].format(k // 3)
+            cert.data.setdefault("nonzero", []).append({label: str(value)})
+            ok = False
     return ok
-
-
-def _poly_quadric(terms, row):
-    acc = None
-    for s, u, v in terms:
-        t = row[u] * row[v]
-        t = t if s > 0 else -t
-        acc = t if acc is None else acc + t
-    return acc
-
-
-def _poly_polarization(terms, row_a, row_b):
-    acc = None
-    for s, u, v in terms:
-        t = row_a[u] * row_b[v] + row_a[v] * row_b[u]
-        t = t if s > 0 else -t
-        acc = t if acc is None else acc + t
-    return acc
 
 
 @dataclass(frozen=True)

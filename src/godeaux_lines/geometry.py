@@ -20,9 +20,12 @@ whose rank strata drive all fiber classification.  The quadrics
 
 are the 4x4 Pfaffians of the canonical skew matrices returned by
 :func:`canonical_skew_matrices`, and Q = V(q0..q3) is the complete
-intersection whose lines this package constructs and classifies.  A line is
-stored as a full-rank 2x12 Stiefel matrix; two Stiefel matrices are the
-same line exactly when their row spans agree.
+intersection whose lines this package constructs and classifies.  The
+quadric system is written once: q_i and its polarization B_i are functions
+of 12-vectors that use the values' own ``+ - *``, so the same code runs on
+field scalars (points, lines) and on polynomials (symbolic certificates).
+A line is stored as a full-rank 2x12 Stiefel matrix; two Stiefel matrices
+are the same line exactly when their row spans agree.
 """
 
 from __future__ import annotations
@@ -69,29 +72,42 @@ class GeometryError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# raw-value quadric evaluation (hot paths work on plain 12-tuples)
+# the quadric system, on any ring
+
+
+def _quadric(i: int, x):
+    """q_i(x) = a*b - c*d + e*f, the Pfaffian read off ``QUADRIC_TERMS``.
+
+    ``x`` holds 12 values of one ring: residues, ``Fraction``s or ``Poly``s.
+    The result is left unreduced; a field value needs ``field.canonical``.
+    """
+    (_, a, b), (_, c, d), (_, e, f) = QUADRIC_TERMS[i]
+    return x[a] * x[b] - x[c] * x[d] + x[e] * x[f]
+
+
+def _polarization(i: int, x, y):
+    """B_i(x, y) = q_i(x+y) - q_i(x) - q_i(y), as the explicit cross terms."""
+    (_, a, b), (_, c, d), (_, e, f) = QUADRIC_TERMS[i]
+    return (x[a] * y[b] + x[b] * y[a]) - (x[c] * y[d] + x[d] * y[c]) + (x[e] * y[f] + x[f] * y[e])
+
+
+def _line_conditions(r0, r1):
+    """The twelve conditions for the line through r0 and r1 to lie in Q, in
+    the order q_i(r0), q_i(r1), B_i(r0, r1) for i = 0..3; unreduced."""
+    for i in range(4):
+        yield _quadric(i, r0)
+        yield _quadric(i, r1)
+        yield _polarization(i, r0, r1)
 
 
 def quadric_value(field: Field, i: int, coords):
     """q_i evaluated at a raw 12-vector."""
-    acc = field.zero()
-    for s, u, v in QUADRIC_TERMS[i]:
-        t = field.mul(coords[u], coords[v])
-        acc = field.add(acc, t) if s > 0 else field.sub(acc, t)
-    return acc
-
-
-def quadric_values(field: Field, coords):
-    return tuple(quadric_value(field, i, coords) for i in range(4))
+    return field.canonical(_quadric(i, coords))
 
 
 def polarization_value(field: Field, i: int, p, q):
-    """B_i(p, q) = q_i(p+q) - q_i(p) - q_i(q), as the explicit cross term."""
-    acc = field.zero()
-    for s, u, v in QUADRIC_TERMS[i]:
-        t = field.add(field.mul(p[u], q[v]), field.mul(p[v], q[u]))
-        acc = field.add(acc, t) if s > 0 else field.sub(acc, t)
-    return acc
+    """B_i(p, q) at two raw 12-vectors."""
+    return field.canonical(_polarization(i, p, q))
 
 
 def a_matrix_values(field: Field, coords):
@@ -116,16 +132,8 @@ def a_vartable(grading: Optional[dict] = None) -> VarTable:
 def quadrics(field: Field) -> list:
     """The four quadrics as sparse polynomials over the a-coordinates."""
     vt = a_vartable()
-    out = []
-    for terms in QUADRIC_TERMS:
-        p = Poly.zero(vt, field)
-        for s, u, v in terms:
-            e = [0] * 12
-            e[u] += 1
-            e[v] += 1
-            p = p + Poly.monomial(vt, field, e, s)
-        out.append(p)
-    return out
+    x = [Poly.variable(vt, field, name) for name in ORDER]
+    return [_quadric(i, x) for i in range(4)]
 
 
 def pfaffian4(M):
@@ -213,7 +221,7 @@ class PointA:
         return tuple(F.mul(inv, c) for c in self.coords)
 
     def quadric_values(self) -> tuple:
-        return quadric_values(self.field, self.coords)
+        return tuple(quadric_value(self.field, i, self.coords) for i in range(4))
 
     def on_quadric_intersection(self) -> bool:
         return all(self.field.is_zero(v) for v in self.quadric_values())
@@ -352,15 +360,7 @@ def polarization(i: int, p: PointA, q: PointA):
 def line_in_q(line: LineA) -> bool:
     """Whether the line lies in Q: q_i and the polarization vanish at both rows."""
     F = line.field
-    r0, r1 = line.rows
-    for i in range(4):
-        if not F.is_zero(quadric_value(F, i, r0)):
-            return False
-        if not F.is_zero(quadric_value(F, i, r1)):
-            return False
-        if not F.is_zero(polarization_value(F, i, r0, r1)):
-            return False
-    return True
+    return all(F.is_zero(v) for v in _line_conditions(*line.rows))
 
 
 # ----------------------------------------------------------------------

@@ -26,11 +26,11 @@ from .geometry import (
     ORDER,
     PointA,
     QUADRIC_TERMS,
+    _quadric,
     a_matrix_values,
     a_vartable,
     det4,
     line_in_q,
-    quadrics,
 )
 from .linalg import rank, sparse_nullspace
 from .pencil import (
@@ -87,9 +87,8 @@ def _build_torsion_space(pair1, pair2) -> TorsionSpace:
     return space
 
 
-# the quadrics over Q and the 12 coordinate variables, built once for the
-# exact polynomial certificates below
-_QQ_QUADRICS = quadrics(QQ)
+# the 12 coordinate variables over Q, built once for the exact polynomial
+# certificates below
 _QQ_VARIABLES = tuple(Poly.variable(a_vartable(), QQ, name) for name in ORDER)
 
 
@@ -101,8 +100,8 @@ def _inclusion(space: TorsionSpace) -> list:
 
 def _verify_quadrics_vanish(space: TorsionSpace):
     inclusion = _inclusion(space)
-    for q in _QQ_QUADRICS:
-        if not q.compose(inclusion).is_zero():
+    for i in range(4):
+        if not _quadric(i, inclusion).is_zero():
             raise StrataError(f"quadrics do not vanish on {space.name}")
 
 
@@ -558,7 +557,7 @@ def verify_torsion_spaces():
     cert = Certificate("torsion-spaces")
     for space in TORSION_SPACES:
         inclusion = _inclusion(space)
-        residuals = [q.compose(inclusion) for q in _QQ_QUADRICS]
+        residuals = [_quadric(i, inclusion) for i in range(4)]
         cert.add(
             f"quadrics-vanish-on-{space.name}",
             all(r.is_zero() for r in residuals),

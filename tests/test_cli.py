@@ -330,6 +330,28 @@ def test_classify_isolates_deeply_nested_record(tmp_path):
     assert reports[2] == dict(reports[0], slot=2)
 
 
+def test_classify_passes_only_known_record_errors(tmp_path):
+    # "budget-exhausted", the error sample writes, passes through; any other
+    # error value is replaced, however deep or large
+    store = tmp_path / "store.jsonl"
+    records = [
+        json.dumps({"format": 1}),
+        json.dumps({"error": "budget-exhausted", "slot": 0, "trials": 11}),
+        '{"error": ' + "[" * 980 + "]" * 980 + "}",
+        json.dumps({"error": 5}),
+        json.dumps({"error": "x" * 1_000_000}),
+        json.dumps({"line": Z5_LINE_JSON}),
+    ]
+    store.write_text("\n".join(records) + "\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["classify", "--in", str(store), "--out", str(out)]) == 0
+    reports = [json.loads(l) for l in out.read_text().splitlines()]
+    assert reports[0] == {"slot": 0, "error": "budget-exhausted"}
+    for slot in (1, 2, 3):
+        assert reports[slot] == {"slot": slot, "error": "malformed-record"}
+    assert len(reports[4]["torsion_points"]) == 2
+
+
 def test_classify_deeply_nested_header_is_usage_error(tmp_path, capsys):
     store = tmp_path / "store.jsonl"
     store.write_text(DEEP + "\n" + json.dumps({"line": Z5_LINE_JSON}) + "\n")

@@ -9,6 +9,10 @@ from godeaux_lines.geometry import (
     LineA,
     ORDER,
     PointA,
+    QUADRIC_TERMS,
+    _line_conditions,
+    _quadric,
+    a_vartable,
     canonical_skew_matrices,
     det4,
     jacobian_at,
@@ -266,3 +270,136 @@ def test_line_in_q_invariant_under_gl2(generic_line, z5_example):
     for line in (generic_line, z5_example):
         assert line_in_q(line.transformed(((2, 5), (1, 3))))
         assert line_in_q(line.transformed(((0, 1), (1, 0))))
+
+
+# ----------------------------------------------------------------------
+# the quadric system written once, against the field-method and
+# ``Poly.compose`` paths it replaced (kept here as oracles)
+
+ORACLE_FIELDS = (PrimeField(31), PrimeField(10007), QQ)
+
+
+def _oracle_quadric_value(field, i, coords):
+    acc = field.zero()
+    for s, u, v in QUADRIC_TERMS[i]:
+        t = field.mul(coords[u], coords[v])
+        acc = field.add(acc, t) if s > 0 else field.sub(acc, t)
+    return acc
+
+
+def _oracle_polarization_value(field, i, p, q):
+    acc = field.zero()
+    for s, u, v in QUADRIC_TERMS[i]:
+        t = field.add(field.mul(p[u], q[v]), field.mul(p[v], q[u]))
+        acc = field.add(acc, t) if s > 0 else field.sub(acc, t)
+    return acc
+
+
+def _oracle_line_in_q(field, r0, r1):
+    return all(
+        field.is_zero(_oracle_quadric_value(field, i, r0))
+        and field.is_zero(_oracle_quadric_value(field, i, r1))
+        and field.is_zero(_oracle_polarization_value(field, i, r0, r1))
+        for i in range(4)
+    )
+
+
+def _oracle_quadrics(field):
+    """The quadrics summed monomial by monomial from QUADRIC_TERMS."""
+    vt = a_vartable()
+    out = []
+    for terms in QUADRIC_TERMS:
+        p = Poly.zero(vt, field)
+        for s, u, v in terms:
+            e = [0] * 12
+            e[u] += 1
+            e[v] += 1
+            p = p + Poly.monomial(vt, field, e, s)
+        out.append(p)
+    return out
+
+
+def _oracle_conditions(r0, r1):
+    """q_i(r0), q_i(r1) and B_i(r0, r1) = q_i(r0+r1) - q_i(r0) - q_i(r1),
+    each by ``Poly.compose``, in the order line_in_q reads them."""
+    qs = _oracle_quadrics(r0[0].field)
+    both = [a + b for a, b in zip(r0, r1)]
+    out = []
+    for q in qs:
+        q0, q1 = q.compose(r0), q.compose(r1)
+        out += [q0, q1, q.compose(both) - q0 - q1]
+    return out
+
+
+def _oracle_vector(field, rng, killed=()):
+    """12 seeded values, zero often, and zero at the ``killed`` indices."""
+    return [
+        field.zero() if k in killed else field.canonical(rng.choice((0, 0, 1, -1, field.random(rng))))
+        for k in range(12)
+    ]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_quadric_values_match_field_method_oracle(field):
+    from godeaux_lines.linalg import rank
+    from godeaux_lines.strata import TORSION_SPACES
+
+    rng = random.Random(29)
+    outcomes = set()
+    for n in range(300):
+        # every third pair spans a line inside a torsion P^3, so inside Q
+        killed = TORSION_SPACES[n % 9 // 3].killed if n % 3 == 0 else ()
+        x, y = _oracle_vector(field, rng, killed), _oracle_vector(field, rng, killed)
+        for i in range(4):
+            assert quadric_value(field, i, x) == _oracle_quadric_value(field, i, x)
+            assert polarization_value(field, i, x, y) == _oracle_polarization_value(field, i, x, y)
+        if rank(field, [x, y]) == 2:
+            verdict = line_in_q(LineA(field, x, y))
+            assert verdict == _oracle_line_in_q(field, x, y)
+            outcomes.add(verdict)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(31)), ids=str)
+def test_quadrics_match_monomial_oracle(field):
+    assert str(quadrics(field)) == str(_oracle_quadrics(field))
+    assert quadrics(field) == _oracle_quadrics(field)
+
+
+def test_pull_backs_match_compose_oracle():
+    from godeaux_lines.families import (
+        _Z5_EXAMPLE,
+        _component_rows,
+        _z3_rows,
+        Z3_PARAM_NAMES,
+        hyp_components,
+    )
+    from godeaux_lines.strata import TORSION_SPACES, _inclusion
+
+    comps = list(hyp_components(QQ))
+    # the components and a copy with one term's sign flipped, which leaves Q
+    e, c = next(iter(comps[0].terms.items()))
+    broken = [comps[0] - Poly.monomial(comps[0].vars, QQ, e, 2 * c)] + comps[1:]
+    images = [comps, broken] + [_inclusion(space) for space in TORSION_SPACES]
+    residuals = []
+    for image in images:
+        got = [_quadric(i, image) for i in range(4)]
+        expected = [q.compose(image) for q in _oracle_quadrics(QQ)]
+        assert got == expected
+        residuals += got
+    assert any(not r.is_zero() for r in residuals)
+
+    vt = VarTable(Z3_PARAM_NAMES)
+    z3 = _z3_rows([Poly.variable(vt, QQ, n) for n in Z3_PARAM_NAMES], Poly.zero(vt, QQ))
+    rows = [
+        _component_rows(*_Z5_EXAMPLE),
+        _component_rows((0, 1), (2, 3)),  # not a component: its lines leave Q
+        z3,
+        (z3[0], z3[1][::-1]),  # reversed second row, off Q
+    ]
+    conditions = []
+    for r0, r1 in rows:
+        got = list(_line_conditions(r0, r1))
+        assert got == _oracle_conditions(r0, r1)
+        conditions += got
+    assert any(not v.is_zero() for v in conditions)

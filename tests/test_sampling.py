@@ -17,6 +17,7 @@ from godeaux_lines.geometry import (
 from godeaux_lines.linalg import rank
 from godeaux_lines.sampling import (
     BudgetExhausted,
+    FieldTooLarge,
     SamplingError,
     sample_line,
     random_q_point,
@@ -27,6 +28,7 @@ from godeaux_lines.sampling import (
     _draw,
     _q0_tangency,
     _random_hyp_point,
+    _require_search_field,
     _share_a_factor,
     _sqrt_mod,
     _two_hyp_partner,
@@ -123,6 +125,20 @@ def test_budget_exhaustion(f31):
 def test_search_needs_prime_field():
     with pytest.raises(SamplingError):
         sample_line("generic", QQ, seed=0)
+
+
+def test_search_field_cutoff():
+    # 999_983 is the largest prime below 10^6, 1_000_003 the smallest above
+    assert _require_search_field(PrimeField(999_983)) == 999_983
+    with pytest.raises(FieldTooLarge):
+        _require_search_field(PrimeField(1_000_003))
+
+
+@pytest.mark.parametrize("strategy", ("generic", "torsion", "hyp", "two-hyp"))
+def test_search_strategies_refuse_field_past_cutoff(strategy):
+    # a small budget makes a raised cutoff end in BudgetExhausted, not a hang
+    with pytest.raises(FieldTooLarge):
+        sample_line(strategy, PrimeField(1_000_003), seed=0, budget=10)
 
 
 def test_unknown_strategy(f31):
