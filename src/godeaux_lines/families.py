@@ -206,7 +206,7 @@ def hyp_point(field: Field, params: Sequence) -> PointA:
 def _vanishing_atoms(field: Field, params):
     atoms = _hyp_atoms([field.canonical(x) for x in params], field.canonical)
     names = HYP_PARAM_NAMES + ("x1*w1-x0*w0", "x1+x0", "w1+w0")
-    return [name for name, val in zip(names, atoms) if field.is_zero(val)]
+    return [name for name, val in zip(names, atoms) if not val]
 
 
 #: the field and the number of points at which ``verify_hyp_param`` checks ranks
@@ -291,11 +291,9 @@ def _row(zero, indices, values) -> list:
 
 def z5_line(field: Field, p0, p1, q0, q1) -> LineA:
     """The example two-torsion family member: rows on (a23, a10) and (a31, a02)."""
-    F = field
     a_surv, b_surv = _Z5_EXAMPLE
-    r0 = _row(F.zero(), a_surv, (F.canonical(p0), F.canonical(p1)))
-    r1 = _row(F.zero(), b_surv, (F.canonical(q0), F.canonical(q1)))
-    return LineA(F, r0, r1, provenance={"family": "z5", "component": "example"})
+    r0, r1 = _row(0, a_surv, (p0, p1)), _row(0, b_surv, (q0, q1))
+    return LineA(field, r0, r1, provenance={"family": "z5", "component": "example"})
 
 
 def verify_z5_family() -> Certificate:
@@ -438,8 +436,8 @@ def sample_component_line(
     p1xp1 = [c for c in census.components if c.kind == "P1xP1"]
     comp = rng.choice(p1xp1)
     a_surv, b_surv = comp.a_survivors, comp.b_survivors
-    r0 = _row(field.zero(), a_surv, [field.random_nonzero(rng) for _ in a_surv])
-    r1 = _row(field.zero(), b_surv, [field.random_nonzero(rng) for _ in b_surv])
+    r0 = _row(0, a_surv, [field.random_nonzero(rng) for _ in a_surv])
+    r1 = _row(0, b_surv, [field.random_nonzero(rng) for _ in b_surv])
     return LineA(
         field,
         r0,
@@ -460,8 +458,8 @@ Z3_PARAM_NAMES = ("u0", "u1", "u2", "u3", "w0", "w1", "z0", "z1")
 
 def _z3_rows(values: Sequence, zero):
     """The two rows of the parametrized line at the values of
-    ``Z3_PARAM_NAMES``: canonical scalars of a field with its zero, or
-    ``Poly`` variables with the zero polynomial."""
+    ``Z3_PARAM_NAMES``: canonical scalars of a field with 0 (the rows are
+    then unreduced), or ``Poly`` variables with the zero polynomial."""
     u0, u1, u2, u3, w0, w1, z0, z1 = values
     row0 = _row(zero, (AIDX["a32"], AIDX["a23"], AIDX["a10"], AIDX["a01"]), (u0, u1, u2, u3))
     row1 = [zero] * 12
@@ -487,7 +485,7 @@ def z3_line(field: Field, u: Sequence, w: Sequence, z: Sequence) -> LineA:
     """
     if len(u) != 4 or len(w) != 2 or len(z) != 2:
         raise FamilyError("expected parameters u (4), w (2), z (2)")
-    r0, r1 = _z3_rows([field.canonical(x) for x in (*u, *w, *z)], field.zero())
+    r0, r1 = _z3_rows([field.canonical(x) for x in (*u, *w, *z)], 0)
     line = LineA(field, r0, r1, provenance={"family": "z3"})
     if not line_in_q(line):
         raise FamilyError("parametrized line left Q; row table corrupted")

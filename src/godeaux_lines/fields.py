@@ -2,17 +2,24 @@
 
 Every computation in this package is an exact identity, so there is no
 floating point anywhere.  A field is represented by a small context object
-(:class:`PrimeField` or :class:`RationalField`) whose methods operate on
+(:class:`PrimeField` or :class:`RationalField`); the values themselves are
 *raw* canonical representatives:
 
 * ``F_p``  -- Python ints in ``[0, p)``;
 * ``Q``    -- :class:`fractions.Fraction` (always reduced, positive
   denominator).
 
-Raw values plus a field context are all the package computes with; there
-is no boxed scalar type.  ``canonical`` accepts only exact scalars (``int``,
-``bool`` included, and ``Fraction``) and raises :class:`FieldError` for
-anything else, so a float or a string is never silently truncated.
+There is one scalar arithmetic: code computes with the values' own
+``+ - *`` and reduces each result once with ``field.canonical``, and the
+zero test of a canonical value is its falsiness.  Inversion is the one
+operation the values cannot do themselves, so it goes through
+``field.inv``.  Every public constructor and entry point canonicalises what
+it is given, so every value the package stores is canonical.  ``canonical``
+accepts only exact scalars (``int``, ``bool`` included, and ``Fraction``)
+and raises :class:`FieldError` for anything else, so a float or a string is
+never silently truncated.  The named operations on :class:`Field`
+(``add``, ``mul``, ``div``, ...) are written once over ``canonical`` for
+callers that want them; the package itself does not use them.
 
 Field objects are stateless and hashable and raw values are immutable, so
 everything here is safe to share between concurrent tasks.
@@ -20,6 +27,7 @@ everything here is safe to share between concurrent tasks.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -65,44 +73,44 @@ def is_prime(n: int) -> bool:
 class Field:
     """Common interface of the two concrete fields.
 
-    Subclasses implement exact ``add/sub/mul/neg/inv/div/eq`` on raw
-    canonical representatives, plus canonicalisation, text encoding and
-    seeded random sampling.
+    A subclass supplies what really differs between fields: ``canonical``,
+    ``inv``, ``random``, the scalar text and the spec.  The arithmetic below
+    is written once over ``canonical``.
     """
 
     kind: str
+    #: the whole text of a store scalar (ASCII digits and a sign, here)
+    _SCALAR_TEXT = re.compile(r"[+-]?[0-9]+")
 
     def canonical(self, value) -> Raw:
-        raise NotImplementedError
-
-    def zero(self) -> Raw:
-        raise NotImplementedError
-
-    def one(self) -> Raw:
-        raise NotImplementedError
-
-    def add(self, a: Raw, b: Raw) -> Raw:
-        raise NotImplementedError
-
-    def sub(self, a: Raw, b: Raw) -> Raw:
-        raise NotImplementedError
-
-    def mul(self, a: Raw, b: Raw) -> Raw:
-        raise NotImplementedError
-
-    def neg(self, a: Raw) -> Raw:
         raise NotImplementedError
 
     def inv(self, a: Raw) -> Raw:
         raise NotImplementedError
 
+    def zero(self) -> Raw:
+        return self.canonical(0)
+
+    def one(self) -> Raw:
+        return self.canonical(1)
+
+    def add(self, a: Raw, b: Raw) -> Raw:
+        return self.canonical(a + b)
+
+    def sub(self, a: Raw, b: Raw) -> Raw:
+        return self.canonical(a - b)
+
+    def mul(self, a: Raw, b: Raw) -> Raw:
+        return self.canonical(a * b)
+
+    def neg(self, a: Raw) -> Raw:
+        return self.canonical(-a)
+
     def div(self, a: Raw, b: Raw) -> Raw:
-        if self.is_zero(b):
-            raise FieldDivisionError(f"division by zero in {self}")
-        return self.mul(a, self.inv(b))
+        return self.canonical(a * self.inv(b))
 
     def is_zero(self, a: Raw) -> bool:
-        raise NotImplementedError
+        return not self.canonical(a)
 
     def random(self, rng) -> Raw:
         raise NotImplementedError
@@ -110,7 +118,7 @@ class Field:
     def random_nonzero(self, rng) -> Raw:
         while True:
             a = self.random(rng)
-            if not self.is_zero(a):
+            if a:
                 return a
 
     def format_scalar(self, a: Raw) -> str:
@@ -119,10 +127,15 @@ class Field:
     def parse_scalar(self, text: str) -> Raw:
         raise NotImplementedError
 
-    @staticmethod
-    def _scalar_text(text):
-        """A store scalar is a string or an int; a JSON float or bool is not."""
-        if isinstance(text, bool) or not isinstance(text, (str, int)):
+    def _scalar_text(self, text):
+        """A store scalar is an int or a string that ``_SCALAR_TEXT`` matches
+        whole; a JSON float or bool, and decimal, exponent, padded or
+        underscored text, are not (so no text stands for a number far longer
+        than itself)."""
+        if isinstance(text, str):
+            if not self._SCALAR_TEXT.fullmatch(text):
+                raise FieldError(f"{self} scalar text must match {self._SCALAR_TEXT.pattern}: {text[:40]!r}")
+        elif isinstance(text, bool) or not isinstance(text, int):
             raise FieldError(f"scalar must be a string or an integer, not {text!r}")
         return text
 
@@ -147,38 +160,15 @@ class PrimeField(Field):
         if type(value) is int:  # the common case, without the ABC check below
             return value % self.p
         if isinstance(value, Fraction):
-            if value.denominator == 1:
-                return value.numerator % self.p
-            return self.div(value.numerator % self.p, value.denominator % self.p)
+            return value.numerator * self.inv(value.denominator) % self.p
         if isinstance(value, int):  # bool and other int subclasses
             return value % self.p
         raise FieldError(f"{self} scalar must be an int or a Fraction, not {value!r}")
-
-    def zero(self) -> int:
-        return 0
-
-    def one(self) -> int:
-        return 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
 
     def inv(self, a):
         if a % self.p == 0:
             raise FieldDivisionError(f"inverse of zero in {self}")
         return pow(a, -1, self.p)
-
-    def is_zero(self, a):
-        return a % self.p == 0
 
     def random(self, rng) -> int:
         return rng.randrange(self.p)
@@ -207,37 +197,19 @@ class RationalField(Field):
 
     kind = "rational"
     __slots__ = ()
+    _SCALAR_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
     def canonical(self, value) -> Fraction:
+        if type(value) is Fraction:  # Fractions are always reduced
+            return value
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
         raise FieldError(f"{self} scalar must be an int or a Fraction, not {value!r}")
-
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         if a == 0:
             raise FieldDivisionError("inverse of zero in Q")
         return 1 / Fraction(a)
-
-    def is_zero(self, a):
-        return a == 0
 
     def random(self, rng) -> Fraction:
         return Fraction(rng.randint(-30, 30), rng.randint(1, 12))

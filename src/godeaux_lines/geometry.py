@@ -205,7 +205,7 @@ class PointA:
         coords = vector(field, coords)
         if len(coords) != 12:
             raise GeometryError("a point of P^11 needs 12 coordinates")
-        if all(field.is_zero(c) for c in coords):
+        if not any(coords):
             raise GeometryError("the zero vector is not a projective point")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coords", coords)
@@ -216,15 +216,14 @@ class PointA:
     def normalized(self) -> tuple:
         """Coordinates rescaled so the first nonzero entry is 1."""
         F = self.field
-        lead = next(c for c in self.coords if not F.is_zero(c))
-        inv = F.inv(lead)
-        return tuple(F.mul(inv, c) for c in self.coords)
+        inv = F.inv(next(c for c in self.coords if c))
+        return tuple(F.canonical(inv * c) for c in self.coords)
 
     def quadric_values(self) -> tuple:
         return tuple(quadric_value(self.field, i, self.coords) for i in range(4))
 
     def on_quadric_intersection(self) -> bool:
-        return all(self.field.is_zero(v) for v in self.quadric_values())
+        return not any(self.quadric_values())
 
     def __eq__(self, other):
         return (
@@ -273,22 +272,19 @@ class LineA:
         """The point s*row0 + t*row1; (s, t) = (0, 0) is rejected."""
         F = self.field
         s, t = F.canonical(s), F.canonical(t)
-        if F.is_zero(s) and F.is_zero(t):
+        if not (s or t):
             raise GeometryError("(0, 0) does not name a point of the line")
-        coords = tuple(
-            F.add(F.mul(s, a), F.mul(t, b)) for a, b in zip(self.rows[0], self.rows[1])
-        )
-        return PointA(F, coords)
+        return PointA(F, [s * a + t * b for a, b in zip(*self.rows)])
 
     def transformed(self, mat2) -> "LineA":
         """Row change of basis by an invertible 2x2 matrix (same line)."""
         F = self.field
         (a, b), (c, d) = mat2
         a, b, c, d = (F.canonical(x) for x in (a, b, c, d))
-        if F.is_zero(F.sub(F.mul(a, d), F.mul(b, c))):
+        if not F.canonical(a * d - b * c):
             raise GeometryError("singular reparametrization")
-        r0 = tuple(F.add(F.mul(a, x), F.mul(b, y)) for x, y in zip(*self.rows))
-        r1 = tuple(F.add(F.mul(c, x), F.mul(d, y)) for x, y in zip(*self.rows))
+        r0 = [a * x + b * y for x, y in zip(*self.rows)]
+        r1 = [c * x + d * y for x, y in zip(*self.rows)]
         return LineA(F, r0, r1, provenance=self.provenance)
 
     def restrict_coordinate(self, j: int) -> tuple:
@@ -359,8 +355,8 @@ def polarization(i: int, p: PointA, q: PointA):
 
 def line_in_q(line: LineA) -> bool:
     """Whether the line lies in Q: q_i and the polarization vanish at both rows."""
-    F = line.field
-    return all(F.is_zero(v) for v in _line_conditions(*line.rows))
+    red = line.field.canonical
+    return not any(red(v) for v in _line_conditions(*line.rows))
 
 
 # ----------------------------------------------------------------------
@@ -371,13 +367,11 @@ def jacobian_at(field: Field, coords):
     """The 4x12 Jacobian of (q0..q3) at a raw 12-vector."""
     rows = []
     for terms in QUADRIC_TERMS:
-        row = [field.zero()] * 12
+        row = [0] * 12
         for s, u, v in terms:
-            cu = coords[v] if s > 0 else field.neg(coords[v])
-            cv = coords[u] if s > 0 else field.neg(coords[u])
-            row[u] = field.add(row[u], cu)
-            row[v] = field.add(row[v], cv)
-        rows.append(row)
+            row[u] += s * coords[v]
+            row[v] += s * coords[u]
+        rows.append([field.canonical(c) for c in row])
     return rows
 
 

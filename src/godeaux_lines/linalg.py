@@ -5,8 +5,10 @@ which brings a matrix to reduced row echelon form (RREF) and returns the
 nonzero rows as sparse ``{column: value}`` dicts keyed by their pivot
 column.  Rows go in dense (sequences of raw field values) or sparse
 (``{column: value}`` dicts, as assembled by the polynomial kernel solver);
-zero entries are dropped on the way in, so fill stays proportional to the
-nonzeros.  Values are raw field values: residues in F_p, Fractions over Q.
+entries are canonicalised and zeros dropped on the way in, so fill stays
+proportional to the nonzeros.  Entries may be any exact scalars of the
+field (ints of any size, ``Fraction``s); the results are canonical raw
+values: residues in F_p, Fractions over Q.
 
 The RREF of a matrix is unique, so rank, echelon form and the kernel basis
 read off it (one vector per free column) depend only on the matrix, not on
@@ -20,13 +22,13 @@ from .fields import Field
 
 def _subtract(field: Field, row: dict, f, pivot_row: dict) -> None:
     """row -= f * pivot_row in place, dropping entries that become zero."""
-    sub, mul, is_zero, zero = field.sub, field.mul, field.is_zero, field.zero()
+    red = field.canonical
     for j, v in pivot_row.items():
-        x = sub(row.get(j, zero), mul(f, v))
-        if is_zero(x):
-            row.pop(j, None)
-        else:
+        x = red(row.get(j, 0) - f * v)
+        if x:
             row[j] = x
+        else:
+            row.pop(j, None)
 
 
 def _gauss_jordan(field: Field, rows) -> dict:
@@ -35,12 +37,18 @@ def _gauss_jordan(field: Field, rows) -> dict:
     Each pivot row has 1 at its pivot column, its leftmost entry, and no
     entry at any other pivot column.  The pivot rows are kept in that form
     after every input row: a new row is reduced against them, and the new
-    pivot column is then cleared from them.
+    pivot column is then cleared from them.  Every entry is canonicalised
+    on the way in, so any exact scalar of the field may be given.
     """
+    red = field.canonical
     pivots: dict[int, dict] = {}
     for row in rows:
         items = row.items() if isinstance(row, dict) else enumerate(row)
-        row = {j: v for j, v in items if not field.is_zero(v)}
+        row = {}
+        for j, v in items:
+            v = red(v)
+            if v:
+                row[j] = v
         # pivot rows hold no other pivot column, so these steps commute
         for c in [c for c in row if c in pivots]:
             _subtract(field, row, row[c], pivots[c])
@@ -48,7 +56,7 @@ def _gauss_jordan(field: Field, rows) -> dict:
             continue
         c = min(row)
         inv = field.inv(row[c])
-        row = {j: field.mul(inv, v) for j, v in row.items()}
+        row = {j: red(inv * v) for j, v in row.items()}
         for other in pivots.values():
             if c in other:
                 _subtract(field, other, other[c], row)
@@ -81,7 +89,7 @@ def _kernel_basis(field: Field, pivots: dict, ncols: int) -> list:
         vec[f] = field.one()
         for c, row in pivots.items():
             if f in row:
-                vec[c] = field.neg(row[f])
+                vec[c] = field.canonical(-row[f])
         basis.append(tuple(vec))
     return basis
 

@@ -46,7 +46,7 @@ class BinaryForm:
     __slots__ = ("field", "degree", "coeffs")
 
     def __init__(self, field: Field, degree: int, coeffs):
-        coeffs = tuple(field.canonical(c) for c in coeffs)
+        coeffs = tuple(map(field.canonical, coeffs))
         if len(coeffs) != degree + 1:
             raise ValueError(f"degree {degree} needs {degree + 1} coefficients")
         object.__setattr__(self, "field", field)
@@ -58,46 +58,31 @@ class BinaryForm:
 
     @classmethod
     def zero(cls, field: Field, degree: int) -> "BinaryForm":
-        return cls(field, degree, (field.zero(),) * (degree + 1))
+        return cls(field, degree, (0,) * (degree + 1))
 
     def is_zero(self) -> bool:
-        return all(self.field.is_zero(c) for c in self.coeffs)
+        return not any(self.coeffs)
 
     def eval(self, s, t):
+        """The value at (s, t): a Horner step per coefficient, one reduction."""
         F = self.field
         s, t = F.canonical(s), F.canonical(t)
-        acc = F.zero()
-        sp = [F.one()]
-        tp = [F.one()]
-        for _ in range(self.degree):
-            sp.append(F.mul(sp[-1], s))
-            tp.append(F.mul(tp[-1], t))
-        for k, c in enumerate(self.coeffs):
-            if not F.is_zero(c):
-                acc = F.add(acc, F.mul(c, F.mul(sp[self.degree - k], tp[k])))
-        return acc
+        acc, tp = 0, 1
+        for c in self.coeffs:  # after c_i: acc = sum of c_k s^(i-k) t^k, k <= i
+            acc = acc * s + c * tp
+            tp *= t
+        return F.canonical(acc)
 
     def __add__(self, other: "BinaryForm") -> "BinaryForm":
         if other.degree != self.degree or other.field != self.field:
             raise ValueError("binary form addition needs matching degree and field")
-        F = self.field
-        return BinaryForm(F, self.degree, tuple(F.add(a, b) for a, b in zip(self.coeffs, other.coeffs)))
+        return BinaryForm(self.field, self.degree, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> "BinaryForm":
-        F = self.field
-        return BinaryForm(F, self.degree, tuple(F.neg(c) for c in self.coeffs))
+        return BinaryForm(self.field, self.degree, [-c for c in self.coeffs])
 
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
-        F = self.field
-        d = self.degree + other.degree
-        out = [F.zero()] * (d + 1)
-        for i, a in enumerate(self.coeffs):
-            if F.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not F.is_zero(b):
-                    out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return BinaryForm(F, d, out)
+        return BinaryForm(self.field, self.degree + other.degree, _mul(self.coeffs, other.coeffs))
 
     def __eq__(self, other):
         return (
@@ -113,7 +98,7 @@ class BinaryForm:
     def __str__(self):
         F, d = self.field, self.degree
         return _format_terms(F, (
-            (c, (("s", d - k), ("t", k))) for k, c in enumerate(self.coeffs) if not F.is_zero(c)
+            (c, (("s", d - k), ("t", k))) for k, c in enumerate(self.coeffs) if c
         ))
 
     def __repr__(self):
@@ -125,11 +110,10 @@ def linear_form(field: Field, s_coeff, t_coeff) -> BinaryForm:
 
 
 def _pp1(field: Field, s, t):
-    """Canonical representative of (s : t): t = 1, or (1, 0)."""
-    if field.is_zero(t):
+    """Canonical representative of (s : t), t canonical: t = 1, or (1, 0)."""
+    if not t:
         return (field.one(), field.zero())
-    inv = field.inv(t)
-    return (field.mul(s, inv), field.one())
+    return (field.canonical(s * field.inv(t)), field.one())
 
 
 #: what :func:`_common_root` returns when every form is identically zero
@@ -143,13 +127,13 @@ def _common_root(field: Field, forms):
     or (1, 0)), None when the forms have no common root, and ALL_ZERO
     when every form vanishes identically.
     """
-    nonzero = [(a, b) for a, b in forms if not (field.is_zero(a) and field.is_zero(b))]
+    nonzero = [(a, b) for a, b in forms if a or b]
     if not nonzero:
         return ALL_ZERO
     a, b = nonzero[0]
-    root = _pp1(field, field.neg(b), a)
+    root = _pp1(field, -b, a)
     for a, b in nonzero[1:]:
-        if not field.is_zero(field.add(field.mul(root[0], a), field.mul(root[1], b))):
+        if field.canonical(root[0] * a + root[1] * b):
             return None
     return root
 
@@ -173,15 +157,13 @@ def binary_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
     if not nonzero:
         return BinaryForm.zero(forms[0].field, 0)
     F = nonzero[0].field
-    t_mult = min(
-        next(k for k, c in enumerate(f.coeffs) if not F.is_zero(c)) for f in nonzero
-    )
+    t_mult = min(next(k for k, c in enumerate(f.coeffs) if c) for f in nonzero)
     g = []
     for f in nonzero:
         g = _gcd(F, _trim(list(reversed(f.coeffs))), g)
         if len(g) == 1:
             break
-    return BinaryForm(F, len(g) - 1 + t_mult, [F.zero()] * t_mult + g[::-1])
+    return BinaryForm(F, len(g) - 1 + t_mult, [0] * t_mult + g[::-1])
 
 
 def binary_roots(f: BinaryForm):
@@ -202,7 +184,7 @@ def binary_roots(f: BinaryForm):
         raise ValueError("the zero form has no well-defined root list")
     F = f.field
     roots = []
-    t_mult = next(k for k, c in enumerate(f.coeffs) if not F.is_zero(c))
+    t_mult = next(k for k, c in enumerate(f.coeffs) if c)
     if t_mult:
         roots.append(((F.one(), F.zero()), t_mult))
     u = _trim(list(reversed(f.coeffs)))
@@ -252,7 +234,7 @@ def _split_linear(F: PrimeField, g, h=None):
     """
     p = F.p
     if len(g) <= 2:
-        return [F.neg(g[0])] if len(g) == 2 else []
+        return [F.canonical(-g[0])] if len(g) == 2 else []
     if p == 2:
         return [0, 1]
     for a in count():
@@ -350,14 +332,21 @@ def _divmod(F: Field, a, f):
     return _trim(q), _trim([red(c) for c in r[:n]])
 
 
+def _mul(a, b):
+    """The product of two coefficient lists, unreduced."""
+    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                prod[k] += x * y
+    return prod
+
+
 def _mulmod(F: Field, a, b, f):
     """a * b modulo the monic f of degree n >= 1, for a, b of degree < n."""
     red = F.canonical
     n = len(f) - 1
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        for k, y in enumerate(b, i):
-            prod[k] += x * y
+    prod = _mul(a, b)
     for k in range(len(prod) - n - 1, -1, -1):
         c = red(prod.pop())
         if c:
@@ -434,7 +423,7 @@ def _flat(F: Field, vec, d: int, shift: int = 0) -> list:
     """The coefficients of t^shift * s^k * vec, read as forms of degree d
     (k fills the degree up): the coefficient of s^(d - i) t^i of entry
     ``slot`` goes to position slot * (d + 1) + i."""
-    out = [F.zero()] * (len(vec) * (d + 1))
+    out = [0] * (len(vec) * (d + 1))
     for slot, p in enumerate(vec):
         for (_, b), c in p.terms.items():
             out[slot * (d + 1) + b + shift] = c

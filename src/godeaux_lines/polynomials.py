@@ -2,10 +2,11 @@
 
 Polynomials are immutable: a :class:`VarTable` (ordered variable names plus
 an optional multigrading), a field, and a term dict mapping exponent tuples
-to nonzero raw coefficients.  Supported operations: ring arithmetic, exact
-evaluation, substitution/composition (fully expanded), multihomogeneity
-checks against the grading, and a bounded-degree right kernel for matrices
-of polynomials.
+to nonzero canonical coefficients.  The constructor canonicalises what it
+is given, so the ring operations hand it plain sums and products.
+Supported operations: ring arithmetic, exact evaluation,
+substitution/composition (fully expanded), multihomogeneity checks against
+the grading, and a bounded-degree right kernel for matrices of polynomials.
 
 Term output order is graded lexicographic on the variable order, so the
 text form of a polynomial is deterministic and usable in certificates.
@@ -118,11 +119,16 @@ class Poly:
     __slots__ = ("vars", "field", "terms")
 
     def __init__(self, vars: VarTable, field: Field, terms: dict):
+        """``terms`` maps exponent tuples to exact scalars of the field; they
+        are canonicalised here and the zero ones dropped."""
+        red = field.canonical
         self.vars = vars
         self.field = field
-        self.terms = {
-            e: c for e, c in terms.items() if not field.is_zero(c)
-        }
+        kept = self.terms = {}
+        for e, c in terms.items():
+            c = red(c)
+            if c:
+                kept[e] = c
 
     # ------------------------------------------------------------------
     # constructors
@@ -133,18 +139,17 @@ class Poly:
 
     @classmethod
     def constant(cls, vars: VarTable, field: Field, c) -> "Poly":
-        c = field.canonical(c)
         return cls(vars, field, {(0,) * vars.nvars: c})
 
     @classmethod
     def variable(cls, vars: VarTable, field: Field, name: str) -> "Poly":
         e = [0] * vars.nvars
         e[vars.index(name)] = 1
-        return cls(vars, field, {tuple(e): field.one()})
+        return cls(vars, field, {tuple(e): 1})
 
     @classmethod
     def monomial(cls, vars: VarTable, field: Field, exponents, coeff=1) -> "Poly":
-        return cls(vars, field, {tuple(exponents): field.canonical(coeff)})
+        return cls(vars, field, {tuple(exponents): coeff})
 
     def _check(self, other: "Poly"):
         if other.vars != self.vars:
@@ -159,21 +164,15 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.constant(self.vars, self.field, other)
         self._check(other)
-        F = self.field
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = F.add(terms.get(e, F.zero()), c)
-            if F.is_zero(s):
-                terms.pop(e, None)
-            else:
-                terms[e] = s
+            terms[e] = terms.get(e, 0) + c
         return Poly(self.vars, self.field, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        F = self.field
-        return Poly(self.vars, F, {e: F.neg(c) for e, c in self.terms.items()})
+        return Poly(self.vars, self.field, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -187,27 +186,18 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check(other)
-        F = self.field
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                c = F.mul(c1, c2)
-                s = F.add(out.get(e, F.zero()), c)
-                if F.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Poly(self.vars, F, out)
+                out[e] = out.get(e, 0) + c1 * c2
+        return Poly(self.vars, self.field, out)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        F = self.field
-        c = F.canonical(c)
-        if F.is_zero(c):
-            return Poly.zero(self.vars, F)
-        return Poly(self.vars, F, {e: F.mul(c, v) for e, v in self.terms.items()})
+        c = self.field.canonical(c)
+        return Poly(self.vars, self.field, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, n: int):
         if n < 0:
@@ -273,10 +263,7 @@ class Poly:
                 if k:
                     pw = powers.get((i, k))
                     if pw is None:
-                        pw = point[i]
-                        for _ in range(k - 1):
-                            pw = F.mul(pw, point[i])
-                        powers[(i, k)] = pw
+                        pw = powers[(i, k)] = F.canonical(point[i] ** k)
                     t = t * pw
             acc += t
         return F.canonical(acc)
@@ -308,7 +295,7 @@ class Poly:
 
     def map_field(self, field: Field) -> "Poly":
         """Reinterpret the coefficients in another field (e.g. Q -> F_p)."""
-        return Poly(self.vars, field, {e: field.canonical(c) for e, c in self.terms.items()})
+        return Poly(self.vars, field, self.terms)
 
     # ------------------------------------------------------------------
     # grading
@@ -420,12 +407,9 @@ def bounded_degree_kernel(M: PolyMatrix, bound):
                     key = (r, prod)
                     row = equations.setdefault(key, {})
                     col = slot * nmono + i  # the unknown: coefficient of m in slot
-                    s = F.add(row.get(col, F.zero()), coeff)
-                    if F.is_zero(s):
-                        row.pop(col, None)
-                    else:
-                        row[col] = s
-    basis = sparse_nullspace(F, [r for r in equations.values() if r], ncols)
+                    row[col] = row.get(col, 0) + coeff
+    # sparse_nullspace reduces the sums and drops the rows that cancel
+    basis = sparse_nullspace(F, equations.values(), ncols)
     # Poly drops the zero coefficients
     return [
         [

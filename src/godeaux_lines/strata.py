@@ -64,11 +64,10 @@ class TorsionSpace:
     killed: tuple     # the complementary eight ORDER indices
 
     def contains(self, p: PointA) -> bool:
-        F = p.field
-        return all(F.is_zero(p.coords[j]) for j in self.killed)
+        return not any(p.coords[j] for j in self.killed)
 
     def random_point(self, field: Field, rng) -> PointA:
-        coords = [field.zero()] * 12
+        coords = [0] * 12
         for j in self.survivors:
             coords[j] = field.random_nonzero(rng)
         return PointA(field, coords)
@@ -161,15 +160,8 @@ def torsion_containments(line: LineA):
 
 
 def _torsion_containments(line: LineA):
-    F = line.field
-    out = []
-    for space in TORSION_SPACES:
-        if all(
-            F.is_zero(line.rows[0][j]) and F.is_zero(line.rows[1][j])
-            for j in space.killed
-        ):
-            out.append(space)
-    return out
+    r0, r1 = line.rows
+    return [sp for sp in TORSION_SPACES if not any(r0[j] or r1[j] for j in sp.killed)]
 
 
 def _require_in_q(line: LineA):

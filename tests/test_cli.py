@@ -309,6 +309,23 @@ def test_classify_isolates_malformed_record(tmp_path, bad, error):
     assert reports[2] == dict(reports[0], slot=2)
 
 
+@pytest.mark.parametrize("field", [{"kind": "prime", "p": 31}, {"kind": "rational"}])
+@pytest.mark.parametrize("text", ["1e1000000000", "1.5", "1_000", " 7 "])
+def test_classify_isolates_non_integer_scalar_text(tmp_path, field, text):
+    # a store scalar is integer (or n/d) text; anything else is a per-record
+    # error, found without evaluating it, and the records after it classify
+    good = dict(Z5_LINE_JSON, field=field)
+    bad = dict(good, rows=[[text] + good["rows"][0][1:], good["rows"][1]])
+    store = tmp_path / "store.jsonl"
+    records = [{"format": 1}, {"line": bad}, {"line": good}]
+    store.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "out.jsonl"
+    assert main(["classify", "--in", str(store), "--out", str(out)]) == 0
+    reports = [json.loads(l) for l in out.read_text().splitlines()]
+    assert reports[0]["slot"] == 0 and reports[0]["error"].startswith("GeometryError: ")
+    assert reports[1]["slot"] == 1 and len(reports[1]["torsion_points"]) == 2
+
+
 @pytest.mark.parametrize("header", ['[1]', '5', '{"format": 2}', 'not json'])
 def test_classify_bad_header_is_usage_error(tmp_path, header):
     store = tmp_path / "store.jsonl"

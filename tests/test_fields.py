@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -191,3 +192,52 @@ def test_prime_canonical_matches_oracle(p):
         assert got == _outcome(_canonical_oracle, F, value), value
         kinds.add(got[1] if got[0] == "error" else got[0])
     assert {int, FieldDivisionError} <= kinds
+
+
+def test_field_ops_are_written_once_on_field():
+    # the concrete fields differ only in canonical, inv, random, text and spec
+    shared = {"add", "sub", "mul", "neg", "div", "is_zero", "zero", "one"}
+    assert not shared & set(vars(PrimeField)) and not shared & set(vars(type(QQ)))
+    for F in (PrimeField(7), QQ):
+        a, b = F.canonical(3), F.canonical(5)
+        assert (F.add(a, b), F.sub(a, b), F.mul(a, b), F.neg(a)) == tuple(
+            F.canonical(x) for x in (a + b, a - b, a * b, -a))
+        assert F.mul(F.div(a, b), b) == a and F.is_zero(F.sub(a, a))
+        assert (F.zero(), F.one()) == (F.canonical(0), F.canonical(1))
+        assert (type(F.zero()), type(F.one())) == (type(a), type(a))
+
+
+@pytest.mark.parametrize("field", [PrimeField(31), QQ], ids=str)
+@pytest.mark.parametrize("text", [
+    "1e400", "1.5", "1_000", " 7 ", "7 ", "\t7", "7\n", "", "+", "-", "1e3", "-2E-2",
+    "0x1f", "inf", "nan", "1/2/3", "/2", "1/", "1/-2", "٣", "７",
+])
+def test_parse_scalar_rejects_non_integer_text(field, text):
+    # only ASCII [+-]digits (and /digits over Q) are store scalars
+    with pytest.raises(FieldError):
+        field.parse_scalar(text)
+
+
+def test_parse_scalar_rejects_fraction_text_over_fp():
+    with pytest.raises(FieldError):
+        PrimeField(31).parse_scalar("1/2")
+    assert QQ.parse_scalar("+6/4") == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("field", [PrimeField(31), QQ], ids=str)
+def test_parse_scalar_rejects_huge_exponent_quickly(field):
+    # Fraction("1e1000000000") would build a numerator of billions of bits
+    start = time.perf_counter()
+    with pytest.raises(FieldError):
+        field.parse_scalar("1e1000000000")
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(31), PrimeField(2**61 - 1), QQ], ids=str)
+def test_format_scalar_round_trips(field):
+    rng = random.Random(17)
+    values = [field.random(rng) for _ in range(300)]
+    if field is QQ:
+        values += [Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30)) for _ in range(300)]
+    for x in values:
+        assert field.parse_scalar(field.format_scalar(x)) == x

@@ -3,7 +3,9 @@ bytes, ``sample`` still draws the store's sampled lines, and every
 ``verify`` certificate is unchanged apart from its timing.
 
 The store and both outputs come from ``tests/data/make_golden.py``; see its
-docstring for what they cover.
+docstring for what they cover.  The gates run a second time with the named
+per-op field methods (``Field.add`` and the like) made to raise, since the
+package computes with the values' own operators and ``field.canonical``.
 """
 
 import json
@@ -12,6 +14,7 @@ import pathlib
 import pytest
 
 from godeaux_lines.cli import _VERIFIERS, _dumps, main
+from godeaux_lines.fields import Field, PrimeField, RationalField
 from godeaux_lines.sampling import STRATEGIES
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -47,3 +50,16 @@ def test_verify_golden_certificates(tmp_path):
         del cert["seconds"]
         lines.append(_dumps(cert) + "\n")
     assert "".join(lines).encode() == (DATA / "golden_verify.jsonl").read_bytes()
+
+
+def test_golden_gates_without_per_op_field_methods(tmp_path, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the package called a per-op field method")
+
+    for cls in (Field, PrimeField, RationalField):
+        for name in ("add", "sub", "mul", "neg", "div", "is_zero"):
+            monkeypatch.setattr(cls, name, forbidden)
+    test_classify_golden_store_byte_identical(tmp_path)
+    for strategy in STRATEGIES:
+        test_sample_reproduces_golden_store_lines(strategy, tmp_path)
+    test_verify_golden_certificates(tmp_path)

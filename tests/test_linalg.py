@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from godeaux_lines.fields import PrimeField, QQ
+from godeaux_lines.fields import FieldError, PrimeField, QQ
 from godeaux_lines.linalg import in_span, nullspace, rank, rref, sparse_nullspace
 
 
@@ -181,3 +182,52 @@ def test_elimination_reduces_noncanonical_entries():
     assert rank(F, rows) == dense_rank(F, canonical) == 2
     assert rref(F, rows) == dense_rref(F, canonical)
     assert nullspace(F, rows, 4) == dense_nullspace(F, canonical, 4)
+
+
+def _disguised(field, rng, x):
+    """An exact scalar with the canonical reduction x: x itself, x + k*p,
+    x - k*p (negative) or a Fraction (x*d + k*p)/d with p not dividing d."""
+    p = field.p
+    k, kind = rng.randint(1, 10**6), rng.randrange(4)
+    if kind == 1:
+        return x + k * p
+    if kind == 2:
+        return x - k * p
+    if kind == 3:
+        d = rng.randrange(1, p) + p * rng.randrange(3)
+        return Fraction(x * d + k * p, d)
+    return x
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), PrimeField(31)], ids=str)
+def test_entry_points_canonicalise_their_entries(field):
+    # every entry point gives on noncanonical entries (>= p, negative, or
+    # Fractions) exactly what it gives on their canonical reductions
+    rng = random.Random(2031)
+    kinds = set()
+    for rows, ncols in random_matrices(field, rng, 300):
+        noisy = [[_disguised(field, rng, x) for x in row] for row in rows]
+        kinds |= {type(x) for row in noisy for x in row}
+        assert rank(field, noisy) == rank(field, rows)
+        assert typed(rref(field, noisy)[0]) == typed(rref(field, rows)[0])
+        assert typed(nullspace(field, noisy, ncols)) == typed(nullspace(field, rows, ncols))
+        sparse = [dict(enumerate(row)) for row in noisy]
+        assert typed(sparse_nullspace(field, sparse, ncols)) == typed(nullspace(field, rows, ncols))
+        if rows:
+            assert in_span(field, noisy[1:], noisy[0]) == in_span(field, rows[1:], rows[0])
+    assert kinds == {int, Fraction}
+
+
+def test_rank_reduces_a_multiple_of_p_to_zero():
+    assert rank(PrimeField(31), [[31, 0], [0, 1]]) == 1
+    assert rank(PrimeField(31), [[Fraction(1, 2), 1]]) == 1
+
+
+@pytest.mark.parametrize("field", [PrimeField(31), QQ], ids=str)
+def test_entry_points_reject_floats(field):
+    rows = [[1, 1.5], [0, 1]]
+    for call in (lambda: rank(field, rows), lambda: rref(field, rows),
+                 lambda: nullspace(field, rows, 2), lambda: in_span(field, rows[1:], rows[0]),
+                 lambda: sparse_nullspace(field, [dict(enumerate(r)) for r in rows], 2)):
+        with pytest.raises(FieldError):
+            call()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from godeaux_lines.fields import PrimeField, QQ
+from godeaux_lines.fields import FieldError, PrimeField, QQ
 from godeaux_lines.geometry import AIDX, ORDER, a_vartable, quadrics
 from godeaux_lines.linalg import in_span, rank
 from godeaux_lines.polynomials import (
@@ -377,6 +377,35 @@ def test_poly_equal_to_a_scalar_hashes_like_it():
                     assert other in {poly} and len({poly, other}) == 1
     one = Poly.constant(vt, PrimeField(31), 1)
     assert one == 1 and one != 32 and 1 in {one}
+
+
+def test_poly_constructor_canonicalises_coefficients():
+    vt = VarTable(("x",))
+    F = PrimeField(31)
+    p, q = Poly(vt, F, {(1,): 33}), Poly(vt, F, {(1,): 2})
+    assert p == q and hash(p) == hash(q) and str(p) == "2*x" and p.terms == {(1,): 2}
+    assert Poly(vt, F, {(1,): 31, (0,): -62}).is_zero()
+    assert Poly(vt, F, {(1,): Fraction(1, 2)}) == Poly(vt, F, {(1,): 16})
+    assert type(Poly(vt, QQ, {(1,): 3}).terms[(1,)]) is Fraction
+    for field in (F, QQ):
+        with pytest.raises(FieldError):
+            Poly(vt, field, {(1,): 1.5})
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(31), PrimeField(10007)], ids=str)
+def test_poly_of_noncanonical_terms_equals_poly_of_reductions(field):
+    vt = VarTable(("x", "y", "z"))
+    rng = random.Random(3)
+    p = field.p
+    for _ in range(200):
+        poly = random_poly(vt, field, rng)
+        noisy = {e: c + p * rng.randint(-10**6, 10**6) for e, c in poly.terms.items()}
+        noisy.update({e: Fraction(c * 3 + p, 3) for e, c in poly.terms.items() if rng.random() < 0.3 and p != 3})
+        noisy[(3, 3, 3)] = p * rng.randint(-5, 5)  # a zero in disguise
+        got = Poly(vt, field, noisy)
+        assert got.terms == poly.terms and hash(got) == hash(poly) and str(got) == str(poly)
+        point = [field.random(rng) for _ in range(3)]
+        assert got.eval(point) == poly.eval(point)
 
 
 def test_vartable_validation():

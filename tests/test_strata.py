@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,10 +7,11 @@ import pytest
 from conftest import coords_from
 from godeaux_lines.families import sample_component_line, z5_line
 from godeaux_lines.fields import PrimeField, QQ
-from godeaux_lines.geometry import LineA, ORDER, PointA, line_in_q, line_through
-from godeaux_lines.sampling import sample_line, tangent_cone_partner, _Budget
+from godeaux_lines.geometry import AIDX, LineA, ORDER, PointA, line_in_q, line_through
+from godeaux_lines.sampling import sample_line, tangent_cone_partner, _Budget, _fulfils
 from godeaux_lines.strata import (
     IDENTITY_SYMMETRY,
+    MinorRoot,
     StrataError,
     TORSION_SPACES,
     classify_line,
@@ -651,3 +653,37 @@ def test_sign_solver_matches_bitmask_oracle():
         assert [e.signs for e in got] == want
         assert all(e.perm == perm for e in got)
         assert len(want) == 16
+
+
+def excluded_line(field):
+    """Rows a10 + a02 and a30 + a20 + a12 + a01, found by a scan of Q(F_3):
+    the minor GCD t^4 has its one root (1:0) at a-matrix rank 2 on no
+    torsion space, so the line is excluded."""
+    r0, r1 = [0] * 12, [0] * 12
+    for name in ("a10", "a02"):
+        r0[AIDX[name]] = 1
+    for name in ("a30", "a20", "a12", "a01"):
+        r1[AIDX[name]] = 1
+    return LineA(field, r0, r1)
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(31), QQ], ids=str)
+def test_excluded_line_report(field):
+    data = classify_line(excluded_line(field)).to_json()
+    assert data["excluded"] is True and data["generic"] is False
+    assert data["minor_gcd"] == "t^4" and data["all_minors_vanish"] is False
+    assert data["low_rank_roots"] == [{"point": "(1:0)", "rank": 2, "multiplicity": 4, "space": None}]
+    assert data["hyperelliptic_roots"] == [] and data["torsion_points"] == []
+    assert data["torsion_containments"] == []
+
+
+@pytest.mark.parametrize("field", [PrimeField(31), QQ], ids=str)
+def test_excluded_flag_alone_rejects_hyp_and_two_hyp(field):
+    # with one or two rank-3 roots grafted on, only the excluded flag keeps
+    # the report from fulfilling the hyp and two-hyp strategies
+    report = classify_line(excluded_line(field))
+    one, two = (MinorRoot((field.canonical(s), field.one()), 3, 1) for s in (2, 5))
+    for strategy, roots in (("hyp", (one,)), ("two-hyp", (one, two))):
+        grafted = replace(report, hyperelliptic_roots=roots)
+        assert _fulfils(strategy, grafted, None, None, False) is False
+        assert _fulfils(strategy, replace(grafted, excluded_flag=False), None, None, False) is True
