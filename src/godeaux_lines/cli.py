@@ -12,9 +12,12 @@ record per line, each ``{"line": {...}, "report": {...}}`` dumped with
 sorted keys and no whitespace, so identical seeded runs are byte-identical
 and stores can be diffed and archived.  Exit codes: 0 success,
 1 verification failure, 2 usage error (including a ``--count`` below 1,
-an ``--out`` that cannot be opened and a ``classify --out`` that is its
-``--in``), 3 search budget exhausted.  ``--out`` is opened before any work
-and replaced only on success (``sample --append`` appends directly).
+an ``--out`` that cannot be opened, an ``--append`` file that is not a
+store and a ``classify --out`` that is its ``--in``), 3 search budget
+exhausted.  Usage errors come before anything is written.  ``--out`` is
+opened before any work, and a file ``--out`` is replaced only on success.
+``sample`` streams: stdout and ``sample --append`` get each record as it
+is drawn, so an interrupted run keeps its finished records.
 
 The field comes from ``--field`` (e.g. ``p31`` or ``q``) and defaults to
 F_31; no environment variable changes it.
@@ -130,12 +133,18 @@ def cmd_sample(args) -> int:
     except StrataError as e:
         return _usage_error(e)
 
-    # appending to an existing store adds records only, not a second header
+    # appending to an existing store adds records only; an empty file gets
+    # the header, and a file that is not a store is refused
     append = args.append and args.out != "-" and os.path.exists(args.out)
+    header = not append
+    if append:
+        try:
+            with open(args.out) as fh:
+                header = not _read_header(fh)
+        except (OSError, ValueError) as e:  # nothing is drawn
+            return _usage_error(f"--append {args.out}: {e}")
 
     def draw(out) -> int:
-        # every record first: nothing is written if one is a usage error
-        lines_out = []
         failures = 0
         for i in range(args.count):
             record_seed = _record_seed(args.seed, i)
@@ -145,27 +154,25 @@ def cmd_sample(args) -> int:
                 )
             except BudgetExhausted as e:
                 failures += 1
-                lines_out.append(
-                    {
-                        "error": _BUDGET_ERROR,
-                        "slot": i,
-                        "strategy": args.strategy,
-                        "seed": record_seed,
-                        "trials": e.trials,
-                    }
-                )
-                continue
-            except (SamplingError, GeometryError) as e:
+                record = {
+                    "error": _BUDGET_ERROR,
+                    "slot": i,
+                    "strategy": args.strategy,
+                    "seed": record_seed,
+                    "trials": e.trials,
+                }
+            except SamplingError as e:  # bad arguments: slot 0, before any write
                 return _usage_error(e)
-            if not line_in_q(line):  # re-checked on write
-                raise RuntimeError("sampler returned a line outside Q")
-            report_json = classify_line(line).to_json()
-            report_json.pop("line", None)  # the record carries the line once
-            lines_out.append({"line": line.to_json(), "report": report_json})
-
-        if not append:
-            out.write(_dumps({"format": STORE_FORMAT}) + "\n")
-        out.write("".join(_dumps(rec) + "\n" for rec in lines_out))
+            else:
+                if not line_in_q(line):  # re-checked on write
+                    raise RuntimeError("sampler returned a line outside Q")
+                report_json = classify_line(line).to_json()
+                report_json.pop("line", None)  # the record carries the line once
+                record = {"line": line.to_json(), "report": report_json}
+            if header and i == 0:
+                out.write(_dumps({"format": STORE_FORMAT}) + "\n")
+            out.write(_dumps(record) + "\n")
+            out.flush()
         if failures == args.count:
             return EXIT_BUDGET
         return EXIT_OK
@@ -228,19 +235,27 @@ def cmd_verify(args) -> int:
 # classify
 
 
+def _read_header(fh) -> bool:
+    """Read a store's first line: False for an empty file, True for a
+    format-1 header; anything else raises ValueError."""
+    first = fh.readline()
+    if not first:
+        return False
+    try:
+        header = json.loads(first)
+    except RecursionError:
+        raise ValueError("store header is nested too deeply to read") from None
+    fmt = header.get("format") if isinstance(header, dict) else None
+    if fmt != STORE_FORMAT:
+        raise ValueError(f"unsupported store format {fmt!r}")
+    return True
+
+
 def iter_store(path):
     """Yield (index, record-dict or None, raw-line) for each body line."""
     with open(path) as fh:
-        first = fh.readline()
-        if not first:
+        if not _read_header(fh):
             return
-        try:
-            header = json.loads(first)
-        except RecursionError:
-            raise ValueError("store header is nested too deeply to read") from None
-        fmt = header.get("format") if isinstance(header, dict) else None
-        if fmt != STORE_FORMAT:
-            raise ValueError(f"unsupported store format {fmt!r}")
         for i, raw in enumerate(fh):
             raw = raw.strip()
             if not raw:

@@ -356,6 +356,36 @@ def z5_component_counts(space_a: TorsionSpace, space_b: TorsionSpace) -> Compone
     4 of type P^0 x P^2 and 4 of type P^2 x P^0.  Every P^1 x P^1 component
     is re-verified to consist of lines inside Q, symbolically.
     """
+    edges, covers = _matching_covers(space_a, space_b)
+    components = []
+    counts = {"P1xP1": 0, "P0xP2": 0, "P2xP0": 0}
+    for kind, a_surv, b_surv in covers:
+        counts[kind] += 1
+        example = (
+            space_a.name == "T01|23"
+            and space_b.name == "T02|13"
+            and (a_surv, b_surv) == _Z5_EXAMPLE
+        )
+        r0, r1 = _component_rows(a_surv, b_surv)
+        if not _symbolic_line_in_q(Certificate("component"), r0, r1):
+            raise FamilyError(f"component lines not inside Q: {a_surv} x {b_surv}")
+        components.append(
+            WComponent(
+                kind,
+                a_surv,
+                b_surv,
+                example,
+                "example" if example else "undetermined",
+            )
+        )
+    return ComponentCensus(
+        (space_a.name, space_b.name), edges, counts, tuple(components)
+    )
+
+
+def _matching_covers(space_a: TorsionSpace, space_b: TorsionSpace):
+    """The pair's matching (one (a, b) edge per quadric) and its minimal
+    vertex covers as (kind, a_survivors, b_survivors), in census order."""
     if space_a == space_b:
         raise FamilyError("need two distinct torsion spaces")
     surv_a, surv_b = set(space_a.survivors), set(space_b.survivors)
@@ -377,35 +407,15 @@ def z5_component_counts(space_a: TorsionSpace, space_b: TorsionSpace) -> Compone
     if sorted(a_sides) != sorted(surv_a) or sorted(b_sides) != sorted(surv_b):
         raise FamilyError("restricted polarizations are not a perfect matching")
 
-    components = []
-    counts = {"P1xP1": 0, "P0xP2": 0, "P2xP0": 0}
+    covers = []
     for j in range(1, 4):
         for kill_a in combinations(range(4), j):
             a_surv = tuple(sorted(surv_a - {edges[k][0] for k in kill_a}))
             b_surv = tuple(
                 sorted(surv_b - {edges[k][1] for k in range(4) if k not in kill_a})
             )
-            kind = f"P{3 - j}xP{j - 1}"
-            counts[kind] += 1
-            example = (
-                space_a.name == "T01|23"
-                and space_b.name == "T02|13"
-                and (a_surv, b_surv) == _Z5_EXAMPLE
-            )
-            verified = _verify_component_lines(a_surv, b_surv)
-            components.append(
-                WComponent(
-                    kind,
-                    a_surv,
-                    b_surv,
-                    example,
-                    "example" if example else "undetermined",
-                    verified,
-                )
-            )
-    return ComponentCensus(
-        (space_a.name, space_b.name), tuple(edges), counts, tuple(components)
-    )
+            covers.append((f"P{3 - j}xP{j - 1}", a_surv, b_surv))
+    return tuple(edges), covers
 
 
 def _component_rows(a_surv, b_surv):
@@ -419,23 +429,12 @@ def _component_rows(a_surv, b_surv):
     return _row(zero, a_surv, var[:len(a_surv)]), _row(zero, b_surv, var[len(a_surv):])
 
 
-def _verify_component_lines(a_surv, b_surv) -> bool:
-    """Symbolic check that the component's lines lie in Q identically."""
-    r0, r1 = _component_rows(a_surv, b_surv)
-    scratch = Certificate("component")
-    if not _symbolic_line_in_q(scratch, r0, r1):
-        raise FamilyError(f"component lines not inside Q: {a_surv} x {b_surv}")
-    return True
-
-
 def sample_component_line(
     field: Field, space_a: TorsionSpace, space_b: TorsionSpace, rng
 ) -> LineA:
     """A random line from one P^1 x P^1 component of the pair's census."""
-    census = z5_component_counts(space_a, space_b)
-    p1xp1 = [c for c in census.components if c.kind == "P1xP1"]
-    comp = rng.choice(p1xp1)
-    a_surv, b_surv = comp.a_survivors, comp.b_survivors
+    _, covers = _matching_covers(space_a, space_b)
+    kind, a_surv, b_surv = rng.choice([c for c in covers if c[0] == "P1xP1"])
     r0 = _row(0, a_surv, [field.random_nonzero(rng) for _ in a_surv])
     r1 = _row(0, b_surv, [field.random_nonzero(rng) for _ in b_surv])
     return LineA(
@@ -445,7 +444,7 @@ def sample_component_line(
         provenance={
             "family": "two-torsion",
             "pair": [space_a.name, space_b.name],
-            "component": comp.kind,
+            "component": kind,
         },
     )
 
@@ -599,23 +598,22 @@ PARA_V2_GRADING = {
 }
 
 
-def _para_v2_system(perturb: bool = False) -> PolyMatrix:
+def _para_v2_system() -> PolyMatrix:
     """The 4x6 linear system for (c0..c5) from the two defining 2x2 systems."""
     vt = VarTable(PARA_V2_VARS, PARA_V2_GRADING)
     var = {n: Poly.variable(vt, QQ, n) for n in vt.names}
     w0, w1, y0, y1, z0, z1 = (var[n] for n in PARA_V2_VARS)
     zero = Poly.zero(vt, QQ)
-    b2_w0 = (w0 + w1) if perturb else w0
     rows = [
         [y0, zero, y1, zero, zero, zero],
         [zero, zero, zero, zero, -(w1 * y0), (w0 - w1) * y1],
         [zero, z0, z1, zero, zero, zero],
-        [zero, zero, zero, b2_w0 * z1, -(w1 * z0), zero],
+        [zero, zero, zero, w0 * z1, -(w1 * z0), zero],
     ]
     return PolyMatrix(vt, QQ, rows)
 
 
-def verify_para_v2(perturb: bool = False) -> Certificate:
+def verify_para_v2() -> Certificate:
     """Certificate for the determinantal parametrization of the scroll model.
 
     Computes the rank-2 kernel of the 4x6 system by bounded-degree linear
@@ -624,7 +622,7 @@ def verify_para_v2(perturb: bool = False) -> Certificate:
     determinants and verifies both expand to the zero polynomial.
     """
     cert = Certificate("para-v2")
-    M = _para_v2_system(perturb)
+    M = _para_v2_system()
     vt = M.vars
 
     small = bounded_degree_kernel(M, (0, 1, 1))

@@ -127,17 +127,21 @@ class Field:
     def parse_scalar(self, text: str) -> Raw:
         raise NotImplementedError
 
-    def _scalar_text(self, text):
-        """A store scalar is an int or a string that ``_SCALAR_TEXT`` matches
-        whole; a JSON float or bool, and decimal, exponent, padded or
-        underscored text, are not (so no text stands for a number far longer
-        than itself)."""
+    def _parse(self, text, convert):
+        """``convert(text)`` for a store scalar: an int or a string that
+        ``_SCALAR_TEXT`` matches whole; a JSON float or bool, and decimal,
+        exponent, padded or underscored text, are not (so no text stands for
+        a number far longer than itself).  Text with more digits than
+        ``int`` converts (``sys.get_int_max_str_digits()``) is refused too."""
         if isinstance(text, str):
             if not self._SCALAR_TEXT.fullmatch(text):
                 raise FieldError(f"{self} scalar text must match {self._SCALAR_TEXT.pattern}: {text[:40]!r}")
         elif isinstance(text, bool) or not isinstance(text, int):
             raise FieldError(f"scalar must be a string or an integer, not {text!r}")
-        return text
+        try:
+            return convert(text)
+        except ValueError as e:  # past the interpreter's digit limit
+            raise FieldError(f"{self} scalar text: {e}") from None
 
     def to_spec(self) -> dict:
         raise NotImplementedError
@@ -177,7 +181,7 @@ class PrimeField(Field):
         return str(a % self.p)
 
     def parse_scalar(self, text: str) -> int:
-        return int(self._scalar_text(text)) % self.p
+        return self._parse(text, int) % self.p
 
     def to_spec(self) -> dict:
         return {"kind": "prime", "p": self.p}
@@ -221,7 +225,7 @@ class RationalField(Field):
         return f"{a.numerator}/{a.denominator}"
 
     def parse_scalar(self, text: str) -> Fraction:
-        return Fraction(self._scalar_text(text))
+        return self._parse(text, Fraction)
 
     def to_spec(self) -> dict:
         return {"kind": "rational"}

@@ -453,7 +453,7 @@ def _two_hyp_partner(
     ones; ``general_position`` skips those.  Returns None after ``cap``
     trials so the caller can redraw the first endpoint.
     """
-    p = _require_search_field(field)
+    p = field.p  # sample_line checked it
     lam = jacobian_at(field, point.coords)
     l0, l1, l2, l3 = ([int(x) for x in row] for row in lam)
     mod_p = p.__rmod__  # x -> x % p
@@ -484,7 +484,7 @@ def _two_hyp_partner(
 
 
 def _random_hyp_point(field: PrimeField, rng, budget: _Budget) -> PointA:
-    p = _require_search_field(field)
+    p = field.p  # sample_line checked it
     while True:
         budget.spend()
         coords = hyp_evaluate(_draw(rng, p, 10), p.__rmod__)  # x -> x % p
@@ -517,20 +517,22 @@ def sample_line(
     ``general_position`` additionally forces a two-hyp line to be a general
     member of its family (no row-vanishing point, kernel degrees
     (1, 1, 1, 1)); such lines are 20-100x rarer in the rejection search.
-    Raises :class:`BudgetExhausted` when the trial budget runs out.
+    Raises :class:`BudgetExhausted` when the trial budget runs out, and
+    every other :class:`SamplingError` (bad arguments) before the first draw.
     """
     if strategy not in STRATEGIES:
         raise SamplingError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    rng = random.Random(seed)
-    tracker = _Budget(strategy, budget)
-
     home = pair = None
     if strategy == "two-torsion":
         pair = tuple(spaces) if spaces else (TORSION_SPACES[0], TORSION_SPACES[1])
         if len(pair) != 2 or pair[0] == pair[1]:
             raise SamplingError("two-torsion needs two distinct torsion spaces")
-    elif strategy == "torsion":
-        home = space if space is not None else TORSION_SPACES[0]
+    else:
+        _require_search_field(field)
+        if strategy == "torsion":
+            home = space if space is not None else TORSION_SPACES[0]
+    rng = random.Random(seed)
+    tracker = _Budget(strategy, budget)
 
     for _ in range(_MAX_RETRIES):
         try:
@@ -629,13 +631,11 @@ def _fulfils(strategy: str, report: FiberReport, home, pair, general_position: b
             and not report.torsion_containments
             and not report.excluded_flag
         )
-    if strategy == "two-hyp":
-        # kernel degrees (1, 1, 1, 1) also rule out every row-vanishing point
-        return (
-            len(report.hyperelliptic_roots) == 2
-            and not report.torsion_points
-            and not report.torsion_containments
-            and not report.excluded_flag
-            and (not general_position or report.kernel_degrees == (1, 1, 1, 1))
-        )
-    raise SamplingError(strategy)
+    # two-hyp; kernel degrees (1, 1, 1, 1) also rule out every row-vanishing point
+    return (
+        len(report.hyperelliptic_roots) == 2
+        and not report.torsion_points
+        and not report.torsion_containments
+        and not report.excluded_flag
+        and (not general_position or report.kernel_degrees == (1, 1, 1, 1))
+    )

@@ -184,6 +184,60 @@ def test_sample_append_adds_records_under_one_header(tmp_path):
     assert read_store(parts) == ({"format": 1}, [records[0], records[0]])
 
 
+def test_sample_append_to_an_empty_file_writes_the_header(tmp_path):
+    whole, parts = tmp_path / "whole.jsonl", tmp_path / "parts.jsonl"
+    one = ["sample", "--field", "p31", "--seed", "3", "--count", "1"]
+    assert main(one + ["--out", str(whole)]) == 0
+    parts.write_text("")
+    assert main(one + ["--append", "--out", str(parts)]) == 0
+    assert parts.read_bytes() == whole.read_bytes()
+    assert main(["classify", "--in", str(parts), "--out", str(tmp_path / "r.jsonl")]) == 0
+
+
+@pytest.mark.parametrize("first", ["not a store", '{"format": 2}', "[1]", "[" * 100_000],
+                         ids=["text", "format-2", "list", "deep"])
+def test_sample_append_to_a_non_store_is_usage_error(tmp_path, monkeypatch, capsys, first):
+    # a first line that is not a format-1 header: refused before any draw
+    import godeaux_lines.cli as cli
+
+    monkeypatch.setattr(cli, "sample_line", _no_draws)
+    out = tmp_path / "other.txt"
+    out.write_text(first + "\nmore text\n")
+    code = main(["sample", "--field", "p31", "--seed", "3", "--append", "--out", str(out)])
+    _assert_clean_out_error(code, capsys)
+    assert out.read_text() == first + "\nmore text\n"
+
+
+@pytest.mark.parametrize("dest", ["stdout", "append"])
+@pytest.mark.parametrize("strategy, budget", [("generic", "10000000"), ("two-hyp", "20")])
+def test_sample_writes_each_record_before_the_next_draw(tmp_path, monkeypatch, dest, strategy, budget):
+    # stdout and --append get each record, line or budget-exhausted error,
+    # as soon as its slot is drawn: memory does not grow with --count
+    import io
+
+    import godeaux_lines.cli as cli
+
+    out = tmp_path / "store.jsonl"
+    stdout = io.StringIO()
+    if dest == "append":
+        out.write_text('{"format":1}\n')
+    written = []  # lines written when each slot starts to draw
+    real = cli.sample_line
+
+    def sample_line(*args, **kwargs):
+        written.append(len((out.read_text() if dest == "append" else stdout.getvalue()).splitlines()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_line", sample_line)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    args = ["sample", "--strategy", strategy, "--field", "p31", "--seed", "3",
+            "--count", "3", "--budget", budget]
+    code = main(args + (["--append", "--out", str(out)] if dest == "append" else ["--out", "-"]))
+    assert code == (0 if strategy == "generic" else 3)
+    header = 1 if dest == "append" else 0  # written before the run, or with slot 0
+    assert written == [header, 2, 3]
+
+
 def test_classify_out_that_is_in_is_usage_error(tmp_path, capsys):
     store = tmp_path / "store.jsonl"
     assert main(["sample", "--field", "p31", "--seed", "1", "--count", "2", "--out", str(store)]) == 0

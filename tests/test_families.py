@@ -31,7 +31,7 @@ from godeaux_lines.geometry import (
     quadric_value,
     quadrics,
 )
-from godeaux_lines.polynomials import Poly, VarTable
+from godeaux_lines.polynomials import Poly, PolyMatrix, VarTable
 from godeaux_lines.strata import TORSION_SPACES, classify_line, rank_a, torsion_intersections
 
 WORKED_PARAMS = (1, 1, 1, 2, 1, 1, 1, 1, 1, 1)
@@ -381,6 +381,12 @@ def test_para_v2_certificate():
     assert by_name["bounded-kernel-dimension-7"].passed
 
 
-def test_para_v2_perturbed_fails():
-    cert = verify_para_v2(perturb=True)
+def test_para_v2_perturbed_fails(monkeypatch):
+    # the certificate must catch a wrong system: w0 z1 becomes (w0 + w1) z1
+    M = fam._para_v2_system()
+    w1, z1 = (Poly.variable(M.vars, QQ, n) for n in ("w1", "z1"))
+    rows = [list(row) for row in M.entries]
+    rows[3][3] = rows[3][3] + w1 * z1
+    monkeypatch.setattr(fam, "_para_v2_system", lambda: PolyMatrix(M.vars, QQ, rows))
+    cert = verify_para_v2()
     assert not cert.passed

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -132,6 +133,17 @@ def test_parse_scalar_accepts_strings_and_ints():
     assert F.parse_scalar("-1") == 30
     assert QQ.parse_scalar(-7) == Fraction(-7)
     assert QQ.parse_scalar("5/10") == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("field, shape", [
+    (PrimeField(31), "{}"), (PrimeField(31), "-{}"), (QQ, "{}"), (QQ, "-{}"), (QQ, "1/{}"),
+])
+def test_parse_scalar_past_the_digit_limit_is_field_error(field, shape):
+    # text that passes the scalar pattern but has more digits than int()
+    # converts is refused with a FieldError, not an untyped ValueError
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(FieldError):
+        field.parse_scalar(shape.format(digits))
 
 
 def test_field_from_spec():

@@ -8,8 +8,10 @@ per-op field methods (``Field.add`` and the like) made to raise, since the
 package computes with the values' own operators and ``field.canonical``.
 """
 
+import importlib.util
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -38,6 +40,17 @@ def test_sample_reproduces_golden_store_lines(strategy, tmp_path):
     k = STRATEGIES.index(strategy)
     store = (DATA / "golden_store.jsonl").read_text().splitlines()[1:]
     assert got == store[2 * k:2 * k + 2]
+
+
+def test_family_lines_reproduce_golden_store_lines():
+    # the store ends with make_golden.family_lines(Random(FAMILY_SEED)), which
+    # pins sample_component_line and z5_line over F_99991 and F_(2^61 - 1)
+    spec = importlib.util.spec_from_file_location("make_golden", DATA / "make_golden.py")
+    make_golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_golden)
+    got = [_dumps({"line": l}) for l in make_golden.family_lines(random.Random(make_golden.FAMILY_SEED))]
+    store = (DATA / "golden_store.jsonl").read_text().splitlines()[1:]
+    assert got == store[len(store) - len(got):]
 
 
 def test_verify_golden_certificates(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,6 +16,7 @@ from godeaux_lines.geometry import (
     tangent_space,
 )
 from godeaux_lines.linalg import rank
+import godeaux_lines.sampling as sampling
 from godeaux_lines.sampling import (
     BudgetExhausted,
     FieldTooLarge,
@@ -154,6 +156,35 @@ def test_two_torsion_needs_distinct_spaces(f31):
             seed=0,
             spaces=(TORSION_SPACES[0], TORSION_SPACES[0]),
         )
+
+
+class _NoDraws(random.Random):
+    """A random stream that fails on its first use."""
+
+    def getrandbits(self, k):
+        raise AssertionError("drew from the random stream before raising")
+
+    def random(self):
+        raise AssertionError("drew from the random stream before raising")
+
+
+def _argument_error_cases():
+    for strategy in ("generic", "torsion", "hyp", "two-hyp"):
+        for field in (QQ, PrimeField(2), PrimeField(1_000_003)):
+            yield pytest.param(strategy, field, {}, id=f"{strategy}-{field}")
+    yield pytest.param("everything", PrimeField(31), {}, id="unknown-strategy")
+    pair = (TORSION_SPACES[1], TORSION_SPACES[1])
+    yield pytest.param("two-torsion", PrimeField(31), {"spaces": pair}, id="equal-spaces")
+
+
+@pytest.mark.parametrize("strategy, field, kwargs", _argument_error_cases())
+def test_argument_errors_come_before_the_first_draw(monkeypatch, strategy, field, kwargs):
+    # every SamplingError but BudgetExhausted depends on the arguments only,
+    # so sample_line raises it before its random stream is used
+    monkeypatch.setattr(sampling, "random", SimpleNamespace(Random=_NoDraws))
+    with pytest.raises(SamplingError) as err:
+        sample_line(strategy, field, seed=0, budget=10, **kwargs)
+    assert not isinstance(err.value, BudgetExhausted)
 
 
 # ----------------------------------------------------------------------
