@@ -262,7 +262,7 @@ def iter_store(path):
                 continue
             try:
                 rec = json.loads(raw)
-            except (json.JSONDecodeError, RecursionError):  # too deep to read is malformed too
+            except (ValueError, RecursionError):  # undecodable, too deep, or an int past the digit limit
                 rec = None
             yield i, rec, raw
 

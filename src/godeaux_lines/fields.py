@@ -132,7 +132,8 @@ class Field:
         ``_SCALAR_TEXT`` matches whole; a JSON float or bool, and decimal,
         exponent, padded or underscored text, are not (so no text stands for
         a number far longer than itself).  Text with more digits than
-        ``int`` converts (``sys.get_int_max_str_digits()``) is refused too."""
+        ``int`` converts (``sys.get_int_max_str_digits()``) or with a zero
+        denominator is refused too."""
         if isinstance(text, str):
             if not self._SCALAR_TEXT.fullmatch(text):
                 raise FieldError(f"{self} scalar text must match {self._SCALAR_TEXT.pattern}: {text[:40]!r}")
@@ -142,6 +143,8 @@ class Field:
             return convert(text)
         except ValueError as e:  # past the interpreter's digit limit
             raise FieldError(f"{self} scalar text: {e}") from None
+        except ZeroDivisionError:  # "n/0"
+            raise FieldError(f"{self} scalar text has a zero denominator: {text[:40]!r}") from None
 
     def to_spec(self) -> dict:
         raise NotImplementedError

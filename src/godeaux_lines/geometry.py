@@ -336,7 +336,7 @@ class LineA:
             F = field_from_spec(data["field"])
             r0 = [F.parse_scalar(x) for x in rows[0]]
             r1 = [F.parse_scalar(x) for x in rows[1]]
-        except (FieldError, TypeError, ValueError, ZeroDivisionError) as e:
+        except (FieldError, TypeError, ValueError) as e:
             raise GeometryError(f"malformed line: {e}") from None
         return cls(F, r0, r1, provenance=data.get("provenance"))
 

@@ -472,8 +472,10 @@ def quadric_symmetries() -> SymmetryGroup:
     sign constraints form a linear system over ``PrimeField(2)``, solved by
     the package's one exact elimination, whose solutions are enumerated.
     Every element is certified, on each call, by the exact polynomial
-    identity (transformed q_k) = +- q_(perm k) on relabeled monomials, and
-    the induced action on the three torsion P^3's is reported.
+    identity (transformed q_k) = +- q_(perm k) on relabeled monomials.
+    Generators are chosen greedily in sorted order, the group they give
+    growing one right coset at a time; the induced action on the three
+    torsion P^3's is read once per coordinate permutation and reported.
     """
     elements = []
     for perm in permutations(range(4)):
@@ -483,11 +485,16 @@ def quadric_symmetries() -> SymmetryGroup:
         if not symmetry_fixes_quadrics(e):
             raise StrataError("sign search produced a non-symmetry")
     generators = _generating_subset(elements)
-    images = {e.torsion_permutation() for e in elements}
+    images = _torsion_images(elements)
     transitive = all(
         any(g[i] == j for g in images) for i in range(3) for j in range(3)
     )
     return SymmetryGroup(tuple(elements), tuple(generators), transitive)
+
+
+def _torsion_images(elements) -> set:
+    """The torsion-space permutations the elements induce, read once per perm."""
+    return {e.torsion_permutation() for e in {e.perm: e for e in elements}.values()}
 
 
 def symmetry_fixes_quadrics(e: SignedPermutation) -> bool:
@@ -507,34 +514,27 @@ def symmetry_fixes_quadrics(e: SignedPermutation) -> bool:
     return True
 
 
-def _closure(gens, have=None):
-    """The group generated by ``gens``, keyed by (perm, signs).  ``have``
-    may be the closure of ``gens[:-1]``: it is extended, not rebuilt, as
-    its elements need only the last generator applied."""
-    ident = {(IDENTITY_SYMMETRY.perm, IDENTITY_SYMMETRY.signs): IDENTITY_SYMMETRY}
-    have, apply = (ident, gens) if have is None else (dict(have), gens[-1:])
-    frontier = list(have.values())
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in apply:
-                c = g.compose(a)
-                if (c.perm, c.signs) not in have:
-                    have[c.perm, c.signs] = c
-                    nxt.append(c)
-        frontier, apply = nxt, gens
-    return have
-
-
 def _generating_subset(elements):
+    """Greedy generators: an element the ones so far do not give joins them;
+    the group then grows by right cosets H r of the group H it had (Dimino)."""
     gens = []
-    have = _closure(gens)
+    group = [IDENTITY_SYMMETRY]
+    seen = {(IDENTITY_SYMMETRY.perm, IDENTITY_SYMMETRY.signs)}
     for e in elements:
-        if (e.perm, e.signs) in have:
+        if (e.perm, e.signs) in seen:
             continue
         gens.append(e)
-        have = _closure(gens, have)
-        if len(have) == len(elements):
+        previous = list(group)
+        todo = [e]
+        while todo:
+            r = todo.pop()
+            if (r.perm, r.signs) in seen:
+                continue
+            coset = [h.compose(r) for h in previous]
+            group.extend(coset)
+            seen.update((c.perm, c.signs) for c in coset)
+            todo.extend(r.compose(s) for s in gens)
+        if len(group) == len(elements):
             break
     return gens
 
@@ -591,7 +591,5 @@ def verify_symmetries():
     cert.data["generators"] = [
         {"perm": list(e.perm), "signs": list(e.signs)} for e in group.generators
     ]
-    cert.data["torsion_images"] = sorted(
-        {e.torsion_permutation() for e in group.elements}
-    )
+    cert.data["torsion_images"] = sorted(_torsion_images(group.elements))
     return cert

@@ -364,10 +364,10 @@ def test_classify_isolates_malformed_record(tmp_path, bad, error):
 
 
 @pytest.mark.parametrize("field", [{"kind": "prime", "p": 31}, {"kind": "rational"}])
-@pytest.mark.parametrize("text", ["1e1000000000", "1.5", "1_000", " 7 "])
+@pytest.mark.parametrize("text", ["1e1000000000", "1.5", "1_000", " 7 ", "1/0"])
 def test_classify_isolates_non_integer_scalar_text(tmp_path, field, text):
-    # a store scalar is integer (or n/d) text; anything else is a per-record
-    # error, found without evaluating it, and the records after it classify
+    # a store scalar is integer (or n/d with d nonzero) text; anything else
+    # is a per-record error, and the records after it classify
     good = dict(Z5_LINE_JSON, field=field)
     bad = dict(good, rows=[[text] + good["rows"][0][1:], good["rows"][1]])
     store = tmp_path / "store.jsonl"
@@ -398,6 +398,21 @@ def test_classify_isolates_deeply_nested_record(tmp_path):
     assert main(["classify", "--in", str(store), "--out", str(out)]) == 0
     reports = [json.loads(l) for l in out.read_text().splitlines()]
     assert reports[1] == {"slot": 1, "error": "malformed-record"}
+    assert reports[2] == dict(reports[0], slot=2)
+
+
+def test_classify_isolates_record_past_the_int_digit_limit(tmp_path):
+    # json.loads raises a plain ValueError for an integer literal with more
+    # digits than int() converts; that record alone is malformed
+    store = tmp_path / "store.jsonl"
+    good = json.dumps({"line": Z5_LINE_JSON})
+    too_long = '{"line": ' + "1" * (sys.get_int_max_str_digits() + 1) + "}"
+    store.write_text("\n".join([json.dumps({"format": 1}), good, too_long, good]) + "\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["classify", "--in", str(store), "--out", str(out)]) == 0
+    reports = [json.loads(l) for l in out.read_text().splitlines()]
+    assert reports[1] == {"slot": 1, "error": "malformed-record"}
+    assert len(reports[0]["torsion_points"]) == 2
     assert reports[2] == dict(reports[0], slot=2)
 
 

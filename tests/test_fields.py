@@ -146,6 +146,12 @@ def test_parse_scalar_past_the_digit_limit_is_field_error(field, shape):
         field.parse_scalar(shape.format(digits))
 
 
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "0/0"])
+def test_parse_scalar_zero_denominator_is_field_error(text):
+    with pytest.raises(FieldError):
+        QQ.parse_scalar(text)
+
+
 def test_field_from_spec():
     assert field_from_spec("p31") == PrimeField(31)
     assert field_from_spec("q") == QQ

@@ -470,10 +470,46 @@ def test_elements_fix_quadric_set_exactly(symmetry_group):
         assert symmetry_fixes_quadrics(e)
 
 
-def test_generators_generate(symmetry_group):
-    from godeaux_lines.strata import _closure
+def _closure(gens):
+    """The group generated by ``gens`` as (perm, signs) keys, found breadth
+    first from the identity with every generator; the library's earlier
+    closure, kept as an oracle."""
+    from godeaux_lines.strata import IDENTITY_SYMMETRY
 
+    key = lambda e: (e.perm, e.signs)
+    have = {key(IDENTITY_SYMMETRY)}
+    frontier = [IDENTITY_SYMMETRY]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                c = g.compose(a)
+                if key(c) not in have:
+                    have.add(key(c))
+                    nxt.append(c)
+        frontier = nxt
+    return have
+
+
+def test_generators_generate(symmetry_group):
     assert len(_closure(symmetry_group.generators)) == symmetry_group.order
+
+
+def test_group_is_built_with_few_compositions(monkeypatch):
+    # growing the group by whole cosets composes about once per element;
+    # a closure over every generator at every step took 2,688 compositions
+    from godeaux_lines.strata import SignedPermutation
+
+    calls = []
+    compose = SignedPermutation.compose
+
+    def counted(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(SignedPermutation, "compose", counted)
+    assert quadric_symmetries().order == 384
+    assert 0 < len(calls) <= 2 * 384
 
 
 def test_symmetry_certificate():
@@ -558,45 +594,34 @@ def test_symmetry_check_matches_composition_oracle(symmetry_group):
 def _generating_subset_oracle(elements):
     """The earlier generator search, rebuilding the closure from the
     identity after every new generator; kept as an oracle."""
-    from godeaux_lines.strata import IDENTITY_SYMMETRY
-
-    def closure(gens):
-        key = lambda e: (e.perm, e.signs)
-        have = {key(IDENTITY_SYMMETRY)}
-        frontier = [IDENTITY_SYMMETRY]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    c = g.compose(a)
-                    if key(c) not in have:
-                        have.add(key(c))
-                        nxt.append(c)
-            frontier = nxt
-        return have
-
     gens = []
-    have = closure(gens)
+    have = _closure(gens)
     for e in elements:
         if (e.perm, e.signs) in have:
             continue
         gens.append(e)
-        have = closure(gens)
+        have = _closure(gens)
         if len(have) == len(elements):
             break
     return gens
 
 
 def test_generating_subset_matches_rebuild_oracle(symmetry_group):
+    # the full group, the stabilizer of T01|23 and the sign-only subgroup,
+    # each sorted and in three shuffled orders
     from godeaux_lines.strata import _generating_subset
 
-    elements = list(symmetry_group.elements)
-    assert _generating_subset(elements) == _generating_subset_oracle(elements)
-    assert list(symmetry_group.generators) == _generating_subset_oracle(elements)
-    for seed in range(3):
-        shuffled = elements[:]
-        random.Random(seed).shuffle(shuffled)
-        assert _generating_subset(shuffled) == _generating_subset_oracle(shuffled)
+    full = list(symmetry_group.elements)
+    assert list(symmetry_group.generators) == _generating_subset_oracle(full)
+    stabilizer = [e for e in full if e.torsion_permutation()[0] == 0]
+    signs_only = [e for e in full if e.perm == (0, 1, 2, 3)]
+    assert (len(stabilizer), len(signs_only)) == (128, 16)
+    for elements in (full, stabilizer, signs_only):
+        assert _generating_subset(elements) == _generating_subset_oracle(elements)
+        for seed in range(3):
+            shuffled = elements[:]
+            random.Random(seed).shuffle(shuffled)
+            assert _generating_subset(shuffled) == _generating_subset_oracle(shuffled)
 
 
 def _solve_gf2(rows, ncols):
