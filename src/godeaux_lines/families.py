@@ -641,12 +641,9 @@ def verify_para_v2() -> Certificate:
     monos = sorted({e for vec in big + [n1] for p in vec for e in p.terms})
     mono_index = {m: i for i, m in enumerate(monos)}
 
-    def flat(vec):
-        out = [QQ.zero()] * (6 * len(monos))
-        for slot, p in enumerate(vec):
-            for e, c in p.terms.items():
-                out[slot * len(monos) + mono_index[e]] = c
-        return tuple(out)
+    def flat(vec):  # sparse: {column: value}
+        return {slot * len(monos) + mono_index[e]: c
+                for slot, p in enumerate(vec) for e, c in p.terms.items()}
 
     # n1 times every monomial of degree <= 2 in (w0, w1)
     w_monos = [Poly.monomial(vt, QQ, e) for e in monomials_up_to(vt, (2, 0, 0))]

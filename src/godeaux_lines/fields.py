@@ -6,20 +6,21 @@ floating point anywhere.  A field is represented by a small context object
 *raw* canonical representatives:
 
 * ``F_p``  -- Python ints in ``[0, p)``;
-* ``Q``    -- :class:`fractions.Fraction` (always reduced, positive
-  denominator).
+* ``Q``    -- a Python int when the value is integral, otherwise a
+  :class:`fractions.Fraction` (always reduced, positive denominator).
 
 There is one scalar arithmetic: code computes with the values' own
 ``+ - *`` and reduces each result once with ``field.canonical``, and the
 zero test of a canonical value is its falsiness.  Inversion is the one
-operation the values cannot do themselves, so it goes through
-``field.inv``.  Every public constructor and entry point canonicalises what
-it is given, so every value the package stores is canonical.  ``canonical``
-accepts only exact scalars (``int``, ``bool`` included, and ``Fraction``)
-and raises :class:`FieldError` for anything else, so a float or a string is
-never silently truncated.  The named operations on :class:`Field`
-(``add``, ``mul``, ``div``, ...) are written once over ``canonical`` for
-callers that want them; the package itself does not use them.
+operation the values cannot do themselves (``int / int`` is a float, which
+``canonical`` refuses), so it goes through ``field.inv``.  Every public
+constructor and entry point canonicalises what it is given, so every value
+the package stores is canonical.  ``canonical`` accepts only exact scalars
+(``int``, ``bool`` included, and ``Fraction``) and raises
+:class:`FieldError` for anything else, so a float or a string is never
+silently truncated.  The named operations on :class:`Field` (``add``,
+``mul``, ``div``, ...) are written once over ``canonical`` for callers that
+want them; the package itself does not use them.
 
 Field objects are stateless and hashable and raw values are immutable, so
 everything here is safe to share between concurrent tasks.
@@ -181,7 +182,7 @@ class PrimeField(Field):
         return rng.randrange(self.p)
 
     def format_scalar(self, a) -> str:
-        return str(a % self.p)
+        return str(self.canonical(a))
 
     def parse_scalar(self, text: str) -> int:
         return self._parse(text, int) % self.p
@@ -206,29 +207,32 @@ class RationalField(Field):
     __slots__ = ()
     _SCALAR_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
-    def canonical(self, value) -> Fraction:
-        if type(value) is Fraction:  # Fractions are always reduced
+    def canonical(self, value) -> Raw:
+        if type(value) is int:  # integers stay Python ints
             return value
-        if isinstance(value, (int, Fraction)):
-            return Fraction(value)
-        raise FieldError(f"{self} scalar must be an int or a Fraction, not {value!r}")
+        if type(value) is not Fraction:  # bool, other int and Fraction subclasses
+            if not isinstance(value, (int, Fraction)):
+                raise FieldError(f"{self} scalar must be an int or a Fraction, not {value!r}")
+            value = Fraction(value)
+        # Fractions are always reduced; an integral one becomes its numerator
+        return value.numerator if value.denominator == 1 else value
 
     def inv(self, a):
-        if a == 0:
+        a = self.canonical(a)
+        if not a:
             raise FieldDivisionError("inverse of zero in Q")
-        return 1 / Fraction(a)
+        if a == 1 or a == -1:  # a unit stays an int
+            return a
+        return self.canonical(Fraction(a.denominator, a.numerator))
 
-    def random(self, rng) -> Fraction:
-        return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+    def random(self, rng) -> Raw:
+        return self.canonical(Fraction(rng.randint(-30, 30), rng.randint(1, 12)))
 
     def format_scalar(self, a) -> str:
-        a = Fraction(a)
-        if a.denominator == 1:
-            return str(a.numerator)
-        return f"{a.numerator}/{a.denominator}"
+        return str(self.canonical(a))  # "n", or "n/d" in lowest terms
 
-    def parse_scalar(self, text: str) -> Fraction:
-        return self._parse(text, Fraction)
+    def parse_scalar(self, text: str) -> Raw:
+        return self.canonical(self._parse(text, Fraction))
 
     def to_spec(self) -> dict:
         return {"kind": "rational"}

@@ -78,7 +78,7 @@ class GeometryError(ValueError):
 def _quadric(i: int, x):
     """q_i(x) = a*b - c*d + e*f, the Pfaffian read off ``QUADRIC_TERMS``.
 
-    ``x`` holds 12 values of one ring: residues, ``Fraction``s or ``Poly``s.
+    ``x`` holds 12 values of one ring: residues, rationals or ``Poly``s.
     The result is left unreduced; a field value needs ``field.canonical``.
     """
     (_, a, b), (_, c, d), (_, e, f) = QUADRIC_TERMS[i]

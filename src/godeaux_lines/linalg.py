@@ -8,7 +8,8 @@ column.  Rows go in dense (sequences of raw field values) or sparse
 entries are canonicalised and zeros dropped on the way in, so fill stays
 proportional to the nonzeros.  Entries may be any exact scalars of the
 field (ints of any size, ``Fraction``s); the results are canonical raw
-values: residues in F_p, Fractions over Q.
+values: residues in F_p; over Q, ints where integral and reduced
+``Fraction``s elsewhere.
 
 The RREF of a matrix is unique, so rank, echelon form and the kernel basis
 read off it (one vector per free column) depend only on the matrix, not on
@@ -37,11 +38,15 @@ def _gauss_jordan(field: Field, rows) -> dict:
     Each pivot row has 1 at its pivot column, its leftmost entry, and no
     entry at any other pivot column.  The pivot rows are kept in that form
     after every input row: a new row is reduced against them, and the new
-    pivot column is then cleared from them.  Every entry is canonicalised
-    on the way in, so any exact scalar of the field may be given.
+    pivot column is then cleared from them.  ``holders`` indexes each
+    non-pivot column by the pivot rows with an entry there, so the clearing
+    touches only those rows, not every pivot row.  Every entry is
+    canonicalised on the way in, so any exact scalar of the field may be
+    given.
     """
     red = field.canonical
     pivots: dict[int, dict] = {}
+    holders: dict[int, set] = {}
     for row in rows:
         items = row.items() if isinstance(row, dict) else enumerate(row)
         row = {}
@@ -57,9 +62,21 @@ def _gauss_jordan(field: Field, rows) -> dict:
         c = min(row)
         inv = field.inv(row[c])
         row = {j: red(inv * v) for j, v in row.items()}
-        for other in pivots.values():
-            if c in other:
-                _subtract(field, other, other[c], row)
+        rest = [(j, v) for j, v in row.items() if j != c]
+        for h in holders.pop(c, ()):
+            other = pivots[h]
+            f = other.pop(c)
+            for j, v in rest:
+                x = red(other.get(j, 0) - f * v)
+                if x:
+                    if j not in other:
+                        holders.setdefault(j, set()).add(h)
+                    other[j] = x
+                elif j in other:
+                    del other[j]
+                    holders[j].discard(h)
+        for j, _ in rest:
+            holders.setdefault(j, set()).add(c)
         pivots[c] = row
     return pivots
 
@@ -106,6 +123,7 @@ def sparse_nullspace(field: Field, srows, ncols: int):
 
 
 def in_span(field: Field, basis, vec) -> bool:
-    """Whether vec lies in the row span of basis (all raw value tuples)."""
-    rows = [list(b) for b in basis]
-    return rank(field, rows) == rank(field, rows + [list(vec)])
+    """Whether vec lies in the row span of basis (each a sequence of raw
+    values or a sparse {column: value} dict)."""
+    rows = list(basis)
+    return rank(field, rows) == rank(field, rows + [vec])

@@ -248,23 +248,23 @@ def _split_linear(F: PrimeField, g, h=None):
 
 
 def _rational_roots(F: RationalField, coeffs):
-    den_lcm = math.lcm(*(Fraction(c).denominator for c in coeffs))
-    ints = [int(Fraction(c) * den_lcm) for c in coeffs]
+    den_lcm = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den_lcm) for c in coeffs]
     zero_mult = next(k for k, c in enumerate(ints) if c)
     ints = ints[zero_mult:]
     out = []
     if zero_mult:
-        out.append(((Fraction(0), Fraction(1)), zero_mult))
+        out.append(((0, 1), zero_mult))
     if len(ints) <= 1:
         return out
     lead, trail = abs(ints[-1]), abs(ints[0])
     for num in _divisors(trail):
         for den in _divisors(lead):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
+            for cand in (F.canonical(Fraction(num, den)), F.canonical(Fraction(-num, den))):
                 if all(r != cand for (r, _), _ in out):
                     m = _multiplicity(F, ints, cand)
                     if m:
-                        out.append(((cand, Fraction(1)), m))
+                        out.append(((cand, 1), m))
     return out
 
 

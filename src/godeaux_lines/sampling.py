@@ -331,13 +331,16 @@ def _restricted(p, line, i, qu, buv, qv, qr, bur, bvr):
 
 
 def _coprime_pair(p, line, *tables):
-    """Whether the restrictions of q_0 and q_1 to the line are quadratics
-    with a nonzero resultant, so share no root even over the algebraic
-    closure; reads only entries 0 and 1 of the tables."""
+    """Whether the restrictions of q_0 and q_1 to the line, read as binary
+    quadratics f2 x^2 + f1 x z + f0 z^2, have a nonzero resultant, so share
+    no root in P^1 even over the algebraic closure.  A leading coefficient
+    0 is a root at infinity, so this holds whatever the degrees of the
+    restrictions (a zero one gives resultant 0).  Reads only entries 0 and
+    1 of the tables."""
     f0, f1, f2 = _restricted(p, line, 0, *tables)
     g0, g1, g2 = _restricted(p, line, 1, *tables)
     res = (f2 * g0 - f0 * g2) ** 2 - (f2 * g1 - f1 * g2) * (f1 * g0 - f0 * g1)
-    return bool(f2 and g2 and res % p)
+    return bool(res % p)
 
 
 def _share_a_factor(field: PrimeField, line, *tables):
@@ -522,6 +525,8 @@ def sample_line(
     """
     if strategy not in STRATEGIES:
         raise SamplingError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    if budget < 1:
+        raise SamplingError(f"budget {budget} is below 1; no trial can run")
     home = pair = None
     if strategy == "two-torsion":
         pair = tuple(spaces) if spaces else (TORSION_SPACES[0], TORSION_SPACES[1])

@@ -15,6 +15,7 @@ transitive on the three torsion spaces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations
 
@@ -173,22 +174,22 @@ def _require_in_q(line: LineA):
 # hyperelliptic detection via the minor GCD
 
 
-def restricted_a_matrix(line: LineA):
-    """The a-matrix along the line, as 4x6 linear binary forms."""
+def restricted_a_matrix(line: LineA, scale=1):
+    """The a-matrix along the line, as 4x6 linear binary forms; ``scale``
+    multiplies both rows of the line."""
     F = line.field
     zero = BinaryForm.zero(F, 1)
-    rows = []
-    for pattern_row in A_PATTERN:
-        rows.append([
-            zero if j is None else linear_form(F, *line.restrict_coordinate(j))
-            for j in pattern_row
-        ])
-    return rows
+    r0, r1 = line.rows
+    return [
+        [zero if j is None else linear_form(F, scale * r0[j], scale * r1[j]) for j in pattern_row]
+        for pattern_row in A_PATTERN
+    ]
 
 
-def quartic_minors(line: LineA):
-    """All fifteen 4x4 minors of the restricted a-matrix (binary quartics)."""
-    rows = restricted_a_matrix(line)
+def quartic_minors(line: LineA, scale=1):
+    """All fifteen 4x4 minors of the restricted a-matrix (binary quartics);
+    with both rows multiplied by ``scale``, each minor is scale^4 times."""
+    rows = restricted_a_matrix(line, scale)
     return [det4([[row[c] for c in cols] for row in rows]) for cols in combinations(range(6), 4)]
 
 
@@ -218,7 +219,10 @@ def hyperelliptic_points(line: LineA) -> HyperellipticResult:
 
 
 def _hyperelliptic_points(line: LineA) -> HyperellipticResult:
-    g = binary_gcd(quartic_minors(line))
+    # rows times the LCM of their denominators (1 over F_p) are integers over
+    # Q, and every minor scales by the same unit, which the monic GCD drops
+    scale = math.lcm(*(c.denominator for row in line.rows for c in row))
+    g = binary_gcd(quartic_minors(line, scale))
     if g.is_zero():
         return HyperellipticResult(g, (), True)
     roots = []

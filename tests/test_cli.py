@@ -91,6 +91,28 @@ def test_sample_budget_exhaustion_exit_3(tmp_path):
     assert records[0]["slot"] == 0
 
 
+@pytest.mark.parametrize("dest", ["stdout", "out", "append"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_sample_budget_below_one_is_usage_error(tmp_path, capsys, budget, dest):
+    # bad input (exit 2) that writes nothing anywhere, not a budget-exhausted record
+    out = tmp_path / "store.jsonl"
+    before = {"stdout": None, "out": "existing bytes\n", "append": '{"format":1}\n'}[dest]
+    if before is not None:
+        out.write_text(before)
+    where = ["--out", "-"] if dest == "stdout" else ["--out", str(out)]
+    code = main(["sample", "--field", "p31", "--seed", "1", "--count", "2",
+                 "--budget", budget] + where + (["--append"] if dest == "append" else []))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "budget" in captured.err
+    if before is None:
+        assert not out.exists()
+    else:
+        assert out.read_text() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if before is None else ["store.jsonl"])
+
+
 def test_sample_count_past_seed_stride_is_usage_error(tmp_path, monkeypatch, capsys):
     # slot SEED_STRIDE of --seed S would draw with the seed of slot 0 of
     # --seed S+1; such a count is refused before anything is drawn

@@ -259,3 +259,104 @@ def test_format_scalar_round_trips(field):
         values += [Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30)) for _ in range(300)]
     for x in values:
         assert field.parse_scalar(field.format_scalar(x)) == x
+
+
+def test_format_scalar_writes_the_canonical_value():
+    # a value that is not canonical is written as the scalar it stands for,
+    # and a float is refused, as by canonical
+    F = PrimeField(31)
+    assert [F.format_scalar(x) for x in (-1, 33, Fraction(1, 2), True)] == ["30", "2", "16", "1"]
+    assert [QQ.format_scalar(x) for x in (Fraction(6, 3), Fraction(4, -6), True)] == ["2", "-2/3", "1"]
+    for field in (F, QQ):
+        with pytest.raises(FieldError):
+            field.format_scalar(0.5)
+
+
+# ----------------------------------------------------------------------
+# the scalar form over Q: an int exactly when the value is integral, a
+# reduced Fraction otherwise, never a float
+
+
+def _assert_rational_form(x):
+    assert type(x) in (int, Fraction), repr(x)
+    assert (type(x) is int) == (Fraction(x).denominator == 1), repr(x)
+    if type(x) is Fraction:
+        assert Fraction(x.numerator, x.denominator) == x and x.denominator > 1
+
+
+def _rational_samples(rng, n):
+    """Ints, integral and proper Fractions (some unreduced or with a negative
+    denominator), bools and big values, as a Q computation meets them."""
+    out = [0, 1, -1, True, False, Fraction(0), Fraction(6, 3), Fraction(-4, -2), 10**40,
+           Fraction(10**40, 3)]
+    for _ in range(n):
+        num, den = rng.randint(-60, 60), rng.choice((1, -1, 2, -3, 4, 7, 12))
+        out += [num, Fraction(num, den), Fraction(num * den, den)]
+    return out
+
+
+def test_rational_scalars_are_ints_exactly_when_integral():
+    from godeaux_lines.linalg import nullspace, rref, sparse_nullspace
+    from godeaux_lines.pencil import BinaryForm, binary_roots
+    from godeaux_lines.polynomials import Poly, VarTable
+
+    rng = random.Random(2039)
+    values = _rational_samples(rng, 100)
+    for x in values:
+        c = QQ.canonical(x)
+        _assert_rational_form(c)
+        assert c == x
+        assert QQ.parse_scalar(QQ.format_scalar(x)) == c
+        _assert_rational_form(QQ.parse_scalar(QQ.format_scalar(x)))
+        if x:
+            inv = QQ.inv(x)
+            _assert_rational_form(inv)
+            assert inv * x == 1
+    assert type(QQ.inv(-1)) is int and type(QQ.inv(Fraction(1))) is int
+    assert type(QQ.inv(Fraction(1, 3))) is int and type(QQ.inv(3)) is Fraction
+    assert [type(QQ.parse_scalar(t)) for t in ("6/3", "-4", "0/5", "1/2")] == [int, int, int, Fraction]
+    for x in (QQ.zero(), QQ.one()):
+        assert type(x) is int
+    # random keeps its stream: the value of Fraction(randint, randint)
+    a, b = random.Random(5), random.Random(5)
+    for _ in range(300):
+        x = QQ.random(a)
+        _assert_rational_form(x)
+        assert x == Fraction(b.randint(-30, 30), b.randint(1, 12))
+
+    vt = VarTable(("x", "y"))
+    p = Poly(vt, QQ, {(1, 0): Fraction(3, 2), (0, 1): Fraction(4, 2), (0, 0): 5})
+    q = Poly(vt, QQ, {(1, 0): Fraction(2, 3), (0, 0): Fraction(-1, 2)})
+    for poly in (p, q, p * q, p + q, p - q, p ** 3, p.scale(Fraction(2, 3))):
+        for c in poly.terms.values():
+            _assert_rational_form(c)
+    _assert_rational_form((p * q).eval([Fraction(1, 2), 3]))
+
+    f = BinaryForm(QQ, 2, (Fraction(4, 2), 3, Fraction(1, 2)))
+    g = BinaryForm(QQ, 1, (Fraction(2, 3), Fraction(-6, 3)))
+    for form in (f, g, f * g, -f, f + f):
+        for c in form.coeffs:
+            _assert_rational_form(c)
+    _assert_rational_form(f.eval(Fraction(1, 3), 2))
+
+    # (s - 2t)(s + t)(3s - t)(s + 3t) and (2s - 3t)^2 t: integral and proper roots
+    lin = lambda a, b: BinaryForm(QQ, 1, (a, b))
+    quartic = lin(1, -2) * lin(1, 1) * lin(3, -1) * lin(1, 3)
+    cubic = lin(2, -3) * lin(2, -3) * lin(0, 1)
+    for form in (quartic, cubic):
+        for (s, t), _ in binary_roots(form):
+            _assert_rational_form(s)
+            _assert_rational_form(t)
+    assert [st for st, _ in binary_roots(quartic)] == [(-1, 1), (Fraction(1, 3), 1), (2, 1), (-3, 1)]
+    assert binary_roots(cubic) == [((1, 0), 1), ((Fraction(3, 2), 1), 2)]
+
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 8)
+        rows = [[rng.choice(values) if rng.random() < 0.6 else 0 for _ in range(ncols)]
+                for _ in range(nrows)]
+        reduced, _ = rref(QQ, rows)
+        kernel = nullspace(QQ, rows, ncols)
+        sparse = sparse_nullspace(QQ, [dict(enumerate(r)) for r in rows], ncols)
+        assert sparse == kernel
+        for x in [x for row in reduced for x in row] + [x for vec in kernel for x in vec]:
+            _assert_rational_form(x)

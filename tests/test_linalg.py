@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from godeaux_lines.fields import FieldError, PrimeField, QQ
-from godeaux_lines.linalg import in_span, nullspace, rank, rref, sparse_nullspace
+from godeaux_lines.linalg import _gauss_jordan, in_span, nullspace, rank, rref, sparse_nullspace
 
 
 def test_rank_and_rref_basic():
@@ -152,7 +152,7 @@ def random_matrices(field, rng, count):
 
 
 def typed(values):
-    # exact equality including the value type (int in F_p, Fraction over Q)
+    # exact equality including the value type (an int, or over Q a Fraction where not integral)
     return [[(type(x), x) for x in row] for row in values]
 
 
@@ -231,3 +231,108 @@ def test_entry_points_reject_floats(field):
                  lambda: sparse_nullspace(field, [dict(enumerate(r)) for r in rows], 2)):
         with pytest.raises(FieldError):
             call()
+
+
+# ----------------------------------------------------------------------
+# the elimination that clears a new pivot column by a scan over every pivot
+# row, kept as the oracle of the one that reads the column's holders
+
+
+def _scan_subtract(field, row, f, pivot_row):
+    red = field.canonical
+    for j, v in pivot_row.items():
+        x = red(row.get(j, 0) - f * v)
+        if x:
+            row[j] = x
+        else:
+            row.pop(j, None)
+
+
+def _scan_gauss_jordan(field, rows):
+    red = field.canonical
+    pivots = {}
+    for row in rows:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        row = {}
+        for j, v in items:
+            v = red(v)
+            if v:
+                row[j] = v
+        for c in [c for c in row if c in pivots]:
+            _scan_subtract(field, row, row[c], pivots[c])
+        if not row:
+            continue
+        c = min(row)
+        inv = field.inv(row[c])
+        row = {j: red(inv * v) for j, v in row.items()}
+        for other in pivots.values():
+            if c in other:
+                _scan_subtract(field, other, other[c], row)
+        pivots[c] = row
+    return pivots
+
+
+def typed_pivots(pivots):
+    # pivot order, then each row's entries with their types
+    return [(c, sorted((j, type(v), v) for j, v in row.items())) for c, row in pivots.items()]
+
+
+def sparse_matrices(rng, count, scalar):
+    """Sparse {column: value} rows, up to 40 x 60, from ``scalar(rng)``:
+    few entries per row, so most pivot rows never hold a new pivot column,
+    and a share of rows that repeat sums of earlier ones."""
+    for _ in range(count):
+        nrows, ncols = rng.randint(1, 40), rng.randint(1, 60)
+        rows = []
+        for _ in range(nrows):
+            if rows and rng.random() < 0.25:
+                a, b = rng.choice(rows), rng.choice(rows)
+                row = dict(a)
+                for j, v in b.items():
+                    row[j] = row.get(j, 0) + v
+            else:
+                row = {rng.randrange(ncols): scalar(rng) for _ in range(rng.randint(0, 4))}
+            rows.append(row)
+        yield rows
+
+
+def _fraction(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+@pytest.mark.parametrize("field, scalar", [
+    (PrimeField(2), lambda rng: rng.randrange(2)),
+    (PrimeField(3), lambda rng: rng.randint(-5, 5)),
+    (PrimeField(31), lambda rng: rng.randrange(31)),
+    (PrimeField(10007), lambda rng: rng.randrange(10007)),
+    (QQ, lambda rng: rng.randint(-3, 3)),
+    (QQ, _fraction),
+], ids=["F_2", "F_3", "F_31", "F_10007", "Q-ints", "Q-fractions"])
+def test_indexed_elimination_matches_scan_oracle(field, scalar):
+    rng = random.Random(2041)
+    for rows in sparse_matrices(rng, 150, scalar):
+        assert typed_pivots(_gauss_jordan(field, rows)) == typed_pivots(_scan_gauss_jordan(field, rows))
+    for rows, _ in random_matrices(field, rng, 150):
+        rows = [[scalar(rng) if x else x for x in row] for row in rows]
+        assert typed_pivots(_gauss_jordan(field, rows)) == typed_pivots(_scan_gauss_jordan(field, rows))
+
+
+def test_indexed_elimination_matches_scan_oracle_on_para_v2_system(monkeypatch):
+    # the (2,1,1) kernel solve of verify para-v2: 396 sparse rows, rank 317
+    import godeaux_lines.polynomials as polynomials
+    from godeaux_lines.families import _para_v2_system
+
+    systems = []
+    real = polynomials.sparse_nullspace
+
+    def recording(field, srows, ncols):
+        srows = [dict(r) for r in srows]
+        systems.append(srows)
+        return real(field, srows, ncols)
+
+    monkeypatch.setattr(polynomials, "sparse_nullspace", recording)
+    polynomials.bounded_degree_kernel(_para_v2_system(), (2, 1, 1))
+    (rows,) = systems
+    pivots = _gauss_jordan(QQ, rows)
+    assert (len(rows), len(pivots)) == (396, 317)
+    assert typed_pivots(pivots) == typed_pivots(_scan_gauss_jordan(QQ, rows))

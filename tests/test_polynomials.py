@@ -386,7 +386,10 @@ def test_poly_constructor_canonicalises_coefficients():
     assert p == q and hash(p) == hash(q) and str(p) == "2*x" and p.terms == {(1,): 2}
     assert Poly(vt, F, {(1,): 31, (0,): -62}).is_zero()
     assert Poly(vt, F, {(1,): Fraction(1, 2)}) == Poly(vt, F, {(1,): 16})
-    assert type(Poly(vt, QQ, {(1,): 3}).terms[(1,)]) is Fraction
+    assert type(Poly(vt, QQ, {(1,): 3}).terms[(1,)]) is int
+    assert type(Poly(vt, QQ, {(1,): Fraction(6, 2)}).terms[(1,)]) is int
+    assert Poly(vt, QQ, {(1,): Fraction(1, 2)}).terms[(1,)] == Fraction(1, 2)
+    assert type(Poly(vt, QQ, {(1,): Fraction(1, 2)}).terms[(1,)]) is Fraction
     for field in (F, QQ):
         with pytest.raises(FieldError):
             Poly(vt, field, {(1,): 1.5})

@@ -175,6 +175,10 @@ def _argument_error_cases():
     yield pytest.param("everything", PrimeField(31), {}, id="unknown-strategy")
     pair = (TORSION_SPACES[1], TORSION_SPACES[1])
     yield pytest.param("two-torsion", PrimeField(31), {"spaces": pair}, id="equal-spaces")
+    # no trial can run: bad input, not an exhausted budget
+    for strategy in sampling.STRATEGIES:
+        for budget in (0, -5):
+            yield pytest.param(strategy, PrimeField(31), {"budget": budget}, id=f"{strategy}-budget{budget}")
 
 
 @pytest.mark.parametrize("strategy, field, kwargs", _argument_error_cases())
@@ -183,7 +187,7 @@ def test_argument_errors_come_before_the_first_draw(monkeypatch, strategy, field
     # so sample_line raises it before its random stream is used
     monkeypatch.setattr(sampling, "random", SimpleNamespace(Random=_NoDraws))
     with pytest.raises(SamplingError) as err:
-        sample_line(strategy, field, seed=0, budget=10, **kwargs)
+        sample_line(strategy, field, seed=0, **{"budget": 10, **kwargs})
     assert not isinstance(err.value, BudgetExhausted)
 
 
@@ -444,6 +448,28 @@ def test_coprime_pair_rules_out_a_shared_factor(p):
             assert not _gcd_share_a_factor(p, line, *tables)
         seen.add(coprime)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_coprime_pair_is_the_resultant_of_binary_quadratics(p):
+    # every pair of binary quadratics f2 x^2 + f1 x z + f0 z^2 over F_p, a
+    # leading coefficient 0 (a root at infinity) and the zero form included:
+    # the resultant is nonzero exactly when the two are independent and
+    # share no root in P^1(F_p); with the line y = 0 the restrictions are
+    # (f0, f1, f2) = (q_i(R), B_i(u, R), q_i(u))
+    points = [(x, 1) for x in range(p)] + [(1, 0)]
+    forms = list(itertools.product(range(p), repeat=3))
+    roots = {f: frozenset(pt for pt in points
+                          if (f[0] * pt[1] ** 2 + f[1] * pt[0] * pt[1] + f[2] * pt[0] ** 2) % p == 0)
+             for f in forms}
+    seen = set()
+    for f, g in itertools.product(forms, repeat=2):
+        tables = ([f[2], g[2]], [0, 0], [0, 0], [f[0], g[0]], [f[1], g[1]], [0, 0])
+        coprime = _coprime_pair(p, (0, 0), *tables)
+        independent = any((f[i] * g[j] - f[j] * g[i]) % p for i, j in ((0, 1), (0, 2), (1, 2)))
+        assert coprime == (independent and not roots[f] & roots[g]), (f, g)
+        seen.add((coprime, f[2] == 0 or g[2] == 0))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # ----------------------------------------------------------------------

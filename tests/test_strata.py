@@ -8,6 +8,7 @@ from conftest import coords_from
 from godeaux_lines.families import sample_component_line, z5_line
 from godeaux_lines.fields import PrimeField, QQ
 from godeaux_lines.geometry import AIDX, LineA, ORDER, PointA, line_in_q, line_through
+from godeaux_lines.pencil import BinaryForm
 from godeaux_lines.sampling import sample_line, tangent_cone_partner, _Budget, _fulfils
 from godeaux_lines.strata import (
     IDENTITY_SYMMETRY,
@@ -712,3 +713,48 @@ def test_excluded_flag_alone_rejects_hyp_and_two_hyp(field):
         grafted = replace(report, hyperelliptic_roots=roots)
         assert _fulfils(strategy, grafted, None, None, False) is False
         assert _fulfils(strategy, replace(grafted, excluded_flag=False), None, None, False) is True
+
+
+# ----------------------------------------------------------------------
+# Q lines given with denominators: the minors run on integer rows
+
+
+def _golden_q_lines():
+    import json
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parent / "data" / "golden_classify.jsonl"
+    records = [json.loads(text) for text in path.read_text().splitlines()]
+    return [LineA.from_json(r["line"]) for r in records
+            if "line" in r and r["line"]["field"] == {"kind": "rational"}]
+
+
+def test_rescaled_q_line_classifies_like_the_integral_line(monkeypatch):
+    # both rows times one lambda name the same line with the same (s:t), so
+    # the report is the same apart from "line"; the minors are still formed
+    # on integer rows, lambda^4 times those of the given rows
+    from godeaux_lines import strata
+    from godeaux_lines.families import z3_line
+
+    lines = _golden_q_lines() + [
+        z5_line(QQ, 1, 1, 1, 1), z3_line(QQ, (1, 1, 1, 1), (1, 2), (1, 1)), excluded_line(QQ),
+    ]
+    assert len(lines) >= 9 and all(type(c) is int for line in lines for row in line.rows for c in row)
+    real, seen = strata.quartic_minors, []
+
+    def recording(line, scale=1):
+        minors = real(line, scale)
+        seen.append({type(c) for m in minors for c in m.coeffs})
+        return minors
+
+    monkeypatch.setattr(strata, "quartic_minors", recording)
+    for line in lines:
+        want = classify_line(line).to_json()
+        line_json = want.pop("line")
+        for lam in (Fraction(3, 77), Fraction(-5, 12)):
+            scaled = LineA(QQ, [lam * c for c in line.rows[0]], [lam * c for c in line.rows[1]])
+            got = classify_line(scaled).to_json()
+            assert got.pop("line") != line_json
+            assert got == want
+            assert real(scaled) == [BinaryForm(QQ, 4, [lam ** 4 * c for c in m.coeffs]) for m in real(line)]
+    assert seen and all(kinds <= {int} for kinds in seen)
