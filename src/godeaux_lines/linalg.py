@@ -122,8 +122,22 @@ def sparse_nullspace(field: Field, srows, ncols: int):
     return _kernel_basis(field, _gauss_jordan(field, srows), ncols)
 
 
-def in_span(field: Field, basis, vec) -> bool:
-    """Whether vec lies in the row span of basis (each a sequence of raw
-    values or a sparse {column: value} dict)."""
-    rows = list(basis)
-    return rank(field, rows) == rank(field, rows + [vec])
+def solver(field: Field, rows, ncols: int):
+    """One elimination of a matrix A for any number of right-hand sides b.
+
+    The rows are eliminated beside an identity block, which records the row
+    operations.  Returns ``(kernel, inverse, checks)``: the kernel basis
+    :func:`nullspace` gives; ``inverse``, {pivot column c: {row r: value}},
+    so that x_c = sum_r value * b_r (0 at the free columns) solves A x = b
+    whenever it is solvable; and ``checks``, the same kind of {row: value}
+    combinations of the rows that vanish on A, so that A x = b is solvable
+    exactly when every check sums to 0 against b.
+    """
+    pivots = _gauss_jordan(field, [
+        {**(row if isinstance(row, dict) else dict(enumerate(row))), ncols + r: 1}
+        for r, row in enumerate(rows)
+    ])
+    record = {c: {j - ncols: v for j, v in row.items() if j >= ncols} for c, row in pivots.items()}
+    kernel = _kernel_basis(field, {c: row for c, row in pivots.items() if c < ncols}, ncols)
+    inverse = {c: rec for c, rec in record.items() if c < ncols}
+    return kernel, inverse, [rec for c, rec in record.items() if c >= ncols]

@@ -16,8 +16,9 @@ transitive on the three torsion spaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations, permutations
+from operator import mul
 
 from .certificates import Certificate
 from .fields import Field, PrimeField, QQ
@@ -33,7 +34,7 @@ from .geometry import (
     det4,
     line_in_q,
 )
-from .linalg import rank, sparse_nullspace
+from .linalg import rank, solver
 from .pencil import (
     ALL_ZERO,
     BinaryForm,
@@ -395,23 +396,29 @@ _PAIR_SLOT = {pair: k for k, pair in enumerate(_SLOT_PAIRS)}
 _TORSION_KEYS = [frozenset(map(frozenset, sp.partition)) for sp in TORSION_SPACES]
 
 
+def _index_map(perm) -> tuple:
+    """ORDER slot k (a_ij) -> the slot of a_(perm i)(perm j)."""
+    return tuple(_PAIR_SLOT[perm[i], perm[j]] for i, j in _SLOT_PAIRS)
+
+
 @dataclass(frozen=True)
 class SignedPermutation:
     """a_ij -> sign_ij * a_(perm i)(perm j), as an index map on ORDER."""
 
     perm: tuple   # image of (0, 1, 2, 3)
     signs: tuple  # +-1 per ORDER slot
+    # the index map of perm (slot k -> the slot a_k goes to), from perm when not given
+    tau: tuple = field(default=None, compare=False, repr=False)
 
-    def index_map(self) -> tuple:
-        p = self.perm
-        return tuple(_PAIR_SLOT[p[i], p[j]] for i, j in _SLOT_PAIRS)
+    def __post_init__(self):
+        if self.tau is None:
+            object.__setattr__(self, "tau", _index_map(self.perm))
 
     def compose(self, other: "SignedPermutation") -> "SignedPermutation":
         """self after other (apply ``other`` first)."""
-        tau_other = other.index_map()
-        perm = tuple(self.perm[other.perm[i]] for i in range(4))
-        signs = tuple(other.signs[k] * self.signs[t] for k, t in enumerate(tau_other))
-        return SignedPermutation(perm, signs)
+        perm = tuple(map(self.perm.__getitem__, other.perm))
+        signs = tuple(map(mul, other.signs, map(self.signs.__getitem__, other.tau)))
+        return SignedPermutation(perm, signs, tuple(map(self.tau.__getitem__, other.tau)))
 
     def torsion_permutation(self) -> tuple:
         """Induced permutation of the three torsion spaces (as indices)."""
@@ -422,39 +429,46 @@ class SignedPermutation:
 
 IDENTITY_SYMMETRY = SignedPermutation((0, 1, 2, 3), (1,) * 12)
 
-_MONO_SIGN = [
-    {frozenset((u, v)): s for s, u, v in terms} for terms in QUADRIC_TERMS
-]
+# q_m as {monomial a_u a_v as the bitmask 2^u + 2^v: its sign}
+_MONO_SIGN = [{1 << u | 1 << v: s for s, u, v in terms} for terms in QUADRIC_TERMS]
+# the sign system's rows, one per monomial s * a_u * a_v of a quadric q_m
+_SIGN_TERMS = tuple((m, s, u, v) for m, terms in enumerate(QUADRIC_TERMS) for s, u, v in terms)
 
 
-def _symmetries_for_perm(perm):
-    """All sign vectors making a_ij -> sign * a_(perm i)(perm j) fix {+-q_k}.
+def _sign_solutions() -> list:
+    """Every signed permutation fixing {+-q_k}, from one elimination.
 
     Unknowns over F_2: one bit per coordinate (sign -1) and per quadric
-    (q_k goes to -q_(perm k)).  Each monomial of q_k gives one equation,
-    written as a kernel row with its right-hand side in column 16; the
-    solutions are the kernel vectors whose last coordinate is 1.
+    (q_m goes to -q_(perm m)); the monomial s a_u a_v of q_m gives the
+    equation x_u + x_v + x_(12+m) = [s is not its image's sign in
+    q_(perm m)].  The left-hand side is the same for every permutation, so
+    it is eliminated once (:func:`linalg.solver`); a permutation's
+    right-hand side, a bitmask over the equations, is reduced by replaying
+    the recorded row operations, and its solutions are that particular
+    solution plus the shared kernel.  A permutation sending a monomial of
+    q_m outside q_(perm m) has none.
     """
-    tau = SignedPermutation(perm, (1,) * 12).index_map()
-    rows = []
-    for m, terms in enumerate(QUADRIC_TERMS):
-        target = perm[m]
-        for s, u, v in terms:
-            key = frozenset((tau[u], tau[v]))
-            s_target = _MONO_SIGN[target].get(key)
-            if s_target is None:
-                return []
-            rows.append({u: 1, v: 1, 12 + m: 1, 16: 0 if s * s_target > 0 else 1})
-    kernel = sparse_nullspace(PrimeField(2), rows, 17)
-    kernel = [sum(x << k for k, x in enumerate(vec)) for vec in kernel]  # as bitmasks
+    kernel, inverse, checks = solver(
+        PrimeField(2), [{u: 1, v: 1, 12 + m: 1} for m, _, u, v in _SIGN_TERMS], 16)
+    mask = lambda rec: sum(1 << r for r in rec)  # a nonzero value of F_2 is 1
+    inverse = [(c, mask(rec)) for c, rec in inverse.items() if c < 12]
+    checks = [mask(rec) for rec in checks]
+    span = [(1,) * 12]  # the kernel's sign parts
+    for vec in kernel:
+        span += [tuple(-s if x else s for s, x in zip(signs, vec)) for signs in span]
     out = []
-    for bits in range(1 << len(kernel)):
-        x = 0
-        for i, vec in enumerate(kernel):
-            if bits >> i & 1:
-                x ^= vec
-        if x >> 16 & 1:
-            out.append(SignedPermutation(perm, tuple(-1 if x >> k & 1 else 1 for k in range(12))))
+    for perm in permutations(range(4)):
+        tau = _index_map(perm)
+        targets = [_MONO_SIGN[perm[m]].get(1 << tau[u] | 1 << tau[v]) for m, _, u, v in _SIGN_TERMS]
+        if None in targets:
+            continue
+        rhs = sum(1 << r for r, ((_, s, _, _), t) in enumerate(zip(_SIGN_TERMS, targets)) if s != t)
+        if any((rec & rhs).bit_count() & 1 for rec in checks):
+            continue
+        x0 = [1] * 12  # the signs of the particular solution, 0 at the free columns
+        for c, rec in inverse:
+            x0[c] = -1 if (rec & rhs).bit_count() & 1 else 1
+        out.extend(SignedPermutation(perm, tuple(map(mul, x0, x)), tau) for x in span)
     return out
 
 
@@ -472,19 +486,18 @@ class SymmetryGroup:
 def quadric_symmetries() -> SymmetryGroup:
     """The group of signed coordinate permutations preserving {q0..q3}.
 
-    Found by exhaustive search: for each permutation of the four indices the
-    sign constraints form a linear system over ``PrimeField(2)``, solved by
-    the package's one exact elimination, whose solutions are enumerated.
-    Every element is certified, on each call, by the exact polynomial
-    identity (transformed q_k) = +- q_(perm k) on relabeled monomials.
+    Found by exhaustive search over the 24 permutations of the four indices:
+    their sign constraints over ``PrimeField(2)`` share one left-hand side,
+    eliminated once, against which each permutation's right-hand side is
+    reduced (:func:`_sign_solutions`).  Every element is certified, on each
+    call, by the exact polynomial identity (transformed q_k) = +- q_(perm k)
+    on relabeled monomials, read through the index map its permutation's
+    elements share.
     Generators are chosen greedily in sorted order, the group they give
     growing one right coset at a time; the induced action on the three
     torsion P^3's is read once per coordinate permutation and reported.
     """
-    elements = []
-    for perm in permutations(range(4)):
-        elements.extend(_symmetries_for_perm(perm))
-    elements.sort(key=lambda e: (e.perm, e.signs))
+    elements = sorted(_sign_solutions(), key=lambda e: (e.perm, e.signs))
     for e in elements:
         if not symmetry_fixes_quadrics(e):
             raise StrataError("sign search produced a non-symmetry")
@@ -509,9 +522,9 @@ def symmetry_fixes_quadrics(e: SignedPermutation) -> bool:
     compared term by term with +- q_(perm k).  The tests check it against
     ``Poly.compose`` over Q as an oracle.
     """
-    tau, s = e.index_map(), e.signs
+    tau, s = e.tau, e.signs
     for m, terms in enumerate(QUADRIC_TERMS):
-        image = {frozenset((tau[u], tau[v])): c * s[u] * s[v] for c, u, v in terms}
+        image = {1 << tau[u] | 1 << tau[v]: c * s[u] * s[v] for c, u, v in terms}
         target = _MONO_SIGN[e.perm[m]]
         if image != target and image != {k: -c for k, c in target.items()}:
             return False

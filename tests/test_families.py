@@ -250,6 +250,67 @@ def test_all_components_verified_in_q():
     assert set(nonzero1) == set(comp.b_survivors)
 
 
+def _symbolic_verdict(a_surv, b_surv):
+    from godeaux_lines.certificates import Certificate
+
+    return fam._symbolic_line_in_q(Certificate("oracle"), *fam._component_rows(a_surv, b_surv))
+
+
+def test_support_rule_matches_symbolic_proof():
+    # every subset pair of the survivors of every ordered torsion pair, then
+    # seeded random supports that overlap
+    from itertools import chain, combinations
+
+    subsets = lambda xs: list(chain.from_iterable(combinations(xs, k) for k in range(len(xs) + 1)))
+    verdicts = []
+    for sa in TORSION_SPACES:
+        for sb in TORSION_SPACES:
+            if sa == sb:
+                continue
+            for a_surv in subsets(sa.survivors):
+                for b_surv in subsets(sb.survivors):
+                    verdict = fam._supports_line_in_q(a_surv, b_surv)
+                    assert verdict == _symbolic_verdict(a_surv, b_surv), (a_surv, b_surv)
+                    verdicts.append(verdict)
+    assert len(verdicts) == 6 * 256 and 0 < verdicts.count(True) < len(verdicts)
+    rng = random.Random(1536)
+    overlapping = 0
+    for _ in range(400):
+        a_surv = tuple(sorted(rng.sample(range(12), rng.randint(0, 5))))
+        b_surv = tuple(sorted(rng.sample(range(12), rng.randint(0, 5))))
+        overlapping += bool(set(a_surv) & set(b_surv))
+        assert fam._supports_line_in_q(a_surv, b_surv) == _symbolic_verdict(a_surv, b_surv)
+    assert overlapping > 100
+
+
+def test_census_proves_every_cover(monkeypatch):
+    # all 14 covers of a pair go through the support rule on each call, and a
+    # cover holding both ends of a quadric term in one row stops the census
+    proved = []
+    rule = fam._supports_line_in_q
+
+    def counted(a_surv, b_surv):
+        proved.append((a_surv, b_surv))
+        return rule(a_surv, b_surv)
+
+    monkeypatch.setattr(fam, "_supports_line_in_q", counted)
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        z5_component_counts(TORSION_SPACES[a], TORSION_SPACES[b])
+    assert len(set(proved)) == len(proved) == 42
+
+    covers = fam._matching_covers
+    _, u, v = fam.QUADRIC_TERMS[0][0]  # a12 * a13 is a term of q_0
+
+    def with_bad_cover(space_a, space_b):
+        edges, found = covers(space_a, space_b)
+        return edges, found + [("P1xP1", tuple(sorted((u, v))), ())]
+
+    monkeypatch.setattr(fam, "_matching_covers", with_bad_cover)
+    assert not _symbolic_verdict(tuple(sorted((u, v))), ())
+    with pytest.raises(FamilyError, match="not inside Q"):
+        z5_component_counts(TORSION_SPACES[0], TORSION_SPACES[1])
+
+
 def test_component_edges_form_matching():
     census = z5_component_counts(TORSION_SPACES[1], TORSION_SPACES[2])
     a_sides = [a for a, _ in census.edges]

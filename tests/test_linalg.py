@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from godeaux_lines.fields import FieldError, PrimeField, QQ
-from godeaux_lines.linalg import _gauss_jordan, in_span, nullspace, rank, rref, sparse_nullspace
+from godeaux_lines.linalg import _gauss_jordan, nullspace, rank, rref, solver, sparse_nullspace
 
 
 def test_rank_and_rref_basic():
@@ -56,14 +56,7 @@ def test_sparse_nullspace_matches_dense():
                     for a, b in zip(row, vec):
                         acc = field.add(acc, field.mul(a, b))
                     assert field.is_zero(acc)
-                assert in_span(field, dense, vec)
-
-
-def test_in_span():
-    F = PrimeField(31)
-    basis = [(1, 0, 2), (0, 1, 5)]
-    assert in_span(F, basis, (2, 3, 19))
-    assert not in_span(F, basis, (0, 0, 1))
+                assert rank(field, dense + [vec]) == rank(field, dense)
 
 
 # ----------------------------------------------------------------------
@@ -174,6 +167,28 @@ def test_elimination_matches_dense_oracles(field):
         assert typed(sparse_nullspace(field, shuffled, ncols)) == want
 
 
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), PrimeField(31), QQ], ids=str)
+def test_solver_matches_dense_oracles(field):
+    # one elimination answers every right-hand side: a solvable b (A times a
+    # random x) and a random b, judged by the rank of the augmented matrix
+    rng = random.Random(2028)
+    dot = lambda row, x: field.canonical(sum(a * b for a, b in zip(row, x)))
+    for rows, ncols in random_matrices(field, rng, 300):
+        kernel, inverse, checks = solver(field, rows, ncols)
+        assert typed(kernel) == typed(dense_nullspace(field, rows, ncols))
+        r = dense_rank(field, rows)
+        assert sorted(inverse) == dense_rref(field, rows)[1] and len(checks) == len(rows) - r
+        x = [field.random(rng) for _ in range(ncols)]
+        for b in ([dot(row, x) for row in rows], [field.random(rng) for _ in rows]):
+            solvable = dense_rank(field, [[*row, v] for row, v in zip(rows, b)]) == r
+            assert solvable == all(not dot([chk.get(i, 0) for i in range(len(rows))], b)
+                                   for chk in checks)
+            if solvable:
+                x0 = [dot([inverse[c].get(i, 0) for i in range(len(rows))], b)
+                      if c in inverse else 0 for c in range(ncols)]
+                assert [dot(row, x0) for row in rows] == b
+
+
 def test_elimination_reduces_noncanonical_entries():
     # raw values outside [0, p) are reduced, never kept, in every output
     F = PrimeField(31)
@@ -199,6 +214,12 @@ def _disguised(field, rng, x):
     return x
 
 
+def typed_solver(solved):
+    kernel, inverse, checks = solved
+    typed_map = lambda rec: sorted((k, type(v), v) for k, v in rec.items())
+    return typed(kernel), {c: typed_map(rec) for c, rec in inverse.items()}, [typed_map(rec) for rec in checks]
+
+
 @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), PrimeField(31)], ids=str)
 def test_entry_points_canonicalise_their_entries(field):
     # every entry point gives on noncanonical entries (>= p, negative, or
@@ -213,8 +234,7 @@ def test_entry_points_canonicalise_their_entries(field):
         assert typed(nullspace(field, noisy, ncols)) == typed(nullspace(field, rows, ncols))
         sparse = [dict(enumerate(row)) for row in noisy]
         assert typed(sparse_nullspace(field, sparse, ncols)) == typed(nullspace(field, rows, ncols))
-        if rows:
-            assert in_span(field, noisy[1:], noisy[0]) == in_span(field, rows[1:], rows[0])
+        assert typed_solver(solver(field, noisy, ncols)) == typed_solver(solver(field, rows, ncols))
     assert kinds == {int, Fraction}
 
 
@@ -227,7 +247,7 @@ def test_rank_reduces_a_multiple_of_p_to_zero():
 def test_entry_points_reject_floats(field):
     rows = [[1, 1.5], [0, 1]]
     for call in (lambda: rank(field, rows), lambda: rref(field, rows),
-                 lambda: nullspace(field, rows, 2), lambda: in_span(field, rows[1:], rows[0]),
+                 lambda: nullspace(field, rows, 2), lambda: solver(field, rows, 2),
                  lambda: sparse_nullspace(field, [dict(enumerate(r)) for r in rows], 2)):
         with pytest.raises(FieldError):
             call()

@@ -519,21 +519,85 @@ def test_symmetry_certificate():
     assert cert.data["order"] == 384
 
 
+def _symmetries_for_perm_oracle(perm):
+    """The earlier per-permutation sign solve, kept as an oracle: the sign
+    system of ``perm`` with its right-hand side in column 16, eliminated on
+    its own; the solutions are the kernel vectors whose last coordinate is
+    1, in order of their kernel-basis bits."""
+    from godeaux_lines.geometry import QUADRIC_TERMS
+    from godeaux_lines.linalg import sparse_nullspace
+    from godeaux_lines.strata import SignedPermutation, _MONO_SIGN
+
+    tau = SignedPermutation(perm, (1,) * 12).tau
+    rows = []
+    for m, terms in enumerate(QUADRIC_TERMS):
+        target = perm[m]
+        for s, u, v in terms:
+            s_target = _MONO_SIGN[target].get(1 << tau[u] | 1 << tau[v])
+            if s_target is None:
+                return []
+            rows.append({u: 1, v: 1, 12 + m: 1, 16: 0 if s * s_target > 0 else 1})
+    kernel = sparse_nullspace(PrimeField(2), rows, 17)
+    kernel = [sum(x << k for k, x in enumerate(vec)) for vec in kernel]  # as bitmasks
+    out = []
+    for bits in range(1 << len(kernel)):
+        x = 0
+        for i, vec in enumerate(kernel):
+            if bits >> i & 1:
+                x ^= vec
+        if x >> 16 & 1:
+            out.append(SignedPermutation(perm, tuple(-1 if x >> k & 1 else 1 for k in range(12))))
+    return out
+
+
+def _sign_solutions_by_perm():
+    from godeaux_lines.strata import _sign_solutions
+
+    by_perm = {}
+    for e in _sign_solutions():
+        by_perm.setdefault(e.perm, []).append(e)
+    return by_perm
+
+
 def test_sign_solver_complete_against_brute_force():
     # for every permutation, enumerate all 2^12 sign vectors directly and
-    # compare with the GF(2) solver's solution set
+    # compare with the shared elimination's solution set
     from itertools import permutations, product
 
-    from godeaux_lines.strata import SignedPermutation, _symmetries_for_perm
+    from godeaux_lines.strata import SignedPermutation
 
+    by_perm = _sign_solutions_by_perm()
     for perm in permutations(range(4)):
-        solved = {e.signs for e in _symmetries_for_perm(perm)}
+        solved = [e.signs for e in by_perm[perm]]
         brute = set()
         for bits in product((1, -1), repeat=12):
             if symmetry_fixes_quadrics(SignedPermutation(perm, bits)):
                 brute.add(bits)
-        assert solved == brute
-        assert len(brute) == 16
+        assert set(solved) == brute
+        assert len(solved) == len(brute) == 16
+
+
+def test_every_element_is_certified(monkeypatch):
+    # quadric_symmetries checks all 384 elements on each call, and one
+    # rejected element stops it
+    import godeaux_lines.strata as strata
+
+    fixes = strata.symmetry_fixes_quadrics
+    seen = []
+
+    def counted(e):
+        seen.append(e)
+        return fixes(e)
+
+    monkeypatch.setattr(strata, "symmetry_fixes_quadrics", counted)
+    for _ in range(2):
+        seen.clear()
+        assert quadric_symmetries().order == 384
+        assert len(set(seen)) == len(seen) == 384
+    rejected = seen[200]
+    monkeypatch.setattr(strata, "symmetry_fixes_quadrics", lambda e: e != rejected and fixes(e))
+    with pytest.raises(StrataError):
+        quadric_symmetries()
 
 
 def _index_map_oracle(e):
@@ -563,7 +627,7 @@ def test_index_map_matches_string_oracle():
 
     for perm in permutations(range(4)):
         e = SignedPermutation(perm, (1,) * 12)
-        assert e.index_map() == _index_map_oracle(e)
+        assert e.tau == _index_map_oracle(e)
 
 
 def test_symmetry_check_matches_composition_oracle(symmetry_group):
@@ -660,25 +724,29 @@ def _solve_gf2(rows, ncols):
 
 
 def test_sign_solver_matches_bitmask_oracle():
-    # the sign system of every permutation, solved over PrimeField(2), gives
-    # the oracle's sign vectors in the oracle's order
+    # the per-permutation sign system, solved over PrimeField(2), gives the
+    # bitmask oracle's sign vectors in the oracle's order; the shared
+    # elimination gives the same sets, each element with its own index map
     from itertools import permutations
 
     from godeaux_lines.geometry import QUADRIC_TERMS
-    from godeaux_lines.strata import SignedPermutation, _MONO_SIGN, _symmetries_for_perm
+    from godeaux_lines.strata import SignedPermutation, _MONO_SIGN
 
+    by_perm = _sign_solutions_by_perm()
     for perm in permutations(range(4)):
-        tau = SignedPermutation(perm, (1,) * 12).index_map()
+        tau = SignedPermutation(perm, (1,) * 12).tau
         rows = []
         for m, terms in enumerate(QUADRIC_TERMS):
             for s, u, v in terms:
-                s_target = _MONO_SIGN[perm[m]][frozenset((tau[u], tau[v]))]
+                s_target = _MONO_SIGN[perm[m]][1 << tau[u] | 1 << tau[v]]
                 rows.append(((1 << u) | (1 << v) | (1 << (12 + m)), 0 if s * s_target > 0 else 1))
         want = [tuple(-1 if x >> k & 1 else 1 for k in range(12)) for x in _solve_gf2(rows, 16)]
-        got = _symmetries_for_perm(perm)
+        got = _symmetries_for_perm_oracle(perm)
         assert [e.signs for e in got] == want
         assert all(e.perm == perm for e in got)
         assert len(want) == 16
+        assert sorted(e.signs for e in by_perm[perm]) == sorted(want)
+        assert all(e.tau == _index_map_oracle(e) for e in by_perm[perm])
 
 
 def excluded_line(field):
