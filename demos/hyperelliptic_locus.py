@@ -22,7 +22,7 @@ from godeaux_lines import (
 
 def main():
     print("=== The 12-component parametrization ===")
-    comps = hyp_components(QQ)
+    comps = hyp_components()
     print("first component (a32):", comps[0])
     print("every component is multihomogeneous of multidegree (2, 5, 3, 2, 2)")
 

@@ -38,7 +38,6 @@ from .geometry import (
     LineA,
     ORDER,
     PointA,
-    a_matrix,
     canonical_skew_matrices,
     line_in_q,
     line_through,
@@ -93,7 +92,6 @@ __all__ = [
     "TORSION_SPACES",
     "TorsionSpace",
     "VarTable",
-    "a_matrix",
     "binary_gcd",
     "binary_roots",
     "bounded_degree_kernel",

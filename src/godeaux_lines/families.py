@@ -22,6 +22,7 @@ their canonical text; the verifiers, not the table, are the trust anchor.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass
@@ -30,7 +31,8 @@ from typing import Optional, Sequence
 
 from .certificates import Certificate
 from .fields import Field, PrimeField, QQ
-from .geometry import AIDX, LineA, PointA, QUADRIC_TERMS, _line_conditions, _quadric, line_in_q
+from .geometry import (AIDX, LineA, PointA, QUADRIC_TERMS, _line_conditions, _quadric, line_in_q,
+                       quadrics_vanish_on)
 from .linalg import rank
 from .polynomials import Poly, PolyMatrix, VarTable, bounded_degree_kernel, monomials_up_to
 from .strata import TORSION_SPACES, TorsionSpace, rank_a
@@ -101,24 +103,20 @@ HYP_FACTORED = (
 #: SHA-256 of the canonical expanded text of the 12 components over Q
 HYP_CHECKSUM = "8b6ed0eec8f63444a29ece81ee66056652a97372102fb23cd3b5e386c9dd444d"
 
-_hyp_cache: dict = {}
-
 
 def hyp_vartable() -> VarTable:
     return VarTable(HYP_PARAM_NAMES, HYP_GRADING)
 
 
-def hyp_components(field: Field = QQ) -> tuple:
-    """The 12 components as expanded polynomials over the given field."""
-    if field in _hyp_cache:
-        return _hyp_cache[field]
+@functools.cache
+def hyp_components() -> tuple:
+    """The 12 components as expanded polynomials over Q, checked against
+    ``HYP_CHECKSUM`` and built once; ``c.map_field(F)`` gives them over F_p."""
     vt = hyp_vartable()
-    comps = hyp_evaluate([Poly.variable(vt, field, n) for n in HYP_PARAM_NAMES], lambda p: p)
-    if field == QQ:
-        digest = hashlib.sha256("\n".join(str(c) for c in comps).encode()).hexdigest()
-        if digest != HYP_CHECKSUM:
-            raise FamilyError(f"hyperelliptic components corrupted (sha256 {digest})")
-    _hyp_cache[field] = comps
+    comps = hyp_evaluate([Poly.variable(vt, QQ, n) for n in HYP_PARAM_NAMES], lambda p: p)
+    digest = hashlib.sha256("\n".join(str(c) for c in comps).encode()).hexdigest()
+    if digest != HYP_CHECKSUM:
+        raise FamilyError(f"hyperelliptic components corrupted (sha256 {digest})")
     return comps
 
 
@@ -230,7 +228,7 @@ def verify_hyp_param(seed: int = 2024) -> Certificate:
     """
     F, samples = _HYP_CHECK_FIELD, _HYP_CHECK_SAMPLES
     cert = Certificate("hyp-param")
-    comps = hyp_components(QQ)
+    comps = hyp_components()
 
     residuals = [_quadric(i, comps) for i in range(4)]
     cert.add(
@@ -301,10 +299,12 @@ def z5_line(field: Field, p0, p1, q0, q1) -> LineA:
 
 
 def verify_z5_family() -> Certificate:
-    """Symbolic proof that every member of the example family lies in Q."""
+    """Proof that every member of the example family lies in Q: its rows
+    hold distinct variables on (a23, a10) and (a31, a02), so the support
+    rule :func:`geometry.quadrics_vanish_on` on the union decides it."""
     cert = Certificate("z5-family")
-    r0, r1 = _component_rows(*_Z5_EXAMPLE)
-    cert.add("line-in-q-identically", _symbolic_line_in_q(cert, r0, r1))
+    a_surv, b_surv = _Z5_EXAMPLE
+    cert.add("line-in-q-identically", quadrics_vanish_on(a_surv + b_surv))
     return cert
 
 
@@ -312,7 +312,9 @@ _CONDITION_LABELS = ("q{}(row0)", "q{}(row1)", "B{}(row0,row1)")
 
 
 def _symbolic_line_in_q(cert: Certificate, row0, row1) -> bool:
-    """q_i(row0) = q_i(row1) = B_i(row0,row1) = 0 as polynomial identities."""
+    """q_i(row0) = q_i(row1) = B_i(row0,row1) = 0 as polynomial identities
+    (for rows of polynomials; rows of distinct variables on coordinate
+    supports need only :func:`geometry.quadrics_vanish_on`)."""
     ok = True
     for k, value in enumerate(_line_conditions(row0, row1)):
         if not value.is_zero():
@@ -358,8 +360,9 @@ def z5_component_counts(space_a: TorsionSpace, space_b: TorsionSpace) -> Compone
     perfect matching between the survivor coordinates of the two spaces;
     the minimal vertex covers of the matching give 6 components P^1 x P^1,
     4 of type P^0 x P^2 and 4 of type P^2 x P^0.  All 14 components are
-    proved, on each call, to consist of lines inside Q, by the support rule
-    of :func:`_supports_line_in_q`.
+    proved, on each call, to consist of lines inside Q: their rows hold
+    distinct variables on the two survivor sets, so the support rule
+    :func:`geometry.quadrics_vanish_on` on the union decides it.
     """
     edges, covers = _matching_covers(space_a, space_b)
     components = []
@@ -371,7 +374,7 @@ def z5_component_counts(space_a: TorsionSpace, space_b: TorsionSpace) -> Compone
             and space_b.name == "T02|13"
             and (a_surv, b_surv) == _Z5_EXAMPLE
         )
-        if not _supports_line_in_q(a_surv, b_surv):
+        if not quadrics_vanish_on(a_surv + b_surv):
             raise FamilyError(f"component lines not inside Q: {a_surv} x {b_surv}")
         components.append(
             WComponent(
@@ -385,23 +388,6 @@ def z5_component_counts(space_a: TorsionSpace, space_b: TorsionSpace) -> Compone
     return ComponentCensus(
         (space_a.name, space_b.name), edges, counts, tuple(components)
     )
-
-
-def _supports_line_in_q(a_surv, b_surv) -> bool:
-    """Whether the rows of ``_component_rows(a_surv, b_surv)`` (distinct
-    variables at the survivors, zeros elsewhere) lie in Q identically.
-
-    A term c a_u a_v of q_i contributes the monomial p_u p_v to q_i(row0)
-    when u and v both lie in ``a_surv``, q_u q_v to q_i(row1) when both lie
-    in ``b_surv``, and p_u q_v or p_v q_u to B_i(row0, row1) when one lies
-    in each.  The terms of q_i sit on distinct index pairs and the variables
-    are distinct, so no two of these monomials cancel: the twelve
-    conditions vanish identically exactly when no term has both ends among
-    the survivors of the two rows together.
-    """
-    support = set(a_surv) | set(b_surv)
-    return not any(u in support and v in support
-                   for terms in QUADRIC_TERMS for _, u, v in terms)
 
 
 def _matching_covers(space_a: TorsionSpace, space_b: TorsionSpace):

@@ -100,6 +100,25 @@ def _line_conditions(r0, r1):
         yield _polarization(i, r0, r1)
 
 
+def quadrics_vanish_on(support) -> bool:
+    """Whether q0..q3 vanish identically on the coordinate subspace where
+    every a-coordinate outside ``support`` (ORDER indices) is zero.
+
+    There q_i keeps exactly its terms c a_u a_v with u and v both in the
+    support.  The terms of each q_i sit on distinct index pairs, so no two
+    of them cancel: the quadrics vanish there exactly when no term has both
+    ends in the support.  The same reading decides a line whose two rows
+    hold distinct variables on supports A and B (zeros elsewhere): a term
+    with both ends in A u B leaves p_u p_v in q_i(row0), q_u q_v in
+    q_i(row1), or p_u q_v or p_v q_u in B_i(row0, row1), and these
+    monomials are distinct across the terms too, so the line lies in Q
+    identically exactly when A u B passes.
+    """
+    support = set(support)
+    return not any(u in support and v in support
+                   for terms in QUADRIC_TERMS for _, u, v in terms)
+
+
 def quadric_value(field: Field, i: int, coords):
     """q_i evaluated at a raw 12-vector."""
     return field.canonical(_quadric(i, coords))
@@ -114,11 +133,6 @@ def a_matrix_values(field: Field, coords):
     """The 4x6 a-matrix at a raw 12-vector."""
     z = field.zero()
     return [[z if j is None else coords[j] for j in row] for row in A_PATTERN]
-
-
-def a_matrix(p: "PointA"):
-    """The 4x6 a-matrix of a point, rows of raw scalars in its field."""
-    return a_matrix_values(p.field, p.coords)
 
 
 # ----------------------------------------------------------------------
@@ -328,12 +342,12 @@ class LineA:
             raise GeometryError("a line must be a JSON object")
         if data.get("order", "a32..a01") != "a32..a01":
             raise GeometryError(f"unknown coordinate order {data.get('order')!r}")
-        rows = data["rows"]
+        rows = data.get("rows")
         if not (isinstance(rows, list) and len(rows) == 2
                 and all(isinstance(r, list) for r in rows)):
             raise GeometryError("rows must be a list of two lists")
         try:
-            F = field_from_spec(data["field"])
+            F = field_from_spec(data.get("field"))
             r0 = [F.parse_scalar(x) for x in rows[0]]
             r1 = [F.parse_scalar(x) for x in rows[1]]
         except (FieldError, TypeError, ValueError) as e:

@@ -48,7 +48,7 @@ from .geometry import (
     quadric_value,
     tangent_space,
 )
-from .linalg import nullspace, rank
+from .linalg import nullspace
 from .pencil import _gcd, _trim
 from .strata import TORSION_SPACES, FiberReport, TorsionSpace, _format_point, classify_line, rank_a
 
@@ -156,8 +156,9 @@ def random_q_point(field: PrimeField, rng, budget: _Budget) -> PointA:
 def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget) -> PointA:
     """A point w of Q n T_p Q not proportional to p.
 
-    Works in an explicit complement of p inside T_p Q: with the first two
-    complement directions (u, v) free, each draw fixes the remaining five
+    Works in an explicit complement of p inside T_p Q, read off the kernel
+    basis with no elimination (:func:`_tangent_complement`): with the first
+    two complement directions (u, v) free, each draw fixes the remaining five
     coefficients (the part R of w = x u + y v + R), and the search runs over
     the u-coefficient x in ascending order, solving q_0 = 0 as an exact
     quadratic in the v-coefficient y and testing q_1..q_3 on the at most two
@@ -181,20 +182,7 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
     until their resultant on the solution line has passed.
     """
     p = _require_search_field(field)
-    basis = tangent_space(point)
-    if len(basis) != 8:
-        raise SamplingError("tangent cone search needs a smooth point (rank-4 Jacobian)")
-    rows = [list(point.coords)]
-    comp = []
-    for vec in basis:
-        if rank(field, rows + [list(vec)]) > len(rows):
-            rows.append(list(vec))
-            comp.append(vec)
-        if len(comp) == 7:
-            break
-    if len(comp) != 7:
-        raise SamplingError("could not complete a tangent basis")
-    u, v, rest = comp[0], comp[1], comp[2:]
+    u, v, *rest = _tangent_complement(point)
 
     qu = [quadric_value(field, i, u) for i in range(4)]
     qv = [quadric_value(field, i, v) for i in range(4)]
@@ -289,6 +277,26 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
                     return partner
         if x0 is not None:
             budget.spend(p - 1 - x0)
+
+
+def _tangent_complement(point: PointA) -> list:
+    """Seven vectors completing p to a basis of T_p Q, in kernel-basis order.
+
+    :func:`geometry.tangent_space` returns ``nullspace``'s basis: e_f, for
+    free column f, has 1 at f and 0 at the other free columns, and its last
+    nonzero entry is at f (pivot row c holds column f only when c < f).  So
+    p = sum p[f] e_f, and dropping e_f for the last f with p[f] != 0 leaves
+    a complement of p.  Euler's identity B_i(p, p) = 2 q_i(p) = 0 puts p in
+    T_p Q, so such an f exists.
+    """
+    basis = tangent_space(point)
+    if len(basis) != 8:
+        raise SamplingError("tangent cone search needs a smooth point (rank-4 Jacobian)")
+    free = [max(k for k, c in enumerate(vec) if c) for vec in basis]
+    last = max((n for n, f in enumerate(free) if point.coords[f]), default=None)
+    if last is None:
+        raise SamplingError("could not complete a tangent basis")
+    return basis[:last] + basis[last + 1:]
 
 
 def _affine_solutions(p, eqs):

@@ -1,8 +1,10 @@
 """Special loci on Q and per-line fiber classification.
 
 Three coordinate P^3's (one per partition of {0,1,2,3} into two pairs)
-carry all four quadrics identically to zero; lines must meet one or two of
-them to produce torsion fibers.  Hyperelliptic fibers sit where the 4x6
+carry all four quadrics identically to zero, as the support rule
+:func:`geometry.quadrics_vanish_on` proves when they are built: no quadric
+term has both ends among a space's four survivors.  Lines must meet one or
+two of them to produce torsion fibers.  Hyperelliptic fibers sit where the 4x6
 a-matrix has rank exactly 3, detected along a line through the GCD of its
 fifteen 4x4 minors (binary quartics).  :func:`classify_line` aggregates the
 detectors into a :class:`FiberReport`; every reported parameter value is
@@ -21,18 +23,17 @@ from itertools import combinations, permutations
 from operator import mul
 
 from .certificates import Certificate
-from .fields import Field, PrimeField, QQ
+from .fields import Field, PrimeField
 from .geometry import (
     A_PATTERN,
     LineA,
     ORDER,
     PointA,
     QUADRIC_TERMS,
-    _quadric,
     a_matrix_values,
-    a_vartable,
     det4,
     line_in_q,
+    quadrics_vanish_on,
 )
 from .linalg import rank, solver
 from .pencil import (
@@ -45,7 +46,6 @@ from .pencil import (
     binary_roots,
     linear_form,
 )
-from .polynomials import Poly
 
 
 class StrataError(ValueError):
@@ -84,26 +84,9 @@ def _build_torsion_space(pair1, pair2) -> TorsionSpace:
     survivors = tuple(idx for idx, n in enumerate(ORDER) if n in surv_names)
     killed = tuple(idx for idx in range(12) if idx not in survivors)
     space = TorsionSpace(f"T{i}{j}|{k}{l}", (pair1, pair2), survivors, killed)
-    _verify_quadrics_vanish(space)
+    if not quadrics_vanish_on(survivors):
+        raise StrataError(f"quadrics do not vanish on {space.name}")
     return space
-
-
-# the 12 coordinate variables over Q, built once for the exact polynomial
-# certificates below
-_QQ_VARIABLES = tuple(Poly.variable(a_vartable(), QQ, name) for name in ORDER)
-
-
-def _inclusion(space: TorsionSpace) -> list:
-    """The substitution that kills the coordinates outside the space."""
-    return [v if i in space.survivors else Poly.zero(v.vars, QQ)
-            for i, v in enumerate(_QQ_VARIABLES)]
-
-
-def _verify_quadrics_vanish(space: TorsionSpace):
-    inclusion = _inclusion(space)
-    for i in range(4):
-        if not _quadric(i, inclusion).is_zero():
-            raise StrataError(f"quadrics do not vanish on {space.name}")
 
 
 TORSION_SPACES = (
@@ -561,16 +544,13 @@ def _generating_subset(elements):
 
 
 def verify_torsion_spaces():
-    """Certificate: quadrics vanish symbolically on all three torsion P^3's
-    and T01|23 kills exactly the expected eight coordinates."""
+    """Certificate: the quadrics vanish identically on all three torsion
+    P^3's, by the support rule (no quadric term has both ends among a
+    space's survivors), and T01|23 kills exactly the expected eight
+    coordinates."""
     cert = Certificate("torsion-spaces")
     for space in TORSION_SPACES:
-        inclusion = _inclusion(space)
-        residuals = [_quadric(i, inclusion) for i in range(4)]
-        cert.add(
-            f"quadrics-vanish-on-{space.name}",
-            all(r.is_zero() for r in residuals),
-        )
+        cert.add(f"quadrics-vanish-on-{space.name}", quadrics_vanish_on(space.survivors))
     killed_names = sorted(ORDER[i] for i in TORSION_SPACES[0].killed)
     expected = sorted(["a31", "a30", "a21", "a20", "a13", "a12", "a03", "a02"])
     cert.add(

@@ -371,6 +371,10 @@ Z5_LINE_JSON = {
                                        Z5_LINE_JSON["rows"][1]])}, "GeometryError: "),
     ({"line": dict(Z5_LINE_JSON, rows=[[False] + Z5_LINE_JSON["rows"][0][1:],
                                        Z5_LINE_JSON["rows"][1]])}, "GeometryError: "),
+    # a line without rows or without a field, and a record without a line
+    ({"line": {k: v for k, v in Z5_LINE_JSON.items() if k != "rows"}}, "GeometryError: rows must"),
+    ({"line": {k: v for k, v in Z5_LINE_JSON.items() if k != "field"}}, "GeometryError: malformed"),
+    ({"lines": Z5_LINE_JSON}, "KeyError: 'line'"),
 ])
 def test_classify_isolates_malformed_record(tmp_path, bad, error):
     store = tmp_path / "store.jsonl"

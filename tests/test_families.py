@@ -67,7 +67,7 @@ def test_worked_image_point():
 def test_hyp_point_raw_matches_expanded_components(field):
     # the factored evaluator against the expanded polynomials, with zeros
     # frequent enough to hit vanishing atoms and the base locus
-    comps = hyp_components(field)
+    comps = [c.map_field(field) for c in hyp_components()]
     rng = random.Random(17)
     seen_base = False
     for _ in range(300):
@@ -102,7 +102,7 @@ def _oracle_hyp_components(field):
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
 def test_hyp_components_match_atom_by_atom_oracle(field):
-    comps = hyp_components(field)
+    comps = [c.map_field(field) for c in hyp_components()]
     oracle = _oracle_hyp_components(field)
     assert [str(c) for c in comps] == [str(c) for c in oracle]
     assert list(comps) == oracle
@@ -147,7 +147,7 @@ def test_verify_hyp_param_resamples_vanishing_factors(seed):
 
 def test_verifier_detects_mutation():
     # flipping the sign of one expanded term must break the pullback identity
-    comps = list(hyp_components(QQ))
+    comps = list(hyp_components())
     broken = comps[0]
     e, c = next(iter(broken.terms.items()))
     from godeaux_lines.polynomials import Poly
@@ -162,7 +162,7 @@ def test_components_checksum_guard():
     import godeaux_lines.families as fam
 
     assert len(fam.HYP_CHECKSUM) == 64
-    comps = hyp_components(QQ)
+    comps = hyp_components()
     assert len(comps) == 12
     for c in comps:
         ok, deg = c.is_multihomogeneous()
@@ -269,7 +269,7 @@ def test_support_rule_matches_symbolic_proof():
                 continue
             for a_surv in subsets(sa.survivors):
                 for b_surv in subsets(sb.survivors):
-                    verdict = fam._supports_line_in_q(a_surv, b_surv)
+                    verdict = fam.quadrics_vanish_on(a_surv + b_surv)
                     assert verdict == _symbolic_verdict(a_surv, b_surv), (a_surv, b_surv)
                     verdicts.append(verdict)
     assert len(verdicts) == 6 * 256 and 0 < verdicts.count(True) < len(verdicts)
@@ -279,7 +279,7 @@ def test_support_rule_matches_symbolic_proof():
         a_surv = tuple(sorted(rng.sample(range(12), rng.randint(0, 5))))
         b_surv = tuple(sorted(rng.sample(range(12), rng.randint(0, 5))))
         overlapping += bool(set(a_surv) & set(b_surv))
-        assert fam._supports_line_in_q(a_surv, b_surv) == _symbolic_verdict(a_surv, b_surv)
+        assert fam.quadrics_vanish_on(a_surv + b_surv) == _symbolic_verdict(a_surv, b_surv)
     assert overlapping > 100
 
 
@@ -287,13 +287,13 @@ def test_census_proves_every_cover(monkeypatch):
     # all 14 covers of a pair go through the support rule on each call, and a
     # cover holding both ends of a quadric term in one row stops the census
     proved = []
-    rule = fam._supports_line_in_q
+    rule = fam.quadrics_vanish_on
 
-    def counted(a_surv, b_surv):
-        proved.append((a_surv, b_surv))
-        return rule(a_surv, b_surv)
+    def counted(support):
+        proved.append(support)
+        return rule(support)
 
-    monkeypatch.setattr(fam, "_supports_line_in_q", counted)
+    monkeypatch.setattr(fam, "quadrics_vanish_on", counted)
     for a, b in ((0, 1), (0, 2), (1, 2)):
         z5_component_counts(TORSION_SPACES[a], TORSION_SPACES[b])
     assert len(set(proved)) == len(proved) == 42

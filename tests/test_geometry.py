@@ -23,6 +23,7 @@ from godeaux_lines.geometry import (
     polarization_value,
     quadric_value,
     quadrics,
+    quadrics_vanish_on,
     tangent_space,
 )
 from godeaux_lines.polynomials import Poly, VarTable
@@ -217,6 +218,13 @@ def test_line_json_round_trip(generic_line):
     assert back.to_json() == data
 
 
+@pytest.mark.parametrize("key", ("rows", "field"))
+def test_line_json_without_rows_or_field_is_a_geometry_error(generic_line, key):
+    data = {k: v for k, v in generic_line.to_json().items() if k != key}
+    with pytest.raises(GeometryError):
+        LineA.from_json(data)
+
+
 # ----------------------------------------------------------------------
 # tangent spaces
 
@@ -366,6 +374,27 @@ def test_quadrics_match_monomial_oracle(field):
     assert quadrics(field) == _oracle_quadrics(field)
 
 
+_QQ_VARIABLES = tuple(Poly.variable(a_vartable(), QQ, name) for name in ORDER)
+
+
+def _inclusion(support) -> list:
+    """The substitution over Q that keeps the coordinates in ``support``
+    and kills the others."""
+    return [v if i in support else Poly.zero(v.vars, QQ) for i, v in enumerate(_QQ_VARIABLES)]
+
+
+def test_support_rule_matches_quadrics_on_every_coordinate_subspace():
+    # the rule against the quadrics expanded on the inclusion of each of the
+    # 4,096 coordinate subsets
+    verdicts = []
+    for mask in range(1 << 12):
+        support = [j for j in range(12) if mask >> j & 1]
+        expected = all(_quadric(i, _inclusion(support)).is_zero() for i in range(4))
+        assert quadrics_vanish_on(support) == expected, support
+        verdicts.append(expected)
+    assert len(verdicts) == 4096 and 0 < verdicts.count(True) < 4096
+
+
 def test_pull_backs_match_compose_oracle():
     from godeaux_lines.families import (
         _Z5_EXAMPLE,
@@ -374,13 +403,13 @@ def test_pull_backs_match_compose_oracle():
         Z3_PARAM_NAMES,
         hyp_components,
     )
-    from godeaux_lines.strata import TORSION_SPACES, _inclusion
+    from godeaux_lines.strata import TORSION_SPACES
 
-    comps = list(hyp_components(QQ))
+    comps = list(hyp_components())
     # the components and a copy with one term's sign flipped, which leaves Q
     e, c = next(iter(comps[0].terms.items()))
     broken = [comps[0] - Poly.monomial(comps[0].vars, QQ, e, 2 * c)] + comps[1:]
-    images = [comps, broken] + [_inclusion(space) for space in TORSION_SPACES]
+    images = [comps, broken] + [_inclusion(space.survivors) for space in TORSION_SPACES]
     residuals = []
     for image in images:
         got = [_quadric(i, image) for i in range(4)]

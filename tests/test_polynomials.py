@@ -135,7 +135,7 @@ def test_compose_square_of_sum():
 def test_compose_quadrics_with_hyp_parametrization():
     from godeaux_lines.families import hyp_components
 
-    comps = list(hyp_components(QQ))
+    comps = list(hyp_components())
     for q in quadrics(QQ):
         assert q.compose(comps).is_zero()
 
@@ -222,7 +222,7 @@ def test_jacobian_of_hyp_parametrization_rank_6(f10007):
 def test_hyp_jacobian_matches_symbolic_derivative(field, points):
     from godeaux_lines.families import _hyp_jacobian, hyp_components
 
-    symbolic = jacobian([c.map_field(field) for c in hyp_components(QQ)])
+    symbolic = jacobian([c.map_field(field) for c in hyp_components()])
     rng = random.Random(f"jacobian-{field}")
     # the base locus and a zero atom (v0 = 0, D = X = W = 0) included
     specials = [[0] * 10, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9], [1, 2, 3, -3, 2, -2, 1, 1, 1, 1],
@@ -252,7 +252,7 @@ def test_multihomogeneous_bilinear():
 def test_hyp_components_multidegree():
     from godeaux_lines.families import HYP_MULTIDEGREE, hyp_components
 
-    for comp in hyp_components(QQ):
+    for comp in hyp_components():
         ok, deg = comp.is_multihomogeneous()
         assert ok and deg == HYP_MULTIDEGREE
 

@@ -221,19 +221,24 @@ def _scan_solve_quadratic(p, A, B, C, sqrt_table):
     return (y1, (-B - r) * inv2a % p)
 
 
-def _scan_partner(field, point, rng, budget):
-    """The oracle: every draw scans all x, one trial each, with no certificate."""
-    p = field.p
-    basis = tangent_space(point)
+def _rank_complement(field, point):
+    """The oracle complement of p in T_p Q: the tangent basis vectors, in
+    order, that raise the rank of p and the vectors kept so far, up to seven."""
     rows = [list(point.coords)]
     comp = []
-    for vec in basis:
+    for vec in tangent_space(point):
         if rank(field, rows + [list(vec)]) > len(rows):
             rows.append(list(vec))
             comp.append(vec)
         if len(comp) == 7:
             break
-    u, v, rest = comp[0], comp[1], comp[2:]
+    return comp
+
+
+def _scan_partner(field, point, rng, budget):
+    """The oracle: every draw scans all x, one trial each, with no certificate."""
+    p = field.p
+    u, v, *rest = _rank_complement(field, point)
     qu = [quadric_value(field, i, u) for i in range(4)]
     qv = [quadric_value(field, i, v) for i in range(4)]
     buv = [polarization_value(field, i, u, v) for i in range(4)]
@@ -296,6 +301,34 @@ def test_partner_matches_scan_oracle(p, kind):
         new = _search(tangent_cone_partner, F, point, seed, 40_000)
         old = _search(_scan_partner, F, point, seed, 40_000)
         assert new[:3] == old[:3]
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 31, 101, 10007))
+def test_tangent_complement_matches_rank_oracle(p):
+    # the closed form drops the basis vector at the last free column where p
+    # is nonzero; the incremental rank loop must keep the other seven
+    F = PrimeField(p)
+    rng = random.Random(p)
+    dropped = set()
+    for kind in PARTNER_KINDS:
+        for _ in range(8):
+            point = _start_point(F, kind, rng)
+            basis = tangent_space(point)
+            comp = sampling._tangent_complement(point)
+            assert comp == _rank_complement(F, point)
+            dropped.add(next(n for n, vec in enumerate(basis) if vec not in comp))
+    assert len(dropped) > 1
+
+
+def test_tangent_complement_needs_a_point_of_its_tangent_space(f31, monkeypatch):
+    # a basis whose span misses p (Euler's identity rules it out) is a typed
+    # error: here the unit vectors at the eight coordinates a torsion point kills
+    space = TORSION_SPACES[0]
+    point = space.random_point(f31, random.Random(3))
+    units = [tuple(int(k == j) for k in range(12)) for j in space.killed]
+    monkeypatch.setattr(sampling, "tangent_space", lambda q: units)
+    with pytest.raises(SamplingError, match="tangent basis"):
+        sampling._tangent_complement(point)
 
 
 class _LoggedBudget(_Budget):

@@ -54,6 +54,22 @@ def test_verify_torsion_spaces_certificate():
     assert cert.passed
 
 
+def test_torsion_spaces_rest_on_the_support_rule(monkeypatch):
+    # q_0 given one term a01 * a10 with both ends among T01|23's survivors:
+    # the rule then rejects the space, and its construction and certificate fail
+    import godeaux_lines.geometry as geometry
+    import godeaux_lines.strata as strata
+
+    extra = (1, AIDX["a01"], AIDX["a10"])
+    terms = (geometry.QUADRIC_TERMS[0] + (extra,),) + geometry.QUADRIC_TERMS[1:]
+    monkeypatch.setattr(geometry, "QUADRIC_TERMS", terms)
+    with pytest.raises(StrataError, match=r"T01\|23"):
+        strata._build_torsion_space((0, 1), (2, 3))
+    strata._build_torsion_space((0, 2), (1, 3))  # a01 and a10 are killed there
+    checks = {c.name: c.passed for c in verify_torsion_spaces().checks}
+    assert not checks["quadrics-vanish-on-T01|23"] and checks["quadrics-vanish-on-T02|13"]
+
+
 # ----------------------------------------------------------------------
 # rank stratification
 
