@@ -40,9 +40,7 @@ from .geometry import (
     PointA,
     canonical_skew_matrices,
     line_in_q,
-    line_through,
     pfaffian4,
-    polarization,
     quadrics,
     tangent_space,
 )
@@ -104,9 +102,7 @@ __all__ = [
     "hyp_point",
     "hyperelliptic_points",
     "line_in_q",
-    "line_through",
     "pfaffian4",
-    "polarization",
     "quadric_symmetries",
     "quadrics",
     "rank_a",

@@ -123,9 +123,9 @@ def cmd_sample(args) -> int:
         return _usage_error(e)
     kwargs = {}
     try:
-        if args.space:
+        if args.space is not None:
             kwargs["space"] = torsion_space(args.space)
-        if args.spaces:
+        if args.spaces is not None:
             names = args.spaces.split(",")
             kwargs["spaces"] = tuple(torsion_space(n.strip()) for n in names)
         if args.general_position:

@@ -333,12 +333,6 @@ class WComponent:
     b_survivors: tuple
     is_example_family: bool
     godeaux_status: str    # "example" or "undetermined"
-    line_in_q_identically: bool = True
-
-    def symbolic_rows(self):
-        """The component's line family as two rows of polynomials in its
-        free parameters (p0.., q0..)."""
-        return _component_rows(self.a_survivors, self.b_survivors)
 
 
 @dataclass(frozen=True)
@@ -423,17 +417,6 @@ def _matching_covers(space_a: TorsionSpace, space_b: TorsionSpace):
             )
             covers.append((f"P{3 - j}xP{j - 1}", a_surv, b_surv))
     return tuple(edges), covers
-
-
-def _component_rows(a_surv, b_surv):
-    """Two rows of ``Poly`` variables p0.. at ``a_surv`` and q0.. at ``b_surv``."""
-    names = tuple(f"p{k}" for k in range(len(a_surv))) + tuple(
-        f"q{k}" for k in range(len(b_surv))
-    )
-    vt = VarTable(names)
-    var = [Poly.variable(vt, QQ, n) for n in names]
-    zero = Poly.zero(vt, QQ)
-    return _row(zero, a_surv, var[:len(a_surv)]), _row(zero, b_surv, var[len(a_surv):])
 
 
 def sample_component_line(

@@ -89,12 +89,6 @@ class Field:
     def inv(self, a: Raw) -> Raw:
         raise NotImplementedError
 
-    def zero(self) -> Raw:
-        return self.canonical(0)
-
-    def one(self) -> Raw:
-        return self.canonical(1)
-
     def add(self, a: Raw, b: Raw) -> Raw:
         return self.canonical(a + b)
 

@@ -129,10 +129,9 @@ def polarization_value(field: Field, i: int, p, q):
     return field.canonical(_polarization(i, p, q))
 
 
-def a_matrix_values(field: Field, coords):
+def a_matrix_values(coords):
     """The 4x6 a-matrix at a raw 12-vector."""
-    z = field.zero()
-    return [[z if j is None else coords[j] for j in row] for row in A_PATTERN]
+    return [[0 if j is None else coords[j] for j in row] for row in A_PATTERN]
 
 
 # ----------------------------------------------------------------------
@@ -233,11 +232,8 @@ class PointA:
         inv = F.inv(next(c for c in self.coords if c))
         return tuple(F.canonical(inv * c) for c in self.coords)
 
-    def quadric_values(self) -> tuple:
-        return tuple(quadric_value(self.field, i, self.coords) for i in range(4))
-
     def on_quadric_intersection(self) -> bool:
-        return not any(self.quadric_values())
+        return not any(quadric_value(self.field, i, self.coords) for i in range(4))
 
     def __eq__(self, other):
         return (
@@ -353,18 +349,6 @@ class LineA:
         except (FieldError, TypeError, ValueError) as e:
             raise GeometryError(f"malformed line: {e}") from None
         return cls(F, r0, r1, provenance=data.get("provenance"))
-
-
-def line_through(p: PointA, q: PointA, provenance=None) -> LineA:
-    if p.field != q.field:
-        raise GeometryError("points over different fields")
-    return LineA(p.field, p.coords, q.coords, provenance=provenance)
-
-
-def polarization(i: int, p: PointA, q: PointA):
-    if p.field != q.field:
-        raise GeometryError("points over different fields")
-    return polarization_value(p.field, i, p.coords, q.coords)
 
 
 def line_in_q(line: LineA) -> bool:

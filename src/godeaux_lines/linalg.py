@@ -92,7 +92,7 @@ def rref(field: Field, rows):
     ncols = len(rows[0]) if rows else 0
     pivots = _gauss_jordan(field, rows)
     order = sorted(pivots)
-    return [[pivots[c].get(j, field.zero()) for j in range(ncols)] for c in order], order
+    return [[pivots[c].get(j, 0) for j in range(ncols)] for c in order], order
 
 
 def _kernel_basis(field: Field, pivots: dict, ncols: int) -> list:
@@ -102,8 +102,8 @@ def _kernel_basis(field: Field, pivots: dict, ncols: int) -> list:
     for f in range(ncols):
         if f in pivots:
             continue
-        vec = [field.zero()] * ncols
-        vec[f] = field.one()
+        vec = [0] * ncols
+        vec[f] = 1
         for c, row in pivots.items():
             if f in row:
                 vec[c] = field.canonical(-row[f])

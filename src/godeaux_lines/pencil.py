@@ -63,16 +63,6 @@ class BinaryForm:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def eval(self, s, t):
-        """The value at (s, t): a Horner step per coefficient, one reduction."""
-        F = self.field
-        s, t = F.canonical(s), F.canonical(t)
-        acc, tp = 0, 1
-        for c in self.coeffs:  # after c_i: acc = sum of c_k s^(i-k) t^k, k <= i
-            acc = acc * s + c * tp
-            tp *= t
-        return F.canonical(acc)
-
     def __add__(self, other: "BinaryForm") -> "BinaryForm":
         if other.degree != self.degree or other.field != self.field:
             raise ValueError("binary form addition needs matching degree and field")
@@ -109,13 +99,6 @@ def linear_form(field: Field, s_coeff, t_coeff) -> BinaryForm:
     return BinaryForm(field, 1, (s_coeff, t_coeff))
 
 
-def _pp1(field: Field, s, t):
-    """Canonical representative of (s : t), t canonical: t = 1, or (1, 0)."""
-    if not t:
-        return (field.one(), field.zero())
-    return (field.canonical(s * field.inv(t)), field.one())
-
-
 #: what :func:`_common_root` returns when every form is identically zero
 ALL_ZERO = "all forms zero"
 
@@ -131,7 +114,7 @@ def _common_root(field: Field, forms):
     if not nonzero:
         return ALL_ZERO
     a, b = nonzero[0]
-    root = _pp1(field, -b, a)
+    root = (field.canonical(-b * field.inv(a)), 1) if a else (1, 0)  # (-b : a)
     for a, b in nonzero[1:]:
         if field.canonical(root[0] * a + root[1] * b):
             return None
@@ -186,7 +169,7 @@ def binary_roots(f: BinaryForm):
     roots = []
     t_mult = next(k for k, c in enumerate(f.coeffs) if c)
     if t_mult:
-        roots.append(((F.one(), F.zero()), t_mult))
+        roots.append(((1, 0), t_mult))
     u = _trim(list(reversed(f.coeffs)))
     if len(u) == 1:
         return roots
@@ -195,7 +178,7 @@ def binary_roots(f: BinaryForm):
             m = _multiplicity(F, u, x)
             if not m:
                 raise ArithmeticError(f"root finder emitted a non-root {x} over {F}")
-            roots.append(((x, F.one()), m))
+            roots.append(((x, 1), m))
     elif isinstance(F, RationalField):
         roots.extend(_rational_roots(F, u))
     else:
@@ -322,7 +305,7 @@ def _divmod(F: Field, a, f):
     red = F.canonical
     n = len(f) - 1
     r = list(a)
-    q = [F.zero()] * max(len(r) - n, 0)
+    q = [0] * max(len(r) - n, 0)
     for k in range(len(r) - n - 1, -1, -1):
         c = red(r[k + n])
         if c:
@@ -357,11 +340,11 @@ def _mulmod(F: Field, a, b, f):
 
 def _pow_linear(F: Field, a, e, f):
     """(x + a)^e modulo the monic f, by square-and-multiply."""
-    out = [F.one()]
+    out = [1]
     for bit in bin(e)[2:]:
         out = _mulmod(F, out, out, f)
         if bit == "1":
-            out = _mulmod(F, out, [a, F.one()], f)
+            out = _mulmod(F, out, [a, 1], f)
     return out
 
 

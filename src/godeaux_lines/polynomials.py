@@ -243,9 +243,6 @@ class Poly:
     # ------------------------------------------------------------------
     # evaluation / substitution
 
-    def __call__(self, point: Sequence):
-        return self.eval(point)
-
     def eval(self, point: Sequence):
         """Exact evaluation at a sequence of raw scalars (one per variable)."""
         F = self.field

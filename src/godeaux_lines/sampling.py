@@ -7,11 +7,15 @@ Because Q is cut out by quadrics, the connecting line then lies inside Q.
 
 The searches are exact and run over a prime field, seeded and
 deterministic: a sampler owns a private random stream, so equal
-(strategy, field, seed) always return the identical line.  Every value is
-drawn by :func:`_draw`, which returns what ``randrange`` would.  Points of
-Q and the two-hyp partner are found by rejection.  The tangent-cone
-partner draws five coefficients at a time and scans the remaining plane of
-candidates one coordinate at a time, but only after an exact per-draw
+(strategy, field, seed) always return the identical line.  Torsion first
+points (:meth:`TorsionSpace.random_point`, ``Field.random_nonzero``) and
+two-torsion lines (:func:`families.sample_component_line`, ``rng.choice``
+and ``Field.random_nonzero``) draw through ``randrange`` and the
+``_randbelow`` behind it; every other value comes from :func:`_draw`,
+which returns what ``randrange`` would.  Points of Q and the two-hyp
+partner are found by rejection.  The tangent-cone partner draws five
+coefficients at a time and scans the remaining plane of candidates one
+coordinate at a time, but only after an exact per-draw
 certificate, cheapest check first (kernel combinations free of the plane's
 coordinates, a linear solve of the others, a resultant of two quadrics on
 the solution line, a gcd of all four), has shown that the draw can
@@ -19,8 +23,9 @@ succeed; a draw that cannot is charged the trials its scan would have
 taken, so trial counts and lines are those of the plain scan.  The two-hyp
 rejection tests the first tangency form on the six coordinates it involves
 and builds the other six only for draws that pass.  Each strategy
-re-verifies its promise through the classifier before returning and
-retries otherwise; a configurable trial budget guards termination.
+re-verifies its promise through the classifier before returning, by one
+rule for all of them (:func:`_fulfils`), and retries otherwise; a
+configurable trial budget guards termination.
 
 Strategies: ``generic``, ``torsion`` (one named torsion P^3), ``two-torsion``
 (a pair of them), ``hyp`` (one hyperelliptic point), ``two-hyp`` (two
@@ -50,7 +55,7 @@ from .geometry import (
 )
 from .linalg import nullspace
 from .pencil import _gcd, _trim
-from .strata import TORSION_SPACES, FiberReport, TorsionSpace, _format_point, classify_line, rank_a
+from .strata import TORSION_SPACES, FiberReport, TorsionSpace, classify_line, rank_a
 
 STRATEGIES = ("generic", "torsion", "two-torsion", "hyp", "two-hyp")
 
@@ -521,20 +526,29 @@ def sample_line(
     """Sample one line of Q; deterministic in (strategy, field, seed).
 
     Every returned line satisfies line_in_q exactly and its classifier
-    report shows the strategy's promise: empty special loci for
-    ``generic``; exactly one torsion intersection on the named space for
-    ``torsion``; two torsion intersections for ``two-torsion``; exactly one
+    report shows the strategy's promise (:func:`_fulfils`): empty special
+    loci for ``generic``; exactly one torsion intersection on the named space
+    for ``torsion``; two torsion intersections for ``two-torsion``; exactly one
     (resp. two) rank-3 minor-GCD roots for ``hyp`` (resp. ``two-hyp``).
     ``general_position`` additionally forces a two-hyp line to be a general
     member of its family (no row-vanishing point, kernel degrees
     (1, 1, 1, 1)); such lines are 20-100x rarer in the rejection search.
     Raises :class:`BudgetExhausted` when the trial budget runs out, and
-    every other :class:`SamplingError` (bad arguments) before the first draw.
+    every other :class:`SamplingError` (bad arguments, among them ``space``,
+    ``spaces`` or ``general_position`` given to a strategy that does not
+    take it) before the first draw.
     """
     if strategy not in STRATEGIES:
         raise SamplingError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if budget < 1:
         raise SamplingError(f"budget {budget} is below 1; no trial can run")
+    for name, value, owner in (
+        ("space", space is not None, "torsion"),
+        ("spaces", spaces is not None, "two-torsion"),
+        ("general_position", general_position, "two-hyp"),
+    ):
+        if value and strategy != owner:
+            raise SamplingError(f"{name} applies to the {owner} strategy only, not to {strategy}")
     home = pair = None
     if strategy == "two-torsion":
         pair = tuple(spaces) if spaces else (TORSION_SPACES[0], TORSION_SPACES[1])
@@ -549,35 +563,25 @@ def sample_line(
 
     for _ in range(_MAX_RETRIES):
         try:
-            if strategy == "generic":
-                p_pt = random_q_point(field, rng, tracker)
-                w = tangent_cone_partner(field, p_pt, rng, tracker)
-                line = LineA(field, p_pt.coords, w.coords)
-            elif strategy == "torsion":
-                tracker.spend()
-                p_pt = home.random_point(field, rng)
-                w = tangent_cone_partner(field, p_pt, rng, tracker)
-                line = LineA(field, p_pt.coords, w.coords)
-            elif strategy == "two-torsion":
+            if strategy == "two-torsion":
                 tracker.spend()
                 line = sample_component_line(field, pair[0], pair[1], rng)
-            elif strategy == "hyp":
-                p_pt = _random_hyp_point(field, rng, tracker)
-                w = tangent_cone_partner(field, p_pt, rng, tracker)
+            else:
+                if strategy == "generic":
+                    p_pt = random_q_point(field, rng, tracker)
+                elif strategy == "torsion":
+                    tracker.spend()
+                    p_pt = home.random_point(field, rng)
+                else:
+                    p_pt = _random_hyp_point(field, rng, tracker)
+                if strategy == "two-hyp":
+                    cap = max(1000, budget // 20)
+                    w = _two_hyp_partner(field, p_pt, rng, tracker, cap, general_position)
+                    if w is None:
+                        continue
+                else:
+                    w = tangent_cone_partner(field, p_pt, rng, tracker)
                 line = LineA(field, p_pt.coords, w.coords)
-            else:  # two-hyp
-                p_pt = _random_hyp_point(field, rng, tracker)
-                q_pt = _two_hyp_partner(
-                    field,
-                    p_pt,
-                    rng,
-                    tracker,
-                    cap=max(1000, budget // 20),
-                    general_position=general_position,
-                )
-                if q_pt is None:
-                    continue
-                line = LineA(field, p_pt.coords, q_pt.coords)
         except GeometryError:
             continue
         if not line_in_q(line):
@@ -590,65 +594,44 @@ def sample_line(
                 "trials": tracker.used,
                 "field": field.to_spec(),
             }
-            if strategy == "torsion":
+            data = report.to_json()
+            if home is not None:
                 provenance["space"] = home.name
-            if strategy == "two-torsion":
+            if pair is not None:
                 provenance["spaces"] = [s.name for s in pair]
             if strategy in ("torsion", "two-torsion"):
-                provenance["certificate"] = _meeting_certificate(report)
+                provenance["certificate"] = {"torsion_points": data["torsion_points"]}
             if strategy in ("hyp", "two-hyp"):
                 provenance["certificate"] = {
-                    "rank3_roots": [
-                        _format_point(field, r.point) for r in report.hyperelliptic_roots
-                    ]
+                    "rank3_roots": [r["point"] for r in data["hyperelliptic_roots"]]
                 }
             return LineA(field, line.rows[0], line.rows[1], provenance=provenance)
     raise BudgetExhausted(strategy, tracker.used)
 
 
-def _meeting_certificate(report: FiberReport) -> dict:
-    F = report.line.field
-    return {
-        "torsion_points": [
-            {"point": _format_point(F, st), "space": sp.name}
-            for st, sp in report.torsion_points
-        ]
-    }
+#: rank-3 minor-GCD roots each strategy promises; the others promise none
+_RANK3_ROOTS = {"hyp": 1, "two-hyp": 2}
 
 
 def _fulfils(strategy: str, report: FiberReport, home, pair, general_position: bool) -> bool:
-    """Whether the report keeps the strategy's promise (see :func:`sample_line`);
-    ``home`` and ``pair`` are the torsion and two-torsion targets, else None."""
-    if strategy == "generic":
-        return report.is_generic and not report.excluded_flag
-    if strategy == "torsion":
-        return (
-            len(report.torsion_points) == 1
-            and report.torsion_points[0][1] == home
-            and not report.torsion_containments
-            and not report.hyperelliptic_roots
-            and not report.excluded_flag
-        )
-    if strategy == "two-torsion":
-        seen = set(sp.name for _, sp in report.torsion_points)
-        return (
-            len(report.torsion_points) == 2
-            and seen == set(s.name for s in pair)
-            and not report.hyperelliptic_roots
-            and not report.excluded_flag
-        )
-    if strategy == "hyp":
-        return (
-            len(report.hyperelliptic_roots) == 1
-            and not report.torsion_points
-            and not report.torsion_containments
-            and not report.excluded_flag
-        )
-    # two-hyp; kernel degrees (1, 1, 1, 1) also rule out every row-vanishing point
+    """Whether the report keeps the strategy's promise (see :func:`sample_line`).
+
+    One rule for every strategy: torsion points on exactly its target spaces
+    (``home`` for torsion, ``pair`` for two-torsion, none otherwise), as many
+    rank-3 roots as :data:`_RANK3_ROOTS` names, no torsion space containing
+    the line and no excluded flag.  On a classified line the containment
+    test never decides alone: a line inside a torsion space meets no other
+    one (their survivor sets are disjoint) and has every minor zero, so it
+    has no torsion point and no rank-3 root.  A generic line must also be
+    generic, and a general-position two-hyp line must have kernel degrees
+    (1, 1, 1, 1), which also rule out every row-vanishing point.
+    """
+    targets = {"torsion": (home,), "two-torsion": pair}.get(strategy, ())
     return (
-        len(report.hyperelliptic_roots) == 2
-        and not report.torsion_points
+        sorted(sp.name for _, sp in report.torsion_points) == sorted(sp.name for sp in targets)
+        and len(report.hyperelliptic_roots) == _RANK3_ROOTS.get(strategy, 0)
         and not report.torsion_containments
         and not report.excluded_flag
-        and (not general_position or report.kernel_degrees == (1, 1, 1, 1))
+        and (strategy != "generic" or report.is_generic)
+        and not (strategy == "two-hyp" and general_position and report.kernel_degrees != (1, 1, 1, 1))
     )

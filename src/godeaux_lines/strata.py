@@ -112,7 +112,7 @@ def torsion_space(name: str) -> TorsionSpace:
 
 def rank_a(p: PointA) -> int:
     """Exact rank of the 4x6 a-matrix at the point (0..4)."""
-    return rank(p.field, a_matrix_values(p.field, p.coords))
+    return rank(p.field, a_matrix_values(p.coords))
 
 
 def torsion_intersections(line: LineA):
@@ -123,30 +123,29 @@ def torsion_intersections(line: LineA):
     Containments are reported by :func:`torsion_containments`.
     """
     _require_in_q(line)
-    return _torsion_intersections(line)
-
-
-def _torsion_intersections(line: LineA):
-    out = []
-    for space in TORSION_SPACES:
-        root = _common_root(line.field, [line.restrict_coordinate(j) for j in space.killed])
-        if root is None or root is ALL_ZERO:
-            continue  # no meeting point, or the line lies inside the space
-        if not space.contains(line.point_at(*root)):
-            raise StrataError(f"emitted point not on {space.name}")
-        out.append((root, space))
-    return out
+    return _torsion_meetings(line)[0]
 
 
 def torsion_containments(line: LineA):
     """Torsion spaces containing the whole line."""
     _require_in_q(line)
-    return _torsion_containments(line)
+    return _torsion_meetings(line)[1]
 
 
-def _torsion_containments(line: LineA):
-    r0, r1 = line.rows
-    return [sp for sp in TORSION_SPACES if not any(r0[j] or r1[j] for j in sp.killed)]
+def _torsion_meetings(line: LineA):
+    """(points, containments) from one common root per space of its eight
+    killed coordinate forms: a root is the meeting point, and ALL_ZERO
+    (every killed coordinate vanishes on the line) a containment."""
+    points, inside = [], []
+    for space in TORSION_SPACES:
+        root = _common_root(line.field, [line.restrict_coordinate(j) for j in space.killed])
+        if root is ALL_ZERO:
+            inside.append(space)
+        elif root is not None:
+            if not space.contains(line.point_at(*root)):
+                raise StrataError(f"emitted point not on {space.name}")
+            points.append((root, space))
+    return points, inside
 
 
 def _require_in_q(line: LineA):
@@ -334,8 +333,7 @@ def classify_line(line: LineA) -> FiberReport:
     last_key, last = _last_report
     if last_key == key:
         return replace(last, line=line)
-    tor = tuple(_torsion_intersections(line))
-    tor_cont = tuple(_torsion_containments(line))
+    tor, tor_cont = _torsion_meetings(line)
     hyp = _hyperelliptic_points(line)
     hyp_roots = tuple(r for r in hyp.roots if r.rank == 3)
     low = []
@@ -351,8 +349,8 @@ def classify_line(line: LineA) -> FiberReport:
     rows, row_cont = _row_vanishing(profile)
     report = FiberReport(
         line=line,
-        torsion_points=tor,
-        torsion_containments=tor_cont,
+        torsion_points=tuple(tor),
+        torsion_containments=tuple(tor_cont),
         hyperelliptic_roots=hyp_roots,
         low_rank_roots=tuple(low),
         row_vanishing=tuple(rows),

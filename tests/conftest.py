@@ -3,6 +3,7 @@ import pytest
 from godeaux_lines.fields import PrimeField, QQ
 from godeaux_lines.families import z5_line
 from godeaux_lines.geometry import AIDX
+from godeaux_lines.polynomials import Poly, VarTable
 
 
 @pytest.fixture(scope="session")
@@ -54,7 +55,21 @@ def two_hyp_line(f31):
 
 def coords_from(field, **named):
     """A 12-vector with the named a-coordinates set, the rest zero."""
-    out = [field.zero()] * 12
+    out = [0] * 12
     for name, value in named.items():
         out[AIDX[name]] = field.canonical(value)
     return out
+
+
+def component_rows(a_surv, b_surv):
+    """Two rows of ``Poly`` variables: p0.. at the ORDER indices ``a_surv``,
+    q0.. at ``b_surv``, zero elsewhere; the line family of a two-torsion
+    component as polynomials in its free parameters."""
+    names = tuple(f"p{k}" for k in range(len(a_surv))) + tuple(f"q{k}" for k in range(len(b_surv)))
+    vt = VarTable(names)
+    var = iter(Poly.variable(vt, QQ, n) for n in names)
+    rows = [[Poly.zero(vt, QQ)] * 12, [Poly.zero(vt, QQ)] * 12]
+    for row, surv in zip(rows, (a_surv, b_surv)):
+        for idx in surv:
+            row[idx] = next(var)
+    return rows

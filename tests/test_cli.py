@@ -113,6 +113,46 @@ def test_sample_budget_below_one_is_usage_error(tmp_path, capsys, budget, dest):
     assert sorted(p.name for p in tmp_path.iterdir()) == ([] if before is None else ["store.jsonl"])
 
 
+@pytest.mark.parametrize("dest", ["stdout", "out", "append"])
+@pytest.mark.parametrize("option, name", [
+    (["--strategy", "generic", "--space", "T01-23"], "space"),
+    (["--strategy", "hyp", "--spaces", "T01-23,T02-13"], "spaces"),
+    (["--strategy", "torsion", "--general-position"], "general_position"),
+], ids=["generic-space", "hyp-spaces", "torsion-general-position"])
+def test_sample_option_the_strategy_ignores_is_usage_error(tmp_path, capsys, option, name, dest):
+    # an option another strategy takes is refused before the first draw, not
+    # dropped from a normal record
+    out = tmp_path / "store.jsonl"
+    before = {"stdout": None, "out": "existing bytes\n", "append": '{"format":1}\n'}[dest]
+    if before is not None:
+        out.write_text(before)
+    where = ["--out", "-"] if dest == "stdout" else ["--out", str(out)]
+    code = main(["sample", "--field", "p31", "--seed", "1"] + option + where
+                + (["--append"] if dest == "append" else []))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name} applies to the ")
+    if before is None:
+        assert not out.exists()
+    else:
+        assert out.read_text() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if before is None else ["store.jsonl"])
+
+
+@pytest.mark.parametrize("option", [
+    ["--strategy", "torsion", "--space", ""],
+    ["--strategy", "two-torsion", "--spaces", ""],
+    ["--strategy", "generic", "--space", ""],
+], ids=["torsion-space", "two-torsion-spaces", "generic-space"])
+def test_sample_empty_space_option_is_usage_error(capsys, option):
+    # an empty name is no torsion space, not a request for the default one
+    code = main(["sample", "--field", "p31", "--seed", "1", "--out", "-"] + option)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: unknown torsion space ''")
+
+
 def test_sample_count_past_seed_stride_is_usage_error(tmp_path, monkeypatch, capsys):
     # slot SEED_STRIDE of --seed S would draw with the seed of slot 0 of
     # --seed S+1; such a count is refused before anything is drawn

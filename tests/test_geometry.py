@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import coords_from
+from conftest import component_rows, coords_from
 from godeaux_lines.fields import FieldError, PrimeField, QQ
 from godeaux_lines.geometry import (
     GeometryError,
@@ -19,7 +19,6 @@ from godeaux_lines.geometry import (
     jacobian_rank,
     line_in_q,
     pfaffian4,
-    polarization,
     polarization_value,
     quadric_value,
     quadrics,
@@ -115,7 +114,7 @@ def test_polarization_diagonal_identity(f101):
         coords = [f101.random(rng) for _ in range(12)]
         p = PointA(f101, coords)
         for i in range(4):
-            left = polarization(i, p, p)
+            left = polarization_value(f101, i, p.coords, p.coords)
             right = f101.mul(2, quadric_value(f101, i, p.coords))
             assert left == right
 
@@ -125,8 +124,8 @@ def test_polarization_against_gradient(f101):
     coords = [f101.random(rng) for _ in range(12)]
     grad = jacobian_at(f101, coords)
     for k in range(12):
-        unit = [f101.zero()] * 12
-        unit[k] = f101.one()
+        unit = [0] * 12
+        unit[k] = 1
         for i in range(4):
             assert polarization_value(f101, i, coords, unit) == grad[i][k]
 
@@ -135,7 +134,7 @@ def test_z5_endpoints_polarize_to_zero(f31):
     p = PointA(f31, coords_from(f31, a23=1, a10=1))
     q = PointA(f31, coords_from(f31, a31=1, a02=1))
     for i in range(4):
-        assert f31.is_zero(polarization(i, p, q))
+        assert f31.is_zero(polarization_value(f31, i, p.coords, q.coords))
 
 
 # ----------------------------------------------------------------------
@@ -258,8 +257,8 @@ def test_tangent_space_at_torsion_point_contains_space(f31):
     p = space.random_point(f31, rng)
     assert jacobian_rank(p) == 4
     for j in space.survivors:
-        unit = [f31.zero()] * 12
-        unit[j] = f31.one()
+        unit = [0] * 12
+        unit[j] = 1
         for i in range(4):
             assert f31.is_zero(polarization_value(f31, i, p.coords, unit))
 
@@ -288,7 +287,7 @@ ORACLE_FIELDS = (PrimeField(31), PrimeField(10007), QQ)
 
 
 def _oracle_quadric_value(field, i, coords):
-    acc = field.zero()
+    acc = 0
     for s, u, v in QUADRIC_TERMS[i]:
         t = field.mul(coords[u], coords[v])
         acc = field.add(acc, t) if s > 0 else field.sub(acc, t)
@@ -296,7 +295,7 @@ def _oracle_quadric_value(field, i, coords):
 
 
 def _oracle_polarization_value(field, i, p, q):
-    acc = field.zero()
+    acc = 0
     for s, u, v in QUADRIC_TERMS[i]:
         t = field.add(field.mul(p[u], q[v]), field.mul(p[v], q[u]))
         acc = field.add(acc, t) if s > 0 else field.sub(acc, t)
@@ -342,7 +341,7 @@ def _oracle_conditions(r0, r1):
 def _oracle_vector(field, rng, killed=()):
     """12 seeded values, zero often, and zero at the ``killed`` indices."""
     return [
-        field.zero() if k in killed else field.canonical(rng.choice((0, 0, 1, -1, field.random(rng))))
+        0 if k in killed else field.canonical(rng.choice((0, 0, 1, -1, field.random(rng))))
         for k in range(12)
     ]
 
@@ -398,7 +397,6 @@ def test_support_rule_matches_quadrics_on_every_coordinate_subspace():
 def test_pull_backs_match_compose_oracle():
     from godeaux_lines.families import (
         _Z5_EXAMPLE,
-        _component_rows,
         _z3_rows,
         Z3_PARAM_NAMES,
         hyp_components,
@@ -421,8 +419,8 @@ def test_pull_backs_match_compose_oracle():
     vt = VarTable(Z3_PARAM_NAMES)
     z3 = _z3_rows([Poly.variable(vt, QQ, n) for n in Z3_PARAM_NAMES], Poly.zero(vt, QQ))
     rows = [
-        _component_rows(*_Z5_EXAMPLE),
-        _component_rows((0, 1), (2, 3)),  # not a component: its lines leave Q
+        component_rows(*_Z5_EXAMPLE),
+        component_rows((0, 1), (2, 3)),  # not a component: its lines leave Q
         z3,
         (z3[0], z3[1][::-1]),  # reversed second row, off Q
     ]

@@ -26,7 +26,7 @@ def test_nullspace_vectors_annihilate():
         assert len(basis) == ncols - rank(F, rows)
         for vec in basis:
             for row in rows:
-                acc = F.zero()
+                acc = 0
                 for a, b in zip(row, vec):
                     acc = F.add(acc, F.mul(a, b))
                 assert F.is_zero(acc)
@@ -39,7 +39,7 @@ def test_sparse_nullspace_matches_dense():
         for _ in range(25):
             nrows, ncols = rng.randint(1, 8), rng.randint(2, 10)
             rows = [
-                [field.random(rng) if rng.random() < 0.3 else field.zero() for _ in range(ncols)]
+                [field.random(rng) if rng.random() < 0.3 else 0 for _ in range(ncols)]
                 for _ in range(nrows)
             ]
             srows = [
@@ -52,7 +52,7 @@ def test_sparse_nullspace_matches_dense():
             assert len(dense) == len(sparse)
             for vec in sparse:
                 for row in rows:
-                    acc = field.zero()
+                    acc = 0
                     for a, b in zip(row, vec):
                         acc = field.add(acc, field.mul(a, b))
                     assert field.is_zero(acc)
@@ -120,8 +120,8 @@ def dense_nullspace(field, rows, ncols):
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for f in free:
-        vec = [field.zero()] * ncols
-        vec[f] = field.one()
+        vec = [0] * ncols
+        vec[f] = 1
         for r, c in enumerate(pivots):
             vec[c] = field.neg(reduced[r][f])
         basis.append(tuple(vec))
@@ -135,7 +135,7 @@ def random_matrices(field, rng, count):
         nrows, ncols = rng.randint(0, 7), rng.randint(1, 9)
         density = rng.choice((0.0, 0.2, 0.5, 1.0))
         rows = [
-            [field.random(rng) if rng.random() < density else field.zero() for _ in range(ncols)]
+            [field.random(rng) if rng.random() < density else 0 for _ in range(ncols)]
             for _ in range(nrows)
         ]
         if rows and rng.random() < 0.4:

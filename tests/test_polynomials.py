@@ -77,7 +77,7 @@ def _eval_oracle(f, point):
     an oracle for ``Poly.eval``."""
     F = f.field
     point = [F.canonical(x) for x in point]
-    acc = F.zero()
+    acc = 0
     powers = {}
     for e, c in f.terms.items():
         t = c
@@ -299,7 +299,7 @@ def test_kernel_of_skew_matrix_contains_radial_vector():
     midx = {m: i for i, m in enumerate(monos)}
 
     def flat(vec):
-        out = [QQ.zero()] * (3 * len(monos))
+        out = [0] * (3 * len(monos))
         for slot, p in enumerate(vec):
             for e, coeff in p.terms.items():
                 out[slot * len(monos) + midx[e]] = coeff

@@ -28,6 +28,7 @@ from godeaux_lines.sampling import (
     _affine_solutions,
     _coprime_pair,
     _draw,
+    _fulfils,
     _q0_tangency,
     _random_hyp_point,
     _require_search_field,
@@ -179,6 +180,16 @@ def _argument_error_cases():
     for strategy in sampling.STRATEGIES:
         for budget in (0, -5):
             yield pytest.param(strategy, PrimeField(31), {"budget": budget}, id=f"{strategy}-budget{budget}")
+    # an option only another strategy takes
+    options = (
+        ("torsion", "space", TORSION_SPACES[1]),
+        ("two-torsion", "spaces", (TORSION_SPACES[0], TORSION_SPACES[2])),
+        ("two-hyp", "general_position", True),
+    )
+    for strategy in sampling.STRATEGIES:
+        for owner, name, value in options:
+            if strategy != owner:
+                yield pytest.param(strategy, PrimeField(31), {name: value}, id=f"{strategy}-{name}")
 
 
 @pytest.mark.parametrize("strategy, field, kwargs", _argument_error_cases())
@@ -624,3 +635,132 @@ def test_draw_matches_randrange(p):
             assert _draw(new, p, n) == [old.randrange(p) for _ in range(n)]
             assert 1 + _draw(new, p - 1, 1)[0] == old.randrange(1, p)
         assert new.getstate() == old.getstate()
+
+
+# ----------------------------------------------------------------------
+# the one promise rule against the per-strategy clauses it replaced
+
+
+def _clause_fulfils(strategy, report, home, pair, general_position):
+    """The promise as one clause per strategy; the oracle of ``_fulfils``."""
+    if strategy == "generic":
+        return report.is_generic and not report.excluded_flag
+    if strategy == "torsion":
+        return (
+            len(report.torsion_points) == 1
+            and report.torsion_points[0][1] == home
+            and not report.torsion_containments
+            and not report.hyperelliptic_roots
+            and not report.excluded_flag
+        )
+    if strategy == "two-torsion":
+        seen = set(sp.name for _, sp in report.torsion_points)
+        return (
+            len(report.torsion_points) == 2
+            and seen == set(s.name for s in pair)
+            and not report.hyperelliptic_roots
+            and not report.excluded_flag
+        )
+    if strategy == "hyp":
+        return (
+            len(report.hyperelliptic_roots) == 1
+            and not report.torsion_points
+            and not report.torsion_containments
+            and not report.excluded_flag
+        )
+    return (
+        len(report.hyperelliptic_roots) == 2
+        and not report.torsion_points
+        and not report.torsion_containments
+        and not report.excluded_flag
+        and (not general_position or report.kernel_degrees == (1, 1, 1, 1))
+    )
+
+
+# every (strategy, home, pair, general_position); sample_line always names a
+# home for torsion and a pair for two-torsion, so those two stay set
+_PROMISE_ARGS = [
+    (strategy, home, pair, general_position)
+    for strategy in sampling.STRATEGIES
+    for home in (None, *TORSION_SPACES)
+    for pair in (None, *itertools.permutations(TORSION_SPACES, 2))
+    for general_position in (False, True)
+    if (strategy, home) != ("torsion", None) and (strategy, pair) != ("two-torsion", None)
+]
+
+
+def _check_promise_rule(report, accepted):
+    for args in _PROMISE_ARGS:
+        verdict = _fulfils(args[0], report, *args[1:])
+        assert verdict == _clause_fulfils(args[0], report, *args[1:]), args
+        if verdict:
+            accepted.add(args[0])
+
+
+def _stored_lines():
+    import json
+    import pathlib
+
+    from godeaux_lines.geometry import LineA
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    seen = {}
+    for name in ("tests/data/golden_classify.jsonl", "tests/data/golden_store.jsonl",
+                 "perfbench/data/classify_base.jsonl"):
+        for text in (root / name).read_text().splitlines():
+            record = json.loads(text)
+            if "line" in record:
+                line = LineA.from_json(record["line"])
+                seen.setdefault((line.field, line.rows), line)
+    return list(seen.values())
+
+
+def test_promise_rule_matches_clause_oracle_on_stored_lines():
+    accepted = set()
+    lines = _stored_lines()
+    for line in lines:
+        _check_promise_rule(classify_line(line), accepted)
+    assert len(lines) > 70 and accepted == set(sampling.STRATEGIES)
+
+
+def test_promise_rule_matches_clause_oracle_on_every_sampler_candidate(monkeypatch, f31):
+    # every report the sampler judges, the rejected ones included
+    accepted, judged = set(), []
+
+    def checked(strategy, report, *args):
+        _check_promise_rule(report, accepted)
+        judged.append(strategy)
+        return _fulfils(strategy, report, *args)
+
+    monkeypatch.setattr(sampling, "_fulfils", checked)
+    for strategy in sampling.STRATEGIES:
+        for seed in (0, 1):
+            sample_line(strategy, f31, seed)
+    assert len(judged) > 10 and accepted == set(sampling.STRATEGIES)
+
+
+def test_each_promise_clause_rejects_alone(f31):
+    # grafted onto an accepted report of each strategy, every clause of the
+    # rule turns it down by itself
+    from dataclasses import replace
+
+    from godeaux_lines.strata import MinorRoot
+
+    extra_root = MinorRoot((3, 1), 3, 1)
+    for strategy in sampling.STRATEGIES:
+        line = sample_line(strategy, f31, seed=0)
+        report = classify_line(line)
+        home = torsion_space(line.provenance["space"]) if strategy == "torsion" else None
+        pair = tuple(map(torsion_space, line.provenance.get("spaces", ()))) or None
+        assert _fulfils(strategy, report, home, pair, False)
+        other = next(sp for sp in TORSION_SPACES if sp not in (home, *(pair or ())))
+        grafts = [
+            {"excluded_flag": True},
+            {"torsion_containments": (other,)},
+            {"hyperelliptic_roots": report.hyperelliptic_roots + (extra_root,)},
+            {"torsion_points": report.torsion_points + (((0, 1), other),)},
+        ]
+        if strategy == "generic":
+            grafts.append({"all_minors_vanish": True})
+        for graft in grafts:
+            assert not _fulfils(strategy, replace(report, **graft), home, pair, False), (strategy, graft)

@@ -7,7 +7,7 @@ import pytest
 from conftest import coords_from
 from godeaux_lines.families import sample_component_line, z5_line
 from godeaux_lines.fields import PrimeField, QQ
-from godeaux_lines.geometry import AIDX, LineA, ORDER, PointA, line_in_q, line_through
+from godeaux_lines.geometry import AIDX, LineA, ORDER, PointA, line_in_q
 from godeaux_lines.pencil import BinaryForm
 from godeaux_lines.sampling import sample_line, tangent_cone_partner, _Budget, _fulfils
 from godeaux_lines.strata import (
@@ -151,6 +151,60 @@ def test_detectors_reject_lines_outside_q(f31):
 # hyperelliptic points and the minor GCD
 
 
+def test_quartic_minors_are_k4_forms():
+    # the a-matrix is a weighted incidence matrix of K4: column c is an edge
+    # {i, j} holding a_ij in row i and a_ji in row j, and a minor keeps four
+    # of the six edges.  If the two dropped edges share the vertex l, the kept
+    # ones are the triangle on the other vertices i, j, k and a pendant edge
+    # {l, m}: the minor is +-a_lm T_l, T_l = a_ij a_jk a_ki + a_ik a_kj a_ji.
+    # If they are a perfect matching {ij|kl}, the kept ones are the 4-cycle
+    # i-k-j-l: the minor is +-C_ij|kl = a_ik a_kj a_jl a_li - a_il a_lj a_jk a_ki.
+    # Every entry is a bare variable, so each monomial has the sign of the
+    # one permutation that picks it; the expected sign is read off the first
+    # monomial and the second must follow.
+    from collections import Counter
+    from itertools import combinations
+
+    from godeaux_lines.geometry import A_PATTERN, a_vartable, det4
+    from godeaux_lines.polynomials import Poly
+
+    vt = a_vartable()
+    var = [Poly.variable(vt, QQ, name) for name in ORDER]
+    a = lambda i, j: var[AIDX[f"a{i}{j}"]]
+    matrix = [[Poly.zero(vt, QQ) if j is None else var[j] for j in row] for row in A_PATTERN]
+    edges = [frozenset(r for r in range(4) if A_PATTERN[r][c] is not None) for c in range(6)]
+    for c, (i, j) in enumerate(map(sorted, edges)):
+        assert (ORDER[A_PATTERN[i][c]], ORDER[A_PATTERN[j][c]]) == (f"a{i}{j}", f"a{j}{i}")
+
+    def sign(cols, picks):
+        """The sign of the permutation taking row r to the column of edge picks[r]."""
+        perm = [cols.index(edges.index(frozenset(picks[r]))) for r in range(4)]
+        return (-1) ** sum(perm[x] > perm[y] for x, y in combinations(range(4), 2))
+
+    kinds, matchings = Counter(), set()
+    for cols in combinations(range(6), 4):
+        minor = det4([[row[c] for c in cols] for row in matrix])
+        first, second = (edges[c] for c in range(6) if c not in cols)
+        if first & second:
+            (l,) = first & second
+            (m,) = set(range(4)) - first - second
+            i, j, k = sorted(set(range(4)) - {l})
+            picks = {l: (l, m), i: (i, j), j: (j, k), k: (k, i)}
+            form = a(l, m) * (a(i, j) * a(j, k) * a(k, i) + a(i, k) * a(k, j) * a(j, i))
+            kinds["triangle"] += 1
+        else:
+            (i, j), (k, l) = sorted(first), sorted(second)
+            picks = {i: (i, k), k: (k, j), j: (j, l), l: (l, i)}
+            form = a(i, k) * a(k, j) * a(j, l) * a(l, i) - a(i, l) * a(l, j) * a(j, k) * a(k, i)
+            kinds["cycle"] += 1
+            matchings.add(frozenset((first, second)))
+        assert len(minor.terms) == 2
+        assert minor == form.scale(sign(cols, picks)), cols
+    assert kinds == {"triangle": 12, "cycle": 3}
+    # the three 4-cycles are named by the partitions that name the torsion spaces
+    assert matchings == {frozenset(map(frozenset, sp.partition)) for sp in TORSION_SPACES}
+
+
 def test_generic_line_trivial_gcd(generic_line):
     result = hyperelliptic_points(generic_line)
     assert result.gcd.degree == 0 and not result.gcd.is_zero()
@@ -218,7 +272,7 @@ def test_row_zero_construction(f31):
     p = PointA(f31, coords_from(f31, a32=3, a23=5, a10=2))
     budget = _Budget("test", 10_000_000)
     w = tangent_cone_partner(f31, p, rng, budget)
-    line = line_through(p, w)
+    line = LineA(f31, p.coords, w.coords)
     points, _ = row_vanishing_points(line)
     assert ((1, 0), 0) in points
 
@@ -792,7 +846,7 @@ def test_excluded_flag_alone_rejects_hyp_and_two_hyp(field):
     # with one or two rank-3 roots grafted on, only the excluded flag keeps
     # the report from fulfilling the hyp and two-hyp strategies
     report = classify_line(excluded_line(field))
-    one, two = (MinorRoot((field.canonical(s), field.one()), 3, 1) for s in (2, 5))
+    one, two = (MinorRoot((field.canonical(s), 1), 3, 1) for s in (2, 5))
     for strategy, roots in (("hyp", (one,)), ("two-hyp", (one, two))):
         grafted = replace(report, hyperelliptic_roots=roots)
         assert _fulfils(strategy, grafted, None, None, False) is False
