@@ -15,14 +15,15 @@ and ``Field.random_nonzero``) draw through ``randrange`` and the
 which returns what ``randrange`` would.  Points of Q and the two-hyp
 partner are found by rejection.  The tangent-cone partner draws five
 coefficients at a time and scans the remaining plane of candidates one
-coordinate at a time, but only after an exact per-draw
-certificate, cheapest check first (kernel combinations free of the plane's
-coordinates, a linear solve of the others, a resultant of two quadrics on
-the solution line, a gcd of all four), has shown that the draw can
-succeed; a draw that cannot is charged the trials its scan would have
-taken, so trial counts and lines are those of the plain scan.  The two-hyp
-rejection tests the first tangency form on the six coordinates it involves
-and builds the other six only for draws that pass.  Each strategy
+coordinate at a time, but only after an exact per-draw certificate,
+cheapest check first (kernel combinations free of the plane's
+coordinates, a linear solve of the others, resultants of pairs of
+quadrics on the solution line, and a gcd of all four only when every pair
+shares a root), has shown that the draw can succeed; a draw that cannot
+is charged the trials its scan would have taken, so trial counts and
+lines are those of the plain scan.  The two-hyp rejection tests the first
+tangency form on the six coordinates it involves and builds the other six
+only for draws that pass.  Each strategy
 re-verifies its promise through the classifier before returning, by one
 rule for all of them (:func:`_fulfils`), and retries otherwise; a
 configurable trial budget guards termination.
@@ -182,9 +183,13 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
 
     At a torsion point K is all of F_p^4, and two of its four combinations
     read q_i(R) = 0 with two terms each; kept as sparse terms and tested
-    first, they reject nearly every draw.  Elsewhere K is a line, and the
-    tables q_i(R), B_i(u, R) and B_i(v, R) are built for q_0 and q_1 only
-    until their resultant on the solution line has passed.
+    first, they reject nearly every draw.  Elsewhere K is a line.  A draw
+    evaluates its tables in two products of packed ints (:func:`_packed`,
+    :func:`_dot`): the linear ones (a, b, B_i(u, R), B_i(v, R)) in one, the
+    quadratic ones (c, q_i(R)) in the other.  The quadrics are restricted
+    to the solution line a x + b y + c = 0 without inverting b, and the
+    first pair of them with a nonzero resultant rejects the draw
+    (:func:`_share_a_factor`); q_0 and q_1 settle about nine in ten.
     """
     p = _require_search_field(field)
     u, v, *rest = _tangent_complement(point)
@@ -215,6 +220,14 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
             mixed.append((a, b, c))
         else:
             free.append([(j, l, t) for (j, l), t in zip(pairs, c) if t])
+    # one packed int per draw coefficient (resp. product c_j c_l): slots for
+    # a and b of each mixed combination, B_i(u, R), B_i(v, R) (resp. c of
+    # each mixed combination, q_i(R))
+    n = len(mixed)
+    width, linear, quadratic = _packed(
+        p, [t for a, b, _ in mixed for t in (a, b)] + bu + bv, [c for _, _, c in mixed] + gram
+    )
+    mask = (1 << width) - 1
 
     while True:
         coeffs = _draw(rng, p, 5)
@@ -229,36 +242,31 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
         if fails:
             budget.spend(p)
             continue
-        c0, c1, c2, c3, c4 = coeffs
-        prods = (
-            c0 * c0, c0 * c1, c0 * c2, c0 * c3, c0 * c4,
-            c1 * c1, c1 * c2, c1 * c3, c1 * c4,
-            c2 * c2, c2 * c3, c2 * c4,
-            c3 * c3, c3 * c4,
-            c4 * c4,
-        )
-        solutions = _affine_solutions(p, (
-            (sum(map(mul, coeffs, a)) % p, sum(map(mul, coeffs, b)) % p, sum(map(mul, prods, c)) % p)
-            for a, b, c in mixed
-        ))
-        if solutions is None:
+        lin, quad = _dot(coeffs, linear, quadratic)
+        if n == 1 and (lin >> width & mask) % p:
+            # the one mixed equation a x + b y + c = 0 is the line itself
+            x0, line = None, (lin & mask, lin >> width & mask, quad & mask)
+        else:
+            solutions = _affine_solutions(p, (
+                ((lin >> 2 * m * width & mask) % p, (lin >> (2 * m + 1) * width & mask) % p,
+                 (quad >> m * width & mask) % p)
+                for m in range(n)
+            ))
+            if solutions is None:
+                budget.spend(p)
+                continue
+            x0, line = solutions
+            if line is not None:
+                # y = alpha x + beta is alpha x - y + beta = 0
+                line = (line[0], -1, line[1])
+        lin >>= 2 * n * width
+        quad >>= n * width
+        if line is not None and not _share_a_factor(field, line, width, lin, quad, qu, buv, qv):
             budget.spend(p)
             continue
-        x0, line = solutions
-        # the tables for q_0 and q_1 first: on a line, their resultant
-        # settles most draws
-        qr = [sum(map(mul, prods, g)) % p for g in gram[:2]]
-        bur = [sum(map(mul, coeffs, b)) % p for b in bu[:2]]
-        bvr = [sum(map(mul, coeffs, b)) % p for b in bv[:2]]
-        if line is not None and _coprime_pair(p, line, qu, buv, qv, qr, bur, bvr):
-            budget.spend(p)
-            continue
-        qr += [sum(map(mul, prods, g)) % p for g in gram[2:]]
-        bur += [sum(map(mul, coeffs, b)) % p for b in bu[2:]]
-        bvr += [sum(map(mul, coeffs, b)) % p for b in bv[2:]]
-        if line is not None and not _share_a_factor(field, line, qu, buv, qv, qr, bur, bvr):
-            budget.spend(p)
-            continue
+        bur = [(lin >> i * width & mask) % p for i in range(4)]
+        bvr = [(lin >> (4 + i) * width & mask) % p for i in range(4)]
+        qr = [(quad >> i * width & mask) % p for i in range(4)]
         if x0 is not None:
             budget.spend(x0)
         for x in range(p) if x0 is None else (x0,):
@@ -282,6 +290,36 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
                     return partner
         if x0 is not None:
             budget.spend(p - 1 - x0)
+
+
+def _packed(p: int, linear_tables, quadratic_tables):
+    """``(width, linear, quadratic)``: column j of each list of tables
+    packed into one int, table n in the bits [n width, (n + 1) width), for
+    :func:`_dot`.  The entries are residues mod p, so a linear slot sums 5
+    products below p^2 and a quadratic one 15 products below p^3; with
+    15 p^3 < 2^width no slot carries into the next."""
+    width = (15 * p ** 3).bit_length()
+
+    def pack(tables):
+        return [sum(t[j] << n * width for n, t in enumerate(tables)) for j in range(len(tables[0]))]
+
+    return width, pack(linear_tables), pack(quadratic_tables)
+
+
+def _dot(coeffs, linear, quadratic):
+    """The draw's tables in two products: ``(lin, quad)`` hold in each slot
+    the dot product of ``coeffs`` with a linear table, resp. of the products
+    c_j c_l (j <= l, in that order) with a quadratic table, unreduced."""
+    c0, c1, c2, c3, c4 = coeffs
+    q = quadratic
+    return (
+        c0 * linear[0] + c1 * linear[1] + c2 * linear[2] + c3 * linear[3] + c4 * linear[4],
+        c0 * (c0 * q[0] + c1 * q[1] + c2 * q[2] + c3 * q[3] + c4 * q[4])
+        + c1 * (c1 * q[5] + c2 * q[6] + c3 * q[7] + c4 * q[8])
+        + c2 * (c2 * q[9] + c3 * q[10] + c4 * q[11])
+        + c3 * (c3 * q[12] + c4 * q[13])
+        + c4 * c4 * q[14],
+    )
 
 
 def _tangent_complement(point: PointA) -> list:
@@ -333,38 +371,42 @@ def _affine_solutions(p, eqs):
     return None, line
 
 
-def _restricted(p, line, i, qu, buv, qv, qr, bur, bvr):
-    """q_i(x u + y v + R) on the line y = alpha x + beta, as coefficients in x."""
-    alpha, beta = line
-    return [
-        (beta * beta * qv[i] + beta * bvr[i] + qr[i]) % p,
-        (beta * buv[i] + 2 * alpha * beta * qv[i] + bur[i] + alpha * bvr[i]) % p,
-        (qu[i] + alpha * buv[i] + alpha * alpha * qv[i]) % p,
-    ]
+def _share_a_factor(field: PrimeField, line, width, lin, quad, qu, buv, qv) -> bool:
+    """Whether the q_i(x u + y v + R), restricted to the line a x + b y + c
+    = 0 (b != 0), have a nonconstant common factor over F_p or all vanish;
+    when they do not, no x on the line solves the draw.  (For b = 0 every
+    form below is a multiple of (a x + c)^2, and the answer is True.)
 
-
-def _coprime_pair(p, line, *tables):
-    """Whether the restrictions of q_0 and q_1 to the line, read as binary
-    quadratics f2 x^2 + f1 x z + f0 z^2, have a nonzero resultant, so share
-    no root in P^1 even over the algebraic closure.  A leading coefficient
-    0 is a root at infinity, so this holds whatever the degrees of the
-    restrictions (a zero one gives resultant 0).  Reads only entries 0 and
-    1 of the tables."""
-    f0, f1, f2 = _restricted(p, line, 0, *tables)
-    g0, g1, g2 = _restricted(p, line, 1, *tables)
-    res = (f2 * g0 - f0 * g2) ** 2 - (f2 * g1 - f1 * g2) * (f1 * g0 - f0 * g1)
-    return bool(res % p)
-
-
-def _share_a_factor(field: PrimeField, line, *tables):
-    """Whether the q_i(x u + y v + R), restricted to the line y = alpha x +
-    beta, have a nonconstant common factor over F_p or all vanish there;
-    when they do not, no x on the line solves the draw.  The cheaper
-    :func:`_coprime_pair` settles most draws before this gcd is needed.
+    ``lin`` holds B_i(u, R) in slot i and B_i(v, R) in slot 4 + i, ``quad``
+    holds q_i(R) in slot i (slots of ``width`` bits, values unreduced).  b y
+    = -(a x + c) is substituted without inverting b, so each form is b^2
+    times the restriction, f2 x^2 + f1 x + f0, and has the same roots.  Read
+    as binary quadratics f2 x^2 + f1 x z + f0 z^2, two forms with a nonzero
+    resultant share no root in P^1 even over the algebraic closure (a zero
+    form has resultant 0 with every form), so such a pair settles the draw.
+    Each new form is paired with the earlier ones, q_0 with q_1 first, the
+    others only as needed; only when every pair resultant vanishes does the
+    gcd of all four decide.
     """
+    p = field.p
+    mask = (1 << width) - 1
+    a, b, c = line
+    aa, ab, bb, ac, bc, cc = a * a % p, a * b % p, b * b % p, 2 * a * c % p, b * c % p, c * c % p
+    seen = []
+    shift = 0
+    for qui, buvi, qvi in zip(qu, buv, qv):
+        bur, bvr, qr = lin >> shift & mask, lin >> shift + 4 * width & mask, quad >> shift & mask
+        shift += width
+        g0 = (qvi * cc - bvr * bc + qr * bb) % p
+        g1 = (qvi * ac - buvi * bc + bur * bb - bvr * ab) % p
+        g2 = (qui * bb - buvi * ab + qvi * aa) % p
+        for f0, f1, f2 in seen:
+            if ((f2 * g0 - f0 * g2) ** 2 - (f2 * g1 - f1 * g2) * (f1 * g0 - f0 * g1)) % p:
+                return False
+        seen.append([g0, g1, g2])
     common = None
-    for i in range(4):
-        f = _trim(_restricted(field.p, line, i, *tables))
+    for f in seen:
+        f = _trim(f)
         if f:
             common = f if common is None else _gcd(field, common, f)
             if len(common) == 1:

@@ -1,12 +1,16 @@
+import functools
+import hashlib
 import itertools
 import random
 from types import SimpleNamespace
 
 import pytest
 
+from godeaux_lines.cli import _dumps
 from godeaux_lines.families import hyp_point_raw
 from godeaux_lines.fields import QQ, PrimeField, is_prime
 from godeaux_lines.geometry import (
+    AIDX,
     ROW_TRIPLES,
     PointA,
     jacobian_at,
@@ -26,7 +30,6 @@ from godeaux_lines.sampling import (
     tangent_cone_partner,
     _Budget,
     _affine_solutions,
-    _coprime_pair,
     _draw,
     _fulfils,
     _q0_tangency,
@@ -37,7 +40,7 @@ from godeaux_lines.sampling import (
     _two_hyp_partner,
 )
 from godeaux_lines.pencil import _gcd, _trim
-from godeaux_lines.strata import TORSION_SPACES, classify_line, torsion_space
+from godeaux_lines.strata import TORSION_SPACES, classify_line, rank_a, torsion_space
 
 
 def test_generic_strategy(f31):
@@ -364,7 +367,7 @@ def test_budget_runs_out_inside_skipped_and_forced_draws():
     _, used, _, budget = _search(tangent_cone_partner, F, point, 0, 10**6, _LoggedBudget)
     log = budget.log
     # at a generic point nearly every draw fails its certificate (most of
-    # them on the gcd of the quadrics restricted to a line) and is skipped
+    # them on a pair of the quadrics restricted to a line) and is skipped
     assert sum(n == p for _, n in log) > 0.9 * (used // p)
     skipped = next(used for used, n in log if n == p)
     forced = next(
@@ -436,22 +439,72 @@ def test_affine_solutions_match_brute_force(p):
     assert kinds == {"none", "forced", "line", "all"}
 
 
+def _restricted(p, line, i, qu, buv, qv, qr, bur, bvr):
+    """The oracle restriction: q_i(x u + y v + R) on the line y = alpha x +
+    beta, as coefficients in x, by the inverted slope and intercept."""
+    alpha, beta = line
+    return [
+        (beta * beta * qv[i] + beta * bvr[i] + qr[i]) % p,
+        (beta * buv[i] + 2 * alpha * beta * qv[i] + bur[i] + alpha * bvr[i]) % p,
+        (qu[i] + alpha * buv[i] + alpha * alpha * qv[i]) % p,
+    ]
+
+
+def _coprime_pair(p, line, *tables):
+    """The oracle pair test: whether the restrictions of q_0 and q_1 to the
+    line, read as binary quadratics f2 x^2 + f1 x z + f0 z^2, have a nonzero
+    resultant, so share no root in P^1 even over the algebraic closure.  A
+    leading coefficient 0 is a root at infinity, so this holds whatever the
+    degrees of the restrictions (a zero one gives resultant 0).  Reads only
+    entries 0 and 1 of the tables."""
+    f0, f1, f2 = _restricted(p, line, 0, *tables)
+    g0, g1, g2 = _restricted(p, line, 1, *tables)
+    res = (f2 * g0 - f0 * g2) ** 2 - (f2 * g1 - f1 * g2) * (f1 * g0 - f0 * g1)
+    return bool(res % p)
+
+
 def _gcd_share_a_factor(p, line, qu, buv, qv, qr, bur, bvr):
     """The oracle: the gcd of all four restricted quadrics, no resultant."""
     F = PrimeField(p)
-    alpha, beta = line
     g = None
     for i in range(4):
-        f = _trim([
-            (beta * beta * qv[i] + beta * bvr[i] + qr[i]) % p,
-            (beta * buv[i] + 2 * alpha * beta * qv[i] + bur[i] + alpha * bvr[i]) % p,
-            (qu[i] + alpha * buv[i] + alpha * alpha * qv[i]) % p,
-        ])
+        f = _trim(_restricted(p, line, i, qu, buv, qv, qr, bur, bvr))
         if f:
             g = f if g is None else _gcd(F, g, f)
             if len(g) == 1:
                 return False
     return True
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    """The calls the partner search makes to the gcd, recorded."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _gcd(*args)
+
+    monkeypatch.setattr(sampling, "_gcd", counted)
+    return calls
+
+
+@functools.lru_cache(maxsize=None)
+def _slot_width(p):
+    return sampling._packed(p, [[0]], [[0]])[0]
+
+
+def _share_a_factor_on(p, line, qu, buv, qv, qr, bur, bvr, lifts=(0, 0, 0)):
+    """``_share_a_factor`` on tables given entry by entry, packed into
+    slots as the partner search packs them: B_i(u, R) in slot i and
+    B_i(v, R) in slot 4 + i of one int, q_i(R) in slot i of another.
+    ``lifts`` adds those multiples of p to the three kinds of entries, as
+    the unreduced packed dot products carry them."""
+    width = _slot_width(p)
+    lin = sum((t + lifts[0] * p) << i * width for i, t in enumerate(bur))
+    lin += sum((t + lifts[1] * p) << (4 + i) * width for i, t in enumerate(bvr))
+    quad = sum((t + lifts[2] * p) << i * width for i, t in enumerate(qr))
+    return _share_a_factor(PrimeField(p), line, width, lin, quad, qu, buv, qv)
 
 
 @pytest.mark.parametrize("p", (3, 5, 7, 11))
@@ -466,17 +519,19 @@ def test_share_a_factor_matches_gcd_oracle(p):
             [rng.randrange(p) if rng.random() > sparse else 0 for _ in range(4)]
             for _ in range(6)
         ]
-        line = (rng.randrange(p), rng.randrange(p))
-        got = _share_a_factor(PrimeField(p), line, *tables)
-        assert got == _gcd_share_a_factor(p, line, *tables)
+        alpha, beta = (rng.randrange(p), rng.randrange(p))
+        # y = alpha x + beta as the line alpha x - y + beta = 0
+        got = _share_a_factor_on(p, (alpha, -1, beta), *tables)
+        assert got == _gcd_share_a_factor(p, (alpha, beta), *tables)
         seen.add(got)
     assert seen == {True, False}
 
 
 @pytest.mark.parametrize("p", (3, 5, 7, 11))
-def test_coprime_pair_rules_out_a_shared_factor(p):
+def test_coprime_pair_rules_out_a_shared_factor(p, gcd_calls):
     # a nonzero resultant of the first two restrictions is enough for the
-    # partner search to skip the draw: the gcd of all four is then trivial
+    # partner search to skip the draw: the gcd of all four is then trivial,
+    # and the search settles the draw on that pair without it
     rng = random.Random(p)
     seen = set()
     for _ in range(3000):
@@ -490,17 +545,21 @@ def test_coprime_pair_rules_out_a_shared_factor(p):
         assert _coprime_pair(p, line, *(t[:2] for t in tables)) == coprime
         if coprime:
             assert not _gcd_share_a_factor(p, line, *tables)
+            assert not _share_a_factor_on(p, (line[0], -1, line[1]), *tables)
+            assert not gcd_calls
         seen.add(coprime)
     assert seen == {True, False}
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
-def test_coprime_pair_is_the_resultant_of_binary_quadratics(p):
+def test_coprime_pair_is_the_resultant_of_binary_quadratics(p, gcd_calls):
     # every pair of binary quadratics f2 x^2 + f1 x z + f0 z^2 over F_p, a
     # leading coefficient 0 (a root at infinity) and the zero form included:
     # the resultant is nonzero exactly when the two are independent and
     # share no root in P^1(F_p); with the line y = 0 the restrictions are
-    # (f0, f1, f2) = (q_i(R), B_i(u, R), q_i(u))
+    # (f0, f1, f2) = (q_i(R), B_i(u, R), q_i(u)).  On the same two quadrics
+    # the partner search settles the coprime pairs by their resultant, and
+    # the others by their common factor in x
     points = [(x, 1) for x in range(p)] + [(1, 0)]
     forms = list(itertools.product(range(p), repeat=3))
     roots = {f: frozenset(pt for pt in points
@@ -512,8 +571,104 @@ def test_coprime_pair_is_the_resultant_of_binary_quadratics(p):
         coprime = _coprime_pair(p, (0, 0), *tables)
         independent = any((f[i] * g[j] - f[j] * g[i]) % p for i, j in ((0, 1), (0, 2), (1, 2)))
         assert coprime == (independent and not roots[f] & roots[g]), (f, g)
+        gcd_calls.clear()
+        got = _share_a_factor_on(p, (0, -1, 0), *tables)
+        if coprime:
+            assert not got and not gcd_calls
+        elif independent:
+            # a common factor over F_p is a common root (x, 1)
+            assert got == bool(roots[f] & roots[g] - {(1, 0)}), (f, g)
+        else:
+            # proportional, or one is zero: the nonzero ones must involve x
+            assert got == all(not any(h) or h[1] or h[2] for h in (f, g)), (f, g)
         seen.add((coprime, f[2] == 0 or g[2] == 0))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _random_tables(rng, p):
+    """Tables (qu, buv, qv, qr, bur, bvr) of four quadrics: sparse, with
+    whole quadrics zeroed (their restriction vanishes identically) or
+    copied as multiples of another (restrictions with a common root)."""
+    sparse = rng.choice((0.0, 0.3, 0.7))
+    quadrics = [
+        [rng.randrange(p) if rng.random() > sparse else 0 for _ in range(6)] for _ in range(4)
+    ]
+    for i in range(4):
+        pick = rng.random()
+        if pick < 0.25:
+            quadrics[i] = [0] * 6
+        elif pick < 0.5:
+            k = rng.randrange(p)
+            quadrics[i] = [k * t % p for t in quadrics[rng.randrange(4)]]
+    return [list(col) for col in zip(*quadrics)]
+
+
+@pytest.mark.parametrize("p", (3, 5, 31, 10007, 999983))
+def test_pair_resultants_match_coprime_pair_oracle(p, gcd_calls):
+    # the division-free pair test on a line a x + b y + c = 0 (b != 0)
+    # against the inverted one: a draw with a pair of restrictions coprime
+    # by _coprime_pair is settled without the gcd, and every other answer
+    # is the gcd oracle's.  The entries carry multiples of p,
+    # as the unreduced packed products do.  For b = 0 (and a != 0) every
+    # form is a multiple of (a x + c)^2, so nothing is settled and the
+    # answer is True
+    rng = random.Random(p)
+    seen = set()
+    for _ in range(1500 if p < 10**4 else 600):
+        tables = _random_tables(rng, p)
+        b = 0 if rng.random() < 0.1 else rng.randrange(1, p)
+        a, c = rng.randrange(0 if b else 1, p), rng.randrange(p)
+        lifts = (rng.randrange(4 * p), rng.randrange(4 * p), rng.randrange(14 * p * p))
+        line = (a + p * rng.randrange(4 * p), b + p * rng.randrange(4 * p), c + p * rng.randrange(14 * p * p))
+        gcd_calls.clear()
+        got = _share_a_factor_on(p, line, *tables, lifts=lifts)
+        if not b:
+            assert got
+            seen.add("b = 0")
+            continue
+        inv = pow(-b, -1, p)
+        oracle_line = (a * inv % p, c * inv % p)
+        coprime = any(
+            _coprime_pair(p, oracle_line, *([t[i], t[j]] for t in tables))
+            for i, j in itertools.combinations(range(4), 2)
+        )
+        if coprime:
+            assert not got and not gcd_calls
+        else:
+            assert got == _gcd_share_a_factor(p, oracle_line, *tables)
+        seen.add((coprime, got))
+        if any(not any(_restricted(p, oracle_line, i, *tables)) for i in range(4)):
+            seen.add("a restriction vanishes")
+    assert {(True, False), (False, True), "b = 0", "a restriction vanishes"} <= seen
+
+
+@pytest.mark.parametrize("p", (3, 31, 10007, 999983))
+def test_packed_tables_match_dot_products(p):
+    # the widest slots under MAX_BRUTE_FORCE_MODULUS included: every slot of
+    # the two packed products is the exact dot product of its table, with
+    # no carry from the slot below, for the tables of zero to two mixed
+    # combinations and for all-(p - 1) extremes
+    rng = random.Random(p)
+    pairs = [(j, l) for j in range(5) for l in range(j, 5)]
+    for trial in range(60):
+        n = trial % 3
+        top = trial < 3
+        entry = (lambda: p - 1) if top else (lambda: rng.randrange(p))
+        linear = [[entry() for _ in range(5)] for _ in range(2 * n + 8)]
+        quadratic = [[entry() for _ in range(15)] for _ in range(n + 4)]
+        coeffs = [p - 1] * 5 if top else _draw(rng, p, 5)
+        width, lin_cols, quad_cols = sampling._packed(p, linear, quadratic)
+        assert 15 * p ** 3 < 2 ** width
+        lin, quad = sampling._dot(coeffs, lin_cols, quad_cols)
+        mask = (1 << width) - 1
+        assert [lin >> k * width & mask for k in range(len(linear))] == [
+            sum(c * t for c, t in zip(coeffs, table)) for table in linear
+        ]
+        assert lin >> len(linear) * width == 0
+        assert [quad >> k * width & mask for k in range(len(quadratic))] == [
+            sum(coeffs[j] * coeffs[l] * t for (j, l), t in zip(pairs, table)) for table in quadratic
+        ]
+        assert quad >> len(quadratic) * width == 0
 
 
 # ----------------------------------------------------------------------
@@ -635,6 +790,74 @@ def test_draw_matches_randrange(p):
             assert _draw(new, p, n) == [old.randrange(p) for _ in range(n)]
             assert 1 + _draw(new, p - 1, 1)[0] == old.randrange(1, p)
         assert new.getstate() == old.getstate()
+
+
+# ----------------------------------------------------------------------
+# seeded samples byte for byte, at primes the golden gate does not cover
+
+#: SHA-256 of the canonical JSON lines of sample_line(strategy, F_p, seed)
+#: for p = 5, 7, 101 and seeds 0-4, in that order
+_SAMPLE_SHA256 = {
+    "generic": "416ecf928ceed70c0c4987e3604ad3c760834677d414cd72cf2400c4c7119fd4",
+    "hyp": "91bdac03be3f80fbfaaa227914e240c0fc8d12776a48ed6181dcc006a4ff068a",
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(_SAMPLE_SHA256))
+def test_samples_byte_identical_off_the_golden_prime(strategy):
+    # the golden gate pins p = 31; these primes put the tangent-cone
+    # certificate on fields where small-p coincidences (b = 0, vanishing
+    # restrictions) are frequent, and on one where draws take 10^6 trials
+    digest = hashlib.sha256()
+    for p in (5, 7, 101):
+        for seed in range(5):
+            digest.update(_dumps(sample_line(strategy, PrimeField(p), seed).to_json()).encode() + b"\n")
+    assert digest.hexdigest() == _SAMPLE_SHA256[strategy]
+
+
+# ----------------------------------------------------------------------
+# rank-3 roots of the hyp strategies by K4 kind
+
+
+def _k4_kind(point):
+    """The kind of a rank-3 point of Q, read off the a-matrix as a weighted
+    incidence matrix of K4 (row l is vertex l): "row" when a row vanishes
+    and its triangle form T_l does not, "row+T" when both vanish, "T&C"
+    when no row vanishes and every T_l and 4-cycle form C vanishes, and
+    "other" for anything else."""
+    p = point.field.p
+    a = {(i, j): point.coords[AIDX[f"a{i}{j}"]] for i in range(4) for j in range(4) if i != j}
+
+    def T(l):
+        i, j, k = (m for m in range(4) if m != l)
+        return (a[i, j] * a[j, k] * a[k, i] + a[i, k] * a[k, j] * a[j, i]) % p
+
+    def C(i, j, k, l):
+        return (a[i, k] * a[k, j] * a[j, l] * a[l, i] - a[i, l] * a[l, j] * a[j, k] * a[k, i]) % p
+
+    rows = [l for l in range(4) if not any(a[l, m] for m in range(4) if m != l)]
+    if len(rows) == 1:
+        return "row+T" if T(rows[0]) == 0 else "row"
+    if not rows and not any(map(T, range(4))) and not any(C(*m) for m in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))):
+        return "T&C"
+    return "other"
+
+
+#: the K4 kinds of the rank-3 roots each hyp strategy gives at p = 31, sorted
+_K4_KINDS = {"hyp": ["T&C"], "two-hyp": ["T&C", "row+T"]}
+
+
+@pytest.mark.parametrize("strategy", sorted(_K4_KINDS))
+def test_rank3_roots_by_k4_kind(f31, strategy):
+    # what the strategies deliver today at p = 31: a hyp line has one T&C
+    # root, and a default two-hyp line one T&C root and one row+T root (a
+    # point where a whole a-matrix row vanishes, so also in row_vanishing)
+    for seed in range(10):
+        line = sample_line(strategy, f31, seed)
+        report = classify_line(line)
+        points = [line.point_at(*root.point) for root in report.hyperelliptic_roots]
+        assert [rank_a(pt) for pt in points] == [3] * len(points)
+        assert sorted(map(_k4_kind, points)) == _K4_KINDS[strategy], seed
 
 
 # ----------------------------------------------------------------------
