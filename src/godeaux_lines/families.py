@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import json
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 from .certificates import Certificate
@@ -282,6 +283,9 @@ def verify_hyp_param(seed: int = 2024) -> Certificate:
 #: survivors of the example family, (a23, a10) | (a31, a02), sorted as the census lists them
 _Z5_EXAMPLE = ((AIDX["a23"], AIDX["a10"]), (AIDX["a31"], AIDX["a02"]))
 
+#: the component counts of every pair's census
+_CENSUS_COUNTS = {"P1xP1": 6, "P0xP2": 4, "P2xP0": 4}
+
 
 def _row(zero, indices, values) -> list:
     """A 12-entry a-row: ``values`` at ``indices``, ``zero`` elsewhere."""
@@ -299,12 +303,34 @@ def z5_line(field: Field, p0, p1, q0, q1) -> LineA:
 
 
 def verify_z5_family() -> Certificate:
-    """Proof that every member of the example family lies in Q: its rows
-    hold distinct variables on (a23, a10) and (a31, a02), so the support
-    rule :func:`geometry.quadrics_vanish_on` on the union decides it."""
+    """Proof that every member of the example family lies in Q, then the
+    component census of each pair of torsion P^3's.
+
+    The example rows hold distinct variables on (a23, a10) and (a31, a02),
+    so the support rule :func:`geometry.quadrics_vanish_on` on the union
+    decides it.  Each pair's census (:func:`z5_component_counts`, which
+    proves its components inside Q) must give 6 components P^1 x P^1 and
+    4 each of P^0 x P^2 and P^2 x P^0, and the pair T01|23, T02|13 must
+    hold the example family among its P^1 x P^1.
+    """
     cert = Certificate("z5-family")
     a_surv, b_surv = _Z5_EXAMPLE
     cert.add("line-in-q-identically", quadrics_vanish_on(a_surv + b_surv))
+    counts = cert.data["counts"] = {}
+    for space_a, space_b in combinations(TORSION_SPACES, 2):
+        census = z5_component_counts(space_a, space_b)
+        name_a, name_b = census.pair
+        cert.add(
+            f"component-counts-{name_a}-{name_b}",
+            census.counts == _CENSUS_COUNTS,
+            json.dumps(census.counts, sort_keys=True, separators=(",", ":")),
+        )
+        if census.pair == ("T01|23", "T02|13"):
+            cert.add(
+                "example-family-among-P1xP1",
+                any(c.is_example_family for c in census.components),
+            )
+        counts[f"{name_a},{name_b}"] = census.counts
     return cert
 
 
@@ -332,7 +358,6 @@ class WComponent:
     a_survivors: tuple     # ORDER indices free on the first factor
     b_survivors: tuple
     is_example_family: bool
-    godeaux_status: str    # "example" or "undetermined"
 
 
 @dataclass(frozen=True)
@@ -370,15 +395,7 @@ def z5_component_counts(space_a: TorsionSpace, space_b: TorsionSpace) -> Compone
         )
         if not quadrics_vanish_on(a_surv + b_surv):
             raise FamilyError(f"component lines not inside Q: {a_surv} x {b_surv}")
-        components.append(
-            WComponent(
-                kind,
-                a_surv,
-                b_surv,
-                example,
-                "example" if example else "undetermined",
-            )
-        )
+        components.append(WComponent(kind, a_surv, b_surv, example))
     return ComponentCensus(
         (space_a.name, space_b.name), edges, counts, tuple(components)
     )
@@ -526,8 +543,8 @@ def verify_z3_kernel() -> Certificate:
 
     The direct reading (kernel columns 5, 6 read as (v45, v67)) is checked
     first and its residuals recorded; then the finite documented convention
-    set {column order of the last two unknowns} x {sign of each} is searched
-    for a reading validating all three rows.
+    set {column order of the last two unknowns} x {sign of each} is searched,
+    in that order, for the first reading that validates all three rows.
     """
     cert = Certificate("z3-kernel")
     vt = VarTable(("u0", "u1", "u2", "u3", "w0", "w1"))
@@ -550,23 +567,17 @@ def verify_z3_kernel() -> Certificate:
     cert.add("zero-vector-in-kernel", all(r.is_zero() for r in residuals([zero] * 6)))
 
     found = None
-    for swap in (False, True):
-        for s5 in (1, -1):
-            for s6 in (1, -1):
-                ok = True
-                for row in reference:
-                    c5, c6 = row[4], row[5]
-                    if swap:
-                        c5, c6 = c6, c5
-                    vec = row[:4] + [c5.scale(s5), c6.scale(s6)]
-                    if not all(r.is_zero() for r in residuals(vec)):
-                        ok = False
-                        break
-                if ok and found is None:
-                    found = {
-                        "last_two_unknowns": ["v67", "v45"] if swap else ["v45", "v67"],
-                        "signs": [s5, s6],
-                    }
+    for swap, s5, s6 in product((False, True), (1, -1), (1, -1)):
+        c5, c6 = (5, 4) if swap else (4, 5)
+        if all(
+            all(r.is_zero() for r in residuals(row[:4] + [row[c5].scale(s5), row[c6].scale(s6)]))
+            for row in reference
+        ):
+            found = {
+                "last_two_unknowns": ["v67", "v45"] if swap else ["v45", "v67"],
+                "signs": [s5, s6],
+            }
+            break
     cert.data["validating_convention"] = found
     cert.add(
         "all-rows-under-some-convention",

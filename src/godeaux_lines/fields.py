@@ -252,28 +252,31 @@ def field_from_spec(spec) -> Field:
 
     Strings: ``"q"``/``"rational"`` for Q, ``"p<modulus>"`` or a bare
     decimal modulus for a prime field.  A spec that names no field raises
-    :class:`FieldError`, whatever its shape.
+    :class:`FieldError`, whatever its shape; so does a modulus with more
+    digits than ``int`` converts (``sys.get_int_max_str_digits()``).
     """
     if isinstance(spec, Field):
         return spec
-    if isinstance(spec, dict):
-        if spec.get("kind") == "rational":
+    try:
+        if isinstance(spec, dict):
+            if spec.get("kind") == "rational":
+                return QQ
+            if spec.get("kind") == "prime":
+                p = spec.get("p")
+                if isinstance(p, str) and p.strip().isdecimal():
+                    p = int(p)
+                if not isinstance(p, int):
+                    raise FieldError(f"prime field spec needs an integer modulus 'p': {spec!r}")
+                return PrimeField(p)
+            raise FieldError(f"unknown field spec {spec!r}")
+        text = str(spec).strip().lower()
+        if text in ("q", "qq", "rational"):
             return QQ
-        if spec.get("kind") == "prime":
-            p = spec.get("p")
-            if isinstance(p, str) and p.strip().isdecimal():
-                p = int(p)
-            if not isinstance(p, int):
-                raise FieldError(f"prime field spec needs an integer modulus 'p': {spec!r}")
-            return PrimeField(p)
-        raise FieldError(f"unknown field spec {spec!r}")
-    text = str(spec).strip().lower()
-    if text in ("q", "qq", "rational"):
-        return QQ
-    if text.startswith("p") and text[1:].isdecimal():
-        return PrimeField(int(text[1:]))
-    if text.isdecimal():
-        return PrimeField(int(text))
+        digits = text[1:] if text.startswith("p") else text
+        if digits.isdecimal():
+            return PrimeField(int(digits))
+    except ValueError as e:  # past the digit limit, converting or printing the modulus
+        raise FieldError(f"field modulus: {e}") from None
     raise FieldError(f"cannot parse field {spec!r}")
 
 

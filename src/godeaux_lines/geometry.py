@@ -59,12 +59,7 @@ A_PATTERN = (
 )
 
 #: the three nonzero entries of each a-matrix row, in column order
-ROW_TRIPLES = (
-    (AIDX["a01"], AIDX["a02"], AIDX["a03"]),
-    (AIDX["a10"], AIDX["a12"], AIDX["a13"]),
-    (AIDX["a20"], AIDX["a21"], AIDX["a23"]),
-    (AIDX["a30"], AIDX["a31"], AIDX["a32"]),
-)
+ROW_TRIPLES = tuple(tuple(j for j in row if j is not None) for row in A_PATTERN)
 
 
 class GeometryError(ValueError):
@@ -138,8 +133,8 @@ def a_matrix_values(coords):
 # symbolic quadrics and canonical skew matrices
 
 
-def a_vartable(grading: Optional[dict] = None) -> VarTable:
-    return VarTable(ORDER, grading)
+def a_vartable() -> VarTable:
+    return VarTable(ORDER)
 
 
 def quadrics(field: Field) -> list:

@@ -112,14 +112,13 @@ def _kernel_basis(field: Field, pivots: dict, ncols: int) -> list:
 
 
 def nullspace(field: Field, rows, ncols: int):
-    """Basis of the right kernel of the matrix, as tuples of raw values."""
+    """Basis of the right kernel of the matrix, as tuples of raw values;
+    rows may be sequences or {column: value} dicts, with the same basis."""
     return _kernel_basis(field, _gauss_jordan(field, rows), ncols)
 
 
-def sparse_nullspace(field: Field, srows, ncols: int):
-    """Right kernel basis for rows given as {column: value} dicts; the same
-    basis :func:`nullspace` returns for the dense matrix."""
-    return _kernel_basis(field, _gauss_jordan(field, srows), ncols)
+#: the name the sparse callers use; the elimination takes dict rows as they are
+sparse_nullspace = nullspace
 
 
 def solver(field: Field, rows, ncols: int):

@@ -168,7 +168,9 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
     coefficients (the part R of w = x u + y v + R), and the search runs over
     the u-coefficient x in ascending order, solving q_0 = 0 as an exact
     quadratic in the v-coefficient y and testing q_1..q_3 on the at most two
-    roots.  Each x costs one trial of the budget.
+    roots.  Each x costs one trial of the budget.  Where q_0(x, .) is
+    identically zero, only y = 0 and y = 1 are tried (:func:`_solve_quadratic`),
+    so a partner at that x can be missed; the stored bytes depend on this.
 
     Before that scan, a draw gets an exact certificate.  Writing each q_i(w)
     as a quadratic form in (x, y), the combinations sum k_i q_i with k in the
@@ -450,7 +452,13 @@ def _sqrt_mod(d, p):
 
 
 def _solve_quadratic(p, A, B, C):
-    """Roots of A y^2 + B y + C over F_p (p odd); () when there are none."""
+    """Roots of A y^2 + B y + C over F_p (p odd); () when there are none.
+
+    When the quadratic is identically zero every y is a root, but only
+    (0, 1) is returned: the scan of :func:`tangent_cone_partner` then tries
+    y = 0 and y = 1 at that x and can miss a partner there.  The plain-scan
+    oracle does the same, and the seeded stores depend on it.
+    """
     if A == 0:
         if B == 0:
             return (0, 1) if C == 0 else ()
@@ -574,7 +582,8 @@ def sample_line(
     (resp. two) rank-3 minor-GCD roots for ``hyp`` (resp. ``two-hyp``).
     ``general_position`` additionally forces a two-hyp line to be a general
     member of its family (no row-vanishing point, kernel degrees
-    (1, 1, 1, 1)); such lines are 20-100x rarer in the rejection search.
+    (1, 1, 1, 1)); such lines are rarer in the rejection search, at p = 31
+    (seeds 0-9) a median of 293,971 trials against 4,417, about 65x.
     Raises :class:`BudgetExhausted` when the trial budget runs out, and
     every other :class:`SamplingError` (bad arguments, among them ``space``,
     ``spaces`` or ``general_position`` given to a strategy that does not

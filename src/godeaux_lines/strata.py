@@ -457,6 +457,7 @@ def _sign_solutions() -> list:
 class SymmetryGroup:
     elements: tuple
     generators: tuple
+    torsion_images: tuple  # the induced permutations of the torsion spaces, sorted
     torsion_transitive: bool
 
     @property
@@ -476,7 +477,8 @@ def quadric_symmetries() -> SymmetryGroup:
     elements share.
     Generators are chosen greedily in sorted order, the group they give
     growing one right coset at a time; the induced action on the three
-    torsion P^3's is read once per coordinate permutation and reported.
+    torsion P^3's is read once per coordinate permutation and kept on the
+    group, where :func:`verify_symmetries` reports it.
     """
     elements = sorted(_sign_solutions(), key=lambda e: (e.perm, e.signs))
     for e in elements:
@@ -487,12 +489,12 @@ def quadric_symmetries() -> SymmetryGroup:
     transitive = all(
         any(g[i] == j for g in images) for i in range(3) for j in range(3)
     )
-    return SymmetryGroup(tuple(elements), tuple(generators), transitive)
+    return SymmetryGroup(tuple(elements), tuple(generators), images, transitive)
 
 
-def _torsion_images(elements) -> set:
-    """The torsion-space permutations the elements induce, read once per perm."""
-    return {e.torsion_permutation() for e in {e.perm: e for e in elements}.values()}
+def _torsion_images(elements) -> tuple:
+    """The torsion-space permutations the elements induce, sorted; read once per perm."""
+    return tuple(sorted({e.torsion_permutation() for e in {e.perm: e for e in elements}.values()}))
 
 
 def symmetry_fixes_quadrics(e: SignedPermutation) -> bool:
@@ -586,5 +588,5 @@ def verify_symmetries():
     cert.data["generators"] = [
         {"perm": list(e.perm), "signs": list(e.signs)} for e in group.generators
     ]
-    cert.data["torsion_images"] = sorted(_torsion_images(group.elements))
+    cert.data["torsion_images"] = list(group.torsion_images)
     return cert

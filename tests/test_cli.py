@@ -585,9 +585,47 @@ def test_verify_z5_census_in_certificate(tmp_path):
         assert counts == {"P1xP1": 6, "P0xP2": 4, "P2xP0": 4}
 
 
+def test_verify_z5_family_is_the_library_certificate(tmp_path):
+    # the CLI only names the library function: same checks, details and data
+    from godeaux_lines.families import verify_z5_family
+
+    out = tmp_path / "cert.json"
+    assert main(["verify", "z5-family", "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    del cert["seconds"]
+    assert verify_z5_family().to_json() == cert
+
+
+def test_verifiers_are_library_functions():
+    from godeaux_lines.cli import _VERIFIERS
+
+    assert {f.__module__ for f in _VERIFIERS.values()} == {
+        "godeaux_lines.families", "godeaux_lines.strata"}
+
+
+def test_verify_unknown_theorem_exits_2_through_argparse(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 def test_usage_error_exit_2():
     proc = run_cli("sample", "--strategy", "nonsense")
     assert proc.returncode == 2
+
+
+def test_sample_field_past_the_int_digit_limit_is_usage_error(tmp_path, capsys):
+    # a modulus with more digits than int() converts: exit 2, nothing written
+    field = "p" + "1" * 5000
+    assert main(["sample", "--field", field]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    out = tmp_path / "store.jsonl"
+    assert main(["sample", "--field", field, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_environment_does_not_change_the_field():

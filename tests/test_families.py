@@ -226,8 +226,6 @@ def test_example_family_among_components():
     assert comp.kind == "P1xP1"
     assert set(comp.a_survivors) == {AIDX["a23"], AIDX["a10"]}
     assert set(comp.b_survivors) == {AIDX["a31"], AIDX["a02"]}
-    undetermined = [c for c in census.components if c.kind == "P1xP1" and not c.is_example_family]
-    assert all(c.godeaux_status == "undetermined" for c in undetermined)
 
 
 def test_p1xp1_components_pairwise_distinct():
@@ -425,6 +423,22 @@ def test_z3_kernel_certificate():
         "last_two_unknowns": ["v67", "v45"],
         "signs": [1, 1],
     }
+
+
+@pytest.mark.parametrize("change, reading", [
+    # columns 5 and 6 negated: the swapped reading with both signs flipped
+    (lambda row: row[:4] + [-row[4], -row[5]], (["v67", "v45"], [-1, -1])),
+    # columns 5 and 6 exchanged: the direct reading
+    (lambda row: row[:4] + [row[5], row[4]], (["v45", "v67"], [1, 1])),
+])
+def test_z3_kernel_search_reports_the_reading_that_validates(monkeypatch, change, reading):
+    # tabulated rows that another reading validates: the search finds that one
+    real = fam._z3_reference_kernel_rows
+    monkeypatch.setattr(fam, "_z3_reference_kernel_rows", lambda *args: [change(row) for row in real(*args)])
+    cert = verify_z3_kernel()
+    assert cert.passed
+    last_two, signs = reading
+    assert cert.data["validating_convention"] == {"last_two_unknowns": last_two, "signs": signs}
 
 
 # ----------------------------------------------------------------------

@@ -181,6 +181,19 @@ def test_field_from_spec_decimal_string_modulus():
     assert field_from_spec({"kind": "prime", "p": "31"}) == PrimeField(31)
 
 
+@pytest.mark.parametrize("spec", [
+    "p" + "1" * 5000,
+    "1" * 5000,
+    {"kind": "prime", "p": "1" * 5000},
+    {"kind": "prime", "p": 10 ** 5000},
+], ids=["p-text", "bare-text", "dict-text", "dict-int"])
+def test_field_from_spec_modulus_past_the_int_digit_limit_is_field_error(spec):
+    # int() and repr() refuse such a modulus with a ValueError; the spec
+    # reader turns it into the typed error
+    with pytest.raises(FieldError, match="digit"):
+        field_from_spec(spec)
+
+
 def _canonical_oracle(F, value):
     """PrimeField.canonical without its plain-int fast path."""
     if isinstance(value, Fraction):

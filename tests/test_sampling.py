@@ -12,6 +12,7 @@ from godeaux_lines.fields import QQ, PrimeField, is_prime
 from godeaux_lines.geometry import (
     AIDX,
     ROW_TRIPLES,
+    LineA,
     PointA,
     jacobian_at,
     line_in_q,
@@ -120,6 +121,8 @@ def test_two_hyp_general_position(f31):
     assert len(report.hyperelliptic_roots) == 2
     assert report.row_vanishing == ()
     assert report.kernel_degrees == (1, 1, 1, 1)
+    # the seed-0 line of the pinned table test_general_position_two_hyp_by_k4_kind reads
+    assert line.rows == _GENERAL_POSITION_TWO_HYP[0]
 
 
 def test_budget_exhaustion(f31):
@@ -860,6 +863,44 @@ def test_rank3_roots_by_k4_kind(f31, strategy):
         assert sorted(map(_k4_kind, points)) == _K4_KINDS[strategy], seed
 
 
+#: rows of ``sample_line("two-hyp", F_31, seed, general_position=True)`` for
+#: seeds 0-5 (drawing them takes about 15 s; test_two_hyp_general_position
+#: re-draws seed 0)
+_GENERAL_POSITION_TWO_HYP = {
+    0: ((2, 1, 28, 9, 4, 6, 4, 24, 19, 12, 26, 19), (21, 19, 8, 9, 29, 20, 6, 8, 2, 24, 15, 12)),
+    1: ((3, 16, 11, 26, 25, 28, 24, 7, 28, 18, 1, 23), (28, 7, 29, 1, 5, 5, 16, 21, 4, 29, 15, 6)),
+    2: ((26, 13, 2, 5, 6, 25, 26, 12, 7, 18, 8, 15), (1, 30, 10, 27, 21, 24, 29, 26, 6, 1, 13, 9)),
+    3: ((13, 12, 22, 1, 15, 1, 8, 25, 20, 11, 9, 16), (5, 4, 12, 12, 22, 21, 29, 2, 30, 17, 27, 23)),
+    4: ((6, 5, 5, 18, 27, 21, 6, 14, 16, 6, 4, 15), (20, 8, 19, 10, 9, 13, 10, 24, 23, 12, 26, 6)),
+    5: ((16, 27, 28, 14, 7, 8, 9, 18, 24, 5, 30, 27), (23, 27, 29, 30, 6, 20, 8, 3, 10, 8, 20, 11)),
+}
+
+
+def test_general_position_two_hyp_by_k4_kind(f31):
+    # a general-position two-hyp line has two rank-3 roots, both of kind T&C
+    for seed, rows in _GENERAL_POSITION_TWO_HYP.items():
+        line = LineA(f31, *rows)
+        report = classify_line(line)
+        points = [line.point_at(*root.point) for root in report.hyperelliptic_roots]
+        assert [rank_a(pt) for pt in points] == [3, 3], seed
+        assert list(map(_k4_kind, points)) == ["T&C", "T&C"], seed
+        assert report.kernel_degrees == (1, 1, 1, 1), seed
+
+
+def test_stored_rank3_roots_by_k4_kind():
+    # every stored line with a rank-3 root was drawn by a hyp strategy (8
+    # distinct lines each), and its roots are of the kinds it gives today
+    tally = {}
+    for line, report in _stored_reports():
+        points = [line.point_at(*root.point) for root in report.hyperelliptic_roots]
+        if points:
+            strategy = line.provenance["strategy"]
+            assert [rank_a(pt) for pt in points] == [3] * len(points)
+            assert sorted(map(_k4_kind, points)) == _K4_KINDS[strategy], line.provenance
+            tally[strategy] = tally.get(strategy, 0) + 1
+    assert tally == {"hyp": 8, "two-hyp": 8}
+
+
 # ----------------------------------------------------------------------
 # the one promise rule against the per-strategy clauses it replaced
 
@@ -938,12 +979,18 @@ def _stored_lines():
     return list(seen.values())
 
 
+@functools.cache
+def _stored_reports():
+    """(line, report) for each stored line, classified once per session."""
+    return tuple((line, classify_line(line)) for line in _stored_lines())
+
+
 def test_promise_rule_matches_clause_oracle_on_stored_lines():
     accepted = set()
-    lines = _stored_lines()
-    for line in lines:
-        _check_promise_rule(classify_line(line), accepted)
-    assert len(lines) > 70 and accepted == set(sampling.STRATEGIES)
+    reports = _stored_reports()
+    for _, report in reports:
+        _check_promise_rule(report, accepted)
+    assert len(reports) > 70 and accepted == set(sampling.STRATEGIES)
 
 
 def test_promise_rule_matches_clause_oracle_on_every_sampler_candidate(monkeypatch, f31):

@@ -589,6 +589,21 @@ def test_symmetry_certificate():
     assert cert.data["order"] == 384
 
 
+def test_symmetry_certificate_reads_torsion_images_once(monkeypatch, symmetry_group):
+    # quadric_symmetries reads the torsion images once and keeps them on the
+    # group; the certificate reports them from there
+    import godeaux_lines.strata as strata
+
+    calls = []
+    real = strata._torsion_images
+    monkeypatch.setattr(strata, "_torsion_images", lambda elements: calls.append(1) or real(elements))
+    cert = verify_symmetries()
+    assert len(calls) == 1
+    assert cert.data["torsion_images"] == list(symmetry_group.torsion_images)
+    assert symmetry_group.torsion_images == tuple(sorted(
+        {e.torsion_permutation() for e in symmetry_group.elements}))
+
+
 def _symmetries_for_perm_oracle(perm):
     """The earlier per-permutation sign solve, kept as an oracle: the sign
     system of ``perm`` with its right-hand side in column 16, eliminated on
