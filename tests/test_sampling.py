@@ -798,24 +798,47 @@ def test_draw_matches_randrange(p):
 # ----------------------------------------------------------------------
 # seeded samples byte for byte, at primes the golden gate does not cover
 
-#: SHA-256 of the canonical JSON lines of sample_line(strategy, F_p, seed)
-#: for p = 5, 7, 101 and seeds 0-4, in that order
+#: name -> (strategy, primes, option sets, SHA-256): the digest runs over
+#: the canonical JSON lines of sample_line(strategy, F_p, seed, **options)
+#: for each prime in turn, each option set, then seeds 0-4.  The torsion and
+#: two-hyp pins cover the block-drawn rejection loops of their partners
 _SAMPLE_SHA256 = {
-    "generic": "416ecf928ceed70c0c4987e3604ad3c760834677d414cd72cf2400c4c7119fd4",
-    "hyp": "91bdac03be3f80fbfaaa227914e240c0fc8d12776a48ed6181dcc006a4ff068a",
+    "generic": (
+        "generic", (5, 7, 101), ({},),
+        "416ecf928ceed70c0c4987e3604ad3c760834677d414cd72cf2400c4c7119fd4",
+    ),
+    "hyp": (
+        "hyp", (5, 7, 101), ({},),
+        "91bdac03be3f80fbfaaa227914e240c0fc8d12776a48ed6181dcc006a4ff068a",
+    ),
+    "torsion": (
+        "torsion", (5, 7, 11, 13), tuple({"space": space} for space in TORSION_SPACES),
+        "10e350653faecfd052b6a56772c139550958037ac5298aefde7261a6445d3054",
+    ),
+    "two-hyp": (
+        "two-hyp", (5, 7, 11), ({},),
+        "51ef4a82fb6b4a4e4a83d4453b5a5d3e246af0a9bfcd167d3373495a027bcfdb",
+    ),
+    "two-hyp-general-position": (
+        "two-hyp", (5, 7, 11), ({"general_position": True},),
+        "393d9f70302c93ae30a590aa2651934c03ae7117c4e9a176cac32244895eb878",
+    ),
 }
 
 
-@pytest.mark.parametrize("strategy", sorted(_SAMPLE_SHA256))
-def test_samples_byte_identical_off_the_golden_prime(strategy):
+@pytest.mark.parametrize("name", sorted(_SAMPLE_SHA256))
+def test_samples_byte_identical_off_the_golden_prime(name):
     # the golden gate pins p = 31; these primes put the tangent-cone
     # certificate on fields where small-p coincidences (b = 0, vanishing
     # restrictions) are frequent, and on one where draws take 10^6 trials
+    strategy, primes, option_sets, expected = _SAMPLE_SHA256[name]
     digest = hashlib.sha256()
-    for p in (5, 7, 101):
-        for seed in range(5):
-            digest.update(_dumps(sample_line(strategy, PrimeField(p), seed).to_json()).encode() + b"\n")
-    assert digest.hexdigest() == _SAMPLE_SHA256[strategy]
+    for p in primes:
+        for options in option_sets:
+            for seed in range(5):
+                line = sample_line(strategy, PrimeField(p), seed, **options)
+                digest.update(_dumps(line.to_json()).encode() + b"\n")
+    assert digest.hexdigest() == expected
 
 
 # ----------------------------------------------------------------------
