@@ -111,6 +111,8 @@ def _record_seed(seed: int, index: int) -> int:
 def cmd_sample(args) -> int:
     if args.count < 1:
         return _usage_error(f"--count {args.count} is below 1; nothing to draw")
+    if args.seed < 0:
+        return _usage_error(f"--seed {args.seed} is below 0; it would repeat the draws of a seed above 0")
     if args.count > SEED_STRIDE:
         return _usage_error(
             f"--count {args.count} exceeds {SEED_STRIDE}; later records "

@@ -8,25 +8,15 @@ Because Q is cut out by quadrics, the connecting line then lies inside Q.
 The searches are exact and run over a prime field, seeded and
 deterministic: a sampler owns a private random stream, so equal
 (strategy, field, seed) always return the identical line.  Torsion first
-points (:meth:`TorsionSpace.random_point`, ``Field.random_nonzero``) and
-two-torsion lines (:func:`families.sample_component_line`, ``rng.choice``
-and ``Field.random_nonzero``) draw through ``randrange`` and the
-``_randbelow`` behind it; every other value comes from :func:`_draw`,
-which returns what ``randrange`` would.  Points of Q and the two-hyp
-partner are found by rejection.  The tangent-cone partner draws five
-coefficients at a time and scans the remaining plane of candidates one
-coordinate at a time, but only after an exact per-draw certificate,
-cheapest check first (kernel combinations free of the plane's
-coordinates, a linear solve of the others, resultants of pairs of
-quadrics on the solution line, and a gcd of all four only when every pair
-shares a root), has shown that the draw can succeed; a draw that cannot
-is charged the trials its scan would have taken, so trial counts and
-lines are those of the plain scan.  The two-hyp rejection tests the first
-tangency form on the six coordinates it involves and builds the other six
-only for draws that pass.  Each strategy
-re-verifies its promise through the classifier before returning, by one
-rule for all of them (:func:`_fulfils`), and retries otherwise; a
-configurable trial budget guards termination.
+points and two-torsion lines draw through ``randrange``, every other value
+through :mod:`draws`, which returns what it would: the partner searches a
+block at a time, running their first test over all of a block's draws at
+once, charging the rejected draws' trials in one step and rewinding the
+stream to where the one-draw loop stops; trials and lines are unchanged.  A
+tangent-cone draw that an exact certificate shows cannot succeed is
+charged the trials its scan would have taken.  Each strategy re-verifies
+its promise through the classifier (:func:`_fulfils`) and retries
+otherwise; a configurable trial budget guards termination.
 
 Strategies: ``generic``, ``torsion`` (one named torsion P^3), ``two-torsion``
 (a pair of them), ``hyp`` (one hyperelliptic point), ``two-hyp`` (two
@@ -40,6 +30,7 @@ import random
 from operator import mul
 from typing import Optional, Sequence
 
+from .draws import _BlockDraws, _draw
 from .families import hyp_evaluate, sample_component_line
 from .fields import Field, PrimeField
 from .geometry import (
@@ -92,7 +83,9 @@ class _Budget:
 
     def spend(self, n: int = 1):
         """Use n trials; over the limit, raise where the n single trials
-        would have, with ``used`` one past the limit."""
+        would have, with ``used`` one past the limit.  So a bulk charge of
+        ``cost`` trials for each of k skipped draws raises exactly when the
+        single charges would, on the ``(limit - used) // cost + 1``-th."""
         if self.used + n > self.limit:
             self.used = max(self.used, self.limit) + 1
             raise BudgetExhausted(self.strategy, self.used)
@@ -109,21 +102,6 @@ def _require_search_field(field: Field) -> int:
             f"modulus {field.p} exceeds the brute-force cutoff {MAX_BRUTE_FORCE_MODULUS}"
         )
     return field.p
-
-
-def _draw(rng, p: int, n: int) -> list:
-    """n values as n calls of ``rng.randrange(p)`` return them, leaving
-    ``rng`` in the same state: randrange(p) is ``getrandbits(p.bit_length())``
-    retried while >= p, and this loop skips its argument handling."""
-    k = p.bit_length()
-    bits = rng.getrandbits
-    out = []
-    for _ in range(n):
-        r = bits(k)
-        while r >= p:
-            r = bits(k)
-        out.append(r)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -178,20 +156,18 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
     q_i(v)] are affine-linear in (x, y), and every solution lies on their
     common zero set: when it is empty, the draw fails; when it forces x to
     one value x0, only x0 is tried; when it is a line, the quadrics
-    restricted to that line must share a factor, else the draw fails.  Only
-    the remaining draws are scanned over all x.  A failed draw spends its p
-    trials at once, so the random draws, the trial count and the returned
-    point are those of the plain scan over every draw.
+    restricted to it must share a factor (:func:`_share_a_factor`, q_0 and
+    q_1 first, without inverting b), else the draw fails.  A failed draw
+    spends its p trials at once, so the draws, the trial count, the stream
+    state and the returned point are those of the plain scan.
 
-    At a torsion point K is all of F_p^4, and two of its four combinations
-    read q_i(R) = 0 with two terms each; kept as sparse terms and tested
-    first, they reject nearly every draw.  Elsewhere K is a line.  A draw
-    evaluates its tables in two products of packed ints (:func:`_packed`,
-    :func:`_dot`): the linear ones (a, b, B_i(u, R), B_i(v, R)) in one, the
-    quadratic ones (c, q_i(R)) in the other.  The quadrics are restricted
-    to the solution line a x + b y + c = 0 without inverting b, and the
-    first pair of them with a nonzero resultant rejects the draw
-    (:func:`_share_a_factor`); q_0 and q_1 settle about nine in ten.
+    At a torsion point K is all of F_p^4, and at T01|23 two combinations
+    read q_i(R) = 0 with two terms each: the first is the column test of the
+    block draws (:func:`_vanishing`) and passes about 1 draw in p; the
+    rejected ones are charged at once, and where the budget runs out among
+    them the stream is rewound to just after the draw whose charge raises.
+    Without such a combination every draw is a candidate, and its tables
+    come from two products of packed ints (:func:`_packed`, :func:`_dot`).
     """
     p = _require_search_field(field)
     u, v, *rest = _tangent_complement(point)
@@ -231,67 +207,78 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
     )
     mask = (1 << width) - 1
 
-    while True:
-        coeffs = _draw(rng, p, 5)
-        fails = False
-        for terms in free:
-            s = 0
-            for j, l, t in terms:
-                s += t * coeffs[j] * coeffs[l]
-            if s % p:
-                fails = True
-                break
-        if fails:
-            budget.spend(p)
-            continue
-        lin, quad = _dot(coeffs, linear, quadratic)
-        if n == 1 and (lin >> width & mask) % p:
-            # the one mixed equation a x + b y + c = 0 is the line itself
-            x0, line = None, (lin & mask, lin >> width & mask, quad & mask)
-        else:
-            solutions = _affine_solutions(p, (
-                ((lin >> 2 * m * width & mask) % p, (lin >> (2 * m + 1) * width & mask) % p,
-                 (quad >> m * width & mask) % p)
-                for m in range(n)
-            ))
-            if solutions is None:
+    draws = _BlockDraws(rng, p, 5, _vanishing(p, free.pop(0)) if free else None)
+    try:
+        for coeffs, skipped in draws:
+            if skipped > (budget.limit - budget.used) // p:
+                # single charges of p would raise on the first skipped draw that does not fit
+                draws.sync((budget.limit - budget.used) // p + 1)
+            budget.spend(p * skipped)
+            if coeffs is None:
+                continue
+            if any(sum(t * coeffs[j] * coeffs[l] for j, l, t in terms) % p for terms in free):
                 budget.spend(p)
                 continue
-            x0, line = solutions
-            if line is not None:
-                # y = alpha x + beta is alpha x - y + beta = 0
-                line = (line[0], -1, line[1])
-        lin >>= 2 * n * width
-        quad >>= n * width
-        if line is not None and not _share_a_factor(field, line, width, lin, quad, qu, buv, qv):
-            budget.spend(p)
-            continue
-        bur = [(lin >> i * width & mask) % p for i in range(4)]
-        bvr = [(lin >> (4 + i) * width & mask) % p for i in range(4)]
-        qr = [(quad >> i * width & mask) % p for i in range(4)]
-        if x0 is not None:
-            budget.spend(x0)
-        for x in range(p) if x0 is None else (x0,):
-            budget.spend()
-            B = (x * buv[0] + bvr[0]) % p
-            C = (x * x * qu[0] + x * bur[0] + qr[0]) % p
-            for y in _solve_quadratic(p, qv[0], B, C):
-                if any(
-                    (y * y * qv[i] + y * (x * buv[i] + bvr[i]) + x * x * qu[i] + x * bur[i] + qr[i]) % p
-                    for i in (1, 2, 3)
-                ):
+            lin, quad = _dot(coeffs, linear, quadratic)
+            if n == 1 and (lin >> width & mask) % p:
+                # the one mixed equation a x + b y + c = 0 is the line itself
+                x0, line = None, (lin & mask, lin >> width & mask, quad & mask)
+            else:
+                solutions = _affine_solutions(p, (
+                    ((lin >> 2 * m * width & mask) % p, (lin >> (2 * m + 1) * width & mask) % p,
+                     (quad >> m * width & mask) % p)
+                    for m in range(n)
+                ))
+                if solutions is None:
+                    budget.spend(p)
                     continue
-                w = tuple(
-                    (x * u[k] + y * v[k] + sum(c * r[k] for c, r in zip(coeffs, rest))) % p
-                    for k in range(12)
-                )
-                if any(w):
-                    partner = PointA(field, w)
-                    if not partner.on_quadric_intersection():
-                        raise SamplingError("tangent cone scan left Q")
-                    return partner
-        if x0 is not None:
-            budget.spend(p - 1 - x0)
+                x0, line = solutions
+                if line is not None:
+                    # y = alpha x + beta is alpha x - y + beta = 0
+                    line = (line[0], -1, line[1])
+            lin >>= 2 * n * width
+            quad >>= n * width
+            if line is not None and not _share_a_factor(field, line, width, lin, quad, qu, buv, qv):
+                budget.spend(p)
+                continue
+            bur = [(lin >> i * width & mask) % p for i in range(4)]
+            bvr = [(lin >> (4 + i) * width & mask) % p for i in range(4)]
+            qr = [(quad >> i * width & mask) % p for i in range(4)]
+            if x0 is not None:
+                budget.spend(x0)
+            for x in range(p) if x0 is None else (x0,):
+                budget.spend()
+                B = (x * buv[0] + bvr[0]) % p
+                C = (x * x * qu[0] + x * bur[0] + qr[0]) % p
+                for y in _solve_quadratic(p, qv[0], B, C):
+                    if any(
+                        (y * y * qv[i] + y * (x * buv[i] + bvr[i]) + x * x * qu[i] + x * bur[i] + qr[i]) % p
+                        for i in (1, 2, 3)
+                    ):
+                        continue
+                    w = tuple(
+                        (x * u[k] + y * v[k] + sum(c * r[k] for c, r in zip(coeffs, rest))) % p
+                        for k in range(12)
+                    )
+                    if any(w):
+                        partner = PointA(field, w)
+                        if not partner.on_quadric_intersection():
+                            raise SamplingError("tangent cone scan left Q")
+                        return partner
+            if x0 is not None:
+                budget.spend(p - 1 - x0)
+    finally:
+        draws.sync()
+
+
+def _vanishing(p, terms):
+    """The column test: per draw c_0..c_4, whether sum t c_j c_l over ``terms`` is 0 mod p."""
+    def keep(*columns):
+        sums = [0] * len(columns[0])
+        for j, l, t in terms:
+            sums = [s + t * a * b for s, a, b in zip(sums, columns[j], columns[l])]
+        return [s % p == 0 for s in sums]
+    return keep
 
 
 def _packed(p: int, linear_tables, quadratic_tables):
@@ -308,12 +295,11 @@ def _packed(p: int, linear_tables, quadratic_tables):
     return width, pack(linear_tables), pack(quadratic_tables)
 
 
-def _dot(coeffs, linear, quadratic):
+def _dot(coeffs, linear, q):
     """The draw's tables in two products: ``(lin, quad)`` hold in each slot
     the dot product of ``coeffs`` with a linear table, resp. of the products
-    c_j c_l (j <= l, in that order) with a quadratic table, unreduced."""
+    c_j c_l (j <= l, in that order) with a quadratic table ``q``, unreduced."""
     c0, c1, c2, c3, c4 = coeffs
-    q = quadratic
     return (
         c0 * linear[0] + c1 * linear[1] + c2 * linear[2] + c3 * linear[3] + c4 * linear[4],
         c0 * (c0 * q[0] + c1 * q[1] + c2 * q[2] + c3 * q[3] + c4 * q[4])
@@ -382,13 +368,11 @@ def _share_a_factor(field: PrimeField, line, width, lin, quad, qu, buv, qv) -> b
     ``lin`` holds B_i(u, R) in slot i and B_i(v, R) in slot 4 + i, ``quad``
     holds q_i(R) in slot i (slots of ``width`` bits, values unreduced).  b y
     = -(a x + c) is substituted without inverting b, so each form is b^2
-    times the restriction, f2 x^2 + f1 x + f0, and has the same roots.  Read
-    as binary quadratics f2 x^2 + f1 x z + f0 z^2, two forms with a nonzero
-    resultant share no root in P^1 even over the algebraic closure (a zero
-    form has resultant 0 with every form), so such a pair settles the draw.
-    Each new form is paired with the earlier ones, q_0 with q_1 first, the
-    others only as needed; only when every pair resultant vanishes does the
-    gcd of all four decide.
+    times the restriction, f2 x^2 + f1 x + f0.  Two such binary quadratics
+    with a nonzero resultant share no root in P^1 (a zero form has
+    resultant 0 with every form), so the first such pair, q_0 and q_1
+    first, settles the draw; only when every pair resultant vanishes does
+    the gcd of all four decide.
     """
     p = field.p
     mask = (1 << width) - 1
@@ -478,41 +462,42 @@ def _solve_quadratic(p, A, B, C):
 # two hyperelliptic endpoints (codimension-4 rejection)
 
 
-def _q0_tangency(p, l0, params):
-    """l0 . coords at the parametrized point, mod p, for the gradient l0 of q_0.
+def _q0_tangent(p, l0):
+    """The column test of :func:`_two_hyp_partner`: per draw of the 10
+    parameters, whether l0 . coords = 0 mod p for the gradient l0 of q_0.
 
     q_0 = a12 a13 - a21 a23 + a31 a32, so l0 is zero off those six
-    coordinates, and in ``HYP_FACTORED`` each of them carries the factor
-    v0^2 D (D = x1 w1 - x0 w0): the value is v0^2 D times a short sum over
-    the six cofactors, and the other six coordinates are never built.
+    coordinates, and in ``HYP_FACTORED`` each carries the factor v0^2 D
+    (D = x1 w1 - x0 w0): the value is v0^2 D times a short sum s over the
+    six cofactors, zero where v0, D or s is, and the other six are never built.
     """
-    v0, _, w0, w1, x0, x1, y0, y1, z0, z1 = params
-    X = x0 + x1
-    s = (
-        X * (
-            y0 * y1 * (l0[0] * x1 * z1 * z1 + l0[1] * x0 * z0 * z0)
-            + y1 * y1 * z0 * (l0[7] * x1 * z1 - l0[4] * x0 * z0)
-        )
-        - x0 * x1 * y0 * y0 * z1 * (l0[3] * z1 + l0[6] * z0)
-    )
-    return v0 * v0 * (x1 * w1 - x0 * w0) * s % p
+    a, b, c, d, e, f = l0[0], l0[1], l0[7], l0[4], l0[3], l0[6]
+
+    def keep(v0, _, w0, w1, x0, x1, y0, y1, z0, z1):
+        return [
+            v * (X1 * W1 - X0 * W0) * (
+                (X0 + X1) * (Y0 * Y1 * (a * X1 * Z1 * Z1 + b * X0 * Z0 * Z0)
+                             + Y1 * Y1 * Z0 * (c * X1 * Z1 - d * X0 * Z0))
+                - X0 * X1 * Y0 * Y0 * Z1 * (e * Z1 + f * Z0)
+            ) % p == 0
+            for v, W0, W1, X0, X1, Y0, Y1, Z0, Z1 in zip(v0, w0, w1, x0, x1, y0, y1, z0, z1)
+        ]
+
+    return keep
 
 
 def _two_hyp_partner(
-    field: PrimeField,
-    point: PointA,
-    rng,
-    budget: _Budget,
-    cap: int,
-    general_position: bool = False,
+    field: PrimeField, point: PointA, rng, budget: _Budget, cap: int, general_position: bool = False
 ):
     """A second hyperelliptic-parametrization point inside T_p Q, by rejection.
 
     Each draw of the 10 parameters costs one trial and must satisfy the four
     tangency forms l_k . coords = 0 (k = 0..3, the rows of the Jacobian at
-    p).  The l_0 test is read off the six coordinates that q_0 touches (see
-    :func:`_q0_tangency`) and passes a few draws in p; only those build all
-    12 coordinates for the other three forms.
+    p).  Block draws (:class:`_BlockDraws`) run the l_0 test over their
+    columns (:func:`_q0_tangent`); it passes about 3 draws in p, and only
+    those build all 12 coordinates for the other three forms.  The draws
+    stop after ``cap``, or where the budget would run out, with the stream
+    just after the last one, as in the one-draw loop.
 
     The locus carries distinguished degenerate partners (one a-matrix row
     vanishes at them) that the rejection hits far more often than general
@@ -523,25 +508,28 @@ def _two_hyp_partner(
     lam = jacobian_at(field, point.coords)
     l0, l1, l2, l3 = ([int(x) for x in row] for row in lam)
     mod_p = p.__rmod__  # x -> x % p
-    for _ in range(cap):
-        budget.spend()
-        params = _draw(rng, p, 10)
-        if _q0_tangency(p, l0, params):
-            continue
-        coords = hyp_evaluate(params, mod_p)
-        if coords is None:
-            continue
-        if sum(l1[k] * coords[k] for k in range(12)) % p:
-            continue
-        if sum(l2[k] * coords[k] for k in range(12)) % p:
-            continue
-        if sum(l3[k] * coords[k] for k in range(12)) % p:
-            continue
-        if general_position and any(
-            all(coords[j] == 0 for j in triple) for triple in _ROW_TRIPLES
-        ):
-            continue
-        return PointA(field, coords)
+    # at most cap draws, and none past the budget's limit
+    stop = min(cap, budget.limit - budget.used)
+    draws = _BlockDraws(rng, p, 10, _q0_tangent(p, l0), stop)
+    try:
+        for params, skipped in draws:
+            budget.spend(skipped + (params is not None))
+            if params is None:
+                continue
+            coords = hyp_evaluate(params, mod_p)
+            if coords is None:
+                continue
+            if any(sum(map(mul, l, coords)) % p for l in (l1, l2, l3)):
+                continue
+            if general_position and any(
+                all(coords[j] == 0 for j in triple) for triple in _ROW_TRIPLES
+            ):
+                continue
+            return PointA(field, coords)
+    finally:
+        draws.sync()
+    if stop < cap:
+        budget.spend()  # the next draw's trial is past the limit
     return None
 
 
@@ -565,12 +553,8 @@ def _random_hyp_point(field: PrimeField, rng, budget: _Budget) -> PointA:
 
 
 def sample_line(
-    strategy: str,
-    field: Field,
-    seed: int,
-    budget: int = 10_000_000,
-    space: Optional[TorsionSpace] = None,
-    spaces: Optional[Sequence[TorsionSpace]] = None,
+    strategy: str, field: Field, seed: int, budget: int = 10_000_000,
+    space: Optional[TorsionSpace] = None, spaces: Optional[Sequence[TorsionSpace]] = None,
     general_position: bool = False,
 ) -> LineA:
     """Sample one line of Q; deterministic in (strategy, field, seed).
@@ -582,17 +566,19 @@ def sample_line(
     (resp. two) rank-3 minor-GCD roots for ``hyp`` (resp. ``two-hyp``).
     ``general_position`` additionally forces a two-hyp line to be a general
     member of its family (no row-vanishing point, kernel degrees
-    (1, 1, 1, 1)); such lines are rarer in the rejection search, at p = 31
-    (seeds 0-9) a median of 293,971 trials against 4,417, about 65x.
+    (1, 1, 1, 1)); such lines are about 65x rarer in the rejection search
+    (p = 31, seeds 0-9: a median of 293,971 trials against 4,417).
     Raises :class:`BudgetExhausted` when the trial budget runs out, and
-    every other :class:`SamplingError` (bad arguments, among them ``space``,
-    ``spaces`` or ``general_position`` given to a strategy that does not
-    take it) before the first draw.
+    every other :class:`SamplingError` (bad arguments: a negative ``seed``,
+    ``space``, ``spaces`` or ``general_position`` given to a strategy that
+    does not take it, and others) before the first draw.
     """
     if strategy not in STRATEGIES:
         raise SamplingError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if budget < 1:
         raise SamplingError(f"budget {budget} is below 1; no trial can run")
+    if seed < 0:
+        raise SamplingError(f"seed {seed} is below 0; random.Random would draw seed {-seed}'s values")
     for name, value, owner in (
         ("space", space is not None, "torsion"),
         ("spaces", spaces is not None, "two-torsion"),
@@ -611,7 +597,6 @@ def sample_line(
             home = space if space is not None else TORSION_SPACES[0]
     rng = random.Random(seed)
     tracker = _Budget(strategy, budget)
-
     for _ in range(_MAX_RETRIES):
         try:
             if strategy == "two-torsion":

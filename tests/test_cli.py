@@ -153,6 +153,29 @@ def test_sample_empty_space_option_is_usage_error(capsys, option):
     assert captured.err.startswith("error: unknown torsion space ''")
 
 
+@pytest.mark.parametrize("dest", ["stdout", "out", "append"])
+def test_sample_negative_seed_is_usage_error(tmp_path, capsys, dest):
+    # random.Random(-n) seeds like n: --seed -1 slot 0 (seed -1,000,003)
+    # would repeat --seed 1 slot 0, so a negative seed is bad input that
+    # writes nothing anywhere
+    out = tmp_path / "x.jsonl"
+    before = {"stdout": None, "out": None, "append": '{"format":1}\n'}[dest]
+    if before is not None:
+        out.write_text(before)
+    where = ["--out", "-"] if dest == "stdout" else ["--out", str(out)]
+    code = main(["sample", "--strategy", "generic", "--field", "p31", "--seed", "-1"]
+                + where + (["--append"] if dest == "append" else []))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --seed -1 is below 0")
+    if before is None:
+        assert not out.exists()
+    else:
+        assert out.read_text() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if before is None else ["x.jsonl"])
+
+
 def test_sample_count_past_seed_stride_is_usage_error(tmp_path, monkeypatch, capsys):
     # slot SEED_STRIDE of --seed S would draw with the seed of slot 0 of
     # --seed S+1; such a count is refused before anything is drawn

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from godeaux_lines.cli import _dumps
+from godeaux_lines.draws import _BLOCK_WORDS, _BLOCKS_PER_STATE, _BlockDraws
 from godeaux_lines.families import hyp_point_raw
 from godeaux_lines.fields import QQ, PrimeField, is_prime
 from godeaux_lines.geometry import (
@@ -33,7 +34,7 @@ from godeaux_lines.sampling import (
     _affine_solutions,
     _draw,
     _fulfils,
-    _q0_tangency,
+    _q0_tangent,
     _random_hyp_point,
     _require_search_field,
     _share_a_factor,
@@ -186,6 +187,9 @@ def _argument_error_cases():
     for strategy in sampling.STRATEGIES:
         for budget in (0, -5):
             yield pytest.param(strategy, PrimeField(31), {"budget": budget}, id=f"{strategy}-budget{budget}")
+    # random.Random(-n) seeds like n, so a negative seed would repeat a line
+    for strategy in sampling.STRATEGIES:
+        yield pytest.param(strategy, PrimeField(31), {"seed": -1}, id=f"{strategy}-seed-1")
     # an option only another strategy takes
     options = (
         ("torsion", "space", TORSION_SPACES[1]),
@@ -204,7 +208,7 @@ def test_argument_errors_come_before_the_first_draw(monkeypatch, strategy, field
     # so sample_line raises it before its random stream is used
     monkeypatch.setattr(sampling, "random", SimpleNamespace(Random=_NoDraws))
     with pytest.raises(SamplingError) as err:
-        sample_line(strategy, field, seed=0, **{"budget": 10, **kwargs})
+        sample_line(strategy, field, **{"seed": 0, "budget": 10, **kwargs})
     assert not isinstance(err.value, BudgetExhausted)
 
 
@@ -741,10 +745,28 @@ def test_two_hyp_partner_matches_full_oracle(general_position):
     assert outcomes == {"found", "none", "exhausted"}
 
 
+def _q0_tangency(p, l0, params):
+    """The oracle of :func:`_q0_tangent`, one draw at a time: l0 . coords at
+    the parametrized point, mod p, from the six coordinates q_0 touches,
+    each v0^2 D (D = x1 w1 - x0 w0) times a cofactor."""
+    v0, _, w0, w1, x0, x1, y0, y1, z0, z1 = params
+    X = x0 + x1
+    s = (
+        X * (
+            y0 * y1 * (l0[0] * x1 * z1 * z1 + l0[1] * x0 * z0 * z0)
+            + y1 * y1 * z0 * (l0[7] * x1 * z1 - l0[4] * x0 * z0)
+        )
+        - x0 * x1 * y0 * y0 * z1 * (l0[3] * z1 + l0[6] * z0)
+    )
+    return v0 * v0 * (x1 * w1 - x0 * w0) * s % p
+
+
 @pytest.mark.parametrize("p", (3, 5, 7, 31, 10007))
 def test_q0_tangency_is_l0_dot_coords(p):
+    # the scalar oracle is l0 . coords, and the column test flags its zeros
     F = PrimeField(p)
     rng = random.Random(p)
+    draws, zeros = [], []
     for _ in range(300):
         # the gradient of q_0 at any vector has the support of one at a point of Q
         l0 = jacobian_at(F, [rng.randrange(p) for _ in range(12)])[0]
@@ -752,6 +774,12 @@ def test_q0_tangency_is_l0_dot_coords(p):
         params = [rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(10)]
         coords = hyp_point_raw(F, params) or (0,) * 12
         assert _q0_tangency(p, l0, params) == sum(map(int.__mul__, l0, coords)) % p
+        assert _q0_tangent(p, l0)(*([x] for x in params)) == [_q0_tangency(p, l0, params) == 0]
+        draws.append(params)
+        zeros.append(_q0_tangency(p, l0, params) == 0)
+    # one l0 over all draws at once, as columns
+    assert _q0_tangent(p, l0)(*zip(*draws)) == [_q0_tangency(p, l0, d) == 0 for d in draws]
+    assert True in zeros and False in zeros
 
 
 @pytest.mark.parametrize("n", (0, 1, 5, 31))
@@ -793,6 +821,109 @@ def test_draw_matches_randrange(p):
             assert _draw(new, p, n) == [old.randrange(p) for _ in range(n)]
             assert 1 + _draw(new, p - 1, 1)[0] == old.randrange(1, p)
         assert new.getstate() == old.getstate()
+
+
+#: column tests for the block draws: every draw a candidate, none, and about
+#: one in eight (on the first two values)
+_KEEPS = {
+    "all": None,
+    "none": lambda *columns: [False] * len(columns[0]),
+    "sparse": lambda *columns: [(a + 3 * b) % 8 == 0 for a, b in zip(columns[0], columns[1])],
+}
+_KERNEL_PRIMES = (3, 5, 31, 37, 257, 65537, 999983)
+
+
+def _kept(keep, draw):
+    return keep is None or keep(*([x] for x in draw))[0]
+
+
+@pytest.mark.parametrize("p", _KERNEL_PRIMES)
+@pytest.mark.parametrize("kind", sorted(_KEEPS))
+def test_block_draws_match_draw(p, kind):
+    # values, skipped counts and the state after sync() against _draw, over
+    # several saved states; at 257 and 65537 almost half of the words are
+    # retried, and n = 7 leaves partial draws that straddle block boundaries
+    keep, n = _KEEPS[kind], 7
+    total = 3 * _BLOCKS_PER_STATE * _BLOCK_WORDS // n
+    rng, old = random.Random(p), random.Random(p)
+    draws = _BlockDraws(rng, p, n, keep)
+    drawn = yields = 0
+    straddled = False
+    for draw, skipped in draws:
+        for _ in range(skipped):
+            assert not _kept(keep, _draw(old, p, n))
+        if draw is not None:
+            assert draw == _draw(old, p, n) and _kept(keep, draw)
+        drawn += skipped + (draw is not None)
+        yields += draw is not None
+        straddled |= draws.carried > 0
+        if drawn >= total:
+            break
+    draws.sync()
+    assert rng.getstate() == old.getstate()
+    assert straddled
+    assert yields == {"all": drawn, "none": 0}.get(kind, yields)
+    if kind == "sparse":
+        assert 0 < yields < drawn / 4
+
+
+@pytest.mark.parametrize("p", _KERNEL_PRIMES)
+def test_block_draws_stop_after_stop_draws(p):
+    # the draws end after exactly ``stop``, inside a block or at its end,
+    # and sync() leaves the stream after the last of them
+    n = 7
+    for stop in (0, 1, 50, 333, 2000):
+        for kind, keep in _KEEPS.items():
+            rng, old = random.Random(stop), random.Random(stop)
+            draws = _BlockDraws(rng, p, n, keep, stop)
+            runs = list(draws)
+            draws.sync()
+            assert sum(skipped + (draw is not None) for draw, skipped in runs) == stop
+            assert [draw for draw, _ in runs if draw is not None] == [
+                d for d in (_draw(old, p, n) for _ in range(stop)) if _kept(keep, d)
+            ]
+            assert rng.getstate() == old.getstate()
+
+
+def _charged(draws, budget, cost):
+    """The block draws charged as tangent_cone_partner charges them: ``cost``
+    per rejected draw at once, then one trial per kept draw, to the end of
+    the budget."""
+    try:
+        for draw, skipped in draws:
+            if skipped > (budget.limit - budget.used) // cost:
+                draws.sync((budget.limit - budget.used) // cost + 1)
+            budget.spend(cost * skipped)
+            if draw is not None:
+                budget.spend()
+    finally:
+        draws.sync()
+
+
+def _charged_one_by_one(rng, p, n, keep, budget, cost):
+    """The oracle: one draw at a time, each charged on its own."""
+    while True:
+        budget.spend(1 if _kept(keep, _draw(rng, p, n)) else cost)
+
+
+@pytest.mark.parametrize("p", _KERNEL_PRIMES)
+def test_block_draws_rewind_where_the_budget_runs_out(p):
+    # the budget runs out on a rejected draw inside a run, on a kept draw,
+    # and across blocks and saved states; the stream stops where the
+    # one-draw loop stops, with the same trial count
+    n, cost = 5, 31
+    for limit in (0, 1, 30, 31, 32, 100, 1000, 5000, 20_000, 60_000):
+        for kind, keep in _KEEPS.items():
+            outcomes = []
+            for run in (
+                lambda rng, budget: _charged(_BlockDraws(rng, p, n, keep), budget, cost),
+                lambda rng, budget: _charged_one_by_one(rng, p, n, keep, budget, cost),
+            ):
+                rng, budget = random.Random(limit), _Budget("test", limit)
+                with pytest.raises(BudgetExhausted) as err:
+                    run(rng, budget)
+                outcomes.append((err.value.trials, budget.used, rng.getstate()))
+            assert outcomes[0] == outcomes[1], (limit, kind)
 
 
 # ----------------------------------------------------------------------
