@@ -210,10 +210,11 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
     draws = _BlockDraws(rng, p, 5, _vanishing(p, free.pop(0)) if free else None)
     try:
         for coeffs, skipped in draws:
-            if skipped > (budget.limit - budget.used) // p:
-                # single charges of p would raise on the first skipped draw that does not fit
-                draws.sync((budget.limit - budget.used) // p + 1)
-            budget.spend(p * skipped)
+            if skipped:
+                if skipped > (budget.limit - budget.used) // p:
+                    # single charges of p would raise on the first skipped draw that does not fit
+                    draws.sync((budget.limit - budget.used) // p + 1)
+                budget.spend(p * skipped)
             if coeffs is None:
                 continue
             if any(sum(t * coeffs[j] * coeffs[l] for j, l, t in terms) % p for terms in free):
@@ -507,7 +508,6 @@ def _two_hyp_partner(
     p = field.p  # sample_line checked it
     lam = jacobian_at(field, point.coords)
     l0, l1, l2, l3 = ([int(x) for x in row] for row in lam)
-    mod_p = p.__rmod__  # x -> x % p
     # at most cap draws, and none past the budget's limit
     stop = min(cap, budget.limit - budget.used)
     draws = _BlockDraws(rng, p, 10, _q0_tangent(p, l0), stop)
@@ -516,7 +516,7 @@ def _two_hyp_partner(
             budget.spend(skipped + (params is not None))
             if params is None:
                 continue
-            coords = hyp_evaluate(params, mod_p)
+            coords = hyp_evaluate(params, p.__rmod__)  # x -> x % p
             if coords is None:
                 continue
             if any(sum(map(mul, l, coords)) % p for l in (l1, l2, l3)):

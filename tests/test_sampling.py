@@ -763,10 +763,11 @@ def _q0_tangency(p, l0, params):
 
 @pytest.mark.parametrize("p", (3, 5, 7, 31, 10007))
 def test_q0_tangency_is_l0_dot_coords(p):
-    # the scalar oracle is l0 . coords, and the column test flags its zeros
+    # the scalar oracle is l0 . coords, and the column test flags its zeros,
+    # one draw at a time and over a whole block of draws as columns
     F = PrimeField(p)
     rng = random.Random(p)
-    draws, zeros = [], []
+    block = []
     for _ in range(300):
         # the gradient of q_0 at any vector has the support of one at a point of Q
         l0 = jacobian_at(F, [rng.randrange(p) for _ in range(12)])[0]
@@ -775,11 +776,10 @@ def test_q0_tangency_is_l0_dot_coords(p):
         coords = hyp_point_raw(F, params) or (0,) * 12
         assert _q0_tangency(p, l0, params) == sum(map(int.__mul__, l0, coords)) % p
         assert _q0_tangent(p, l0)(*([x] for x in params)) == [_q0_tangency(p, l0, params) == 0]
-        draws.append(params)
-        zeros.append(_q0_tangency(p, l0, params) == 0)
-    # one l0 over all draws at once, as columns
-    assert _q0_tangent(p, l0)(*zip(*draws)) == [_q0_tangency(p, l0, d) == 0 for d in draws]
-    assert True in zeros and False in zeros
+        block.append(params)
+    flags = _q0_tangent(p, l0)(*zip(*block))
+    assert flags == [_q0_tangency(p, l0, params) == 0 for params in block]
+    assert True in flags and False in flags
 
 
 @pytest.mark.parametrize("n", (0, 1, 5, 31))
@@ -862,8 +862,11 @@ def test_block_draws_match_draw(p, kind):
     draws.sync()
     assert rng.getstate() == old.getstate()
     assert straddled
-    assert yields == {"all": drawn, "none": 0}.get(kind, yields)
-    if kind == "sparse":
+    if kind == "all":
+        assert yields == drawn
+    elif kind == "none":
+        assert yields == 0
+    else:
         assert 0 < yields < drawn / 4
 
 
