@@ -34,7 +34,7 @@ from contextlib import closing
 
 from .families import verify_hyp_param, verify_para_v2, verify_z3_kernel, verify_z3_line, verify_z5_family
 from .fields import FieldError, field_from_spec
-from .geometry import GeometryError, LineA, line_in_q
+from .geometry import LineA, line_in_q
 from .sampling import STRATEGIES, BudgetExhausted, SamplingError, sample_line
 from .strata import (
     StrataError,
@@ -273,7 +273,7 @@ def _classify_store(path, out) -> int:
             try:
                 line = LineA.from_json(rec["line"])
                 report = classify_line(line)
-            except (KeyError, GeometryError, StrataError, FieldError) as e:
+            except Exception as e:  # one bad record never ends the run
                 out.write(
                     _dumps({"slot": i, "error": f"{type(e).__name__}: {e}"}) + "\n"
                 )

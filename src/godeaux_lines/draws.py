@@ -1,6 +1,6 @@
 """Values of ``rng.randrange(p)`` drawn faster from the same random stream,
-one call (:func:`_draw`) or one block of stream words (:class:`_BlockDraws`)
-at a time; both leave ``rng`` where the ``randrange`` calls would have."""
+one block of stream words at a time (:class:`_BlockDraws`), leaving ``rng``
+where the ``randrange`` calls would have."""
 
 import struct
 from itertools import compress
@@ -12,29 +12,15 @@ _BLOCKS_PER_STATE = 8
 _WORDS = struct.Struct(f"<{_BLOCK_WORDS}I")  # a block's bytes as its words
 
 
-def _draw(rng, p: int, n: int) -> list:
-    """n values as n calls of ``rng.randrange(p)`` return them, leaving
-    ``rng`` in the same state: randrange(p) is ``getrandbits(p.bit_length())``
-    retried while >= p, and this loop skips its argument handling."""
-    k = p.bit_length()
-    bits = rng.getrandbits
-    out = []
-    for _ in range(n):
-        r = bits(k)
-        while r >= p:
-            r = bits(k)
-        out.append(r)
-    return out
-
-
 class _BlockDraws:
-    """Draws of n values, each what ``_draw(rng, p, n)`` would return next.
+    """Draws of n values, each the next n values of ``rng.randrange(p)``.
 
     ``getrandbits(32 m)`` (one call per block of :data:`_BLOCK_WORDS`)
     returns the next m 32-bit words, the first in the lowest bits, and
     ``getrandbits(k)`` for k <= 32 is the top k bits of one word; so the
-    top bits of a block's words, less those >= p, are ``_draw``'s values
-    with its retries.  Iterating yields ``(draw, skipped)``: each draw that
+    top bits of a block's words, less those >= p, are ``randrange(p)``'s
+    values, since it draws ``getrandbits(p.bit_length())`` and retries
+    while >= p.  Iterating yields ``(draw, skipped)``: each draw that
     ``keep`` passes, with the number it rejected since the last yield, and
     ``(None, skipped)`` for the rest of a block.  ``keep`` gets a block's
     draws as n columns and returns a truth value per draw; None passes all.
@@ -42,7 +28,7 @@ class _BlockDraws:
     after ``stop``.  ``rng`` runs up to a block ahead: :meth:`sync`
     restores a state saved at most :data:`_BLOCKS_PER_STATE` - 1 blocks
     back and redraws exactly the words used since, which leaves ``rng``
-    where ``_draw`` would have.
+    where the ``randrange`` calls would have.
     """
 
     def __init__(self, rng, p: int, n: int, keep=None, stop: float = float("inf")):

@@ -105,15 +105,11 @@ HYP_FACTORED = (
 HYP_CHECKSUM = "8b6ed0eec8f63444a29ece81ee66056652a97372102fb23cd3b5e386c9dd444d"
 
 
-def hyp_vartable() -> VarTable:
-    return VarTable(HYP_PARAM_NAMES, HYP_GRADING)
-
-
 @functools.cache
 def hyp_components() -> tuple:
     """The 12 components as expanded polynomials over Q, checked against
     ``HYP_CHECKSUM`` and built once; ``c.map_field(F)`` gives them over F_p."""
-    vt = hyp_vartable()
+    vt = VarTable(HYP_PARAM_NAMES, HYP_GRADING)
     comps = hyp_evaluate([Poly.variable(vt, QQ, n) for n in HYP_PARAM_NAMES], lambda p: p)
     digest = hashlib.sha256("\n".join(str(c) for c in comps).encode()).hexdigest()
     if digest != HYP_CHECKSUM:
@@ -517,10 +513,6 @@ def verify_z3_line() -> Certificate:
 
 # the 3x2 Hilbert-Burch matrix behind the parametrization, regrouped as a
 # 3x6 linear system for (v0, v1, v2, v3, v45, v67) via m (w0, w1)^t = 0
-
-Z3_KERNEL_UNKNOWNS = ("v0", "v1", "v2", "v3", "v45", "v67")
-
-
 def _z3_kernel_system(u0, u1, u2, u3, w0, w1, zero):
     return [
         [-(u1 * w0), u0 * w0, zero, zero, zero, -(u0 * u0 * u1 * u1 * w1)],

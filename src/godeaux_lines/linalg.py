@@ -117,7 +117,8 @@ def nullspace(field: Field, rows, ncols: int):
     return _kernel_basis(field, _gauss_jordan(field, rows), ncols)
 
 
-#: the name the sparse callers use; the elimination takes dict rows as they are
+#: no src module calls this alias; only perfbench/tracing.py's span list
+#: and the tests name it (ROADMAP item 14)
 sparse_nullspace = nullspace
 
 

@@ -18,7 +18,7 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .fields import Field, FieldError
-from .linalg import sparse_nullspace
+from .linalg import nullspace
 
 
 class PolynomialError(ValueError):
@@ -405,8 +405,8 @@ def bounded_degree_kernel(M: PolyMatrix, bound):
                     row = equations.setdefault(key, {})
                     col = slot * nmono + i  # the unknown: coefficient of m in slot
                     row[col] = row.get(col, 0) + coeff
-    # sparse_nullspace reduces the sums and drops the rows that cancel
-    basis = sparse_nullspace(F, equations.values(), ncols)
+    # nullspace reduces the sums and drops the rows that cancel
+    basis = nullspace(F, equations.values(), ncols)
     # Poly drops the zero coefficients
     return [
         [

@@ -7,21 +7,21 @@ Because Q is cut out by quadrics, the connecting line then lies inside Q.
 
 The searches are exact and run over a prime field, seeded and
 deterministic: a sampler owns a private random stream, so equal
-(strategy, field, seed) always return the identical line.  Torsion first
-points and two-torsion lines draw through ``randrange``, every other value
-through :mod:`draws`, which returns what it would: the partner searches a
-block at a time, running their first test over all of a block's draws at
-once, charging the rejected draws' trials in one step and rewinding the
-stream to where the one-draw loop stops; trials and lines are unchanged.  A
-tangent-cone draw that an exact certificate shows cannot succeed is
-charged the trials its scan would have taken.  Each strategy re-verifies
-its promise through the classifier (:func:`_fulfils`) and retries
-otherwise; a configurable trial budget guards termination.
+(strategy, field, seed) always return the identical line.  First points
+and two-torsion lines draw through ``randrange``.  The partner searches
+draw the same values a block at a time through :mod:`draws`.  They run
+their first test over all of a block's draws at once and charge the
+rejected draws' trials in one step.  They rewind the stream to where the
+one-draw loop stops, so trials and lines are unchanged.  A tangent-cone
+draw that an exact certificate shows cannot succeed is charged the trials
+its scan would have taken.  Each strategy re-verifies its promise through
+the classifier (:func:`_fulfils`) and retries otherwise; a configurable
+trial budget guards termination.
 
 Strategies: ``generic``, ``torsion`` (one named torsion P^3), ``two-torsion``
 (a pair of them), ``hyp`` (one hyperelliptic point), ``two-hyp`` (two
-hyperelliptic points; feasible for small moduli only, the conditions have
-codimension 4).
+hyperelliptic points).  README's notes on the searches give each one's
+measured reach in p.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import random
 from operator import mul
 from typing import Optional, Sequence
 
-from .draws import _BlockDraws, _draw
+from .draws import _BlockDraws
 from .families import hyp_evaluate, sample_component_line
 from .fields import Field, PrimeField
 from .geometry import (
@@ -113,10 +113,10 @@ def random_q_point(field: PrimeField, rng, budget: _Budget) -> PointA:
     p = _require_search_field(field)
     while True:
         budget.spend()
-        a32, a31, a30, a23, a21, a20 = _draw(rng, p, 6)
-        a13 = 1 + _draw(rng, p - 1, 1)[0]  # randrange(1, p)
-        a03 = 1 + _draw(rng, p - 1, 1)[0]
-        (a01,) = _draw(rng, p, 1)
+        a32, a31, a30, a23, a21, a20 = [rng.randrange(p) for _ in range(6)]
+        a13 = rng.randrange(1, p)
+        a03 = rng.randrange(1, p)
+        a01 = rng.randrange(p)
         inv13 = pow(a13, -1, p)
         inv03 = pow(a03, -1, p)
         a10 = (a01 * a03 - a30 * a31) * inv13 % p
@@ -541,7 +541,7 @@ def _random_hyp_point(field: PrimeField, rng, budget: _Budget) -> PointA:
     p = field.p  # sample_line checked it
     while True:
         budget.spend()
-        coords = hyp_evaluate(_draw(rng, p, 10), p.__rmod__)  # x -> x % p
+        coords = hyp_evaluate([rng.randrange(p) for _ in range(10)], p.__rmod__)  # x -> x % p
         if coords is None:
             continue
         point = PointA(field, coords)

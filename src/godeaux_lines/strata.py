@@ -157,22 +157,17 @@ def _require_in_q(line: LineA):
 # hyperelliptic detection via the minor GCD
 
 
-def restricted_a_matrix(line: LineA, scale=1):
-    """The a-matrix along the line, as 4x6 linear binary forms; ``scale``
-    multiplies both rows of the line."""
+def quartic_minors(line: LineA, scale=1):
+    """All fifteen 4x4 minors (binary quartics) of the a-matrix along the
+    line, a 4x6 matrix of linear binary forms; with both rows multiplied by
+    ``scale``, each minor is scale^4 times."""
     F = line.field
     zero = BinaryForm.zero(F, 1)
     r0, r1 = line.rows
-    return [
+    rows = [
         [zero if j is None else linear_form(F, scale * r0[j], scale * r1[j]) for j in pattern_row]
         for pattern_row in A_PATTERN
     ]
-
-
-def quartic_minors(line: LineA, scale=1):
-    """All fifteen 4x4 minors of the restricted a-matrix (binary quartics);
-    with both rows multiplied by ``scale``, each minor is scale^4 times."""
-    rows = restricted_a_matrix(line, scale)
     return [det4([[row[c] for c in cols] for row in rows]) for cols in combinations(range(6), 4)]
 
 

@@ -505,6 +505,34 @@ def test_classify_isolates_record_past_the_int_digit_limit(tmp_path):
     assert reports[2] == dict(reports[0], slot=2)
 
 
+def test_classify_isolates_an_untyped_exception(tmp_path, monkeypatch):
+    # any exception on one record becomes that record's error line; the
+    # other records' lines are the bytes of an unpatched run, and exit is 0
+    import godeaux_lines.cli as cli
+
+    store = tmp_path / "store.jsonl"
+    assert main(["sample", "--strategy", "generic", "--field", "p31", "--seed", "5",
+                 "--count", "3", "--out", str(store)]) == 0
+    clean, patched = tmp_path / "clean.jsonl", tmp_path / "patched.jsonl"
+    assert main(["classify", "--in", str(store), "--out", str(clean)]) == 0
+    calls = []
+    real = cli.classify_line
+
+    def fails_on_slot_1(line):
+        calls.append(line)
+        if len(calls) == 2:
+            raise ArithmeticError("slot 1 fails")
+        return real(line)
+
+    monkeypatch.setattr(cli, "classify_line", fails_on_slot_1)
+    assert main(["classify", "--in", str(store), "--out", str(patched)]) == 0
+    want = clean.read_bytes().splitlines()
+    got = patched.read_bytes().splitlines()
+    assert len(calls) == 3 and len(want) == len(got) == 3
+    assert got[0] == want[0] and got[2] == want[2]
+    assert json.loads(got[1]) == {"slot": 1, "error": "ArithmeticError: slot 1 fails"}
+
+
 def test_classify_passes_only_known_record_errors(tmp_path):
     # "budget-exhausted", the error sample writes, passes through; any other
     # error value is replaced, however deep or large

@@ -343,14 +343,14 @@ def test_indexed_elimination_matches_scan_oracle_on_para_v2_system(monkeypatch):
     from godeaux_lines.families import _para_v2_system
 
     systems = []
-    real = polynomials.sparse_nullspace
+    real = polynomials.nullspace
 
     def recording(field, srows, ncols):
         srows = [dict(r) for r in srows]
         systems.append(srows)
         return real(field, srows, ncols)
 
-    monkeypatch.setattr(polynomials, "sparse_nullspace", recording)
+    monkeypatch.setattr(polynomials, "nullspace", recording)
     polynomials.bounded_degree_kernel(_para_v2_system(), (2, 1, 1))
     (rows,) = systems
     pivots = _gauss_jordan(QQ, rows)
