@@ -339,12 +339,14 @@ def _mulmod(F: Field, a, b, f):
 
 
 def _pow_linear(F: Field, a, e, f):
-    """(x + a)^e modulo the monic f, by square-and-multiply."""
+    """(x + a)^e modulo the monic f, by square-and-multiply; times x + a is
+    one pass: a shift, a multiply-add per coefficient, one reduction step."""
     out = [1]
     for bit in bin(e)[2:]:
         out = _mulmod(F, out, out, f)
         if bit == "1":
-            out = _mulmod(F, out, [a, 1], f)
+            c = out[-1] if len(out) == len(f) - 1 else 0  # the x^n coefficient of x out
+            out = _trim([F.canonical(u + a * v - c * w) for u, v, w in zip([0] + out, out + [0], f)])
     return out
 
 

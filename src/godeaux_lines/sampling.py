@@ -9,14 +9,15 @@ The searches are exact and run over a prime field, seeded and
 deterministic: a sampler owns a private random stream, so equal
 (strategy, field, seed) always return the identical line.  First points
 and two-torsion lines draw through ``randrange``.  The partner searches
-draw the same values a block at a time through :mod:`draws`.  They run
-their first test over all of a block's draws at once and charge the
-rejected draws' trials in one step.  They rewind the stream to where the
-one-draw loop stops, so trials and lines are unchanged.  A tangent-cone
-draw that an exact certificate shows cannot succeed is charged the trials
-its scan would have taken.  Each strategy re-verifies its promise through
-the classifier (:func:`_fulfils`) and retries otherwise; a configurable
-trial budget guards termination.
+draw the same values a block at a time through :mod:`draws` and test all
+of a block's draws at once: the two-hyp test decides acceptance, the
+tangent-cone test makes most rejections.  They charge the rejected draws'
+trials in one step and rewind the stream to where the one-draw loop
+stops, so trials and lines are unchanged.  A tangent-cone draw that an
+exact certificate shows cannot succeed is charged the trials its scan
+would have taken.  Each strategy re-verifies its promise through the
+classifier (:func:`_fulfils`) and retries otherwise; a configurable trial
+budget guards termination.
 
 Strategies: ``generic``, ``torsion`` (one named torsion P^3), ``two-torsion``
 (a pair of them), ``hyp`` (one hyperelliptic point), ``two-hyp`` (two
@@ -27,6 +28,8 @@ measured reach in p.
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from operator import mul
 from typing import Optional, Sequence
 
@@ -56,6 +59,9 @@ MAX_BRUTE_FORCE_MODULUS = 1_000_000
 
 #: candidate lines :func:`sample_line` draws before it gives up
 _MAX_RETRIES = 200
+
+#: the products c_j c_l (j <= l) of the five draw coefficients, in table order
+_PAIRS = [(j, l) for j in range(5) for l in range(j, 5)]
 
 
 class SamplingError(ValueError):
@@ -150,24 +156,22 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
     identically zero, only y = 0 and y = 1 are tried (:func:`_solve_quadratic`),
     so a partner at that x can be missed; the stored bytes depend on this.
 
-    Before that scan, a draw gets an exact certificate.  Writing each q_i(w)
-    as a quadratic form in (x, y), the combinations sum k_i q_i with k in the
-    left kernel K of the 4x3 matrix of quadratic parts [q_i(u), B_i(u, v),
-    q_i(v)] are affine-linear in (x, y), and every solution lies on their
-    common zero set: when it is empty, the draw fails; when it forces x to
-    one value x0, only x0 is tried; when it is a line, the quadrics
-    restricted to it must share a factor (:func:`_share_a_factor`, q_0 and
-    q_1 first, without inverting b), else the draw fails.  A failed draw
-    spends its p trials at once, so the draws, the trial count, the stream
-    state and the returned point are those of the plain scan.
+    Before that scan, a draw gets an exact certificate.  The combinations
+    sum k_i q_i(w), k in the left kernel K of the 4x3 matrix of quadratic
+    parts [q_i(u), B_i(u, v), q_i(v)], are affine-linear in (x, y), and every
+    solution lies on their common zero set: when it is empty, the draw
+    fails; when it forces x to one value x0, only x0 is tried; when it is a
+    line, the quadrics restricted to it must share a factor
+    (:func:`_share_a_factor`), else the draw fails.  A failed draw spends
+    its p trials at once, so the draws, the trial count, the stream state
+    and the returned point are those of the plain scan.
 
-    At a torsion point K is all of F_p^4, and at T01|23 two combinations
-    read q_i(R) = 0 with two terms each: the first is the column test of the
-    block draws (:func:`_vanishing`) and passes about 1 draw in p; the
-    rejected ones are charged at once, and where the budget runs out among
-    them the stream is rewound to just after the draw whose charge raises.
-    Without such a combination every draw is a candidate, and its tables
-    come from two products of packed ints (:func:`_packed`, :func:`_dot`).
+    The block draws (:class:`_BlockDraws`) reject most failing draws a block
+    at a time, charged at once (where the budget runs out among them, the
+    stream is rewound to just after the draw whose charge raises): at T01|23
+    torsion points by a combination q_i(R) (:func:`_vanishing`), at generic
+    and hyp points by q_0 and q_1 on the line (:func:`_coprime_on_line`).
+    The other draws get their tables from packed ints (:func:`_packed`).
     """
     p = _require_search_field(field)
     u, v, *rest = _tangent_complement(point)
@@ -178,15 +182,8 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
     # q_i(R), B_i(u, R) and B_i(v, R) as forms in the five draw coefficients:
     # gram[i] lists q_i(r_j) and B_i(r_j, r_l) in the order of the products
     # c_j c_l (j <= l) that the draw forms
-    pairs = [(j, l) for j in range(5) for l in range(j, 5)]
-    gram = [
-        [
-            quadric_value(field, i, rest[j]) if j == l
-            else polarization_value(field, i, rest[j], rest[l])
-            for j, l in pairs
-        ]
-        for i in range(4)
-    ]
+    gram = [[quadric_value(field, i, rest[j]) if j == l else polarization_value(field, i, rest[j], rest[l])
+             for j, l in _PAIRS] for i in range(4)]
     bu = [[polarization_value(field, i, u, r) for r in rest] for i in range(4)]
     bv = [[polarization_value(field, i, v, r) for r in rest] for i in range(4)]
     # sum k_i q_i(w) = a x + b y + c for k in the kernel: those free of x and
@@ -197,17 +194,19 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
         if any(a) or any(b):
             mixed.append((a, b, c))
         else:
-            free.append([(j, l, t) for (j, l), t in zip(pairs, c) if t])
-    # one packed int per draw coefficient (resp. product c_j c_l): slots for
-    # a and b of each mixed combination, B_i(u, R), B_i(v, R) (resp. c of
-    # each mixed combination, q_i(R))
+            free.append([(j, l, t) for (j, l), t in zip(_PAIRS, c) if t])
+    # one packed int per draw coefficient (resp. product c_j c_l), slots for a and b of
+    # each mixed combination, B_i(u, R), B_i(v, R) (resp. c of each, q_i(R))
     n = len(mixed)
     width, linear, quadratic = _packed(
         p, [t for a, b, _ in mixed for t in (a, b)] + bu + bv, [c for _, _, c in mixed] + gram
     )
     mask = (1 << width) - 1
 
-    draws = _BlockDraws(rng, p, 5, _vanishing(p, free.pop(0)) if free else None)
+    keep = _vanishing(p, free.pop(0)) if free else None
+    if n == 1 and not keep and any(mixed[0][1]):  # a line in (x, y) for all but 1 draw in p
+        keep = _coprime_on_line(p, mixed[0], bu, bv, gram, qu, buv, qv)
+    draws = _BlockDraws(rng, p, 5, keep)
     try:
         for coeffs, skipped in draws:
             if skipped:
@@ -221,30 +220,23 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
                 budget.spend(p)
                 continue
             lin, quad = _dot(coeffs, linear, quadratic)
-            if n == 1 and (lin >> width & mask) % p:
-                # the one mixed equation a x + b y + c = 0 is the line itself
-                x0, line = None, (lin & mask, lin >> width & mask, quad & mask)
-            else:
-                solutions = _affine_solutions(p, (
-                    ((lin >> 2 * m * width & mask) % p, (lin >> (2 * m + 1) * width & mask) % p,
-                     (quad >> m * width & mask) % p)
-                    for m in range(n)
-                ))
-                if solutions is None:
-                    budget.spend(p)
-                    continue
-                x0, line = solutions
-                if line is not None:
-                    # y = alpha x + beta is alpha x - y + beta = 0
-                    line = (line[0], -1, line[1])
-            lin >>= 2 * n * width
-            quad >>= n * width
-            if line is not None and not _share_a_factor(field, line, width, lin, quad, qu, buv, qv):
+            solutions = _affine_solutions(p, (
+                ((lin >> 2 * m * width & mask) % p, (lin >> (2 * m + 1) * width & mask) % p,
+                 (quad >> m * width & mask) % p)
+                for m in range(n)
+            ))
+            if solutions is None:
                 budget.spend(p)
                 continue
+            x0, line = solutions  # the line y = alpha x + beta is alpha x - y + beta = 0
+            lin >>= 2 * n * width
+            quad >>= n * width
             bur = [(lin >> i * width & mask) % p for i in range(4)]
             bvr = [(lin >> (4 + i) * width & mask) % p for i in range(4)]
             qr = [(quad >> i * width & mask) % p for i in range(4)]
+            if line and not _share_a_factor(field, (line[0], -1, line[1]), qu, buv, qv, bur, bvr, qr):
+                budget.spend(p)
+                continue
             if x0 is not None:
                 budget.spend(x0)
             for x in range(p) if x0 is None else (x0,):
@@ -279,6 +271,33 @@ def _vanishing(p, terms):
         for j, l, t in terms:
             sums = [s + t * a * b for s, a, b in zip(sums, columns[j], columns[l])]
         return [s % p == 0 for s in sums]
+    return keep
+
+
+def _coprime_on_line(p, mixed, bu, bv, gram, qu, buv, qv):
+    """The column test where K is one mixed combination a x + b y + c: per
+    draw, whether q_0 and q_1 restricted to the draw's line have resultant 0,
+    as they do where b = 0 (both multiples of (a x + c)^2; the loop solves for
+    x); no other draw has a solution.  Tables are summed for the whole block
+    on ints packing a column each, a draw per 32-bit slot (64-bit for p >
+    653): no sum reaches 15 p^3, so none carries."""
+    (qu0, qu1, *_), (buv0, buv1, *_), (qv0, qv1, *_) = qu, buv, qv
+    linear, quadratic = (*mixed[:2], bu[0], bv[0], bu[1], bv[1]), (mixed[2], gram[0], gram[1])
+    code = "I" if 15 * p ** 3 < 1 << 32 else "Q"
+
+    def sums(tables, columns):
+        packed = [int.from_bytes(array(code, col).tobytes(), sys.byteorder) for col in columns]
+        size = len(columns[0]) * array(code).itemsize
+        return [array(code, sum(map(mul, t, packed)).to_bytes(size, sys.byteorder)) for t in tables]
+
+    def keep(*columns):
+        products = [list(map(mul, columns[j], columns[l])) for j, l in _PAIRS]
+        flags = []
+        for a, b, u0, v0, u1, v1, c, r0, r1 in zip(*sums(linear, columns), *sums(quadratic, products)):
+            line = (a, b, c)
+            flags.append(not _coprime(p, _restriction(p, line, qu0, buv0, qv0, u0, v0, r0),
+                                      _restriction(p, line, qu1, buv1, qv1, u1, v1, r1)))
+        return flags
     return keep
 
 
@@ -360,45 +379,44 @@ def _affine_solutions(p, eqs):
     return None, line
 
 
-def _share_a_factor(field: PrimeField, line, width, lin, quad, qu, buv, qv) -> bool:
+def _share_a_factor(field: PrimeField, line, qu, buv, qv, bur, bvr, qr) -> bool:
     """Whether the q_i(x u + y v + R), restricted to the line a x + b y + c
     = 0 (b != 0), have a nonconstant common factor over F_p or all vanish;
     when they do not, no x on the line solves the draw.  (For b = 0 every
-    form below is a multiple of (a x + c)^2, and the answer is True.)
+    restriction is a multiple of (a x + c)^2, and the answer is True.)
 
-    ``lin`` holds B_i(u, R) in slot i and B_i(v, R) in slot 4 + i, ``quad``
-    holds q_i(R) in slot i (slots of ``width`` bits, values unreduced).  b y
-    = -(a x + c) is substituted without inverting b, so each form is b^2
-    times the restriction, f2 x^2 + f1 x + f0.  Two such binary quadratics
-    with a nonzero resultant share no root in P^1 (a zero form has
-    resultant 0 with every form), so the first such pair, q_0 and q_1
-    first, settles the draw; only when every pair resultant vanishes does
-    the gcd of all four decide.
+    A pair of restrictions (:func:`_restriction`) with a nonzero resultant
+    settles the draw (a zero form has resultant 0 with every form); only
+    when every pair resultant vanishes does the gcd of all four decide.
     """
     p = field.p
-    mask = (1 << width) - 1
-    a, b, c = line
-    aa, ab, bb, ac, bc, cc = a * a % p, a * b % p, b * b % p, 2 * a * c % p, b * c % p, c * c % p
-    seen = []
-    shift = 0
-    for qui, buvi, qvi in zip(qu, buv, qv):
-        bur, bvr, qr = lin >> shift & mask, lin >> shift + 4 * width & mask, quad >> shift & mask
-        shift += width
-        g0 = (qvi * cc - bvr * bc + qr * bb) % p
-        g1 = (qvi * ac - buvi * bc + bur * bb - bvr * ab) % p
-        g2 = (qui * bb - buvi * ab + qvi * aa) % p
-        for f0, f1, f2 in seen:
-            if ((f2 * g0 - f0 * g2) ** 2 - (f2 * g1 - f1 * g2) * (f1 * g0 - f0 * g1)) % p:
-                return False
-        seen.append([g0, g1, g2])
+    seen = [_restriction(p, line, *tables) for tables in zip(qu, buv, qv, bur, bvr, qr)]
+    if any(_coprime(p, f, g) for i, f in enumerate(seen) for g in seen[i + 1:]):
+        return False
     common = None
     for f in seen:
-        f = _trim(f)
+        f = _trim(list(f))
         if f:
             common = f if common is None else _gcd(field, common, f)
             if len(common) == 1:
                 return False
     return True
+
+
+def _restriction(p, line, qu, buv, qv, bur, bvr, qr):
+    """(f0, f1, f2) of b^2 q(x u + y v + R) = f2 x^2 + f1 x + f0 on the line a x
+    + b y + c = 0, from q(u), B(u, v), q(v), B(u, R), B(v, R), q(R) (all may
+    be unreduced): b y = -(a x + c) is substituted without inverting b."""
+    a, b, c = line
+    aa, ab, bb, ac, bc, cc = a * a % p, a * b % p, b * b % p, 2 * a * c % p, b * c % p, c * c % p
+    return ((qv * cc - bvr * bc + qr * bb) % p, (qv * ac - buv * bc + bur * bb - bvr * ab) % p,
+            (qu * bb - buv * ab + qv * aa) % p)
+
+
+def _coprime(p, f, g) -> bool:
+    """Whether binary quadratics f2 x^2 + f1 x z + f0 z^2 and g share no root in P^1 (resultant != 0)."""
+    (f0, f1, f2), (g0, g1, g2) = f, g
+    return ((f2 * g0 - f0 * g2) ** 2 - (f2 * g1 - f1 * g2) * (f1 * g0 - f0 * g1)) % p != 0
 
 
 def _sqrt_mod(d, p):
@@ -463,25 +481,43 @@ def _solve_quadratic(p, A, B, C):
 # two hyperelliptic endpoints (codimension-4 rejection)
 
 
-def _q0_tangent(p, l0):
+def _two_hyp_test(p, lam, general_position):
     """The column test of :func:`_two_hyp_partner`: per draw of the 10
-    parameters, whether l0 . coords = 0 mod p for the gradient l0 of q_0.
+    parameters, whether l_k . coords = 0 for the rows l_k of the Jacobian
+    ``lam`` at p (and with ``general_position``, no a-matrix row vanishes).
 
-    q_0 = a12 a13 - a21 a23 + a31 a32, so l0 is zero off those six
-    coordinates, and in ``HYP_FACTORED`` each carries the factor v0^2 D
-    (D = x1 w1 - x0 w0): the value is v0^2 D times a short sum s over the
-    six cofactors, zero where v0, D or s is, and the other six are never built.
+    l_0, the gradient of q_0 = a12 a13 - a21 a23 + a31 a32, is zero off six
+    coordinates that in ``HYP_FACTORED`` carry v0^2 D (D = x1 w1 - x0 w0):
+    so l_0 . coords is v0^2 D times a short sum s, tested first.  Where v0 D
+    = 0 only a30, a20, a10 survive, F (-w0 w1 y0 z1, w0 W y1 z1, -w1 W y1 z0)
+    with F = v1^2 w0 w1 W x0 x1 X y1 z1: F = 0 is the base locus (else a20 !=
+    0), l_k . coords is F times l_k's entries 2, 5, 8 against that triple,
+    and row 0 vanishes.  Only where s alone vanishes is the point built.
     """
+    l0, *rest = lam
     a, b, c, d, e, f = l0[0], l0[1], l0[7], l0[4], l0[3], l0[6]
 
-    def keep(v0, _, w0, w1, x0, x1, y0, y1, z0, z1):
+    def accepts(params):
+        v0, v1, w0, w1, x0, x1, y0, y1, z0, z1 = params
+        if v0 * (x1 * w1 - x0 * w0) % p:
+            coords = hyp_evaluate(params, p.__rmod__)  # x -> x % p
+            return coords is not None and not any(sum(map(mul, l, coords)) % p for l in rest) and not (
+                general_position and any(all(coords[j] == 0 for j in t) for t in _ROW_TRIPLES))
+        W = w0 + w1
+        if general_position or not v1 * w0 * w1 * W * x0 * x1 * (x0 + x1) * y1 * z1 % p:
+            return False
+        return not any((l[5] * w0 * W * y1 * z1 - l[2] * w0 * w1 * y0 * z1 - l[8] * w1 * W * y1 * z0) % p
+                       for l in rest)
+
+    def keep(*columns):
         return [
-            v * (X1 * W1 - X0 * W0) * (
+            not v * (X1 * W1 - X0 * W0) * (
                 (X0 + X1) * (Y0 * Y1 * (a * X1 * Z1 * Z1 + b * X0 * Z0 * Z0)
                              + Y1 * Y1 * Z0 * (c * X1 * Z1 - d * X0 * Z0))
                 - X0 * X1 * Y0 * Y0 * Z1 * (e * Z1 + f * Z0)
-            ) % p == 0
-            for v, W0, W1, X0, X1, Y0, Y1, Z0, Z1 in zip(v0, w0, w1, x0, x1, y0, y1, z0, z1)
+            ) % p and accepts(params)
+            for params in zip(*columns)
+            for v, _, W0, W1, X0, X1, Y0, Y1, Z0, Z1 in (params,)
         ]
 
     return keep
@@ -494,11 +530,10 @@ def _two_hyp_partner(
 
     Each draw of the 10 parameters costs one trial and must satisfy the four
     tangency forms l_k . coords = 0 (k = 0..3, the rows of the Jacobian at
-    p).  Block draws (:class:`_BlockDraws`) run the l_0 test over their
-    columns (:func:`_q0_tangent`); it passes about 3 draws in p, and only
-    those build all 12 coordinates for the other three forms.  The draws
-    stop after ``cap``, or where the budget would run out, with the stream
-    just after the last one, as in the one-draw loop.
+    p).  The block draws (:class:`_BlockDraws`) decide that in their column
+    test (:func:`_two_hyp_test`), which builds all 12 coordinates for about
+    1 draw in p.  The draws stop after ``cap``, or where the budget would
+    run out, with the stream just after the last one, as in the one-draw loop.
 
     The locus carries distinguished degenerate partners (one a-matrix row
     vanishes at them) that the rejection hits far more often than general
@@ -506,26 +541,15 @@ def _two_hyp_partner(
     trials so the caller can redraw the first endpoint.
     """
     p = field.p  # sample_line checked it
-    lam = jacobian_at(field, point.coords)
-    l0, l1, l2, l3 = ([int(x) for x in row] for row in lam)
+    lam = [[int(x) for x in row] for row in jacobian_at(field, point.coords)]
     # at most cap draws, and none past the budget's limit
     stop = min(cap, budget.limit - budget.used)
-    draws = _BlockDraws(rng, p, 10, _q0_tangent(p, l0), stop)
+    draws = _BlockDraws(rng, p, 10, _two_hyp_test(p, lam, general_position), stop)
     try:
         for params, skipped in draws:
             budget.spend(skipped + (params is not None))
-            if params is None:
-                continue
-            coords = hyp_evaluate(params, p.__rmod__)  # x -> x % p
-            if coords is None:
-                continue
-            if any(sum(map(mul, l, coords)) % p for l in (l1, l2, l3)):
-                continue
-            if general_position and any(
-                all(coords[j] == 0 for j in triple) for triple in _ROW_TRIPLES
-            ):
-                continue
-            return PointA(field, coords)
+            if params is not None:
+                return PointA(field, hyp_evaluate(params, p.__rmod__))
     finally:
         draws.sync()
     if stop < cap:

@@ -12,6 +12,8 @@ from godeaux_lines.pencil import (
     BinaryForm,
     _divisors,
     _gcd,
+    _mulmod,
+    _pow_linear,
     _trim,
     binary_gcd,
     binary_roots,
@@ -135,6 +137,31 @@ def test_prime_field_roots_match_p1_scan(p):
         f = BinaryForm(F, d, [rng.randrange(p) for _ in range(d + 1)])
         if not f.is_zero():
             assert binary_roots(f) == scan_roots(f), f
+
+
+@pytest.mark.parametrize("p", [3, 31, 10007, 2**61 - 1])
+def test_pow_linear_matches_mulmod_by_x_plus_a(p):
+    # each multiply by x + a is one pass over the coefficients; square-and-
+    # multiply through _mulmod(F, out, [a, 1], f) must give the same list,
+    # for monic moduli of degree 1 to 8 (sparse ones included), a = 0, 1,
+    # p - 1 or random, and exponents from 0 to (p - 1) / 2 and past it
+    F = PrimeField(p)
+    rng = random.Random(p)
+
+    def oracle(a, e, f):
+        out = [1]
+        for bit in bin(e)[2:]:
+            out = _mulmod(F, out, out, f)
+            if bit == "1":
+                out = _mulmod(F, out, [a, 1], f)
+        return out
+
+    for degree in range(1, 9):
+        for _ in range(40):
+            f = [rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(degree)] + [1]
+            a = rng.choice((0, 1, p - 1, rng.randrange(p)))
+            for e in (0, 1, 2, 3, (p - 1) // 2, rng.randrange(1, 10**6)):
+                assert _pow_linear(F, a, e, f) == oracle(a, e, f), (f, a, e)
 
 
 def test_roots_of_linear_forms_closed_form(f31):

@@ -33,7 +33,7 @@ from godeaux_lines.sampling import (
     _Budget,
     _affine_solutions,
     _fulfils,
-    _q0_tangent,
+    _two_hyp_test,
     _random_hyp_point,
     _require_search_field,
     _share_a_factor,
@@ -364,18 +364,21 @@ class _LoggedBudget(_Budget):
 
 
 def test_budget_runs_out_inside_skipped_and_forced_draws():
-    # a failed draw spends its p trials in one step, a draw with a forced x
-    # spends x0, then 1 for the tried x0, then p - 1 - x0; a budget that runs
-    # out anywhere inside either must stop where the scan stops
+    # a failed draw spends its p trials, alone or in one step with the other
+    # failed draws of a block; a draw with a forced x spends x0, then 1 for
+    # the tried x0, then p - 1 - x0; a budget that runs out anywhere inside
+    # any of these must stop where the scan stops
     p = 31
     F = PrimeField(p)
     point = random_q_point(F, random.Random(7), _Budget("test", 10**6))
     _, used, _, budget = _search(tangent_cone_partner, F, point, 0, 10**6, _LoggedBudget)
     log = budget.log
     # at a generic point nearly every draw fails its certificate (most of
-    # them on a pair of the quadrics restricted to a line) and is skipped
-    assert sum(n == p for _, n in log) > 0.9 * (used // p)
-    skipped = next(used for used, n in log if n == p)
+    # them on q_0 and q_1 restricted to a line, in the block's column test)
+    # and is charged its p trials, in bulk
+    assert sum(n for _, n in log if n % p == 0) > 0.9 * used
+    skipped = next(used for used, n in log if n % p == 0 < n)
+    bulk, charged = next((used, n) for used, n in log if n % p == 0 and n >= 2 * p)
     forced = next(
         (start, x0)
         for k, (used, n) in enumerate(log)
@@ -386,6 +389,9 @@ def test_budget_runs_out_inside_skipped_and_forced_draws():
     start, x0 = forced
     limits = [skipped, skipped + 1, skipped + p // 2, skipped + p - 1]
     limits += sorted({start, start + x0 // 2, start + x0, start + x0 + 1, start + p - 1})
+    # inside the first bulk charge of two or more draws: in its first draw,
+    # at the boundary of its second, midway and in its last draw
+    limits += [bulk + 1, bulk + p - 1, bulk + p, bulk + charged // 2, bulk + charged - 1]
     for limit in limits:
         new = _search(tangent_cone_partner, F, point, 0, limit)
         old = _search(_scan_partner, F, point, 0, limit)
@@ -495,22 +501,12 @@ def gcd_calls(monkeypatch):
     return calls
 
 
-@functools.lru_cache(maxsize=None)
-def _slot_width(p):
-    return sampling._packed(p, [[0]], [[0]])[0]
-
-
 def _share_a_factor_on(p, line, qu, buv, qv, qr, bur, bvr, lifts=(0, 0, 0)):
-    """``_share_a_factor`` on tables given entry by entry, packed into
-    slots as the partner search packs them: B_i(u, R) in slot i and
-    B_i(v, R) in slot 4 + i of one int, q_i(R) in slot i of another.
-    ``lifts`` adds those multiples of p to the three kinds of entries, as
-    the unreduced packed dot products carry them."""
-    width = _slot_width(p)
-    lin = sum((t + lifts[0] * p) << i * width for i, t in enumerate(bur))
-    lin += sum((t + lifts[1] * p) << (4 + i) * width for i, t in enumerate(bvr))
-    quad = sum((t + lifts[2] * p) << i * width for i, t in enumerate(qr))
-    return _share_a_factor(PrimeField(p), line, width, lin, quad, qu, buv, qv)
+    """``_share_a_factor`` on tables given entry by entry.  ``lifts`` adds
+    those multiples of p to B_i(u, R), B_i(v, R) and q_i(R), as the
+    unreduced packed dot products carry them."""
+    bur, bvr, qr = ([t + k * p for t in table] for table, k in zip((bur, bvr, qr), lifts))
+    return _share_a_factor(PrimeField(p), line, qu, buv, qv, bur, bvr, qr)
 
 
 @pytest.mark.parametrize("p", (3, 5, 7, 11))
@@ -648,6 +644,50 @@ def test_pair_resultants_match_coprime_pair_oracle(p, gcd_calls):
     assert {(True, False), (False, True), "b = 0", "a restriction vanishes"} <= seen
 
 
+@pytest.mark.parametrize("p", (3, 5, 31, 10007, 999983))
+def test_coprime_on_line_matches_pair_oracle(p):
+    # the column test at points with one mixed combination a x + b y + c,
+    # over seeded blocks of draws and sparse tables (so b = 0, vanishing
+    # restrictions and zero resultants all occur): a draw is kept exactly
+    # when b = 0 or q_0 and q_1 restricted to its line y = alpha x + beta
+    # have resultant 0.  The largest tables and draws (all p - 1) check that
+    # the per-draw slots never carry, with the widest slots under the cutoff
+    rng = random.Random(p)
+    pairs = [(j, l) for j in range(5) for l in range(j, 5)]
+    seen = set()
+    for trial in range(40):
+        top = trial == 0
+        sparse = rng.choice((0.0, 0.3, 0.7))
+
+        def table(n):
+            return [p - 1 if top else rng.randrange(p) if rng.random() > sparse else 0 for _ in range(n)]
+
+        mixed = (table(5), table(5) if trial % 4 else [0, 0, 0, 0, rng.randrange(p)], table(15))
+        bu, bv = [table(5) for _ in range(4)], [table(5) for _ in range(4)]
+        gram = [table(15) for _ in range(4)]
+        qu, buv, qv = table(4), table(4), table(4)
+        block = [[p - 1 if top else rng.choice((0, rng.randrange(p))) for _ in range(5)]
+                 for _ in range(rng.randrange(1, 130))]
+        flags = sampling._coprime_on_line(p, mixed, bu, bv, gram, qu, buv, qv)(*map(list, zip(*block)))
+        assert len(flags) == len(block)
+        for coeffs, flag in zip(block, flags):
+            def lin(t):
+                return sum(map(int.__mul__, t, coeffs)) % p
+
+            def quad(t):
+                return sum(t_jl * coeffs[j] * coeffs[l] for (j, l), t_jl in zip(pairs, t)) % p
+
+            a, b, c = lin(mixed[0]), lin(mixed[1]), quad(mixed[2])
+            bur, bvr, qr = [lin(t) for t in bu], [lin(t) for t in bv], [quad(t) for t in gram]
+            if b:
+                inv = pow(-b, -1, p)
+                assert flag == (not _coprime_pair(p, (a * inv % p, c * inv % p), qu, buv, qv, qr, bur, bvr))
+            else:
+                assert flag
+            seen.add((b == 0, flag))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
 @pytest.mark.parametrize("p", (3, 31, 10007, 999983))
 def test_packed_tables_match_dot_products(p):
     # the widest slots under MAX_BRUTE_FORCE_MODULUS included: every slot of
@@ -682,30 +722,38 @@ def test_packed_tables_match_dot_products(p):
 # coordinate of every draw
 
 
+def _full_accepts(field, lam, params, general_position=False):
+    """The oracle's test of one draw: all 12 coordinates, then the four
+    tangency forms (the rows of ``lam``), then the rows of the a-matrix."""
+    p = field.p
+    l0, l1, l2, l3 = ([int(x) for x in row] for row in lam)
+    coords = hyp_point_raw(field, params)
+    if coords is None:
+        return False
+    if sum(l0[k] * coords[k] for k in range(12)) % p:
+        return False
+    if sum(l1[k] * coords[k] for k in range(12)) % p:
+        return False
+    if sum(l2[k] * coords[k] for k in range(12)) % p:
+        return False
+    if sum(l3[k] * coords[k] for k in range(12)) % p:
+        return False
+    if general_position and any(
+        all(coords[j] == 0 for j in triple) for triple in ROW_TRIPLES
+    ):
+        return False
+    return True
+
+
 def _full_two_hyp_partner(field, point, rng, budget, cap, general_position=False):
     """The oracle: all 12 coordinates per draw, then the four tangency forms."""
     p = field.p
     lam = jacobian_at(field, point.coords)
-    l0, l1, l2, l3 = ([int(x) for x in row] for row in lam)
     for _ in range(cap):
         budget.spend()
         params = [rng.randrange(p) for _ in range(10)]
-        coords = hyp_point_raw(field, params)
-        if coords is None:
-            continue
-        if sum(l0[k] * coords[k] for k in range(12)) % p:
-            continue
-        if sum(l1[k] * coords[k] for k in range(12)) % p:
-            continue
-        if sum(l2[k] * coords[k] for k in range(12)) % p:
-            continue
-        if sum(l3[k] * coords[k] for k in range(12)) % p:
-            continue
-        if general_position and any(
-            all(coords[j] == 0 for j in triple) for triple in ROW_TRIPLES
-        ):
-            continue
-        return PointA(field, coords)
+        if _full_accepts(field, lam, params, general_position):
+            return PointA(field, hyp_point_raw(field, params))
     return None
 
 
@@ -745,9 +793,9 @@ def test_two_hyp_partner_matches_full_oracle(general_position):
 
 
 def _q0_tangency(p, l0, params):
-    """The oracle of :func:`_q0_tangent`, one draw at a time: l0 . coords at
-    the parametrized point, mod p, from the six coordinates q_0 touches,
-    each v0^2 D (D = x1 w1 - x0 w0) times a cofactor."""
+    """The scalar oracle of the first test in :func:`_two_hyp_test`, one draw
+    at a time: l0 . coords at the parametrized point, mod p, from the six
+    coordinates q_0 touches, each v0^2 D (D = x1 w1 - x0 w0) times a cofactor."""
     v0, _, w0, w1, x0, x1, y0, y1, z0, z1 = params
     X = x0 + x1
     s = (
@@ -762,11 +810,9 @@ def _q0_tangency(p, l0, params):
 
 @pytest.mark.parametrize("p", (3, 5, 7, 31, 10007))
 def test_q0_tangency_is_l0_dot_coords(p):
-    # the scalar oracle is l0 . coords, and the column test flags its zeros,
-    # one draw at a time and over a whole block of draws as columns
+    # the scalar oracle is l0 . coords
     F = PrimeField(p)
     rng = random.Random(p)
-    block = []
     for _ in range(300):
         # the gradient of q_0 at any vector has the support of one at a point of Q
         l0 = jacobian_at(F, [rng.randrange(p) for _ in range(12)])[0]
@@ -774,11 +820,54 @@ def test_q0_tangency_is_l0_dot_coords(p):
         params = [rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(10)]
         coords = hyp_point_raw(F, params) or (0,) * 12
         assert _q0_tangency(p, l0, params) == sum(map(int.__mul__, l0, coords)) % p
-        assert _q0_tangent(p, l0)(*([x] for x in params)) == [_q0_tangency(p, l0, params) == 0]
-        block.append(params)
-    flags = _q0_tangent(p, l0)(*zip(*block))
-    assert flags == [_q0_tangency(p, l0, params) == 0 for params in block]
-    assert True in flags and False in flags
+
+
+def _two_hyp_cases(F, lam, params):
+    """The branches of :func:`_two_hyp_test` a draw takes, and which of v0
+    and D vanish."""
+    p = F.p
+    v0, _, w0, w1, x0, x1, *_ = params
+    D = (x1 * w1 - x0 * w0) % p
+    factors = {"v0 = 0"} if v0 == 0 else {"D = 0"} if D == 0 else set()
+    if v0 * D:
+        return factors | {"cofactor sum 0" if _q0_tangency(p, lam[0], params) == 0 else "l0 . coords != 0"}
+    return factors | {"base locus" if hyp_point_raw(F, params) is None else "v0 D = 0, F != 0"}
+
+
+@pytest.mark.parametrize("general_position", (False, True))
+@pytest.mark.parametrize("p", (3, 5, 7, 31, 10007))
+def test_two_hyp_column_test_matches_full_acceptance(p, general_position):
+    # the column test decides the whole acceptance, as the full oracle does
+    # per draw, over blocks of zero-heavy draws (so v0 = 0, D = 0, F = 0,
+    # the base locus and draws where only the cofactor sum of l_0 . coords
+    # vanishes all occur) and one draw at a time.  The Jacobians are taken
+    # at hyperelliptic points, among them points with v0 = 0 (where every
+    # draw with v0 D = 0 off the base locus is tangent), and at raw vectors;
+    # each block holds the point's own parameters, which are tangent there
+    F = PrimeField(p)
+    rng = random.Random(p)
+    seen = set()
+    for trial in range(24):
+        zero_heavy = lambda: rng.choice((0, 1, p - 1, rng.randrange(p)))
+        own = [rng.randrange(1, p) for _ in range(10)]
+        if trial % 3 == 1:
+            own[0] = 0
+        base = hyp_point_raw(F, own) if trial % 3 < 2 else [rng.randrange(p) for _ in range(12)]
+        lam = [[int(x) for x in row] for row in jacobian_at(F, base or [1] * 12)]
+        block = [own] + [[zero_heavy() for _ in range(10)] for _ in range(150)]
+        keep = _two_hyp_test(p, lam, general_position)
+        flags = keep(*map(list, zip(*block)))
+        assert len(flags) == len(block)
+        for params, flag in zip(block, flags):
+            assert flag == _full_accepts(F, lam, params, general_position), params
+            if flag:
+                assert _q0_tangency(p, lam[0], params) == 0
+            seen |= {(case, flag) for case in _two_hyp_cases(F, lam, params)}
+        for params in block[:5]:
+            assert keep(*([x] for x in params)) == [_full_accepts(F, lam, params, general_position)]
+    assert {("v0 = 0", False), ("D = 0", False), ("base locus", False), ("v0 D = 0, F != 0", False),
+            ("cofactor sum 0", True), ("cofactor sum 0", False), ("l0 . coords != 0", False)} <= seen
+    assert (("v0 D = 0, F != 0", True) in seen) != general_position
 
 
 @pytest.mark.parametrize("n", (0, 1, 5, 31))
