@@ -34,7 +34,7 @@ from .certificates import Certificate
 from .fields import Field, PrimeField, QQ
 from .geometry import (AIDX, LineA, PointA, QUADRIC_TERMS, _line_conditions, _quadric, line_in_q,
                        quadrics_vanish_on)
-from .linalg import rank
+from .linalg import rank, solver
 from .polynomials import Poly, PolyMatrix, VarTable, bounded_degree_kernel, monomials_up_to
 from .strata import TORSION_SPACES, TorsionSpace, rank_a
 
@@ -151,38 +151,33 @@ def hyp_evaluate(params: Sequence, reduce) -> Optional[tuple]:
     return tuple(coords) if any(coords) else None
 
 
-def _hyp_jacobian(field: Field, params: Sequence) -> list:
-    """The 12x10 Jacobian of the parametrization at canonical ``params``,
-    by the product rule over the atoms of ``HYP_FACTORED`` (an atom's
-    partial derivatives are constants or single parameters).  The derivative
-    of sign * f_1 ... f_n, f_k = atom^e, by the atom of f_k is the prefix
-    sign * f_1 ... f_(k-1) times e atom^(e-1) times the suffix f_(k+1) ... f_n:
-    O(n) per component, exact where an atom vanishes, free of division."""
-    reduce = field.canonical
-    w0, w1, x0, x1 = params[2:6]
-    atoms = _hyp_atoms(params, reduce)
-    # per atom, {parameter index: partial of the atom by that parameter}
-    partials = [{j: 1} for j in range(10)] + [
-        {2: -x0, 3: x1, 4: -w0, 5: w1},  # D = x1*w1 - x0*w0
-        {4: 1, 5: 1},  # X = x1 + x0
-        {2: 1, 3: 1},  # W = w1 + w0
-    ]
-    rows = []
-    for sign, exps in HYP_FACTORED:
-        factors = [(k, e, atoms[k]) for k, e in enumerate(exps) if e]
-        prefix = [sign]  # prefix[n]: sign times the first n powers
-        for _, e, a in factors:
-            prefix.append(prefix[-1] * a ** e)
-        suffix = 1  # the product of the powers after the current one
-        row = [0] * 10
-        for n in range(len(factors) - 1, -1, -1):
-            k, e, a = factors[n]
-            d = prefix[n] * suffix * e * a ** (e - 1)
-            for j, da in partials[k].items():
-                row[j] += d * da
-            suffix *= a ** e
-        rows.append([reduce(c) for c in row])
-    return rows
+def _hyp_rank_table(field: Field):
+    """``(rank C, rows)`` for :func:`_hyp_jacobian_rank`, from one elimination.
+
+    Where no atom vanishes, dc_i/dp_j = c_i sum_k e_ik (da_k/dp_j) / a_k
+    (exponents e_ik of ``HYP_FACTORED``).  Scaling row i by 1/c_i and column
+    j by p_j gives e_ij plus terms of D, X, W, which are 0 off the columns
+    w0, w1, x0, x1; the other six are a constant block C, so rank J = rank C
+    + rank L V for the point's block V and the checks L of C.  A row per
+    check: L's sums of the exponents of w0, w1, x0, x1 and of D, X, W.
+    """
+    _, _, checks = solver(field, [[exps[j] for j in (0, 1, 6, 7, 8, 9)] for _, exps in HYP_FACTORED], 6)
+    sums = [[sum(v * HYP_FACTORED[r][1][k] for r, v in c.items()) for k in range(13)] for c in checks]
+    return 12 - len(checks), [(s[2:6], s[10:]) for s in sums]
+
+
+def _hyp_jacobian_rank(field: Field, rank_table, atoms) -> int:
+    """The Jacobian's rank where none of the 13 canonical ``atoms`` vanishes:
+    rank C plus the rank of L V times D X W (no inverse needed)."""
+    rank_c, rows = rank_table
+    _, _, w0, w1, x0, x1, _, _, _, _, D, X, W = atoms
+    # p_j (da/dp_j) / a times D X W on the columns w0, w1, x0, x1: a = D on
+    # (w0, x0) and (w1, x1), a = X on x0 and x1, a = W on w0 and w1
+    d0, d1, dxw = -w0 * x0 * X * W, w1 * x1 * X * W, D * X * W
+    tx0, tx1, tw0, tw1 = x0 * D * W, x1 * D * W, w0 * D * X, w1 * D * X
+    return rank_c + rank(field, [[e0 * dxw + d * d0 + w * tw0, e1 * dxw + d * d1 + w * tw1,
+                                  e2 * dxw + d * d0 + x * tx0, e3 * dxw + d * d1 + x * tx1]
+                                 for (e0, e1, e2, e3), (d, x, w) in rows])
 
 
 def hyp_point(field: Field, params: Sequence) -> PointA:
@@ -217,12 +212,17 @@ def verify_hyp_param(seed: int = 2024) -> Certificate:
     """Certificate for the hyperelliptic-locus parametrization.
 
     Checks: (i) all four quadrics pull back to the zero polynomial over Q;
-    (ii) the Jacobian of the map has rank 6 at 20 random points of F_10007
-    (resampling where a factor of ``HYP_FACTORED`` vanishes: such points,
-    the base locus among them, are not generic); (iii) the a-matrix has
-    rank exactly 3 at the same image points; (iv) every component is
-    multihomogeneous of multidegree (2,5,3,2,2).
+    (ii) the Jacobian of the map has rank 6 at 20 random points of F_10007,
+    read off the exponent table (:func:`_hyp_rank_table`: one elimination
+    per call, an 8x4 rank per point), which holds only where no atom of
+    ``HYP_FACTORED`` vanishes: such points, the base locus among them, are
+    redrawn; (iii) the a-matrix has rank exactly 3 at the same image
+    points; (iv) every component is multihomogeneous of multidegree
+    (2,5,3,2,2).  A negative ``seed`` raises :class:`FamilyError` first:
+    ``random.Random`` would draw the points of its absolute value.
     """
+    if seed < 0:
+        raise FamilyError(f"seed {seed} is below 0; random.Random would draw seed {-seed}'s points")
     F, samples = _HYP_CHECK_FIELD, _HYP_CHECK_SAMPLES
     cert = Certificate("hyp-param")
     comps = hyp_components()
@@ -248,27 +248,21 @@ def verify_hyp_param(seed: int = 2024) -> Certificate:
     )
 
     rng = random.Random(seed)
-    rank_ok, rank_a_ok = True, True
+    rank_table = _hyp_rank_table(F)
     done = 0
     while done < samples:
         params = [F.random(rng) for _ in range(10)]
-        if 0 in _hyp_atoms(params, F.canonical):
+        atoms = _hyp_atoms(params, F.canonical)
+        if 0 in atoms:
             continue
         done += 1
-        jr = rank(F, _hyp_jacobian(F, params))
-        if jr != 6:
-            rank_ok = False
-            cert.data.setdefault("jacobian_failures", []).append(
-                {"params": [F.format_scalar(x) for x in params], "rank": jr}
-            )
-        ar = rank_a(PointA(F, hyp_point_raw(F, params)))
-        if ar != 3:
-            rank_a_ok = False
-            cert.data.setdefault("rank_a_failures", []).append(
-                {"params": [F.format_scalar(x) for x in params], "rank": ar}
-            )
-    cert.add("jacobian-rank-6", rank_ok, f"{samples} samples over {F}")
-    cert.add("image-rank-a-3", rank_a_ok, f"{samples} samples over {F}")
+        for key, got, want in (("jacobian_failures", _hyp_jacobian_rank(F, rank_table, atoms), 6),
+                               ("rank_a_failures", rank_a(PointA(F, hyp_point_raw(F, params))), 3)):
+            if got != want:
+                failure = {"params": [F.format_scalar(x) for x in params], "rank": got}
+                cert.data.setdefault(key, []).append(failure)
+    cert.add("jacobian-rank-6", "jacobian_failures" not in cert.data, f"{samples} samples over {F}")
+    cert.add("image-rank-a-3", "rank_a_failures" not in cert.data, f"{samples} samples over {F}")
     return cert
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import random
 import sys
 from array import array
+from itertools import combinations
 from operator import mul
 from typing import Optional, Sequence
 
@@ -170,7 +171,7 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
     at a time, charged at once (where the budget runs out among them, the
     stream is rewound to just after the draw whose charge raises): at T01|23
     torsion points by a combination q_i(R) (:func:`_vanishing`), at generic
-    and hyp points by q_0 and q_1 on the line (:func:`_coprime_on_line`).
+    and hyp points by a pair of the quadrics on the line (:func:`_coprime_on_line`).
     The other draws get their tables from packed ints (:func:`_packed`).
     """
     p = _require_search_field(field)
@@ -189,7 +190,8 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
     # sum k_i q_i(w) = a x + b y + c for k in the kernel: those free of x and
     # y as sparse (j, l, coeff) terms of c_j c_l, the others as dense vectors
     free, mixed = [], []
-    for k in nullspace(field, [qu, buv, qv], 4):
+    kernel = nullspace(field, [qu, buv, qv], 4)
+    for k in kernel:
         a, b, c = ([sum(map(mul, k, col)) % p for col in zip(*table)] for table in (bu, bv, gram))
         if any(a) or any(b):
             mixed.append((a, b, c))
@@ -205,7 +207,7 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
 
     keep = _vanishing(p, free.pop(0)) if free else None
     if n == 1 and not keep and any(mixed[0][1]):  # a line in (x, y) for all but 1 draw in p
-        keep = _coprime_on_line(p, mixed[0], bu, bv, gram, qu, buv, qv)
+        keep = _coprime_on_line(p, kernel[0], mixed[0], bu, bv, gram, qu, buv, qv)
     draws = _BlockDraws(rng, p, 5, keep)
     try:
         for coeffs, skipped in draws:
@@ -274,15 +276,18 @@ def _vanishing(p, terms):
     return keep
 
 
-def _coprime_on_line(p, mixed, bu, bv, gram, qu, buv, qv):
-    """The column test where K is one mixed combination a x + b y + c: per
-    draw, whether q_0 and q_1 restricted to the draw's line have resultant 0,
-    as they do where b = 0 (both multiples of (a x + c)^2; the loop solves for
-    x); no other draw has a solution.  Tables are summed for the whole block
+def _coprime_on_line(p, k, mixed, bu, bv, gram, qu, buv, qv):
+    """The column test where K is one mixed combination sum k_i q_i = a x +
+    b y + c: per draw, whether q_i and q_j restricted to the draw's line have
+    resultant 0, as they do where b = 0 (both multiples of (a x + c)^2; the
+    loop solves for x); no other draw has a solution.  (i, j) is the first
+    pair not holding the support of k: on every line, a pair holding it is
+    dependent and has resultant 0.  Tables are summed for the whole block
     on ints packing a column each, a draw per 32-bit slot (64-bit for p >
     653): no sum reaches 15 p^3, so none carries."""
-    (qu0, qu1, *_), (buv0, buv1, *_), (qv0, qv1, *_) = qu, buv, qv
-    linear, quadratic = (*mixed[:2], bu[0], bv[0], bu[1], bv[1]), (mixed[2], gram[0], gram[1])
+    i, j = next(pair for pair in combinations(range(4), 2) if any(k[m] for m in range(4) if m not in pair))
+    (qu0, qu1), (buv0, buv1), (qv0, qv1) = (qu[i], qu[j]), (buv[i], buv[j]), (qv[i], qv[j])
+    linear, quadratic = (*mixed[:2], bu[i], bv[i], bu[j], bv[j]), (mixed[2], gram[i], gram[j])
     code = "I" if 15 * p ** 3 < 1 << 32 else "Q"
 
     def sums(tables, columns):
@@ -291,7 +296,7 @@ def _coprime_on_line(p, mixed, bu, bv, gram, qu, buv, qv):
         return [array(code, sum(map(mul, t, packed)).to_bytes(size, sys.byteorder)) for t in tables]
 
     def keep(*columns):
-        products = [list(map(mul, columns[j], columns[l])) for j, l in _PAIRS]
+        products = [list(map(mul, columns[m], columns[n])) for m, n in _PAIRS]
         flags = []
         for a, b, u0, v0, u1, v1, c, r0, r1 in zip(*sums(linear, columns), *sums(quadratic, products)):
             line = (a, b, c)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -144,6 +145,19 @@ def test_verify_hyp_param_resamples_vanishing_factors(seed):
     # each seed draws parameters where a factor of HYP_FACTORED vanishes;
     # there the Jacobian or the a-matrix drops rank, so they are redrawn
     assert verify_hyp_param(seed=seed).passed
+
+
+@pytest.mark.parametrize("seed", (-1, -5))
+def test_verify_hyp_param_rejects_a_negative_seed(monkeypatch, seed):
+    # random.Random(-5) would draw seed 5's points: a typed error, raised
+    # before the certificate draws or computes anything
+    def no_work(*args):
+        raise AssertionError("verify_hyp_param worked on a negative seed")
+
+    monkeypatch.setattr(fam, "random", SimpleNamespace(Random=no_work))
+    monkeypatch.setattr(fam, "hyp_components", no_work)
+    with pytest.raises(FamilyError, match=f"seed {seed} is below 0"):
+        verify_hyp_param(seed=seed)
 
 
 def test_verifier_detects_mutation():

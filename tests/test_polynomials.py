@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from godeaux_lines.families import (HYP_FACTORED, _hyp_atoms, _hyp_jacobian_rank, _hyp_rank_table,
+                                    hyp_components)
 from godeaux_lines.fields import FieldError, PrimeField, QQ
 from godeaux_lines.geometry import AIDX, ORDER, a_vartable, quadrics
 from godeaux_lines.linalg import rank
@@ -205,23 +207,63 @@ def test_jacobian_of_quadrics_rank_4_on_q(f31, generic_line):
         assert rank(f31, values) == 4
 
 
-def test_jacobian_of_hyp_parametrization_rank_6(f10007):
-    from godeaux_lines.families import _hyp_jacobian, hyp_point_raw
+def _hyp_jacobian(field, params):
+    """The oracle: the 12x10 Jacobian of the parametrization at canonical
+    ``params``, by the product rule over the atoms of ``HYP_FACTORED`` (an
+    atom's partial derivatives are constants or single parameters).  The
+    derivative of sign * f_1 ... f_n, f_k = atom^e, by the atom of f_k is the
+    prefix sign * f_1 ... f_(k-1) times e atom^(e-1) times the suffix
+    f_(k+1) ... f_n: exact where an atom vanishes, free of division."""
+    reduce = field.canonical
+    w0, w1, x0, x1 = params[2:6]
+    atoms = _hyp_atoms(params, reduce)
+    # per atom, {parameter index: partial of the atom by that parameter}
+    partials = [{j: 1} for j in range(10)] + [
+        {2: -x0, 3: x1, 4: -w0, 5: w1},  # D = x1*w1 - x0*w0
+        {4: 1, 5: 1},  # X = x1 + x0
+        {2: 1, 3: 1},  # W = w1 + w0
+    ]
+    rows = []
+    for sign, exps in HYP_FACTORED:
+        factors = [(k, e, atoms[k]) for k, e in enumerate(exps) if e]
+        prefix = [sign]  # prefix[n]: sign times the first n powers
+        for _, e, a in factors:
+            prefix.append(prefix[-1] * a ** e)
+        suffix = 1  # the product of the powers after the current one
+        row = [0] * 10
+        for n in range(len(factors) - 1, -1, -1):
+            k, e, a = factors[n]
+            d = prefix[n] * suffix * e * a ** (e - 1)
+            for j, da in partials[k].items():
+                row[j] += d * da
+            suffix *= a ** e
+        rows.append([reduce(c) for c in row])
+    return rows
 
+
+def _generic_hyp_atoms(field, rng):
+    """The atoms at seeded parameters, redrawn until none vanishes."""
+    while True:
+        atoms = _hyp_atoms([field.random(rng) for _ in range(10)], field.canonical)
+        if 0 not in atoms:
+            return atoms
+
+
+def test_jacobian_of_hyp_parametrization_rank_6(f10007):
+    # the rank verify hyp-param certifies, against the product-rule oracle;
+    # the constant columns v0, v1, y0, y1, z0, z1 have rank 4 (v0 + v1 =
+    # y0 + y1 = z0 + z1 = 2 in every row), so each point ranks 8 rows of 4
+    rank_table = _hyp_rank_table(f10007)
+    assert (rank_table[0], len(rank_table[1])) == (4, 8)
     rng = random.Random(9)
-    done = 0
-    while done < 3:
-        params = [f10007.random(rng) for _ in range(10)]
-        if hyp_point_raw(f10007, params) is None:
-            continue
-        assert rank(f10007, _hyp_jacobian(f10007, params)) == 6
-        done += 1
+    for _ in range(3):
+        atoms = _generic_hyp_atoms(f10007, rng)
+        assert _hyp_jacobian_rank(f10007, rank_table, atoms) == 6
+        assert rank(f10007, _hyp_jacobian(f10007, atoms[:10])) == 6
 
 
 @pytest.mark.parametrize("field, points", [(PrimeField(10007), 120), (QQ, 4)], ids=["F_10007", "Q"])
 def test_hyp_jacobian_matches_symbolic_derivative(field, points):
-    from godeaux_lines.families import _hyp_jacobian, hyp_components
-
     symbolic = jacobian([c.map_field(field) for c in hyp_components()])
     rng = random.Random(f"jacobian-{field}")
     # the base locus and a zero atom (v0 = 0, D = X = W = 0) included
@@ -231,6 +273,21 @@ def test_hyp_jacobian_matches_symbolic_derivative(field, points):
         params = [field.canonical(x) for x in params]
         want = [[d.eval(params) for d in row] for row in symbolic]
         assert _hyp_jacobian(field, params) == want
+
+
+@pytest.mark.parametrize("p", (5, 7, 31, 10007))
+def test_hyp_jacobian_rank_matches_symbolic_jacobian(p):
+    # at seeded points where no atom vanishes, the rank read off the
+    # exponent table is the rank of the symbolic Jacobian (a sign flipped in
+    # one of its D, X, W terms reads 7 at every such point over F_31)
+    field = PrimeField(p)
+    symbolic = jacobian([c.map_field(field) for c in hyp_components()])
+    rank_table = _hyp_rank_table(field)
+    rng = random.Random(f"hyp-rank-{p}")
+    for _ in range(300):
+        atoms = _generic_hyp_atoms(field, rng)
+        want = rank(field, [[d.eval(atoms[:10]) for d in row] for row in symbolic])
+        assert _hyp_jacobian_rank(field, rank_table, atoms) == want
 
 
 # ----------------------------------------------------------------------

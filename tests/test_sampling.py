@@ -646,16 +646,23 @@ def test_pair_resultants_match_coprime_pair_oracle(p, gcd_calls):
 
 @pytest.mark.parametrize("p", (3, 5, 31, 10007, 999983))
 def test_coprime_on_line_matches_pair_oracle(p):
-    # the column test at points with one mixed combination a x + b y + c,
-    # over seeded blocks of draws and sparse tables (so b = 0, vanishing
-    # restrictions and zero resultants all occur): a draw is kept exactly
-    # when b = 0 or q_0 and q_1 restricted to its line y = alpha x + beta
-    # have resultant 0.  The largest tables and draws (all p - 1) check that
-    # the per-draw slots never carry, with the widest slots under the cutoff
+    # the column test at points with one mixed combination sum k_i q_i =
+    # a x + b y + c, over seeded blocks of draws and sparse tables (so b = 0,
+    # vanishing restrictions and zero resultants all occur): a draw is kept
+    # exactly when b = 0 or q_i and q_j restricted to its line y = alpha x +
+    # beta have resultant 0, for the first pair (i, j) not holding the
+    # support of k.  The largest tables and draws (all p - 1) check that the
+    # per-draw slots never carry, with the widest slots under the cutoff
     rng = random.Random(p)
     pairs = [(j, l) for j in range(5) for l in range(j, 5)]
+    # support of k: the pair the column test must use
+    tested = {(0, 1, 2, 3): (0, 1), (0, 2): (0, 1), (2, 3): (0, 1),
+              (0, 1): (0, 2), (1,): (0, 2), (0,): (1, 2)}
     seen = set()
     for trial in range(40):
+        support = list(tested)[trial % len(tested)]
+        k = [rng.randrange(1, p) if m in support else 0 for m in range(4)]
+        i, j = tested[support]
         top = trial == 0
         sparse = rng.choice((0.0, 0.3, 0.7))
 
@@ -668,7 +675,7 @@ def test_coprime_on_line_matches_pair_oracle(p):
         qu, buv, qv = table(4), table(4), table(4)
         block = [[p - 1 if top else rng.choice((0, rng.randrange(p))) for _ in range(5)]
                  for _ in range(rng.randrange(1, 130))]
-        flags = sampling._coprime_on_line(p, mixed, bu, bv, gram, qu, buv, qv)(*map(list, zip(*block)))
+        flags = sampling._coprime_on_line(p, k, mixed, bu, bv, gram, qu, buv, qv)(*map(list, zip(*block)))
         assert len(flags) == len(block)
         for coeffs, flag in zip(block, flags):
             def lin(t):
@@ -681,11 +688,46 @@ def test_coprime_on_line_matches_pair_oracle(p):
             bur, bvr, qr = [lin(t) for t in bu], [lin(t) for t in bv], [quad(t) for t in gram]
             if b:
                 inv = pow(-b, -1, p)
-                assert flag == (not _coprime_pair(p, (a * inv % p, c * inv % p), qu, buv, qv, qr, bur, bvr))
+                tables = ([t[i], t[j]] for t in (qu, buv, qv, qr, bur, bvr))
+                assert flag == (not _coprime_pair(p, (a * inv % p, c * inv % p), *tables))
             else:
                 assert flag
             seen.add((b == 0, flag))
     assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_column_test_rejects_draws_where_k_is_a_q0_q1_combination(monkeypatch):
+    # the first point of sample-p31's hyp pool slot 4 (sample --seed 1,
+    # record seed 1,000,007): its one kernel combination is 18 q_0 + q_1, so
+    # q_0 and q_1 restrict to proportional forms on every draw's line, and
+    # the column test must take another pair to reject any draw; the partner,
+    # the trials and the stream stay those of the plain scan
+    F = PrimeField(31)
+    rng = random.Random(1_000_007)
+    tracker = _Budget("hyp", 10**7)
+    point = _random_hyp_point(F, rng, tracker)
+    scan_rng, scan_tracker = random.Random(), _Budget("hyp", 10**7)
+    scan_rng.setstate(rng.getstate())
+    scan_tracker.used = tracker.used
+    kernels, flags = [], []
+    column_test = sampling._coprime_on_line
+
+    def spy(p, k, *tables):
+        kernels.append(tuple(k))
+        keep = column_test(p, k, *tables)
+
+        def logged(*columns):
+            kept = keep(*columns)
+            flags.extend(kept)
+            return kept
+        return logged
+
+    monkeypatch.setattr(sampling, "_coprime_on_line", spy)
+    partner = tangent_cone_partner(F, point, rng, tracker)
+    assert kernels == [(18, 1, 0, 0)]
+    assert flags.count(False) > len(flags) // 2
+    assert partner.coords == _scan_partner(F, point, scan_rng, scan_tracker).coords
+    assert (tracker.used, rng.getstate()) == (scan_tracker.used, scan_rng.getstate())
 
 
 @pytest.mark.parametrize("p", (3, 31, 10007, 999983))
