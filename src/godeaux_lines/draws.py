@@ -4,7 +4,6 @@ where the ``randrange`` calls would have."""
 
 import struct
 from itertools import compress
-from typing import Optional
 
 #: stream words per block draw, and blocks per saved state (``getstate`` costs about a block)
 _BLOCK_WORDS = 512
@@ -28,7 +27,9 @@ class _BlockDraws:
     after ``stop``.  ``rng`` runs up to a block ahead: :meth:`sync`
     restores a state saved at most :data:`_BLOCKS_PER_STATE` - 1 blocks
     back and redraws exactly the words used since, which leaves ``rng``
-    where the ``randrange`` calls would have.
+    where the ``randrange`` calls would have after the last yielded draw.
+    The partner searches promise that state only when they return; after
+    their budget runs out, it is unspecified.
     """
 
     def __init__(self, rng, p: int, n: int, keep=None, stop: float = float("inf")):
@@ -61,17 +62,15 @@ class _BlockDraws:
             kept = range(full) if keep is None else compress(range(full), keep(*columns))
             self.end = 0
             for i in kept:
-                self.start, self.end = self.end, i + 1
-                yield values[i * n:i * n + n], i - self.start
-            self.start, self.end = self.end, full
-            yield None, full - self.start
+                start, self.end = self.end, i + 1
+                yield values[i * n:i * n + n], i - start
+            start, self.end = self.end, full
+            yield None, full - start
 
-    def sync(self, consumed: Optional[int] = None):
-        """Leave ``rng`` just after the last yielded draw, or after ``consumed``
-        (>= 1) draws of the last yield's run; later calls do nothing."""
+    def sync(self):
+        """Leave ``rng`` just after the last yielded draw; later calls do nothing."""
         if self.state is not None:
-            used = self.end if consumed is None else self.start + consumed  # draws of this block
             kept = [k for k, w in enumerate(_WORDS.unpack(self.raw)) if w < self.bound]
             self.rng.setstate(self.state)
-            self.rng.getrandbits(32 * (self.behind + kept[used * self.n - 1 - self.carried] + 1))
+            self.rng.getrandbits(32 * (self.behind + kept[self.end * self.n - 1 - self.carried] + 1))
             self.state = None

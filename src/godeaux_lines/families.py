@@ -218,9 +218,12 @@ def verify_hyp_param(seed: int = 2024) -> Certificate:
     ``HYP_FACTORED`` vanishes: such points, the base locus among them, are
     redrawn; (iii) the a-matrix has rank exactly 3 at the same image
     points; (iv) every component is multihomogeneous of multidegree
-    (2,5,3,2,2).  A negative ``seed`` raises :class:`FamilyError` first:
-    ``random.Random`` would draw the points of its absolute value.
+    (2,5,3,2,2).  A ``seed`` that is not an int, or is a bool, raises
+    :class:`FamilyError` first, and so does a negative one: ``random.Random``
+    would draw the points of its absolute value.
     """
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise FamilyError(f"seed must be an int, not {type(seed).__name__}")
     if seed < 0:
         raise FamilyError(f"seed {seed} is below 0; random.Random would draw seed {-seed}'s points")
     F, samples = _HYP_CHECK_FIELD, _HYP_CHECK_SAMPLES
@@ -257,7 +260,7 @@ def verify_hyp_param(seed: int = 2024) -> Certificate:
             continue
         done += 1
         for key, got, want in (("jacobian_failures", _hyp_jacobian_rank(F, rank_table, atoms), 6),
-                               ("rank_a_failures", rank_a(PointA(F, hyp_point_raw(F, params))), 3)):
+                               ("rank_a_failures", rank_a(PointA(F, hyp_evaluate(params, F.canonical))), 3)):
             if got != want:
                 failure = {"params": [F.format_scalar(x) for x in params], "rank": got}
                 cert.data.setdefault(key, []).append(failure)

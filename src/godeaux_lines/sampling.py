@@ -12,12 +12,12 @@ and two-torsion lines draw through ``randrange``.  The partner searches
 draw the same values a block at a time through :mod:`draws` and test all
 of a block's draws at once: the two-hyp test decides acceptance, the
 tangent-cone test makes most rejections.  They charge the rejected draws'
-trials in one step and rewind the stream to where the one-draw loop
-stops, so trials and lines are unchanged.  A tangent-cone draw that an
-exact certificate shows cannot succeed is charged the trials its scan
-would have taken.  Each strategy re-verifies its promise through the
-classifier (:func:`_fulfils`) and retries otherwise; a configurable trial
-budget guards termination.
+trials in one step and leave the stream where the one-draw loop stops,
+so trials and lines are unchanged; a tangent-cone draw costs x + 1 trials
+when it yields a partner at x, else p.  Each strategy re-verifies its
+promise through the classifier (:func:`_fulfils`) and retries otherwise;
+a trial budget guards termination, and after :class:`BudgetExhausted`
+the stream's state is unspecified.
 
 Strategies: ``generic``, ``torsion`` (one named torsion P^3), ``two-torsion``
 (a pair of them), ``hyp`` (one hyperelliptic point), ``two-hyp`` (two
@@ -90,9 +90,10 @@ class _Budget:
 
     def spend(self, n: int = 1):
         """Use n trials; over the limit, raise where the n single trials
-        would have, with ``used`` one past the limit.  So a bulk charge of
-        ``cost`` trials for each of k skipped draws raises exactly when the
-        single charges would, on the ``(limit - used) // cost + 1``-th."""
+        would have, with ``used`` one past the limit.  So a bulk charge (a
+        draw's trials, or those of a run of rejected draws) raises exactly
+        when some prefix of its single charges would, with the same count;
+        the search's stream is then left unspecified."""
         if self.used + n > self.limit:
             self.used = max(self.used, self.limit) + 1
             raise BudgetExhausted(self.strategy, self.used)
@@ -153,9 +154,11 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
     coefficients (the part R of w = x u + y v + R), and the search runs over
     the u-coefficient x in ascending order, solving q_0 = 0 as an exact
     quadratic in the v-coefficient y and testing q_1..q_3 on the at most two
-    roots.  Each x costs one trial of the budget.  Where q_0(x, .) is
-    identically zero, only y = 0 and y = 1 are tried (:func:`_solve_quadratic`),
-    so a partner at that x can be missed; the stored bytes depend on this.
+    roots.  A draw costs x + 1 trials when it yields a partner at x and p
+    otherwise (one per x the plain scan tries), charged in one step.
+    Where q_0(x, .) is identically zero, only y = 0 and y = 1 are tried
+    (:func:`_solve_quadratic`), so a partner at that x can be missed; the
+    stored bytes depend on this.
 
     Before that scan, a draw gets an exact certificate.  The combinations
     sum k_i q_i(w), k in the left kernel K of the 4x3 matrix of quadratic
@@ -163,13 +166,12 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
     solution lies on their common zero set: when it is empty, the draw
     fails; when it forces x to one value x0, only x0 is tried; when it is a
     line, the quadrics restricted to it must share a factor
-    (:func:`_share_a_factor`), else the draw fails.  A failed draw spends
-    its p trials at once, so the draws, the trial count, the stream state
-    and the returned point are those of the plain scan.
+    (:func:`_share_a_factor`), else the draw fails.  So the draws, the
+    trial count, the stream state and the returned point are those of the
+    plain scan; after :class:`BudgetExhausted` only the stream is not.
 
     The block draws (:class:`_BlockDraws`) reject most failing draws a block
-    at a time, charged at once (where the budget runs out among them, the
-    stream is rewound to just after the draw whose charge raises): at T01|23
+    at a time, their p trials each charged in one step per yield: at T01|23
     torsion points by a combination q_i(R) (:func:`_vanishing`), at generic
     and hyp points by a pair of the quadrics on the line (:func:`_coprime_on_line`).
     The other draws get their tables from packed ints (:func:`_packed`).
@@ -211,11 +213,7 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
     draws = _BlockDraws(rng, p, 5, keep)
     try:
         for coeffs, skipped in draws:
-            if skipped:
-                if skipped > (budget.limit - budget.used) // p:
-                    # single charges of p would raise on the first skipped draw that does not fit
-                    draws.sync((budget.limit - budget.used) // p + 1)
-                budget.spend(p * skipped)
+            budget.spend(p * skipped)
             if coeffs is None:
                 continue
             if any(sum(t * coeffs[j] * coeffs[l] for j, l, t in terms) % p for terms in free):
@@ -239,10 +237,7 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
             if line and not _share_a_factor(field, (line[0], -1, line[1]), qu, buv, qv, bur, bvr, qr):
                 budget.spend(p)
                 continue
-            if x0 is not None:
-                budget.spend(x0)
             for x in range(p) if x0 is None else (x0,):
-                budget.spend()
                 B = (x * buv[0] + bvr[0]) % p
                 C = (x * x * qu[0] + x * bur[0] + qr[0]) % p
                 for y in _solve_quadratic(p, qv[0], B, C):
@@ -259,9 +254,9 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
                         partner = PointA(field, w)
                         if not partner.on_quadric_intersection():
                             raise SamplingError("tangent cone scan left Q")
+                        budget.spend(x + 1)
                         return partner
-            if x0 is not None:
-                budget.spend(p - 1 - x0)
+            budget.spend(p)
     finally:
         draws.sync()
 
@@ -537,8 +532,9 @@ def _two_hyp_partner(
     tangency forms l_k . coords = 0 (k = 0..3, the rows of the Jacobian at
     p).  The block draws (:class:`_BlockDraws`) decide that in their column
     test (:func:`_two_hyp_test`), which builds all 12 coordinates for about
-    1 draw in p.  The draws stop after ``cap``, or where the budget would
-    run out, with the stream just after the last one, as in the one-draw loop.
+    1 draw in p.  The draws stop after ``cap``, with the stream just after
+    the last one, as in the one-draw loop (unspecified where the budget
+    runs out first).
 
     The locus carries distinguished degenerate partners (one a-matrix row
     vanishes at them) that the rejection hits far more often than general
@@ -547,9 +543,7 @@ def _two_hyp_partner(
     """
     p = field.p  # sample_line checked it
     lam = [[int(x) for x in row] for row in jacobian_at(field, point.coords)]
-    # at most cap draws, and none past the budget's limit
-    stop = min(cap, budget.limit - budget.used)
-    draws = _BlockDraws(rng, p, 10, _two_hyp_test(p, lam, general_position), stop)
+    draws = _BlockDraws(rng, p, 10, _two_hyp_test(p, lam, general_position), cap)
     try:
         for params, skipped in draws:
             budget.spend(skipped + (params is not None))
@@ -557,8 +551,6 @@ def _two_hyp_partner(
                 return PointA(field, hyp_evaluate(params, p.__rmod__))
     finally:
         draws.sync()
-    if stop < cap:
-        budget.spend()  # the next draw's trial is past the limit
     return None
 
 
@@ -598,12 +590,16 @@ def sample_line(
     (1, 1, 1, 1)); such lines are about 65x rarer in the rejection search
     (p = 31, seeds 0-9: a median of 293,971 trials against 4,417).
     Raises :class:`BudgetExhausted` when the trial budget runs out, and
-    every other :class:`SamplingError` (bad arguments: a negative ``seed``,
+    every other :class:`SamplingError` (bad arguments: a ``seed`` or
+    ``budget`` that is not an int, or is a bool, a negative ``seed``,
     ``space``, ``spaces`` or ``general_position`` given to a strategy that
     does not take it, and others) before the first draw.
     """
     if strategy not in STRATEGIES:
         raise SamplingError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    for name, value in (("seed", seed), ("budget", budget)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise SamplingError(f"{name} must be an int, not {type(value).__name__}")
     if budget < 1:
         raise SamplingError(f"budget {budget} is below 1; no trial can run")
     if seed < 0:

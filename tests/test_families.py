@@ -147,16 +147,29 @@ def test_verify_hyp_param_resamples_vanishing_factors(seed):
     assert verify_hyp_param(seed=seed).passed
 
 
+def _no_hyp_param_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("verify_hyp_param worked on a bad seed")
+
+    monkeypatch.setattr(fam, "random", SimpleNamespace(Random=no_work))
+    monkeypatch.setattr(fam, "hyp_components", no_work)
+
+
 @pytest.mark.parametrize("seed", (-1, -5))
 def test_verify_hyp_param_rejects_a_negative_seed(monkeypatch, seed):
     # random.Random(-5) would draw seed 5's points: a typed error, raised
     # before the certificate draws or computes anything
-    def no_work(*args):
-        raise AssertionError("verify_hyp_param worked on a negative seed")
-
-    monkeypatch.setattr(fam, "random", SimpleNamespace(Random=no_work))
-    monkeypatch.setattr(fam, "hyp_components", no_work)
+    _no_hyp_param_work(monkeypatch)
     with pytest.raises(FamilyError, match=f"seed {seed} is below 0"):
+        verify_hyp_param(seed=seed)
+
+
+@pytest.mark.parametrize("seed", (True, 1.5, "3", None))
+def test_verify_hyp_param_rejects_a_seed_that_is_not_an_int(monkeypatch, seed):
+    # True would draw seed 1's points, "3" and None fail untyped: a typed
+    # error, raised before the certificate draws or computes anything
+    _no_hyp_param_work(monkeypatch)
+    with pytest.raises(FamilyError, match=f"seed must be an int, not {type(seed).__name__}"):
         verify_hyp_param(seed=seed)
 
 

@@ -189,6 +189,12 @@ def _argument_error_cases():
     # random.Random(-n) seeds like n, so a negative seed would repeat a line
     for strategy in sampling.STRATEGIES:
         yield pytest.param(strategy, PrimeField(31), {"seed": -1}, id=f"{strategy}-seed-1")
+    # a seed or budget that is not an int: True would draw seed 1's line but
+    # record true, 1.5 be recorded as given, "3" and None fail untyped
+    for strategy in sampling.STRATEGIES:
+        for name in ("seed", "budget"):
+            for value in (True, 1.5, "3", None):
+                yield pytest.param(strategy, PrimeField(31), {name: value}, id=f"{strategy}-{name}-{value!r}")
     # an option only another strategy takes
     options = (
         ("torsion", "space", TORSION_SPACES[1]),
@@ -289,13 +295,14 @@ def _scan_partner(field, point, rng, budget):
 
 
 def _search(search, field, point, seed, limit, budget_type=_Budget):
-    """(outcome, budget.used, rng state, budget) of one partner search."""
+    """(outcome, budget.used, rng state, budget) of one partner search; the
+    state is None when the budget runs out, which leaves it unspecified."""
     rng = random.Random(seed)
     budget = budget_type("test", limit)
     try:
         outcome = search(field, point, rng, budget).coords
     except BudgetExhausted as err:
-        outcome = ("exhausted", err.trials)
+        return ("exhausted", err.trials), budget.used, None, budget
     return outcome, budget.used, rng.getstate(), budget
 
 
@@ -363,15 +370,30 @@ class _LoggedBudget(_Budget):
         super().spend(n)
 
 
-def test_budget_runs_out_inside_skipped_and_forced_draws():
+def test_budget_runs_out_inside_skipped_and_forced_draws(monkeypatch):
     # a failed draw spends its p trials, alone or in one step with the other
-    # failed draws of a block; a draw with a forced x spends x0, then 1 for
-    # the tried x0, then p - 1 - x0; a budget that runs out anywhere inside
-    # any of these must stop where the scan stops
+    # failed draws of a block, and so does a failed draw with a forced x; a
+    # budget that runs out anywhere inside any of these must stop with the
+    # trials of the scan
     p = 31
     F = PrimeField(p)
     point = random_q_point(F, random.Random(7), _Budget("test", 10**6))
-    _, used, _, budget = _search(tangent_cone_partner, F, point, 0, 10**6, _LoggedBudget)
+    budgets, answers = [], []
+    solve = sampling._affine_solutions
+
+    def logged(strategy, limit):
+        budgets.append(_LoggedBudget(strategy, limit))
+        return budgets[-1]
+
+    def spy(p, eqs):
+        answer = solve(p, eqs)
+        if answer is not None and answer[0] is not None:
+            answers.append((budgets[-1].used, answer[0]))
+        return answer
+
+    monkeypatch.setattr(sampling, "_affine_solutions", spy)
+    _, used, _, budget = _search(tangent_cone_partner, F, point, 0, 10**6, logged)
+    monkeypatch.undo()
     log = budget.log
     # at a generic point nearly every draw fails its certificate (most of
     # them on q_0 and q_1 restricted to a line, in the block's column test)
@@ -379,14 +401,8 @@ def test_budget_runs_out_inside_skipped_and_forced_draws():
     assert sum(n for _, n in log if n % p == 0) > 0.9 * used
     skipped = next(used for used, n in log if n % p == 0 < n)
     bulk, charged = next((used, n) for used, n in log if n % p == 0 and n >= 2 * p)
-    forced = next(
-        (start, x0)
-        for k, (used, n) in enumerate(log)
-        if 1 < n < p
-        for x0, start in [(p - 1 - n, used - p + n)]
-        if k >= 2 and log[k - 2] == (start, x0) and log[k - 1] == (start + x0, 1)
-    )
-    start, x0 = forced
+    # the first draw with a forced x0 that fails, charged p at once
+    start, x0 = next((start, x0) for start, x0 in answers if (start, p) in log)
     limits = [skipped, skipped + 1, skipped + p // 2, skipped + p - 1]
     limits += sorted({start, start + x0 // 2, start + x0, start + x0 + 1, start + p - 1})
     # inside the first bulk charge of two or more draws: in its first draw,
@@ -1018,15 +1034,10 @@ def _charged(draws, budget, cost):
     """The block draws charged as tangent_cone_partner charges them: ``cost``
     per rejected draw at once, then one trial per kept draw, to the end of
     the budget."""
-    try:
-        for draw, skipped in draws:
-            if skipped > (budget.limit - budget.used) // cost:
-                draws.sync((budget.limit - budget.used) // cost + 1)
-            budget.spend(cost * skipped)
-            if draw is not None:
-                budget.spend()
-    finally:
-        draws.sync()
+    for draw, skipped in draws:
+        budget.spend(cost * skipped)
+        if draw is not None:
+            budget.spend()
 
 
 def _charged_one_by_one(rng, p, n, keep, budget, cost):
@@ -1036,10 +1047,10 @@ def _charged_one_by_one(rng, p, n, keep, budget, cost):
 
 
 @pytest.mark.parametrize("p", _KERNEL_PRIMES)
-def test_block_draws_rewind_where_the_budget_runs_out(p):
+def test_block_draws_charge_where_the_budget_runs_out(p):
     # the budget runs out on a rejected draw inside a run, on a kept draw,
-    # and across blocks and saved states; the stream stops where the
-    # one-draw loop stops, with the same trial count
+    # and across blocks and saved states, with the trial count and budget
+    # of the one-draw loop (the stream is then unspecified)
     n, cost = 5, 31
     for limit in (0, 1, 30, 31, 32, 100, 1000, 5000, 20_000, 60_000):
         for kind, keep in _KEEPS.items():
@@ -1051,7 +1062,7 @@ def test_block_draws_rewind_where_the_budget_runs_out(p):
                 rng, budget = random.Random(limit), _Budget("test", limit)
                 with pytest.raises(BudgetExhausted) as err:
                     run(rng, budget)
-                outcomes.append((err.value.trials, budget.used, rng.getstate()))
+                outcomes.append((err.value.trials, budget.used))
             assert outcomes[0] == outcomes[1], (limit, kind)
 
 
@@ -1099,6 +1110,24 @@ def test_samples_byte_identical_off_the_golden_prime(name):
                 line = sample_line(strategy, PrimeField(p), seed, **options)
                 digest.update(_dumps(line.to_json()).encode() + b"\n")
     assert digest.hexdigest() == expected
+
+
+def test_small_budget_outcomes_byte_identical():
+    # every strategy at budgets from 1 (the first draw) to 60,000, through
+    # sample_line: 92 of the 150 outcomes are exhausted, and each keeps only
+    # its trial count, limit + 1
+    digest, exhausted = hashlib.sha256(), 0
+    for strategy in sampling.STRATEGIES:
+        for budget in (1, 40, 999, 5000, 60000):
+            for seed in range(6):
+                try:
+                    record = sample_line(strategy, PrimeField(31), seed, budget=budget).to_json()
+                except BudgetExhausted as err:
+                    assert err.trials == budget + 1
+                    record, exhausted = {"exhausted": err.trials}, exhausted + 1
+                digest.update(_dumps(record).encode() + b"\n")
+    assert exhausted == 92
+    assert digest.hexdigest() == "18628f2d9ba18142195a48475c39255c83f3353c0fc3bd7d25de0b996c2d7fa5"
 
 
 # ----------------------------------------------------------------------
