@@ -628,11 +628,10 @@ def verify_para_v2() -> Certificate:
     big = bounded_degree_kernel(M, (2, 1, 1))
     cert.add("bounded-kernel-dimension-7", len(big) == 7, f"dimension {len(big)}")
 
-    monos = sorted({e for vec in big + [n1] for p in vec for e in p.terms})
-    mono_index = {m: i for i, m in enumerate(monos)}
+    mono_index = {m: i for i, m in enumerate(monomials_up_to(vt, (2, 1, 1)))}
 
     def flat(vec):  # sparse: {column: value}
-        return {slot * len(monos) + mono_index[e]: c
+        return {slot * len(mono_index) + mono_index[e]: c
                 for slot, p in enumerate(vec) for e, c in p.terms.items()}
 
     # n1 times every monomial of degree <= 2 in (w0, w1)

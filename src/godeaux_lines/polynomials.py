@@ -4,9 +4,9 @@ Polynomials are immutable: a :class:`VarTable` (ordered variable names plus
 an optional multigrading), a field, and a term dict mapping exponent tuples
 to nonzero canonical coefficients.  The constructor canonicalises what it
 is given, so the ring operations hand it plain sums and products.
-Supported operations: ring arithmetic, exact evaluation,
-substitution/composition (fully expanded), multihomogeneity checks against
-the grading, and a bounded-degree right kernel for matrices of polynomials.
+Supported operations: ring arithmetic, substitution/composition (fully
+expanded), multihomogeneity checks against the grading, and a
+bounded-degree right kernel for matrices of polynomials.
 
 Term output order is graded lexicographic on the variable order, so the
 text form of a polynomial is deterministic and usable in certificates.
@@ -14,6 +14,8 @@ text form of a polynomial is deterministic and usable in certificates.
 
 from __future__ import annotations
 
+import functools
+from collections import defaultdict
 from itertools import product
 from typing import Optional, Sequence
 
@@ -241,29 +243,7 @@ class Poly:
         return hash((self.vars, self.field, frozenset(self.terms.items())))
 
     # ------------------------------------------------------------------
-    # evaluation / substitution
-
-    def eval(self, point: Sequence):
-        """Exact evaluation at a sequence of raw scalars (one per variable)."""
-        F = self.field
-        point = [F.canonical(x) for x in point]
-        if len(point) != self.vars.nvars:
-            raise PolynomialError(
-                f"expected {self.vars.nvars} coordinates, got {len(point)}"
-            )
-        # raw ints or Fractions: exact native * and + per term, one reduction
-        acc = 0
-        powers: dict = {}
-        for e, c in self.terms.items():
-            t = c
-            for i, k in enumerate(e):
-                if k:
-                    pw = powers.get((i, k))
-                    if pw is None:
-                        pw = powers[(i, k)] = F.canonical(point[i] ** k)
-                    t = t * pw
-            acc += t
-        return F.canonical(acc)
+    # substitution
 
     def compose(self, images: Sequence["Poly"]) -> "Poly":
         """Substitute one image polynomial per variable; fully expanded."""
@@ -361,11 +341,13 @@ class PolyMatrix:
         return f"PolyMatrix({self.nrows}x{self.ncols} over {self.vars.names})"
 
 
-def monomials_up_to(vt: VarTable, bound):
-    """All exponent tuples with (multi)degree <= bound.
+@functools.lru_cache(maxsize=64)
+def monomials_up_to(vt: VarTable, bound) -> tuple:
+    """All exponent tuples with (multi)degree <= bound, in graded-lex order.
 
     ``bound`` is an int (total degree) for ungraded tables, or a multidegree
-    tuple compared componentwise under the grading.
+    tuple compared componentwise under the grading.  Each table is built
+    once per (VarTable, bound) and shared.
     """
     if isinstance(bound, int):
         grading, bound = ((1,),) * vt.nvars, (bound,)  # every variable of degree 1
@@ -375,43 +357,40 @@ def monomials_up_to(vt: VarTable, bound):
         grading, bound = vt.grading, tuple(bound)
     # the bound caps each exponent alone; the degree of the sum is checked after
     caps = [min((b // g for g, b in zip(gv, bound) if g > 0), default=0) for gv in grading]
-    monos = [
-        e for e in product(*(range(c + 1) for c in caps))
-        if all(sum(k * gv[i] for k, gv in zip(e, grading)) <= b for i, b in enumerate(bound))
-    ]
-    return sorted(monos, key=_grlex_key)
+    monos = (e for e in product(*(range(c + 1) for c in caps))
+             if all(sum(k * gv[i] for k, gv in zip(e, grading)) <= b for i, b in enumerate(bound)))
+    return tuple(sorted(monos, key=_grlex_key))
 
 
 def bounded_degree_kernel(M: PolyMatrix, bound):
     """Field basis of {v : M v = 0, entries of (multi)degree <= bound}.
 
     Enumerates candidate monomials per slot, assembles one exact sparse
-    linear system on the coefficients, and solves it over the field.  The
-    returned vectors (lists of Poly) are linearly independent over the
-    field; module-theoretic minimality of generators is not computed here.
+    linear system on the coefficients, and solves it over the field.  Its
+    column order (slot-major, monomials in :func:`monomials_up_to` order)
+    fixes the RREF, so the basis and its order; the equations, keyed by
+    row and by the product's exponents packed into one int, come in any
+    order.  The returned vectors (lists of Poly) are linearly independent
+    over the field; module-theoretic minimality of generators is not
+    computed here.
     """
     vt, F = M.vars, M.field
-    monos = monomials_up_to(vt, bound)
+    monos = monomials_up_to(vt, bound if isinstance(bound, int) else tuple(bound))
     nmono = len(monos)
-    ncols = M.ncols * nmono
-    equations: dict = {}
-    for r in range(M.nrows):
-        for slot in range(M.ncols):
-            p = M.entries[r][slot]
+    # a sum of two exponents fits in `width` bits, so packed exponents add
+    exponents = [k for e in [*monos, *(e for row in M.entries for p in row for e in p.terms)] for k in e]
+    width = max(exponents, default=0).bit_length() + 1
+    pack = lambda e: sum(k << i * width for i, k in enumerate(e))
+    mono_keys = list(map(pack, monos))
+    equations = defaultdict(dict)
+    for r, row in enumerate(M.entries):
+        for slot, p in enumerate(row):
             for e_c, coeff in p.terms.items():
-                for i, m in enumerate(monos):
-                    prod = tuple(a + b for a, b in zip(e_c, m))
-                    key = (r, prod)
-                    row = equations.setdefault(key, {})
-                    col = slot * nmono + i  # the unknown: coefficient of m in slot
-                    row[col] = row.get(col, 0) + coeff
-    # nullspace reduces the sums and drops the rows that cancel
-    basis = nullspace(F, equations.values(), ncols)
-    # Poly drops the zero coefficients
-    return [
-        [
-            Poly(vt, F, {m: vec[slot * nmono + i] for i, m in enumerate(monos)})
-            for slot in range(M.ncols)
-        ]
-        for vec in basis
-    ]
+                base = r << vt.nvars * width | pack(e_c)
+                # (equation, column) names one term and monomial: each entry is set once
+                for key, col in zip(mono_keys, range(slot * nmono, (slot + 1) * nmono)):
+                    equations[base + key][col] = coeff
+    basis = nullspace(F, equations.values(), nmono * M.ncols)
+    # the zeros are dropped first, so Poly canonicalises only the few nonzero values
+    return [[Poly(vt, F, {m: c for m, c in zip(monos, vec[k:k + nmono]) if c})
+             for k in range(0, len(vec), nmono)] for vec in basis]

@@ -591,7 +591,9 @@ def sample_line(
     (p = 31, seeds 0-9: a median of 293,971 trials against 4,417).
     Raises :class:`BudgetExhausted` when the trial budget runs out, and
     every other :class:`SamplingError` (bad arguments: a ``seed`` or
-    ``budget`` that is not an int, or is a bool, a negative ``seed``,
+    ``budget`` that is not an int, or is a bool, a negative ``seed``, a
+    ``field`` that is not a :class:`Field`, a ``space`` or member of
+    ``spaces`` that is not a :class:`TorsionSpace` (a name is not one),
     ``space``, ``spaces`` or ``general_position`` given to a strategy that
     does not take it, and others) before the first draw.
     """
@@ -620,6 +622,9 @@ def sample_line(
         _require_search_field(field)
         if strategy == "torsion":
             home = space if space is not None else TORSION_SPACES[0]
+    named = (home,) if home is not None else pair or ()
+    if not isinstance(field, Field) or not all(isinstance(sp, TorsionSpace) for sp in named):
+        raise SamplingError("field must be a Field, and space and spaces TorsionSpaces (see torsion_space)")
     rng = random.Random(seed)
     tracker = _Budget(strategy, budget)
     for _ in range(_MAX_RETRIES):

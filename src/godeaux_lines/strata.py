@@ -18,7 +18,8 @@ transitive on the three torsion spaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import combinations, permutations
 from operator import mul
 
@@ -370,11 +371,19 @@ _SLOT_PAIRS = tuple((int(name[1]), int(name[2])) for name in ORDER)
 _PAIR_SLOT = {pair: k for k, pair in enumerate(_SLOT_PAIRS)}
 # each torsion space as its unordered pair of unordered index pairs
 _TORSION_KEYS = [frozenset(map(frozenset, sp.partition)) for sp in TORSION_SPACES]
-
-
-def _index_map(perm) -> tuple:
-    """ORDER slot k (a_ij) -> the slot of a_(perm i)(perm j)."""
-    return tuple(_PAIR_SLOT[perm[i], perm[j]] for i, j in _SLOT_PAIRS)
+# the 24 permutations, sorted; _TAUS[i] maps slot k (a_ij) to the slot of a_(perm i)(perm j)
+# for perm _PERMS[i], and _PERM_PRODUCT[a][b] indexes _PERMS[a] after _PERMS[b]
+_PERMS = tuple(permutations(range(4)))
+_PERM_INDEX = {perm: i for i, perm in enumerate(_PERMS)}
+_TAUS = tuple(tuple(_PAIR_SLOT[p[i], p[j]] for i, j in _SLOT_PAIRS) for p in _PERMS)
+_PERM_PRODUCT = tuple(tuple(_PERM_INDEX[tuple(map(a.__getitem__, b))] for b in _PERMS) for a in _PERMS)
+# a sign mask has bit k set where sign k is -1; _HALF_SIGNS[c] are the signs of its six bits c,
+# and _PULLS[i][h][c] has bit k where c has bit _TAUS[i][k] - 6h: half a mask read through tau
+# (each table doubled once per bit, the entries with the bit set following those without)
+_WEIGHTS = tuple(1 << k for k in range(12))
+_HALF_SIGNS = tuple(tuple(-1 if c >> k & 1 else 1 for k in range(6)) for c in range(64))
+_PULLS = tuple(tuple(reduce(lambda t, j: t + [x | 1 << tau.index(j) for x in t], range(h, h + 6), [0])
+                     for h in (0, 6)) for tau in _TAUS)
 
 
 @dataclass(frozen=True)
@@ -383,18 +392,16 @@ class SignedPermutation:
 
     perm: tuple   # image of (0, 1, 2, 3)
     signs: tuple  # +-1 per ORDER slot
-    # the index map of perm (slot k -> the slot a_k goes to), from perm when not given
-    tau: tuple = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        if self.tau is None:
-            object.__setattr__(self, "tau", _index_map(self.perm))
+    # the index map of perm (slot k -> the slot a_k goes to)
+    tau = property(lambda e: _TAUS[_PERM_INDEX[e.perm]])
+    # the group search's int, perm's index << 12 | the sign mask (sum s_k 2^k is 4095 less twice it)
+    code = property(lambda e: _PERM_INDEX[e.perm] << 12 | 4095 - sum(map(mul, _WEIGHTS, e.signs)) >> 1)
 
     def compose(self, other: "SignedPermutation") -> "SignedPermutation":
         """self after other (apply ``other`` first)."""
         perm = tuple(map(self.perm.__getitem__, other.perm))
-        signs = tuple(map(mul, other.signs, map(self.signs.__getitem__, other.tau)))
-        return SignedPermutation(perm, signs, tuple(map(self.tau.__getitem__, other.tau)))
+        return SignedPermutation(perm, tuple(map(mul, other.signs, map(self.signs.__getitem__, other.tau))))
 
     def torsion_permutation(self) -> tuple:
         """Induced permutation of the three torsion spaces (as indices)."""
@@ -405,14 +412,35 @@ class SignedPermutation:
 
 IDENTITY_SYMMETRY = SignedPermutation((0, 1, 2, 3), (1,) * 12)
 
+
+def _compose(a: int, b: int) -> int:
+    """a after b on codes: b's sign mask takes a's read through b's index map."""
+    lo, hi = _PULLS[b >> 12]
+    return _PERM_PRODUCT[a >> 12][b >> 12] << 12 | (b ^ lo[a & 63] ^ hi[a >> 6 & 63]) & 4095
+
+
 # q_m as {monomial a_u a_v as the bitmask 2^u + 2^v: its sign}
 _MONO_SIGN = [{1 << u | 1 << v: s for s, u, v in terms} for terms in QUADRIC_TERMS]
 # the sign system's rows, one per monomial s * a_u * a_v of a quadric q_m
 _SIGN_TERMS = tuple((m, s, u, v) for m, terms in enumerate(QUADRIC_TERMS) for s, u, v in terms)
 
 
-def _sign_solutions() -> list:
-    """Every signed permutation fixing {+-q_k}, from one elimination.
+def _certified(perm, tau, masks) -> bool:
+    """Whether (perm, s) sends each q_m to +-q_(perm m) for every sign mask s: q_m's term
+    c a_u a_v goes to c s_u s_v times a monomial that must be in q_(perm m), of sign t there
+    (ct = 0 where it is not), and c t s_u s_v must be one sign over q_m's three terms."""
+    rows = [(1 << u | 1 << v, c * _MONO_SIGN[perm[m]].get(1 << tau[u] | 1 << tau[v], 0))
+            for m, c, u, v in _SIGN_TERMS]
+    # each quadric's first term against its other two: a parity of s, and whether it is odd
+    conditions = [(rows[r][0] ^ rows[r + j][0], rows[r][1] != rows[r + j][1])
+                  for r in range(0, 12, 3) for j in (1, 2)]
+    return all(ct for _, ct in rows) and not any(
+        (s & m).bit_count() & 1 != odd for s in masks for m, odd in conditions)
+
+
+def _sign_solutions() -> dict:
+    """Every signed permutation fixing {+-q_k}, from one elimination, as
+    {perm index: sign masks}.
 
     Unknowns over F_2: one bit per coordinate (sign -1) and per quadric
     (q_m goes to -q_(perm m)); the monomial s a_u a_v of q_m gives the
@@ -429,22 +457,19 @@ def _sign_solutions() -> list:
     mask = lambda rec: sum(1 << r for r in rec)  # a nonzero value of F_2 is 1
     inverse = [(c, mask(rec)) for c, rec in inverse.items() if c < 12]
     checks = [mask(rec) for rec in checks]
-    span = [(1,) * 12]  # the kernel's sign parts
+    span = [0]  # the kernel's sign parts
     for vec in kernel:
-        span += [tuple(-s if x else s for s, x in zip(signs, vec)) for signs in span]
-    out = []
-    for perm in permutations(range(4)):
-        tau = _index_map(perm)
-        targets = [_MONO_SIGN[perm[m]].get(1 << tau[u] | 1 << tau[v]) for m, _, u, v in _SIGN_TERMS]
-        if None in targets:
+        span += [s ^ mask(k for k in range(12) if vec[k]) for s in span]
+    out = {}
+    for i, (perm, tau) in enumerate(zip(_PERMS, _TAUS)):
+        # the sign of each term times its image's, 0 where the image is not in q_(perm m)
+        flips = [s * _MONO_SIGN[perm[m]].get(1 << tau[u] | 1 << tau[v], 0) for m, s, u, v in _SIGN_TERMS]
+        rhs = sum(1 << r for r, f in enumerate(flips) if f < 0)
+        if 0 in flips or any((rec & rhs).bit_count() & 1 for rec in checks):
             continue
-        rhs = sum(1 << r for r, ((_, s, _, _), t) in enumerate(zip(_SIGN_TERMS, targets)) if s != t)
-        if any((rec & rhs).bit_count() & 1 for rec in checks):
-            continue
-        x0 = [1] * 12  # the signs of the particular solution, 0 at the free columns
-        for c, rec in inverse:
-            x0[c] = -1 if (rec & rhs).bit_count() & 1 else 1
-        out.extend(SignedPermutation(perm, tuple(map(mul, x0, x)), tau) for x in span)
+        # the particular solution's signs, 0 at the free columns
+        x0 = sum(1 << c for c, rec in inverse if (rec & rhs).bit_count() & 1)
+        out[i] = [x0 ^ s for s in span]
     return out
 
 
@@ -467,23 +492,25 @@ def quadric_symmetries() -> SymmetryGroup:
     their sign constraints over ``PrimeField(2)`` share one left-hand side,
     eliminated once, against which each permutation's right-hand side is
     reduced (:func:`_sign_solutions`).  Every element is certified, on each
-    call, by the exact polynomial identity (transformed q_k) = +- q_(perm k)
-    on relabeled monomials, read through the index map its permutation's
-    elements share.
+    call, by the exact polynomial identity (transformed q_k) = +- q_(perm k):
+    its permutation's relabeled monomials are read once, and each of its
+    sign masks is checked against them by parities (:func:`_certified`), on
+    ints like the generator search; the elements are built last.
     Generators are chosen greedily in sorted order, the group they give
     growing one right coset at a time; the induced action on the three
     torsion P^3's is read once per coordinate permutation and kept on the
     group, where :func:`verify_symmetries` reports it.
     """
-    elements = sorted(_sign_solutions(), key=lambda e: (e.perm, e.signs))
-    for e in elements:
-        if not symmetry_fixes_quadrics(e):
+    elements = []
+    for i, masks in _sign_solutions().items():
+        perm = _PERMS[i]
+        if not _certified(perm, _TAUS[i], masks):
             raise StrataError("sign search produced a non-symmetry")
+        signs = sorted(_HALF_SIGNS[s & 63] + _HALF_SIGNS[s >> 6] for s in masks)
+        elements += [SignedPermutation(perm, sg) for sg in signs]
     generators = _generating_subset(elements)
     images = _torsion_images(elements)
-    transitive = all(
-        any(g[i] == j for g in images) for i in range(3) for j in range(3)
-    )
+    transitive = all(any(g[i] == j for g in images) for i in range(3) for j in range(3))
     return SymmetryGroup(tuple(elements), tuple(generators), images, transitive)
 
 
@@ -497,38 +524,31 @@ def symmetry_fixes_quadrics(e: SignedPermutation) -> bool:
 
     e sends a_u a_v to s_u s_v a_tau(u) a_tau(v), so the image of q_k is its
     three terms relabeled (still distinct: tau is a bijection) and re-signed,
-    compared term by term with +- q_(perm k).  The tests check it against
-    ``Poly.compose`` over Q as an oracle.
+    compared term by term with +- q_(perm k) (:func:`_certified`).  The
+    tests check it against ``Poly.compose`` over Q as an oracle.
     """
-    tau, s = e.tau, e.signs
-    for m, terms in enumerate(QUADRIC_TERMS):
-        image = {1 << tau[u] | 1 << tau[v]: c * s[u] * s[v] for c, u, v in terms}
-        target = _MONO_SIGN[e.perm[m]]
-        if image != target and image != {k: -c for k, c in target.items()}:
-            return False
-    return True
+    return _certified(e.perm, e.tau, [e.code & 4095])
 
 
 def _generating_subset(elements):
     """Greedy generators: an element the ones so far do not give joins them;
-    the group then grows by right cosets H r of the group H it had (Dimino)."""
-    gens = []
-    group = [IDENTITY_SYMMETRY]
-    seen = {(IDENTITY_SYMMETRY.perm, IDENTITY_SYMMETRY.signs)}
+    the group then grows by right cosets H r of the group H it had (Dimino),
+    composed as codes (:func:`_compose`)."""
+    gens, group, seen = [], [IDENTITY_SYMMETRY.code], {IDENTITY_SYMMETRY.code}
     for e in elements:
-        if (e.perm, e.signs) in seen:
+        if e.code in seen:
             continue
         gens.append(e)
         previous = list(group)
-        todo = [e]
+        todo = [e.code]
         while todo:
             r = todo.pop()
-            if (r.perm, r.signs) in seen:
+            if r in seen:
                 continue
-            coset = [h.compose(r) for h in previous]
+            coset = [_compose(h, r) for h in previous]
             group.extend(coset)
-            seen.update((c.perm, c.signs) for c in coset)
-            todo.extend(r.compose(s) for s in gens)
+            seen.update(coset)
+            todo.extend(_compose(r, g.code) for g in gens)
         if len(group) == len(elements):
             break
     return gens

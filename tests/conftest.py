@@ -3,7 +3,7 @@ import pytest
 from godeaux_lines.fields import PrimeField, QQ
 from godeaux_lines.families import z5_line
 from godeaux_lines.geometry import AIDX
-from godeaux_lines.polynomials import Poly, VarTable
+from godeaux_lines.polynomials import Poly, PolynomialError, VarTable
 
 
 @pytest.fixture(scope="session")
@@ -73,3 +73,25 @@ def component_rows(a_surv, b_surv):
         for idx in surv:
             row[idx] = next(var)
     return rows
+
+
+def poly_eval(f, point):
+    """Exact value of the Poly ``f`` at a sequence of raw scalars, one per
+    variable: native * and + per term, one reduction per power and one at
+    the end.  No library module evaluates a Poly; the tests do."""
+    F = f.field
+    point = [F.canonical(x) for x in point]
+    if len(point) != f.vars.nvars:
+        raise PolynomialError(f"expected {f.vars.nvars} coordinates, got {len(point)}")
+    acc = 0
+    powers: dict = {}
+    for e, c in f.terms.items():
+        t = c
+        for i, k in enumerate(e):
+            if k:
+                pw = powers.get((i, k))
+                if pw is None:
+                    pw = powers[(i, k)] = F.canonical(point[i] ** k)
+                t = t * pw
+        acc += t
+    return F.canonical(acc)

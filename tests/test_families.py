@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 import godeaux_lines.families as fam
-from conftest import component_rows
+from conftest import component_rows, poly_eval
 from godeaux_lines.families import (
     BaseLocusError,
     FamilyError,
@@ -74,7 +74,7 @@ def test_hyp_point_raw_matches_expanded_components(field):
     seen_base = False
     for _ in range(300):
         params = [rng.choice((0, 0, 1, -1, field.random(rng))) for _ in range(10)]
-        expected = tuple(c.eval([field.canonical(x) for x in params]) for c in comps)
+        expected = tuple(poly_eval(c, [field.canonical(x) for x in params]) for c in comps)
         got = hyp_point_raw(field, params)
         if any(expected):
             assert got == expected
@@ -171,6 +171,30 @@ def test_verify_hyp_param_rejects_a_seed_that_is_not_an_int(monkeypatch, seed):
     _no_hyp_param_work(monkeypatch)
     with pytest.raises(FamilyError, match=f"seed must be an int, not {type(seed).__name__}"):
         verify_hyp_param(seed=seed)
+
+
+@pytest.mark.parametrize("target, key, check", [
+    ("_hyp_jacobian_rank", "jacobian_failures", "jacobian-rank-6"),
+    ("rank_a", "rank_a_failures", "image-rank-a-3"),
+])
+def test_verify_hyp_param_records_every_failing_point(monkeypatch, target, key, check):
+    # a rank that is wrong at every point: each of the 20 points is recorded
+    # with its parameters and rank, and only that check fails
+    monkeypatch.setattr(fam, target, lambda *args: 2)
+    cert = verify_hyp_param(seed=5)
+    assert [c.name for c in cert.checks if not c.passed] == [check]
+    assert list(cert.data) == [key]
+    failures = cert.data[key]
+    assert len(failures) == 20 and all(f["rank"] == 2 for f in failures)
+    params = [tuple(f["params"]) for f in failures]
+    assert len(set(params)) == 20 and all(len(p) == 10 for p in params)
+    # the recorded points are the ones the passing certificate draws
+    monkeypatch.undo()
+    calls = []
+    real = fam._hyp_jacobian_rank
+    monkeypatch.setattr(fam, "_hyp_jacobian_rank", lambda F, table, atoms: calls.append(atoms[:10]) or real(F, table, atoms))
+    assert verify_hyp_param(seed=5).passed
+    assert [tuple(map(str, atoms)) for atoms in calls] == params
 
 
 def test_verifier_detects_mutation():
@@ -415,7 +439,7 @@ def test_z3_line_matches_symbolic_oracle(field):
 
     def oracle(params):
         params = [field.canonical(x) for x in params]
-        line = LineA(field, [p.eval(params) for p in row0], [p.eval(params) for p in row1])
+        line = LineA(field, [poly_eval(p, params) for p in row0], [poly_eval(p, params) for p in row1])
         if not line_in_q(line):
             raise FamilyError("left Q")
         return line
@@ -479,6 +503,42 @@ def test_para_v2_certificate():
     assert by_name["det1-vanishes"].passed
     assert by_name["det2-vanishes"].passed
     assert by_name["bounded-kernel-dimension-7"].passed
+
+
+def test_para_v2_stops_without_one_first_generator(monkeypatch):
+    # no kernel vector at (0,1,1): the certificate fails its first check and
+    # stops, before the (2,1,1) solve and the determinants
+    bounds = []
+    real = fam.bounded_degree_kernel
+    monkeypatch.setattr(fam, "bounded_degree_kernel", lambda M, b: bounds.append(b) or real(M, b)[:0])
+    cert = verify_para_v2()
+    assert not cert.passed
+    assert [(c.name, c.passed, c.detail) for c in cert.checks] == [
+        ("one-generator-at-(0,1,1)", False, "found 0 kernel vectors")]
+    assert bounds == [(0, 1, 1)] and cert.data == {}
+
+
+def test_para_v2_stops_without_a_second_generator(monkeypatch):
+    # a (2,1,1) kernel holding only n1's multiples by the six w-monomials of
+    # degree <= 2: no second generator, so the certificate stops there,
+    # before the substitution and the determinants
+    real = fam.bounded_degree_kernel
+
+    def kernel(M, bound):
+        if bound != (2, 1, 1):
+            return real(M, bound)
+        (n1,) = real(M, (0, 1, 1))
+        w_monos = [Poly.monomial(M.vars, QQ, e) for e in fam.monomials_up_to(M.vars, (2, 0, 0))]
+        return [[m * p for p in n1] for m in w_monos]
+
+    monkeypatch.setattr(fam, "bounded_degree_kernel", kernel)
+    cert = verify_para_v2()
+    assert [(c.name, c.passed) for c in cert.checks] == [
+        ("one-generator-at-(0,1,1)", True),
+        ("bounded-kernel-dimension-7", False),
+        ("second-generator-found", False),
+    ]
+    assert cert.data == {}
 
 
 def test_para_v2_perturbed_fails(monkeypatch):

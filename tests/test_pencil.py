@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import poly_eval
 from godeaux_lines.families import sample_component_line, z3_line, z5_line
 from godeaux_lines.fields import PrimeField, QQ, is_prime
 from godeaux_lines.geometry import GeometryError, ROW_TRIPLES, LineA, a_matrix_values
@@ -524,7 +525,7 @@ def restrict_l1(line: LineA) -> PolyMatrix:
 
 def evaluate(M: PolyMatrix, s, t) -> list:
     """The matrix of values of M's entries at (s, t)."""
-    return [[p.eval((s, t)) for p in row] for row in M.entries]
+    return [[poly_eval(p, (s, t)) for p in row] for row in M.entries]
 
 
 def test_restrict_l1_block_structure(generic_line, f31):
@@ -612,7 +613,7 @@ def test_zero_matrix_standard_basis(f31):
     M = PolyMatrix(ST, f31, [[z] * 3 for _ in range(3)])
     gens = graded_kernel_basis(M, 2)
     assert [d for d, _ in gens] == [0, 0, 0]
-    flat = [[f.eval((0, 0)) for f in vec] for _, vec in gens]
+    flat = [[poly_eval(f, (0, 0)) for f in vec] for _, vec in gens]
     assert flat == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
@@ -689,7 +690,7 @@ def test_interpolation_consistency(hyp_line, generic_line, z5_example, f31):
         drops = {root for root, _ in degeneration_profile(line).rank_drop_points}
         for st in ((1, 0), (0, 1), (2, 3), (1, 7), (1, 1)):
             numeric = len(nullspace(f31, evaluate(M, *st), 12))
-            evaluated = [[f.eval(st) for f in vec] for _, vec in gens]
+            evaluated = [[poly_eval(f, st) for f in vec] for _, vec in gens]
             pointwise = rank(f31, evaluated)
             s, t = st  # (s : t) as the roots are normalized: t = 1, or (1, 0)
             if ((f31.canonical(s * f31.inv(t)), 1) if t else (1, 0)) in drops:

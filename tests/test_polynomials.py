@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from conftest import poly_eval
 from godeaux_lines.families import (HYP_FACTORED, _hyp_atoms, _hyp_jacobian_rank, _hyp_rank_table,
                                     hyp_components)
 from godeaux_lines.fields import FieldError, PrimeField, QQ
 from godeaux_lines.geometry import AIDX, ORDER, a_vartable, quadrics
-from godeaux_lines.linalg import rank
+from godeaux_lines.linalg import nullspace, rank
 from godeaux_lines.polynomials import (
     Poly,
     PolyMatrix,
@@ -42,8 +44,8 @@ def random_poly(vt, field, rng, max_terms=4, max_total_degree=4):
 def test_eval_simple():
     vt, (x, y, z) = xyz()
     f = x * y - z * z
-    assert QQ.is_zero(f.eval([1, 1, 1]))
-    assert f.eval([2, 3, 1]) == 5
+    assert QQ.is_zero(poly_eval(f, [1, 1, 1]))
+    assert poly_eval(f, [2, 3, 1]) == 5
 
 
 def test_eval_quadric_unit_point():
@@ -51,7 +53,7 @@ def test_eval_quadric_unit_point():
     point = [0] * 12
     point[AIDX["a12"]] = 1
     point[AIDX["a13"]] = 1
-    assert q0.eval(point) == 1
+    assert poly_eval(q0, point) == 1
 
 
 def test_eval_symbolic_torsion_point():
@@ -71,12 +73,12 @@ def test_eval_symbolic_torsion_point():
 def test_eval_length_mismatch():
     vt, (x, y, z) = xyz()
     with pytest.raises(PolynomialError):
-        (x + y).eval([1, 2])
+        poly_eval(x + y, [1, 2])
 
 
 def _eval_oracle(f, point):
     """The earlier evaluator, one field call per product and sum, kept as
-    an oracle for ``Poly.eval``."""
+    an oracle for :func:`conftest.poly_eval`."""
     F = f.field
     point = [F.canonical(x) for x in point]
     acc = 0
@@ -114,10 +116,10 @@ def test_eval_matches_field_call_oracle(field):
         if field == QQ:
             point[0] = Fraction(rng.randint(-big, big), rng.randint(1, big))
         want = [_eval_oracle(f, point) for f in polys]
-        got = [f.eval(point) for f in polys]
+        got = [poly_eval(f, point) for f in polys]
         assert got == want and list(map(type, got)) == list(map(type, want))
     with pytest.raises(PolynomialError):
-        polys[-1].eval(point[:3])
+        poly_eval(polys[-1], point[:3])
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +204,7 @@ def test_jacobian_of_quadrics_rank_4_on_q(f31, generic_line):
     J = jacobian([q.map_field(f31) for q in quadrics(QQ)])
     for st in ((1, 0), (0, 1), (1, 1), (1, 2)):
         coords = list(generic_line.point_at(*st).coords)
-        values = [[d.eval(coords) for d in row] for row in J]
+        values = [[poly_eval(d, coords) for d in row] for row in J]
         assert values == jacobian_at(f31, coords)
         assert rank(f31, values) == 4
 
@@ -271,7 +273,7 @@ def test_hyp_jacobian_matches_symbolic_derivative(field, points):
                 [1, 2, 3, 3, 5, 5, 1, 1, 1, 1]]
     for params in specials + [[field.random(rng) for _ in range(10)] for _ in range(points)]:
         params = [field.canonical(x) for x in params]
-        want = [[d.eval(params) for d in row] for row in symbolic]
+        want = [[poly_eval(d, params) for d in row] for row in symbolic]
         assert _hyp_jacobian(field, params) == want
 
 
@@ -286,7 +288,7 @@ def test_hyp_jacobian_rank_matches_symbolic_jacobian(p):
     rng = random.Random(f"hyp-rank-{p}")
     for _ in range(300):
         atoms = _generic_hyp_atoms(field, rng)
-        want = rank(field, [[d.eval(atoms[:10]) for d in row] for row in symbolic])
+        want = rank(field, [[poly_eval(d, atoms[:10]) for d in row] for row in symbolic])
         assert _hyp_jacobian_rank(field, rank_table, atoms) == want
 
 
@@ -382,6 +384,92 @@ def test_kernel_of_scroll_system_rank_2(f10007):
         assert all(p.is_zero() for p in Mp.apply(vec))
 
 
+def _monomials_oracle(vt, bound):
+    """Every exponent tuple with each exponent at most 4, filtered by the
+    bound and sorted in graded-lex order."""
+    grading = vt.grading if not isinstance(bound, int) else ((1,),) * vt.nvars
+    bound = (bound,) if isinstance(bound, int) else bound
+    return sorted((e for e in product(range(5), repeat=vt.nvars)
+                   if all(sum(k * g[i] for k, g in zip(e, grading)) <= b for i, b in enumerate(bound))),
+                  key=_grlex_key)
+
+
+def test_monomial_table_is_built_once_per_bound():
+    from godeaux_lines.families import PARA_V2_GRADING, PARA_V2_VARS
+
+    graded = VarTable(PARA_V2_VARS, PARA_V2_GRADING)
+    for vt, bound in ((graded, (0, 1, 1)), (graded, (2, 1, 1)), (graded, (2, 0, 0)),
+                      (VarTable(("s", "t")), 4), (VarTable(("x", "y", "z")), 2)):
+        table = monomials_up_to(vt, bound)
+        assert list(table) == _monomials_oracle(vt, bound)
+        assert monomials_up_to(VarTable(vt.names, vt.grading and dict(zip(vt.names, vt.grading))), bound) is table
+
+
+def _bounded_degree_kernel_oracle(M, bound):
+    """The earlier solver, kept as an oracle: one tuple key per term and
+    monomial, sums of repeated entries, and Poly canonicalising every
+    coefficient of every slot again."""
+    vt, F = M.vars, M.field
+    monos = _monomials_oracle(vt, bound)
+    nmono = len(monos)
+    equations: dict = {}
+    for r in range(M.nrows):
+        for slot in range(M.ncols):
+            for e_c, coeff in M.entries[r][slot].terms.items():
+                for i, m in enumerate(monos):
+                    row = equations.setdefault((r, tuple(a + b for a, b in zip(e_c, m))), {})
+                    col = slot * nmono + i
+                    row[col] = row.get(col, 0) + coeff
+    basis = nullspace(F, equations.values(), M.ncols * nmono)
+    return [[Poly(vt, F, {m: vec[slot * nmono + i] for i, m in enumerate(monos)}) for slot in range(M.ncols)]
+            for vec in basis]
+
+
+def _kernel_inputs():
+    """The para-v2 system at both certificate bounds and two more, over Q
+    and F_10007, then 60 seeded matrices of binary forms of one degree, as
+    graded_kernel_basis takes them: half skew 3x3 blocks (a kernel vector of
+    the forms' degree), half random, some entries zero."""
+    from godeaux_lines.families import _para_v2_system
+
+    M = _para_v2_system()
+    for F in (QQ, PrimeField(10007)):
+        Mf = PolyMatrix(M.vars, F, [[p.map_field(F) for p in row] for row in M.entries])
+        for bound in ((0, 1, 1), (2, 1, 1), (1, 1, 1), (2, 2, 2)):
+            yield Mf, bound
+    st = VarTable(("s", "t"))
+    rng = random.Random(7)
+    for _ in range(60):
+        F = rng.choice((QQ, PrimeField(13), PrimeField(31)))
+        d = rng.randint(1, 2)
+
+        def form():
+            if rng.random() < 0.2:
+                return Poly.zero(st, F)
+            return Poly(st, F, {(d - j, j): rng.randint(-5, 5) for j in range(d + 1)})
+
+        if rng.random() < 0.5:
+            a, b, c = form(), form(), form()
+            z = Poly.zero(st, F)
+            rows = [[z, c, -b], [-c, z, a], [b, -a, z]]
+        else:
+            n = rng.randint(2, 4)
+            rows = [[form() for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        yield PolyMatrix(st, F, rows), rng.randint(1, 4)
+
+
+def test_bounded_degree_kernel_matches_tuple_key_oracle():
+    # the same vectors in the same order, each Poly's terms in the same order
+    nonempty = 0
+    for M, bound in _kernel_inputs():
+        got = bounded_degree_kernel(M, bound)
+        want = _bounded_degree_kernel_oracle(M, bound)
+        assert [[list(p.terms.items()) for p in v] for v in got] == \
+            [[list(p.terms.items()) for p in v] for v in want], (M, bound)
+        nonempty += bool(got)
+    assert nonempty >= 40
+
+
 # ----------------------------------------------------------------------
 # ring properties
 
@@ -408,8 +496,8 @@ def test_eval_commutes_with_compose():
         f = random_poly(vt, F, rng)
         images = [random_poly(st, F, rng) for _ in range(2)]
         point = [F.random(rng), F.random(rng)]
-        direct = f.compose(images).eval(point)
-        indirect = f.eval([g.eval(point) for g in images])
+        direct = poly_eval(f.compose(images), point)
+        indirect = poly_eval(f, [poly_eval(g, point) for g in images])
         assert direct == indirect
 
 
@@ -466,7 +554,7 @@ def test_poly_of_noncanonical_terms_equals_poly_of_reductions(field):
         got = Poly(vt, field, noisy)
         assert got.terms == poly.terms and hash(got) == hash(poly) and str(got) == str(poly)
         point = [field.random(rng) for _ in range(3)]
-        assert got.eval(point) == poly.eval(point)
+        assert poly_eval(got, point) == poly_eval(poly, point)
 
 
 def test_vartable_validation():

@@ -195,6 +195,16 @@ def _argument_error_cases():
         for name in ("seed", "budget"):
             for value in (True, 1.5, "3", None):
                 yield pytest.param(strategy, PrimeField(31), {name: value}, id=f"{strategy}-{name}-{value!r}")
+    # a field, space or spaces of the wrong type, before the first draw: an
+    # int field (two-torsion drew from it and failed untyped), a space's name,
+    # a list of names, and a repeated space given as a list
+    for strategy in sampling.STRATEGIES:
+        yield pytest.param(strategy, 31, {}, id=f"{strategy}-int-field")
+    yield pytest.param("torsion", PrimeField(31), {"space": "T01|23"}, id="space-name")
+    names = ["T01|23", "T02|13"]
+    yield pytest.param("two-torsion", PrimeField(31), {"spaces": names}, id="spaces-names")
+    repeated = [TORSION_SPACES[2], TORSION_SPACES[2]]
+    yield pytest.param("two-torsion", PrimeField(31), {"spaces": repeated}, id="repeated-space-list")
     # an option only another strategy takes
     options = (
         ("torsion", "space", TORSION_SPACES[1]),
@@ -215,6 +225,20 @@ def test_argument_errors_come_before_the_first_draw(monkeypatch, strategy, field
     with pytest.raises(SamplingError) as err:
         sample_line(strategy, field, **{"seed": 0, "budget": 10, **kwargs})
     assert not isinstance(err.value, BudgetExhausted)
+
+
+def test_retry_cap_raises_budget_exhausted(monkeypatch):
+    # a candidate line the promise rule refuses is retried, at most
+    # _MAX_RETRIES times; a two-torsion candidate costs one trial, so the
+    # cap, not the budget, ends the search, after 200 trials. The
+    # classifier is stubbed out: its reports are not read.
+    classified = []
+    monkeypatch.setattr(sampling, "_fulfils", lambda *args: False)
+    monkeypatch.setattr(sampling, "classify_line", classified.append)
+    with pytest.raises(BudgetExhausted) as err:
+        sample_line("two-torsion", PrimeField(31), 0)
+    assert (err.value.strategy, err.value.trials) == ("two-torsion", 200)
+    assert len(classified) == sampling._MAX_RETRIES == 200
 
 
 # ----------------------------------------------------------------------

@@ -568,19 +568,50 @@ def test_generators_generate(symmetry_group):
 
 def test_group_is_built_with_few_compositions(monkeypatch):
     # growing the group by whole cosets composes about once per element;
-    # a closure over every generator at every step took 2,688 compositions
+    # a closure over every generator at every step took 2,688 compositions.
+    # The closure composes int codes (strata._compose) and builds no
+    # SignedPermutation by composition.
+    import godeaux_lines.strata as strata
     from godeaux_lines.strata import SignedPermutation
 
     calls = []
-    compose = SignedPermutation.compose
+    compose = strata._compose
 
-    def counted(self, other):
+    def counted(a, b):
         calls.append(1)
-        return compose(self, other)
+        return compose(a, b)
 
-    monkeypatch.setattr(SignedPermutation, "compose", counted)
+    def refused(self, other):
+        raise AssertionError("the closure composed SignedPermutation objects")
+
+    monkeypatch.setattr(strata, "_compose", counted)
+    monkeypatch.setattr(SignedPermutation, "compose", refused)
     assert quadric_symmetries().order == 384
     assert 0 < len(calls) <= 2 * 384
+
+
+def _code(e):
+    """The closure's int code of a signed permutation: the index of its
+    permutation in sorted order, shifted past a 12-bit mask of its -1 signs."""
+    from itertools import permutations
+
+    return list(permutations(range(4))).index(e.perm) << 12 | sum(1 << k for k, s in enumerate(e.signs) if s < 0)
+
+
+def test_code_composition_matches_signed_permutation_compose(symmetry_group):
+    # every pair of a seeded sample of group elements and of signed
+    # permutations with random signs (not symmetries), both orders
+    from itertools import permutations
+
+    from godeaux_lines.strata import SignedPermutation, _compose
+
+    rng = random.Random(31)
+    cases = rng.sample(symmetry_group.elements, 40)
+    cases += [SignedPermutation(perm, tuple(rng.choice((1, -1)) for _ in range(12)))
+              for perm in permutations(range(4))]
+    for a in cases:
+        for b in cases:
+            assert _compose(_code(a), _code(b)) == _code(a.compose(b))
 
 
 def test_symmetry_certificate():
@@ -636,12 +667,17 @@ def _symmetries_for_perm_oracle(perm):
 
 
 def _sign_solutions_by_perm():
-    from godeaux_lines.strata import _sign_solutions
+    """The sign search's answer as SignedPermutations, by permutation."""
+    from itertools import permutations
 
-    by_perm = {}
-    for e in _sign_solutions():
-        by_perm.setdefault(e.perm, []).append(e)
-    return by_perm
+    from godeaux_lines.strata import SignedPermutation, _sign_solutions
+
+    perms = list(permutations(range(4)))
+    return {
+        perms[i]: [SignedPermutation(perms[i], tuple(-1 if s >> k & 1 else 1 for k in range(12)))
+                   for s in masks]
+        for i, masks in _sign_solutions().items()
+    }
 
 
 def test_sign_solver_complete_against_brute_force():
@@ -663,26 +699,21 @@ def test_sign_solver_complete_against_brute_force():
 
 
 def test_every_element_is_certified(monkeypatch):
-    # quadric_symmetries checks all 384 elements on each call, and one
-    # rejected element stops it
+    # quadric_symmetries certifies all 384 elements on each call: given the
+    # sign search's answer with any one element's mask changed in one bit (a
+    # non-symmetry), every call rejects it; the answer as found passes
     import godeaux_lines.strata as strata
 
-    fixes = strata.symmetry_fixes_quadrics
-    seen = []
-
-    def counted(e):
-        seen.append(e)
-        return fixes(e)
-
-    monkeypatch.setattr(strata, "symmetry_fixes_quadrics", counted)
-    for _ in range(2):
-        seen.clear()
-        assert quadric_symmetries().order == 384
-        assert len(set(seen)) == len(seen) == 384
-    rejected = seen[200]
-    monkeypatch.setattr(strata, "symmetry_fixes_quadrics", lambda e: e != rejected and fixes(e))
-    with pytest.raises(StrataError):
-        quadric_symmetries()
+    found = strata._sign_solutions()
+    assert sum(map(len, found.values())) == 384
+    for i, masks in found.items():
+        for j in range(len(masks)):
+            tampered = {**found, i: masks[:j] + [masks[j] ^ 1 << (i + j) % 12] + masks[j + 1:]}
+            monkeypatch.setattr(strata, "_sign_solutions", lambda answer=tampered: answer)
+            with pytest.raises(StrataError, match="non-symmetry"):
+                quadric_symmetries()
+    monkeypatch.setattr(strata, "_sign_solutions", lambda: found)
+    assert quadric_symmetries().order == 384
 
 
 def _index_map_oracle(e):
@@ -739,6 +770,20 @@ def test_symmetry_check_matches_composition_oracle(symmetry_group):
     verdicts = [symmetry_fixes_quadrics(e) for e in cases]
     assert verdicts == [_fixes_quadrics_oracle(e, qs, variables) for e in cases]
     assert verdicts.count(True) >= 384 and verdicts.count(False) >= 384 * 12
+
+
+def test_symmetry_check_requires_the_relabeled_monomials_in_the_target(monkeypatch):
+    # every permutation sends q_m's monomials into q_(perm m), so the check
+    # that they land there is reached with a changed target: q_0 as three
+    # monomials it does not have (a32 a01, a31 a02, a30 a03, signs as q_0's),
+    # which no sign can match; the other quadrics still match
+    import godeaux_lines.strata as strata
+
+    targets = list(strata._MONO_SIGN)
+    targets[0] = {1 << 0 | 1 << 11: 1, 1 << 1 | 1 << 10: -1, 1 << 2 | 1 << 9: 1}
+    assert not set(targets[0]) & set(strata._MONO_SIGN[0])
+    monkeypatch.setattr(strata, "_MONO_SIGN", targets)
+    assert not symmetry_fixes_quadrics(IDENTITY_SYMMETRY)
 
 
 def _generating_subset_oracle(elements):
