@@ -32,11 +32,11 @@ from typing import Optional, Sequence
 
 from .certificates import Certificate
 from .fields import Field, PrimeField, QQ
-from .geometry import (AIDX, LineA, PointA, QUADRIC_TERMS, _line_conditions, _quadric, line_in_q,
-                       quadrics_vanish_on)
-from .linalg import rank, solver
+from .geometry import (AIDX, LineA, PointA, QUADRIC_TERMS, _line_conditions, _quadric, a_matrix_values,
+                       line_in_q, quadrics_vanish_on)
+from .linalg import rank, rref, solver
 from .polynomials import Poly, PolyMatrix, VarTable, bounded_degree_kernel, monomials_up_to
-from .strata import TORSION_SPACES, TorsionSpace, rank_a
+from .strata import TORSION_SPACES, TorsionSpace
 
 
 class FamilyError(ValueError):
@@ -117,58 +117,64 @@ def hyp_components() -> tuple:
     return comps
 
 
-def hyp_point_raw(field: Field, params: Sequence) -> Optional[tuple]:
-    """Evaluate the factored components at 10 raw scalars; None on base locus."""
-    return hyp_evaluate([field.canonical(x) for x in params], field.canonical)
-
-
 def _hyp_atoms(params: Sequence, reduce) -> tuple:
     """The 13 atoms of ``HYP_FACTORED``: the parameters, then D, X and W."""
     _, _, w0, w1, x0, x1, _, _, _, _ = params
     return (*params, reduce(x1 * w1 - x0 * w0), reduce(x1 + x0), reduce(w1 + w0))
 
 
-def hyp_evaluate(params: Sequence, reduce) -> Optional[tuple]:
+def hyp_evaluate(params: Sequence, reduce, atoms=None) -> Optional[tuple]:
     """The one evaluator of ``HYP_FACTORED``, and the samplers' hot path:
     atoms first, then one short product per component.
 
     ``params`` are canonical scalars of a field, and ``reduce`` maps sums
     and products of them to canonical scalars again: ``field.canonical``
     for any field, or plain ``x % p`` on residues mod p; or ``Poly``
-    variables with the identity.  None when every component vanishes.
+    variables with the identity.  A caller holding their 13 atoms passes
+    them as ``atoms``.  None when every component vanishes.
     """
-    atoms = _hyp_atoms(params, reduce)
+    atoms = atoms or _hyp_atoms(params, reduce)
     coords = []
-    for sign, exps in HYP_FACTORED:
+    for sign, factors in _hyp_factors():
         acc = sign
-        for a, e in zip(atoms, exps):
-            if e:
-                if a == 0:
-                    acc = 0
-                    break
-                acc *= a if e == 1 else a * a
+        for k, e in factors:
+            a = atoms[k]
+            if a == 0:
+                acc = 0
+                break
+            acc *= a if e == 1 else a * a
         coords.append(reduce(acc))
     return tuple(coords) if any(coords) else None
 
 
+@functools.cache
+def _hyp_factors() -> tuple:
+    """``HYP_FACTORED`` as (sign, (atom index, exponent) for each exponent > 0), built once."""
+    return tuple((sign, tuple((k, e) for k, e in enumerate(exps) if e)) for sign, exps in HYP_FACTORED)
+
+
+@functools.cache
 def _hyp_rank_table(field: Field):
-    """``(rank C, rows)`` for :func:`_hyp_jacobian_rank`, from one elimination.
+    """``(rank C, rows)`` for :func:`_hyp_jacobian_rank`, built once per field.
 
     Where no atom vanishes, dc_i/dp_j = c_i sum_k e_ik (da_k/dp_j) / a_k
     (exponents e_ik of ``HYP_FACTORED``).  Scaling row i by 1/c_i and column
     j by p_j gives e_ij plus terms of D, X, W, which are 0 off the columns
     w0, w1, x0, x1; the other six are a constant block C, so rank J = rank C
-    + rank L V for the point's block V and the checks L of C.  A row per
-    check: L's sums of the exponents of w0, w1, x0, x1 and of D, X, W.
+    + rank L V for the point's block V and the checks L of C.  L V = K B
+    for K, L's sums of the exponents of w0, w1, x0, x1, D, X, W, and the
+    point's 7x4 block B; rank K B = rank K_r B for the row basis K_r of K
+    (rank 5 over F_10007, of 8 checks) that the table's rows hold.
     """
     _, _, checks = solver(field, [[exps[j] for j in (0, 1, 6, 7, 8, 9)] for _, exps in HYP_FACTORED], 6)
-    sums = [[sum(v * HYP_FACTORED[r][1][k] for r, v in c.items()) for k in range(13)] for c in checks]
-    return 12 - len(checks), [(s[2:6], s[10:]) for s in sums]
+    K = [[sum(v * HYP_FACTORED[r][1][k] for r, v in c.items()) for k in (2, 3, 4, 5, 10, 11, 12)]
+         for c in checks]
+    return 12 - len(checks), tuple((tuple(row[:4]), tuple(row[4:])) for row in rref(field, K)[0])
 
 
 def _hyp_jacobian_rank(field: Field, rank_table, atoms) -> int:
     """The Jacobian's rank where none of the 13 canonical ``atoms`` vanishes:
-    rank C plus the rank of L V times D X W (no inverse needed)."""
+    rank C plus the rank of K_r B times D X W (no inverse needed)."""
     rank_c, rows = rank_table
     _, _, w0, w1, x0, x1, _, _, _, _, D, X, W = atoms
     # p_j (da/dp_j) / a times D X W on the columns w0, w1, x0, x1: a = D on
@@ -188,19 +194,15 @@ def hyp_point(field: Field, params: Sequence) -> PointA:
     """
     if len(params) != 10:
         raise FamilyError("expected 10 parameters (v0,v1,w0,w1,x0,x1,y0,y1,z0,z1)")
-    coords = hyp_point_raw(field, params)
+    params = [field.canonical(x) for x in params]
+    coords = hyp_evaluate(params, field.canonical)
     if coords is None:
-        raise BaseLocusError(_vanishing_atoms(field, params))
+        names = HYP_PARAM_NAMES + ("x1*w1-x0*w0", "x1+x0", "w1+w0")
+        raise BaseLocusError([n for n, v in zip(names, _hyp_atoms(params, field.canonical)) if not v])
     point = PointA(field, coords)
     if not point.on_quadric_intersection():
         raise FamilyError("parametrized point left Q; component table corrupted")
     return point
-
-
-def _vanishing_atoms(field: Field, params):
-    atoms = _hyp_atoms([field.canonical(x) for x in params], field.canonical)
-    names = HYP_PARAM_NAMES + ("x1*w1-x0*w0", "x1+x0", "w1+w0")
-    return [name for name, val in zip(names, atoms) if not val]
 
 
 #: the field and the number of points at which ``verify_hyp_param`` checks ranks
@@ -213,14 +215,15 @@ def verify_hyp_param(seed: int = 2024) -> Certificate:
 
     Checks: (i) all four quadrics pull back to the zero polynomial over Q;
     (ii) the Jacobian of the map has rank 6 at 20 random points of F_10007,
-    read off the exponent table (:func:`_hyp_rank_table`: one elimination
-    per call, an 8x4 rank per point), which holds only where no atom of
+    read off the exponent table (:func:`_hyp_rank_table`: built once per
+    process, a 5x4 rank per point), which holds only where no atom of
     ``HYP_FACTORED`` vanishes: such points, the base locus among them, are
-    redrawn; (iii) the a-matrix has rank exactly 3 at the same image
-    points; (iv) every component is multihomogeneous of multidegree
-    (2,5,3,2,2).  A ``seed`` that is not an int, or is a bool, raises
-    :class:`FamilyError` first, and so does a negative one: ``random.Random``
-    would draw the points of its absolute value.
+    redrawn; (iii) the a-matrix of the evaluated coordinates has rank
+    exactly 3 at the same image points; (iv) every component is
+    multihomogeneous of multidegree (2,5,3,2,2).  A ``seed`` that is not an
+    int, or is a bool, raises :class:`FamilyError` first, and so does a
+    negative one: ``random.Random`` would draw the points of its absolute
+    value.
     """
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise FamilyError(f"seed must be an int, not {type(seed).__name__}")
@@ -244,11 +247,7 @@ def verify_hyp_param(seed: int = 2024) -> Certificate:
             ok = False
             break
         deg = d
-    cert.add(
-        "components-multihomogeneous",
-        ok and deg == HYP_MULTIDEGREE,
-        f"common multidegree {deg}",
-    )
+    cert.add("components-multihomogeneous", ok and deg == HYP_MULTIDEGREE, f"common multidegree {deg}")
 
     rng = random.Random(seed)
     rank_table = _hyp_rank_table(F)
@@ -259,8 +258,9 @@ def verify_hyp_param(seed: int = 2024) -> Certificate:
         if 0 in atoms:
             continue
         done += 1
+        coords = hyp_evaluate(params, F.canonical, atoms)
         for key, got, want in (("jacobian_failures", _hyp_jacobian_rank(F, rank_table, atoms), 6),
-                               ("rank_a_failures", rank_a(PointA(F, hyp_evaluate(params, F.canonical))), 3)):
+                               ("rank_a_failures", rank(F, a_matrix_values(coords)), 3)):
             if got != want:
                 failure = {"params": [F.format_scalar(x) for x in params], "rank": got}
                 cert.data.setdefault(key, []).append(failure)
@@ -588,8 +588,9 @@ PARA_V2_GRADING = {
 }
 
 
+@functools.cache
 def _para_v2_system() -> PolyMatrix:
-    """The 4x6 linear system for (c0..c5) from the two defining 2x2 systems."""
+    """The 4x6 linear system for (c0..c5) from the two defining 2x2 systems, built once."""
     vt = VarTable(PARA_V2_VARS, PARA_V2_GRADING)
     var = {n: Poly.variable(vt, QQ, n) for n in vt.names}
     w0, w1, y0, y1, z0, z1 = (var[n] for n in PARA_V2_VARS)
@@ -616,11 +617,7 @@ def verify_para_v2() -> Certificate:
     vt = M.vars
 
     small = bounded_degree_kernel(M, (0, 1, 1))
-    cert.add(
-        "one-generator-at-(0,1,1)",
-        len(small) == 1,
-        f"found {len(small)} kernel vectors",
-    )
+    cert.add("one-generator-at-(0,1,1)", len(small) == 1, f"found {len(small)} kernel vectors")
     if len(small) != 1:
         return cert
     n1 = small[0]
@@ -647,20 +644,14 @@ def verify_para_v2() -> Certificate:
         residual = M.apply(list(vec))
         cert.add(f"{name}-annihilates-system", all(r.is_zero() for r in residual))
 
-    ext_names = ("v0", "v1") + PARA_V2_VARS
-    evt = VarTable(ext_names)
-    embed = [Poly.variable(evt, QQ, n) for n in PARA_V2_VARS]
-    v0 = Poly.variable(evt, QQ, "v0")
-    v1 = Poly.variable(evt, QQ, "v1")
-    c = [v0 * a.compose(embed) + v1 * b.compose(embed) for a, b in zip(n1, n2)]
-    w0 = Poly.variable(evt, QQ, "w0")
-    w1 = Poly.variable(evt, QQ, "w1")
+    evt = VarTable(("v0", "v1") + PARA_V2_VARS)
+    # a polynomial of the system read in evt: no v0, v1 in its exponents
+    lift = lambda p: Poly(evt, QQ, {(0, 0, *e): coeff for e, coeff in p.terms.items()})
+    v0, v1, w0, w1 = (Poly.variable(evt, QQ, n) for n in ("v0", "v1", "w0", "w1"))
+    c = [v0 * lift(a) + v1 * lift(b) for a, b in zip(n1, n2)]
     det1 = c[0] * c[5] * (w0 - w1) + c[2] * c[4] * w1
     det2 = c[1] * c[3] * w0 + c[2] * c[4] * w1
     cert.add("det1-vanishes", det1.is_zero(), str(det1) if not det1.is_zero() else "")
     cert.add("det2-vanishes", det2.is_zero(), str(det2) if not det2.is_zero() else "")
-    cert.data["kernel"] = {
-        "n1": [str(p) for p in n1],
-        "n2": [str(p) for p in n2],
-    }
+    cert.data["kernel"] = {name: [str(p) for p in vec] for name, vec in (("n1", n1), ("n2", n2))}
     return cert

@@ -40,7 +40,9 @@ def _gauss_jordan(field: Field, rows) -> dict:
     after every input row: a new row is reduced against them, and the new
     pivot column is then cleared from them.  ``holders`` indexes each
     non-pivot column by the pivot rows with an entry there, so the clearing
-    touches only those rows, not every pivot row.  Every entry is
+    touches only those rows, not every pivot row.  A row reduced to one
+    entry (most equations of a sparse kernel system) is the pivot {c: 1} as
+    it is, and clearing c from its holders is one pop each.  Every entry is
     canonicalised on the way in, so any exact scalar of the field may be
     given.
     """
@@ -60,9 +62,13 @@ def _gauss_jordan(field: Field, rows) -> dict:
         if not row:
             continue
         c = min(row)
-        inv = field.inv(row[c])
-        row = {j: red(inv * v) for j, v in row.items()}
-        rest = [(j, v) for j, v in row.items() if j != c]
+        rest = ()
+        if len(row) == 1:
+            row[c] = 1
+        else:
+            inv = field.inv(row[c])
+            row = {j: red(inv * v) for j, v in row.items()}
+            rest = [(j, v) for j, v in row.items() if j != c]
         for h in holders.pop(c, ()):
             other = pivots[h]
             f = other.pop(c)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 from collections import defaultdict
 from itertools import product
+from operator import add
 from typing import Optional, Sequence
 
 from .fields import Field, FieldError
@@ -191,7 +192,7 @@ class Poly:
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return Poly(self.vars, self.field, out)
 

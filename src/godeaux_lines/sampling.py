@@ -117,7 +117,7 @@ def _require_search_field(field: Field) -> int:
 
 
 def random_q_point(field: PrimeField, rng, budget: _Budget) -> PointA:
-    """A point of Q: three quadrics solved linearly, the fourth by rejection."""
+    """A point of Q: q_0, q_1 and q_2 solved exactly mod p, q_3 by rejection."""
     p = _require_search_field(field)
     while True:
         budget.spend()
@@ -134,8 +134,6 @@ def random_q_point(field: PrimeField, rng, budget: _Budget) -> PointA:
             continue
         coords = (a32, a31, a30, a23, a21, a20, a13, a12, a10, a03, a02, a01)
         point = PointA(field, coords)
-        if not point.on_quadric_intersection():
-            continue
         if jacobian_rank(point) != 4:
             continue
         return point

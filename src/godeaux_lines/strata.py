@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations, permutations
 from operator import mul
 
@@ -438,28 +438,33 @@ def _certified(perm, tau, masks) -> bool:
         (s & m).bit_count() & 1 != odd for s in masks for m, odd in conditions)
 
 
+@cache
+def _sign_system() -> tuple:
+    """The left-hand side of :func:`_sign_solutions`, eliminated once per process, as
+    masks: the inverse's rows at the sign columns, the checks and the kernel's sign parts."""
+    kernel, inverse, checks = solver(
+        PrimeField(2), [{u: 1, v: 1, 12 + m: 1} for m, _, u, v in _SIGN_TERMS], 16)
+    mask = lambda rec: sum(1 << r for r in rec)  # a nonzero value of F_2 is 1
+    span = reduce(lambda span, vec: span + [s ^ mask(k for k in range(12) if vec[k]) for s in span],
+                  kernel, [0])
+    inverse = tuple((c, mask(rec)) for c, rec in inverse.items() if c < 12)
+    return inverse, tuple(map(mask, checks)), tuple(span)
+
+
 def _sign_solutions() -> dict:
-    """Every signed permutation fixing {+-q_k}, from one elimination, as
-    {perm index: sign masks}.
+    """Every signed permutation fixing {+-q_k}, as {perm index: sign masks}.
 
     Unknowns over F_2: one bit per coordinate (sign -1) and per quadric
     (q_m goes to -q_(perm m)); the monomial s a_u a_v of q_m gives the
     equation x_u + x_v + x_(12+m) = [s is not its image's sign in
     q_(perm m)].  The left-hand side is the same for every permutation, so
-    it is eliminated once (:func:`linalg.solver`); a permutation's
-    right-hand side, a bitmask over the equations, is reduced by replaying
-    the recorded row operations, and its solutions are that particular
-    solution plus the shared kernel.  A permutation sending a monomial of
-    q_m outside q_(perm m) has none.
+    it is eliminated once per process (:func:`_sign_system`); on each call
+    every permutation's right-hand side, a bitmask over the equations, is
+    reduced by replaying the recorded row operations, and its solutions are
+    that particular solution plus the shared kernel.  A permutation sending
+    a monomial of q_m outside q_(perm m) has none.
     """
-    kernel, inverse, checks = solver(
-        PrimeField(2), [{u: 1, v: 1, 12 + m: 1} for m, _, u, v in _SIGN_TERMS], 16)
-    mask = lambda rec: sum(1 << r for r in rec)  # a nonzero value of F_2 is 1
-    inverse = [(c, mask(rec)) for c, rec in inverse.items() if c < 12]
-    checks = [mask(rec) for rec in checks]
-    span = [0]  # the kernel's sign parts
-    for vec in kernel:
-        span += [s ^ mask(k for k in range(12) if vec[k]) for s in span]
+    inverse, checks, span = _sign_system()
     out = {}
     for i, (perm, tau) in enumerate(zip(_PERMS, _TAUS)):
         # the sign of each term times its image's, 0 where the image is not in q_(perm m)
@@ -490,12 +495,13 @@ def quadric_symmetries() -> SymmetryGroup:
 
     Found by exhaustive search over the 24 permutations of the four indices:
     their sign constraints over ``PrimeField(2)`` share one left-hand side,
-    eliminated once, against which each permutation's right-hand side is
-    reduced (:func:`_sign_solutions`).  Every element is certified, on each
-    call, by the exact polynomial identity (transformed q_k) = +- q_(perm k):
-    its permutation's relabeled monomials are read once, and each of its
-    sign masks is checked against them by parities (:func:`_certified`), on
-    ints like the generator search; the elements are built last.
+    eliminated once per process, against which each permutation's
+    right-hand side is reduced on every call (:func:`_sign_solutions`).
+    Every element is certified, on each call, by the exact polynomial
+    identity (transformed q_k) = +- q_(perm k): its permutation's relabeled
+    monomials are read once, and each of its sign masks is checked against
+    them by parities (:func:`_certified`), on ints like the generator
+    search; the elements are built last.
     Generators are chosen greedily in sorted order, the group they give
     growing one right coset at a time; the induced action on the three
     torsion P^3's is read once per coordinate permutation and kept on the
@@ -595,13 +601,8 @@ def verify_symmetries():
         "exact polynomial identities (all elements certified at construction)",
     )
     cert.add("torsion-action-transitive", group.torsion_transitive)
-    cert.add(
-        "transposition-01-realized",
-        any(e.perm == (1, 0, 2, 3) for e in group.elements),
-    )
+    cert.add("transposition-01-realized", any(e.perm == (1, 0, 2, 3) for e in group.elements))
     cert.data["order"] = group.order
-    cert.data["generators"] = [
-        {"perm": list(e.perm), "signs": list(e.signs)} for e in group.generators
-    ]
+    cert.data["generators"] = [{"perm": list(e.perm), "signs": list(e.signs)} for e in group.generators]
     cert.data["torsion_images"] = list(group.torsion_images)
     return cert

@@ -11,8 +11,8 @@ from godeaux_lines.families import (
     FamilyError,
     HYP_MULTIDEGREE,
     hyp_components,
+    hyp_evaluate,
     hyp_point,
-    hyp_point_raw,
     sample_component_line,
     verify_hyp_param,
     verify_para_v2,
@@ -66,16 +66,18 @@ def test_worked_image_point():
 
 
 @pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=str)
-def test_hyp_point_raw_matches_expanded_components(field):
+def test_hyp_evaluate_matches_expanded_components(field):
     # the factored evaluator against the expanded polynomials, with zeros
-    # frequent enough to hit vanishing atoms and the base locus
+    # frequent enough to hit vanishing atoms and the base locus; given the
+    # atoms, it reads them instead of computing them
     comps = [c.map_field(field) for c in hyp_components()]
     rng = random.Random(17)
     seen_base = False
     for _ in range(300):
-        params = [rng.choice((0, 0, 1, -1, field.random(rng))) for _ in range(10)]
-        expected = tuple(poly_eval(c, [field.canonical(x) for x in params]) for c in comps)
-        got = hyp_point_raw(field, params)
+        params = [field.canonical(rng.choice((0, 0, 1, -1, field.random(rng)))) for _ in range(10)]
+        expected = tuple(poly_eval(c, params) for c in comps)
+        got = hyp_evaluate(params, field.canonical)
+        assert hyp_evaluate(None, field.canonical, fam._hyp_atoms(params, field.canonical)) == got
         if any(expected):
             assert got == expected
         else:
@@ -123,7 +125,7 @@ def test_image_points_on_q_over_f10007(f10007):
     for _ in range(10):
         coords = None
         while coords is None:  # resample off the base locus
-            coords = hyp_point_raw(f10007, [f10007.random(rng) for _ in range(10)])
+            coords = hyp_evaluate([f10007.random(rng) for _ in range(10)], f10007.canonical)
         p = PointA(f10007, coords)
         assert p.on_quadric_intersection()
         for i in range(4):
@@ -175,12 +177,15 @@ def test_verify_hyp_param_rejects_a_seed_that_is_not_an_int(monkeypatch, seed):
 
 @pytest.mark.parametrize("target, key, check", [
     ("_hyp_jacobian_rank", "jacobian_failures", "jacobian-rank-6"),
-    ("rank_a", "rank_a_failures", "image-rank-a-3"),
+    ("a_matrix_values", "rank_a_failures", "image-rank-a-3"),
 ])
 def test_verify_hyp_param_records_every_failing_point(monkeypatch, target, key, check):
     # a rank that is wrong at every point: each of the 20 points is recorded
-    # with its parameters and rank, and only that check fails
-    monkeypatch.setattr(fam, target, lambda *args: 2)
+    # with its parameters and rank, and only that check fails.  The Jacobian
+    # rank reads 2, or each point's a-matrix, which the certificate ranks
+    # from the evaluated coordinates, is one of rank 2
+    rank_2 = {"_hyp_jacobian_rank": 2, "a_matrix_values": [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0] * 6, [0] * 6]}
+    monkeypatch.setattr(fam, target, lambda *args: rank_2[target])
     cert = verify_hyp_param(seed=5)
     assert [c.name for c in cert.checks if not c.passed] == [check]
     assert list(cert.data) == [key]
@@ -550,3 +555,7 @@ def test_para_v2_perturbed_fails(monkeypatch):
     monkeypatch.setattr(fam, "_para_v2_system", lambda: PolyMatrix(M.vars, QQ, rows))
     cert = verify_para_v2()
     assert not cert.passed
+    # the failing determinant is printed in (v0, v1, w0, .., z1), as the
+    # kernel vectors composed into that table gave it
+    assert [(c.name, c.detail) for c in cert.checks if not c.passed] == [
+        ("det2-vanishes", "v0*v1*w0*w1^2*y0*y1*z0*z1 - v0*v1*w1^3*y0*y1*z0*z1")]

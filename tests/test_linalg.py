@@ -356,3 +356,76 @@ def test_indexed_elimination_matches_scan_oracle_on_para_v2_system(monkeypatch):
     pivots = _gauss_jordan(QQ, rows)
     assert (len(rows), len(pivots)) == (396, 317)
     assert typed_pivots(pivots) == typed_pivots(_scan_gauss_jordan(QQ, rows))
+
+
+# ----------------------------------------------------------------------
+# rows of one entry: taken as the pivot {c: 1} as they are
+
+
+def unit_heavy_matrices(rng, count, scalar):
+    """Sparse rows over up to 30 columns, half of them one entry; of the
+    rest, some are an earlier row plus one new entry (they reduce to that
+    entry), the others two or three entries."""
+    for _ in range(count):
+        ncols = rng.randint(2, 30)
+        rows = []
+        for _ in range(rng.randint(1, 30)):
+            kind = rng.random()
+            if kind < 0.5:
+                row = {rng.randrange(ncols): scalar(rng)}
+            elif rows and kind < 0.7:
+                row = {j: 2 * v for j, v in rng.choice(rows).items()}
+                j = rng.randrange(ncols)
+                row[j] = row.get(j, 0) + scalar(rng)
+            else:
+                row = {rng.randrange(ncols): scalar(rng) for _ in range(rng.randint(2, 3))}
+            rows.append(row)
+        yield rows
+
+
+def _as_reduced(field, rows):
+    """For each row: its entries as given, its entries once reduced by the
+    RREF of the rows before it (the scan oracle), and whether a pivot row
+    before it holds the column it then pivots on."""
+    out = []
+    for i, row in enumerate(rows):
+        pivots = _scan_gauss_jordan(field, rows[:i])
+        row = {j: field.canonical(v) for j, v in row.items() if field.canonical(v)}
+        given = len(row)
+        for c in [c for c in row if c in pivots]:
+            _scan_subtract(field, row, row[c], pivots[c])
+        out.append((given, len(row), bool(row) and any(min(row) in p for p in pivots.values())))
+    return out
+
+
+def test_unit_row_cleared_from_the_pivot_rows_that_hold_its_column():
+    # rows 0 and 1 hold column 2 when the unit row {2: 7} comes; row 3
+    # reduces to the one entry {3: -3} only after reduction
+    F = PrimeField(31)
+    rows = [{0: 1, 2: 3}, {1: 2, 2: 5}, {2: 7}, {0: 1, 2: 3, 3: 28}]
+    assert [(given, left) for given, left, _ in _as_reduced(F, rows)] == [(2, 2), (2, 2), (1, 1), (3, 1)]
+    pivots = _gauss_jordan(F, rows)
+    assert pivots == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}, 3: {3: 1}}
+    assert typed_pivots(pivots) == typed_pivots(_scan_gauss_jordan(F, rows))
+
+
+@pytest.mark.parametrize("field, scalar", [
+    (PrimeField(2), lambda rng: rng.randrange(1, 2)),
+    (PrimeField(31), lambda rng: rng.randrange(31)),
+    (QQ, lambda rng: rng.choice((rng.randint(-4, 4), _fraction(rng)))),
+], ids=["F_2", "F_31", "Q"])
+def test_unit_rows_match_scan_oracle(field, scalar):
+    # rows given with one entry, rows that reduce to one entry, and unit rows
+    # whose column earlier pivot rows hold all occur; the elimination is the
+    # scan oracle's, and any order of the rows gives the same RREF
+    rng = random.Random(f"unit-rows-{field}")
+    seen = set()
+    for rows in unit_heavy_matrices(rng, 120, scalar):
+        pivots = _gauss_jordan(field, rows)
+        assert typed_pivots(pivots) == typed_pivots(_scan_gauss_jordan(field, rows))
+        for given, left, held in _as_reduced(field, rows):
+            seen |= {"given" * (given == 1), "reduced" * (given > 1 and left == 1), "held" * (left == 1 and held)}
+        for _ in range(3):
+            shuffled = rng.sample(rows, len(rows))
+            assert _gauss_jordan(field, shuffled) == pivots
+    assert seen >= {"given", "reduced", "held"}

@@ -254,9 +254,23 @@ def _generic_hyp_atoms(field, rng):
 def test_jacobian_of_hyp_parametrization_rank_6(f10007):
     # the rank verify hyp-param certifies, against the product-rule oracle;
     # the constant columns v0, v1, y0, y1, z0, z1 have rank 4 (v0 + v1 =
-    # y0 + y1 = z0 + z1 = 2 in every row), so each point ranks 8 rows of 4
+    # y0 + y1 = z0 + z1 = 2 in every row), so 8 checks combine the rows, and
+    # their sums of the w0, w1, x0, x1, D, X, W exponents have rank 5: each
+    # point ranks 5 rows of 4
     rank_table = _hyp_rank_table(f10007)
-    assert (rank_table[0], len(rank_table[1])) == (4, 8)
+    assert (rank_table[0], len(rank_table[1])) == (4, 5)
+    for p in (5, 7, 31, 10007):
+        # the table's rows span the rows of the 8 checks: here the checks are
+        # the left kernel of the constant block, read off the transpose
+        F = PrimeField(p)
+        constant = [[exps[j] for j in (0, 1, 6, 7, 8, 9)] for _, exps in HYP_FACTORED]
+        checks = nullspace(F, [list(col) for col in zip(*constant)], 12)
+        check_rows = [[sum(y * exps[k] for y, (_, exps) in zip(vec, HYP_FACTORED))
+                       for k in (2, 3, 4, 5, 10, 11, 12)] for vec in checks]
+        rank_c, rows = _hyp_rank_table(F)
+        table_rows = [list(e) + list(dxw) for e, dxw in rows]
+        assert (rank_c, len(checks)) == (4, 8)
+        assert rank(F, table_rows) == len(table_rows) == rank(F, check_rows) == rank(F, table_rows + check_rows)
     rng = random.Random(9)
     for _ in range(3):
         atoms = _generic_hyp_atoms(f10007, rng)

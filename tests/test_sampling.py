@@ -8,7 +8,7 @@ import pytest
 
 from godeaux_lines.cli import _dumps
 from godeaux_lines.draws import _BLOCK_WORDS, _BLOCKS_PER_STATE, _BlockDraws
-from godeaux_lines.families import hyp_point_raw
+from godeaux_lines.families import hyp_evaluate
 from godeaux_lines.fields import QQ, PrimeField, is_prime
 from godeaux_lines.geometry import (
     AIDX,
@@ -71,6 +71,50 @@ def test_q_point_sampler(f31):
     for _ in range(5):
         p = random_q_point(f31, rng, budget)
         assert p.on_quadric_intersection()
+
+
+class _Q3Steered(random.Random):
+    """``random.Random``, except that the last of each Q-point draw's nine
+    values (a01) is the one that makes q_3 vanish, where there is one.
+
+    q_3 = a01 a02 - a10 a12 + a20 a21 is linear in a01 once a10 = (a01 a03
+    - a30 a31) / a13 is put in, so a draw passes the sampler's q_3 test at
+    once instead of about once in p draws; q_0, q_1 and q_2 are still the
+    sampler's to solve."""
+
+    def __init__(self, seed, p):
+        super().__init__(seed)
+        self.p, self.drawn = p, []
+
+    def randrange(self, *args):
+        p = self.p
+        if len(self.drawn) < 8:
+            self.drawn.append(super().randrange(*args))
+            return self.drawn[-1]
+        a32, a31, a30, a23, a21, a20, a13, a03 = self.drawn
+        self.drawn = []
+        inv13, inv03 = pow(a13, -1, p), pow(a03, -1, p)
+        a12 = (a21 * a23 - a31 * a32) * inv13 % p
+        a02 = (a30 * a32 - a20 * a23) * inv03 % p
+        slope = (a02 - a03 * a12 * inv13) % p
+        if not slope:
+            return super().randrange(*args)
+        return -(a30 * a31 * a12 * inv13 + a20 * a21) * pow(slope, -1, p) % p
+
+
+@pytest.mark.parametrize("p", (31, 10007))
+def test_q_points_lie_on_q(p):
+    # random_q_point solves q_0, q_1 and q_2 exactly mod p and tests q_3, so
+    # every point it returns lies on Q with no further check; at p = 10007
+    # the q_3 test is steered to pass (about p draws a point otherwise)
+    field = PrimeField(p)
+    rng = random.Random(p) if p < 100 else _Q3Steered(p, p)
+    budget = _Budget("test", 10**6)
+    points = [random_q_point(field, rng, budget) for _ in range(200)]
+    assert all(point.on_quadric_intersection() for point in points)
+    assert len({point.coords for point in points}) == 200
+    if p > 100:
+        assert budget.used < 400  # the steering held: nearly one draw a point
 
 
 def test_torsion_strategy(f31):
@@ -809,7 +853,7 @@ def _full_accepts(field, lam, params, general_position=False):
     tangency forms (the rows of ``lam``), then the rows of the a-matrix."""
     p = field.p
     l0, l1, l2, l3 = ([int(x) for x in row] for row in lam)
-    coords = hyp_point_raw(field, params)
+    coords = hyp_evaluate(params, field.canonical)
     if coords is None:
         return False
     if sum(l0[k] * coords[k] for k in range(12)) % p:
@@ -835,7 +879,7 @@ def _full_two_hyp_partner(field, point, rng, budget, cap, general_position=False
         budget.spend()
         params = [rng.randrange(p) for _ in range(10)]
         if _full_accepts(field, lam, params, general_position):
-            return PointA(field, hyp_point_raw(field, params))
+            return PointA(field, hyp_evaluate(params, field.canonical))
     return None
 
 
@@ -900,7 +944,7 @@ def test_q0_tangency_is_l0_dot_coords(p):
         l0 = jacobian_at(F, [rng.randrange(p) for _ in range(12)])[0]
         # zero-heavy parameters reach the base locus and vanishing factors
         params = [rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(10)]
-        coords = hyp_point_raw(F, params) or (0,) * 12
+        coords = hyp_evaluate(params, F.canonical) or (0,) * 12
         assert _q0_tangency(p, l0, params) == sum(map(int.__mul__, l0, coords)) % p
 
 
@@ -913,7 +957,7 @@ def _two_hyp_cases(F, lam, params):
     factors = {"v0 = 0"} if v0 == 0 else {"D = 0"} if D == 0 else set()
     if v0 * D:
         return factors | {"cofactor sum 0" if _q0_tangency(p, lam[0], params) == 0 else "l0 . coords != 0"}
-    return factors | {"base locus" if hyp_point_raw(F, params) is None else "v0 D = 0, F != 0"}
+    return factors | {"base locus" if hyp_evaluate(params, F.canonical) is None else "v0 D = 0, F != 0"}
 
 
 @pytest.mark.parametrize("general_position", (False, True))
@@ -934,7 +978,7 @@ def test_two_hyp_column_test_matches_full_acceptance(p, general_position):
         own = [rng.randrange(1, p) for _ in range(10)]
         if trial % 3 == 1:
             own[0] = 0
-        base = hyp_point_raw(F, own) if trial % 3 < 2 else [rng.randrange(p) for _ in range(12)]
+        base = hyp_evaluate(own, F.canonical) if trial % 3 < 2 else [rng.randrange(p) for _ in range(12)]
         lam = [[int(x) for x in row] for row in jacobian_at(F, base or [1] * 12)]
         block = [own] + [[zero_heavy() for _ in range(10)] for _ in range(150)]
         keep = _two_hyp_test(p, lam, general_position)
