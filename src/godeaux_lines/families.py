@@ -34,7 +34,7 @@ from .certificates import Certificate
 from .fields import Field, PrimeField, QQ
 from .geometry import (AIDX, LineA, PointA, QUADRIC_TERMS, _line_conditions, _quadric, a_matrix_values,
                        line_in_q, quadrics_vanish_on)
-from .linalg import rank, rref, solver
+from .linalg import _gauss_jordan, _reduce, rank, rref, solver
 from .polynomials import Poly, PolyMatrix, VarTable, bounded_degree_kernel, monomials_up_to
 from .strata import TORSION_SPACES, TorsionSpace
 
@@ -108,7 +108,7 @@ HYP_CHECKSUM = "8b6ed0eec8f63444a29ece81ee66056652a97372102fb23cd3b5e386c9dd444d
 @functools.cache
 def hyp_components() -> tuple:
     """The 12 components as expanded polynomials over Q, checked against
-    ``HYP_CHECKSUM`` and built once; ``c.map_field(F)`` gives them over F_p."""
+    ``HYP_CHECKSUM`` and built once; their coefficients read mod p give them over F_p."""
     vt = VarTable(HYP_PARAM_NAMES, HYP_GRADING)
     comps = hyp_evaluate([Poly.variable(vt, QQ, n) for n in HYP_PARAM_NAMES], lambda p: p)
     digest = hashlib.sha256("\n".join(str(c) for c in comps).encode()).hexdigest()
@@ -421,10 +421,9 @@ def _matching_covers(space_a: TorsionSpace, space_b: TorsionSpace):
     covers = []
     for j in range(1, 4):
         for kill_a in combinations(range(4), j):
-            a_surv = tuple(sorted(surv_a - {edges[k][0] for k in kill_a}))
-            b_surv = tuple(
-                sorted(surv_b - {edges[k][1] for k in range(4) if k not in kill_a})
-            )
+            # the edges pair surv_a with surv_b one to one (checked above)
+            a_surv = tuple(sorted(a for k, (a, _) in enumerate(edges) if k not in kill_a))
+            b_surv = tuple(sorted(edges[k][1] for k in kill_a))
             covers.append((f"P{3 - j}xP{j - 1}", a_surv, b_surv))
     return tuple(edges), covers
 
@@ -539,12 +538,9 @@ def verify_z3_kernel() -> Certificate:
     vt = VarTable(("u0", "u1", "u2", "u3", "w0", "w1"))
     zero = Poly.zero(vt, QQ)
     var = [Poly.variable(vt, QQ, n) for n in vt.names]
-    system = _z3_kernel_system(*var, zero)
+    # the system times a reading of a row; products with a zero entry are skipped
+    residuals = PolyMatrix(vt, QQ, _z3_kernel_system(*var, zero)).apply
     reference = _z3_reference_kernel_rows(*var, zero)
-
-    def residuals(vec):
-        return [sum((eq_c * v for eq_c, v in zip(eq, vec)), zero) for eq in system]
-
     direct = [residuals(row) for row in reference]
     cert.data["direct_reading_residuals"] = [
         [str(r) for r in row] for row in direct
@@ -634,9 +630,9 @@ def verify_para_v2() -> Certificate:
     # n1 times every monomial of degree <= 2 in (w0, w1)
     w_monos = [Poly.monomial(vt, QQ, e) for e in monomials_up_to(vt, (2, 0, 0))]
     old_span = [flat([m * p for p in n1]) for m in w_monos]
-    # the span is ranked once; a vector outside it raises the rank
-    old_rank = rank(QQ, old_span)
-    n2 = next((vec for vec in big if rank(QQ, old_span + [flat(vec)]) > old_rank), None)
+    # the span is eliminated once; a vector outside it leaves a remainder against it
+    span = _gauss_jordan(QQ, old_span)
+    n2 = next((vec for vec in big if _reduce(QQ, span, flat(vec))), None)
     cert.add("second-generator-found", n2 is not None)
     if n2 is None:
         return cert

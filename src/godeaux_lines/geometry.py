@@ -110,8 +110,7 @@ def quadrics_vanish_on(support) -> bool:
     identically exactly when A u B passes.
     """
     support = set(support)
-    return not any(u in support and v in support
-                   for terms in QUADRIC_TERMS for _, u, v in terms)
+    return not [u for terms in QUADRIC_TERMS for _, u, v in terms if u in support and v in support]
 
 
 def quadric_value(field: Field, i: int, coords):

@@ -21,15 +21,20 @@ from __future__ import annotations
 from .fields import Field
 
 
-def _subtract(field: Field, row: dict, f, pivot_row: dict) -> None:
-    """row -= f * pivot_row in place, dropping entries that become zero."""
+def _reduce(field: Field, pivots: dict, row: dict) -> dict:
+    """The sparse row of nonzero entries reduced in place against the pivot
+    rows, and returned: empty exactly when it lies in their span.  Pivot rows
+    hold no other pivot column, so the steps at its pivot columns commute."""
     red = field.canonical
-    for j, v in pivot_row.items():
-        x = red(row.get(j, 0) - f * v)
-        if x:
-            row[j] = x
-        else:
-            row.pop(j, None)
+    for c in [c for c in row if c in pivots]:
+        f = row[c]
+        for j, v in pivots[c].items():
+            x = red(row.get(j, 0) - f * v)
+            if x:
+                row[j] = x
+            else:
+                row.pop(j, None)
+    return row
 
 
 def _gauss_jordan(field: Field, rows) -> dict:
@@ -56,10 +61,7 @@ def _gauss_jordan(field: Field, rows) -> dict:
             v = red(v)
             if v:
                 row[j] = v
-        # pivot rows hold no other pivot column, so these steps commute
-        for c in [c for c in row if c in pivots]:
-            _subtract(field, row, row[c], pivots[c])
-        if not row:
+        if not _reduce(field, pivots, row):
             continue
         c = min(row)
         rest = ()

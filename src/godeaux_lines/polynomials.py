@@ -155,6 +155,8 @@ class Poly:
         return cls(vars, field, {tuple(exponents): coeff})
 
     def _check(self, other: "Poly"):
+        if other.vars is self.vars and other.field is self.field:
+            return
         if other.vars != self.vars:
             raise PolynomialError("polynomials over different VarTables")
         if other.field != self.field:
@@ -167,6 +169,8 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.constant(self.vars, self.field, other)
         self._check(other)
+        if not (self.terms and other.terms):  # Poly is immutable: share the operand
+            return self if self.terms else other
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms.get(e, 0) + c
@@ -189,6 +193,8 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check(other)
+        if not (self.terms and other.terms):  # share the zero operand
+            return other if self.terms else self
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -271,10 +277,6 @@ class Poly:
             out = out + term
         return out
 
-    def map_field(self, field: Field) -> "Poly":
-        """Reinterpret the coefficients in another field (e.g. Q -> F_p)."""
-        return Poly(self.vars, field, self.terms)
-
     # ------------------------------------------------------------------
     # grading
 
@@ -334,7 +336,8 @@ class PolyMatrix:
         for row in self.entries:
             acc = Poly.zero(self.vars, self.field)
             for p, v in zip(row, vec):
-                acc = acc + p * v
+                if p.terms and v.terms:
+                    acc = acc + p * v
             out.append(acc)
         return out
 

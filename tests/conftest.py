@@ -75,6 +75,12 @@ def component_rows(a_surv, b_surv):
     return rows
 
 
+def map_field(f, field):
+    """The Poly ``f`` with its coefficients read in another field (e.g.
+    Q -> F_p).  No library module changes the field of a Poly; the tests do."""
+    return Poly(f.vars, field, f.terms)
+
+
 def poly_eval(f, point):
     """Exact value of the Poly ``f`` at a sequence of raw scalars, one per
     variable: native * and + per term, one reduction per power and one at

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 import godeaux_lines.families as fam
-from conftest import component_rows, poly_eval
+from conftest import component_rows, map_field, poly_eval
 from godeaux_lines.families import (
     BaseLocusError,
     FamilyError,
@@ -70,7 +70,7 @@ def test_hyp_evaluate_matches_expanded_components(field):
     # the factored evaluator against the expanded polynomials, with zeros
     # frequent enough to hit vanishing atoms and the base locus; given the
     # atoms, it reads them instead of computing them
-    comps = [c.map_field(field) for c in hyp_components()]
+    comps = [map_field(c, field) for c in hyp_components()]
     rng = random.Random(17)
     seen_base = False
     for _ in range(300):
@@ -106,7 +106,7 @@ def _oracle_hyp_components(field):
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
 def test_hyp_components_match_atom_by_atom_oracle(field):
-    comps = [c.map_field(field) for c in hyp_components()]
+    comps = [map_field(c, field) for c in hyp_components()]
     oracle = _oracle_hyp_components(field)
     assert [str(c) for c in comps] == [str(c) for c in oracle]
     assert list(comps) == oracle
@@ -495,6 +495,35 @@ def test_z3_kernel_search_reports_the_reading_that_validates(monkeypatch, change
     assert cert.passed
     last_two, signs = reading
     assert cert.data["validating_convention"] == {"last_two_unknowns": last_two, "signs": signs}
+
+
+@pytest.mark.parametrize("row, col", [(2, 5), (0, 0)])
+def test_z3_kernel_search_fails_when_no_reading_validates(monkeypatch, row, col):
+    # one tabulated entry doubled: no reading validates, and the residuals
+    # the certificate records (products with a zero entry skipped) are the
+    # plain sums of every product
+    real = fam._z3_reference_kernel_rows
+
+    def changed(*args):
+        rows = real(*args)
+        rows[row][col] = rows[row][col].scale(2)
+        return rows
+
+    monkeypatch.setattr(fam, "_z3_reference_kernel_rows", changed)
+    cert = verify_z3_kernel()
+    assert not cert.passed
+    by_name = {c.name: c for c in cert.checks}
+    search = by_name["all-rows-under-some-convention"]
+    assert not search.passed and search.detail.endswith("none found")
+    assert cert.data["validating_convention"] is None
+    vt = VarTable(("u0", "u1", "u2", "u3", "w0", "w1"))
+    zero = Poly.zero(vt, QQ)
+    var = [Poly.variable(vt, QQ, n) for n in vt.names]
+    system = fam._z3_kernel_system(*var, zero)
+    oracle = [[str(sum((e * v for e, v in zip(eq, vec)), zero)) for eq in system]
+              for vec in changed(*var, zero)]
+    assert cert.data["direct_reading_residuals"] == oracle
+    assert any(text != "0" for text in oracle[row])
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from godeaux_lines.fields import FieldError, PrimeField, QQ
-from godeaux_lines.linalg import _gauss_jordan, nullspace, rank, rref, solver, sparse_nullspace
+from godeaux_lines.linalg import _gauss_jordan, _reduce, nullspace, rank, rref, solver, sparse_nullspace
 
 
 def test_rank_and_rref_basic():
@@ -335,6 +335,34 @@ def test_indexed_elimination_matches_scan_oracle(field, scalar):
     for rows, _ in random_matrices(field, rng, 150):
         rows = [[scalar(rng) if x else x for x in row] for row in rows]
         assert typed_pivots(_gauss_jordan(field, rows)) == typed_pivots(_scan_gauss_jordan(field, rows))
+
+
+@pytest.mark.parametrize("field, scalar", [
+    (PrimeField(31), lambda rng: rng.randrange(31)),
+    (QQ, _fraction),
+], ids=["F_31", "Q-fractions"])
+def test_reduce_decides_span_membership_as_rank_does(field, scalar):
+    # a row reduced against the RREF of some rows comes out empty exactly
+    # when adding it to them leaves the rank as it is (para-v2's span test)
+    rng = random.Random(77)
+    seen = set()
+    for rows in sparse_matrices(rng, 120, scalar):
+        pivots = _gauss_jordan(field, rows)
+        base = rank(field, rows)
+        candidates = [{rng.randrange(60): scalar(rng) for _ in range(rng.randint(1, 3))} for _ in range(3)]
+        for _ in range(3):  # combinations of the rows, inside their span
+            candidates.append({})
+            for r in rng.sample(rows, min(3, len(rows))):
+                f = scalar(rng)
+                for j, v in r.items():
+                    candidates[-1][j] = candidates[-1].get(j, 0) + f * v
+        for row in candidates:
+            row = {j: field.canonical(v) for j, v in row.items() if field.canonical(v)}
+            inside = rank(field, rows + [row]) == base
+            assert (not _reduce(field, pivots, dict(row))) == inside
+            seen.add(inside)
+        assert typed_pivots(pivots) == typed_pivots(_gauss_jordan(field, rows))  # pivots left as they were
+    assert seen == {True, False}
 
 
 def test_indexed_elimination_matches_scan_oracle_on_para_v2_system(monkeypatch):

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from conftest import poly_eval
+from conftest import map_field, poly_eval
 from godeaux_lines.families import (HYP_FACTORED, _hyp_atoms, _hyp_jacobian_rank, _hyp_rank_table,
                                     hyp_components)
 from godeaux_lines.fields import FieldError, PrimeField, QQ
@@ -201,7 +201,7 @@ def test_jacobian_of_quadrics_rank_4_on_q(f31, generic_line):
     # and exact row reduction at sampled points of Q
     from godeaux_lines.geometry import jacobian_at
 
-    J = jacobian([q.map_field(f31) for q in quadrics(QQ)])
+    J = jacobian([map_field(q, f31) for q in quadrics(QQ)])
     for st in ((1, 0), (0, 1), (1, 1), (1, 2)):
         coords = list(generic_line.point_at(*st).coords)
         values = [[poly_eval(d, coords) for d in row] for row in J]
@@ -280,7 +280,7 @@ def test_jacobian_of_hyp_parametrization_rank_6(f10007):
 
 @pytest.mark.parametrize("field, points", [(PrimeField(10007), 120), (QQ, 4)], ids=["F_10007", "Q"])
 def test_hyp_jacobian_matches_symbolic_derivative(field, points):
-    symbolic = jacobian([c.map_field(field) for c in hyp_components()])
+    symbolic = jacobian([map_field(c, field) for c in hyp_components()])
     rng = random.Random(f"jacobian-{field}")
     # the base locus and a zero atom (v0 = 0, D = X = W = 0) included
     specials = [[0] * 10, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9], [1, 2, 3, -3, 2, -2, 1, 1, 1, 1],
@@ -297,7 +297,7 @@ def test_hyp_jacobian_rank_matches_symbolic_jacobian(p):
     # exponent table is the rank of the symbolic Jacobian (a sign flipped in
     # one of its D, X, W terms reads 7 at every such point over F_31)
     field = PrimeField(p)
-    symbolic = jacobian([c.map_field(field) for c in hyp_components()])
+    symbolic = jacobian([map_field(c, field) for c in hyp_components()])
     rank_table = _hyp_rank_table(field)
     rng = random.Random(f"hyp-rank-{p}")
     for _ in range(300):
@@ -389,7 +389,7 @@ def test_kernel_of_scroll_system_rank_2(f10007):
     from godeaux_lines.families import _para_v2_system
 
     M = _para_v2_system()
-    Mp = PolyMatrix(M.vars, f10007, [[p.map_field(f10007) for p in row] for row in M.entries])
+    Mp = PolyMatrix(M.vars, f10007, [[map_field(p, f10007) for p in row] for row in M.entries])
     small = bounded_degree_kernel(Mp, (0, 1, 1))
     big = bounded_degree_kernel(Mp, (2, 1, 1))
     assert len(small) == 1
@@ -448,7 +448,7 @@ def _kernel_inputs():
 
     M = _para_v2_system()
     for F in (QQ, PrimeField(10007)):
-        Mf = PolyMatrix(M.vars, F, [[p.map_field(F) for p in row] for row in M.entries])
+        Mf = PolyMatrix(M.vars, F, [[map_field(p, F) for p in row] for row in M.entries])
         for bound in ((0, 1, 1), (2, 1, 1), (1, 1, 1), (2, 2, 2)):
             yield Mf, bound
     st = VarTable(("s", "t"))
@@ -499,6 +499,74 @@ def test_ring_axioms_random():
         assert f * g == g * f
         assert (f * g) * h == f * (g * h)
         assert f * (g + h) == f * g + f * h
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+def test_zero_operand_still_checks_table_and_field(op):
+    # the zero short-cuts come after the table and field checks
+    apply = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b, "mul": lambda a, b: a * b}[op]
+    vt, (x, y, z) = xyz()
+    other_vt = VarTable(("x", "y", "z"))  # equal names, another table object
+    F = PrimeField(31)
+    for a, b in ((Poly.zero(vt, QQ), x), (x, Poly.zero(vt, QQ))):
+        assert apply(a, b).vars is vt  # same table, same field: no error
+    for zero in (Poly.zero(VarTable(("x", "y")), QQ), Poly.zero(VarTable(("u", "v", "w")), QQ)):
+        for a, b in ((zero, x), (x, zero)):
+            with pytest.raises(PolynomialError):
+                apply(a, b)
+    for zero in (Poly.zero(vt, F), Poly.zero(other_vt, F)):
+        for a, b in ((zero, x), (x, zero)):
+            with pytest.raises(FieldError):
+                apply(a, b)
+    # an equal table or an equal field that is another object still passes
+    assert apply(Poly.zero(other_vt, QQ), x).vars == vt
+    assert apply(Poly.zero(vt, PrimeField(31)), Poly.variable(vt, F, "x")).field == F
+
+
+def test_zero_operand_results():
+    vt, (x, y, z) = xyz()
+    zero = Poly.zero(vt, QQ)
+    p = x * y - 3 * z + 2
+    for got in (zero + p, p + zero, p - zero, sum([zero, p], zero)):
+        assert got == p and got.vars is vt and str(got) == str(p)
+    assert zero - p == -p
+    for got in (p * zero, zero * p, zero * zero):
+        assert got.is_zero() and got.vars is vt and got.field is QQ
+    # the result is p itself; arithmetic on it later leaves p as it was
+    q = zero + p
+    assert q is p and (q + x) != p and str(p) == "x*y - 3*z + 2"
+
+
+def plain_row_times(field, vt, row, vec):
+    """sum_j row[j] * vec[j] term by term, with no Poly arithmetic."""
+    terms = {}
+    for entry, slot in zip(row, vec):
+        for e1, c1 in entry.terms.items():
+            for e2, c2 in slot.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+    return Poly(vt, field, terms)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(31)], ids=str)
+def test_poly_matrix_apply_matches_plain_sum(field):
+    # PolyMatrix.apply skips products with a zero entry or a zero slot; the
+    # oracle multiplies and adds every one of them
+    vt = VarTable(("x", "y", "z", "w"))
+    rng = random.Random(33)
+    zero = Poly.zero(vt, field)
+    sparse = lambda share: random_poly(vt, field, rng) if rng.random() < share else zero
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [[sparse(0.4) for _ in range(ncols)] for _ in range(nrows)]
+        rows[rng.randrange(nrows)] = [zero] * ncols  # a zero row
+        vec = [sparse(0.6) for _ in range(ncols)]
+        vec[rng.randrange(ncols)] = zero  # a zero slot
+        got = PolyMatrix(vt, field, rows).apply(vec)
+        want = [sum((e * v for e, v in zip(row, vec)), zero) for row in rows]
+        assert got == want == [plain_row_times(field, vt, row, vec) for row in rows]
+        assert [str(r) for r in got] == [str(r) for r in want]
+        assert all(r.vars is vt and r.field is field for r in got)
 
 
 def test_eval_commutes_with_compose():
