@@ -34,7 +34,7 @@ def main():
     print("  matching edges (p-coordinate, q-coordinate):")
     for a, b in census.edges:
         print(f"    {ORDER[a]} * {ORDER[b]}")
-    print("  component counts:", census.counts, " total:", census.total)
+    print("  component counts:", census.counts, " total:", sum(census.counts.values()))
     for comp in census.components:
         if comp.is_example_family:
             print(

@@ -15,9 +15,10 @@ text form of a polynomial is deterministic and usable in certificates.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from collections import defaultdict
 from itertools import product
-from operator import add
+from operator import add, mul
 from typing import Optional, Sequence
 
 from .fields import Field, FieldError
@@ -61,16 +62,10 @@ class VarTable:
         return self._index[name]
 
     def multidegree(self, exponents) -> tuple:
-        """Multidegree of a monomial under the grading."""
+        """Multidegree of a monomial under the grading: its dot product with each grade's column."""
         if self.grading is None:
             raise PolynomialError("no grading on this VarTable")
-        k = len(self.grading[0])
-        out = [0] * k
-        for e, g in zip(exponents, self.grading):
-            if e:
-                for i in range(k):
-                    out[i] += e * g[i]
-        return tuple(out)
+        return tuple(sum(map(mul, exponents, column)) for column in zip(*self.grading))
 
     def __eq__(self, other):
         return (
@@ -288,15 +283,12 @@ class Poly:
         """
         if self.vars.grading is None:
             raise PolynomialError("VarTable has no grading")
-        expts = sorted(self.terms, key=_grlex_key)
-        if not expts:
-            return True, None
-        deg = self.vars.multidegree(expts[0])
-        for e in expts[1:]:
-            d = self.vars.multidegree(e)
-            if d != deg:
-                return False, (expts[0], e)
-        return True, deg
+        degrees = set(map(self.vars.multidegree, self.terms))
+        if len(degrees) < 2:
+            return True, next(iter(degrees), None)
+        first, *rest = sorted(self.terms, key=_grlex_key)  # only a failure is sorted
+        deg = self.vars.multidegree(first)
+        return False, (first, next(e for e in rest if self.vars.multidegree(e) != deg))
 
     # ------------------------------------------------------------------
     # text form
@@ -370,13 +362,13 @@ def bounded_degree_kernel(M: PolyMatrix, bound):
     """Field basis of {v : M v = 0, entries of (multi)degree <= bound}.
 
     Enumerates candidate monomials per slot, assembles one exact sparse
-    linear system on the coefficients, and solves it over the field.  Its
-    column order (slot-major, monomials in :func:`monomials_up_to` order)
-    fixes the RREF, so the basis and its order; the equations, keyed by
-    row and by the product's exponents packed into one int, come in any
-    order.  The returned vectors (lists of Poly) are linearly independent
-    over the field; module-theoretic minimality of generators is not
-    computed here.
+    linear system on the coefficients, and solves its equations of more than
+    one entry over the field.  Its column order (slot-major, monomials in
+    :func:`monomials_up_to` order) fixes the RREF, so the basis and its order;
+    the equations, keyed by row and by the product's packed exponents, come
+    in any order.  The returned vectors (lists of Poly) are linearly
+    independent over the field; module-theoretic minimality of generators is
+    not computed here.
     """
     vt, F = M.vars, M.field
     monos = monomials_up_to(vt, bound if isinstance(bound, int) else tuple(bound))
@@ -394,7 +386,15 @@ def bounded_degree_kernel(M: PolyMatrix, bound):
                 # (equation, column) names one term and monomial: each entry is set once
                 for key, col in zip(mono_keys, range(slot * nmono, (slot + 1) * nmono)):
                     equations[base + key][col] = coeff
-    basis = nullspace(F, equations.values(), nmono * M.ncols)
+    # an equation of one entry says its unknown is 0: the RREF is those unit pivots beside the
+    # RREF of the other equations without them, which alone are solved, over the unknowns left
+    # renumbered in order (slot k's are kept[cut[k]:cut[k + 1]]); the others read 0
+    zero = {c for eq in equations.values() if len(eq) == 1 for c in eq}
+    kept = [c for c in range(nmono * M.ncols) if c not in zero]
+    renumber = {c: i for i, c in enumerate(kept)}
+    rows = [{renumber[c]: v for c, v in eq.items() if c not in zero}
+            for eq in equations.values() if len(eq) > 1]
+    cut = [bisect_left(kept, k * nmono) for k in range(M.ncols + 1)]
     # the zeros are dropped first, so Poly canonicalises only the few nonzero values
-    return [[Poly(vt, F, {m: c for m, c in zip(monos, vec[k:k + nmono]) if c})
-             for k in range(0, len(vec), nmono)] for vec in basis]
+    return [[Poly(vt, F, {monos[c % nmono]: v for c, v in zip(kept[i:j], vec[i:j]) if v})
+             for i, j in zip(cut, cut[1:])] for vec in nullspace(F, rows, len(kept))]

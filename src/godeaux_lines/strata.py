@@ -398,16 +398,9 @@ class SignedPermutation:
     # the group search's int, perm's index << 12 | the sign mask (sum s_k 2^k is 4095 less twice it)
     code = property(lambda e: _PERM_INDEX[e.perm] << 12 | 4095 - sum(map(mul, _WEIGHTS, e.signs)) >> 1)
 
-    def compose(self, other: "SignedPermutation") -> "SignedPermutation":
-        """self after other (apply ``other`` first)."""
-        perm = tuple(map(self.perm.__getitem__, other.perm))
-        return SignedPermutation(perm, tuple(map(mul, other.signs, map(self.signs.__getitem__, other.tau))))
-
     def torsion_permutation(self) -> tuple:
         """Induced permutation of the three torsion spaces (as indices)."""
-        p = self.perm
-        return tuple(_TORSION_KEYS.index(frozenset(frozenset(p[i] for i in pair) for pair in key))
-                     for key in _TORSION_KEYS)
+        return _torsion_table()[_PERM_INDEX[self.perm]]
 
 
 IDENTITY_SYMMETRY = SignedPermutation((0, 1, 2, 3), (1,) * 12)
@@ -423,19 +416,27 @@ def _compose(a: int, b: int) -> int:
 _MONO_SIGN = [{1 << u | 1 << v: s for s, u, v in terms} for terms in QUADRIC_TERMS]
 # the sign system's rows, one per monomial s * a_u * a_v of a quadric q_m
 _SIGN_TERMS = tuple((m, s, u, v) for m, terms in enumerate(QUADRIC_TERMS) for s, u, v in terms)
+# each quadric's first term against its other two, as pairs of _SIGN_TERMS rows
+_PAIRS = tuple((r, r + j) for r in range(0, 12, 3) for j in (1, 2))
+
+
+@cache
+def _parities() -> tuple:
+    """For each 12-bit sign mask s, bit i says whether s flips pair i's first term against the
+    other: whether s has an odd number of bits in just one of their monomials. Built once per process."""
+    bits = [1 << u | 1 << v for _, _, u, v in _SIGN_TERMS]
+    return tuple(sum(((s & (bits[a] ^ bits[b])).bit_count() & 1) << i for i, (a, b) in enumerate(_PAIRS))
+                 for s in range(4096))
 
 
 def _certified(perm, tau, masks) -> bool:
     """Whether (perm, s) sends each q_m to +-q_(perm m) for every sign mask s: q_m's term
     c a_u a_v goes to c s_u s_v times a monomial that must be in q_(perm m), of sign t there
-    (ct = 0 where it is not), and c t s_u s_v must be one sign over q_m's three terms."""
-    rows = [(1 << u | 1 << v, c * _MONO_SIGN[perm[m]].get(1 << tau[u] | 1 << tau[v], 0))
-            for m, c, u, v in _SIGN_TERMS]
-    # each quadric's first term against its other two: a parity of s, and whether it is odd
-    conditions = [(rows[r][0] ^ rows[r + j][0], rows[r][1] != rows[r + j][1])
-                  for r in range(0, 12, 3) for j in (1, 2)]
-    return all(ct for _, ct in rows) and not any(
-        (s & m).bit_count() & 1 != odd for s in masks for m, odd in conditions)
+    (ct = 0 where it is not), and c t s_u s_v must be one sign over q_m's three terms, so
+    s must flip just the pairs whose ct differ: its :func:`_parities` entry is that word."""
+    ct = [c * _MONO_SIGN[perm[m]].get(1 << tau[u] | 1 << tau[v], 0) for m, c, u, v in _SIGN_TERMS]
+    odd = sum((ct[a] != ct[b]) << i for i, (a, b) in enumerate(_PAIRS))
+    return all(ct) and all(map(odd.__eq__, map(_parities().__getitem__, masks)))
 
 
 @cache
@@ -500,29 +501,36 @@ def quadric_symmetries() -> SymmetryGroup:
     Every element is certified, on each call, by the exact polynomial
     identity (transformed q_k) = +- q_(perm k): its permutation's relabeled
     monomials are read once, and each of its sign masks is checked against
-    them by parities (:func:`_certified`), on ints like the generator
-    search; the elements are built last.
+    them by one lookup of its parities (:func:`_certified`), on ints like
+    the generator search; the elements are built last.
     Generators are chosen greedily in sorted order, the group they give
     growing one right coset at a time; the induced action on the three
-    torsion P^3's is read once per coordinate permutation and kept on the
-    group, where :func:`verify_symmetries` reports it.
+    torsion P^3's is read from a table built once per process and kept on
+    the group, where :func:`verify_symmetries` reports it.
     """
-    elements = []
-    for i, masks in _sign_solutions().items():
+    elements, solutions = [], _sign_solutions()
+    for i, masks in solutions.items():
         perm = _PERMS[i]
         if not _certified(perm, _TAUS[i], masks):
             raise StrataError("sign search produced a non-symmetry")
         signs = sorted(_HALF_SIGNS[s & 63] + _HALF_SIGNS[s >> 6] for s in masks)
         elements += [SignedPermutation(perm, sg) for sg in signs]
     generators = _generating_subset(elements)
-    images = _torsion_images(elements)
+    images = _torsion_images(solutions)
     transitive = all(any(g[i] == j for g in images) for i in range(3) for j in range(3))
     return SymmetryGroup(tuple(elements), tuple(generators), images, transitive)
 
 
-def _torsion_images(elements) -> tuple:
-    """The torsion-space permutations the elements induce, sorted; read once per perm."""
-    return tuple(sorted({e.torsion_permutation() for e in {e.perm: e for e in elements}.values()}))
+@cache
+def _torsion_table() -> tuple:
+    """The permutation of the torsion spaces each of _PERMS induces; built once per process."""
+    return tuple(tuple(_TORSION_KEYS.index(frozenset(frozenset(p[i] for i in pair) for pair in key))
+                       for key in _TORSION_KEYS) for p in _PERMS)
+
+
+def _torsion_images(indices) -> tuple:
+    """The torsion-space permutations induced by the _PERMS of these indices, sorted."""
+    return tuple(sorted(set(map(_torsion_table().__getitem__, indices))))
 
 
 def symmetry_fixes_quadrics(e: SignedPermutation) -> bool:

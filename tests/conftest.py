@@ -1,3 +1,5 @@
+from operator import mul
+
 import pytest
 
 from godeaux_lines.fields import PrimeField, QQ
@@ -79,6 +81,32 @@ def map_field(f, field):
     """The Poly ``f`` with its coefficients read in another field (e.g.
     Q -> F_p).  No library module changes the field of a Poly; the tests do."""
     return Poly(f.vars, field, f.terms)
+
+
+def compose(a, b):
+    """The signed permutation a after b (b applied first), composed as objects.
+    The library composes only int codes (``strata._compose``); the tests
+    check those against this."""
+    from godeaux_lines.strata import SignedPermutation
+
+    perm = tuple(map(a.perm.__getitem__, b.perm))
+    return SignedPermutation(perm, tuple(map(mul, b.signs, map(a.signs.__getitem__, b.tau))))
+
+
+def kernel_equations(M, monos):
+    """The linear system :func:`bounded_degree_kernel` solves for ``M`` over the
+    exponent tuples ``monos``, every equation kept: one {column: coefficient}
+    row per matrix row and product exponent, columns slot-major, in the
+    order the terms and monomials are met."""
+    equations: dict = {}
+    for r in range(M.nrows):
+        for slot in range(M.ncols):
+            for e_c, coeff in M.entries[r][slot].terms.items():
+                for i, m in enumerate(monos):
+                    row = equations.setdefault((r, tuple(a + b for a, b in zip(e_c, m))), {})
+                    col = slot * len(monos) + i
+                    row[col] = row.get(col, 0) + coeff
+    return list(equations.values())
 
 
 def poly_eval(f, point):

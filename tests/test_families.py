@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -271,7 +272,7 @@ def test_component_counts_all_pairs():
                 continue
             census = z5_component_counts(TORSION_SPACES[a], TORSION_SPACES[b])
             assert census.counts == {"P1xP1": 6, "P0xP2": 4, "P2xP0": 4}
-            assert census.total == 14
+            assert sum(census.counts.values()) == 14
 
 
 def test_example_family_among_components():
@@ -524,6 +525,45 @@ def test_z3_kernel_search_fails_when_no_reading_validates(monkeypatch, row, col)
               for vec in changed(*var, zero)]
     assert cert.data["direct_reading_residuals"] == oracle
     assert any(text != "0" for text in oracle[row])
+
+
+def _z3_convention_oracle(reference):
+    """The first reading of the kernel rows ``reference`` that validates all
+    of them, every row applied under every convention, as the search ran
+    before it reused the direct residuals; None if none does."""
+    vt = VarTable(("u0", "u1", "u2", "u3", "w0", "w1"))
+    zero = Poly.zero(vt, QQ)
+    system = fam._z3_kernel_system(*(Poly.variable(vt, QQ, n) for n in vt.names), zero)
+    for swap, s5, s6 in product((False, True), (1, -1), (1, -1)):
+        c5, c6 = (5, 4) if swap else (4, 5)
+        readings = [row[:4] + [row[c5].scale(s5), row[c6].scale(s6)] for row in reference]
+        if all(sum((e * v for e, v in zip(eq, vec)), zero).is_zero() for eq in system for vec in readings):
+            return {"last_two_unknowns": ["v67", "v45"] if swap else ["v45", "v67"], "signs": [s5, s6]}
+    return None
+
+
+@pytest.mark.parametrize("change, applies", [
+    (lambda rows: rows, 8),  # 3 direct, the zero vector, row 3 under conventions 2-5
+    (lambda rows: [row[:4] + [row[5], row[4]] for row in rows], 4),  # the direct reading validates
+    (lambda rows: [[p.scale(2) for p in rows[2]], rows[1], rows[2]], 9),  # row 1 moves too
+    (lambda rows: [rows[0], rows[1], rows[2][:4] + [rows[2][4].scale(3), rows[2][5]]], 11),  # none
+])
+def test_z3_kernel_search_applies_only_the_rows_that_move(monkeypatch, change, applies):
+    # rows zero in columns 5, 6 keep their direct residuals under every
+    # convention, and the first convention is the direct reading: the search
+    # finds the reading that applying every row under every convention finds
+    import godeaux_lines.polynomials as polynomials
+
+    real_rows, real_apply = fam._z3_reference_kernel_rows, polynomials.PolyMatrix.apply
+    calls = []
+    monkeypatch.setattr(fam, "_z3_reference_kernel_rows", lambda *args: change(real_rows(*args)))
+    monkeypatch.setattr(polynomials.PolyMatrix, "apply", lambda self, vec: calls.append(1) or real_apply(self, vec))
+    cert = verify_z3_kernel()
+    vt = VarTable(("u0", "u1", "u2", "u3", "w0", "w1"))
+    reference = change(real_rows(*(Poly.variable(vt, QQ, n) for n in vt.names), Poly.zero(vt, QQ)))
+    assert cert.data["validating_convention"] == _z3_convention_oracle(reference)
+    assert len(calls) == applies
+    assert (cert.data["validating_convention"] is None) == (applies == 11)  # the last case finds none
 
 
 # ----------------------------------------------------------------------

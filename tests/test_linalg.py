@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import kernel_equations
 from godeaux_lines.fields import FieldError, PrimeField, QQ
 from godeaux_lines.linalg import _gauss_jordan, _reduce, nullspace, rank, rref, solver, sparse_nullspace
 
@@ -366,24 +367,30 @@ def test_reduce_decides_span_membership_as_rank_does(field, scalar):
 
 
 def test_indexed_elimination_matches_scan_oracle_on_para_v2_system(monkeypatch):
-    # the (2,1,1) kernel solve of verify para-v2: 396 sparse rows, rank 317
+    # the whole (2,1,1) system of verify para-v2: 396 sparse rows, rank 317
     import godeaux_lines.polynomials as polynomials
     from godeaux_lines.families import _para_v2_system
 
+    M = _para_v2_system()
+    rows = kernel_equations(M, polynomials.monomials_up_to(M.vars, (2, 1, 1)))
+    pivots = _gauss_jordan(QQ, rows)
+    assert (len(rows), len(pivots)) == (396, 317)
+    assert typed_pivots(pivots) == typed_pivots(_scan_gauss_jordan(QQ, rows))
+    # bounded_degree_kernel solves only the 81 equations of more than one entry,
+    # over the 69 unknowns the 315 others do not set to 0
     systems = []
     real = polynomials.nullspace
 
     def recording(field, srows, ncols):
         srows = [dict(r) for r in srows]
-        systems.append(srows)
+        systems.append((srows, ncols))
         return real(field, srows, ncols)
 
     monkeypatch.setattr(polynomials, "nullspace", recording)
-    polynomials.bounded_degree_kernel(_para_v2_system(), (2, 1, 1))
-    (rows,) = systems
-    pivots = _gauss_jordan(QQ, rows)
-    assert (len(rows), len(pivots)) == (396, 317)
-    assert typed_pivots(pivots) == typed_pivots(_scan_gauss_jordan(QQ, rows))
+    polynomials.bounded_degree_kernel(M, (2, 1, 1))
+    ((short, ncols),) = systems
+    assert (len(short), ncols, rank(QQ, short)) == (81, 69, 62)
+    assert sum(len(row) == 1 for row in rows) == 315
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from conftest import map_field, poly_eval
+from conftest import kernel_equations, map_field, poly_eval
 from godeaux_lines.families import (HYP_FACTORED, _hyp_atoms, _hyp_jacobian_rank, _hyp_rank_table,
                                     hyp_components)
 from godeaux_lines.fields import FieldError, PrimeField, QQ
@@ -345,6 +345,47 @@ def test_multihomogeneous_product_degrees_add():
     assert degfg == tuple(a + b for a, b in zip(degf, degg))
 
 
+def _multihomogeneous_oracle(f):
+    """The earlier check, kept as an oracle: every term's multidegree by a
+    loop over the grading, scanned in graded-lex order from the first."""
+    def degree(e):
+        out = [0] * len(f.vars.grading[0])
+        for k, g in zip(e, f.vars.grading):
+            for i, gi in enumerate(g):
+                out[i] += k * gi
+        return tuple(out)
+
+    expts = sorted(f.terms, key=_grlex_key)
+    if not expts:
+        return True, None
+    for e in expts[1:]:
+        if degree(e) != degree(expts[0]):
+            return False, (expts[0], e)
+    return True, degree(expts[0])
+
+
+def test_multihomogeneous_matches_sorted_scan_oracle():
+    # seeded sums of monomials over a table with a zero and a negative grade:
+    # one multidegree (graded pieces of random polynomials), and mixed ones,
+    # whose first offending pair in graded-lex order must be the oracle's
+    vt = VarTable(("x0", "x1", "y0", "y1", "t"),
+                  {"x0": (1, 0, 2), "x1": (1, 0, 0), "y0": (0, 1, 1), "y1": (0, 1, -1), "t": (0, 0, 0)})
+    rng = random.Random(12)
+    outcomes = set()
+    for _ in range(400):
+        f = random_poly(vt, QQ, rng, max_terms=rng.randint(1, 8))
+        if f.terms and rng.random() < 0.5:  # keep the terms of one multidegree
+            deg = vt.multidegree(rng.choice(list(f.terms)))
+            f = Poly(vt, QQ, {e: c for e, c in f.terms.items() if vt.multidegree(e) == deg})
+        got = f.is_multihomogeneous()
+        assert got == _multihomogeneous_oracle(f), f
+        outcomes.add(got[0])
+    assert outcomes == {True, False}
+    assert Poly.zero(vt, QQ).is_multihomogeneous() == (True, None)
+    with pytest.raises(PolynomialError):
+        Poly.zero(VarTable(("x",)), QQ).is_multihomogeneous()
+
+
 # ----------------------------------------------------------------------
 # bounded-degree kernels
 
@@ -420,21 +461,14 @@ def test_monomial_table_is_built_once_per_bound():
 
 
 def _bounded_degree_kernel_oracle(M, bound):
-    """The earlier solver, kept as an oracle: one tuple key per term and
-    monomial, sums of repeated entries, and Poly canonicalising every
+    """The earlier solver, kept as an oracle: the whole system, one-entry
+    equations included, with one tuple key per term and monomial and sums of
+    repeated entries (``kernel_equations``), and Poly canonicalising every
     coefficient of every slot again."""
     vt, F = M.vars, M.field
     monos = _monomials_oracle(vt, bound)
     nmono = len(monos)
-    equations: dict = {}
-    for r in range(M.nrows):
-        for slot in range(M.ncols):
-            for e_c, coeff in M.entries[r][slot].terms.items():
-                for i, m in enumerate(monos):
-                    row = equations.setdefault((r, tuple(a + b for a, b in zip(e_c, m))), {})
-                    col = slot * nmono + i
-                    row[col] = row.get(col, 0) + coeff
-    basis = nullspace(F, equations.values(), M.ncols * nmono)
+    basis = nullspace(F, kernel_equations(M, monos), M.ncols * nmono)
     return [[Poly(vt, F, {m: vec[slot * nmono + i] for i, m in enumerate(monos)}) for slot in range(M.ncols)]
             for vec in basis]
 
@@ -482,6 +516,47 @@ def test_bounded_degree_kernel_matches_tuple_key_oracle():
             [[list(p.terms.items()) for p in v] for v in want], (M, bound)
         nonempty += bool(got)
     assert nonempty >= 40
+
+
+def test_kernel_renumbering_edge_cases(monkeypatch):
+    # against the whole-system oracle: a zero column (its unknowns are in no
+    # equation and stay free), equations that all have one entry, and
+    # multi-entry equations that the one-entry ones empty or leave one entry of
+    import godeaux_lines.polynomials as polynomials
+
+    vt, (x, y, z) = xyz()
+    zero = Poly.zero(vt, QQ)
+    solved = []
+    real = polynomials.nullspace
+
+    def recording(field, rows, ncols):
+        rows = [dict(r) for r in rows]
+        solved.append(rows)
+        return real(field, rows, ncols)
+
+    monkeypatch.setattr(polynomials, "nullspace", recording)
+    cases = {
+        "zero column": [[x, zero, y]],
+        "one entry each": [[x, zero], [y * z, zero]],
+        "emptied": [[x, y], [x, zero], [zero, y]],
+        "left one entry": [[x, y], [x, zero]],
+    }
+    for name, entries in cases.items():
+        for bound in (1, 2):
+            M = PolyMatrix(vt, QQ, entries)
+            got = bounded_degree_kernel(M, bound)
+            want = _bounded_degree_kernel_oracle(M, bound)
+            assert [[list(p.terms.items()) for p in v] for v in got] == \
+                [[list(p.terms.items()) for p in v] for v in want], (name, bound)
+            rows = solved[-1]
+            if name == "zero column":  # one free vector per monomial of the zero slot
+                assert sum(not (v[0].terms or v[2].terms) for v in got) == len(monomials_up_to(vt, bound))
+            elif name == "one entry each":  # nothing left to solve; slot 1 is free
+                assert rows == [] and len(got) == len(monomials_up_to(vt, bound))
+            elif name == "emptied":
+                assert {} in rows and got == []
+            else:
+                assert any(len(row) == 1 for row in rows) and got == []
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import coords_from
+from conftest import compose, coords_from
 from godeaux_lines.families import sample_component_line, z5_line
 from godeaux_lines.fields import PrimeField, QQ
 from godeaux_lines.geometry import AIDX, LineA, ORDER, PointA, line_in_q
@@ -554,7 +554,7 @@ def _closure(gens):
         nxt = []
         for a in frontier:
             for g in gens:
-                c = g.compose(a)
+                c = compose(g, a)
                 if key(c) not in have:
                     have.add(key(c))
                     nxt.append(c)
@@ -569,23 +569,20 @@ def test_generators_generate(symmetry_group):
 def test_group_is_built_with_few_compositions(monkeypatch):
     # growing the group by whole cosets composes about once per element;
     # a closure over every generator at every step took 2,688 compositions.
-    # The closure composes int codes (strata._compose) and builds no
-    # SignedPermutation by composition.
+    # The closure composes int codes (strata._compose); SignedPermutation
+    # has no composition of its own (conftest.compose is the tests' oracle).
     import godeaux_lines.strata as strata
     from godeaux_lines.strata import SignedPermutation
 
     calls = []
-    compose = strata._compose
+    real = strata._compose
 
     def counted(a, b):
         calls.append(1)
-        return compose(a, b)
-
-    def refused(self, other):
-        raise AssertionError("the closure composed SignedPermutation objects")
+        return real(a, b)
 
     monkeypatch.setattr(strata, "_compose", counted)
-    monkeypatch.setattr(SignedPermutation, "compose", refused)
+    assert not hasattr(SignedPermutation, "compose")
     assert quadric_symmetries().order == 384
     assert 0 < len(calls) <= 2 * 384
 
@@ -611,7 +608,7 @@ def test_code_composition_matches_signed_permutation_compose(symmetry_group):
               for perm in permutations(range(4))]
     for a in cases:
         for b in cases:
-            assert _compose(_code(a), _code(b)) == _code(a.compose(b))
+            assert _compose(_code(a), _code(b)) == _code(compose(a, b))
 
 
 def test_symmetry_certificate():
@@ -714,6 +711,36 @@ def test_every_element_is_certified(monkeypatch):
                 quadric_symmetries()
     monkeypatch.setattr(strata, "_sign_solutions", lambda: found)
     assert quadric_symmetries().order == 384
+
+
+def test_parity_table_matches_bit_counts():
+    # entry s of strata._parities(), bit i: the parity of s over the bits in
+    # just one monomial of pair i (each quadric's first term against its
+    # second, then its third), counted directly
+    import godeaux_lines.strata as strata
+    from godeaux_lines.geometry import QUADRIC_TERMS
+
+    monos = [[1 << u | 1 << v for _, u, v in terms] for terms in QUADRIC_TERMS]
+    assert [len(m) for m in monos] == [3] * 4
+    conditions = [m[0] ^ m[j] for m in monos for j in (1, 2)]
+    table = strata._parities()
+    assert len(table) == 4096
+    for s in range(4096):
+        assert table[s] == sum((bin(s & c).count("1") % 2) << i for i, c in enumerate(conditions))
+
+
+def test_torsion_table_matches_partition_images():
+    # each permutation's entry: the index of the torsion space to which it
+    # sends each space's partition of {0, 1, 2, 3} into pairs
+    from itertools import permutations
+
+    import godeaux_lines.strata as strata
+
+    keys = [{frozenset(pair) for pair in sp.partition} for sp in TORSION_SPACES]
+    table = strata._torsion_table()
+    assert len(table) == 24
+    for perm, image in zip(permutations(range(4)), table):
+        assert image == tuple(keys.index({frozenset(perm[i] for i in pair) for pair in key}) for key in keys)
 
 
 def _index_map_oracle(e):
