@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from .certificates import Certificate
 from .fields import Field, PrimeField, QQ
-from .geometry import (AIDX, LineA, PointA, QUADRIC_TERMS, _line_conditions, _quadric, a_matrix_values,
+from .geometry import (AIDX, LineA, PointA, QUADRIC_TERMS, _line_conditions, _quadric, a_matrix_rank,
                        line_in_q, quadrics_vanish_on)
 from .linalg import _gauss_jordan, _reduce, rank, rref, solver
 from .polynomials import Poly, PolyMatrix, VarTable, bounded_degree_kernel, monomials_up_to
@@ -219,11 +219,11 @@ def verify_hyp_param(seed: int = 2024) -> Certificate:
     process, a 5x4 rank per point), which holds only where no atom of
     ``HYP_FACTORED`` vanishes: such points, the base locus among them, are
     redrawn; (iii) the a-matrix of the evaluated coordinates has rank
-    exactly 3 at the same image points; (iv) every component is
-    multihomogeneous of multidegree (2,5,3,2,2).  A ``seed`` that is not an
-    int, or is a bool, raises :class:`FamilyError` first, and so does a
-    negative one: ``random.Random`` would draw the points of its absolute
-    value.
+    exactly 3 at the same image points, none of them 0 (signed monomials in
+    the atoms), so seven K4 forms give it (:func:`geometry.a_matrix_rank`);
+    (iv) every component is multihomogeneous of multidegree (2,5,3,2,2).
+    A ``seed`` that is not an int, or a bool, or is negative raises
+    :class:`FamilyError` first (``random.Random`` would draw |seed|'s points).
     """
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise FamilyError(f"seed must be an int, not {type(seed).__name__}")
@@ -260,7 +260,7 @@ def verify_hyp_param(seed: int = 2024) -> Certificate:
         done += 1
         coords = hyp_evaluate(params, F.canonical, atoms)
         for key, got, want in (("jacobian_failures", _hyp_jacobian_rank(F, rank_table, atoms), 6),
-                               ("rank_a_failures", rank(F, a_matrix_values(coords)), 3)):
+                               ("rank_a_failures", a_matrix_rank(F, coords), 3)):
             if got != want:
                 failure = {"params": [F.format_scalar(x) for x in params], "rank": got}
                 cert.data.setdefault(key, []).append(failure)

@@ -30,7 +30,7 @@ are the same line exactly when their row spans agree.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Optional
 
 from .fields import Field, vector
@@ -61,6 +61,11 @@ A_PATTERN = (
 #: the three nonzero entries of each a-matrix row, in column order
 ROW_TRIPLES = tuple(tuple(j for j in row if j is not None) for row in A_PATTERN)
 
+#: the K4 forms' two monomials each (:func:`_k4_forms`), as ORDER indices along closed walks
+_walk = lambda *w: tuple(AIDX[f"a{u}{v}"] for u, v in zip(w, w[1:]))
+_K4_TRIANGLES = tuple((_walk(i, j, k, i), _walk(i, k, j, i)) for i, j, k in combinations(range(4), 3))[::-1]
+_K4_CYCLES = tuple((_walk(0, k, j, l, 0), _walk(0, l, j, k, 0)) for j, k, l in ((1, 2, 3), (2, 1, 3), (3, 1, 2)))
+
 
 class GeometryError(ValueError):
     pass
@@ -84,6 +89,15 @@ def _polarization(i: int, x, y):
     """B_i(x, y) = q_i(x+y) - q_i(x) - q_i(y), as the explicit cross terms."""
     (_, a, b), (_, c, d), (_, e, f) = QUADRIC_TERMS[i]
     return (x[a] * y[b] + x[b] * y[a]) - (x[c] * y[d] + x[d] * y[c]) + (x[e] * y[f] + x[f] * y[e])
+
+
+def _k4_forms(x) -> list:
+    """T_0..T_3, C_01|23, C_02|13, C_03|12 at 12 values of one ring, unreduced: the a-matrix weights K4's
+    incidence matrix (row l is vertex l), and each maximal minor is +-a_lm T_l, T_l = a_ij a_jk a_ki +
+    a_ik a_kj a_ji round the triangle without l, or +-C_ij|kl = a_ik a_kj a_jl a_li - a_il a_lj a_jk a_ki."""
+    t = [x[a] * x[b] * x[c] + x[d] * x[e] * x[f] for (a, b, c), (d, e, f) in _K4_TRIANGLES]
+    return t + [x[a] * x[b] * x[c] * x[d] - x[e] * x[f] * x[g] * x[h]
+                for (a, b, c, d), (e, f, g, h) in _K4_CYCLES]
 
 
 def _line_conditions(r0, r1):
@@ -126,6 +140,14 @@ def polarization_value(field: Field, i: int, p, q):
 def a_matrix_values(coords):
     """The 4x6 a-matrix at a raw 12-vector."""
     return [[0 if j is None else coords[j] for j in row] for row in A_PATTERN]
+
+
+def a_matrix_rank(field: Field, coords) -> int:
+    """Exact rank of the a-matrix at a raw 12-vector.  With no coordinate zero, rows 1-3 hold a10, a20,
+    a30 alone at vertex 0's edges, so it is at least 3, and 4 where a K4 form is not 0; else eliminated."""
+    if all(map(field.canonical, coords)):
+        return 3 + any(map(field.canonical, _k4_forms(coords)))
+    return rank(field, a_matrix_values(coords))
 
 
 # ----------------------------------------------------------------------

@@ -564,11 +564,8 @@ def _random_hyp_point(field: PrimeField, rng, budget: _Budget) -> PointA:
         if coords is None:
             continue
         point = PointA(field, coords)
-        if rank_a(point) != 3:
-            continue
-        if jacobian_rank(point) != 4:
-            continue
-        return point
+        if rank_a(point) == 3 and jacobian_rank(point) == 4:
+            return point
 
 
 def sample_line(

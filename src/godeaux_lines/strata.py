@@ -6,9 +6,10 @@ carry all four quadrics identically to zero, as the support rule
 term has both ends among a space's four survivors.  Lines must meet one or
 two of them to produce torsion fibers.  Hyperelliptic fibers sit where the 4x6
 a-matrix has rank exactly 3, detected along a line through the GCD of its
-fifteen 4x4 minors (binary quartics).  :func:`classify_line` aggregates the
-detectors into a :class:`FiberReport`; every reported parameter value is
-re-verified against its defining condition before it is emitted.
+fifteen 4x4 minors (binary quartics), each root's rank then read off the seven
+K4 forms where no coordinate is 0 (:func:`rank_a`).  :func:`classify_line`
+aggregates the detectors into a :class:`FiberReport`; every reported parameter
+value is re-verified against its defining condition before it is emitted.
 
 The signed coordinate permutations preserving the quadric set form a
 finite group (:func:`quadric_symmetries`) whose induced action is
@@ -25,28 +26,11 @@ from operator import mul
 
 from .certificates import Certificate
 from .fields import Field, PrimeField
-from .geometry import (
-    A_PATTERN,
-    LineA,
-    ORDER,
-    PointA,
-    QUADRIC_TERMS,
-    a_matrix_values,
-    det4,
-    line_in_q,
-    quadrics_vanish_on,
-)
-from .linalg import rank, solver
-from .pencil import (
-    ALL_ZERO,
-    BinaryForm,
-    DegenerationProfile,
-    _common_root,
-    _degeneration_profile,
-    binary_gcd,
-    binary_roots,
-    linear_form,
-)
+from .geometry import (A_PATTERN, LineA, ORDER, PointA, QUADRIC_TERMS, a_matrix_rank, det4, line_in_q,
+                       quadrics_vanish_on)
+from .linalg import solver
+from .pencil import (ALL_ZERO, BinaryForm, DegenerationProfile, _common_root, _degeneration_profile,
+                     binary_gcd, binary_roots, linear_form)
 
 
 class StrataError(ValueError):
@@ -112,8 +96,8 @@ def torsion_space(name: str) -> TorsionSpace:
 
 
 def rank_a(p: PointA) -> int:
-    """Exact rank of the 4x6 a-matrix at the point (0..4)."""
-    return rank(p.field, a_matrix_values(p.coords))
+    """Exact rank of the 4x6 a-matrix at the point (0..4): :func:`geometry.a_matrix_rank`."""
+    return a_matrix_rank(p.field, p.coords)
 
 
 def torsion_intersections(line: LineA):
@@ -429,12 +413,16 @@ def _parities() -> tuple:
                  for s in range(4096))
 
 
-def _certified(perm, tau, masks) -> bool:
-    """Whether (perm, s) sends each q_m to +-q_(perm m) for every sign mask s: q_m's term
-    c a_u a_v goes to c s_u s_v times a monomial that must be in q_(perm m), of sign t there
-    (ct = 0 where it is not), and c t s_u s_v must be one sign over q_m's three terms, so
-    s must flip just the pairs whose ct differ: its :func:`_parities` entry is that word."""
-    ct = [c * _MONO_SIGN[perm[m]].get(1 << tau[u] | 1 << tau[v], 0) for m, c, u, v in _SIGN_TERMS]
+def _term_signs(perm, tau) -> list:
+    """Each q_m term's sign c times the sign t of its image in q_(perm m), 0 where that lacks it."""
+    return [c * _MONO_SIGN[perm[m]].get(1 << tau[u] | 1 << tau[v], 0) for m, c, u, v in _SIGN_TERMS]
+
+
+def _certified(ct, masks) -> bool:
+    """Whether (perm, s) sends each q_m to +-q_(perm m) for every sign mask s, given perm's
+    :func:`_term_signs` ct: q_m's term c a_u a_v goes to c s_u s_v t a_tau(u) a_tau(v), and
+    c t s_u s_v must be one sign over q_m's three terms, so s must flip just the pairs whose
+    ct differ: its :func:`_parities` entry is that word."""
     odd = sum((ct[a] != ct[b]) << i for i, (a, b) in enumerate(_PAIRS))
     return all(ct) and all(map(odd.__eq__, map(_parities().__getitem__, masks)))
 
@@ -453,7 +441,7 @@ def _sign_system() -> tuple:
 
 
 def _sign_solutions() -> dict:
-    """Every signed permutation fixing {+-q_k}, as {perm index: sign masks}.
+    """Every signed permutation fixing {+-q_k}, as {perm index: (its term signs, sign masks)}.
 
     Unknowns over F_2: one bit per coordinate (sign -1) and per quadric
     (q_m goes to -q_(perm m)); the monomial s a_u a_v of q_m gives the
@@ -468,14 +456,13 @@ def _sign_solutions() -> dict:
     inverse, checks, span = _sign_system()
     out = {}
     for i, (perm, tau) in enumerate(zip(_PERMS, _TAUS)):
-        # the sign of each term times its image's, 0 where the image is not in q_(perm m)
-        flips = [s * _MONO_SIGN[perm[m]].get(1 << tau[u] | 1 << tau[v], 0) for m, s, u, v in _SIGN_TERMS]
-        rhs = sum(1 << r for r, f in enumerate(flips) if f < 0)
-        if 0 in flips or any((rec & rhs).bit_count() & 1 for rec in checks):
+        ct = _term_signs(perm, tau)
+        rhs = sum(1 << r for r, f in enumerate(ct) if f < 0)
+        if 0 in ct or any((rec & rhs).bit_count() & 1 for rec in checks):
             continue
         # the particular solution's signs, 0 at the free columns
         x0 = sum(1 << c for c, rec in inverse if (rec & rhs).bit_count() & 1)
-        out[i] = [x0 ^ s for s in span]
+        out[i] = ct, [x0 ^ s for s in span]
     return out
 
 
@@ -499,9 +486,9 @@ def quadric_symmetries() -> SymmetryGroup:
     eliminated once per process, against which each permutation's
     right-hand side is reduced on every call (:func:`_sign_solutions`).
     Every element is certified, on each call, by the exact polynomial
-    identity (transformed q_k) = +- q_(perm k): its permutation's relabeled
-    monomials are read once, and each of its sign masks is checked against
-    them by one lookup of its parities (:func:`_certified`), on ints like
+    identity (transformed q_k) = +- q_(perm k): each of its sign masks is
+    checked by one lookup of its parities against its permutation's term
+    signs, which the sign search read (:func:`_certified`), on ints like
     the generator search; the elements are built last.
     Generators are chosen greedily in sorted order, the group they give
     growing one right coset at a time; the induced action on the three
@@ -509,9 +496,9 @@ def quadric_symmetries() -> SymmetryGroup:
     the group, where :func:`verify_symmetries` reports it.
     """
     elements, solutions = [], _sign_solutions()
-    for i, masks in solutions.items():
+    for i, (ct, masks) in solutions.items():
         perm = _PERMS[i]
-        if not _certified(perm, _TAUS[i], masks):
+        if not _certified(ct, masks):
             raise StrataError("sign search produced a non-symmetry")
         signs = sorted(_HALF_SIGNS[s & 63] + _HALF_SIGNS[s >> 6] for s in masks)
         elements += [SignedPermutation(perm, sg) for sg in signs]
@@ -541,7 +528,7 @@ def symmetry_fixes_quadrics(e: SignedPermutation) -> bool:
     compared term by term with +- q_(perm k) (:func:`_certified`).  The
     tests check it against ``Poly.compose`` over Q as an oracle.
     """
-    return _certified(e.perm, e.tau, [e.code & 4095])
+    return _certified(_term_signs(e.perm, e.tau), [e.code & 4095])
 
 
 def _generating_subset(elements):

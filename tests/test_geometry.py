@@ -394,6 +394,59 @@ def test_support_rule_matches_quadrics_on_every_coordinate_subspace():
     assert len(verdicts) == 4096 and 0 < verdicts.count(True) < 4096
 
 
+def _a_matrix_rank_inputs():
+    """(field, raw 12-vector) pairs: all 4,096 vectors over F_2 and all 4,096
+    of entries +-1 over F_3 (none zero); seeded vectors over F_3, F_5 and
+    F_31 with about one zero coordinate in four, and over F_31 again with
+    each entry any representative of its residue (31 and -62 among the
+    zeros); rational vectors with zeros, and points of the hyperelliptic
+    parametrization over Q (rank 3, with no zero coordinate where no atom
+    vanishes)."""
+    from fractions import Fraction
+    from itertools import product
+
+    from godeaux_lines.families import hyp_evaluate
+
+    F2, F3, F31 = PrimeField(2), PrimeField(3), PrimeField(31)
+    yield from ((F2, list(x)) for x in product((0, 1), repeat=12))
+    yield from ((F3, list(x)) for x in product((1, 2), repeat=12))
+    rng = random.Random(35)
+    draw = lambda F: 0 if rng.random() < 0.25 else F.random_nonzero(rng)
+    for F in (F3, PrimeField(5), F31):
+        yield from ((F, [draw(F) for _ in range(12)]) for _ in range(600))
+    yield from ((F31, [draw(F31) + 31 * rng.randint(-2, 2) for _ in range(12)]) for _ in range(200))
+    for _ in range(300):
+        yield QQ, [0 if rng.random() < 0.25 else Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6))
+                   for _ in range(12)]
+    for _ in range(100):
+        coords = hyp_evaluate([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(10)], QQ.canonical)
+        if coords is not None:
+            yield QQ, list(coords)
+
+
+def test_a_matrix_rank_matches_elimination_oracle(monkeypatch):
+    # a_matrix_rank against linalg.rank of the 4x6 a-matrix; a spy on the
+    # elimination a_matrix_rank falls back on shows that it runs exactly
+    # when some coordinate is 0, and where none is, both answers of the K4
+    # forms (3 and 4) occur, over F_p and over Q
+    import godeaux_lines.geometry as geometry
+    from godeaux_lines.geometry import a_matrix_rank, a_matrix_values
+    from godeaux_lines.linalg import rank
+
+    eliminated = []
+    monkeypatch.setattr(geometry, "rank", lambda field, rows: eliminated.append(rows) or rank(field, rows))
+    by_path = {True: set(), False: set()}
+    for field, x in _a_matrix_rank_inputs():
+        expected = rank(field, a_matrix_values(x))
+        calls = len(eliminated)
+        assert a_matrix_rank(field, x) == expected, (field, x)
+        has_zero = 0 in map(field.canonical, x)
+        assert len(eliminated) - calls == has_zero, (field, x)
+        by_path[has_zero].add((field.to_spec()["kind"], expected))
+    assert {r for _, r in by_path[True]} == {0, 1, 2, 3, 4}
+    assert by_path[False] == {(kind, r) for kind in ("prime", "rational") for r in (3, 4)}
+
+
 def test_pull_backs_match_compose_oracle():
     from godeaux_lines.families import (
         _Z5_EXAMPLE,

@@ -11,10 +11,10 @@ from godeaux_lines.draws import _BLOCK_WORDS, _BLOCKS_PER_STATE, _BlockDraws
 from godeaux_lines.families import hyp_evaluate
 from godeaux_lines.fields import QQ, PrimeField, is_prime
 from godeaux_lines.geometry import (
-    AIDX,
     ROW_TRIPLES,
     LineA,
     PointA,
+    _k4_forms,
     jacobian_at,
     line_in_q,
     polarization_value,
@@ -1207,21 +1207,13 @@ def _k4_kind(point):
     incidence matrix of K4 (row l is vertex l): "row" when a row vanishes
     and its triangle form T_l does not, "row+T" when both vanish, "T&C"
     when no row vanishes and every T_l and 4-cycle form C vanishes, and
-    "other" for anything else."""
-    p = point.field.p
-    a = {(i, j): point.coords[AIDX[f"a{i}{j}"]] for i in range(4) for j in range(4) if i != j}
-
-    def T(l):
-        i, j, k = (m for m in range(4) if m != l)
-        return (a[i, j] * a[j, k] * a[k, i] + a[i, k] * a[k, j] * a[j, i]) % p
-
-    def C(i, j, k, l):
-        return (a[i, k] * a[k, j] * a[j, l] * a[l, i] - a[i, l] * a[l, j] * a[j, k] * a[k, i]) % p
-
-    rows = [l for l in range(4) if not any(a[l, m] for m in range(4) if m != l)]
+    "other" for anything else.  The forms are geometry._k4_forms, which
+    test_quartic_minors_are_k4_forms pins against the expanded minors."""
+    forms = [point.field.canonical(f) for f in _k4_forms(point.coords)]  # T_0..T_3, then the C's
+    rows = [l for l in range(4) if not any(point.coords[j] for j in ROW_TRIPLES[l])]
     if len(rows) == 1:
-        return "row+T" if T(rows[0]) == 0 else "row"
-    if not rows and not any(map(T, range(4))) and not any(C(*m) for m in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))):
+        return "row+T" if forms[rows[0]] == 0 else "row"
+    if not rows and not any(forms):
         return "T&C"
     return "other"
 

@@ -161,11 +161,12 @@ def test_quartic_minors_are_k4_forms():
     # i-k-j-l: the minor is +-C_ij|kl = a_ik a_kj a_jl a_li - a_il a_lj a_jk a_ki.
     # Every entry is a bare variable, so each monomial has the sign of the
     # one permutation that picks it; the expected sign is read off the first
-    # monomial and the second must follow.
+    # monomial and the second must follow.  The forms, T_0..T_3 and then the
+    # C's named with 0 in the first pair, are geometry._k4_forms at the variables.
     from collections import Counter
     from itertools import combinations
 
-    from godeaux_lines.geometry import A_PATTERN, a_vartable, det4
+    from godeaux_lines.geometry import A_PATTERN, _k4_forms, a_vartable, det4
     from godeaux_lines.polynomials import Poly
 
     vt = a_vartable()
@@ -181,7 +182,7 @@ def test_quartic_minors_are_k4_forms():
         perm = [cols.index(edges.index(frozenset(picks[r]))) for r in range(4)]
         return (-1) ** sum(perm[x] > perm[y] for x, y in combinations(range(4), 2))
 
-    kinds, matchings = Counter(), set()
+    kinds, matchings, forms = Counter(), set(), {}
     for cols in combinations(range(6), 4):
         minor = det4([[row[c] for c in cols] for row in matrix])
         first, second = (edges[c] for c in range(6) if c not in cols)
@@ -190,17 +191,19 @@ def test_quartic_minors_are_k4_forms():
             (m,) = set(range(4)) - first - second
             i, j, k = sorted(set(range(4)) - {l})
             picks = {l: (l, m), i: (i, j), j: (j, k), k: (k, i)}
-            form = a(l, m) * (a(i, j) * a(j, k) * a(k, i) + a(i, k) * a(k, j) * a(j, i))
+            forms[l] = a(i, j) * a(j, k) * a(k, i) + a(i, k) * a(k, j) * a(j, i)
+            form = a(l, m) * forms[l]
             kinds["triangle"] += 1
         else:
-            (i, j), (k, l) = sorted(first), sorted(second)
+            (i, j), (k, l) = sorted(map(sorted, (first, second)))
             picks = {i: (i, k), k: (k, j), j: (j, l), l: (l, i)}
-            form = a(i, k) * a(k, j) * a(j, l) * a(l, i) - a(i, l) * a(l, j) * a(j, k) * a(k, i)
+            form = forms[3 + j] = a(i, k) * a(k, j) * a(j, l) * a(l, i) - a(i, l) * a(l, j) * a(j, k) * a(k, i)
             kinds["cycle"] += 1
             matchings.add(frozenset((first, second)))
         assert len(minor.terms) == 2
         assert minor == form.scale(sign(cols, picks)), cols
     assert kinds == {"triangle": 12, "cycle": 3}
+    assert _k4_forms(var) == [forms[n] for n in range(7)]
     # the three 4-cycles are named by the partitions that name the torsion spaces
     assert matchings == {frozenset(map(frozenset, sp.partition)) for sp in TORSION_SPACES}
 
@@ -673,7 +676,7 @@ def _sign_solutions_by_perm():
     return {
         perms[i]: [SignedPermutation(perms[i], tuple(-1 if s >> k & 1 else 1 for k in range(12)))
                    for s in masks]
-        for i, masks in _sign_solutions().items()
+        for i, (_, masks) in _sign_solutions().items()
     }
 
 
@@ -702,10 +705,10 @@ def test_every_element_is_certified(monkeypatch):
     import godeaux_lines.strata as strata
 
     found = strata._sign_solutions()
-    assert sum(map(len, found.values())) == 384
-    for i, masks in found.items():
+    assert sum(len(masks) for _, masks in found.values()) == 384
+    for i, (ct, masks) in found.items():
         for j in range(len(masks)):
-            tampered = {**found, i: masks[:j] + [masks[j] ^ 1 << (i + j) % 12] + masks[j + 1:]}
+            tampered = {**found, i: (ct, masks[:j] + [masks[j] ^ 1 << (i + j) % 12] + masks[j + 1:])}
             monkeypatch.setattr(strata, "_sign_solutions", lambda answer=tampered: answer)
             with pytest.raises(StrataError, match="non-symmetry"):
                 quadric_symmetries()
