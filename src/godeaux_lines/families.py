@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from .certificates import Certificate
 from .fields import Field, PrimeField, QQ
-from .geometry import (AIDX, LineA, PointA, QUADRIC_TERMS, _line_conditions, _quadric, a_matrix_rank,
+from .geometry import (AIDX, LineA, PointA, QUADRIC_TERMS, _k4_forms, _line_conditions, _quadric,
                        line_in_q, quadrics_vanish_on)
 from .linalg import _gauss_jordan, _reduce, rank, rref, solver
 from .polynomials import Poly, PolyMatrix, VarTable, bounded_degree_kernel, monomials_up_to
@@ -205,31 +205,32 @@ def hyp_point(field: Field, params: Sequence) -> PointA:
     return point
 
 
-#: the field and the number of points at which ``verify_hyp_param`` checks ranks
+#: the field of the one point at which ``verify_hyp_param`` bounds the Jacobian's rank below
 _HYP_CHECK_FIELD = PrimeField(10007)
-_HYP_CHECK_SAMPLES = 20
 
 
 def verify_hyp_param(seed: int = 2024) -> Certificate:
     """Certificate for the hyperelliptic-locus parametrization.
 
-    Checks: (i) all four quadrics pull back to the zero polynomial over Q;
-    (ii) the Jacobian of the map has rank 6 at 20 random points of F_10007,
-    read off the exponent table (:func:`_hyp_rank_table`: built once per
-    process, a 5x4 rank per point), which holds only where no atom of
-    ``HYP_FACTORED`` vanishes: such points, the base locus among them, are
-    redrawn; (iii) the a-matrix of the evaluated coordinates has rank
-    exactly 3 at the same image points, none of them 0 (signed monomials in
-    the atoms), so seven K4 forms give it (:func:`geometry.a_matrix_rank`);
-    (iv) every component is multihomogeneous of multidegree (2,5,3,2,2).
-    A ``seed`` that is not an int, or a bool, or is negative raises
-    :class:`FamilyError` first (``random.Random`` would draw |seed|'s points).
+    Checks: (i) all four quadrics pull back to the zero polynomial over Q; (iv) every component is
+    multihomogeneous of multidegree (2,5,3,2,2); (ii) the Jacobian J of the map has rank 6.  At most 6 by
+    (iv) and Euler's identity: J E_g = d_g c for each grading g of ``HYP_GRADING``, E_g = (g_j p_j)_j, and
+    their 5x10 matrix has rank 5 (computed here), so where no parameter vanishes J maps 5 independent
+    E_g into span(c), dim ker J >= 4, and every 7x7 minor vanishes.  At least 6 at one point of F_10007
+    drawn from ``seed``, read off the exponent table (:func:`_hyp_rank_table`), which holds where no
+    atom of ``HYP_FACTORED`` vanishes, so such draws are redrawn: a 6x6 minor nonzero mod 10007 at an
+    integer point is nonzero over Q.  (iii) the a-matrix has rank 3 on the image, with no point sampled:
+    the seven K4 forms (:func:`geometry._k4_forms`) of the 12 signed monomials of ``HYP_FACTORED`` in
+    its 13 atoms are 0, so every maximal minor is 0, also once D, X and W are substituted; and a10 a20
+    a30 is a nonzero signed monomial, so the rank is 3 wherever no atom vanishes.  A ``seed`` that is
+    not an int, or a bool, or is negative raises :class:`FamilyError` first (``random.Random`` would
+    draw |seed|'s points).
     """
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise FamilyError(f"seed must be an int, not {type(seed).__name__}")
     if seed < 0:
         raise FamilyError(f"seed {seed} is below 0; random.Random would draw seed {-seed}'s points")
-    F, samples = _HYP_CHECK_FIELD, _HYP_CHECK_SAMPLES
+    F = _HYP_CHECK_FIELD
     cert = Certificate("hyp-param")
     comps = hyp_components()
 
@@ -247,25 +248,27 @@ def verify_hyp_param(seed: int = 2024) -> Certificate:
             ok = False
             break
         deg = d
-    cert.add("components-multihomogeneous", ok and deg == HYP_MULTIDEGREE, f"common multidegree {deg}")
+    ok = cert.add("components-multihomogeneous", ok and deg == HYP_MULTIDEGREE, f"common multidegree {deg}")
 
-    rng = random.Random(seed)
-    rank_table = _hyp_rank_table(F)
-    done = 0
-    while done < samples:
+    rng, atoms = random.Random(seed), (0,)
+    while 0 in atoms:  # the exponent table needs every atom nonzero
         params = [F.random(rng) for _ in range(10)]
         atoms = _hyp_atoms(params, F.canonical)
-        if 0 in atoms:
-            continue
-        done += 1
-        coords = hyp_evaluate(params, F.canonical, atoms)
-        for key, got, want in (("jacobian_failures", _hyp_jacobian_rank(F, rank_table, atoms), 6),
-                               ("rank_a_failures", a_matrix_rank(F, coords), 3)):
-            if got != want:
-                failure = {"params": [F.format_scalar(x) for x in params], "rank": got}
-                cert.data.setdefault(key, []).append(failure)
-    cert.add("jacobian-rank-6", "jacobian_failures" not in cert.data, f"{samples} samples over {F}")
-    cert.add("image-rank-a-3", "rank_a_failures" not in cert.data, f"{samples} samples over {F}")
+    got = _hyp_jacobian_rank(F, _hyp_rank_table(F), atoms)
+    if got != 6:
+        cert.data["jacobian_failures"] = [{"params": [F.format_scalar(x) for x in params], "rank": got}]
+    gradings = rank(QQ, list(zip(*HYP_GRADING.values())))
+    cert.add("jacobian-rank-6", ok and gradings == 5 and got == 6,
+             f"at most 6 by Euler's identity for {gradings} independent gradings; {got} at 1 point over {F}")
+
+    vt = VarTable(_ATOM_NAMES)
+    a = [Poly.monomial(vt, QQ, exps, sign) for sign, exps in HYP_FACTORED]
+    failures = [{"form": k, "value": str(f)} for k, f in enumerate(_k4_forms(a)) if not f.is_zero()]
+    if failures:
+        cert.data["rank_a_failures"] = failures
+    minor = a[AIDX["a10"]] * a[AIDX["a20"]] * a[AIDX["a30"]]
+    cert.add("image-rank-a-3", not failures and not minor.is_zero(),
+             f"{7 - len(failures)} of 7 K4 forms vanish in the 13 atoms; a10*a20*a30 = {minor}")
     return cert
 
 

@@ -382,10 +382,6 @@ class SignedPermutation:
     # the group search's int, perm's index << 12 | the sign mask (sum s_k 2^k is 4095 less twice it)
     code = property(lambda e: _PERM_INDEX[e.perm] << 12 | 4095 - sum(map(mul, _WEIGHTS, e.signs)) >> 1)
 
-    def torsion_permutation(self) -> tuple:
-        """Induced permutation of the three torsion spaces (as indices)."""
-        return _torsion_table()[_PERM_INDEX[self.perm]]
-
 
 IDENTITY_SYMMETRY = SignedPermutation((0, 1, 2, 3), (1,) * 12)
 

@@ -30,10 +30,14 @@ from godeaux_lines.geometry import (
     GeometryError,
     LineA,
     PointA,
+    _k4_forms,
+    a_matrix_rank,
+    a_matrix_values,
     line_in_q,
     quadric_value,
     quadrics,
 )
+from godeaux_lines.linalg import rank
 from godeaux_lines.polynomials import Poly, PolyMatrix, VarTable
 from godeaux_lines.strata import TORSION_SPACES, classify_line, rank_a, torsion_intersections
 
@@ -145,9 +149,45 @@ def test_verify_hyp_param_passes():
 
 @pytest.mark.parametrize("seed", (133, 173, 255, 358, 378, 444, 469, 484, 557, 575))
 def test_verify_hyp_param_resamples_vanishing_factors(seed):
-    # each seed draws parameters where a factor of HYP_FACTORED vanishes;
-    # there the Jacobian or the a-matrix drops rank, so they are redrawn
+    # seeds whose first 20 draws held a vanishing factor of HYP_FACTORED,
+    # when the certificate ranked 20 points; of them only 173's first draw
+    # has one (the redraw is pinned by the test below)
     assert verify_hyp_param(seed=seed).passed
+
+
+def _hyp_param_spy(monkeypatch):
+    """The 13 atoms of each point ``verify_hyp_param`` draws, and of each
+    point whose Jacobian rank it reads; the components are built first."""
+    hyp_components()
+    draws, ranked = [], []
+    atoms, jacobian_rank = fam._hyp_atoms, fam._hyp_jacobian_rank
+    monkeypatch.setattr(fam, "_hyp_atoms", lambda params, reduce: draws.append(atoms(params, reduce)) or draws[-1])
+    monkeypatch.setattr(fam, "_hyp_jacobian_rank", lambda F, table, a: ranked.append(a) or jacobian_rank(F, table, a))
+    return draws, ranked
+
+
+def test_verify_hyp_param_samples_one_point(monkeypatch):
+    # check (ii) ranks the Jacobian at one drawn point; check (iii) evaluates
+    # the parametrization at no point
+    draws, ranked = _hyp_param_spy(monkeypatch)
+
+    def no_evaluation(*args):
+        raise AssertionError("verify_hyp_param evaluated the parametrization at a point")
+
+    monkeypatch.setattr(fam, "hyp_evaluate", no_evaluation)
+    assert verify_hyp_param(seed=5).passed
+    assert len(draws) == 1 and ranked == draws
+
+
+@pytest.mark.parametrize("seed", (173, 1607, 1936, 2277, 3078))
+def test_verify_hyp_param_redraws_a_point_with_a_vanishing_atom(monkeypatch, seed):
+    # each seed's first draw has an atom that is 0 mod 10007, where the
+    # exponent table does not give the Jacobian's rank: the certificate
+    # draws again, and ranks only its first draw with no zero atom
+    draws, ranked = _hyp_param_spy(monkeypatch)
+    assert verify_hyp_param(seed=seed).passed
+    assert len(draws) >= 2 and all(0 in atoms for atoms in draws[:-1])
+    assert 0 not in draws[-1] and ranked == draws[-1:]
 
 
 def _no_hyp_param_work(monkeypatch):
@@ -176,29 +216,98 @@ def test_verify_hyp_param_rejects_a_seed_that_is_not_an_int(monkeypatch, seed):
         verify_hyp_param(seed=seed)
 
 
+def _with_entry(table, i, entry) -> tuple:
+    """A copy of a ``HYP_FACTORED`` table with entry ``i`` replaced."""
+    return table[:i] + (entry,) + table[i + 1:]
+
+
 @pytest.mark.parametrize("target, key, check", [
     ("_hyp_jacobian_rank", "jacobian_failures", "jacobian-rank-6"),
-    ("a_matrix_rank", "rank_a_failures", "image-rank-a-3"),
+    ("HYP_FACTORED", "rank_a_failures", "image-rank-a-3"),
 ])
 def test_verify_hyp_param_records_every_failing_point(monkeypatch, target, key, check):
-    # a rank that is wrong at every point: each of the 20 points is recorded
-    # with its parameters and rank, and only that check fails.  The Jacobian
-    # rank reads 2, or the a-matrix rank of the evaluated coordinates does
-    monkeypatch.setattr(fam, target, lambda *args: 2)
+    # the Jacobian's rank reads 2, or a10's sign is flipped in a copy of
+    # HYP_FACTORED: each failure is recorded, and only its check fails.  The
+    # one recorded point is the one the passing certificate draws; the
+    # recorded forms are those with a10 or a01 in their monomials: T_2 and
+    # T_3 (the triangles on edge 01) and the two 4-cycles through it, each
+    # now twice one of its monomials
+    draws, _ = _hyp_param_spy(monkeypatch)
+    assert verify_hyp_param(seed=5).passed
+    monkeypatch.undo()
+    sign, exps = fam.HYP_FACTORED[AIDX["a10"]]
+    flipped = _with_entry(fam.HYP_FACTORED, AIDX["a10"], (-sign, exps))
+    monkeypatch.setattr(fam, target, flipped if target == "HYP_FACTORED" else lambda *args: 2)
     cert = verify_hyp_param(seed=5)
     assert [c.name for c in cert.checks if not c.passed] == [check]
     assert list(cert.data) == [key]
-    failures = cert.data[key]
-    assert len(failures) == 20 and all(f["rank"] == 2 for f in failures)
-    params = [tuple(f["params"]) for f in failures]
-    assert len(set(params)) == 20 and all(len(p) == 10 for p in params)
-    # the recorded points are the ones the passing certificate draws
-    monkeypatch.undo()
-    calls = []
-    real = fam._hyp_jacobian_rank
-    monkeypatch.setattr(fam, "_hyp_jacobian_rank", lambda F, table, atoms: calls.append(atoms[:10]) or real(F, table, atoms))
+    if target == "HYP_FACTORED":
+        assert [f["form"] for f in cert.data[key]] == [2, 3, 5, 6]
+        assert all(f["value"].lstrip("-").startswith("2*") for f in cert.data[key])
+    else:
+        assert cert.data[key] == [{"params": [str(x) for x in draws[0][:10]], "rank": 2}]
+
+
+def test_image_rank_identity_fails_every_single_mutation(monkeypatch):
+    # one coordinate of a copy of HYP_FACTORED with its sign flipped, or its
+    # exponent of one atom raised by 1: 24 tables, and in each some K4 form
+    # no longer cancels, so check (iii) fails, and it alone (the components
+    # and the rank table were built from the true table)
     assert verify_hyp_param(seed=5).passed
-    assert [tuple(map(str, atoms)) for atoms in calls] == params
+    real = fam.HYP_FACTORED
+    for i, (sign, exps) in enumerate(real):
+        for entry in ((-sign, exps), (sign, exps[:i] + (exps[i] + 1,) + exps[i + 1:])):
+            monkeypatch.setattr(fam, "HYP_FACTORED", _with_entry(real, i, entry))
+            cert = verify_hyp_param(seed=5)
+            assert [c.name for c in cert.checks if not c.passed] == ["image-rank-a-3"], (i, entry)
+            assert cert.data["rank_a_failures"], (i, entry)
+
+
+@pytest.mark.parametrize("p", (31, 10007))
+def test_image_rank_identity_agrees_with_a_matrix_rank(p):
+    # the identity (every K4 form of the image vanishes, and a10 a20 a30 is
+    # a signed monomial) gives rank 3 where no atom vanishes and at most 3 on
+    # the whole image; a_matrix_rank and the elimination read the same at
+    # seeded image points, a third of them with one parameter set to 0
+    F = PrimeField(p)
+    rng = random.Random(f"image-rank-{p}")
+    ranks = {True: set(), False: set()}
+    for n in range(400):
+        params = [F.random(rng) for _ in range(10)]
+        if n % 3 == 0:
+            params[rng.randrange(10)] = 0
+        atoms = fam._hyp_atoms(params, F.canonical)
+        coords = hyp_evaluate(params, F.canonical, atoms)
+        if coords is None:
+            continue
+        assert not any(map(F.canonical, _k4_forms(coords)))
+        r = a_matrix_rank(F, coords)
+        assert r == rank(F, a_matrix_values(coords)) and r <= 3
+        ranks[0 not in atoms].add(r)
+    assert ranks[True] == {3} and len(ranks[False]) > 1
+
+
+def test_verify_hyp_param_needs_homogeneous_components(monkeypatch):
+    # a constant added to a32's component: it is not multihomogeneous, so
+    # the Euler bound on the Jacobian's rank fails with check (iv), though
+    # the drawn point still ranks 6 (the pull-back fails too)
+    comps = hyp_components()
+    monkeypatch.setattr(fam, "hyp_components", lambda: (comps[0] + 1,) + comps[1:])
+    cert = verify_hyp_param(seed=5)
+    failed = [c.name for c in cert.checks if not c.passed]
+    assert failed == ["quadrics-pull-back-to-zero", "components-multihomogeneous", "jacobian-rank-6"]
+    assert cert.data == {}
+
+
+def test_verify_hyp_param_needs_five_independent_gradings(monkeypatch):
+    # a grading table whose last grading repeats the fourth has rank 4: the
+    # Euler fields then bound the Jacobian's rank by 7 only, and check (ii)
+    # fails alone (the components were built with the true grading)
+    hyp_components()
+    monkeypatch.setattr(fam, "HYP_GRADING", {n: g[:4] + g[3:4] for n, g in fam.HYP_GRADING.items()})
+    cert = verify_hyp_param(seed=5)
+    assert [c.name for c in cert.checks if not c.passed] == ["jacobian-rank-6"]
+    assert "4 independent gradings; 6 at 1 point" in cert.checks[2].detail
 
 
 def test_verifier_detects_mutation():

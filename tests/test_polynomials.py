@@ -278,6 +278,30 @@ def test_jacobian_of_hyp_parametrization_rank_6(f10007):
         assert rank(f10007, _hyp_jacobian(f10007, atoms[:10])) == 6
 
 
+def test_hyp_rank_table_kernel_is_the_two_euler_vectors():
+    # over Q the constant block C has rank 4, and the kernel of the checks'
+    # exponent sums K over (w0, w1, x0, x1, D, X, W) is spanned by the x- and
+    # w-Euler vectors (D = x1 w1 - x0 w0 has degree 1 in both, X = x1 + x0 in
+    # x, W = w1 + w0 in w).  A point's 7x4 block B sends the gradings
+    # (0, 0, 1, 1) and (1, 1, 0, 0) of (w0, w1, x0, x1) to these vectors
+    # (Euler's identity on each atom), so K B has rank at most 2 and the
+    # Jacobian at most 4 + 2 = 6: the bound verify hyp-param proves from its
+    # five gradings
+    rank_c, rows = _hyp_rank_table(QQ)
+    K = [list(e) + list(dxw) for e, dxw in rows]
+    euler = [(0, 0, 1, 1, 1, 1, 0), (1, 1, 0, 0, 1, 0, 1)]
+    assert rank_c == 4 and rank(QQ, K) == 5 == 7 - len(nullspace(QQ, K, 7))
+    assert rank(QQ, euler) == 2
+    assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in K for v in euler)
+    # the same two vectors are in the kernel of the 8 checks' sums before reduction
+    constant = [[exps[j] for j in (0, 1, 6, 7, 8, 9)] for _, exps in HYP_FACTORED]
+    checks = nullspace(QQ, [list(col) for col in zip(*constant)], 12)
+    assert len(checks) == 12 - rank_c == 8
+    for vec in checks:
+        row = [sum(y * exps[k] for y, (_, exps) in zip(vec, HYP_FACTORED)) for k in (2, 3, 4, 5, 10, 11, 12)]
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for v in euler)
+
+
 @pytest.mark.parametrize("field, points", [(PrimeField(10007), 120), (QQ, 4)], ids=["F_10007", "Q"])
 def test_hyp_jacobian_matches_symbolic_derivative(field, points):
     symbolic = jacobian([map_field(c, field) for c in hyp_components()])
@@ -596,6 +620,18 @@ def test_zero_operand_still_checks_table_and_field(op):
     # an equal table or an equal field that is another object still passes
     assert apply(Poly.zero(other_vt, QQ), x).vars == vt
     assert apply(Poly.zero(vt, PrimeField(31)), Poly.variable(vt, F, "x")).field == F
+
+
+def test_scalar_subtraction_on_either_side():
+    # Poly - c lifts c to a constant polynomial; c - Poly negates and adds
+    vt, (x, y, z) = xyz()
+    assert (x - 3).terms == {(1, 0, 0): 1, (0, 0, 0): -3}
+    assert (3 - x).terms == {(0, 0, 0): 3, (1, 0, 0): -1}
+    assert x - Fraction(1, 2) == -(Fraction(1, 2) - x)
+    F = PrimeField(7)
+    u = Poly.variable(VarTable(("u",)), F, "u")
+    assert (u - 10).terms == {(1,): 1, (0,): 4} and (10 - u).terms == {(0,): 3, (1,): 6}
+    assert 1 - Poly.constant(u.vars, F, 1) == 0
 
 
 def test_zero_operand_results():
