@@ -261,6 +261,14 @@ def test_image_rank_identity_fails_every_single_mutation(monkeypatch):
             cert = verify_hyp_param(seed=5)
             assert [c.name for c in cert.checks if not c.passed] == ["image-rank-a-3"], (i, entry)
             assert cert.data["rank_a_failures"], (i, entry)
+    # a10 and a01 both 0 keep every K4 form 0 (each monomial pair holds
+    # both or neither), but a10 a20 a30 is then 0 and the check still fails
+    zeroed = _with_entry(_with_entry(real, AIDX["a10"], (0, real[AIDX["a10"]][1])),
+                         AIDX["a01"], (0, real[AIDX["a01"]][1]))
+    monkeypatch.setattr(fam, "HYP_FACTORED", zeroed)
+    cert = verify_hyp_param(seed=5)
+    assert [c.name for c in cert.checks if not c.passed] == ["image-rank-a-3"] and cert.data == {}
+    assert cert.checks[3].detail.endswith("K4 forms vanish in the 13 atoms; a10*a20*a30 = 0")
 
 
 @pytest.mark.parametrize("p", (31, 10007))
@@ -277,7 +285,7 @@ def test_image_rank_identity_agrees_with_a_matrix_rank(p):
         if n % 3 == 0:
             params[rng.randrange(10)] = 0
         atoms = fam._hyp_atoms(params, F.canonical)
-        coords = hyp_evaluate(params, F.canonical, atoms)
+        coords = hyp_evaluate(params, F.canonical)
         if coords is None:
             continue
         assert not any(map(F.canonical, _k4_forms(coords)))
