@@ -34,7 +34,7 @@ from contextlib import closing
 
 from .families import verify_hyp_param, verify_para_v2, verify_z3_kernel, verify_z3_line, verify_z5_family
 from .fields import FieldError, field_from_spec
-from .geometry import LineA, line_in_q
+from .geometry import LineA
 from .sampling import STRATEGIES, BudgetExhausted, SamplingError, sample_line
 from .strata import (
     StrataError,
@@ -165,8 +165,6 @@ def cmd_sample(args) -> int:
             except SamplingError as e:  # bad arguments: slot 0, before any write
                 return _usage_error(e)
             else:
-                if not line_in_q(line):  # re-checked on write
-                    raise RuntimeError("sampler returned a line outside Q")
                 report_json = classify_line(line).to_json()
                 report_json.pop("line", None)  # the record carries the line once
                 record = {"line": line.to_json(), "report": report_json}

@@ -123,17 +123,16 @@ def _hyp_atoms(params: Sequence, reduce) -> tuple:
     return (*params, reduce(x1 * w1 - x0 * w0), reduce(x1 + x0), reduce(w1 + w0))
 
 
-def hyp_evaluate(params: Sequence, reduce, atoms=None) -> Optional[tuple]:
+def hyp_evaluate(params: Sequence, reduce) -> Optional[tuple]:
     """The one evaluator of ``HYP_FACTORED``, and the samplers' hot path:
     atoms first, then one short product per component.
 
     ``params`` are canonical scalars of a field, and ``reduce`` maps sums
     and products of them to canonical scalars again: ``field.canonical``
     for any field, or plain ``x % p`` on residues mod p; or ``Poly``
-    variables with the identity.  A caller holding their 13 atoms passes
-    them as ``atoms``.  None when every component vanishes.
+    variables with the identity.  None when every component vanishes.
     """
-    atoms = atoms or _hyp_atoms(params, reduce)
+    atoms = _hyp_atoms(params, reduce)
     coords = []
     for sign, factors in _hyp_factors():
         acc = sign

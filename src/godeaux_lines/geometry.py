@@ -91,13 +91,12 @@ def _polarization(i: int, x, y):
     return (x[a] * y[b] + x[b] * y[a]) - (x[c] * y[d] + x[d] * y[c]) + (x[e] * y[f] + x[f] * y[e])
 
 
-def _k4_forms(x) -> list:
+def _k4_forms(x, cycles=_K4_CYCLES) -> list:
     """T_0..T_3, C_01|23, C_02|13, C_03|12 at 12 values of one ring, unreduced: the a-matrix weights K4's
     incidence matrix (row l is vertex l), and each maximal minor is +-a_lm T_l, T_l = a_ij a_jk a_ki +
     a_ik a_kj a_ji round the triangle without l, or +-C_ij|kl = a_ik a_kj a_jl a_li - a_il a_lj a_jk a_ki."""
     t = [x[a] * x[b] * x[c] + x[d] * x[e] * x[f] for (a, b, c), (d, e, f) in _K4_TRIANGLES]
-    return t + [x[a] * x[b] * x[c] * x[d] - x[e] * x[f] * x[g] * x[h]
-                for (a, b, c, d), (e, f, g, h) in _K4_CYCLES]
+    return t + [x[a] * x[b] * x[c] * x[d] - x[e] * x[f] * x[g] * x[h] for (a, b, c, d), (e, f, g, h) in cycles]
 
 
 def _line_conditions(r0, r1):
@@ -143,10 +142,11 @@ def a_matrix_values(coords):
 
 
 def a_matrix_rank(field: Field, coords) -> int:
-    """Exact rank of the a-matrix at a raw 12-vector.  With no coordinate zero, rows 1-3 hold a10, a20,
-    a30 alone at vertex 0's edges, so it is at least 3, and 4 where a K4 form is not 0; else eliminated."""
+    """Exact rank of the a-matrix at a raw 12-vector, eliminated if a coordinate is 0.  Else rows 1-3 hold
+    a10, a20, a30 alone at vertex 0's edges, so it is 3, or 4 where some T_l is not 0: with r_uv = a_uv/a_vu,
+    T_l = 0 makes a triangle's r-product -1, so a 4-cycle's (two triangles sharing an edge) is +1 and C is 0."""
     if all(map(field.canonical, coords)):
-        return 3 + any(map(field.canonical, _k4_forms(coords)))
+        return 3 + any(map(field.canonical, _k4_forms(coords, ())))
     return rank(field, a_matrix_values(coords))
 
 

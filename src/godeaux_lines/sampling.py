@@ -1,28 +1,26 @@
 """Seeded samplers for lines inside Q.
 
-All strategies follow the same two-step recipe: pick a first point p on Q
-(randomly, on a torsion P^3, or on the hyperelliptic locus via its
-parametrization), then pick a second point in the tangent cone Q n T_p Q.
-Because Q is cut out by quadrics, the connecting line then lies inside Q.
+All strategies follow the same two-step recipe: pick a first point p on Q (randomly, on a torsion
+P^3, or on the hyperelliptic locus via its parametrization), then pick a second point in the
+tangent cone Q n T_p Q.  Because Q is cut out by quadrics, the connecting line then lies inside Q.
 
-The searches are exact and run over a prime field, seeded and
-deterministic: a sampler owns a private random stream, so equal
-(strategy, field, seed) always return the identical line.  First points
-and two-torsion lines draw through ``randrange``.  The partner searches
-draw the same values a block at a time through :mod:`draws` and test all
-of a block's draws at once: the two-hyp test decides acceptance, the
-tangent-cone test makes most rejections.  They charge the rejected draws'
-trials in one step and leave the stream where the one-draw loop stops,
-so trials and lines are unchanged; a tangent-cone draw costs x + 1 trials
-when it yields a partner at x, else p.  Each strategy re-verifies its
-promise through the classifier (:func:`_fulfils`) and retries otherwise;
-a trial budget guards termination, and after :class:`BudgetExhausted`
-the stream's state is unspecified.
+The searches are exact and run over a prime field, seeded and deterministic: a sampler owns a
+private random stream, so equal (strategy, field, seed) always return the identical line.  First
+points and two-torsion lines draw through ``randrange``.  The partner searches draw the same values
+a block at a time through :mod:`draws` and test all of a block's draws at once: the two-hyp test
+decides acceptance, the tangent-cone test makes most rejections.  They charge the rejected draws'
+trials in one step and leave the stream where the one-draw loop stops, so trials and lines are
+unchanged; a tangent-cone draw costs x + 1 trials when it yields a partner at x, else p.  Each
+strategy re-verifies its promise through the classifier (:func:`_fulfils`) and retries otherwise; a
+trial budget guards termination, and after :class:`BudgetExhausted` the stream's state is
+unspecified.  A candidate whose first point and partner hold more points of a-matrix rank 3 than the
+rank-3 roots it promises is turned down unclassified when the point (1:1) between them has rank 4:
+all 15 minors vanish at a rank-3 end, so it is a root of their GCD, which that witness shows is
+nonzero, and the classifier would report it as a rank-3 root (see :func:`sample_line`).
 
-Strategies: ``generic``, ``torsion`` (one named torsion P^3), ``two-torsion``
-(a pair of them), ``hyp`` (one hyperelliptic point), ``two-hyp`` (two
-hyperelliptic points).  README's notes on the searches give each one's
-measured reach in p.
+Strategies: ``generic``, ``torsion`` (one named torsion P^3), ``two-torsion`` (a pair of them),
+``hyp`` (one hyperelliptic point), ``two-hyp`` (two hyperelliptic points).  README's notes on the
+searches give each one's measured reach in p.
 """
 
 from __future__ import annotations
@@ -575,22 +573,24 @@ def sample_line(
 ) -> LineA:
     """Sample one line of Q; deterministic in (strategy, field, seed).
 
-    Every returned line satisfies line_in_q exactly and its classifier
-    report shows the strategy's promise (:func:`_fulfils`): empty special
-    loci for ``generic``; exactly one torsion intersection on the named space
-    for ``torsion``; two torsion intersections for ``two-torsion``; exactly one
-    (resp. two) rank-3 minor-GCD roots for ``hyp`` (resp. ``two-hyp``).
-    ``general_position`` additionally forces a two-hyp line to be a general
-    member of its family (no row-vanishing point, kernel degrees
-    (1, 1, 1, 1)); such lines are about 65x rarer in the rejection search
-    (p = 31, seeds 0-9: a median of 293,971 trials against 4,417).
-    Raises :class:`BudgetExhausted` when the trial budget runs out, and
-    every other :class:`SamplingError` (bad arguments: a ``seed`` or
-    ``budget`` that is not an int, or is a bool, a negative ``seed``, a
-    ``field`` that is not a :class:`Field`, a ``space`` or member of
-    ``spaces`` that is not a :class:`TorsionSpace` (a name is not one),
-    ``space``, ``spaces`` or ``general_position`` given to a strategy that
-    does not take it, and others) before the first draw.
+    Every returned line satisfies line_in_q exactly and its classifier report shows the strategy's
+    promise (:func:`_fulfils`): empty special loci for ``generic``; exactly one torsion
+    intersection on the named space for ``torsion``; two torsion intersections for ``two-torsion``;
+    exactly one (resp. two) rank-3 minor-GCD roots for ``hyp`` (resp. ``two-hyp``).
+    ``general_position`` additionally forces a two-hyp line to be a general member of its family
+    (no row-vanishing point, kernel degrees (1, 1, 1, 1)); such lines are about 65x rarer in the
+    rejection search (p = 31, seeds 0-9: a median of 293,971 trials against 4,417).  A candidate
+    through the first point p and its partner w with more rank-3 ends than it promises rank-3 roots
+    is rejected unclassified where p + w has rank 4: all 15 minors vanish at a rank-3 end, so it is
+    a root of their GCD, nonzero as a minor is nonzero at p + w, and :func:`strata.classify_line`
+    would list it among ``hyperelliptic_roots``.  Without that witness (every minor may vanish on
+    the line, as on some accepted torsion lines) the candidate is classified; the rule runs after
+    the partner search, so draws, trials and lines are unchanged.  Raises :class:`BudgetExhausted`
+    when the trial budget runs out, and every other :class:`SamplingError` (bad arguments: a
+    ``seed`` or ``budget`` that is not an int, or is a bool, a negative ``seed``, a ``field`` that
+    is not a :class:`Field`, a ``space`` or member of ``spaces`` that is not a
+    :class:`TorsionSpace` (a name is not one), ``space``, ``spaces`` or ``general_position`` given
+    to a strategy that does not take it, and others) before the first draw.
     """
     if strategy not in STRATEGIES:
         raise SamplingError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -647,6 +647,9 @@ def sample_line(
             continue
         if not line_in_q(line):
             continue
+        ends = 0 if strategy == "two-torsion" else (rank_a(p_pt) == 3) + (rank_a(w) == 3)
+        if ends > _RANK3_ROOTS.get(strategy, 0) and rank_a(line.point_at(1, 1)) == 4:
+            continue  # each rank-3 end is a root of the nonzero minor GCD: too many rank-3 roots
         report = classify_line(line)
         if _fulfils(strategy, report, home, pair, general_position):
             provenance = {

@@ -194,6 +194,26 @@ def test_sample_count_past_seed_stride_is_usage_error(tmp_path, monkeypatch, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dest", ["file", "stdout"])
+def test_sample_refuses_a_line_outside_q_before_writing(tmp_path, monkeypatch, capsys, dest):
+    # a sampler that returned a line outside Q would meet classify_line's own
+    # check: StrataError, and no header, record or temp file is written
+    import godeaux_lines.cli as cli
+    from godeaux_lines.fields import PrimeField
+    from godeaux_lines.geometry import AIDX, LineA
+    from godeaux_lines.strata import StrataError
+
+    F = PrimeField(31)
+    unit = lambda name: [int(j == AIDX[name]) for j in range(12)]
+    outside = LineA(F, unit("a12"), unit("a13"))  # q0 = a12*a13 - ... is s*t on it
+    monkeypatch.setattr(cli, "sample_line", lambda *args, **kwargs: outside)
+    out = tmp_path / "never.jsonl"
+    with pytest.raises(StrataError, match="does not lie in Q"):
+        main(["sample", "--field", "p31", "--seed", "3"] + (["--out", str(out)] if dest == "file" else []))
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("count", [0, -3])
 def test_sample_count_below_one_is_usage_error(tmp_path, monkeypatch, capsys, count):
     # nothing to draw is a usage error, not "budget exhausted" or an empty store

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -73,8 +74,8 @@ def test_worked_image_point():
 @pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=str)
 def test_hyp_evaluate_matches_expanded_components(field):
     # the factored evaluator against the expanded polynomials, with zeros
-    # frequent enough to hit vanishing atoms and the base locus; given the
-    # atoms, it reads them instead of computing them
+    # frequent enough to hit vanishing atoms and the base locus; it is also
+    # HYP_FACTORED's signed products of the atoms _hyp_atoms computes
     comps = [map_field(c, field) for c in hyp_components()]
     rng = random.Random(17)
     seen_base = False
@@ -82,7 +83,10 @@ def test_hyp_evaluate_matches_expanded_components(field):
         params = [field.canonical(rng.choice((0, 0, 1, -1, field.random(rng)))) for _ in range(10)]
         expected = tuple(poly_eval(c, params) for c in comps)
         got = hyp_evaluate(params, field.canonical)
-        assert hyp_evaluate(None, field.canonical, fam._hyp_atoms(params, field.canonical)) == got
+        atoms = fam._hyp_atoms(params, field.canonical)
+        products = tuple(field.canonical(sign * math.prod(a**e for a, e in zip(atoms, exps)))
+                         for sign, exps in fam.HYP_FACTORED)
+        assert (products if any(products) else None) == got
         if any(expected):
             assert got == expected
         else:

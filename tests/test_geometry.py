@@ -447,6 +447,35 @@ def test_a_matrix_rank_matches_elimination_oracle(monkeypatch):
     assert by_path[False] == {(kind, r) for kind in ("prime", "rational") for r in (3, 4)}
 
 
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_balanced_k4_triangles_balance_every_cycle(p):
+    # a_matrix_rank reads only T_0..T_3 where no coordinate is 0; that is
+    # exact because there the four T's vanishing forces the three C's to.
+    # Each monomial of a form walks each of its edges uv (u < v) once, as a_uv
+    # or a_vu, so a form is the product of its edges' a_vu times the form at
+    # a_vu = 1, a_uv = a_uv/a_vu: the (p-1)^6 such vectors cover every case.
+    from itertools import combinations, product
+
+    from godeaux_lines.geometry import AIDX, _k4_forms, a_matrix_rank, a_matrix_values
+    from godeaux_lines.linalg import rank
+
+    F = PrimeField(p)
+    upper = [AIDX[f"a{u}{v}"] for u, v in combinations(range(4), 2)]
+    balanced = 0
+    for ratios in product(range(1, p), repeat=6):
+        x = [1] * 12
+        for j, r in zip(upper, ratios):
+            x[j] = r
+        forms = [F.canonical(f) for f in _k4_forms(x)]
+        if not any(forms[:4]):
+            assert not any(forms[4:]), x
+            assert a_matrix_rank(F, x) == rank(F, a_matrix_values(x)) == 3
+            balanced += 1
+    # the ratios on vertex 0's three edges are free, and the three triangles
+    # through vertex 0 fix the others (triangle 123 is their product): 8, 64, 216
+    assert balanced == (p - 1) ** 3
+
+
 def test_pull_backs_match_compose_oracle():
     from godeaux_lines.families import (
         _Z5_EXAMPLE,

@@ -1365,9 +1365,32 @@ def test_promise_rule_matches_clause_oracle_on_stored_lines():
     assert len(reports) > 70 and accepted == set(sampling.STRATEGIES)
 
 
+def _spy_candidates(monkeypatch):
+    """Every candidate line ``sample_line`` finds in Q, in draw order, as
+    [line, classified]; the rank-3 end rule rejects the unclassified ones."""
+    seen = []
+
+    def in_q(line):
+        inside = line_in_q(line)
+        if inside:
+            seen.append([line, False])
+        return inside
+
+    def classify(line):
+        assert seen[-1][0] is line and not seen[-1][1]
+        seen[-1][1] = True
+        return classify_line(line)
+
+    monkeypatch.setattr(sampling, "line_in_q", in_q)
+    monkeypatch.setattr(sampling, "classify_line", classify)
+    return seen
+
+
 def test_promise_rule_matches_clause_oracle_on_every_sampler_candidate(monkeypatch, f31):
-    # every report the sampler judges, the rejected ones included
-    accepted, judged = set(), []
+    # every candidate the sampler judges, the rejected ones included: the
+    # ones the rank-3 end rule turns down unclassified are classified here,
+    # and both the promise rule and the clause oracle must reject them
+    accepted, judged, early = set(), [], []
 
     def checked(strategy, report, *args):
         _check_promise_rule(report, accepted)
@@ -1375,10 +1398,69 @@ def test_promise_rule_matches_clause_oracle_on_every_sampler_candidate(monkeypat
         return _fulfils(strategy, report, *args)
 
     monkeypatch.setattr(sampling, "_fulfils", checked)
+    candidates = _spy_candidates(monkeypatch)
     for strategy in sampling.STRATEGIES:
         for seed in (0, 1):
+            candidates.clear()
             sample_line(strategy, f31, seed)
-    assert len(judged) > 10 and accepted == set(sampling.STRATEGIES)
+            home = TORSION_SPACES[0] if strategy == "torsion" else None
+            for line, classified in candidates:
+                if not classified:
+                    report = classify_line(line)
+                    _check_promise_rule(report, accepted)
+                    assert not _fulfils(strategy, report, home, None, False)
+                    assert not _clause_fulfils(strategy, report, home, None, False)
+                    judged.append(strategy)
+                    early.append(strategy)
+    assert len(judged) > 10 and early and accepted == set(sampling.STRATEGIES)
+
+
+@pytest.mark.parametrize("p", (7, 11, 31))
+def test_rank3_end_rule_rejects_only_what_the_classifier_rejects(monkeypatch, p):
+    # the rule skips classify_line when more ends of a candidate have rank 3
+    # than the strategy promises rank-3 roots and its midpoint (1:1) has
+    # rank 4; there each rank-3 end is a root of the nonzero minor GCD, so
+    # the full report lists it and fails the promise.  With the midpoint at
+    # rank <= 3 it defers, and an accepted torsion line may have a rank-3
+    # partner only when every minor vanishes on it.
+    F = PrimeField(p)
+    candidates = _spy_candidates(monkeypatch)
+    branches = {"fires": 0, "defers": 0, "accepted rank-3 partner": 0}
+    for strategy, space in [("generic", None), ("hyp", None), *(("torsion", sp) for sp in TORSION_SPACES)]:
+        promise = 1 if strategy == "hyp" else 0
+        for seed in range(15):
+            candidates.clear()
+            line = sample_line(strategy, F, seed, **({"space": space} if space else {}))
+            for cand, classified in candidates:
+                ends = [rank_a(PointA(F, row)) == 3 for row in cand.rows]
+                witness = rank_a(cand.point_at(1, 1))
+                fires = sum(ends) > promise and witness == 4
+                assert fires == (not classified), (strategy, seed)
+                if fires:
+                    branches["fires"] += 1
+                    report = classify_line(cand)
+                    assert not _fulfils(strategy, report, space, None, False)
+                    roots = {r.point for r in report.hyperelliptic_roots}
+                    assert {pt for pt, end in zip(((1, 0), (0, 1)), ends) if end} <= roots
+                elif sum(ends) > promise:
+                    branches["defers"] += 1
+            assert candidates[-1][0].rows == line.rows and candidates[-1][1]
+            if strategy == "torsion" and rank_a(PointA(F, line.rows[1])) == 3:
+                branches["accepted rank-3 partner"] += 1
+                assert classify_line(line).all_minors_vanish
+    assert all(branches.values()), branches
+
+
+def test_torsion_pool_classifies_only_what_it_keeps(monkeypatch, f31):
+    # slots 0-19 of sample --strategy torsion --seed 1: 52 candidates reach
+    # the classifier without the rank-3 end rule, 32 of them rejected for a
+    # rank-3 root at their partner; with it, only the 20 kept lines do
+    from godeaux_lines.cli import _record_seed
+
+    calls = []
+    monkeypatch.setattr(sampling, "classify_line", lambda line: calls.append(line) or classify_line(line))
+    kept = [sample_line("torsion", f31, _record_seed(1, i)) for i in range(20)]
+    assert [line.rows for line in calls] == [line.rows for line in kept]
 
 
 def test_each_promise_clause_rejects_alone(f31):
