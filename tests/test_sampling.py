@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from godeaux_lines.cli import _dumps
+from godeaux_lines.cli import _dumps, _record_seed
 from godeaux_lines.draws import _BLOCK_WORDS, _BLOCKS_PER_STATE, _BlockDraws
 from godeaux_lines.families import hyp_evaluate
 from godeaux_lines.fields import QQ, PrimeField, is_prime
@@ -1196,6 +1196,57 @@ def test_small_budget_outcomes_byte_identical():
                 digest.update(_dumps(record).encode() + b"\n")
     assert exhausted == 92
     assert digest.hexdigest() == "18628f2d9ba18142195a48475c39255c83f3353c0fc3bd7d25de0b996c2d7fa5"
+
+
+def _rows_inputs():
+    """name -> (strategy, primes, options, seeds): the lines behind
+    _SAMPLE_SHA256, one entry per strategy and per torsion space, then the
+    sample-p31 pool, slots 0-19 of ``sample --field p31 --seed 1``."""
+    inputs = {}
+    for name, (strategy, primes, option_sets, _) in _SAMPLE_SHA256.items():
+        for options in option_sets:
+            space = options.get("space")
+            inputs[name + (f"-{space}" if space else "")] = (strategy, primes, options, range(5))
+    pool = [_record_seed(1, slot) for slot in range(20)]
+    for strategy in sampling.STRATEGIES:
+        for space in TORSION_SPACES if strategy == "torsion" else (None,):
+            inputs[f"pool-{strategy}" + (f"-{space}" if space else "")] = (
+                strategy, (31,), {"space": space} if space else {}, pool)
+    return inputs
+
+
+_ROWS_INPUTS = _rows_inputs()
+
+#: name -> SHA-256 of the rows alone (no provenance) of the lines in
+#: _ROWS_INPUTS, one canonical JSON line each: trial counts and the
+#: provenance's format may change while the lines drawn stay these
+_ROWS_SHA256 = {
+    "generic": "124d47fcf647faf9c8c8de0573b54afdf88650d3da8567b807a09249e21c2c01",
+    "hyp": "32d47da6c0c76a71b4acc9065e723728936d2608478f153a7b60c4570767fe9a",
+    "pool-generic": "2ab6928af38248eb86ab3973dcee622562243ccae0f0fcacdb139b3c0a24e8f0",
+    "pool-hyp": "2e910d2d97a1edba55bf8558d2d181b5fed3f0f42c2993a9a0e593a532b44c8a",
+    "pool-torsion-T01|23": "87c104a48f63ff24aff94093f6f7a23e5626d1dac28a500aa5fa319910e8a0c2",
+    "pool-torsion-T02|13": "bb935555510e0d2e69b882eb7c8ad08372a6918bc42eda2cb2cf8baafc5ff835",
+    "pool-torsion-T03|12": "5f8999bec61ca7063a8b05359ed2c093c30cf21e4e1f968b494b250b06f55c98",
+    "pool-two-hyp": "5bf0483d67318cac56f4ee7b1a9c33935824091a4dd8bb335daada0402bceaff",
+    "pool-two-torsion": "ff6fe127f1ccd0c95f059b3c95ba492b117ea058c49abc27a77eba83f59ef8d0",
+    "torsion-T01|23": "c554d2b1ecc6c69c478515fb69acf6f0e4535e9360c0ec8fe8b999c87d335c27",
+    "torsion-T02|13": "62a7db210cf7680fc1f0896de227cd9d0ad68d84974110ac40cad1cd324f7916",
+    "torsion-T03|12": "d810db1d8a1818e48e86be98c2da197f653b0b5ceea166ea9103a08ef9f39db7",
+    "two-hyp": "b916a3af098637eb4a4b9c1b790edffe692b54f1bded754022493c39a30f9bfb",
+    "two-hyp-general-position": "19be7562c6be0b1f72fed77b7d6e9380aef65432b5226821bfd7417a08ddc127",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROWS_INPUTS))
+def test_sampled_rows_byte_identical(name):
+    strategy, primes, options, seeds = _ROWS_INPUTS[name]
+    digest = hashlib.sha256()
+    for p in primes:
+        for seed in seeds:
+            line = sample_line(strategy, PrimeField(p), seed, **options)
+            digest.update(_dumps(line.to_json()["rows"]).encode() + b"\n")
+    assert digest.hexdigest() == _ROWS_SHA256[name]
 
 
 # ----------------------------------------------------------------------
