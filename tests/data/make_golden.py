@@ -1,10 +1,17 @@
-"""Regenerate the golden gates: ``golden_store.jsonl``, its ``classify``
-output ``golden_classify.jsonl``, and ``golden_verify.jsonl``.
+"""Regenerate the golden gates: ``golden_sample.jsonl``, ``golden_store.jsonl``,
+its ``classify`` output ``golden_classify.jsonl``, and ``golden_verify.jsonl``.
 
     PYTHONPATH=src python tests/data/make_golden.py
 
-The store holds, one record per line: two lines of every sampler strategy
-over F_31 (``sample --seed 2022``), z5 and two-torsion lines over F_99991
+``golden_sample.jsonl`` pins the current sampler: two lines of every
+strategy over F_31 (``sample --seed 2022 --count 2``), one ``{"line": ...}``
+record each, in strategy order.  Their provenance names the sampler version
+that drew them (no ``"sampler"`` key means version 1).
+
+The store holds, one record per line: the same two lines of every strategy
+as sampler 1 drew them, kept as committed (a later sampler's lines go to
+``golden_sample.jsonl``, so stores written before it must still load and
+classify byte for byte), z5 and two-torsion lines over F_99991
 and F_(2^61 - 1) (most of them reparametrized, so their special points are
 not just (0:1) and (1:0)), reparametrized z5 / z3 lines over Q, and the four
 zero-block lines ``z5_line(F, 0,1,1,1)`` ... ``(1,1,1,0)`` over F_31 and Q,
@@ -16,7 +23,7 @@ writes the committed output byte for byte.
 order: the certificate JSON without its ``seconds`` field, the only part of
 ``verify`` output that changes from run to run.
 
-Running this again rewrites all three files; do that only on purpose, and say
+Running this again rewrites all four files; do that only on purpose, and say
 so, because the gate is only as good as the code that wrote its output.
 """
 
@@ -30,6 +37,7 @@ import tempfile
 from godeaux_lines import cli, families, fields, strata
 
 HERE = pathlib.Path(__file__).resolve().parent
+SAMPLE = HERE / "golden_sample.jsonl"
 STORE = HERE / "golden_store.jsonl"
 CLASSIFY = HERE / "golden_classify.jsonl"
 VERIFY = HERE / "golden_verify.jsonl"
@@ -49,6 +57,11 @@ def sampled_lines(tmp: pathlib.Path) -> list:
             raise SystemExit(f"sample {strategy} exited with {code}")
         out += [json.loads(l)["line"] for l in path.read_text().splitlines()[1:]]
     return out
+
+
+def sampler1_lines() -> list:
+    """The store's sampled lines, as sampler 1 drew them: read back, never redrawn."""
+    return [json.loads(l)["line"] for l in STORE.read_text().splitlines()[1:1 + 2 * len(STRATEGIES)]]
 
 
 def family_lines(rng: random.Random) -> list:
@@ -87,9 +100,9 @@ def verify_lines(tmp: pathlib.Path) -> list:
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        lines = sampled_lines(pathlib.Path(tmp))
+        SAMPLE.write_text("".join(cli._dumps({"line": l}) + "\n" for l in sampled_lines(pathlib.Path(tmp))))
         VERIFY.write_text("".join(verify_lines(pathlib.Path(tmp))))
-    lines += family_lines(random.Random(FAMILY_SEED))
+    lines = sampler1_lines() + family_lines(random.Random(FAMILY_SEED))
     STORE.write_text(cli._dumps({"format": cli.STORE_FORMAT}) + "\n"
                      + "".join(cli._dumps({"line": l}) + "\n" for l in lines))
     return cli.main(["classify", "--in", str(STORE), "--out", str(CLASSIFY)])

@@ -1,9 +1,10 @@
 """Golden gates: ``classify`` on the committed store writes the committed
-bytes, ``sample`` still draws the store's sampled lines, and every
+bytes, ``sample`` still draws the committed sample file's lines, and every
 ``verify`` certificate is unchanged apart from its timing.
 
-The store and both outputs come from ``tests/data/make_golden.py``; see its
-docstring for what they cover.  The gates run a second time with the named
+The store, the sample file and both outputs come from
+``tests/data/make_golden.py``; see its docstring for what they cover and
+which sampler version each file pins.  The gates run a second time with the named
 per-op field methods (``Field.add`` and the like) made to raise, since the
 package computes with the values' own operators and ``field.canonical``.
 """
@@ -30,16 +31,16 @@ def test_classify_golden_store_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_sample_reproduces_golden_store_lines(strategy, tmp_path):
-    # the store opens with two lines of each strategy from
-    # ``sample --field p31 --seed 2022 --count 2``, in STRATEGIES order;
-    # rows and provenance (seed, trials, certificate) must match byte for byte
+    # the sample file holds two lines of each strategy from
+    # ``sample --field p31 --seed 2022 --count 2``, in STRATEGIES order (the
+    # store keeps the same draws as sampler 1 made them); rows and provenance
+    # (seed, trials, sampler version, certificate) must match byte for byte
     out = tmp_path / "sample.jsonl"
     assert main(["sample", "--strategy", strategy, "--field", "p31",
                  "--seed", "2022", "--count", "2", "--out", str(out)]) == 0
     got = [_dumps({"line": json.loads(rec)["line"]}) for rec in out.read_text().splitlines()[1:]]
     k = STRATEGIES.index(strategy)
-    store = (DATA / "golden_store.jsonl").read_text().splitlines()[1:]
-    assert got == store[2 * k:2 * k + 2]
+    assert got == (DATA / "golden_sample.jsonl").read_text().splitlines()[2 * k:2 * k + 2]
 
 
 def test_family_lines_reproduce_golden_store_lines():
