@@ -10,10 +10,11 @@ points and two-torsion lines draw through ``randrange``.  The partner searches d
 a block at a time through :mod:`draws` and test all of a block's draws at once: the two-hyp test
 decides acceptance, the tangent-cone test makes most rejections.  They charge the rejected draws'
 trials in one step and leave the stream where the one-draw loop stops, so trials and lines are
-unchanged; a tangent-cone draw costs x + 1 trials when it yields a partner at x, else p.  Each
-strategy re-verifies its promise through the classifier (:func:`_fulfils`) and retries otherwise; a
-trial budget guards termination, and after :class:`BudgetExhausted` the stream's state is
-unspecified.  A candidate whose first point and partner hold more points of a-matrix rank 3 than the
+unchanged.  Every draw costs one trial, whatever its outcome: a first point, a two-torsion line, a
+partner draw that fails or succeeds (sampler 1 charged a failed tangent-cone draw p trials, and x +
+1 for one yielding a partner at x).  Each strategy re-verifies its promise through the classifier
+(:func:`_fulfils`) and retries otherwise; a trial budget guards termination, and after
+:class:`BudgetExhausted` the stream's state is unspecified.  A candidate whose first point and partner hold more points of a-matrix rank 3 than the
 rank-3 roots it promises is turned down unclassified when the point (1:1) between them has rank 4:
 all 15 minors vanish at a rank-3 end, so it is a root of their GCD, which that witness shows is
 nonzero, and the classifier would report it as a rank-3 root (see :func:`sample_line`).
@@ -53,6 +54,9 @@ from .strata import TORSION_SPACES, FiberReport, TorsionSpace, classify_line, ra
 
 STRATEGIES = ("generic", "torsion", "two-torsion", "hyp", "two-hyp")
 
+#: the provenance's ``"sampler"``: which lines a seed draws, and what a trial is (none: 1)
+SAMPLER_VERSION = 2
+
 #: largest modulus the searches accept (a draw may scan all of F_p)
 MAX_BRUTE_FORCE_MODULUS = 1_000_000
 
@@ -87,11 +91,11 @@ class _Budget:
         self.used = 0
 
     def spend(self, n: int = 1):
-        """Use n trials; over the limit, raise where the n single trials
-        would have, with ``used`` one past the limit.  So a bulk charge (a
-        draw's trials, or those of a run of rejected draws) raises exactly
-        when some prefix of its single charges would, with the same count;
-        the search's stream is then left unspecified."""
+        """Use n trials, one per draw; over the limit, raise where the n
+        single trials would have, with ``used`` one past the limit.  So a
+        bulk charge (a run of rejected draws) raises exactly when some prefix
+        of its single charges would, with the same count; the search's
+        stream is then left unspecified."""
         if self.used + n > self.limit:
             self.used = max(self.used, self.limit) + 1
             raise BudgetExhausted(self.strategy, self.used)
@@ -150,8 +154,7 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
     coefficients (the part R of w = x u + y v + R), and the search runs over
     the u-coefficient x in ascending order, solving q_0 = 0 as an exact
     quadratic in the v-coefficient y and testing q_1..q_3 on the at most two
-    roots.  A draw costs x + 1 trials when it yields a partner at x and p
-    otherwise (one per x the plain scan tries), charged in one step.
+    roots.  Each draw costs one trial, whether it fails or yields a partner.
     Where q_0(x, .) is identically zero, only y = 0 and y = 1 are tried
     (:func:`_solve_quadratic`), so a partner at that x can be missed; the
     stored bytes depend on this.
@@ -167,7 +170,7 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
     plain scan; after :class:`BudgetExhausted` only the stream is not.
 
     The block draws (:class:`_BlockDraws`) reject most failing draws a block
-    at a time, their p trials each charged in one step per yield: at T01|23
+    at a time, their trials charged in one step per yield: at T01|23
     torsion points by a combination q_i(R) (:func:`_vanishing`), at generic
     and hyp points by a pair of the quadrics on the line (:func:`_coprime_on_line`).
     The other draws get their tables from packed ints (:func:`_packed`).
@@ -209,11 +212,10 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
     draws = _BlockDraws(rng, p, 5, keep)
     try:
         for coeffs, skipped in draws:
-            budget.spend(p * skipped)
+            budget.spend(skipped + (coeffs is not None))
             if coeffs is None:
                 continue
             if any(sum(t * coeffs[j] * coeffs[l] for j, l, t in terms) % p for terms in free):
-                budget.spend(p)
                 continue
             lin, quad = _dot(coeffs, linear, quadratic)
             solutions = _affine_solutions(p, (
@@ -222,7 +224,6 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
                 for m in range(n)
             ))
             if solutions is None:
-                budget.spend(p)
                 continue
             x0, line = solutions  # the line y = alpha x + beta is alpha x - y + beta = 0
             lin >>= 2 * n * width
@@ -231,7 +232,6 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
             bvr = [(lin >> (4 + i) * width & mask) % p for i in range(4)]
             qr = [(quad >> i * width & mask) % p for i in range(4)]
             if line and not _share_a_factor(field, (line[0], -1, line[1]), qu, buv, qv, bur, bvr, qr):
-                budget.spend(p)
                 continue
             for x in range(p) if x0 is None else (x0,):
                 B = (x * buv[0] + bvr[0]) % p
@@ -250,9 +250,7 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
                         partner = PointA(field, w)
                         if not partner.on_quadric_intersection():
                             raise SamplingError("tangent cone scan left Q")
-                        budget.spend(x + 1)
                         return partner
-            budget.spend(p)
     finally:
         draws.sync()
 
@@ -585,7 +583,9 @@ def sample_line(
     a root of their GCD, nonzero as a minor is nonzero at p + w, and :func:`strata.classify_line`
     would list it among ``hyperelliptic_roots``.  Without that witness (every minor may vanish on
     the line, as on some accepted torsion lines) the candidate is classified; the rule runs after
-    the partner search, so draws, trials and lines are unchanged.  Raises :class:`BudgetExhausted`
+    the partner search, so draws, trials and lines are unchanged.  Each draw costs one trial (first
+    points, partners, two-torsion lines) and ``provenance["trials"]`` counts them; the provenance's
+    ``"sampler"`` is :data:`SAMPLER_VERSION`.  Raises :class:`BudgetExhausted`
     when the trial budget runs out, and every other :class:`SamplingError` (bad arguments: a
     ``seed`` or ``budget`` that is not an int, or is a bool, a negative ``seed``, a ``field`` that
     is not a :class:`Field`, a ``space`` or member of ``spaces`` that is not a
@@ -657,6 +657,7 @@ def sample_line(
                 "seed": seed,
                 "trials": tracker.used,
                 "field": field.to_spec(),
+                "sampler": SAMPLER_VERSION,
             }
             data = report.to_json()
             if home is not None:

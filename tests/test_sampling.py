@@ -330,7 +330,7 @@ def _rank_complement(field, point):
 
 
 def _scan_partner(field, point, rng, budget):
-    """The oracle: every draw scans all x, one trial each, with no certificate."""
+    """The oracle: every draw costs one trial and scans all x, with no certificate."""
     p = field.p
     u, v, *rest = _rank_complement(field, point)
     qu = [quadric_value(field, i, u) for i in range(4)]
@@ -338,6 +338,7 @@ def _scan_partner(field, point, rng, budget):
     buv = [polarization_value(field, i, u, v) for i in range(4)]
     sqrt_table = _sqrt_table(p)
     while True:
+        budget.spend()
         coeffs = [rng.randrange(p) for _ in range(5)]
         R = [0] * 12
         for c, vec in zip(coeffs, rest):
@@ -347,7 +348,6 @@ def _scan_partner(field, point, rng, budget):
         bur = [polarization_value(field, i, u, R) for i in range(4)]
         bvr = [polarization_value(field, i, v, R) for i in range(4)]
         for x in range(p):
-            budget.spend()
             B = (x * buv[0] + bvr[0]) % p
             C = (x * x * qu[0] + x * bur[0] + qr[0]) % p
             for y in _scan_solve_quadratic(p, qv[0], B, C, sqrt_table):
@@ -439,14 +439,14 @@ class _LoggedBudget(_Budget):
 
 
 def test_budget_runs_out_inside_skipped_and_forced_draws(monkeypatch):
-    # a failed draw spends its p trials, alone or in one step with the other
-    # failed draws of a block, and so does a failed draw with a forced x; a
-    # budget that runs out anywhere inside any of these must stop with the
-    # trials of the scan
+    # every draw costs one trial: a run of column-rejected draws is charged
+    # in one step with the draw kept after it, and a kept draw whose forced
+    # x fails costs its one trial like any other; a budget that runs out
+    # anywhere inside these must stop with the trials of the one-draw scan
     p = 31
     F = PrimeField(p)
     point = random_q_point(F, random.Random(7), _Budget("test", 10**6))
-    budgets, answers = [], []
+    budgets, forced = [], []
     solve = sampling._affine_solutions
 
     def logged(strategy, limit):
@@ -456,26 +456,26 @@ def test_budget_runs_out_inside_skipped_and_forced_draws(monkeypatch):
     def spy(p, eqs):
         answer = solve(p, eqs)
         if answer is not None and answer[0] is not None:
-            answers.append((budgets[-1].used, answer[0]))
+            forced.append(budgets[-1].log[-1])
         return answer
 
     monkeypatch.setattr(sampling, "_affine_solutions", spy)
     _, used, _, budget = _search(tangent_cone_partner, F, point, 0, 10**6, logged)
     monkeypatch.undo()
     log = budget.log
-    # at a generic point nearly every draw fails its certificate (most of
-    # them on q_0 and q_1 restricted to a line, in the block's column test)
-    # and is charged its p trials, in bulk
-    assert sum(n for _, n in log if n % p == 0) > 0.9 * used
-    skipped = next(used for used, n in log if n % p == 0 < n)
-    bulk, charged = next((used, n) for used, n in log if n % p == 0 and n >= 2 * p)
-    # the first draw with a forced x0 that fails, charged p at once
-    start, x0 = next((start, x0) for start, x0 in answers if (start, p) in log)
-    limits = [skipped, skipped + 1, skipped + p // 2, skipped + p - 1]
-    limits += sorted({start, start + x0 // 2, start + x0, start + x0 + 1, start + p - 1})
-    # inside the first bulk charge of two or more draws: in its first draw,
-    # at the boundary of its second, midway and in its last draw
-    limits += [bulk + 1, bulk + p - 1, bulk + p, bulk + charged // 2, bulk + charged - 1]
+    assert sum(n for _, n in log) == used
+    # at a generic point nearly every draw fails in the block's column test
+    # (q_0 and q_1 restricted to its line), so nearly every trial is charged
+    # in a run
+    assert sum(n for _, n in log if n > 1) > 0.8 * used
+    # inside the first run of three or more draws: before its first draw,
+    # after it, midway and before the kept draw that ends it
+    bulk, charged = next((start, n) for start, n in log if n >= 3)
+    limits = [bulk, bulk + 1, bulk + charged // 2, bulk + charged - 1]
+    # the first forced draw that fails: its own trial over the limit, and the
+    # next draw's
+    start, n = next(charge for charge in forced if charge != log[-1])
+    limits += [start + n - 1, start + n]
     for limit in limits:
         new = _search(tangent_cone_partner, F, point, 0, limit)
         old = _search(_scan_partner, F, point, 0, limit)
@@ -1099,9 +1099,9 @@ def test_block_draws_stop_after_stop_draws(p):
 
 
 def _charged(draws, budget, cost):
-    """The block draws charged as tangent_cone_partner charges them: ``cost``
-    per rejected draw at once, then one trial per kept draw, to the end of
-    the budget."""
+    """The block draws charged in bulk: ``cost`` per rejected draw at once
+    (the partner searches charge 1), then one trial per kept draw, to the
+    end of the budget."""
     for draw, skipped in draws:
         budget.spend(cost * skipped)
         if draw is not None:
@@ -1144,23 +1144,23 @@ def test_block_draws_charge_where_the_budget_runs_out(p):
 _SAMPLE_SHA256 = {
     "generic": (
         "generic", (5, 7, 101), ({},),
-        "416ecf928ceed70c0c4987e3604ad3c760834677d414cd72cf2400c4c7119fd4",
+        "51ab490c550b335ca1355aa28bf425d5e77a73f56e9841fcdb0e71ff4aaae180",
     ),
     "hyp": (
         "hyp", (5, 7, 101), ({},),
-        "91bdac03be3f80fbfaaa227914e240c0fc8d12776a48ed6181dcc006a4ff068a",
+        "c7273c06fd8caa2f0ed8c347beb78e0093b9aead99d7967f2d08a7957780a83e",
     ),
     "torsion": (
         "torsion", (5, 7, 11, 13), tuple({"space": space} for space in TORSION_SPACES),
-        "10e350653faecfd052b6a56772c139550958037ac5298aefde7261a6445d3054",
+        "cea0ecebba5b9fb9ea51d07888fde00d81444c063f4098c53a902b240b0a1188",
     ),
     "two-hyp": (
         "two-hyp", (5, 7, 11), ({},),
-        "51ef4a82fb6b4a4e4a83d4453b5a5d3e246af0a9bfcd167d3373495a027bcfdb",
+        "c19f70730299126b82f63a886f09fb208968d7b22a3ebfdb084d868ffa46dfe5",
     ),
     "two-hyp-general-position": (
         "two-hyp", (5, 7, 11), ({"general_position": True},),
-        "393d9f70302c93ae30a590aa2651934c03ae7117c4e9a176cac32244895eb878",
+        "e2cfb9383947e398b9d6322b9ec961a10783249ef45d16ad6a6f65ba067f4bf7",
     ),
 }
 
@@ -1182,7 +1182,7 @@ def test_samples_byte_identical_off_the_golden_prime(name):
 
 def test_small_budget_outcomes_byte_identical():
     # every strategy at budgets from 1 (the first draw) to 60,000, through
-    # sample_line: 92 of the 150 outcomes are exhausted, and each keeps only
+    # sample_line: 67 of the 150 outcomes are exhausted, and each keeps only
     # its trial count, limit + 1
     digest, exhausted = hashlib.sha256(), 0
     for strategy in sampling.STRATEGIES:
@@ -1194,8 +1194,8 @@ def test_small_budget_outcomes_byte_identical():
                     assert err.trials == budget + 1
                     record, exhausted = {"exhausted": err.trials}, exhausted + 1
                 digest.update(_dumps(record).encode() + b"\n")
-    assert exhausted == 92
-    assert digest.hexdigest() == "18628f2d9ba18142195a48475c39255c83f3353c0fc3bd7d25de0b996c2d7fa5"
+    assert exhausted == 67
+    assert digest.hexdigest() == "68bb670c51961be44e0e7376e1616d18642527b4aad5e02dda372abeb13ddb31"
 
 
 def _rows_inputs():
