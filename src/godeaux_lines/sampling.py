@@ -170,10 +170,10 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
     plain scan; after :class:`BudgetExhausted` only the stream is not.
 
     The block draws (:class:`_BlockDraws`) reject most failing draws a block
-    at a time, their trials charged in one step per yield: at T01|23
-    torsion points by a combination q_i(R) (:func:`_vanishing`), at generic
-    and hyp points by a pair of the quadrics on the line (:func:`_coprime_on_line`).
-    The other draws get their tables from packed ints (:func:`_packed`).
+    at a time, their trials charged in one step per yield: at generic and hyp
+    points by a pair of the quadrics on the line (:func:`_coprime_on_line`).
+    A draw the block keeps gets its tables from packed ints (:func:`_packed`)
+    and must make every combination free of x and y vanish.
     """
     p = _require_search_field(field)
     u, v, *rest = _tangent_complement(point)
@@ -206,8 +206,8 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
     )
     mask = (1 << width) - 1
 
-    keep = _vanishing(p, free.pop(0)) if free else None
-    if n == 1 and not keep and any(mixed[0][1]):  # a line in (x, y) for all but 1 draw in p
+    keep = None
+    if n == 1 and not free and any(mixed[0][1]):  # a line in (x, y) for all but 1 draw in p
         keep = _coprime_on_line(p, kernel[0], mixed[0], bu, bv, gram, qu, buv, qv)
     draws = _BlockDraws(rng, p, 5, keep)
     try:
@@ -253,16 +253,6 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
                         return partner
     finally:
         draws.sync()
-
-
-def _vanishing(p, terms):
-    """The column test: per draw c_0..c_4, whether sum t c_j c_l over ``terms`` is 0 mod p."""
-    def keep(*columns):
-        sums = [0] * len(columns[0])
-        for j, l, t in terms:
-            sums = [s + t * a * b for s, a, b in zip(sums, columns[j], columns[l])]
-        return [s % p == 0 for s in sums]
-    return keep
 
 
 def _coprime_on_line(p, k, mixed, bu, bv, gram, qu, buv, qv):
