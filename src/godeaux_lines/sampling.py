@@ -5,19 +5,17 @@ P^3, or on the hyperelliptic locus via its parametrization), then pick a second 
 tangent cone Q n T_p Q.  Because Q is cut out by quadrics, the connecting line then lies inside Q.
 
 The searches are exact and run over a prime field, seeded and deterministic: a sampler owns a
-private random stream, so equal (strategy, field, seed) always return the identical line.  First
-points and two-torsion lines draw through ``randrange``.  The partner searches draw the same values
-a block at a time through :mod:`draws` and test all of a block's draws at once: the two-hyp test
-decides acceptance, the tangent-cone test makes most rejections.  They charge the rejected draws'
-trials in one step and leave the stream where the one-draw loop stops, so trials and lines are
-unchanged.  Every draw costs one trial, whatever its outcome: a first point, a two-torsion line, a
-partner draw that fails or succeeds (sampler 1 charged a failed tangent-cone draw p trials, and x +
-1 for one yielding a partner at x).  Each strategy re-verifies its promise through the classifier
-(:func:`_fulfils`) and retries otherwise; a trial budget guards termination, and after
-:class:`BudgetExhausted` the stream's state is unspecified.  A candidate whose first point and partner hold more points of a-matrix rank 3 than the
-rank-3 roots it promises is turned down unclassified when the point (1:1) between them has rank 4:
-all 15 minors vanish at a rank-3 end, so it is a root of their GCD, which that witness shows is
-nonzero, and the classifier would report it as a rank-3 root (see :func:`sample_line`).
+private random stream, so equal (strategy, field, seed) always return the identical line.  Every
+draw costs one trial, whatever its outcome: a first point, a two-torsion line, a partner draw that
+fails or succeeds.  First points and two-torsion lines draw through ``randrange``, and so does a
+T01|23 torsion partner draw, solved from two binomials (:func:`_solved_draws`).  The other partner
+searches draw the same values a block at a time through :mod:`draws` and test all of a block's
+draws at once: the two-hyp test decides acceptance, the tangent-cone test makes most rejections.
+They charge the rejected draws' trials in one step and leave the stream where the one-draw loop
+stops.  Each strategy re-verifies its promise through the classifier (:func:`_fulfils`), after
+turning down unclassified a candidate with too many rank-3 ends (:func:`sample_line`), and retries
+otherwise; a trial budget guards termination, and after :class:`BudgetExhausted` the stream's
+state is unspecified.  Each record's provenance names these rules' :data:`SAMPLER_VERSION`.
 
 Strategies: ``generic``, ``torsion`` (one named torsion P^3), ``two-torsion`` (a pair of them),
 ``hyp`` (one hyperelliptic point), ``two-hyp`` (two hyperelliptic points).  README's notes on the
@@ -29,7 +27,7 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from itertools import combinations
+from itertools import combinations, count
 from operator import mul
 from typing import Optional, Sequence
 
@@ -54,8 +52,9 @@ from .strata import TORSION_SPACES, FiberReport, TorsionSpace, classify_line, ra
 
 STRATEGIES = ("generic", "torsion", "two-torsion", "hyp", "two-hyp")
 
-#: the provenance's ``"sampler"``: which lines a seed draws, and what a trial is (none: 1)
-SAMPLER_VERSION = 2
+#: the provenance's ``"sampler"``, which fixes the lines a seed draws and what a trial is: 1 (no
+#: key) charged p trials for a failed tangent-cone draw, 2 one per draw, 3 solves T01|23 partners
+SAMPLER_VERSION = 3
 
 #: largest modulus the searches accept (a draw may scan all of F_p)
 MAX_BRUTE_FORCE_MODULUS = 1_000_000
@@ -91,11 +90,10 @@ class _Budget:
         self.used = 0
 
     def spend(self, n: int = 1):
-        """Use n trials, one per draw; over the limit, raise where the n
-        single trials would have, with ``used`` one past the limit.  So a
-        bulk charge (a run of rejected draws) raises exactly when some prefix
-        of its single charges would, with the same count; the search's
-        stream is then left unspecified."""
+        """Use n trials, one per draw; over the limit, raise where the n single trials would have,
+        with ``used`` one past the limit.  So a bulk charge (a run of rejected draws) raises exactly
+        when some prefix of its single charges would, with the same count; the search's stream is
+        then left unspecified."""
         if self.used + n > self.limit:
             self.used = max(self.used, self.limit) + 1
             raise BudgetExhausted(self.strategy, self.used)
@@ -148,32 +146,29 @@ def random_q_point(field: PrimeField, rng, budget: _Budget) -> PointA:
 def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget) -> PointA:
     """A point w of Q n T_p Q not proportional to p.
 
-    Works in an explicit complement of p inside T_p Q, read off the kernel
-    basis with no elimination (:func:`_tangent_complement`): with the first
-    two complement directions (u, v) free, each draw fixes the remaining five
-    coefficients (the part R of w = x u + y v + R), and the search runs over
-    the u-coefficient x in ascending order, solving q_0 = 0 as an exact
-    quadratic in the v-coefficient y and testing q_1..q_3 on the at most two
-    roots.  Each draw costs one trial, whether it fails or yields a partner.
-    Where q_0(x, .) is identically zero, only y = 0 and y = 1 are tried
-    (:func:`_solve_quadratic`), so a partner at that x can be missed; the
-    stored bytes depend on this.
+    Works in an explicit complement of p inside T_p Q, read off the kernel basis with no
+    elimination (:func:`_tangent_complement`): with the first two complement directions (u, v)
+    free, each draw fixes the remaining five coefficients (the part R of w = x u + y v + R), and
+    the search runs over the u-coefficient x in ascending order, solving q_0 = 0 as an exact
+    quadratic in the v-coefficient y and testing q_1..q_3 on the at most two roots.  Each draw
+    costs one trial, whether it fails or yields a partner.  Where q_0(x, .) is identically zero,
+    only y = 0 and y = 1 are tried (:func:`_solve_quadratic`), so a partner at that x can be
+    missed; the stored bytes depend on this.
 
-    Before that scan, a draw gets an exact certificate.  The combinations
-    sum k_i q_i(w), k in the left kernel K of the 4x3 matrix of quadratic
-    parts [q_i(u), B_i(u, v), q_i(v)], are affine-linear in (x, y), and every
-    solution lies on their common zero set: when it is empty, the draw
-    fails; when it forces x to one value x0, only x0 is tried; when it is a
-    line, the quadrics restricted to it must share a factor
-    (:func:`_share_a_factor`), else the draw fails.  So the draws, the
-    trial count, the stream state and the returned point are those of the
-    plain scan; after :class:`BudgetExhausted` only the stream is not.
+    Before that scan, a draw gets an exact certificate.  The combinations sum k_i q_i(w), k in the
+    left kernel K of the 4x3 matrix of quadratic parts [q_i(u), B_i(u, v), q_i(v)], are
+    affine-linear in (x, y), and every solution lies on their common zero set: when it is empty,
+    the draw fails; when it forces x to one value x0, only x0 is tried; when it is a line, the
+    quadrics restricted to it must share a factor (:func:`_share_a_factor`), else the draw fails.
+    So the trial count, the stream state and the returned point are those of the plain scan of the
+    same draws; after :class:`BudgetExhausted` only the stream is not.
 
-    The block draws (:class:`_BlockDraws`) reject most failing draws a block
-    at a time, their trials charged in one step per yield: at generic and hyp
-    points by a pair of the quadrics on the line (:func:`_coprime_on_line`).
-    A draw the block keeps gets its tables from packed ints (:func:`_packed`)
-    and must make every combination free of x and y vanish.
+    At T01|23 torsion points two combinations are free of x and y, and each draw is one of their
+    p^2 (3p - 2) common zeros (:func:`_solved_draws`), where rejection kept about one draw in p^2.
+    Elsewhere the block draws (:class:`_BlockDraws`) reject most failing draws a block at a time,
+    their trials charged in one step per yield: at generic and hyp points by a pair of the
+    quadrics on the line (:func:`_coprime_on_line`).  A draw gets its tables from packed ints
+    (:func:`_packed`) and must make every combination free of x and y vanish.
     """
     p = _require_search_field(field)
     u, v, *rest = _tangent_complement(point)
@@ -206,12 +201,11 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
     )
     mask = (1 << width) - 1
 
-    keep = None
-    if n == 1 and not free and any(mixed[0][1]):  # a line in (x, y) for all but 1 draw in p
-        keep = _coprime_on_line(p, kernel[0], mixed[0], bu, bv, gram, qu, buv, qv)
+    on_line = n == 1 and not free and any(mixed[0][1])  # a line in (x, y) for all but 1 draw in p
+    keep = _coprime_on_line(p, kernel[0], mixed[0], bu, bv, gram, qu, buv, qv) if on_line else None
     draws = _BlockDraws(rng, p, 5, keep)
     try:
-        for coeffs, skipped in draws:
+        for coeffs, skipped in _solved_draws(p, free, rng) or draws:
             budget.spend(skipped + (coeffs is not None))
             if coeffs is None:
                 continue
@@ -255,15 +249,42 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
         draws.sync()
 
 
+def _solved_draws(p, free, rng):
+    """Endless ``(draw, 0)`` where the free combinations are t c_j c_l + t' c_m c_n and s c_j c_l +
+    s' c_m c_o (j, l, m, n, o distinct), else None.  One ``rng.randrange(p^2 (3p - 2))`` picks
+    each draw, once each of their common zeros in F_p^5: p^2 (p - 1) with c_m != 0, c_j and c_l
+    free, c_n and c_o solved; then (2p - 1) p^2 with c_m = c_j c_l = 0, c_n and c_o free.  So a
+    draw is distributed as the first draw that rejection keeps."""
+    try:  # two binomials with one monomial c_j c_l in common, the others with one factor c_m
+        f, g = ({(j, l): t for j, l, t in terms} for terms in free)
+        ((j, l),), (mn,), (mo,) = f.keys() & g.keys(), f.keys() - g.keys(), g.keys() - f.keys()
+        (m,) = set(mn) & set(mo)
+    except ValueError:
+        return None
+    n, o, tn, to = sum(mn) - m, sum(mo) - m, -f[j, l] * pow(f[mn], -1, p), -g[j, l] * pow(g[mo], -1, p)
+    if len({j, l, m, n, o}) < 5:
+        return None
+
+    def draw(i):  # i = (k p + a) p + b
+        k, a, b, c = i // (p * p), i // p % p, i % p, [0] * 5
+        if k < p - 1:
+            inv = pow(k + 1, -1, p)
+            c[j], c[l], c[m], c[n], c[o] = a, b, k + 1, tn * a * b * inv % p, to * a * b * inv % p
+        elif k < 2 * p - 1:
+            c[j], c[n], c[o] = k - p + 1, a, b
+        else:
+            c[l], c[n], c[o] = k - 2 * p + 2, a, b
+        return c
+    return ((draw(rng.randrange(p * p * (3 * p - 2))), 0) for _ in count())
+
+
 def _coprime_on_line(p, k, mixed, bu, bv, gram, qu, buv, qv):
-    """The column test where K is one mixed combination sum k_i q_i = a x +
-    b y + c: per draw, whether q_i and q_j restricted to the draw's line have
-    resultant 0, as they do where b = 0 (both multiples of (a x + c)^2; the
-    loop solves for x); no other draw has a solution.  (i, j) is the first
-    pair not holding the support of k: on every line, a pair holding it is
-    dependent and has resultant 0.  Tables are summed for the whole block
-    on ints packing a column each, a draw per 32-bit slot (64-bit for p >
-    653): no sum reaches 15 p^3, so none carries."""
+    """The column test where K is one mixed combination sum k_i q_i = a x + b y + c: per draw,
+    whether q_i and q_j restricted to the draw's line have resultant 0, as they do where b = 0 (both
+    multiples of (a x + c)^2; the loop solves for x); no other draw has a solution.  (i, j) is the
+    first pair not holding the support of k: on every line, a pair holding it is dependent and has
+    resultant 0.  Tables are summed for the whole block on ints packing a column each, a draw per
+    32-bit slot (64-bit for p > 653): no sum reaches 15 p^3, so none carries."""
     i, j = next(pair for pair in combinations(range(4), 2) if any(k[m] for m in range(4) if m not in pair))
     (qu0, qu1), (buv0, buv1), (qv0, qv1) = (qu[i], qu[j]), (buv[i], buv[j]), (qv[i], qv[j])
     linear, quadratic = (*mixed[:2], bu[i], bv[i], bu[j], bv[j]), (mixed[2], gram[i], gram[j])
@@ -286,10 +307,9 @@ def _coprime_on_line(p, k, mixed, bu, bv, gram, qu, buv, qv):
 
 
 def _packed(p: int, linear_tables, quadratic_tables):
-    """``(width, linear, quadratic)``: column j of each list of tables
-    packed into one int, table n in the bits [n width, (n + 1) width), for
-    :func:`_dot`.  The entries are residues mod p, so a linear slot sums 5
-    products below p^2 and a quadratic one 15 products below p^3; with
+    """``(width, linear, quadratic)``: column j of each list of tables packed into one int, table n
+    in the bits [n width, (n + 1) width), for :func:`_dot`.  The entries are residues mod p, so a
+    linear slot sums 5 products below p^2 and a quadratic one 15 products below p^3; with
     15 p^3 < 2^width no slot carries into the next."""
     width = (15 * p ** 3).bit_length()
 
@@ -300,9 +320,9 @@ def _packed(p: int, linear_tables, quadratic_tables):
 
 
 def _dot(coeffs, linear, q):
-    """The draw's tables in two products: ``(lin, quad)`` hold in each slot
-    the dot product of ``coeffs`` with a linear table, resp. of the products
-    c_j c_l (j <= l, in that order) with a quadratic table ``q``, unreduced."""
+    """The draw's tables in two products: ``(lin, quad)`` hold in each slot the dot product of
+    ``coeffs`` with a linear table, resp. of the products c_j c_l (j <= l, in that order) with a
+    quadratic table ``q``, unreduced."""
     c0, c1, c2, c3, c4 = coeffs
     return (
         c0 * linear[0] + c1 * linear[1] + c2 * linear[2] + c3 * linear[3] + c4 * linear[4],
@@ -317,12 +337,11 @@ def _dot(coeffs, linear, q):
 def _tangent_complement(point: PointA) -> list:
     """Seven vectors completing p to a basis of T_p Q, in kernel-basis order.
 
-    :func:`geometry.tangent_space` returns ``nullspace``'s basis: e_f, for
-    free column f, has 1 at f and 0 at the other free columns, and its last
-    nonzero entry is at f (pivot row c holds column f only when c < f).  So
-    p = sum p[f] e_f, and dropping e_f for the last f with p[f] != 0 leaves
-    a complement of p.  Euler's identity B_i(p, p) = 2 q_i(p) = 0 puts p in
-    T_p Q, so such an f exists.
+    :func:`geometry.tangent_space` returns ``nullspace``'s basis: e_f, for free column f, has 1 at f
+    and 0 at the other free columns, and its last nonzero entry is at f (pivot row c holds column f
+    only when c < f).  So p = sum p[f] e_f, and dropping e_f for the last f with p[f] != 0 leaves a
+    complement of p.  Euler's identity B_i(p, p) = 2 q_i(p) = 0 puts p in T_p Q, so such an f
+    exists.
     """
     basis = tangent_space(point)
     if len(basis) != 8:
@@ -337,11 +356,10 @@ def _tangent_complement(point: PointA) -> list:
 def _affine_solutions(p, eqs):
     """The common zeros (x, y) over F_p of the equations a x + b y + c = 0.
 
-    None when there are none; else ``(x0, None)`` when they force x = x0,
-    ``(None, (alpha, beta))`` for the line y = alpha x + beta, and
-    ``(None, None)`` when every equation vanishes identically.  The answer
-    depends only on the set of zeros, not on the order of ``eqs``; they are
-    read one at a time, and none past the first inconsistent one.
+    None when there are none; else ``(x0, None)`` when they force x = x0, ``(None, (alpha, beta))``
+    for the line y = alpha x + beta, and ``(None, None)`` when every equation vanishes identically.
+    The answer depends only on the set of zeros, not on the order of ``eqs``; they are read one at a
+    time, and none past the first inconsistent one.
     """
     line = x0 = None
     for a, b, c in eqs:
@@ -364,14 +382,13 @@ def _affine_solutions(p, eqs):
 
 
 def _share_a_factor(field: PrimeField, line, qu, buv, qv, bur, bvr, qr) -> bool:
-    """Whether the q_i(x u + y v + R), restricted to the line a x + b y + c
-    = 0 (b != 0), have a nonconstant common factor over F_p or all vanish;
-    when they do not, no x on the line solves the draw.  (For b = 0 every
-    restriction is a multiple of (a x + c)^2, and the answer is True.)
+    """Whether the q_i(x u + y v + R), restricted to the line a x + b y + c = 0 (b != 0), have a
+    nonconstant common factor over F_p or all vanish; when they do not, no x on the line solves the
+    draw.  (For b = 0 every restriction is a multiple of (a x + c)^2, and the answer is True.)
 
-    A pair of restrictions (:func:`_restriction`) with a nonzero resultant
-    settles the draw (a zero form has resultant 0 with every form); only
-    when every pair resultant vanishes does the gcd of all four decide.
+    A pair of restrictions (:func:`_restriction`) with a nonzero resultant settles the draw (a zero
+    form has resultant 0 with every form); only when every pair resultant vanishes does the gcd of
+    all four decide.
     """
     p = field.p
     seen = [_restriction(p, line, *tables) for tables in zip(qu, buv, qv, bur, bvr, qr)]
@@ -388,9 +405,9 @@ def _share_a_factor(field: PrimeField, line, qu, buv, qv, bur, bvr, qr) -> bool:
 
 
 def _restriction(p, line, qu, buv, qv, bur, bvr, qr):
-    """(f0, f1, f2) of b^2 q(x u + y v + R) = f2 x^2 + f1 x + f0 on the line a x
-    + b y + c = 0, from q(u), B(u, v), q(v), B(u, R), B(v, R), q(R) (all may
-    be unreduced): b y = -(a x + c) is substituted without inverting b."""
+    """(f0, f1, f2) of b^2 q(x u + y v + R) = f2 x^2 + f1 x + f0 on the line a x + b y + c = 0, from
+    q(u), B(u, v), q(v), B(u, R), B(v, R), q(R) (all may be unreduced): b y = -(a x + c) is
+    substituted without inverting b."""
     a, b, c = line
     aa, ab, bb, ac, bc, cc = a * a % p, a * b % p, b * b % p, 2 * a * c % p, b * c % p, c * c % p
     return ((qv * cc - bvr * bc + qr * bb) % p, (qv * ac - buv * bc + bur * bb - bvr * ab) % p,
@@ -404,12 +421,11 @@ def _coprime(p, f, g) -> bool:
 
 
 def _sqrt_mod(d, p):
-    """A square root of d in [0, p) modulo the odd prime p, or None for a
-    non-residue.
+    """A square root of d in [0, p) modulo the odd prime p, or None for a non-residue.
 
-    Of the two roots r and p - r it returns the smaller, except (p + 1)/2
-    for the square of (p - 1)/2; the order of the roots that
-    :func:`_solve_quadratic` tries, and so the sampled lines, rest on it.
+    Of the two roots r and p - r it returns the smaller, except (p + 1)/2 for the square of
+    (p - 1)/2; the order of the roots that :func:`_solve_quadratic` tries, and so the sampled lines,
+    rest on it.
     """
     if d == 0:
         return 0
@@ -441,10 +457,9 @@ def _sqrt_mod(d, p):
 def _solve_quadratic(p, A, B, C):
     """Roots of A y^2 + B y + C over F_p (p odd); () when there are none.
 
-    When the quadratic is identically zero every y is a root, but only
-    (0, 1) is returned: the scan of :func:`tangent_cone_partner` then tries
-    y = 0 and y = 1 at that x and can miss a partner there.  The plain-scan
-    oracle does the same, and the seeded stores depend on it.
+    When the quadratic is identically zero every y is a root, but only (0, 1) is returned: the scan
+    of :func:`tangent_cone_partner` then tries y = 0 and y = 1 at that x and can miss a partner
+    there.  The plain-scan oracle does the same, and the seeded stores depend on it.
     """
     if A == 0:
         if B == 0:
@@ -466,16 +481,15 @@ def _solve_quadratic(p, A, B, C):
 
 
 def _two_hyp_test(p, lam, general_position):
-    """The column test of :func:`_two_hyp_partner`: per draw of the 10
-    parameters, whether l_k . coords = 0 for the rows l_k of the Jacobian
-    ``lam`` at p (and with ``general_position``, no a-matrix row vanishes).
+    """The column test of :func:`_two_hyp_partner`: per draw of the 10 parameters, whether
+    l_k . coords = 0 for the rows l_k of the Jacobian ``lam`` at p (and with ``general_position``,
+    no a-matrix row vanishes).
 
-    l_0, the gradient of q_0 = a12 a13 - a21 a23 + a31 a32, is zero off six
-    coordinates that in ``HYP_FACTORED`` carry v0^2 D (D = x1 w1 - x0 w0):
-    so l_0 . coords is v0^2 D times a short sum s, tested first.  Where v0 D
-    = 0 only a30, a20, a10 survive, F (-w0 w1 y0 z1, w0 W y1 z1, -w1 W y1 z0)
-    with F = v1^2 w0 w1 W x0 x1 X y1 z1: F = 0 is the base locus (else a20 !=
-    0), l_k . coords is F times l_k's entries 2, 5, 8 against that triple,
+    l_0, the gradient of q_0 = a12 a13 - a21 a23 + a31 a32, is zero off six coordinates that in
+    ``HYP_FACTORED`` carry v0^2 D (D = x1 w1 - x0 w0): so l_0 . coords is v0^2 D times a short sum
+    s, tested first.  Where v0 D = 0 only a30, a20, a10 survive,
+    F (-w0 w1 y0 z1, w0 W y1 z1, -w1 W y1 z0) with F = v1^2 w0 w1 W x0 x1 X y1 z1: F = 0 is the
+    base locus (else a20 != 0), l_k . coords is F times l_k's entries 2, 5, 8 against that triple,
     and row 0 vanishes.  Only where s alone vanishes is the point built.
     """
     l0, *rest = lam
@@ -512,18 +526,15 @@ def _two_hyp_partner(
 ):
     """A second hyperelliptic-parametrization point inside T_p Q, by rejection.
 
-    Each draw of the 10 parameters costs one trial and must satisfy the four
-    tangency forms l_k . coords = 0 (k = 0..3, the rows of the Jacobian at
-    p).  The block draws (:class:`_BlockDraws`) decide that in their column
-    test (:func:`_two_hyp_test`), which builds all 12 coordinates for about
-    1 draw in p.  The draws stop after ``cap``, with the stream just after
-    the last one, as in the one-draw loop (unspecified where the budget
-    runs out first).
+    Each draw of the 10 parameters costs one trial and must satisfy the four tangency forms
+    l_k . coords = 0 (k = 0..3, the rows of the Jacobian at p).  The block draws (:class:`_BlockDraws`)
+    decide that in their column test (:func:`_two_hyp_test`), which builds all 12 coordinates for
+    about 1 draw in p.  The draws stop after ``cap``, with the stream just after the last one, as in
+    the one-draw loop (unspecified where the budget runs out first).
 
-    The locus carries distinguished degenerate partners (one a-matrix row
-    vanishes at them) that the rejection hits far more often than general
-    ones; ``general_position`` skips those.  Returns None after ``cap``
-    trials so the caller can redraw the first endpoint.
+    The locus carries distinguished degenerate partners (one a-matrix row vanishes at them) that the
+    rejection hits far more often than general ones; ``general_position`` skips those.  Returns None
+    after ``cap`` trials so the caller can redraw the first endpoint.
     """
     p = field.p  # sample_line checked it
     lam = [[int(x) for x in row] for row in jacobian_at(field, point.coords)]
@@ -574,11 +585,12 @@ def sample_line(
     would list it among ``hyperelliptic_roots``.  Without that witness (every minor may vanish on
     the line, as on some accepted torsion lines) the candidate is classified; the rule runs after
     the partner search, so draws, trials and lines are unchanged.  Each draw costs one trial (first
-    points, partners, two-torsion lines) and ``provenance["trials"]`` counts them; the provenance's
-    ``"sampler"`` is :data:`SAMPLER_VERSION`.  Raises :class:`BudgetExhausted`
-    when the trial budget runs out, and every other :class:`SamplingError` (bad arguments: a
-    ``seed`` or ``budget`` that is not an int, or is a bool, a negative ``seed``, a ``field`` that
-    is not a :class:`Field`, a ``space`` or member of ``spaces`` that is not a
+    points, partners, two-torsion lines) and ``provenance["trials"]`` counts them; a T01|23 torsion
+    partner draw is solved, one of p^2 (3p - 2) common zeros of two binomials, where rejection kept
+    one draw in about p^2.  The provenance's ``"sampler"`` is :data:`SAMPLER_VERSION`.  Raises
+    :class:`BudgetExhausted` when the trial budget runs out, and every other :class:`SamplingError`
+    (bad arguments: a ``seed`` or ``budget`` that is not an int, or is a bool, a negative ``seed``,
+    a ``field`` that is not a :class:`Field`, a ``space`` or member of ``spaces`` that is not a
     :class:`TorsionSpace` (a name is not one), ``space``, ``spaces`` or ``general_position`` given
     to a strategy that does not take it, and others) before the first draw.
     """
@@ -671,14 +683,12 @@ _RANK3_ROOTS = {"hyp": 1, "two-hyp": 2}
 def _fulfils(strategy: str, report: FiberReport, home, pair, general_position: bool) -> bool:
     """Whether the report keeps the strategy's promise (see :func:`sample_line`).
 
-    One rule for every strategy: torsion points on exactly its target spaces
-    (``home`` for torsion, ``pair`` for two-torsion, none otherwise), as many
-    rank-3 roots as :data:`_RANK3_ROOTS` names, no torsion space containing
-    the line and no excluded flag.  On a classified line the containment
-    test never decides alone: a line inside a torsion space meets no other
-    one (their survivor sets are disjoint) and has every minor zero, so it
-    has no torsion point and no rank-3 root.  A generic line must also be
-    generic, and a general-position two-hyp line must have kernel degrees
+    One rule for every strategy: torsion points on exactly its target spaces (``home`` for torsion,
+    ``pair`` for two-torsion, none otherwise), as many rank-3 roots as :data:`_RANK3_ROOTS` names,
+    no torsion space containing the line and no excluded flag.  On a classified line the containment
+    test never decides alone: a line inside a torsion space meets no other one (their survivor sets
+    are disjoint) and has every minor zero, so it has no torsion point and no rank-3 root.  A
+    generic line must also be generic, and a general-position two-hyp line must have kernel degrees
     (1, 1, 1, 1), which also rule out every row-vanishing point.
     """
     targets = {"torsion": (home,), "two-torsion": pair}.get(strategy, ())

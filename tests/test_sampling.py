@@ -16,6 +16,7 @@ from godeaux_lines.geometry import (
     PointA,
     _k4_forms,
     jacobian_at,
+    jacobian_rank,
     line_in_q,
     polarization_value,
     quadric_value,
@@ -329,8 +330,10 @@ def _rank_complement(field, point):
     return comp
 
 
-def _scan_partner(field, point, rng, budget):
-    """The oracle: every draw costs one trial and scans all x, with no certificate."""
+def _scan_partner(field, point, rng, budget, draw=None):
+    """The oracle: every draw costs one trial and scans all x, with no
+    certificate; ``draw(rng)`` makes the five coefficients, by default five
+    values of ``rng.randrange(p)``."""
     p = field.p
     u, v, *rest = _rank_complement(field, point)
     qu = [quadric_value(field, i, u) for i in range(4)]
@@ -339,7 +342,7 @@ def _scan_partner(field, point, rng, budget):
     sqrt_table = _sqrt_table(p)
     while True:
         budget.spend()
-        coeffs = [rng.randrange(p) for _ in range(5)]
+        coeffs = draw(rng) if draw else [rng.randrange(p) for _ in range(5)]
         R = [0] * 12
         for c, vec in zip(coeffs, rest):
             for k in range(12):
@@ -387,15 +390,131 @@ PARTNER_KINDS = ("generic", "T01|23", "T02|13", "T03|12", "hyp")
 
 @pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 31, 101))
 @pytest.mark.parametrize("kind", PARTNER_KINDS)
-def test_partner_matches_scan_oracle(p, kind):
-    # at p = 101 a torsion partner can take millions of trials; the limit
-    # keeps the oracle short, and an exhausted budget must match as well
+def test_partner_matches_scan_oracle(monkeypatch, p, kind):
+    # at p = 101 a partner can take many draws; the limit keeps the oracle
+    # short, and an exhausted budget must match as well.  At T01|23 points
+    # the oracle takes the solved draws too (their index map is checked
+    # against brute force in test_solved_draws_hit_each_common_zero_once)
     F = PrimeField(p)
     point = _start_point(F, kind, random.Random(1000 * p + PARTNER_KINDS.index(kind)))
+    solve, frees = sampling._solved_draws, []
+    monkeypatch.setattr(sampling, "_solved_draws", lambda p, free, rng: frees.append(free) or solve(p, free, rng))
     for seed in range(2):
         new = _search(tangent_cone_partner, F, point, seed, 40_000)
-        old = _search(_scan_partner, F, point, seed, 40_000)
+        solved = solve(p, frees[-1], random.Random()) is not None
+        assert solved == (kind == "T01|23")
+        draw = (lambda rng: next(solve(p, frees[-1], rng))[0]) if solved else None
+        old = _search(functools.partial(_scan_partner, draw=draw), F, point, seed, 40_000)
         assert new[:3] == old[:3]
+
+
+class _Index(random.Random):
+    """A stream whose ``randrange(n)`` returns the given index, and checks n."""
+
+    def __init__(self, index, n):
+        super().__init__(0)
+        self.index, self.n = index, n
+
+    def randrange(self, n):
+        assert n == self.n
+        return self.index
+
+
+def _binomial_pair(p, rng):
+    """t c_j c_l + t' c_m c_n and s c_j c_l + s' c_m c_o as sorted (j, l, coeff) terms, for a random
+    order of the five indices and random nonzero coefficients, in either order."""
+    j, l, m, n, o = rng.sample(range(5), 5)
+    pairs = [tuple(sorted(pair)) for pair in ((j, l), (m, n), (j, l), (m, o))]
+    terms = [(*pair, rng.randrange(1, p)) for pair in pairs]
+    return rng.sample([sorted(terms[:2]), sorted(terms[2:])], 2)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_solved_draws_hit_each_common_zero_once(p):
+    # the index map against brute force over F_p^5: its p^2 (3p - 2)
+    # indices (63, 325, 931) give each common zero of the binomials once
+    rng = random.Random(p)
+    size = {3: 63, 5: 325, 7: 931}[p]
+    for _ in range(6):
+        free = _binomial_pair(p, rng)
+        zeros = [c for c in itertools.product(range(p), repeat=5)
+                 if not any(sum(t * c[j] * c[l] for j, l, t in terms) % p for terms in free)]
+        hits = [tuple(next(sampling._solved_draws(p, free, _Index(i, size)))[0]) for i in range(size)]
+        assert len(zeros) == size
+        assert sorted(hits) == zeros
+
+
+def test_solved_draws_need_the_binomial_pair():
+    # no free combination, one, binomials with both monomials or none in
+    # common, others that share no factor, a square or c_l, a common square,
+    # a trinomial and three combinations: the rejection search keeps these
+    p = 7
+    others = (
+        [],
+        [[(0, 1, 2), (2, 3, 5)]],
+        [[(0, 1, 2), (2, 3, 5)], [(0, 1, 1), (2, 3, 1)]],
+        [[(0, 1, 2), (2, 3, 5)], [(0, 4, 1), (1, 2, 1)]],
+        [[(0, 1, 2), (2, 3, 5)], [(0, 1, 1), (1, 4, 3)]],
+        [[(0, 1, 2), (2, 3, 5)], [(0, 1, 1), (2, 2, 3)]],
+        [[(0, 1, 2), (1, 3, 5)], [(0, 1, 1), (3, 4, 3)]],
+        [[(0, 0, 2), (2, 3, 5)], [(0, 0, 1), (2, 4, 3)]],
+        [[(0, 1, 2), (2, 3, 5), (4, 4, 1)], [(0, 1, 1), (2, 4, 3)]],
+        [[(0, 1, 2), (2, 3, 5)], [(0, 1, 1), (2, 4, 3)], [(1, 1, 1)]],
+    )
+    for free in others:
+        assert sampling._solved_draws(p, free, random.Random(0)) is None
+    # the pair, also where c_2 c_3 is the common monomial and c_0 the factor
+    for free in ([[(0, 1, 2), (2, 3, 5)], [(0, 1, 1), (2, 4, 3)]], [[(0, 1, 2), (2, 3, 5)], [(0, 4, 1), (2, 3, 1)]]):
+        assert sampling._solved_draws(p, free, random.Random(0)) is not None
+
+
+class _Stop(Exception):
+    pass
+
+
+def _free_combinations(monkeypatch, field, point):
+    """The combinations free of x and y that tangent_cone_partner finds at ``point``."""
+    seen = []
+
+    def stop(p, free, rng):
+        seen.append(free)
+        raise _Stop
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sampling, "_solved_draws", stop)
+        with pytest.raises(_Stop):
+            tangent_cone_partner(field, point, random.Random(0), _Budget("test", 1))
+    return seen[0]
+
+
+@pytest.mark.parametrize("p", (5, 7, 13, 31, 101, 1009, 10007))
+def test_t01_23_points_have_two_free_binomials(monkeypatch, p):
+    # the shape the solved draws rest on: t c0 c1 + t' c2 c3 and
+    # s c0 c1 + s' c2 c4, at every seeded T01|23 point
+    F = PrimeField(p)
+    rng = random.Random(p)
+    for _ in range(5):
+        free = _free_combinations(monkeypatch, F, TORSION_SPACES[0].random_point(F, rng))
+        assert [[(j, l) for j, l, _ in terms] for terms in free] == [[(0, 1), (2, 3)], [(0, 1), (2, 4)]]
+        assert sampling._solved_draws(p, free, rng) is not None
+
+
+@pytest.mark.parametrize("p", (5, 7, 13, 31, 101, 1009, 10007))
+@pytest.mark.parametrize("name", ("T02|13", "T03|12"))
+def test_other_torsion_points_have_no_free_combination(monkeypatch, name, p):
+    F = PrimeField(p)
+    rng = random.Random(p)
+    for _ in range(5):
+        assert _free_combinations(monkeypatch, F, torsion_space(name).random_point(F, rng)) == []
+
+
+def test_partner_needs_a_smooth_point(f31):
+    # e_0 (a32 = 1, every other coordinate 0) lies on Q, but its Jacobian
+    # has rank 2, so its tangent space is not 8-dimensional
+    point = PointA(f31, (1,) + (0,) * 11)
+    assert point.on_quadric_intersection() and jacobian_rank(point) == 2
+    with pytest.raises(SamplingError, match="needs a smooth point"):
+        tangent_cone_partner(f31, point, random.Random(0), _Budget("test", 10))
 
 
 @pytest.mark.parametrize("p", (3, 5, 7, 31, 101, 10007))
@@ -1144,23 +1263,23 @@ def test_block_draws_charge_where_the_budget_runs_out(p):
 _SAMPLE_SHA256 = {
     "generic": (
         "generic", (5, 7, 101), ({},),
-        "51ab490c550b335ca1355aa28bf425d5e77a73f56e9841fcdb0e71ff4aaae180",
+        "6d98e206f01eabfc8acc8d3f39994c43aeff14a25c7e0a43d3920d55376a98db",
     ),
     "hyp": (
         "hyp", (5, 7, 101), ({},),
-        "c7273c06fd8caa2f0ed8c347beb78e0093b9aead99d7967f2d08a7957780a83e",
+        "c6ca20c220e406ffd9df1ef7406b5c645cd4e217df89e3636a60ee02971c55ad",
     ),
     "torsion": (
         "torsion", (5, 7, 11, 13), tuple({"space": space} for space in TORSION_SPACES),
-        "cea0ecebba5b9fb9ea51d07888fde00d81444c063f4098c53a902b240b0a1188",
+        "1bdf3992043f300a3d572c99721df5d96d2e8c580b0c29a44d657e02ee767bcc",
     ),
     "two-hyp": (
         "two-hyp", (5, 7, 11), ({},),
-        "c19f70730299126b82f63a886f09fb208968d7b22a3ebfdb084d868ffa46dfe5",
+        "4de3dd4debdc0d58afb739fdd0e294397a7149455d2e00dc5182f1c02f800886",
     ),
     "two-hyp-general-position": (
         "two-hyp", (5, 7, 11), ({"general_position": True},),
-        "e2cfb9383947e398b9d6322b9ec961a10783249ef45d16ad6a6f65ba067f4bf7",
+        "040843910a5e451f82835b0c2edb8789460c58374058b8030d77721d3371c737",
     ),
 }
 
@@ -1182,7 +1301,7 @@ def test_samples_byte_identical_off_the_golden_prime(name):
 
 def test_small_budget_outcomes_byte_identical():
     # every strategy at budgets from 1 (the first draw) to 60,000, through
-    # sample_line: 67 of the 150 outcomes are exhausted, and each keeps only
+    # sample_line: 56 of the 150 outcomes are exhausted, and each keeps only
     # its trial count, limit + 1
     digest, exhausted = hashlib.sha256(), 0
     for strategy in sampling.STRATEGIES:
@@ -1194,8 +1313,8 @@ def test_small_budget_outcomes_byte_identical():
                     assert err.trials == budget + 1
                     record, exhausted = {"exhausted": err.trials}, exhausted + 1
                 digest.update(_dumps(record).encode() + b"\n")
-    assert exhausted == 67
-    assert digest.hexdigest() == "68bb670c51961be44e0e7376e1616d18642527b4aad5e02dda372abeb13ddb31"
+    assert exhausted == 56
+    assert digest.hexdigest() == "b98ade133fadaf970b5a821bc19ba9d8a59ea3418b4cf6f0d2355c2ee6c4bdcb"
 
 
 def _rows_inputs():
@@ -1225,12 +1344,12 @@ _ROWS_SHA256 = {
     "hyp": "32d47da6c0c76a71b4acc9065e723728936d2608478f153a7b60c4570767fe9a",
     "pool-generic": "2ab6928af38248eb86ab3973dcee622562243ccae0f0fcacdb139b3c0a24e8f0",
     "pool-hyp": "2e910d2d97a1edba55bf8558d2d181b5fed3f0f42c2993a9a0e593a532b44c8a",
-    "pool-torsion-T01|23": "87c104a48f63ff24aff94093f6f7a23e5626d1dac28a500aa5fa319910e8a0c2",
+    "pool-torsion-T01|23": "24463a1c6a2e70d233c6eb284c0a7b97fcae742740f1c7c02818a1a27db3b1df",
     "pool-torsion-T02|13": "bb935555510e0d2e69b882eb7c8ad08372a6918bc42eda2cb2cf8baafc5ff835",
     "pool-torsion-T03|12": "5f8999bec61ca7063a8b05359ed2c093c30cf21e4e1f968b494b250b06f55c98",
     "pool-two-hyp": "5bf0483d67318cac56f4ee7b1a9c33935824091a4dd8bb335daada0402bceaff",
     "pool-two-torsion": "ff6fe127f1ccd0c95f059b3c95ba492b117ea058c49abc27a77eba83f59ef8d0",
-    "torsion-T01|23": "c554d2b1ecc6c69c478515fb69acf6f0e4535e9360c0ec8fe8b999c87d335c27",
+    "torsion-T01|23": "1ba2cccd349b10b3df63bb6842faf5b1d8e8768197d481a28583503464608ead",
     "torsion-T02|13": "62a7db210cf7680fc1f0896de227cd9d0ad68d84974110ac40cad1cd324f7916",
     "torsion-T03|12": "d810db1d8a1818e48e86be98c2da197f653b0b5ceea166ea9103a08ef9f39db7",
     "two-hyp": "b916a3af098637eb4a4b9c1b790edffe692b54f1bded754022493c39a30f9bfb",
