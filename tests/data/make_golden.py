@@ -3,20 +3,25 @@ its ``classify`` output ``golden_classify.jsonl``, and ``golden_verify.jsonl``.
 
     PYTHONPATH=src python tests/data/make_golden.py
 
-``golden_sample.jsonl`` pins the current sampler: two lines of every
-strategy over F_31 (``sample --seed 2022 --count 2``), one ``{"line": ...}``
-record each, in strategy order.  Their provenance names the sampler version
-that drew them (no ``"sampler"`` key means version 1).
+Which file pins which sampler version (the provenance's ``"sampler"``; a
+record without the key was drawn by sampler 1):
 
-The store holds, one record per line: the same two lines of every strategy
-as sampler 1 drew them, kept as committed (a later sampler's lines go to
-``golden_sample.jsonl``, so stores written before it must still load and
-classify byte for byte), z5 and two-torsion lines over F_99991
-and F_(2^61 - 1) (most of them reparametrized, so their special points are
-not just (0:1) and (1:0)), reparametrized z5 / z3 lines over Q, and the four
-zero-block lines ``z5_line(F, 0,1,1,1)`` ... ``(1,1,1,0)`` over F_31 and Q,
-on each of which one a-matrix row vanishes identically; the F_31 ones also
-reparametrized.  ``tests/test_golden.py`` asserts that ``classify`` still
+- ``golden_sample.jsonl`` pins the current sampler,
+  ``sampling.SAMPLER_VERSION`` (3: one trial per draw, T01|23 torsion
+  partners solved): two lines of every strategy over F_31 (``sample --seed
+  2022 --count 2``), one ``{"line": ...}`` record each, in strategy order.
+  It is redrawn on every run.
+- ``golden_store.jsonl`` and ``golden_classify.jsonl`` pin sampler 1: the
+  store's sampled lines are the same draws as sampler 1 made them, read
+  back from the committed store and never redrawn, so a store written by
+  an earlier sampler must still load and classify byte for byte.
+
+The store holds, one record per line: those ten sampler-1 lines, z5 and
+two-torsion lines over F_99991 and F_(2^61 - 1) (most of them
+reparametrized, so their special points are not just (0:1) and (1:0)),
+reparametrized z5 / z3 lines over Q, and the four zero-block lines
+``z5_line(F, 0,1,1,1)`` ... ``(1,1,1,0)`` over F_31 and Q, on each of which
+one a-matrix row vanishes identically; the F_31 ones also reparametrized.  ``tests/test_golden.py`` asserts that ``classify`` still
 writes the committed output byte for byte.
 
 ``golden_verify.jsonl`` holds one line per ``verify`` theorem, in sorted
