@@ -6,16 +6,16 @@ tangent cone Q n T_p Q.  Because Q is cut out by quadrics, the connecting line t
 
 The searches are exact and run over a prime field, seeded and deterministic: a sampler owns a
 private random stream, so equal (strategy, field, seed) always return the identical line.  Every
-draw costs one trial, whatever its outcome: a first point, a two-torsion line, a partner draw that
-fails or succeeds.  First points and two-torsion lines draw through ``randrange``, and so does a
-T01|23 torsion partner draw, solved from two binomials (:func:`_solved_draws`).  The other partner
-searches draw the same values a block at a time through :mod:`draws` and test all of a block's
-draws at once: the two-hyp test decides acceptance, the tangent-cone test makes most rejections.
-They charge the rejected draws' trials in one step and leave the stream where the one-draw loop
-stops.  Each strategy re-verifies its promise through the classifier (:func:`_fulfils`), after
-turning down unclassified a candidate with too many rank-3 ends (:func:`sample_line`), and retries
-otherwise; a trial budget guards termination, and after :class:`BudgetExhausted` the stream's
-state is unspecified.  Each record's provenance names these rules' :data:`SAMPLER_VERSION`.
+draw costs one trial: a first point, a two-torsion line, a partner draw that fails or succeeds.
+First points and two-torsion lines draw through ``randrange``, and so does a T01|23 torsion partner,
+one of the p^2 (3p - 2) common zeros of two binomials (:func:`_solved_draws`).  The other partner
+searches draw the same values a block at a time through :mod:`draws` and test all of a block's draws
+at once: the two-hyp test decides acceptance, the tangent-cone test makes most rejections.  They
+charge the rejected draws' trials in one step and leave the stream where the one-draw loop stops.
+Each strategy re-verifies its promise through the classifier (:func:`_fulfils`), after turning down
+unclassified a candidate with too many rank-3 ends (:func:`sample_line`), and retries otherwise; a
+trial budget guards termination, and after :class:`BudgetExhausted` the stream's state is
+unspecified.  Each record's provenance names these rules' :data:`SAMPLER_VERSION`.
 
 Strategies: ``generic``, ``torsion`` (one named torsion P^3), ``two-torsion`` (a pair of them),
 ``hyp`` (one hyperelliptic point), ``two-hyp`` (two hyperelliptic points).  README's notes on the
@@ -90,10 +90,10 @@ class _Budget:
         self.used = 0
 
     def spend(self, n: int = 1):
-        """Use n trials, one per draw; over the limit, raise where the n single trials would have,
-        with ``used`` one past the limit.  So a bulk charge (a run of rejected draws) raises exactly
-        when some prefix of its single charges would, with the same count; the search's stream is
-        then left unspecified."""
+        """Use n trials, one per draw (a solved T01|23 partner draw too); over the limit, raise
+        where the n single trials would have, with ``used`` one past the limit.  So a bulk charge (a
+        run of rejected draws) raises exactly when some prefix of its single charges would, with the
+        same count; the search's stream is then left unspecified."""
         if self.used + n > self.limit:
             self.used = max(self.used, self.limit) + 1
             raise BudgetExhausted(self.strategy, self.used)
