@@ -384,24 +384,24 @@ def _affine_solutions(p, eqs):
 def _share_a_factor(field: PrimeField, line, qu, buv, qv, bur, bvr, qr) -> bool:
     """Whether the q_i(x u + y v + R), restricted to the line a x + b y + c = 0 (b != 0), have a
     nonconstant common factor over F_p or all vanish; when they do not, no x on the line solves the
-    draw.  (For b = 0 every restriction is a multiple of (a x + c)^2, and the answer is True.)
-
-    A pair of restrictions (:func:`_restriction`) with a nonzero resultant settles the draw (a zero
-    form has resultant 0 with every form); only when every pair resultant vanishes does the gcd of
-    all four decide.
+    draw.  (For b = 0 every restriction is a multiple of (a x + c)^2, and the answer is True.)  The
+    restrictions (:func:`_restriction`) are compared by :func:`_common_factor`.
     """
     p = field.p
     seen = [_restriction(p, line, *tables) for tables in zip(qu, buv, qv, bur, bvr, qr)]
-    if any(_coprime(p, f, g) for i, f in enumerate(seen) for g in seen[i + 1:]):
-        return False
+    common = _common_factor(field, seen)
+    return common is None or len(common) > 1
+
+
+def _common_factor(field: PrimeField, forms):
+    """The gcd of binary quadratics (f0, f1, f2), read as f0 + f1 x + f2 x^2, low power first:
+    [1] where a pair has a nonzero resultant (:func:`_coprime`), None where all vanish."""
+    if any(_coprime(field.p, f, g) for f, g in combinations(forms, 2)):
+        return [1]
     common = None
-    for f in seen:
-        f = _trim(list(f))
-        if f:
-            common = f if common is None else _gcd(field, common, f)
-            if len(common) == 1:
-                return False
-    return True
+    for f in filter(None, (_trim(list(f)) for f in forms)):
+        common = f if common is None else _gcd(field, common, f)
+    return common
 
 
 def _restriction(p, line, qu, buv, qv, bur, bvr, qr):
