@@ -388,24 +388,54 @@ def _start_point(field, kind, rng):
 PARTNER_KINDS = ("generic", "T01|23", "T02|13", "T03|12", "hyp")
 
 
+#: the paths of tangent_cone_partner that p = 101's two searches take per
+#: start kind: draws the column test skips, draws whose kernel combinations
+#: force x, and draws left on a line (the solved draws are asserted apart)
+_PATHS_101 = {
+    "generic": {"skipped", "forced", "line"},
+    "hyp": {"skipped", "forced", "line"},
+    "T01|23": {"line"},
+    "T02|13": {"forced"},
+    "T03|12": {"forced"},
+}
+
+
 @pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 31, 101))
 @pytest.mark.parametrize("kind", PARTNER_KINDS)
 def test_partner_matches_scan_oracle(monkeypatch, p, kind):
-    # at p = 101 a partner can take many draws; the limit keeps the oracle
-    # short, and an exhausted budget must match as well.  At T01|23 points
-    # the oracle takes the solved draws too (their index map is checked
-    # against brute force in test_solved_draws_hit_each_common_zero_once)
+    # at p = 101 a partner can take many draws, each of which the oracle
+    # scans over all of F_p; the limit of 4,000 draws (40,000 elsewhere)
+    # keeps it short, still reaches every path of _PATHS_101, and exhausts
+    # some searches, which must match as well.  At T01|23 points the oracle
+    # takes the solved draws too (their index map is checked against brute
+    # force in test_solved_draws_hit_each_common_zero_once)
     F = PrimeField(p)
     point = _start_point(F, kind, random.Random(1000 * p + PARTNER_KINDS.index(kind)))
-    solve, frees = sampling._solved_draws, []
+    solve, frees, paths = sampling._solved_draws, [], set()
     monkeypatch.setattr(sampling, "_solved_draws", lambda p, free, rng: frees.append(free) or solve(p, free, rng))
+
+    def affine_solutions(p, eqs, real=sampling._affine_solutions):
+        out = real(p, eqs)
+        paths.update(name for name, part in zip(("forced", "line"), out or ()) if part is not None)
+        return out
+
+    class Draws(_BlockDraws):
+        def __iter__(self):
+            for draw, skipped in super().__iter__():
+                paths.update(("skipped",) if skipped else ())
+                yield draw, skipped
+
+    monkeypatch.setattr(sampling, "_affine_solutions", affine_solutions)
+    monkeypatch.setattr(sampling, "_BlockDraws", Draws)
+    limit = 4_000 if p == 101 else 40_000
     for seed in range(2):
-        new = _search(tangent_cone_partner, F, point, seed, 40_000)
+        new = _search(tangent_cone_partner, F, point, seed, limit)
         solved = solve(p, frees[-1], random.Random(0)) is not None
         assert solved == (kind == "T01|23")
         draw = (lambda rng: next(solve(p, frees[-1], rng))[0]) if solved else None
-        old = _search(functools.partial(_scan_partner, draw=draw), F, point, seed, 40_000)
+        old = _search(functools.partial(_scan_partner, draw=draw), F, point, seed, limit)
         assert new[:3] == old[:3]
+    assert p != 101 or paths == _PATHS_101[kind]
 
 
 class _Index(random.Random):
