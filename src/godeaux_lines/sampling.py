@@ -9,9 +9,9 @@ private random stream, so equal (strategy, field, seed) always return the identi
 draw costs one trial: a first point, a two-torsion line, a partner draw that fails or succeeds.
 First points and two-torsion lines draw through ``randrange``, and so does a T01|23 torsion partner,
 one of the p^2 (3p - 2) common zeros of two binomials (:func:`_solved_draws`).  The other partner
-searches draw the same values a block at a time through :mod:`draws` and test all of a block's draws
-at once: the two-hyp test decides acceptance, the tangent-cone test makes most rejections.  They
-charge the rejected draws' trials in one step and leave the stream where the one-draw loop stops.
+searches draw a block at a time through :mod:`draws`, reject most failing draws in one test of the
+block, charge their trials in one step and leave the stream where the one-draw loop stops; a
+two-hyp draw fixes all but (v0:v1), which is solved (:func:`_two_hyp_solve`).
 Each strategy re-verifies its promise through the classifier (:func:`_fulfils`), after turning down
 unclassified a candidate with too many rank-3 ends (:func:`sample_line`), and retries otherwise; a
 trial budget guards termination, and after :class:`BudgetExhausted` the stream's state is
@@ -47,14 +47,14 @@ from .geometry import (
     tangent_space,
 )
 from .linalg import nullspace
-from .pencil import _gcd, _trim
+from .pencil import _fp_roots, _gcd, _trim
 from .strata import TORSION_SPACES, FiberReport, TorsionSpace, classify_line, rank_a
 
 STRATEGIES = ("generic", "torsion", "two-torsion", "hyp", "two-hyp")
 
-#: the provenance's ``"sampler"``, which fixes the lines a seed draws and what a trial is: 1 (no
-#: key) charged p trials for a failed tangent-cone draw, 2 one per draw, 3 solves T01|23 partners
-SAMPLER_VERSION = 3
+#: the provenance's ``"sampler"``: 1 (no key) charged p trials per failed tangent-cone draw, 2 one
+#: per draw, 3 solves T01|23 and 4 two-hyp partners; it fixes the lines a seed draws
+SAMPLER_VERSION = 4
 
 #: largest modulus the searches accept (a draw may scan all of F_p)
 MAX_BRUTE_FORCE_MODULUS = 1_000_000
@@ -477,73 +477,75 @@ def _solve_quadratic(p, A, B, C):
 
 
 # ----------------------------------------------------------------------
-# two hyperelliptic endpoints (codimension-4 rejection)
+# two hyperelliptic endpoints: (v0:v1) solved from the tangency forms
+
+#: the ``HYP_FACTORED`` coordinates that carry v0^2, v0 v1 and v1^2
+_V_GROUPS = ((0, 1, 3, 4, 6, 7), (9, 10, 11), (2, 5, 8))
 
 
 def _two_hyp_test(p, lam, general_position):
-    """The column test of :func:`_two_hyp_partner`: per draw of the 10 parameters, whether
-    l_k . coords = 0 for the rows l_k of the Jacobian ``lam`` at p (and with ``general_position``,
-    no a-matrix row vanishes).
-
-    l_0, the gradient of q_0 = a12 a13 - a21 a23 + a31 a32, is zero off six coordinates that in
-    ``HYP_FACTORED`` carry v0^2 D (D = x1 w1 - x0 w0): so l_0 . coords is v0^2 D times a short sum
-    s, tested first.  Where v0 D = 0 only a30, a20, a10 survive,
-    F (-w0 w1 y0 z1, w0 W y1 z1, -w1 W y1 z0) with F = v1^2 w0 w1 W x0 x1 X y1 z1: F = 0 is the
-    base locus (else a20 != 0), l_k . coords is F times l_k's entries 2, 5, 8 against that triple,
-    and row 0 vanishes.  Only where s alone vanishes is the point built.
-    """
-    l0, *rest = lam
+    """The column test of :func:`_two_hyp_partner`: per draw of (w0, w1, x0, x1, y0, y1, z0, z1),
+    False only where no (v0:v1) completes it.  Row l_k of the Jacobian ``lam`` gives the form l_k .
+    coords = alpha_k v0^2 + gamma_k v0 v1 + beta_k v1^2 (:data:`_V_GROUPS`); l_0, the gradient of
+    q_0 = a12 a13 - a21 a23 + a31 a32, is zero off v0^2, so a partner needs alpha_0 = D s = 0 (D =
+    x1 w1 - x0 w0, s a cofactor sum) or (0:1), where a30, a20, a10 are F (-w0 w1 y0 z1, w0 W y1 z1,
+    -w1 W y1 z0), F = w0 w1 W x0 x1 X y1 z1: beta_1 is F times l_1's entries 2, 5, 8 against that
+    triple.  Row a01, a02, a03 vanishes at (0:1), so ``general_position`` tests alpha_0 alone."""
+    l0, l1 = lam[:2]
     a, b, c, d, e, f = l0[0], l0[1], l0[7], l0[4], l0[3], l0[6]
-
-    def accepts(params):
-        v0, v1, w0, w1, x0, x1, y0, y1, z0, z1 = params
-        if v0 * (x1 * w1 - x0 * w0) % p:
-            coords = hyp_evaluate(params, p.__rmod__)  # x -> x % p
-            return coords is not None and not any(sum(map(mul, l, coords)) % p for l in rest) and not (
-                general_position and any(all(coords[j] == 0 for j in t) for t in _ROW_TRIPLES))
-        W = w0 + w1
-        if general_position or not v1 * w0 * w1 * W * x0 * x1 * (x0 + x1) * y1 * z1 % p:
-            return False
-        return not any((l[5] * w0 * W * y1 * z1 - l[2] * w0 * w1 * y0 * z1 - l[8] * w1 * W * y1 * z0) % p
-                       for l in rest)
+    g, h, k = l1[2], l1[5], l1[8]
 
     def keep(*columns):
         return [
-            not v * (X1 * W1 - X0 * W0) * (
+            not (X1 * W1 - X0 * W0) * (
                 (X0 + X1) * (Y0 * Y1 * (a * X1 * Z1 * Z1 + b * X0 * Z0 * Z0)
                              + Y1 * Y1 * Z0 * (c * X1 * Z1 - d * X0 * Z0))
                 - X0 * X1 * Y0 * Y0 * Z1 * (e * Z1 + f * Z0)
-            ) % p and accepts(params)
-            for params in zip(*columns)
-            for v, _, W0, W1, X0, X1, Y0, Y1, Z0, Z1 in (params,)
+            ) * (general_position or h * W0 * (W0 + W1) * Y1 * Z1 - g * W0 * W1 * Y0 * Z1
+                 - k * W1 * (W0 + W1) * Y1 * Z0) % p
+            for W0, W1, X0, X1, Y0, Y1, Z0, Z1 in zip(*columns)
         ]
 
     return keep
 
 
-def _two_hyp_partner(
-    field: PrimeField, point: PointA, rng, budget: _Budget, cap: int, general_position: bool = False
-):
-    """A second hyperelliptic-parametrization point inside T_p Q, by rejection.
+def _two_hyp_solve(field: PrimeField, lam, general_position, draw):
+    """The coordinates at the first of (0:1), (1:0), (1:1), ..., (1:p-1) that makes ``draw`` a
+    partner (off the base locus, l . coords = 0 for each row l of ``lam``, with ``general_position``
+    no vanishing a-matrix row), or None.  (0:1) needs every beta_k = 0 and (1:t) alpha_0 = 0 and t a
+    common root of the other forms alpha_k + gamma_k t + beta_k t^2, read off one evaluation at (1:1)
+    (:func:`_common_factor`, :func:`pencil._fp_roots`); where they all vanish, t = 0 and 1 stand for
+    every t, as each t != 0 has the zero coordinates of (1:1).  The point is re-checked exactly."""
+    p = field.p
+    unit = hyp_evaluate((1, 1, *draw), p.__rmod__)
+    if unit is None:
+        return None
+    (alpha0, _, _), *forms = [[sum(l[j] * unit[j] for j in group) % p for group in _V_GROUPS] for l in lam]
+    roots = [] if any(f[2] for f in forms) else [None]
+    if not alpha0:
+        common = _common_factor(field, forms)
+        roots += (0, 1) if common is None else _fp_roots(field, common) if len(common) > 1 else ()
+    for t in roots:
+        coords = hyp_evaluate((0, 1, *draw) if t is None else (1, t, *draw), p.__rmod__)
+        if coords is None or general_position and any(not any(coords[j] for j in r) for r in _ROW_TRIPLES):
+            continue
+        if any(sum(map(mul, l, coords)) % p for l in lam):
+            raise SamplingError("two-hyp solve left T_p Q")
+        return coords
+    return None
 
-    Each draw of the 10 parameters costs one trial and must satisfy the four tangency forms
-    l_k . coords = 0 (k = 0..3, the rows of the Jacobian at p).  The block draws (:class:`_BlockDraws`)
-    decide that in their column test (:func:`_two_hyp_test`), which builds all 12 coordinates for
-    about 1 draw in p.  The draws stop after ``cap``, with the stream just after the last one, as in
-    the one-draw loop (unspecified where the budget runs out first).
 
-    The locus carries distinguished degenerate partners (one a-matrix row vanishes at them) that the
-    rejection hits far more often than general ones; ``general_position`` skips those.  Returns None
-    after ``cap`` trials so the caller can redraw the first endpoint.
-    """
-    p = field.p  # sample_line checked it
+def _two_hyp_partner(field: PrimeField, point: PointA, rng, budget: _Budget, cap, general_position=False):
+    """A second hyperelliptic-parametrization point in T_p Q, else None after ``cap`` draws of (w0,
+    ..., z1), one trial each; draws that :func:`_two_hyp_test` keeps are solved, so trials, stream
+    and point are the one-draw loop's (the stream is unspecified where the budget runs out)."""
     lam = [[int(x) for x in row] for row in jacobian_at(field, point.coords)]
-    draws = _BlockDraws(rng, p, 10, _two_hyp_test(p, lam, general_position), cap)
+    draws = _BlockDraws(rng, field.p, 8, _two_hyp_test(field.p, lam, general_position), cap)
     try:
-        for params, skipped in draws:
-            budget.spend(skipped + (params is not None))
-            if params is not None:
-                return PointA(field, hyp_evaluate(params, p.__rmod__))
+        for draw, skipped in draws:
+            budget.spend(skipped + (draw is not None))
+            if draw is not None and (coords := _two_hyp_solve(field, lam, general_position, draw)):
+                return PointA(field, coords)
     finally:
         draws.sync()
     return None
@@ -573,21 +575,20 @@ def sample_line(
     """Sample one line of Q; deterministic in (strategy, field, seed).
 
     Every returned line satisfies line_in_q exactly and its classifier report shows the strategy's
-    promise (:func:`_fulfils`): empty special loci for ``generic``; exactly one torsion
-    intersection on the named space for ``torsion``; two torsion intersections for ``two-torsion``;
-    exactly one (resp. two) rank-3 minor-GCD roots for ``hyp`` (resp. ``two-hyp``).
-    ``general_position`` additionally forces a two-hyp line to be a general member of its family
-    (no row-vanishing point, kernel degrees (1, 1, 1, 1)); such lines are about 65x rarer in the
-    rejection search (p = 31, seeds 0-9: a median of 293,971 trials against 4,417).  A candidate
-    through the first point p and its partner w with more rank-3 ends than it promises rank-3 roots
-    is rejected unclassified where p + w has rank 4: all 15 minors vanish at a rank-3 end, so it is
-    a root of their GCD, nonzero as a minor is nonzero at p + w, and :func:`strata.classify_line`
-    would list it among ``hyperelliptic_roots``.  Without that witness (every minor may vanish on
-    the line, as on some accepted torsion lines) the candidate is classified; the rule runs after
-    the partner search, so draws, trials and lines are unchanged.  Each draw costs one trial (first
-    points, partners, two-torsion lines) and ``provenance["trials"]`` counts them; a T01|23 torsion
-    partner draw is solved, one of p^2 (3p - 2) common zeros of two binomials, where rejection kept
-    one draw in about p^2.  The provenance's ``"sampler"`` is :data:`SAMPLER_VERSION`.  Raises
+    promise (:func:`_fulfils`): empty special loci for ``generic``; exactly one torsion intersection
+    on the named space for ``torsion``; two torsion intersections for ``two-torsion``; exactly one
+    (resp. two) rank-3 minor-GCD roots for ``hyp`` (resp. ``two-hyp``).  ``general_position``
+    additionally forces a two-hyp line to be a general member of its family (no row-vanishing point,
+    kernel degrees (1, 1, 1, 1)).  A candidate through the first point p and its partner w with more
+    rank-3 ends than it promises rank-3 roots is rejected unclassified where p + w has rank 4: all
+    15 minors vanish at a rank-3 end, so it is a root of their GCD, nonzero as a minor is nonzero at
+    p + w, and :func:`strata.classify_line` would list it among ``hyperelliptic_roots``.  Without
+    that witness (every minor may vanish on the line, as on some accepted torsion lines) the
+    candidate is classified; the rule runs after the partner search, so draws, trials and lines are
+    unchanged.  Each draw costs one trial (first points, partners, two-torsion lines) and
+    ``provenance["trials"]`` counts them; a T01|23 torsion partner draw is solved, one of p^2
+    (3p - 2) common zeros of two binomials, and a two-hyp partner draw fixes all but (v0:v1), solved
+    from the tangency forms.  The provenance's ``"sampler"`` is :data:`SAMPLER_VERSION`.  Raises
     :class:`BudgetExhausted` when the trial budget runs out, and every other :class:`SamplingError`
     (bad arguments: a ``seed`` or ``budget`` that is not an int, or is a bool, a negative ``seed``,
     a ``field`` that is not a :class:`Field`, a ``space`` or member of ``spaces`` that is not a
@@ -638,8 +639,7 @@ def sample_line(
                 else:
                     p_pt = _random_hyp_point(field, rng, tracker)
                 if strategy == "two-hyp":
-                    cap = max(1000, budget // 20)
-                    w = _two_hyp_partner(field, p_pt, rng, tracker, cap, general_position)
+                    w = _two_hyp_partner(field, p_pt, rng, tracker, max(1000, budget // 20), general_position)
                     if w is None:
                         continue
                 else:

@@ -7,9 +7,10 @@ Which file pins which sampler version (the provenance's ``"sampler"``; a
 record without the key was drawn by sampler 1):
 
 - ``golden_sample.jsonl`` pins the current sampler,
-  ``sampling.SAMPLER_VERSION`` (3: one trial per draw, T01|23 torsion
-  partners solved): two lines of every strategy over F_31 (``sample --seed
-  2022 --count 2``), one ``{"line": ...}`` record each, in strategy order.
+  ``sampling.SAMPLER_VERSION`` (4: one trial per draw, T01|23 torsion
+  partners and two-hyp (v0:v1) solved): two lines of every strategy over
+  F_31 (``sample --seed 2022 --count 2``), one ``{"line": ...}`` record
+  each, in strategy order.
   It is redrawn on every run.
 - ``golden_store.jsonl`` and ``golden_classify.jsonl`` pin sampler 1: the
   store's sampled lines are the same draws as sampler 1 made them, read

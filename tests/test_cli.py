@@ -80,10 +80,12 @@ def test_sample_two_hyp_report(tmp_path):
 
 
 def test_sample_budget_exhaustion_exit_3(tmp_path):
+    # slot 0 of seed 0 is sample_line("two-hyp", F_31, 0), whose line takes 9
+    # trials (test_sampling.py::test_budget_exhaustion): a budget of 8 runs out
     out = tmp_path / "fail.jsonl"
     code = main(
         ["sample", "--strategy", "two-hyp", "--field", "p31", "--seed", "0",
-         "--count", "1", "--budget", "20", "--out", str(out)]
+         "--count", "1", "--budget", "8", "--out", str(out)]
     )
     assert code == 3
     _, records = read_store(out)

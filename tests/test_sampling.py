@@ -8,11 +8,10 @@ import pytest
 
 from godeaux_lines.cli import _dumps, _record_seed
 from godeaux_lines.draws import _BLOCK_WORDS, _BLOCKS_PER_STATE, _BlockDraws
-from godeaux_lines.families import hyp_evaluate
+from godeaux_lines.families import HYP_FACTORED, hyp_evaluate
 from godeaux_lines.fields import QQ, PrimeField, is_prime
 from godeaux_lines.geometry import (
     ROW_TRIPLES,
-    LineA,
     PointA,
     _k4_forms,
     jacobian_at,
@@ -40,8 +39,9 @@ from godeaux_lines.sampling import (
     _share_a_factor,
     _sqrt_mod,
     _two_hyp_partner,
+    _two_hyp_solve,
 )
-from godeaux_lines.pencil import _gcd, _trim
+from godeaux_lines.pencil import BinaryForm, _gcd, _trim, binary_roots
 from godeaux_lines.strata import TORSION_SPACES, classify_line, rank_a, torsion_space
 
 
@@ -166,14 +166,15 @@ def test_two_hyp_general_position(f31):
     assert len(report.hyperelliptic_roots) == 2
     assert report.row_vanishing == ()
     assert report.kernel_degrees == (1, 1, 1, 1)
-    # the seed-0 line of the pinned table test_general_position_two_hyp_by_k4_kind reads
-    assert line.rows == _GENERAL_POSITION_TWO_HYP[0]
 
 
 def test_budget_exhaustion(f31):
+    # one trial short of what the line takes, so the budget runs out however
+    # few trials it needs
+    trials = sample_line("two-hyp", f31, seed=0).provenance["trials"]
     with pytest.raises(BudgetExhausted) as err:
-        sample_line("two-hyp", f31, seed=0, budget=40)
-    assert err.value.trials > 40 - 10
+        sample_line("two-hyp", f31, seed=0, budget=trials - 1)
+    assert err.value.trials == trials
 
 
 def test_search_needs_prime_field():
@@ -993,12 +994,12 @@ def test_packed_tables_match_dot_products(p):
 
 
 # ----------------------------------------------------------------------
-# the two-hyp partner search against the rejection that builds every
-# coordinate of every draw
+# the two-hyp partner search against the one-draw loop that tries every
+# (v0:v1) and builds every coordinate of every candidate
 
 
 def _full_accepts(field, lam, params, general_position=False):
-    """The oracle's test of one draw: all 12 coordinates, then the four
+    """The oracle's test of one candidate: all 12 coordinates, then the four
     tangency forms (the rows of ``lam``), then the rows of the a-matrix."""
     p = field.p
     l0, l1, l2, l3 = ([int(x) for x in row] for row in lam)
@@ -1020,15 +1021,27 @@ def _full_accepts(field, lam, params, general_position=False):
     return True
 
 
+def _full_two_hyp_solve(field, lam, draw, general_position=False, ts=None):
+    """The oracle's solve of one draw of (w0, w1, x0, x1, y0, y1, z0, z1):
+    the coordinates at the first (v0:v1) of (0:1), (1:0), (1:1), ...,
+    (1:p-1) that :func:`_full_accepts` passes, or None; ``ts``, when given,
+    lists the t of the (1:t) to try."""
+    for v in [(0, 1)] + [(1, t) for t in (range(field.p) if ts is None else ts)]:
+        if _full_accepts(field, lam, (*v, *draw), general_position):
+            return hyp_evaluate((*v, *draw), field.canonical)
+    return None
+
+
 def _full_two_hyp_partner(field, point, rng, budget, cap, general_position=False):
-    """The oracle: all 12 coordinates per draw, then the four tangency forms."""
-    p = field.p
+    """The oracle: one trial per draw of eight values, each solved by trying
+    every (v0:v1) in turn."""
     lam = jacobian_at(field, point.coords)
     for _ in range(cap):
         budget.spend()
-        params = [rng.randrange(p) for _ in range(10)]
-        if _full_accepts(field, lam, params, general_position):
-            return PointA(field, hyp_evaluate(params, field.canonical))
+        draw = [rng.randrange(field.p) for _ in range(8)]
+        coords = _full_two_hyp_solve(field, lam, draw, general_position)
+        if coords is not None:
+            return PointA(field, coords)
     return None
 
 
@@ -1048,7 +1061,7 @@ def test_two_hyp_partner_matches_full_oracle(general_position):
         F = PrimeField(p)
         for seed in range(6):
             point = _start_point(F, "hyp", random.Random(100 * p + seed))
-            cap = (50, 400, 3000)[seed % 3]
+            cap = (20, 100, 600)[seed % 3]
             limit = 10**6 if seed < 4 else cap // 2
 
             def search(impl):
@@ -1097,52 +1110,83 @@ def test_q0_tangency_is_l0_dot_coords(p):
         assert _q0_tangency(p, l0, params) == sum(map(int.__mul__, l0, coords)) % p
 
 
-def _two_hyp_cases(F, lam, params):
-    """The branches of :func:`_two_hyp_test` a draw takes, and which of v0
-    and D vanish."""
+def test_hyp_coordinates_are_quadratic_in_v():
+    # every HYP_FACTORED component has degree 2 in (v0, v1), as the solve and
+    # _common_roots below read it
+    assert all(exps[0] + exps[1] == 2 for _, exps in HYP_FACTORED)
+
+
+def _common_roots(F, lam, draw):
+    """The t with l_k . coords = 0 at (1:t) for all k, each form's roots
+    found on their own (``binary_roots``): f_k(1, t) = alpha + gamma t +
+    beta t^2 with alpha, beta and alpha + gamma + beta its values at (1:0),
+    (0:1) and (1:1).  Where every form vanishes, 0, 1, 2 and p - 1: each
+    t != 0 gives a point with the zero coordinates of (1:1)."""
+    at = [hyp_evaluate((*v, *draw), F.canonical) or (0,) * 12 for v in ((1, 0), (0, 1), (1, 1))]
+    roots = None
+    for l in lam:
+        alpha, beta, total = (sum(map(int.__mul__, map(int, l), c)) for c in at)
+        form = BinaryForm(F, 2, (beta, total - alpha - beta, alpha))
+        if not form.is_zero():
+            found = {s for (s, u), _ in binary_roots(form) if u == 1}
+            roots = found if roots is None else roots & found
+    return (0, 1, 2, F.p - 1) if roots is None else sorted(roots)
+
+
+def _two_hyp_cases(F, lam, draw, partner):
+    """Why alpha_0, the v0^2 coefficient of l_0 . coords, does or does not
+    vanish on a draw, and where its partner lies."""
     p = F.p
-    v0, _, w0, w1, x0, x1, *_ = params
-    D = (x1 * w1 - x0 * w0) % p
-    factors = {"v0 = 0"} if v0 == 0 else {"D = 0"} if D == 0 else set()
-    if v0 * D:
-        return factors | {"cofactor sum 0" if _q0_tangency(p, lam[0], params) == 0 else "l0 . coords != 0"}
-    return factors | {"base locus" if hyp_evaluate(params, F.canonical) is None else "v0 D = 0, F != 0"}
+    w0, w1, x0, x1 = draw[:4]
+    alpha0 = _q0_tangency(p, lam[0], (1, 0, *draw))
+    case = "D = 0" if (x1 * w1 - x0 * w0) % p == 0 else "cofactor sum 0" if alpha0 == 0 else "alpha_0 != 0"
+    if partner is None:
+        return case, None
+    return case, "(0:1)" if not any(partner[j] for j in range(12) if j not in (2, 5, 8)) else "(1:t)"
 
 
 @pytest.mark.parametrize("general_position", (False, True))
 @pytest.mark.parametrize("p", (3, 5, 7, 31, 10007))
 def test_two_hyp_column_test_matches_full_acceptance(p, general_position):
-    # the column test decides the whole acceptance, as the full oracle does
-    # per draw, over blocks of zero-heavy draws (so v0 = 0, D = 0, F = 0,
-    # the base locus and draws where only the cofactor sum of l_0 . coords
-    # vanishes all occur) and one draw at a time.  The Jacobians are taken
-    # at hyperelliptic points, among them points with v0 = 0 (where every
-    # draw with v0 D = 0 off the base locus is tangent), and at raw vectors;
-    # each block holds the point's own parameters, which are tangent there
+    # the column test keeps every draw that has a partner, and the solve of a
+    # kept draw returns the oracle's first partner, over blocks of zero-heavy
+    # draws (so D = 0, the base locus, a vanishing cofactor sum and partners
+    # at (0:1) and at (1:t) all occur) and one draw at a time.  The Jacobians
+    # are taken at hyperelliptic points, among them points with v0 = 0, and at
+    # raw vectors, half of them with rows 1-3 cleared on a30, a20 and a10 (so
+    # (0:1) is tangent where alpha_0 is not 0); each block holds the point's
+    # own draw, which is tangent there.  The oracle tries every (v0:v1) below
+    # p = 100, and above it the (1:t) that _common_roots finds
     F = PrimeField(p)
     rng = random.Random(p)
     seen = set()
     for trial in range(24):
         zero_heavy = lambda: rng.choice((0, 1, p - 1, rng.randrange(p)))
         own = [rng.randrange(1, p) for _ in range(10)]
-        if trial % 3 == 1:
+        if trial % 4 == 1:
             own[0] = 0
-        base = hyp_evaluate(own, F.canonical) if trial % 3 < 2 else [rng.randrange(p) for _ in range(12)]
+        base = hyp_evaluate(own, F.canonical) if trial % 4 < 2 else [rng.randrange(p) for _ in range(12)]
         lam = [[int(x) for x in row] for row in jacobian_at(F, base or [1] * 12)]
-        block = [own] + [[zero_heavy() for _ in range(10)] for _ in range(150)]
+        if trial % 4 == 3:
+            lam[1:] = [[0 if j in (2, 5, 8) else x for j, x in enumerate(row)] for row in lam[1:]]
+        block = [own[2:]] + [[zero_heavy() for _ in range(8)] for _ in range(150)]
         keep = _two_hyp_test(p, lam, general_position)
         flags = keep(*map(list, zip(*block)))
         assert len(flags) == len(block)
-        for params, flag in zip(block, flags):
-            assert flag == _full_accepts(F, lam, params, general_position), params
-            if flag:
-                assert _q0_tangency(p, lam[0], params) == 0
-            seen |= {(case, flag) for case in _two_hyp_cases(F, lam, params)}
-        for params in block[:5]:
-            assert keep(*([x] for x in params)) == [_full_accepts(F, lam, params, general_position)]
-    assert {("v0 = 0", False), ("D = 0", False), ("base locus", False), ("v0 D = 0, F != 0", False),
-            ("cofactor sum 0", True), ("cofactor sum 0", False), ("l0 . coords != 0", False)} <= seen
-    assert (("v0 D = 0, F != 0", True) in seen) != general_position
+        for draw, flag in zip(block, flags):
+            ts = _common_roots(F, lam, draw) if p > 100 else None
+            partner = _full_two_hyp_solve(F, lam, draw, general_position, ts)
+            assert flag or partner is None, draw
+            assert (_two_hyp_solve(F, lam, general_position, draw) if flag else None) == partner, draw
+            seen.add(_two_hyp_cases(F, lam, draw, partner))
+        for draw, flag in zip(block[:5], flags):
+            assert keep(*([x] for x in draw)) == [flag]
+    assert {("D = 0", None), ("cofactor sum 0", None), ("cofactor sum 0", "(1:t)"), ("alpha_0 != 0", None)} <= seen
+    # (0:1) is off the base locus only where w0 w1 W x0 x1 X != 0, which over
+    # F_3 means w0 = w1, x0 = x1 and so D = 0
+    at_v1 = {("D = 0", "(0:1)"), ("alpha_0 != 0", "(0:1)")} if p > 3 else {("D = 0", "(0:1)")}
+    assert general_position or at_v1 <= seen
+    assert not any(where == "(0:1)" for _, where in seen) or not general_position
 
 
 @pytest.mark.parametrize("n", (0, 1, 5, 31))
@@ -1293,23 +1337,23 @@ def test_block_draws_charge_where_the_budget_runs_out(p):
 _SAMPLE_SHA256 = {
     "generic": (
         "generic", (5, 7, 101), ({},),
-        "6d98e206f01eabfc8acc8d3f39994c43aeff14a25c7e0a43d3920d55376a98db",
+        "47b79b78c5d2f294dc1915219940c64ef74cff1cad33e4bf6f58256ac930607c",
     ),
     "hyp": (
         "hyp", (5, 7, 101), ({},),
-        "c6ca20c220e406ffd9df1ef7406b5c645cd4e217df89e3636a60ee02971c55ad",
+        "14d44e9fc622acbf14471fc724c4982d7c5eb53996bf3770ed60619dbf780bb4",
     ),
     "torsion": (
         "torsion", (5, 7, 11, 13), tuple({"space": space} for space in TORSION_SPACES),
-        "1bdf3992043f300a3d572c99721df5d96d2e8c580b0c29a44d657e02ee767bcc",
+        "915e5aaa2dcc7ee0316be6feeaea1595029a16ff20c694d27c0ccd763bbf859d",
     ),
     "two-hyp": (
         "two-hyp", (5, 7, 11), ({},),
-        "4de3dd4debdc0d58afb739fdd0e294397a7149455d2e00dc5182f1c02f800886",
+        "f0ca61d787724542c06459a97657a02290059dcc6c38624bab510633f6658e53",
     ),
     "two-hyp-general-position": (
         "two-hyp", (5, 7, 11), ({"general_position": True},),
-        "040843910a5e451f82835b0c2edb8789460c58374058b8030d77721d3371c737",
+        "77e40e845d488737f46837af7dec5fef67d8d7097bae94d2512feeb1540cd429",
     ),
 }
 
@@ -1331,7 +1375,7 @@ def test_samples_byte_identical_off_the_golden_prime(name):
 
 def test_small_budget_outcomes_byte_identical():
     # every strategy at budgets from 1 (the first draw) to 60,000, through
-    # sample_line: 56 of the 150 outcomes are exhausted, and each keeps only
+    # sample_line: 45 of the 150 outcomes are exhausted, and each keeps only
     # its trial count, limit + 1
     digest, exhausted = hashlib.sha256(), 0
     for strategy in sampling.STRATEGIES:
@@ -1343,8 +1387,8 @@ def test_small_budget_outcomes_byte_identical():
                     assert err.trials == budget + 1
                     record, exhausted = {"exhausted": err.trials}, exhausted + 1
                 digest.update(_dumps(record).encode() + b"\n")
-    assert exhausted == 56
-    assert digest.hexdigest() == "b98ade133fadaf970b5a821bc19ba9d8a59ea3418b4cf6f0d2355c2ee6c4bdcb"
+    assert exhausted == 45
+    assert digest.hexdigest() == "1be042dfc072511536f860a91e9a9eb2951b6e8ce53907eb423aaaa82f0e1d02"
 
 
 def _rows_inputs():
@@ -1377,13 +1421,13 @@ _ROWS_SHA256 = {
     "pool-torsion-T01|23": "24463a1c6a2e70d233c6eb284c0a7b97fcae742740f1c7c02818a1a27db3b1df",
     "pool-torsion-T02|13": "bb935555510e0d2e69b882eb7c8ad08372a6918bc42eda2cb2cf8baafc5ff835",
     "pool-torsion-T03|12": "5f8999bec61ca7063a8b05359ed2c093c30cf21e4e1f968b494b250b06f55c98",
-    "pool-two-hyp": "5bf0483d67318cac56f4ee7b1a9c33935824091a4dd8bb335daada0402bceaff",
+    "pool-two-hyp": "743aa7b344ff18093989757588e3a2d366400fe6cb4ffba6da95c9bd377a1623",
     "pool-two-torsion": "ff6fe127f1ccd0c95f059b3c95ba492b117ea058c49abc27a77eba83f59ef8d0",
     "torsion-T01|23": "1ba2cccd349b10b3df63bb6842faf5b1d8e8768197d481a28583503464608ead",
     "torsion-T02|13": "62a7db210cf7680fc1f0896de227cd9d0ad68d84974110ac40cad1cd324f7916",
     "torsion-T03|12": "d810db1d8a1818e48e86be98c2da197f653b0b5ceea166ea9103a08ef9f39db7",
-    "two-hyp": "b916a3af098637eb4a4b9c1b790edffe692b54f1bded754022493c39a30f9bfb",
-    "two-hyp-general-position": "19be7562c6be0b1f72fed77b7d6e9380aef65432b5226821bfd7417a08ddc127",
+    "two-hyp": "60569e584f1e00fe5833d60dec5548b79c4fefd9dbe2600ed0c43e10b60d4437",
+    "two-hyp-general-position": "a5e06d01e0b3a20fc4e5427c6116d2e894fe11fcd957ff87efb5be8b65df9b5f",
 }
 
 
@@ -1435,23 +1479,11 @@ def test_rank3_roots_by_k4_kind(f31, strategy):
         assert sorted(map(_k4_kind, points)) == _K4_KINDS[strategy], seed
 
 
-#: rows of ``sample_line("two-hyp", F_31, seed, general_position=True)`` for
-#: seeds 0-5 (drawing them takes about 15 s; test_two_hyp_general_position
-#: re-draws seed 0)
-_GENERAL_POSITION_TWO_HYP = {
-    0: ((2, 1, 28, 9, 4, 6, 4, 24, 19, 12, 26, 19), (21, 19, 8, 9, 29, 20, 6, 8, 2, 24, 15, 12)),
-    1: ((3, 16, 11, 26, 25, 28, 24, 7, 28, 18, 1, 23), (28, 7, 29, 1, 5, 5, 16, 21, 4, 29, 15, 6)),
-    2: ((26, 13, 2, 5, 6, 25, 26, 12, 7, 18, 8, 15), (1, 30, 10, 27, 21, 24, 29, 26, 6, 1, 13, 9)),
-    3: ((13, 12, 22, 1, 15, 1, 8, 25, 20, 11, 9, 16), (5, 4, 12, 12, 22, 21, 29, 2, 30, 17, 27, 23)),
-    4: ((6, 5, 5, 18, 27, 21, 6, 14, 16, 6, 4, 15), (20, 8, 19, 10, 9, 13, 10, 24, 23, 12, 26, 6)),
-    5: ((16, 27, 28, 14, 7, 8, 9, 18, 24, 5, 30, 27), (23, 27, 29, 30, 6, 20, 8, 3, 10, 8, 20, 11)),
-}
-
-
 def test_general_position_two_hyp_by_k4_kind(f31):
-    # a general-position two-hyp line has two rank-3 roots, both of kind T&C
-    for seed, rows in _GENERAL_POSITION_TWO_HYP.items():
-        line = LineA(f31, *rows)
+    # a general-position two-hyp line has two rank-3 roots, both of kind T&C;
+    # the lines' bytes are pinned by _SAMPLE_SHA256 and CI
+    for seed in range(6):
+        line = sample_line("two-hyp", f31, seed, general_position=True)
         report = classify_line(line)
         points = [line.point_at(*root.point) for root in report.hyperelliptic_roots]
         assert [rank_a(pt) for pt in points] == [3, 3], seed
