@@ -1,6 +1,5 @@
-"""Values of ``rng.randrange(p)`` drawn faster from the same random stream,
-one block of stream words at a time (:class:`_BlockDraws`), leaving ``rng``
-where the ``randrange`` calls would have."""
+"""Values of ``rng.randrange(p)`` drawn faster from the same random stream, one block of stream words
+at a time (:class:`_BlockDraws`), leaving ``rng`` where the ``randrange`` calls would have."""
 
 import struct
 from itertools import compress
@@ -14,22 +13,19 @@ _WORDS = struct.Struct(f"<{_BLOCK_WORDS}I")  # a block's bytes as its words
 class _BlockDraws:
     """Draws of n values, each the next n values of ``rng.randrange(p)``.
 
-    ``getrandbits(32 m)`` (one call per block of :data:`_BLOCK_WORDS`)
-    returns the next m 32-bit words, the first in the lowest bits, and
-    ``getrandbits(k)`` for k <= 32 is the top k bits of one word; so the
-    top bits of a block's words, less those >= p, are ``randrange(p)``'s
-    values, since it draws ``getrandbits(p.bit_length())`` and retries
-    while >= p.  Iterating yields ``(draw, skipped)``: each draw that
-    ``keep`` passes, with the number it rejected since the last yield, and
-    ``(None, skipped)`` for the rest of a block.  ``keep`` gets a block's
-    draws as n columns and returns a truth value per draw; None passes all.
-    A draw straddling two blocks belongs to the second, and the draws end
-    after ``stop``.  ``rng`` runs up to a block ahead: :meth:`sync`
-    restores a state saved at most :data:`_BLOCKS_PER_STATE` - 1 blocks
-    back and redraws exactly the words used since, which leaves ``rng``
-    where the ``randrange`` calls would have after the last yielded draw.
-    The partner searches promise that state only when they return; after
-    their budget runs out, it is unspecified.
+    ``getrandbits(32 m)`` (one call per block of :data:`_BLOCK_WORDS`) returns the next m 32-bit
+    words, the first in the lowest bits, and ``getrandbits(k)`` for k <= 32 is the top k bits of one
+    word; so the top bits of a block's words, less those >= p, are ``randrange(p)``'s values, since
+    it draws ``getrandbits(p.bit_length())`` and retries while >= p.  Iterating yields ``(draw,
+    skipped)``: each draw that ``keep`` passes, with the number it rejected since the last yield,
+    and ``(None, skipped)`` for the rest of a block.  ``keep`` gets a block's draws as n columns and
+    returns an iterable of a truth value per draw, read only up to the draw taken (so a generator
+    stops with the search), or is None to pass all.  A draw straddling two blocks belongs to the
+    second, and the draws end after ``stop``.  ``rng`` runs up to a block ahead: :meth:`sync`
+    restores a state saved at most :data:`_BLOCKS_PER_STATE` - 1 blocks back and redraws exactly
+    the words used since, which leaves ``rng`` where the ``randrange`` calls would have after the
+    last yielded draw.  The partner searches promise that state only when they return; after their
+    budget runs out, it is unspecified.
     """
 
     def __init__(self, rng, p: int, n: int, keep=None, stop: float = float("inf")):

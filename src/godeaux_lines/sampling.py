@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from itertools import combinations, count
+from itertools import combinations, compress, count
 from operator import mul
 from typing import Optional, Sequence
 
@@ -46,7 +46,7 @@ from .geometry import (
     quadric_value,
     tangent_space,
 )
-from .linalg import nullspace
+from .linalg import nullspace, solver
 from .pencil import _fp_roots, _gcd, _trim
 from .strata import TORSION_SPACES, FiberReport, TorsionSpace, classify_line, rank_a
 
@@ -56,7 +56,8 @@ STRATEGIES = ("generic", "torsion", "two-torsion", "hyp", "two-hyp")
 #: per draw, 3 solves T01|23 and 4 two-hyp partners; it fixes the lines a seed draws
 SAMPLER_VERSION = 4
 
-#: largest modulus the searches accept (a draw may scan all of F_p)
+#: largest modulus the searches accept: a draw may scan all of F_p, the column tests' 64-bit slots
+#: hold sums below 15 p^3 < 2^64, and :class:`_BlockDraws` reads each value from a 32-bit word
 MAX_BRUTE_FORCE_MODULUS = 1_000_000
 
 #: candidate lines :func:`sample_line` draws before it gives up
@@ -146,70 +147,62 @@ def random_q_point(field: PrimeField, rng, budget: _Budget) -> PointA:
 def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget) -> PointA:
     """A point w of Q n T_p Q not proportional to p.
 
-    Works in an explicit complement of p inside T_p Q, read off the kernel basis with no
-    elimination (:func:`_tangent_complement`): with the first two complement directions (u, v)
-    free, each draw fixes the remaining five coefficients (the part R of w = x u + y v + R), and
-    the search runs over the u-coefficient x in ascending order, solving q_0 = 0 as an exact
-    quadratic in the v-coefficient y and testing q_1..q_3 on the at most two roots.  Each draw
-    costs one trial, whether it fails or yields a partner.  Where q_0(x, .) is identically zero,
-    only y = 0 and y = 1 are tried (:func:`_solve_quadratic`), so a partner at that x can be
-    missed; the stored bytes depend on this.
+    Works in an explicit complement of p inside T_p Q, read off the kernel basis with no elimination
+    (:func:`_tangent_complement`): with the first two complement directions (u, v) free, each draw
+    fixes the remaining five coefficients (the part R of w = x u + y v + R), and the search runs
+    over the u-coefficient x in ascending order, solving q_0 = 0 as an exact quadratic in the
+    v-coefficient y and testing q_1..q_3 on the at most two roots.  Each draw costs one trial,
+    whether it fails or yields a partner.  Where q_0(x, .) is identically zero, only y = 0 and y = 1
+    are tried (:func:`_solve_quadratic`), so a partner at that x can be missed; the stored bytes
+    depend on this.
 
     Before that scan, a draw gets an exact certificate.  The combinations sum k_i q_i(w), k in the
-    left kernel K of the 4x3 matrix of quadratic parts [q_i(u), B_i(u, v), q_i(v)], are
-    affine-linear in (x, y), and every solution lies on their common zero set: when it is empty,
-    the draw fails; when it forces x to one value x0, only x0 is tried; when it is a line, the
-    quadrics restricted to it must share a factor (:func:`_share_a_factor`), else the draw fails.
-    So the trial count, the stream state and the returned point are those of the plain scan of the
-    same draws; after :class:`BudgetExhausted` only the stream is not.
+    left kernel K of the 4x3 matrix M of quadratic parts [q_i(u), B_i(u, v), q_i(v)], are
+    affine-linear in (x, y), and every solution lies on their common zero set: when it is empty, the
+    draw fails; when it forces x to one value x0, only x0 is tried; when it is a line, the quadrics
+    restricted to it must share a factor (:func:`_share_a_factor`), else the draw fails.  So the
+    trial count, the stream state and the returned point are those of the plain scan of the same
+    draws; after :class:`BudgetExhausted` only the stream is not.
 
-    At T01|23 torsion points two combinations are free of x and y, and each draw is one of their
-    p^2 (3p - 2) common zeros (:func:`_solved_draws`), where rejection kept about one draw in p^2.
+    At T01|23 torsion points two combinations are free of x and y, and each draw is one of their p^2
+    (3p - 2) common zeros (:func:`_solved_draws`), where rejection kept about one draw in p^2.
     Elsewhere the block draws (:class:`_BlockDraws`) reject most failing draws a block at a time,
-    their trials charged in one step per yield: at generic and hyp points by a pair of the
-    quadrics on the line (:func:`_coprime_on_line`).  A draw gets its tables from packed ints
-    (:func:`_packed`) and must make every combination free of x and y vanish.
+    their trials charged in one step per yield, by :func:`_column_test`: where K is one line, the
+    quadrics with quadratic parts x^2 and x y must share a root on it; where it has two or more, all
+    four must vanish where they meet.  Kept draws read their tables off packed ints (:func:`_packed`).
     """
     p = _require_search_field(field)
     u, v, *rest = _tangent_complement(point)
 
-    qu = [quadric_value(field, i, u) for i in range(4)]
-    qv = [quadric_value(field, i, v) for i in range(4)]
+    qu, qv = ([quadric_value(field, i, w) for i in range(4)] for w in (u, v))
     buv = [polarization_value(field, i, u, v) for i in range(4)]
-    # q_i(R), B_i(u, R) and B_i(v, R) as forms in the five draw coefficients:
-    # gram[i] lists q_i(r_j) and B_i(r_j, r_l) in the order of the products
-    # c_j c_l (j <= l) that the draw forms
+    # q_i(R), B_i(u, R) and B_i(v, R) as forms in the five draw coefficients: gram[i] lists
+    # q_i(r_j) and B_i(r_j, r_l) in the order of the products c_j c_l (j <= l) that the draw forms
     gram = [[quadric_value(field, i, rest[j]) if j == l else polarization_value(field, i, rest[j], rest[l])
              for j, l in _PAIRS] for i in range(4)]
-    bu = [[polarization_value(field, i, u, r) for r in rest] for i in range(4)]
-    bv = [[polarization_value(field, i, v, r) for r in rest] for i in range(4)]
-    # sum k_i q_i(w) = a x + b y + c for k in the kernel: those free of x and
-    # y as sparse (j, l, coeff) terms of c_j c_l, the others as dense vectors
-    free, mixed = [], []
-    kernel = nullspace(field, [qu, buv, qv], 4)
-    for k in kernel:
-        a, b, c = ([sum(map(mul, k, col)) % p for col in zip(*table)] for table in (bu, bv, gram))
-        if any(a) or any(b):
-            mixed.append((a, b, c))
-        else:
-            free.append([(j, l, t) for (j, l), t in zip(_PAIRS, c) if t])
+    bu, bv = ([[polarization_value(field, i, w, r) for r in rest] for i in range(4)] for w in (u, v))
+
+    def combination(k):  # sum k_i q_i(w): (q(u), B(u, v), q(v)), then its tables of B(u, R), B(v, R), q(R)
+        tables = (qu, buv, qv), zip(*bu), zip(*bv), zip(*gram)
+        return [[sum(map(mul, k, col)) % p for col in cols] for cols in tables]
+
+    # sum k_i q_i(w) = a x + b y + c for k in K: free of x and y as (j, l, coeff) terms, else (a, b, c)
+    kernel = [combination(k)[1:] for k in nullspace(field, [qu, buv, qv], 4)]
+    mixed = [(a, b, c) for a, b, c in kernel if any(a + b)]
+    free = [[(*jl, t) for jl, t in zip(_PAIRS, c) if t] for a, b, c in kernel if not any(a + b)]
+    inverse = solver(field, list(zip(qu, buv, qv)), 3)[1]  # the RREF of [M | I], by pivot column
+    pivots = [combination([row.get(i, 0) for i in range(4)]) for _, row in sorted(inverse.items())]
+    draws = _BlockDraws(rng, p, 5, _column_test(p, free, mixed, pivots))
     # one packed int per draw coefficient (resp. product c_j c_l), slots for a and b of
     # each mixed combination, B_i(u, R), B_i(v, R) (resp. c of each, q_i(R))
     n = len(mixed)
-    width, linear, quadratic = _packed(
-        p, [t for a, b, _ in mixed for t in (a, b)] + bu + bv, [c for _, _, c in mixed] + gram
-    )
+    width, linear, quadratic = _packed(p, [t for a, b, _ in mixed for t in (a, b)] + bu + bv,
+                                       [c for _, _, c in mixed] + gram)
     mask = (1 << width) - 1
-
-    on_line = n == 1 and not free and any(mixed[0][1])  # a line in (x, y) for all but 1 draw in p
-    keep = _coprime_on_line(p, kernel[0], mixed[0], bu, bv, gram, qu, buv, qv) if on_line else None
-    draws = _BlockDraws(rng, p, 5, keep)
     try:
         for coeffs, skipped in _solved_draws(p, free, rng) or draws:
             budget.spend(skipped + (coeffs is not None))
             if coeffs is None:
-                continue
-            if any(sum(t * coeffs[j] * coeffs[l] for j, l, t in terms) % p for terms in free):
                 continue
             lin, quad = _dot(coeffs, linear, quadratic)
             solutions = _affine_solutions(p, (
@@ -278,45 +271,68 @@ def _solved_draws(p, free, rng):
     return ((draw(rng.randrange(p * p * (3 * p - 2))), 0) for _ in count())
 
 
-def _coprime_on_line(p, k, mixed, bu, bv, gram, qu, buv, qv):
-    """The column test where K is one mixed combination sum k_i q_i = a x + b y + c: per draw,
-    whether q_i and q_j restricted to the draw's line have resultant 0, as they do where b = 0 (both
-    multiples of (a x + c)^2; the loop solves for x); no other draw has a solution.  (i, j) is the
-    first pair not holding the support of k: on every line, a pair holding it is dependent and has
-    resultant 0.  Tables are summed for the whole block on ints packing a column each, a draw per
-    32-bit slot (64-bit for p > 653): no sum reaches 15 p^3, so none carries."""
-    i, j = next(pair for pair in combinations(range(4), 2) if any(k[m] for m in range(4) if m not in pair))
-    (qu0, qu1), (buv0, buv1), (qv0, qv1) = (qu[i], qu[j]), (buv[i], buv[j]), (qv[i], qv[j])
-    linear, quadratic = (*mixed[:2], bu[i], bv[i], bu[j], bv[j]), (mixed[2], gram[i], gram[j])
+def _column_test(p, free, mixed, pivots):
+    """The block column test of :func:`tangent_cone_partner`, None where it has nothing to test.  It
+    reads the (j, l, coeff) terms of each free combination of K, the (a, b, c) tables of each mixed
+    one and the rows of the RREF of [M | I] by pivot column, as [(q(u), B(u, v), q(v)), alpha, beta,
+    gamma] with tables of B(u, R), B(v, R), q(R).  A draw is rejected only where no (x, y) zeroes
+    all four quadrics: where a free combination does not vanish (tested first), or where a test
+    fails.  The line test, where K is one mixed combination a x + b y + c (M has rank 3): the rows A
+    and B, of quadratic parts x^2 and x y, on its line, b A = b x^2 + (b alpha_A - a beta_A) x + b
+    gamma_A - c beta_A and b B = -a x^2 + (b alpha_B - c - a beta_B) x + b gamma_B - c beta_B, have
+    a nonzero resultant (never where b = 0).  The point test, where K has two mixed combinations or
+    more: det = a_1 b_2 - a_2 b_1 != 0 and, with X = b_1 c_2 - b_2 c_1 and Y = a_2 c_1 - a_1 c_2,
+    det^2 P(X / det, Y / det) = q_P(u) X^2 + B_P(u, v) X Y + q_P(v) Y^2 + (alpha_P X + beta_P Y) det
+    + gamma_P det^2 != 0 for a row P or a further mixed combination (2 - len(free) of them, as K has
+    4 - rank M members).  Tables are summed for a whole block on ints packing a column each, a draw
+    per 32-bit slot (64-bit for p > 653), below 15 p^3, so no slot carries.  The flags are a
+    generator: a search that returns stops testing its block."""
+    line = len(mixed) == 1 and not free and any(mixed[0][1])
+    if not (line or free or mixed[1:]):
+        return None
+    zero = ((0, 0, 0), [0] * 5, [0] * 5, [0] * 15)  # pads the point test's combinations: det = 0, P = 0
+    checks = (pivots + [((0, 0, 0), *m) for m in mixed[2:]] + [zero, zero])[:2]
+    rows = [mixed[0], *pivots[:2]] if line else (mixed + [zero[1:]] * 2)[:2] + checks
+    tables = [{m + 5 * (len(t) == 15): x for m, x in enumerate(t) if x} for row in rows for t in row[-3:]]
+    free = [{5 + _PAIRS.index((j, l)): t for j, l, t in terms} for terms in free]
+    (u1, w1, v1), (u2, w2, v2) = (P[0] for P in checks)
     code = "I" if 15 * p ** 3 < 1 << 32 else "Q"
 
-    def sums(tables, columns):
-        packed = [int.from_bytes(array(code, col).tobytes(), sys.byteorder) for col in columns]
+    def sums(tables, columns):  # per draw, the sum of each table {m: coeff} on c_m (m < 5), c_j c_l (m >= 5)
+        cols = {m: columns[m] if m < 5 else list(map(mul, *(columns[j] for j in _PAIRS[m - 5])))
+                for m in set().union(*tables)}
+        packed = {m: int.from_bytes(array(code, col).tobytes(), sys.byteorder) for m, col in cols.items()}
         size = len(columns[0]) * array(code).itemsize
-        return [array(code, sum(map(mul, t, packed)).to_bytes(size, sys.byteorder)) for t in tables]
+        return zip(*(array(code, sum(x * packed[m] for m, x in t.items()).to_bytes(size, sys.byteorder))
+                     for t in tables))
 
     def keep(*columns):
-        products = [list(map(mul, columns[m], columns[n])) for m, n in _PAIRS]
-        flags = []
-        for a, b, u0, v0, u1, v1, c, r0, r1 in zip(*sums(linear, columns), *sums(quadratic, products)):
-            line = (a, b, c)
-            flags.append(not _coprime(p, _restriction(p, line, qu0, buv0, qv0, u0, v0, r0),
-                                      _restriction(p, line, qu1, buv1, qv1, u1, v1, r1)))
-        return flags
+        if line:
+            for a, b, c, aA, bA, cA, aB, bB, cB in sums(tables, columns):
+                f1, f0 = (b * aA - a * bA) % p, (b * cA - c * bA) % p
+                g1, g0 = (b * aB - c - a * bB) % p, (b * cB - c * bB) % p
+                yield not ((b * g0 + a * f0) ** 2 - (b * g1 + a * f1) * (f1 * g0 - f0 * g1)) % p
+            return
+        passed = [not any(map(p.__rmod__, row)) for row in sums(free or [{}], columns)]
+        survivors = sums(tables, [list(compress(col, passed)) for col in columns])
+        for ok in passed:
+            if ok:
+                a1, b1, c1, a2, b2, c2, al1, be1, ga1, al2, be2, ga2 = next(survivors)
+                det, X, Y = (a1 * b2 - a2 * b1) % p, (b1 * c2 - b2 * c1) % p, (a2 * c1 - a1 * c2) % p
+                XX, XY, YY, XD, YD, DD = X * X, X * Y, Y * Y, X * det, Y * det, det * det
+                ok = not det or not ((u1 * XX + w1 * XY + v1 * YY + al1 * XD + be1 * YD + ga1 * DD) % p
+                                     or (u2 * XX + w2 * XY + v2 * YY + al2 * XD + be2 * YD + ga2 * DD) % p)
+            yield ok
     return keep
 
 
 def _packed(p: int, linear_tables, quadratic_tables):
     """``(width, linear, quadratic)``: column j of each list of tables packed into one int, table n
     in the bits [n width, (n + 1) width), for :func:`_dot`.  The entries are residues mod p, so a
-    linear slot sums 5 products below p^2 and a quadratic one 15 products below p^3; with
-    15 p^3 < 2^width no slot carries into the next."""
+    slot sums at most 15 products below p^3, and with 15 p^3 < 2^width none carries into the next."""
     width = (15 * p ** 3).bit_length()
-
-    def pack(tables):
-        return [sum(t[j] << n * width for n, t in enumerate(tables)) for j in range(len(tables[0]))]
-
-    return width, pack(linear_tables), pack(quadratic_tables)
+    return width, *([sum(t[j] << n * width for n, t in enumerate(tables)) for j in range(len(tables[0]))]
+                    for tables in (linear_tables, quadratic_tables))
 
 
 def _dot(coeffs, linear, q):
@@ -384,40 +400,28 @@ def _affine_solutions(p, eqs):
 def _share_a_factor(field: PrimeField, line, qu, buv, qv, bur, bvr, qr) -> bool:
     """Whether the q_i(x u + y v + R), restricted to the line a x + b y + c = 0 (b != 0), have a
     nonconstant common factor over F_p or all vanish; when they do not, no x on the line solves the
-    draw.  (For b = 0 every restriction is a multiple of (a x + c)^2, and the answer is True.)  The
-    restrictions (:func:`_restriction`) are compared by :func:`_common_factor`.
-    """
-    p = field.p
-    seen = [_restriction(p, line, *tables) for tables in zip(qu, buv, qv, bur, bvr, qr)]
-    common = _common_factor(field, seen)
+    draw.  (For b = 0 every restriction is a multiple of (a x + c)^2, and the answer is True.)  Each
+    restriction, b^2 q_i = f2 x^2 + f1 x + f0 with b y = -(a x + c) substituted without inverting b,
+    is read off the tables (which may be unreduced), and they are compared by :func:`_common_factor`."""
+    p, (a, b, c) = field.p, line
+    aa, ab, bb, ac, bc, cc = a * a % p, a * b % p, b * b % p, 2 * a * c % p, b * c % p, c * c % p
+    common = _common_factor(field, [
+        ((v * cc - vr * bc + r * bb) % p, (v * ac - uv * bc + ur * bb - vr * ab) % p,
+         (u * bb - uv * ab + v * aa) % p) for u, uv, v, ur, vr, r in zip(qu, buv, qv, bur, bvr, qr)
+    ])
     return common is None or len(common) > 1
 
 
 def _common_factor(field: PrimeField, forms):
     """The gcd of binary quadratics (f0, f1, f2), read as f0 + f1 x + f2 x^2, low power first:
-    [1] where a pair has a nonzero resultant (:func:`_coprime`), None where all vanish."""
-    if any(_coprime(field.p, f, g) for f, g in combinations(forms, 2)):
+    [1] where a pair has a nonzero resultant (no common root in P^1), None where all vanish."""
+    if any(((f2 * g0 - f0 * g2) ** 2 - (f2 * g1 - f1 * g2) * (f1 * g0 - f0 * g1)) % field.p
+           for (f0, f1, f2), (g0, g1, g2) in combinations(forms, 2)):
         return [1]
     common = None
     for f in filter(None, (_trim(list(f)) for f in forms)):
         common = f if common is None else _gcd(field, common, f)
     return common
-
-
-def _restriction(p, line, qu, buv, qv, bur, bvr, qr):
-    """(f0, f1, f2) of b^2 q(x u + y v + R) = f2 x^2 + f1 x + f0 on the line a x + b y + c = 0, from
-    q(u), B(u, v), q(v), B(u, R), B(v, R), q(R) (all may be unreduced): b y = -(a x + c) is
-    substituted without inverting b."""
-    a, b, c = line
-    aa, ab, bb, ac, bc, cc = a * a % p, a * b % p, b * b % p, 2 * a * c % p, b * c % p, c * c % p
-    return ((qv * cc - bvr * bc + qr * bb) % p, (qv * ac - buv * bc + bur * bb - bvr * ab) % p,
-            (qu * bb - buv * ab + qv * aa) % p)
-
-
-def _coprime(p, f, g) -> bool:
-    """Whether binary quadratics f2 x^2 + f1 x z + f0 z^2 and g share no root in P^1 (resultant != 0)."""
-    (f0, f1, f2), (g0, g1, g2) = f, g
-    return ((f2 * g0 - f0 * g2) ** 2 - (f2 * g1 - f1 * g2) * (f1 * g0 - f0 * g1)) % p != 0
 
 
 def _sqrt_mod(d, p):
@@ -496,7 +500,7 @@ def _two_hyp_test(p, lam, general_position):
     g, h, k = l1[2], l1[5], l1[8]
 
     def keep(*columns):
-        return [
+        return (
             not (X1 * W1 - X0 * W0) * (
                 (X0 + X1) * (Y0 * Y1 * (a * X1 * Z1 * Z1 + b * X0 * Z0 * Z0)
                              + Y1 * Y1 * Z0 * (c * X1 * Z1 - d * X0 * Z0))
@@ -504,7 +508,7 @@ def _two_hyp_test(p, lam, general_position):
             ) * (general_position or h * W0 * (W0 + W1) * Y1 * Z1 - g * W0 * W1 * Y0 * Z1
                  - k * W1 * (W0 + W1) * Y1 * Z0) % p
             for W0, W1, X0, X1, Y0, Y1, Z0, Z1 in zip(*columns)
-        ]
+        )
 
     return keep
 

@@ -21,7 +21,7 @@ from godeaux_lines.geometry import (
     quadric_value,
     tangent_space,
 )
-from godeaux_lines.linalg import rank
+from godeaux_lines.linalg import nullspace, rank, solver
 import godeaux_lines.sampling as sampling
 from godeaux_lines.sampling import (
     BudgetExhausted,
@@ -391,13 +391,15 @@ PARTNER_KINDS = ("generic", "T01|23", "T02|13", "T03|12", "hyp")
 
 #: the paths of tangent_cone_partner that p = 101's two searches take per
 #: start kind: draws the column test skips, draws whose kernel combinations
-#: force x, and draws left on a line (the solved draws are asserted apart)
+#: force x, and draws left on a line (the solved draws are asserted apart).
+#: At T02|13 and T03|12 points all four combinations are mixed, so the point
+#: test skips draws there too
 _PATHS_101 = {
     "generic": {"skipped", "forced", "line"},
     "hyp": {"skipped", "forced", "line"},
     "T01|23": {"line"},
-    "T02|13": {"forced"},
-    "T03|12": {"forced"},
+    "T02|13": {"skipped", "forced"},
+    "T03|12": {"skipped", "forced"},
 }
 
 
@@ -878,51 +880,79 @@ def test_pair_resultants_match_coprime_pair_oracle(p, gcd_calls):
     assert {(True, False), (False, True), "b = 0", "a restriction vanishes"} <= seen
 
 
+def _column_inputs(F, qu, buv, qv, bu, bv, gram):
+    """What tangent_cone_partner hands _column_test, from the tables of four
+    quadrics: the c of each free kernel combination, the (a, b, c) of each
+    mixed one, and the pivot rows of the RREF of [M | I] as combinations
+    [(q(u), B(u, v), q(v)), alpha, beta, gamma], by pivot column."""
+    p = F.p
+
+    def combination(k):
+        return [[sum(map(int.__mul__, k, col)) % p for col in cols]
+                for cols in ((qu, buv, qv), zip(*bu), zip(*bv), zip(*gram))]
+
+    free, mixed = [], []
+    for k in nullspace(F, [qu, buv, qv], 4):
+        _, a, b, c = combination(k)
+        (mixed.append((a, b, c)) if any(a) or any(b) else free.append(c))
+    _, inverse, _ = solver(F, list(zip(qu, buv, qv)), 3)
+    return free, mixed, [combination([row.get(i, 0) for i in range(4)]) for _, row in sorted(inverse.items())]
+
+
+def _draw_tables(p, coeffs, *tables):
+    """Each linear table (5 entries) or quadratic one (15, over c_j c_l) at the draw."""
+    pairs = [(j, l) for j in range(5) for l in range(j, 5)]
+    return [sum(map(int.__mul__, t, coeffs)) % p if len(t) == 5
+            else sum(t_jl * coeffs[j] * coeffs[l] for (j, l), t_jl in zip(pairs, t)) % p for t in tables]
+
+
 @pytest.mark.parametrize("p", (3, 5, 31, 10007, 999983))
 def test_coprime_on_line_matches_pair_oracle(p):
-    # the column test at points with one mixed combination sum k_i q_i =
-    # a x + b y + c, over seeded blocks of draws and sparse tables (so b = 0,
-    # vanishing restrictions and zero resultants all occur): a draw is kept
-    # exactly when b = 0 or q_i and q_j restricted to its line y = alpha x +
-    # beta have resultant 0, for the first pair (i, j) not holding the
-    # support of k.  The largest tables and draws (all p - 1) check that the
-    # per-draw slots never carry, with the widest slots under the cutoff
+    # the line test at points where K is one mixed combination a x + b y + c
+    # (M of rank 3), on coherent tables: four quadrics mixed by a random
+    # invertible matrix from A, B, C and K, whose quadratic parts are x^2,
+    # x y, y^2 and 0, so K is a true left kernel vector of M.  Over seeded
+    # blocks of zero-heavy draws and sparse tables (so b = 0, vanishing
+    # restrictions and zero resultants all occur) a draw is kept exactly when
+    # b = 0 or A and B restricted to its line y = alpha x + beta have
+    # resultant 0, by the oracle that inverts b.  The largest tables and
+    # draws (all p - 1, the quadrics unmixed) check that the per-draw slots
+    # never carry, with the widest slots under the cutoff
+    F = PrimeField(p)
     rng = random.Random(p)
-    pairs = [(j, l) for j in range(5) for l in range(j, 5)]
-    # support of k: the pair the column test must use
-    tested = {(0, 1, 2, 3): (0, 1), (0, 2): (0, 1), (2, 3): (0, 1),
-              (0, 1): (0, 2), (1,): (0, 2), (0,): (1, 2)}
     seen = set()
     for trial in range(40):
-        support = list(tested)[trial % len(tested)]
-        k = [rng.randrange(1, p) if m in support else 0 for m in range(4)]
-        i, j = tested[support]
         top = trial == 0
         sparse = rng.choice((0.0, 0.3, 0.7))
 
         def table(n):
             return [p - 1 if top else rng.randrange(p) if rng.random() > sparse else 0 for _ in range(n)]
 
-        mixed = (table(5), table(5) if trial % 4 else [0, 0, 0, 0, rng.randrange(p)], table(15))
-        bu, bv = [table(5) for _ in range(4)], [table(5) for _ in range(4)]
-        gram = [table(15) for _ in range(4)]
-        qu, buv, qv = table(4), table(4), table(4)
+        rows = [(quad, table(5), table(5), table(15)) for quad in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        rows.append(((0, 0, 0), table(5), table(5) if top or trial % 4 else [0, 0, 0, 0, rng.randrange(p)], table(15)))
+        rows[3][1][0] += not any(rows[3][1] + rows[3][2])  # K mixed
+        mix = [[int(i == j) for j in range(4)] for i in range(4)]
+        while not top and rank(F, mix) < 4:
+            mix = [[rng.randrange(p) for _ in range(4)] for _ in range(4)]
+        qu, buv, qv = ([sum(g * row[0][n] for g, row in zip(m, rows)) % p for m in mix] for n in range(3))
+        bu, bv, gram = ([[sum(g * row[n][e] for g, row in zip(m, rows)) % p for e in range(len(rows[0][n]))]
+                         for m in mix] for n in (1, 2, 3))
+        free, mixed, pivots = _column_inputs(F, qu, buv, qv, bu, bv, gram)
+        assert (free, len(mixed), len(pivots)) == ([], 1, 3)
+        keep = sampling._column_test(p, free, mixed, pivots)
+        if not any(rows[3][2]):
+            assert keep is None  # b = 0 on every draw: nothing to test
+            continue
         block = [[p - 1 if top else rng.choice((0, rng.randrange(p))) for _ in range(5)]
                  for _ in range(rng.randrange(1, 130))]
-        flags = sampling._coprime_on_line(p, k, mixed, bu, bv, gram, qu, buv, qv)(*map(list, zip(*block)))
+        flags = list(keep(*map(list, zip(*block))))
         assert len(flags) == len(block)
         for coeffs, flag in zip(block, flags):
-            def lin(t):
-                return sum(map(int.__mul__, t, coeffs)) % p
-
-            def quad(t):
-                return sum(t_jl * coeffs[j] * coeffs[l] for (j, l), t_jl in zip(pairs, t)) % p
-
-            a, b, c = lin(mixed[0]), lin(mixed[1]), quad(mixed[2])
-            bur, bvr, qr = [lin(t) for t in bu], [lin(t) for t in bv], [quad(t) for t in gram]
+            alpha_a, beta_a, gamma_a, alpha_b, beta_b, gamma_b, a, b, c = _draw_tables(
+                p, coeffs, *rows[0][1:], *rows[1][1:], *rows[3][1:])
             if b:
                 inv = pow(-b, -1, p)
-                tables = ([t[i], t[j]] for t in (qu, buv, qv, qr, bur, bvr))
+                tables = ([1, 0], [0, 1], [0, 0], [gamma_a, gamma_b], [alpha_a, alpha_b], [beta_a, beta_b])
                 assert flag == (not _coprime_pair(p, (a * inv % p, c * inv % p), *tables))
             else:
                 assert flag
@@ -930,38 +960,137 @@ def test_coprime_on_line_matches_pair_oracle(p):
     assert seen == {(True, True), (False, True), (False, False)}
 
 
+def _spied_column_tests(monkeypatch):
+    """The inputs of each column test a partner search builds, and the flags
+    the block draws read from it, in order (the flags are a generator)."""
+    inputs, flags = [], []
+    column_test = sampling._column_test
+
+    def spy(p, free, mixed, pivots):
+        inputs.append((free, mixed, pivots))
+        keep = column_test(p, free, mixed, pivots)
+
+        def logged(*columns):
+            for flag in keep(*columns):
+                flags.append(flag)
+                yield flag
+        return keep and logged
+
+    monkeypatch.setattr(sampling, "_column_test", spy)
+    return inputs, flags
+
+
+def _partner_against_scan(field, strategy, record_seed):
+    """The first point of a record of ``strategy``, then the partner search
+    from the stream it leaves and the plain scan from a copy of that stream:
+    ``(partner, scan partner, (trials, stream) of each)``."""
+    rng = random.Random(record_seed)
+    tracker = _Budget(strategy, 10**7)
+    point = (random_q_point if strategy == "generic" else _random_hyp_point)(field, rng, tracker)
+    scan_rng, scan_tracker = random.Random(), _Budget(strategy, 10**7)
+    scan_rng.setstate(rng.getstate())
+    scan_tracker.used = tracker.used
+    partner = tangent_cone_partner(field, point, rng, tracker)
+    scan = _scan_partner(field, point, scan_rng, scan_tracker)
+    return partner.coords, scan.coords, (tracker.used, rng.getstate()), (scan_tracker.used, scan_rng.getstate())
+
+
 def test_column_test_rejects_draws_where_k_is_a_q0_q1_combination(monkeypatch):
     # the first point of sample-p31's hyp pool slot 4 (sample --seed 1,
     # record seed 1,000,007): its one kernel combination is 18 q_0 + q_1, so
-    # q_0 and q_1 restrict to proportional forms on every draw's line, and
-    # the column test must take another pair to reject any draw; the partner,
-    # the trials and the stream stay those of the plain scan
-    F = PrimeField(31)
-    rng = random.Random(1_000_007)
-    tracker = _Budget("hyp", 10**7)
-    point = _random_hyp_point(F, rng, tracker)
-    scan_rng, scan_tracker = random.Random(), _Budget("hyp", 10**7)
-    scan_rng.setstate(rng.getstate())
-    scan_tracker.used = tracker.used
-    kernels, flags = [], []
-    column_test = sampling._coprime_on_line
+    # q_0 and q_1 restrict to proportional forms on every draw's line; the
+    # line test reads the pivots A and B of the RREF instead and must reject
+    # most draws.  The partner, the trials and the stream stay those of the
+    # plain scan, and no flag is read past the draw the search returns
+    kernels = []
+    monkeypatch.setattr(sampling, "nullspace", lambda *args: kernels.append(nullspace(*args)) or kernels[-1])
+    inputs, flags = _spied_column_tests(monkeypatch)
+    partner, scan, state, scan_state = _partner_against_scan(PrimeField(31), "hyp", 1_000_007)
+    assert kernels[-1] == [(18, 1, 0, 0)]
+    assert [(len(free), len(mixed), len(pivots)) for free, mixed, pivots in inputs] == [(0, 1, 3)]
+    assert flags.count(False) > len(flags) // 2 and flags[-1]
+    assert partner == scan and state == scan_state
 
-    def spy(p, k, *tables):
-        kernels.append(tuple(k))
-        keep = column_test(p, k, *tables)
 
-        def logged(*columns):
-            kept = keep(*columns)
-            flags.extend(kept)
-            return kept
-        return logged
+def test_point_test_rejects_draws_where_k_has_two_mixed_combinations(monkeypatch):
+    # the first point of sample-p31's generic pool slot 3 (record seed
+    # 1,000,006): K has two mixed combinations and M rank 2, so the point
+    # test decides each draw at the one point the two combinations leave.  It
+    # must reject draws, and the partner, the trials and the stream stay
+    # those of the plain scan
+    inputs, flags = _spied_column_tests(monkeypatch)
+    partner, scan, state, scan_state = _partner_against_scan(PrimeField(31), "generic", 1_000_006)
+    assert [(len(free), len(mixed), len(pivots)) for free, mixed, pivots in inputs] == [(0, 2, 2)]
+    assert flags.count(False) > len(flags) // 2 and flags[-1]
+    assert partner == scan and state == scan_state
 
-    monkeypatch.setattr(sampling, "_coprime_on_line", spy)
-    partner = tangent_cone_partner(F, point, rng, tracker)
-    assert kernels == [(18, 1, 0, 0)]
-    assert flags.count(False) > len(flags) // 2
-    assert partner.coords == _scan_partner(F, point, scan_rng, scan_tracker).coords
-    assert (tracker.used, rng.getstate()) == (scan_tracker.used, scan_rng.getstate())
+
+def _solvable(p, qu, buv, qv, qr, bur, bvr, sqrt_table):
+    """Whether some (x, y) in F_p^2 zeroes the four quadrics: q_0 solved for
+    y at each x, every y where q_0(x, .) vanishes identically."""
+    for x in range(p):
+        A, B, C = qv[0], (x * buv[0] + bvr[0]) % p, (x * x * qu[0] + x * bur[0] + qr[0]) % p
+        for y in range(p) if not (A or B or C) else _scan_solve_quadratic(p, A, B, C, sqrt_table):
+            if not any((y * y * qv[i] + y * (x * buv[i] + bvr[i]) + x * x * qu[i] + x * bur[i] + qr[i]) % p
+                       for i in range(4)):
+                return True
+    return False
+
+
+#: seeded start points whose kernel has two mixed combinations or more, as
+#: (kind, seed, (free, mixed, pivots)) per prime, found by scanning seeds;
+#: p = 31 holds sample-p31's generic pool slot 3 and hyp pool slot 8 (record
+#: seeds 1,000,006 and 1,000,011), which has a free combination too
+_TWO_MIXED = {
+    3: (("generic", 0, (0, 2, 2)), ("generic", 2, (1, 2, 1)), ("generic", 7, (1, 3, 0)), ("generic", 8, (0, 3, 1))),
+    5: (("generic", 0, (0, 2, 2)), ("generic", 2, (1, 2, 1)), ("generic", 7, (0, 3, 1)), ("generic", 14, (1, 3, 0))),
+    7: (("generic", 1, (0, 2, 2)), ("generic", 2, (1, 2, 1))),
+    11: (("generic", 0, (0, 2, 2)), ("generic", 2, (0, 3, 1))),
+    13: (("generic", 7, (0, 2, 2)), ("hyp", 0, (1, 2, 1))),
+    31: (("generic", 1_000_006, (0, 2, 2)), ("hyp", 1_000_011, (1, 2, 1))),
+    101: (("generic", 0, (0, 2, 2)), ("generic", 3, (0, 2, 2))),
+}
+
+
+@pytest.mark.parametrize("p", sorted(_TWO_MIXED))
+def test_point_test_matches_quadric_oracle(monkeypatch, p):
+    # at points where K has two mixed combinations or more (with a free one,
+    # a third mixed one, or both), over seeded blocks of zero-heavy draws:
+    # every draw that some (x, y) solves is kept, and where det = a_1 b_2 -
+    # a_2 b_1 != 0 a draw is kept exactly when all four quadrics vanish at
+    # (X/det, Y/det), by the oracle that inverts det
+    F = PrimeField(p)
+    rng = random.Random(p)
+    sqrt_table = _sqrt_table(p)
+    seen = set()
+    for kind, seed, shape in _TWO_MIXED[p]:
+        point = _start_point(F, kind, random.Random(seed))
+        inputs, flags = _spied_column_tests(monkeypatch)
+        with pytest.raises(BudgetExhausted):
+            tangent_cone_partner(F, point, random.Random(0), _Budget("test", 0))
+        monkeypatch.undo()
+        (free, mixed, pivots), = inputs
+        assert (len(free), len(mixed), len(pivots)) == shape
+        keep = sampling._column_test(p, free, mixed, pivots)
+        u, v, *rest = sampling._tangent_complement(point)
+        qu, qv = ([quadric_value(F, i, w) for i in range(4)] for w in (u, v))
+        buv = [polarization_value(F, i, u, v) for i in range(4)]
+        block = [[rng.choice((0, 1, rng.randrange(p))) for _ in range(5)] for _ in range(150)]
+        for coeffs, flag in zip(block, keep(*map(list, zip(*block)))):
+            R = [sum(c * r[k] for c, r in zip(coeffs, rest)) % p for k in range(12)]
+            qr = [quadric_value(F, i, R) for i in range(4)]
+            bur, bvr = ([polarization_value(F, i, w, R) for i in range(4)] for w in (u, v))
+            a1, b1, c1, a2, b2, c2 = _draw_tables(p, coeffs, *mixed[0], *mixed[1])
+            det = (a1 * b2 - a2 * b1) % p
+            solvable = _solvable(p, qu, buv, qv, qr, bur, bvr, sqrt_table)
+            assert flag or not solvable
+            if det:
+                inv = pow(det, -1, p)
+                x, y = (b1 * c2 - b2 * c1) * inv % p, (a2 * c1 - a1 * c2) * inv % p
+                assert flag == (not any((x * x * qu[i] + x * y * buv[i] + y * y * qv[i] + x * bur[i] + y * bvr[i]
+                                         + qr[i]) % p for i in range(4)))
+            seen.add((det == 0, solvable, flag))
+    assert {(False, False, False), (False, True, True)} <= seen
 
 
 @pytest.mark.parametrize("p", (3, 31, 10007, 999983))
@@ -1171,7 +1300,7 @@ def test_two_hyp_column_test_matches_full_acceptance(p, general_position):
             lam[1:] = [[0 if j in (2, 5, 8) else x for j, x in enumerate(row)] for row in lam[1:]]
         block = [own[2:]] + [[zero_heavy() for _ in range(8)] for _ in range(150)]
         keep = _two_hyp_test(p, lam, general_position)
-        flags = keep(*map(list, zip(*block)))
+        flags = list(keep(*map(list, zip(*block))))
         assert len(flags) == len(block)
         for draw, flag in zip(block, flags):
             ts = _common_roots(F, lam, draw) if p > 100 else None
@@ -1180,7 +1309,7 @@ def test_two_hyp_column_test_matches_full_acceptance(p, general_position):
             assert (_two_hyp_solve(F, lam, general_position, draw) if flag else None) == partner, draw
             seen.add(_two_hyp_cases(F, lam, draw, partner))
         for draw, flag in zip(block[:5], flags):
-            assert keep(*([x] for x in draw)) == [flag]
+            assert list(keep(*([x] for x in draw))) == [flag]
     assert {("D = 0", None), ("cofactor sum 0", None), ("cofactor sum 0", "(1:t)"), ("alpha_0 != 0", None)} <= seen
     # (0:1) is off the base locus only where w0 w1 W x0 x1 X != 0, which over
     # F_3 means w0 = w1, x0 = x1 and so D = 0
@@ -1289,6 +1418,22 @@ def test_block_draws_stop_after_stop_draws(p):
                 d for d in (_randrange(old, p, n) for _ in range(stop)) if _kept(keep, d)
             ]
             assert rng.getstate() == old.getstate()
+
+
+def test_block_draws_read_the_flags_lazily():
+    # a column test that yields its flags is read only up to the draw the
+    # loop takes: a search that returns there tests no more of its block
+    read = []
+
+    def keep(*columns):
+        for i in range(len(columns[0])):
+            read.append(i)
+            yield i % 10 == 9
+
+    for draw, skipped in _BlockDraws(random.Random(0), 31, 5, keep):
+        assert draw is not None
+        break
+    assert (skipped, read) == (9, list(range(10)))
 
 
 def _charged(draws, budget, cost):
