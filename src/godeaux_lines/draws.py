@@ -19,13 +19,13 @@ class _BlockDraws:
     it draws ``getrandbits(p.bit_length())`` and retries while >= p.  Iterating yields ``(draw,
     skipped)``: each draw that ``keep`` passes, with the number it rejected since the last yield,
     and ``(None, skipped)`` for the rest of a block.  ``keep`` gets a block's draws as n columns and
-    returns an iterable of a truth value per draw, read only up to the draw taken (so a generator
-    stops with the search), or is None to pass all.  A draw straddling two blocks belongs to the
-    second, and the draws end after ``stop``.  ``rng`` runs up to a block ahead: :meth:`sync`
-    restores a state saved at most :data:`_BLOCKS_PER_STATE` - 1 blocks back and redraws exactly
-    the words used since, which leaves ``rng`` where the ``randrange`` calls would have after the
-    last yielded draw.  The partner searches promise that state only when they return; after their
-    budget runs out, it is unspecified.
+    returns an iterable of a truth value per draw, read only up to the draw taken, or is None to
+    pass all.  A draw straddling two blocks belongs to the second, and the draws end after
+    ``stop``.  ``rng`` runs up to a block ahead: :meth:`sync` restores a state saved at most
+    :data:`_BLOCKS_PER_STATE` - 1 blocks back and redraws exactly the words used since, which leaves
+    ``rng`` where the ``randrange`` calls would have after the last yielded draw.  The partner
+    searches promise that state only when they return; after their budget runs out, it is
+    unspecified.
     """
 
     def __init__(self, rng, p: int, n: int, keep=None, stop: float = float("inf")):

@@ -46,7 +46,7 @@ from .geometry import (
     quadric_value,
     tangent_space,
 )
-from .linalg import nullspace, solver
+from .linalg import solver
 from .pencil import _fp_roots, _gcd, _trim
 from .strata import TORSION_SPACES, FiberReport, TorsionSpace, classify_line, rank_a
 
@@ -147,14 +147,14 @@ def random_q_point(field: PrimeField, rng, budget: _Budget) -> PointA:
 def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget) -> PointA:
     """A point w of Q n T_p Q not proportional to p.
 
-    Works in an explicit complement of p inside T_p Q, read off the kernel basis with no elimination
-    (:func:`_tangent_complement`): with the first two complement directions (u, v) free, each draw
-    fixes the remaining five coefficients (the part R of w = x u + y v + R), and the search runs
-    over the u-coefficient x in ascending order, solving q_0 = 0 as an exact quadratic in the
-    v-coefficient y and testing q_1..q_3 on the at most two roots.  Each draw costs one trial,
-    whether it fails or yields a partner.  Where q_0(x, .) is identically zero, only y = 0 and y = 1
-    are tried (:func:`_solve_quadratic`), so a partner at that x can be missed; the stored bytes
-    depend on this.
+    Works in an explicit complement of p inside T_p Q, read off the kernel basis with no
+    elimination (:func:`_tangent_complement`): with the first two complement directions (u, v)
+    free, each draw fixes the remaining five coefficients (the part R of w = x u + y v + R), and
+    the search runs over the u-coefficient x in ascending order, solving q_0 = 0 as an exact
+    quadratic in the v-coefficient y and testing q_1..q_3 on the at most two roots.  Each draw
+    costs one trial, whether it fails or yields a partner.  Where q_0(x, .) is identically zero,
+    only y = 0 and y = 1 are tried (:func:`_solve_quadratic`), so a partner at that x can be
+    missed; the stored bytes depend on this.
 
     Before that scan, a draw gets an exact certificate.  The combinations sum k_i q_i(w), k in the
     left kernel K of the 4x3 matrix M of quadratic parts [q_i(u), B_i(u, v), q_i(v)], are
@@ -186,12 +186,13 @@ def tangent_cone_partner(field: PrimeField, point: PointA, rng, budget: _Budget)
         tables = (qu, buv, qv), zip(*bu), zip(*bv), zip(*gram)
         return [[sum(map(mul, k, col)) % p for col in cols] for cols in tables]
 
+    kernel, inverse, _ = solver(field, [qu, buv, qv], 4)  # K's basis, as nullspace gives it; M^T x = b solved
     # sum k_i q_i(w) = a x + b y + c for k in K: free of x and y as (j, l, coeff) terms, else (a, b, c)
-    kernel = [combination(k)[1:] for k in nullspace(field, [qu, buv, qv], 4)]
+    kernel = [combination(k)[1:] for k in kernel]
     mixed = [(a, b, c) for a, b, c in kernel if any(a + b)]
     free = [[(*jl, t) for jl, t in zip(_PAIRS, c) if t] for a, b, c in kernel if not any(a + b)]
-    inverse = solver(field, list(zip(qu, buv, qv)), 3)[1]  # the RREF of [M | I], by pivot column
-    pivots = [combination([row.get(i, 0) for i in range(4)]) for _, row in sorted(inverse.items())]
+    pivots = ([combination([inverse.get(c, {}).get(r, 0) for c in range(4)]) for r in (0, 1)]
+              if len(inverse) == 3 else [((qu[c], buv[c], qv[c]), bu[c], bv[c], gram[c]) for c in sorted(inverse)])
     draws = _BlockDraws(rng, p, 5, _column_test(p, free, mixed, pivots))
     # one packed int per draw coefficient (resp. product c_j c_l), slots for a and b of
     # each mixed combination, B_i(u, R), B_i(v, R) (resp. c of each, q_i(R))
@@ -272,27 +273,26 @@ def _solved_draws(p, free, rng):
 
 
 def _column_test(p, free, mixed, pivots):
-    """The block column test of :func:`tangent_cone_partner`, None where it has nothing to test.  It
-    reads the (j, l, coeff) terms of each free combination of K, the (a, b, c) tables of each mixed
-    one and the rows of the RREF of [M | I] by pivot column, as [(q(u), B(u, v), q(v)), alpha, beta,
-    gamma] with tables of B(u, R), B(v, R), q(R).  A draw is rejected only where no (x, y) zeroes
-    all four quadrics: where a free combination does not vanish (tested first), or where a test
-    fails.  The line test, where K is one mixed combination a x + b y + c (M has rank 3): the rows A
-    and B, of quadratic parts x^2 and x y, on its line, b A = b x^2 + (b alpha_A - a beta_A) x + b
-    gamma_A - c beta_A and b B = -a x^2 + (b alpha_B - c - a beta_B) x + b gamma_B - c beta_B, have
-    a nonzero resultant (never where b = 0).  The point test, where K has two mixed combinations or
-    more: det = a_1 b_2 - a_2 b_1 != 0 and, with X = b_1 c_2 - b_2 c_1 and Y = a_2 c_1 - a_1 c_2,
-    det^2 P(X / det, Y / det) = q_P(u) X^2 + B_P(u, v) X Y + q_P(v) Y^2 + (alpha_P X + beta_P Y) det
-    + gamma_P det^2 != 0 for a row P or a further mixed combination (2 - len(free) of them, as K has
-    4 - rank M members).  Tables are summed for a whole block on ints packing a column each, a draw
-    per 32-bit slot (64-bit for p > 653), below 15 p^3, so no slot carries.  The flags are a
-    generator: a search that returns stops testing its block."""
+    """The block column test of :func:`tangent_cone_partner` (None where it has nothing to test),
+    from the (j, l, coeff) terms of each free combination of K, the (a, b, c) tables of each mixed
+    one and ``pivots``, each [(q(u), B(u, v), q(v)), alpha, beta, gamma] with tables of B(u, R),
+    B(v, R), q(R).  A draw is rejected only where no (x, y) zeroes all four quadrics: where a free
+    combination does not vanish (tested first), or a test fails.  The line test, where K is one
+    mixed combination a x + b y + c (M has rank 3): the pivots A and B, of quadratic parts x^2 and
+    x y, on its line, b A = b x^2 + (b alpha_A - a beta_A) x + b gamma_A - c beta_A and b B = -a x^2
+    + (b alpha_B - c - a beta_B) x + b gamma_B - c beta_B, have a nonzero resultant (never where
+    b = 0).  The point test, where K has two mixed combinations or more: det = a_1 b_2 - a_2 b_1
+    != 0 and, with X = b_1 c_2 - b_2 c_1 and Y = a_2 c_1 - a_1 c_2, det^2 P(X / det, Y / det) =
+    q_P(u) X^2 + B_P(u, v) X Y + q_P(v) Y^2 + (alpha_P X + beta_P Y) det + gamma_P det^2 != 0 for a
+    further mixed combination or a quadric P of ``pivots`` (they span the quadrics with K).  Tables
+    are summed for a whole block on ints packing a column each, a draw per 32-bit slot (64-bit for
+    p > 653), below 15 p^3, so none carries.  The flags are yielded lazily."""
     line = len(mixed) == 1 and not free and any(mixed[0][1])
     if not (line or free or mixed[1:]):
         return None
     zero = ((0, 0, 0), [0] * 5, [0] * 5, [0] * 15)  # pads the point test's combinations: det = 0, P = 0
     checks = (pivots + [((0, 0, 0), *m) for m in mixed[2:]] + [zero, zero])[:2]
-    rows = [mixed[0], *pivots[:2]] if line else (mixed + [zero[1:]] * 2)[:2] + checks
+    rows = [mixed[0], *pivots] if line else (mixed + [zero[1:]] * 2)[:2] + checks
     tables = [{m + 5 * (len(t) == 15): x for m, x in enumerate(t) if x} for row in rows for t in row[-3:]]
     free = [{5 + _PAIRS.index((j, l)): t for j, l, t in terms} for terms in free]
     (u1, w1, v1), (u2, w2, v2) = (P[0] for P in checks)
@@ -399,10 +399,10 @@ def _affine_solutions(p, eqs):
 
 def _share_a_factor(field: PrimeField, line, qu, buv, qv, bur, bvr, qr) -> bool:
     """Whether the q_i(x u + y v + R), restricted to the line a x + b y + c = 0 (b != 0), have a
-    nonconstant common factor over F_p or all vanish; when they do not, no x on the line solves the
-    draw.  (For b = 0 every restriction is a multiple of (a x + c)^2, and the answer is True.)  Each
-    restriction, b^2 q_i = f2 x^2 + f1 x + f0 with b y = -(a x + c) substituted without inverting b,
-    is read off the tables (which may be unreduced), and they are compared by :func:`_common_factor`."""
+    nonconstant common factor over F_p (:func:`_common_factor`) or all vanish; if not, no x on the
+    line solves the draw (True for b = 0, where each is a multiple of (a x + c)^2).  Each b^2 q_i =
+    f2 x^2 + f1 x + f0 (b y = -(a x + c), b not inverted) is read off the tables, which may be
+    unreduced."""
     p, (a, b, c) = field.p, line
     aa, ab, bb, ac, bc, cc = a * a % p, a * b % p, b * b % p, 2 * a * c % p, b * c % p, c * c % p
     common = _common_factor(field, [

@@ -881,10 +881,13 @@ def test_pair_resultants_match_coprime_pair_oracle(p, gcd_calls):
 
 
 def _column_inputs(F, qu, buv, qv, bu, bv, gram):
-    """What tangent_cone_partner hands _column_test, from the tables of four
-    quadrics: the c of each free kernel combination, the (a, b, c) of each
-    mixed one, and the pivot rows of the RREF of [M | I] as combinations
-    [(q(u), B(u, v), q(v)), alpha, beta, gamma], by pivot column."""
+    """The inputs of _column_test from the tables of four quadrics: the c of
+    each free kernel combination, the (a, b, c) of each mixed one, and the
+    pivot rows of the RREF of [M | I] as combinations [(q(u), B(u, v), q(v)),
+    alpha, beta, gamma], by pivot column.  At rank 3 the first two have the
+    quadratic parts x^2 and x y, as the line test needs (tangent_cone_partner
+    reads them off M^T x = e_0, e_1 instead: they differ by multiples of the
+    kernel combination, which vanishes on each draw's line)."""
     p = F.p
 
     def combination(k):
@@ -939,7 +942,7 @@ def test_coprime_on_line_matches_pair_oracle(p):
                          for m in mix] for n in (1, 2, 3))
         free, mixed, pivots = _column_inputs(F, qu, buv, qv, bu, bv, gram)
         assert (free, len(mixed), len(pivots)) == ([], 1, 3)
-        keep = sampling._column_test(p, free, mixed, pivots)
+        keep = sampling._column_test(p, free, mixed, pivots[:2])  # A and B
         if not any(rows[3][2]):
             assert keep is None  # b = 0 on every draw: nothing to test
             continue
@@ -999,15 +1002,16 @@ def test_column_test_rejects_draws_where_k_is_a_q0_q1_combination(monkeypatch):
     # the first point of sample-p31's hyp pool slot 4 (sample --seed 1,
     # record seed 1,000,007): its one kernel combination is 18 q_0 + q_1, so
     # q_0 and q_1 restrict to proportional forms on every draw's line; the
-    # line test reads the pivots A and B of the RREF instead and must reject
-    # most draws.  The partner, the trials and the stream stay those of the
-    # plain scan, and no flag is read past the draw the search returns
+    # line test reads the combinations A and B (quadratic parts x^2 and x y)
+    # instead and must reject most draws.  The partner, the trials and the
+    # stream stay those of the plain scan, and no flag is read past the draw
+    # the search returns
     kernels = []
-    monkeypatch.setattr(sampling, "nullspace", lambda *args: kernels.append(nullspace(*args)) or kernels[-1])
+    monkeypatch.setattr(sampling, "solver", lambda *args: kernels.append(solver(*args)) or kernels[-1])
     inputs, flags = _spied_column_tests(monkeypatch)
     partner, scan, state, scan_state = _partner_against_scan(PrimeField(31), "hyp", 1_000_007)
-    assert kernels[-1] == [(18, 1, 0, 0)]
-    assert [(len(free), len(mixed), len(pivots)) for free, mixed, pivots in inputs] == [(0, 1, 3)]
+    assert kernels[-1][0] == [(18, 1, 0, 0)]
+    assert [(len(free), len(mixed), len(pivots)) for free, mixed, pivots in inputs] == [(0, 1, 2)]
     assert flags.count(False) > len(flags) // 2 and flags[-1]
     assert partner == scan and state == scan_state
 
