@@ -227,7 +227,7 @@ def _read_header(fh) -> bool:
 
 
 def iter_store(path):
-    """Yield (index, record-dict or None, raw-line) for each body line."""
+    """Yield (slot, record-dict or None, raw-line) per body line but blank ones, which still take a slot."""
     with open(path) as fh:
         if not _read_header(fh):
             return

@@ -498,6 +498,28 @@ def test_classify_bad_header_is_usage_error(tmp_path, header):
     assert main(["classify", "--in", str(store)]) == 2
 
 
+def test_classify_zero_byte_store_writes_nothing(tmp_path):
+    # a store without even a header holds no records: empty output, exit 0
+    store = tmp_path / "store.jsonl"
+    store.write_bytes(b"")
+    out = tmp_path / "out.jsonl"
+    assert main(["classify", "--in", str(store), "--out", str(out)]) == 0
+    assert out.read_bytes() == b""
+
+
+def test_classify_skips_blank_lines_but_counts_their_slots(tmp_path):
+    # a blank or whitespace-only body line gets no report, but the slot of
+    # each record is its line number after the header, blank lines included
+    store = tmp_path / "store.jsonl"
+    good = json.dumps({"line": Z5_LINE_JSON})
+    store.write_text("\n".join([json.dumps({"format": 1}), good, "", "  ", good]) + "\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["classify", "--in", str(store), "--out", str(out)]) == 0
+    reports = [json.loads(l) for l in out.read_text().splitlines()]
+    assert [r["slot"] for r in reports] == [0, 3]
+    assert reports[1] == dict(reports[0], slot=3)
+
+
 DEEP = "[" * 100_000 + "]" * 100_000  # nested past any recursion limit
 
 

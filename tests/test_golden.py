@@ -1,6 +1,7 @@
 """Golden gates: ``classify`` on the committed store writes the committed
-bytes, ``sample`` still draws the committed sample file's lines, and every
-``verify`` certificate is unchanged apart from its timing.
+bytes, ``sample`` still draws the committed sample file's lines, every
+``verify`` certificate is unchanged apart from its timing, and each pinned
+``sample`` command writes the bytes whose SHA-256 ``pins.json`` holds.
 
 The store, the sample file and both outputs come from
 ``tests/data/make_golden.py``; see its docstring for what they cover and
@@ -21,6 +22,11 @@ from godeaux_lines.fields import Field, PrimeField, RationalField
 from godeaux_lines.sampling import STRATEGIES
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
+
+spec = importlib.util.spec_from_file_location("make_golden", DATA / "make_golden.py")
+make_golden = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(make_golden)
+PINNED = json.loads(make_golden.PIN_FILE.read_text())
 
 
 def test_classify_golden_store_byte_identical(tmp_path):
@@ -46,12 +52,24 @@ def test_sample_reproduces_golden_store_lines(strategy, tmp_path):
 def test_family_lines_reproduce_golden_store_lines():
     # the store ends with make_golden.family_lines(Random(FAMILY_SEED)), which
     # pins sample_component_line and z5_line over F_99991 and F_(2^61 - 1)
-    spec = importlib.util.spec_from_file_location("make_golden", DATA / "make_golden.py")
-    make_golden = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(make_golden)
     got = [_dumps({"line": l}) for l in make_golden.family_lines(random.Random(make_golden.FAMILY_SEED))]
     store = (DATA / "golden_store.jsonl").read_text().splitlines()[1:]
     assert got == store[len(store) - len(got):]
+
+
+def test_pin_file_holds_one_entry_per_producer():
+    # the 34 sampler byte pins, sorted, one per line: make_golden.PINS names
+    # what each digest runs over, and the tests of each family check them
+    assert sorted(PINNED) == sorted(make_golden.PINS) and len(PINNED) == 34
+    assert make_golden.PIN_FILE.read_text() == make_golden.pins_text(PINNED)
+
+
+@pytest.mark.parametrize("command", make_golden.COMMANDS)
+def test_sample_command_output_pinned(command):
+    # the pool sample-p31 times, budget-limited records, generic at p = 101
+    # and a general-position two-hyp record, byte for byte (make_golden's
+    # COMMANDS says what each covers)
+    assert make_golden.digest(command) == PINNED[command]
 
 
 def test_verify_golden_certificates(tmp_path):

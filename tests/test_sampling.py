@@ -1,12 +1,14 @@
 import functools
 import hashlib
+import importlib.util
 import itertools
+import json
+import pathlib
 import random
 from types import SimpleNamespace
 
 import pytest
 
-from godeaux_lines.cli import _dumps, _record_seed
 from godeaux_lines.draws import _BLOCK_WORDS, _BLOCKS_PER_STATE, _BlockDraws
 from godeaux_lines.families import HYP_FACTORED, hyp_evaluate
 from godeaux_lines.fields import QQ, PrimeField, is_prime
@@ -155,6 +157,22 @@ def test_two_hyp_strategy(f31):
     points = {r.point for r in report.hyperelliptic_roots}
     assert len(points) == 2
     assert len(line.provenance["certificate"]["rank3_roots"]) == 2
+
+
+def test_two_hyp_draws_a_new_first_point_when_the_partner_cap_runs_out(f31, monkeypatch):
+    # the partner search stops after max(1000, budget // 20) draws, here
+    # 1,000: seed 11's first search returns None, so sample_line draws a new
+    # first point, and the line it then finds keeps the two-hyp promise
+    results = []
+
+    def spy(*args):
+        results.append(_two_hyp_partner(*args))
+        return results[-1]
+
+    monkeypatch.setattr(sampling, "_two_hyp_partner", spy)
+    line = sample_line("two-hyp", f31, seed=11, budget=20000)
+    assert results[0] is None and results[-1] is not None
+    assert sampling._fulfils("two-hyp", classify_line(line), None, None, False)
 
 
 def test_two_hyp_general_position(f31):
@@ -1477,118 +1495,47 @@ def test_block_draws_charge_where_the_budget_runs_out(p):
 
 
 # ----------------------------------------------------------------------
-# seeded samples byte for byte, at primes the golden gate does not cover
-
-#: name -> (strategy, primes, option sets, SHA-256): the digest runs over
-#: the canonical JSON lines of sample_line(strategy, F_p, seed, **options)
-#: for each prime in turn, each option set, then seeds 0-4.  The torsion and
-#: two-hyp pins cover the block-drawn rejection loops of their partners
-_SAMPLE_SHA256 = {
-    "generic": (
-        "generic", (5, 7, 101), ({},),
-        "47b79b78c5d2f294dc1915219940c64ef74cff1cad33e4bf6f58256ac930607c",
-    ),
-    "hyp": (
-        "hyp", (5, 7, 101), ({},),
-        "14d44e9fc622acbf14471fc724c4982d7c5eb53996bf3770ed60619dbf780bb4",
-    ),
-    "torsion": (
-        "torsion", (5, 7, 11, 13), tuple({"space": space} for space in TORSION_SPACES),
-        "915e5aaa2dcc7ee0316be6feeaea1595029a16ff20c694d27c0ccd763bbf859d",
-    ),
-    "two-hyp": (
-        "two-hyp", (5, 7, 11), ({},),
-        "f0ca61d787724542c06459a97657a02290059dcc6c38624bab510633f6658e53",
-    ),
-    "two-hyp-general-position": (
-        "two-hyp", (5, 7, 11), ({"general_position": True},),
-        "77e40e845d488737f46837af7dec5fef67d8d7097bae94d2512feeb1540cd429",
-    ),
-}
+# seeded samples byte for byte, at primes the golden gate does not cover:
+# each test hashes the bytes of make_golden.PINS's producers and compares
+# the digest with its entry in tests/data/pins.json
 
 
-@pytest.mark.parametrize("name", sorted(_SAMPLE_SHA256))
+spec = importlib.util.spec_from_file_location(
+    "make_golden", pathlib.Path(__file__).resolve().parent / "data" / "make_golden.py")
+make_golden = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(make_golden)
+_PINNED = json.loads(make_golden.PIN_FILE.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(make_golden.OFF_GOLDEN))
 def test_samples_byte_identical_off_the_golden_prime(name):
     # the golden gate pins p = 31; these primes put the tangent-cone
     # certificate on fields where small-p coincidences (b = 0, vanishing
-    # restrictions) are frequent, and on one where draws take 10^6 trials
-    strategy, primes, option_sets, expected = _SAMPLE_SHA256[name]
-    digest = hashlib.sha256()
-    for p in primes:
-        for options in option_sets:
-            for seed in range(5):
-                line = sample_line(strategy, PrimeField(p), seed, **options)
-                digest.update(_dumps(line.to_json()).encode() + b"\n")
-    assert digest.hexdigest() == expected
+    # restrictions) are frequent, and on one where draws take 10^6 trials.
+    # The torsion and two-hyp pins cover the block-drawn rejection loops of
+    # their partners
+    assert make_golden.digest(f"lines/{name}") == _PINNED[f"lines/{name}"]
 
 
 def test_small_budget_outcomes_byte_identical():
     # every strategy at budgets from 1 (the first draw) to 60,000, through
     # sample_line: 45 of the 150 outcomes are exhausted, and each keeps only
     # its trial count, limit + 1
-    digest, exhausted = hashlib.sha256(), 0
-    for strategy in sampling.STRATEGIES:
-        for budget in (1, 40, 999, 5000, 60000):
-            for seed in range(6):
-                try:
-                    record = sample_line(strategy, PrimeField(31), seed, budget=budget).to_json()
-                except BudgetExhausted as err:
-                    assert err.trials == budget + 1
-                    record, exhausted = {"exhausted": err.trials}, exhausted + 1
-                digest.update(_dumps(record).encode() + b"\n")
-    assert exhausted == 45
-    assert digest.hexdigest() == "1be042dfc072511536f860a91e9a9eb2951b6e8ce53907eb423aaaa82f0e1d02"
+    data = make_golden.PINS["lines/small-budgets"]()
+    budgets = [b for _ in make_golden.STRATEGIES for b in make_golden.SMALL_BUDGETS for _ in range(6)]
+    records = [json.loads(line) for line in data.splitlines()]
+    exhausted = [(r["exhausted"], b) for r, b in zip(records, budgets) if "exhausted" in r]
+    assert len(exhausted) == 45 and all(trials == budget + 1 for trials, budget in exhausted)
+    assert hashlib.sha256(data).hexdigest() == _PINNED["lines/small-budgets"]
 
 
-def _rows_inputs():
-    """name -> (strategy, primes, options, seeds): the lines behind
-    _SAMPLE_SHA256, one entry per strategy and per torsion space, then the
-    sample-p31 pool, slots 0-19 of ``sample --field p31 --seed 1``."""
-    inputs = {}
-    for name, (strategy, primes, option_sets, _) in _SAMPLE_SHA256.items():
-        for options in option_sets:
-            space = options.get("space")
-            inputs[name + (f"-{space}" if space else "")] = (strategy, primes, options, range(5))
-    pool = [_record_seed(1, slot) for slot in range(20)]
-    for strategy in sampling.STRATEGIES:
-        for space in TORSION_SPACES if strategy == "torsion" else (None,):
-            inputs[f"pool-{strategy}" + (f"-{space}" if space else "")] = (
-                strategy, (31,), {"space": space} if space else {}, pool)
-    return inputs
-
-
-_ROWS_INPUTS = _rows_inputs()
-
-#: name -> SHA-256 of the rows alone (no provenance) of the lines in
-#: _ROWS_INPUTS, one canonical JSON line each: trial counts and the
-#: provenance's format may change while the lines drawn stay these
-_ROWS_SHA256 = {
-    "generic": "124d47fcf647faf9c8c8de0573b54afdf88650d3da8567b807a09249e21c2c01",
-    "hyp": "32d47da6c0c76a71b4acc9065e723728936d2608478f153a7b60c4570767fe9a",
-    "pool-generic": "2ab6928af38248eb86ab3973dcee622562243ccae0f0fcacdb139b3c0a24e8f0",
-    "pool-hyp": "2e910d2d97a1edba55bf8558d2d181b5fed3f0f42c2993a9a0e593a532b44c8a",
-    "pool-torsion-T01|23": "24463a1c6a2e70d233c6eb284c0a7b97fcae742740f1c7c02818a1a27db3b1df",
-    "pool-torsion-T02|13": "bb935555510e0d2e69b882eb7c8ad08372a6918bc42eda2cb2cf8baafc5ff835",
-    "pool-torsion-T03|12": "5f8999bec61ca7063a8b05359ed2c093c30cf21e4e1f968b494b250b06f55c98",
-    "pool-two-hyp": "743aa7b344ff18093989757588e3a2d366400fe6cb4ffba6da95c9bd377a1623",
-    "pool-two-torsion": "ff6fe127f1ccd0c95f059b3c95ba492b117ea058c49abc27a77eba83f59ef8d0",
-    "torsion-T01|23": "1ba2cccd349b10b3df63bb6842faf5b1d8e8768197d481a28583503464608ead",
-    "torsion-T02|13": "62a7db210cf7680fc1f0896de227cd9d0ad68d84974110ac40cad1cd324f7916",
-    "torsion-T03|12": "d810db1d8a1818e48e86be98c2da197f653b0b5ceea166ea9103a08ef9f39db7",
-    "two-hyp": "60569e584f1e00fe5833d60dec5548b79c4fefd9dbe2600ed0c43e10b60d4437",
-    "two-hyp-general-position": "a5e06d01e0b3a20fc4e5427c6116d2e894fe11fcd957ff87efb5be8b65df9b5f",
-}
-
-
-@pytest.mark.parametrize("name", sorted(_ROWS_INPUTS))
+@pytest.mark.parametrize("name", [n.removeprefix("rows/") for n in sorted(make_golden.PINS) if n.startswith("rows/")])
 def test_sampled_rows_byte_identical(name):
-    strategy, primes, options, seeds = _ROWS_INPUTS[name]
-    digest = hashlib.sha256()
-    for p in primes:
-        for seed in seeds:
-            line = sample_line(strategy, PrimeField(p), seed, **options)
-            digest.update(_dumps(line.to_json()["rows"]).encode() + b"\n")
-    assert digest.hexdigest() == _ROWS_SHA256[name]
+    # the rows alone (no provenance) of the lines behind the lines/ pins, one
+    # pin per strategy and per torsion space, then of the sample-p31 pool,
+    # slots 0-19 of ``sample --field p31 --seed 1``: trial counts and the
+    # provenance's format may change while the lines drawn stay these
+    assert make_golden.digest(f"rows/{name}") == _PINNED[f"rows/{name}"]
 
 
 # ----------------------------------------------------------------------
@@ -1630,7 +1577,7 @@ def test_rank3_roots_by_k4_kind(f31, strategy):
 
 def test_general_position_two_hyp_by_k4_kind(f31):
     # a general-position two-hyp line has two rank-3 roots, both of kind T&C;
-    # the lines' bytes are pinned by _SAMPLE_SHA256 and CI
+    # the lines' bytes are pinned by tests/data/pins.json
     for seed in range(6):
         line = sample_line("two-hyp", f31, seed, general_position=True)
         report = classify_line(line)
